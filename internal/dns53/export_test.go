@@ -1,0 +1,35 @@
+package dns53
+
+import (
+	"net"
+
+	"encdns/internal/dnswire"
+	"encdns/internal/udpbatch"
+)
+
+// serveUDPPacket answers one datagram with the steps the receive loop and
+// the workers share — parse and limit, fast-path append, ServeDNS
+// fallback — composed the plain way: one packet in, one write out,
+// nothing batched, swapped or cloned. It is the reference the
+// differential test holds ServeUDP against, and what BenchmarkServeUDP
+// times. one is the reusable single-packet WriteBatch argument.
+func (s *Server) serveUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr, query *dnswire.Message, one []udpbatch.Packet) {
+	limit, ok := s.parseUDP(query, raw, from)
+	if !ok {
+		return
+	}
+	if wire, ok := s.appendUDPHit(nil, query, raw, limit); ok {
+		one[0] = udpbatch.Packet{Buf: wire, Addr: from}
+		_, _ = conn.WriteBatch(one) // the reference conns cannot fail
+		return
+	}
+	s.serveUDPFallback(udpJob{conn: conn, query: query, addr: from, limit: limit}, one)
+}
+
+// ServeUDPPacket exposes serveUDPPacket to the external test package,
+// which can import the cache-backed handlers this package cannot.
+func (s *Server) ServeUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr) {
+	query := dnswire.AcquireMessage()
+	defer dnswire.ReleaseMessage(query)
+	s.serveUDPPacket(conn, raw, from, query, make([]udpbatch.Packet, 1))
+}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"encdns/internal/bufpool"
 	"encdns/internal/dnswire"
 	"encdns/internal/udpbatch"
 )
@@ -25,10 +24,12 @@ func (discardPacketConn) SetDeadline(time.Time) error               { return nil
 func (discardPacketConn) SetReadDeadline(time.Time) error           { return nil }
 func (discardPacketConn) SetWriteDeadline(time.Time) error          { return nil }
 
-// BenchmarkServeUDP measures the per-packet worker path — pooled unpack
-// with reused decode state, handler dispatch, response pack into a pooled
-// buffer, batched-writer enqueue — with the socket and channel hop
-// factored out, exactly as one pool worker runs it.
+// BenchmarkServeUDP measures the miss/fallback path one packet at a time —
+// unpack with reused decode state, a handler without the fast path
+// dispatched through ServeDNS, response pack into a pooled buffer, a
+// one-packet write — with the socket and the channel hop to the worker
+// factored out. Cache hits do not take this path; BenchmarkServeUDPBatch
+// times the one they take.
 func BenchmarkServeUDP(b *testing.B) {
 	answer := HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		resp := q.Reply()
@@ -46,14 +47,12 @@ func BenchmarkServeUDP(b *testing.B) {
 		b.Fatal(err)
 	}
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 53535}
-	w := &udpWriter{conn: udpbatch.NewConn(discardPacketConn{})}
+	conn := udpbatch.NewConn(discardPacketConn{})
+	one := make([]udpbatch.Packet, 1)
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bp := bufpool.GetN(len(wire))
-		copy(*bp, wire) // the job owns its buffer; refill like the read loop does
-		*bp = (*bp)[:len(wire)]
-		s.serveUDPPacket(udpJob{w: w, bp: bp, addr: from}, query)
+		s.serveUDPPacket(conn, wire, from, query, one)
 	}
 }

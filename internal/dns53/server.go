@@ -43,16 +43,19 @@ const maxUDPDatagram = 64 * 1024
 // listeners to ServeUDP/ServeTCP (each blocks; run them in goroutines) and
 // call Shutdown to stop. The zero value is not usable; populate Handler.
 //
-// The UDP frontend is a batched worker-pool pipeline: each listener
-// socket gets one receive loop that pulls up to UDPBatch datagrams per
-// syscall (recvmmsg on Linux via internal/udpbatch) directly into pooled
-// buffers and hands them to a bounded pool of workers; workers parse with
-// per-worker reusable decode state, run the handler, pack into pooled
-// buffers, and push responses through a flush-combining writer that sends
-// whole batches back per syscall (sendmmsg). Steady-state load therefore
-// runs without per-packet goroutine spawns or buffer allocations. Pass
-// several SO_REUSEPORT sockets from udpbatch.Listen to ServeUDP (one call
-// each) to spread receive load across loops.
+// The UDP frontend runs cache hits to completion in the receive loop and
+// keeps a worker pool for everything else. Each listener socket gets one
+// loop that pulls up to UDPBatch datagrams per syscall (recvmmsg on Linux
+// via internal/udpbatch) into buffers it owns, parses each into a message
+// it owns, and asks the handler's ResponseAppender for the packed answer
+// straight into a send buffer it owns; every answer of the batch then
+// leaves in one WriteBatch (sendmmsg). A hit therefore costs no goroutine
+// hop, no lock and no pool traffic. What the appender declines — a cache
+// miss, a hop-marked cluster query, a handler without the fast path — is
+// handed, already parsed, to a bounded pool of workers that run ServeDNS
+// (which may block on upstream I/O) and write their one response
+// themselves. Pass several SO_REUSEPORT sockets from udpbatch.Listen to
+// ServeUDP (one call each) to spread receive load across loops.
 type Server struct {
 	Handler Handler
 	// Logger receives malformed-packet and handler-failure notices; nil
@@ -66,7 +69,7 @@ type Server struct {
 	// zero means dnswire.MaxUDPSize, raised per-query by EDNS.
 	MaxUDPResponse int
 	// UDPWorkers bounds the worker pool shared by every UDP listener on
-	// this server, and with it handler concurrency: handlers that block
+	// this server, and with it ServeDNS concurrency: handlers that block
 	// on upstream I/O (forwarders, recursion) need enough workers to
 	// cover rate × handler latency. Zero means 32×GOMAXPROCS with a
 	// floor of 64 — generous for blocking handlers, still a hard bound.
@@ -182,10 +185,10 @@ func (s *Server) Shutdown() {
 }
 
 // startUDPWorkers launches the bounded worker pool once, sized by
-// UDPWorkers. The job channel is buffered so receive loops can hand off
-// a full batch without a context switch per packet; beyond that they
-// block, pushing overload back into the kernel socket buffer where
-// excess is dropped cheaply instead of ballooning goroutines.
+// UDPWorkers. The job channel is buffered so a receive loop can hand off
+// a full batch of misses without a context switch per packet; beyond
+// that it blocks, pushing overload back into the kernel socket buffer
+// where excess is dropped cheaply instead of ballooning goroutines.
 func (s *Server) startUDPWorkers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,12 +204,14 @@ func (s *Server) startUDPWorkers() {
 	}
 }
 
-// udpJob is one received datagram awaiting a worker: the pooled buffer
-// holding the packet, its origin, and the writer to answer through.
+// udpJob is one query the receive loop could not answer itself: parsed,
+// already declined by the fast path, with everything the worker needs to
+// answer it after the loop has moved on to the next batch.
 type udpJob struct {
-	w    *udpWriter
-	bp   *[]byte
-	addr net.Addr
+	conn  udpbatch.Conn
+	query *dnswire.Message // pooled; the worker releases it
+	addr  net.Addr         // cloned, see udpbatch.Packet
+	limit int
 }
 
 // ServeUDP answers queries arriving on pc until the connection is
@@ -221,42 +226,54 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 	}
 	s.startUDPWorkers()
 	bc := udpbatch.NewConn(pc)
-	w := &udpWriter{conn: bc, logger: s.logger()}
 	batch := s.udpBatch()
-	pkts := make([]udpbatch.Packet, batch)
-	bufs := make([]*[]byte, batch)
-	release := func() {
-		for i, bp := range bufs {
-			if bp != nil {
-				bufpool.Put(bp)
-				bufs[i] = nil
-			}
-		}
+	// Loop-owned state: receive buffers, one send buffer per slot (kept
+	// across batches with whatever growth a large answer caused), the
+	// packet vectors, and the message every datagram is parsed into.
+	in := make([]udpbatch.Packet, batch)
+	out := make([]udpbatch.Packet, 0, batch)
+	recv := make([]byte, batch*maxUDPDatagram)
+	send := make([][]byte, batch)
+	for i := range send {
+		send[i] = make([]byte, 0, dnswire.MaxUDPSize)
 	}
+	query := dnswire.AcquireMessage()
+	defer func() { dnswire.ReleaseMessage(query) }()
 	s.udpLoops.Add(1)
 	defer s.udpLoops.Done()
-	defer release()
 	for {
-		for i := range pkts {
-			if bufs[i] == nil {
-				bufs[i] = bufpool.GetN(maxUDPDatagram)
-			}
-			pkts[i].Buf = (*bufs[i])[:maxUDPDatagram]
-			pkts[i].Addr = nil
+		for i := range in {
+			in[i].Buf = recv[i*maxUDPDatagram : (i+1)*maxUDPDatagram]
 		}
-		n, err := bc.ReadBatch(pkts)
+		n, err := bc.ReadBatch(in)
 		if err != nil {
 			if s.isClosed() {
 				return nil
 			}
 			return err
 		}
-		for i := 0; i < n; i++ {
-			bp := bufs[i]
-			*bp = pkts[i].Buf // sliced to the datagram read
-			bufs[i] = nil     // ownership moves to the job
+		out = out[:0]
+		for _, p := range in[:n] {
+			limit, ok := s.parseUDP(query, p.Buf, p.Addr)
+			if !ok {
+				continue
+			}
+			k := len(out)
+			if wire, ok := s.appendUDPHit(send[k], query, p.Buf, limit); ok {
+				send[k] = wire
+				out = append(out, udpbatch.Packet{Buf: wire, Addr: p.Addr})
+				continue
+			}
+			// The worker outlives this batch: it gets the parsed message
+			// (the loop takes a fresh one) and its own copy of the peer.
 			workerQueueDepth.Inc()
-			s.jobs <- udpJob{w: w, bp: bp, addr: pkts[i].Addr}
+			s.jobs <- udpJob{conn: bc, query: query, addr: udpbatch.CloneAddr(p.Addr), limit: limit}
+			query = dnswire.AcquireMessage()
+		}
+		if len(out) > 0 {
+			if _, err := bc.WriteBatch(out); err != nil {
+				s.logger().Debug("writing UDP responses", "err", err)
+			}
 		}
 	}
 }
@@ -267,159 +284,101 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// udpWorker drains the job channel with per-worker reusable parse state:
-// one pooled Message whose decoder arenas are recycled across every
-// packet this worker handles.
+// udpWorker answers the queries the receive loops declined, one blocking
+// ServeDNS at a time.
 func (s *Server) udpWorker() {
 	defer s.workerWG.Done()
 	defer workerCount.Dec()
-	query := dnswire.AcquireMessage()
-	defer dnswire.ReleaseMessage(query)
+	one := make([]udpbatch.Packet, 1) // WriteBatch argument, reused
 	for job := range s.jobs {
 		workerQueueDepth.Dec()
-		s.serveUDPPacket(job, query)
+		s.serveUDPFallback(job, one)
+		dnswire.ReleaseMessage(job.query)
 	}
 }
 
-// serveUDPPacket handles one datagram end to end: parse (into the
-// worker's reusable message), try the handler's wire-template fast path
-// (ResponseAppender) straight into a pooled send buffer, otherwise
-// dispatch ServeDNS and pack. The packet buffer returns to the pool once
-// neither the parser nor the fast path (which echoes the raw question
-// bytes from it) needs it — handlers retain only interned name strings
-// from the query, never the raw bytes.
-func (s *Server) serveUDPPacket(job udpJob, query *dnswire.Message) {
-	if err := query.Unpack(*job.bp); err != nil {
-		bufpool.Put(job.bp)
+// parseUDP unpacks one datagram into query and derives the largest
+// response its sender accepts: the client's advertised EDNS buffer,
+// defaulting to 512. ok=false means the datagram was malformed and has
+// been counted and dropped.
+func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (limit int, ok bool) {
+	if err := query.Unpack(raw); err != nil {
 		serverMalformed.Inc()
-		s.logger().Debug("dropping malformed UDP query", "from", job.addr, "err", err)
-		return
+		s.logger().Debug("dropping malformed UDP query", "from", from, "err", err)
+		return 0, false
 	}
-	// Respect the client's advertised EDNS buffer, defaulting to 512.
-	limit := s.MaxUDPResponse
+	limit = s.MaxUDPResponse
 	if limit == 0 {
 		limit = dnswire.MaxUDPSize
 	}
 	if opt, ok := query.EDNS(); ok && int(opt.UDPSize) > limit {
 		limit = int(opt.UDPSize)
 	}
-	out := bufpool.Get()
-	if wire, ok := s.tryAppendResponse((*out)[:0], query, *job.bp); ok {
-		bufpool.Put(job.bp)
-		if len(wire) > limit {
-			// A template response is header + question + answers; dropping
-			// the answers and setting TC is the truncateTo equivalent. The
-			// question in wire is our own uncompressed echo, so its length
-			// re-derives cheaply on this rare path.
-			if rawQ, ok := dnswire.QuestionBytes(wire); ok {
-				wire = dnswire.TruncateToQuestion(wire, len(rawQ))
-			} else {
-				bufpool.Put(out)
-				return
-			}
-		}
-		*out = wire
-		job.w.enqueue(out, job.addr)
-		return
+	return limit, true
+}
+
+// appendUDPHit is the wire-template fast path for one parsed datagram:
+// the handler's packed answer written over buf, cut back to header +
+// question with TC set when it exceeds limit (a template response is
+// header + question + answers, so that is the truncateTo equivalent).
+// ok=false means the handler declined.
+func (s *Server) appendUDPHit(buf []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
+	wire, qlen, ok := s.tryAppendResponse(buf[:0], query, raw)
+	if ok && len(wire) > limit {
+		wire = dnswire.TruncateToQuestion(wire, qlen)
 	}
-	bufpool.Put(job.bp)
-	resp := s.respond(query)
+	return wire, ok
+}
+
+// serveUDPFallback answers one declined query through ServeDNS: dispatch,
+// pack into a pooled buffer, truncate to the sender's limit, write. one
+// is the caller's reusable single-packet WriteBatch argument.
+func (s *Server) serveUDPFallback(job udpJob, one []udpbatch.Packet) {
+	resp := s.respond(job.query)
+	out := bufpool.Get()
+	defer bufpool.Put(out)
 	wire, err := resp.AppendPack((*out)[:0])
 	if err != nil {
-		bufpool.Put(out)
 		s.logger().Warn("packing response", "err", err)
 		return
 	}
 	*out = wire
-	if len(wire) > limit {
-		wire, err = truncateTo(resp, limit, wire[:0])
-		if err != nil || len(wire) > limit {
-			bufpool.Put(out)
+	if len(wire) > job.limit {
+		wire, err = truncateTo(resp, job.limit, wire[:0])
+		if err != nil || len(wire) > job.limit {
 			return
 		}
 		*out = wire
 	}
-	job.w.enqueue(out, job.addr)
+	one[0] = udpbatch.Packet{Buf: wire, Addr: job.addr}
+	if _, err := job.conn.WriteBatch(one); err != nil {
+		s.logger().Debug("writing UDP response", "err", err)
+	}
 }
 
 // tryAppendResponse runs the ResponseAppender fast path when the handler
-// offers it and the request's question can be echoed verbatim. On
-// success it records the same request/latency instruments respond does;
-// on decline it records nothing, since the query is about to be
-// dispatched (and counted) through respond.
-func (s *Server) tryAppendResponse(dst []byte, query *dnswire.Message, raw []byte) ([]byte, bool) {
+// offers it and the request's question can be echoed verbatim, returning
+// the response and the length of the question it echoes. On success it
+// records the same request/latency instruments respond does; on decline
+// it records nothing, since the query is about to be dispatched (and
+// counted) through respond.
+func (s *Server) tryAppendResponse(dst []byte, query *dnswire.Message, raw []byte) ([]byte, int, bool) {
 	ra, ok := s.Handler.(ResponseAppender)
 	if !ok {
-		return dst, false
+		return dst, 0, false
 	}
 	rawQ, ok := dnswire.QuestionBytes(raw)
 	if !ok {
-		return dst, false
+		return dst, 0, false
 	}
 	start := time.Now()
 	out, _, ok := ra.AppendResponse(dst, query, rawQ)
 	if !ok {
-		return dst, false
+		return dst, 0, false
 	}
 	serverRequests.Inc()
 	serverLatency.ObserveDuration(time.Since(start))
-	return out, true
-}
-
-// outPacket is one packed response awaiting a batched write.
-type outPacket struct {
-	bp   *[]byte
-	addr net.Addr
-}
-
-// udpWriter batches responses back to a socket with flush combining: the
-// first worker to enqueue onto an idle writer becomes the flusher and
-// keeps writing until the pending queue is empty, while other workers
-// just append and return. Under load, responses accumulating during the
-// flusher's WriteBatch syscall form the next batch automatically; under
-// light load every response flushes immediately, adding no latency. No
-// dedicated goroutine, so there is no writer lifecycle to manage when a
-// socket closes mid-flight.
-type udpWriter struct {
-	conn   udpbatch.Conn
-	logger *obs.Logger
-
-	mu       sync.Mutex
-	pend     []outPacket
-	spare    []outPacket // recycled backing array for pend
-	flushing bool
-	scratch  []udpbatch.Packet // flusher-owned WriteBatch argument
-}
-
-func (w *udpWriter) enqueue(bp *[]byte, addr net.Addr) {
-	w.mu.Lock()
-	w.pend = append(w.pend, outPacket{bp: bp, addr: addr})
-	if w.flushing {
-		w.mu.Unlock()
-		return
-	}
-	w.flushing = true
-	for len(w.pend) > 0 {
-		batch := w.pend
-		w.pend = w.spare[:0]
-		w.mu.Unlock()
-
-		w.scratch = w.scratch[:0]
-		for _, p := range batch {
-			w.scratch = append(w.scratch, udpbatch.Packet{Buf: *p.bp, Addr: p.addr})
-		}
-		if _, err := w.conn.WriteBatch(w.scratch); err != nil {
-			w.logger.Debug("writing UDP responses", "err", err)
-		}
-		for _, p := range batch {
-			bufpool.Put(p.bp)
-		}
-
-		w.mu.Lock()
-		w.spare = batch[:0]
-	}
-	w.flushing = false
-	w.mu.Unlock()
+	return out, len(rawQ), true
 }
 
 // truncateTo re-packs resp into buf with answers removed and TC set so it
@@ -488,7 +447,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// §4.2.2 two-octet length prefix (compression offsets are message-
 		// start-relative, so the prefix does not disturb them). No stream
 		// truncation concerns: templates never exceed MaxMessageSize.
-		if frame, ok := s.tryAppendResponse(append((*out)[:0], 0, 0), query, pkt); ok {
+		if frame, _, ok := s.tryAppendResponse(append((*out)[:0], 0, 0), query, pkt); ok {
 			*out = frame
 			binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
 			if _, err := conn.Write(frame); err != nil {

@@ -3,6 +3,7 @@ package dns53
 import (
 	"context"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,18 +13,35 @@ import (
 	"encdns/internal/udpbatch"
 )
 
-// TestWorkerPoolShutdownDrains exercises the full batched UDP pipeline
+// hitOrMiss answers "hit." names through the fast path, with a bare
+// header + question echo, and everything else through ServeDNS.
+type hitOrMiss struct{}
+
+func (hitOrMiss) ServeDNS(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return q.Reply(), nil
+}
+
+func (hitOrMiss) AppendResponse(dst []byte, q *dnswire.Message, rawQ []byte) ([]byte, int64, bool) {
+	if !strings.HasPrefix(q.Question0().Name, "hit.") {
+		return dst, 0, false
+	}
+	flags := dnswire.Header{QR: true, RD: q.Header.RD}.Flags()
+	return append(dnswire.AppendRawHeader(dst, q.Header.ID, flags, 1, 0, 0, 0), rawQ...), -1, true
+}
+
+// TestWorkerPoolShutdownDrains exercises the full UDP pipeline — hits
+// answered in the receive loop, misses swapped out to the worker pool —
 // under concurrent load and then shuts down mid-stream: every in-flight
-// query must either be answered or dropped cleanly, the worker pool must
-// exit (no leaked goroutines), and post-shutdown ServeUDP must refuse.
+// query must either be answered or dropped cleanly, the loop and the
+// pool must exit with nothing queued (the loop's message and every
+// swapped-out one released on the way; no leaked goroutines), and
+// post-shutdown ServeUDP must refuse.
 func TestWorkerPoolShutdownDrains(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
+	workers0, queued0 := workerCount.Value(), workerQueueDepth.Value()
 
 	var served sync.WaitGroup
-	handler := HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		return q.Reply(), nil
-	})
-	s := &Server{Handler: handler, UDPWorkers: 4, UDPBatch: 8}
+	s := &Server{Handler: hitOrMiss{}, UDPWorkers: 4, UDPBatch: 8}
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -36,16 +54,19 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 		}
 	}()
 
-	// Hammer the server from several client sockets while it runs.
-	q := dnswire.NewQuery(7, "drain.example.", dnswire.TypeA)
-	wire, err := q.Pack()
-	if err != nil {
-		t.Fatal(err)
+	// Hammer the server from several client sockets while it runs, half
+	// of them with hits and half with misses.
+	var wires [2][]byte
+	for i, name := range []string{"hit.example.", "miss.example."} {
+		if wires[i], err = dnswire.NewQuery(7, name, dnswire.TypeA).Pack(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	answered := make(chan struct{}, 1024)
+	answered := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	var clients sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
+		wire, answered := wires[i%2], answered[i%2]
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
@@ -75,11 +96,13 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 		}()
 	}
 
-	// Wait for proof the pipeline works end to end before shutting down.
-	select {
-	case <-answered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no query answered through the batched pipeline")
+	// Wait for proof both paths work end to end before shutting down.
+	for i, path := range []string{"inline", "worker"} {
+		select {
+		case <-answered[i]:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no query answered through the %s path", path)
+		}
 	}
 	s.Shutdown()
 	close(stop)
@@ -96,6 +119,9 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 	}
 
 	testutil.WaitNoLeaks(t, baseline)
+	if w, q := workerCount.Value(), workerQueueDepth.Value(); w != workers0 || q != queued0 {
+		t.Errorf("after Shutdown: %d workers and %d queued jobs, want %d and %d", w, q, workers0, queued0)
+	}
 }
 
 // TestShutdownIdempotent verifies repeated Shutdown calls return without

@@ -23,25 +23,51 @@ type mmsghdr struct {
 // mmsgConn is the Linux fast path: recvmmsg/sendmmsg through the
 // netpoller via syscall.RawConn, so a blocked read still parks on the
 // poller instead of burning a thread, and Close still unblocks it.
-// All vector state is preallocated; steady-state batches allocate only
-// the per-packet peer addresses.
+// All vector state is preallocated, peer addresses included: steady-state
+// batches allocate nothing.
 type mmsgConn struct {
 	uc   *net.UDPConn
 	rc   syscall.RawConn
 	inst *instruments
 
-	rmu sync.Mutex // one reader at a time over the shared read vectors
-	rv  vectors
+	rmu   sync.Mutex // one reader at a time over the shared read vectors
+	rv    vectors
+	raddr [MaxBatch]udpAddr // decoded peers, one per slot, refilled by every ReadBatch
 
 	wmu sync.Mutex // one writer at a time over the shared write vectors
 	wv  vectors
 }
 
-// vectors is the preallocated per-direction syscall plumbing.
+// vectors is the preallocated per-direction syscall plumbing, the
+// RawConn callback included: a closure built per batch would be a heap
+// allocation per batch, since it escapes through the RawConn interface.
 type vectors struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrAny
+
+	call func(fd uintptr) bool // submits hdrs[:n]; fills got and err
+	n    int
+	got  int
+	err  error
+}
+
+// bind builds call around the given recvmmsg/sendmmsg syscall number. A
+// socket that is not ready parks on the netpoller (call returns false).
+func (v *vectors) bind(sysno uintptr) {
+	v.call = func(fd uintptr) bool {
+		r, _, errno := syscall.Syscall6(sysno, fd,
+			uintptr(unsafe.Pointer(&v.hdrs[0])), uintptr(v.n), 0, 0, 0)
+		switch errno {
+		case 0:
+			v.got, v.err = int(r), nil
+		case syscall.EAGAIN, syscall.EINTR:
+			return false
+		default:
+			v.got, v.err = 0, errno
+		}
+		return true
+	}
 }
 
 func (v *vectors) grow(n int) {
@@ -75,7 +101,10 @@ func newMmsgConn(pc net.PacketConn) Conn {
 		return nil
 	}
 	mmsgConns.Inc()
-	return &mmsgConn{uc: uc, rc: rc, inst: newInstruments(uc.LocalAddr())}
+	c := &mmsgConn{uc: uc, rc: rc, inst: newInstruments(uc.LocalAddr())}
+	c.rv.bind(sysRecvmmsg)
+	c.wv.bind(sysSendmmsg)
+	return c
 }
 
 func (c *mmsgConn) LocalAddr() net.Addr { return c.uc.LocalAddr() }
@@ -107,32 +136,17 @@ func (c *mmsgConn) ReadBatch(pkts []Packet) (int, error) {
 		c.rv.hdrs[i].Hdr.Iovlen = 1
 		c.rv.hdrs[i].Len = 0
 	}
-	var got int
-	var sysErr error
-	err := c.rc.Read(func(fd uintptr) bool {
-		r, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&c.rv.hdrs[0])), uintptr(n), 0, 0, 0)
-		switch errno {
-		case 0:
-			got = int(r)
-		case syscall.EAGAIN:
-			return false // park on the netpoller until readable
-		case syscall.EINTR:
-			return false
-		default:
-			sysErr = errno
-		}
-		return true
-	})
-	if err != nil {
+	c.rv.n = n
+	if err := c.rc.Read(c.rv.call); err != nil {
 		return 0, err // closed socket or poller error
 	}
-	if sysErr != nil {
-		return 0, sysErr
+	if c.rv.err != nil {
+		return 0, c.rv.err
 	}
+	got := c.rv.got
 	for i := 0; i < got; i++ {
 		pkts[i].Buf = pkts[i].Buf[:c.rv.hdrs[i].Len]
-		pkts[i].Addr = sockaddrToUDPAddr(&c.rv.names[i])
+		pkts[i].Addr = decodeSockaddr(&c.rv.names[i], &c.raddr[i])
 	}
 	c.inst.observeRead(got)
 	return got, nil
@@ -140,7 +154,7 @@ func (c *mmsgConn) ReadBatch(pkts []Packet) (int, error) {
 
 // WriteBatch submits every packet through sendmmsg, looping over partial
 // progress (the kernel may accept fewer than requested under socket-
-// buffer pressure).
+// buffer pressure) and past any packet the kernel rejects.
 func (c *mmsgConn) WriteBatch(pkts []Packet) (int, error) {
 	if len(pkts) == 0 {
 		return 0, nil
@@ -149,13 +163,14 @@ func (c *mmsgConn) WriteBatch(pkts []Packet) (int, error) {
 	defer c.wmu.Unlock()
 	c.wv.grow(len(pkts))
 	sent, calls := 0, 0
-	for sent < len(pkts) {
-		n := len(pkts) - sent
+	var rejected error
+	for done := 0; done < len(pkts); {
+		n := len(pkts) - done
 		if n > len(c.wv.hdrs) {
 			n = len(c.wv.hdrs)
 		}
 		for i := 0; i < n; i++ {
-			p := &pkts[sent+i]
+			p := &pkts[done+i]
 			nameLen, ok := encodeSockaddr(&c.wv.names[i], p.Addr)
 			if !ok {
 				c.inst.observeWrite(calls, sent)
@@ -171,60 +186,51 @@ func (c *mmsgConn) WriteBatch(pkts []Packet) (int, error) {
 			}
 			c.wv.hdrs[i].Hdr.Iovlen = 1
 		}
-		var wrote int
-		var sysErr error
-		err := c.rc.Write(func(fd uintptr) bool {
-			r, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&c.wv.hdrs[0])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				wrote = int(r)
-			case syscall.EAGAIN:
-				return false
-			case syscall.EINTR:
-				return false
-			default:
-				sysErr = errno
-			}
-			return true
-		})
+		c.wv.n = n
+		err := c.rc.Write(c.wv.call)
 		calls++
-		if err != nil {
+		if err != nil { // closed socket or poller error
 			c.inst.observeWrite(calls, sent)
 			return sent, err
 		}
-		if sysErr != nil {
-			c.inst.observeWrite(calls, sent)
-			return sent, sysErr
+		if c.wv.err != nil {
+			// sendmmsg reports an error only when its first message fails
+			// (after a success it returns the count and drops the error),
+			// so the culprit is pkts[done]: skip it alone.
+			if rejected == nil {
+				rejected = c.wv.err
+			}
+			done++
+			continue
 		}
-		sent += wrote
+		sent += c.wv.got
+		done += c.wv.got
 	}
 	c.inst.observeWrite(calls, sent)
-	return sent, nil
+	return sent, rejected
 }
 
-// sockaddrToUDPAddr decodes a kernel-filled sockaddr. It allocates the
-// returned UDPAddr (ownership moves to the dispatched job); everything
-// else on the read path is reused.
-func sockaddrToUDPAddr(sa *syscall.RawSockaddrAny) *net.UDPAddr {
+// decodeSockaddr decodes a kernel-filled sockaddr into the slot's reusable
+// address, so the read path allocates nothing (a scoped IPv6 peer's zone
+// name aside). An unknown family yields a nil Addr.
+func decodeSockaddr(sa *syscall.RawSockaddrAny, a *udpAddr) net.Addr {
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		s4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
 		p := (*[2]byte)(unsafe.Pointer(&s4.Port))
-		a := &net.UDPAddr{IP: make(net.IP, 4), Port: int(p[0])<<8 | int(p[1])}
-		copy(a.IP, s4.Addr[:])
-		return a
+		a.set(s4.Addr[:], int(p[0])<<8|int(p[1]), "")
 	case syscall.AF_INET6:
 		s6 := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
 		p := (*[2]byte)(unsafe.Pointer(&s6.Port))
-		a := &net.UDPAddr{IP: make(net.IP, 16), Port: int(p[0])<<8 | int(p[1])}
-		copy(a.IP, s6.Addr[:])
+		zone := ""
 		if s6.Scope_id != 0 {
-			a.Zone = zoneName(s6.Scope_id)
+			zone = zoneName(s6.Scope_id)
 		}
-		return a
+		a.set(s6.Addr[:], int(p[0])<<8|int(p[1]), zone)
+	default:
+		return nil
 	}
-	return nil
+	return &a.UDPAddr
 }
 
 // encodeSockaddr fills sa from addr, returning the sockaddr length.

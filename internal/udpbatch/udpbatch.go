@@ -4,12 +4,13 @@
 // batched packet connection that moves up to dozens of datagrams per
 // syscall through recvmmsg/sendmmsg on Linux.
 //
-// The motivation is the measured capacity ceiling of the goroutine-per-
-// packet frontend (~9k qps on one core, BENCH_pr4/pr5): at that point the
-// server spends its budget on one ReadFrom and one WriteTo syscall per
-// query, not on resolver logic. Böttger et al. and Hounsel et al. show
-// that amortising per-query transport cost is what makes encrypted DNS
-// competitive; the same holds one layer down at the syscall boundary.
+// The motivation is per-query transport overhead: Böttger et al. and
+// Hounsel et al. show that amortising it is what makes encrypted DNS
+// competitive, and the same holds one layer down at the syscall
+// boundary. The benchmark's udp-hit row is where both halves earn their
+// place: the dns53 receive loop answers every cache hit of a recvmmsg
+// batch with one sendmmsg (EXPERIMENTS.md, "Run-to-completion cache
+// hits").
 //
 // Two implementations sit behind the Conn interface:
 //
@@ -50,26 +51,58 @@ const MaxBatch = 64
 
 // Packet is one datagram and its peer address. ReadBatch fills Buf
 // (which the caller pre-sizes to the receive capacity) and Addr;
-// WriteBatch sends Buf to Addr.
+// WriteBatch sends Buf to Addr. An Addr filled by ReadBatch is valid only
+// until the next ReadBatch on the same Conn (the fast path reuses one
+// address per vector slot); CloneAddr copies one to keep.
 type Packet struct {
 	Buf  []byte
 	Addr net.Addr
 }
 
-// Conn is a batched packet connection. Implementations are safe for one
-// concurrent reader and one concurrent writer (the dns53 frontend's
-// shape: one receive loop, one flush-combining response writer).
+// Conn is a batched packet connection. One goroutine reads; any number
+// may write concurrently with it and with each other (the dns53
+// frontend's shape: the receive loop answers cache hits itself while the
+// worker pool answers everything else on the same socket).
 type Conn interface {
 	// ReadBatch blocks until at least one datagram arrives, then fills up
 	// to len(pkts) without blocking again, returning how many were read.
 	// Each pkts[i].Buf must be pre-sized to its capacity; on return it is
-	// re-sliced to the datagram length.
+	// re-sliced to the datagram length. The addresses it fills may be
+	// reused by the next call, but only if they are *net.UDPAddr: that is
+	// what CloneAddr copies.
 	ReadBatch(pkts []Packet) (int, error)
 	// WriteBatch sends every packet, looping over partial progress, and
-	// returns how many were sent.
+	// returns how many were sent. A packet the socket rejects (a peer
+	// address the kernel refuses, say) costs only itself: the rest are
+	// still sent and the first such error is returned. It may be called
+	// with addresses the latest ReadBatch returned.
 	WriteBatch(pkts []Packet) (int, error)
 	LocalAddr() net.Addr
 	Close() error
+}
+
+// udpAddr is a UDPAddr carrying its own IP storage, so filling or
+// cloning one costs at most one allocation.
+type udpAddr struct {
+	net.UDPAddr
+	ip [16]byte
+}
+
+func (a *udpAddr) set(ip []byte, port int, zone string) {
+	a.IP, a.Port, a.Zone = append(a.ip[:0], ip...), port, zone
+}
+
+// CloneAddr returns an address that stays valid after the next ReadBatch.
+// Only *net.UDPAddr is ever reused by a Conn; any other address comes
+// from a net.PacketConn's ReadFrom, which hands out fresh ones.
+func CloneAddr(addr net.Addr) net.Addr {
+	ua, ok := addr.(*net.UDPAddr)
+	if !ok {
+		return addr
+	}
+	c := new(udpAddr)
+	c.set(ua.IP, ua.Port, ua.Zone)
+	return &c.UDPAddr
 }
 
 // Per-socket batch-size histograms plus process-wide syscall/packet
@@ -124,10 +157,15 @@ func (in *instruments) observeWrite(calls, n int) {
 	}
 }
 
-// NewConn wraps pc for batched I/O: the mmsg fast path when pc is a
-// *net.UDPConn on a fast-path build, the portable one-datagram adapter
-// otherwise (virtual conns, other platforms, `nobatch` builds).
+// NewConn wraps pc for batched I/O: pc itself when it already is a Conn
+// (in-memory batch sources in tests and benchmarks), the mmsg fast path
+// when pc is a *net.UDPConn on a fast-path build, the portable
+// one-datagram adapter otherwise (virtual conns, other platforms,
+// `nobatch` builds).
 func NewConn(pc net.PacketConn) Conn {
+	if c, ok := pc.(Conn); ok {
+		return c
+	}
 	if c := newMmsgConn(pc); c != nil {
 		return c
 	}
@@ -137,7 +175,8 @@ func NewConn(pc net.PacketConn) Conn {
 // fallbackConn adapts a plain net.PacketConn to the Conn interface, one
 // datagram per syscall. It exists so every consumer (tests, netsim
 // virtual networks, non-Linux builds) runs the same frontend code as the
-// fast path.
+// fast path. Concurrent writers rely on pc.WriteTo being safe for
+// concurrent use, as net.PacketConn requires.
 type fallbackConn struct {
 	pc   net.PacketConn
 	inst *instruments
@@ -158,14 +197,17 @@ func (c *fallbackConn) ReadBatch(pkts []Packet) (int, error) {
 }
 
 func (c *fallbackConn) WriteBatch(pkts []Packet) (int, error) {
+	sent := 0
+	var rejected error
 	for i := range pkts {
-		if _, err := c.pc.WriteTo(pkts[i].Buf, pkts[i].Addr); err != nil {
-			c.inst.observeWrite(i, i)
-			return i, err
+		if _, err := c.pc.WriteTo(pkts[i].Buf, pkts[i].Addr); err == nil {
+			sent++
+		} else if rejected == nil {
+			rejected = err
 		}
 	}
-	c.inst.observeWrite(len(pkts), len(pkts))
-	return len(pkts), nil
+	c.inst.observeWrite(len(pkts), sent)
+	return sent, rejected
 }
 
 func (c *fallbackConn) LocalAddr() net.Addr { return c.pc.LocalAddr() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -247,5 +248,172 @@ func TestListenClampsZero(t *testing.T) {
 	defer conns[0].Close()
 	if len(conns) != 1 {
 		t.Fatalf("n=0 gave %d sockets, want 1", len(conns))
+	}
+}
+
+// TestConcurrentWriteBatch is the Conn contract dns53 relies on: the
+// receive loop and every worker write to one socket at once. Run with
+// -race; every datagram of every writer must arrive intact.
+func TestConcurrentWriteBatch(t *testing.T) {
+	for name, wrap := range map[string]func(net.PacketConn) net.PacketConn{
+		"default":  func(pc net.PacketConn) net.PacketConn { return pc },
+		"fallback": func(pc net.PacketConn) net.PacketConn { return wrapPC{pc} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			conns, err := Listen("udp", "127.0.0.1:0", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			server := NewConn(wrap(conns[0]))
+			defer server.Close()
+			client, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+
+			const writers, rounds, perBatch = 4, 8, 5
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					pkts := make([]Packet, perBatch)
+					for r := 0; r < rounds; r++ {
+						for i := range pkts {
+							pkts[i] = Packet{Buf: []byte(fmt.Sprintf("w%d-r%d-p%d", w, r, i)), Addr: client.LocalAddr()}
+						}
+						if sent, err := server.WriteBatch(pkts); err != nil || sent != perBatch {
+							t.Errorf("writer %d: WriteBatch = %d, %v", w, sent, err)
+							return
+						}
+					}
+				}()
+			}
+			got := map[string]bool{}
+			buf := make([]byte, 64)
+			_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for len(got) < writers*rounds*perBatch {
+				n, _, err := client.ReadFrom(buf)
+				if err != nil {
+					t.Fatalf("after %d datagrams: %v", len(got), err)
+				}
+				got[string(buf[:n])] = true
+			}
+			wg.Wait()
+			for w := 0; w < writers; w++ {
+				for r := 0; r < rounds; r++ {
+					for i := 0; i < perBatch; i++ {
+						if want := fmt.Sprintf("w%d-r%d-p%d", w, r, i); !got[want] {
+							t.Errorf("missing or mangled datagram %s", want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReadBatchReusesAddrs pins the Packet.Addr contract on the default
+// conn: a read and a write back allocate nothing once warm, an address
+// kept across the next ReadBatch may change under the caller, and
+// CloneAddr's copy does not.
+func TestReadBatchReusesAddrs(t *testing.T) {
+	conns, err := Listen("udp", "127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewConn(conns[0])
+	defer server.Close()
+	var clients [2]net.PacketConn
+	for i := range clients {
+		if clients[i], err = net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
+	pkts := makePkts(4, 512)
+	readFrom := func(c net.PacketConn) net.Addr {
+		if _, err := c.WriteTo([]byte("x"), server.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		resetPkts(pkts)
+		if n, err := server.ReadBatch(pkts); err != nil || n != 1 {
+			t.Fatalf("ReadBatch = %d, %v", n, err)
+		}
+		return pkts[0].Addr
+	}
+
+	first := readFrom(clients[0])
+	kept := CloneAddr(first)
+	if kept.String() != clients[0].LocalAddr().String() {
+		t.Fatalf("clone %v, want %v", kept, clients[0].LocalAddr())
+	}
+	second := readFrom(clients[1])
+	if second.String() != clients[1].LocalAddr().String() {
+		t.Errorf("second peer %v, want %v", second, clients[1].LocalAddr())
+	}
+	if kept.String() != clients[0].LocalAddr().String() {
+		t.Errorf("clone changed to %v after the next ReadBatch", kept)
+	}
+	if fastPathExpected {
+		if first != second {
+			t.Error("fast path did not reuse the slot's address")
+		}
+		const runs = 20
+		for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
+			if _, err := clients[0].WriteTo([]byte("x"), server.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		one := pkts[:1]
+		if allocs := testing.AllocsPerRun(runs, func() {
+			resetPkts(one)
+			if n, err := server.ReadBatch(one); err != nil || n != 1 {
+				t.Fatalf("ReadBatch = %d, %v", n, err)
+			}
+			if n, err := server.WriteBatch(one); err != nil || n != 1 { // echo to the reused address
+				t.Fatalf("WriteBatch = %d, %v", n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("a ReadBatch and a WriteBatch allocated %v times, want 0", allocs)
+		}
+	}
+}
+
+// TestWriteBatchSkipsRejectedPacket: one destination the kernel refuses
+// (port 0, which a spoofed query can carry as its source) must cost only
+// its own packet, not the answers batched behind it for other peers.
+func TestWriteBatchSkipsRejectedPacket(t *testing.T) {
+	conns, err := Listen("udp", "127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewConn(conns[0])
+	defer server.Close()
+	client, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	bad := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
+	pkts := []Packet{
+		{Buf: []byte("one"), Addr: client.LocalAddr()},
+		{Buf: []byte("lost"), Addr: bad},
+		{Buf: []byte("two"), Addr: client.LocalAddr()},
+		{Buf: []byte("three"), Addr: client.LocalAddr()},
+	}
+	sent, err := server.WriteBatch(pkts)
+	if sent != 3 || err == nil {
+		t.Errorf("WriteBatch = %d, %v; want 3 sent and the rejected packet's error", sent, err)
+	}
+	buf := make([]byte, 16)
+	_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for _, want := range []string{"one", "two", "three"} {
+		n, _, err := client.ReadFrom(buf)
+		if err != nil || string(buf[:n]) != want {
+			t.Fatalf("client read %q, %v; want %q", buf[:n], err, want)
+		}
 	}
 }

@@ -1,12 +1,13 @@
 #!/bin/sh
 # benchgate.sh — hot-path benchmark regression gate.
 #
-#   go test -bench 'ServeUDP$|ServeHit' -benchmem ./internal/... > bench.out
+#   go test -bench 'ServeUDP$|ServeUDPBatch$|ServeHit' -benchmem ./internal/... > bench.out
 #   scripts/benchgate.sh BENCH_pr10.json bench.out
 #
 # Reads the committed baseline artifact (a benchjson.sh array containing a
 # BenchmarkServeUDP row) and a fresh `go test -bench` text output, then
-# enforces two invariants the wire-template PR established:
+# enforces the invariants the wire-template and run-to-completion PRs
+# established:
 #
 #   1. BenchmarkServeUDP ns/op must not regress more than GATE_PCT percent
 #      (default 15) over the committed baseline. CI runners are noisy, so
@@ -16,6 +17,14 @@
 #      BenchmarkServeHitMaterialized — the PR's acceptance floor. This
 #      compares two numbers from the SAME run, so it is immune to runner
 #      speed and catches the fast path silently degrading to a repack.
+#   3. BenchmarkServeUDPBatch (cache hits answered inline in the UDP
+#      receive loop, ns per packet) must stay at least 1.3x faster than
+#      BenchmarkServeUDP (the miss/fallback path, one packet at a time) —
+#      again two numbers from the same run. It catches a hit picking up
+#      per-packet pool traffic, locking or allocation again. The ratio
+#      measures 1.5-1.65x where it was set; the floor leaves the margin
+#      the two figures need there, each moving +-10 % between runs even as
+#      best of five (EXPERIMENTS.md, "Run-to-completion cache hits").
 #
 # Either check failing exits non-zero; a missing benchmark in the fresh
 # output fails too (a gate that cannot find its subject must not pass).
@@ -26,15 +35,18 @@ set -eu
 baseline=${1:?usage: benchgate.sh BASELINE.json [bench.out]}
 bench=${2:--}
 
-# current <name> -> ns/op from the go test text output, strictly matched.
+# current <name> -> ns/op from the go test text output, strictly matched;
+# the lowest figure when the benchmark ran several times (-count N):
+# whatever disturbs a run only ever makes it slower.
 current() {
     awk -v want="$1" '
     $1 ~ /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
         if (name != want) next
-        for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op") { print $i; exit }
+        for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op" && (best == "" || $i + 0 < best + 0)) best = $i
     }
+    END { if (best != "") print best }
     ' "$tmp"
 }
 
@@ -84,6 +96,22 @@ else
         echo "benchgate: ok template hit ${t} ns/op vs materialized ${m} ns/op ($(awk -v t="$t" -v m="$m" 'BEGIN { printf "%.1f", m / t }')x)"
     else
         echo "benchgate: FAIL template hit ${t} ns/op not 2x faster than materialized ${m} ns/op" >&2
+        fail=1
+    fi
+fi
+
+# Check 3: inline batched hits >= 1.3x faster per packet than the
+# fallback path, same run ($cur is check 1's BenchmarkServeUDP figure).
+b=$(current BenchmarkServeUDPBatch)
+if [ -z "$b" ] || [ -z "$cur" ]; then
+    echo "benchgate: FAIL ServeUDPBatch or ServeUDP missing from bench output" >&2
+    fail=1
+else
+    ok=$(awk -v b="$b" -v u="$cur" 'BEGIN { print (u >= 1.3 * b) ? 1 : 0 }')
+    if [ "$ok" = 1 ]; then
+        echo "benchgate: ok inline hit ${b} ns/packet vs fallback ${cur} ns/op ($(awk -v b="$b" -v u="$cur" 'BEGIN { printf "%.1f", u / b }')x)"
+    else
+        echo "benchgate: FAIL inline hit ${b} ns/packet not 1.3x faster than fallback ${cur} ns/op" >&2
         fail=1
     fi
 fi
