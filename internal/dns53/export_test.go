@@ -1,6 +1,7 @@
 package dns53
 
 import (
+	"encoding/binary"
 	"net"
 
 	"encdns/internal/dnswire"
@@ -32,4 +33,31 @@ func (s *Server) ServeUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr) {
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
 	s.serveUDPPacket(conn, raw, from, query, make([]udpbatch.Packet, 1))
+}
+
+// ServeStreamReference is the stream loop composed the plain way from the
+// steps serveConn shares with it: read exactly one frame, answer it
+// (fast-path append, else ServeDNS), write it, nothing kept between
+// frames. It is the reference the differential test and FuzzServeStream
+// hold ServeStream against.
+func (s *Server) ServeStreamReference(conn net.Conn) {
+	query := dnswire.AcquireMessage()
+	defer dnswire.ReleaseMessage(query)
+	for {
+		pkt, err := ReadTCPMsg(conn)
+		if err != nil || query.Unpack(pkt) != nil {
+			return
+		}
+		frame, _, ok := s.tryAppendResponse([]byte{0, 0}, query, pkt)
+		if !ok {
+			frame, err = s.respond(query).AppendPack([]byte{0, 0})
+			if err != nil || len(frame)-2 > dnswire.MaxMessageSize {
+				return
+			}
+		}
+		binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
+		if _, err := conn.Write(frame); err != nil {
+			return
+		}
+	}
 }

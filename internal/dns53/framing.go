@@ -29,12 +29,6 @@ func WriteTCPMsg(w io.Writer, msg []byte) error {
 // ReadTCPMsg reads one length-prefixed DNS message. A zero-length frame is
 // rejected as malformed.
 func ReadTCPMsg(r io.Reader) ([]byte, error) {
-	return readTCPMsgInto(r, nil)
-}
-
-// readTCPMsgInto is ReadTCPMsg reading the payload into buf (grown as
-// needed), so stream loops can reuse one buffer across messages.
-func readTCPMsgInto(r io.Reader, buf []byte) ([]byte, error) {
 	var l [2]byte
 	if _, err := io.ReadFull(r, l[:]); err != nil {
 		return nil, err
@@ -43,11 +37,7 @@ func readTCPMsgInto(r io.Reader, buf []byte) ([]byte, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("dns53: zero-length TCP frame")
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
+	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}

@@ -33,6 +33,14 @@ var (
 		"UDP queries queued for the worker pool, not yet being handled.")
 	workerCount = obs.Default().Gauge("dns53_udp_workers",
 		"Live UDP worker-pool goroutines across servers.")
+	// Stream-loop instruments (TCP and DoT): queries per write is the
+	// stream twin of udpbatch's packets per syscall.
+	streamReads = obs.Default().Counter("dns53_stream_reads_total",
+		"Read calls issued by stream serve loops.")
+	streamWrites = obs.Default().Counter("dns53_stream_writes_total",
+		"Write calls issued by stream serve loops, one per burst of answers.")
+	streamQueries = obs.Default().Counter("dns53_stream_queries_total",
+		"Well-formed queries received on stream connections.")
 )
 
 // maxUDPDatagram sizes receive buffers: a UDP DNS message cannot exceed
@@ -56,14 +64,19 @@ const maxUDPDatagram = 64 * 1024
 // (which may block on upstream I/O) and write their one response
 // themselves. Pass several SO_REUSEPORT sockets from udpbatch.Listen to
 // ServeUDP (one call each) to spread receive load across loops.
+//
+// The stream frontend (ServeTCP, ServeStream, and DoT through them) has
+// the same shape per connection: every query that arrived in one read is
+// answered, in order, into one write; see serveConn for when that write
+// happens.
 type Server struct {
 	Handler Handler
 	// Logger receives malformed-packet and handler-failure notices; nil
 	// discards them (the obs.Logger convention: quiet by default).
 	Logger *obs.Logger
-	// ReadTimeout bounds each TCP read, which also serves as the per-
-	// connection idle timeout for TCP and DoT streams; zero means 10
-	// seconds.
+	// ReadTimeout bounds each blocking stream read, which makes it the
+	// idle timeout of TCP and DoT connections, and each stream write, so a
+	// peer that stops reading is dropped; zero means 10 seconds.
 	ReadTimeout time.Duration
 	// MaxUDPResponse truncates UDP responses longer than this (TC bit set);
 	// zero means dnswire.MaxUDPSize, raised per-query by EDNS.
@@ -134,6 +147,9 @@ func (s *Server) track(pc net.PacketConn, ln net.Listener, c net.Conn) bool {
 	switch {
 	case pc != nil:
 		s.udpConns = append(s.udpConns, pc)
+		// The receive loop is counted under the lock that Shutdown takes
+		// to set closed, so its udpLoops.Wait cannot run ahead of this Add.
+		s.udpLoops.Add(1)
 	case ln != nil:
 		s.tcpLns = append(s.tcpLns, ln)
 	case c != nil:
@@ -224,6 +240,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		pc.Close()
 		return errors.New("dns53: server closed")
 	}
+	defer s.udpLoops.Done()
 	s.startUDPWorkers()
 	bc := udpbatch.NewConn(pc)
 	batch := s.udpBatch()
@@ -239,8 +256,6 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 	}
 	query := dnswire.AcquireMessage()
 	defer func() { dnswire.ReleaseMessage(query) }()
-	s.udpLoops.Add(1)
-	defer s.udpLoops.Done()
 	for {
 		for i := range in {
 			in[i].Buf = recv[i*maxUDPDatagram : (i+1)*maxUDPDatagram]
@@ -421,57 +436,112 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 	}
 }
 
-// serveConn handles one stream connection (TCP or, via internal/dot, TLS).
-// The read buffer, frame buffer, and parsed query message are reused for
-// every query on the connection, so a busy stream allocates nothing per
-// exchange.
+// streamFlushAt is the pending output that forces a write: the plaintext
+// of one full TLS record. It also bounds what a connection buffers.
+const streamFlushAt = 16 << 10
+
+// serveConn handles one stream connection (TCP or, via internal/dot, TLS)
+// run-to-completion, the same shape as the UDP loop: one Read fills the
+// connection's read buffer, every complete RFC 1035 §4.2.2 frame in it is
+// answered into the connection's output buffer (each answer behind its
+// own length prefix, in arrival order), and the burst leaves in one Write
+// — one syscall and, on DoT, one TLS record for up to 16 KiB of answers.
+// Pending output is written on exactly three occasions: (a) before the
+// loop blocks in Read, so a client that sent one query, or half of one,
+// never waits on a buffered answer; (b) before the blocking ServeDNS
+// fallback runs, so a miss does not hold the hits ahead of it; (c) when it
+// reaches streamFlushAt. Both buffers and the parsed query belong to the
+// connection and are reused, so a busy stream allocates nothing.
 func (s *Server) serveConn(conn net.Conn) {
-	in, out := bufpool.Get(), bufpool.Get()
-	defer bufpool.Put(in)
-	defer bufpool.Put(out)
+	inp, outp := bufpool.Get(), bufpool.Get()
+	defer bufpool.Put(inp)
+	defer bufpool.Put(outp)
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
+	in, out := (*inp)[:cap(*inp)], (*outp)[:0]
+	r, w, ok := 0, 0, true // in[r:w] is read and not yet answered
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
-		pkt, err := readTCPMsgInto(conn, (*in)[:0])
-		if err != nil {
-			return // EOF, timeout, or peer reset: stream is done either way
-		}
-		*in = pkt
-		if err := query.Unpack(pkt); err != nil {
-			serverMalformed.Inc()
-			s.logger().Debug("dropping malformed TCP query", "err", err)
-			return
-		}
-		// Wire-template fast path, packed straight behind the RFC 1035
-		// §4.2.2 two-octet length prefix (compression offsets are message-
-		// start-relative, so the prefix does not disturb them). No stream
-		// truncation concerns: templates never exceed MaxMessageSize.
-		if frame, _, ok := s.tryAppendResponse(append((*out)[:0], 0, 0), query, pkt); ok {
-			*out = frame
-			binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
-			if _, err := conn.Write(frame); err != nil {
+		for w-r >= 2 {
+			end := r + 2 + int(binary.BigEndian.Uint16(in[r:]))
+			if end > w {
+				break
+			}
+			if out, ok = s.serveFrame(conn, out, query, in[r+2:end]); !ok {
+				s.flushStream(conn, out) // the answers ahead of the bad frame
 				return
 			}
-			continue
+			r = end
 		}
-		// Pack straight behind the length prefix: one buffer, one write,
-		// no copy.
-		frame, err := s.respond(query).AppendPack(append((*out)[:0], 0, 0))
+		// What is left is at most one partial frame: move it to the front
+		// and grow the buffer when its prefix says it cannot fit.
+		w, r = copy(in, in[r:w]), 0
+		if w >= 2 {
+			if need := 2 + int(binary.BigEndian.Uint16(in)); need > len(in) {
+				in = append(in[:w], make([]byte, need-w)...)
+			}
+		}
+		if out, ok = s.flushStream(conn, out); !ok {
+			return
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		streamReads.Inc()
+		n, err := conn.Read(in[w:])
+		if n == 0 && err != nil {
+			return // EOF, timeout, or peer reset: stream is done either way
+		}
+		w += n
+	}
+}
+
+// serveFrame answers one query frame into out behind its own two-octet
+// length prefix (compression offsets are message-start-relative, so what
+// precedes the message does not disturb them) and returns the grown
+// buffer. ok=false ends the connection: a malformed query, an answer that
+// cannot be packed, or a failed write.
+func (s *Server) serveFrame(conn net.Conn, out []byte, query *dnswire.Message, pkt []byte) ([]byte, bool) {
+	if err := query.Unpack(pkt); err != nil {
+		serverMalformed.Inc()
+		s.logger().Debug("dropping malformed TCP query", "err", err)
+		return out, false
+	}
+	streamQueries.Inc()
+	// Wire-template fast path. No stream truncation concerns: templates
+	// never exceed MaxMessageSize.
+	at := len(out)
+	frame, _, ok := s.tryAppendResponse(append(out, 0, 0), query, pkt)
+	if !ok {
+		if out, ok = s.flushStream(conn, out); !ok {
+			return out, false
+		}
+		at = 0
+		var err error
+		frame, err = s.respond(query).AppendPack(append(out, 0, 0))
+		if err == nil && len(frame)-2 > dnswire.MaxMessageSize {
+			err = dnswire.ErrMessageTooLarge
+		}
 		if err != nil {
 			s.logger().Warn("packing response", "err", err)
-			return
-		}
-		*out = frame
-		if len(frame)-2 > dnswire.MaxMessageSize {
-			s.logger().Warn("packing response", "err", dnswire.ErrMessageTooLarge)
-			return
-		}
-		binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
-		if _, err := conn.Write(frame); err != nil {
-			return
+			return out, false
 		}
 	}
+	binary.BigEndian.PutUint16(frame[at:], uint16(len(frame)-at-2))
+	if len(frame) >= streamFlushAt {
+		return s.flushStream(conn, frame)
+	}
+	return frame, true
+}
+
+// flushStream writes pending output, if any, in one Write under a write
+// deadline (a peer that stops reading costs the connection, not a
+// goroutine) and returns the emptied buffer.
+func (s *Server) flushStream(conn net.Conn, out []byte) ([]byte, bool) {
+	if len(out) == 0 {
+		return out, true
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(s.readTimeout()))
+	streamWrites.Inc()
+	_, err := conn.Write(out)
+	return out[:0], err == nil
 }
 
 // ServeStream exposes serveConn for transports (DoT) that bring their own

@@ -32,7 +32,7 @@ func warmForwarder() *resolver.Forwarder {
 // mixedCaseQuery packs an A query and rewrites its question labels to
 // WwW.eXaMpLe alternating case, returning the wire and the byte range of
 // the question section.
-func mixedCaseQuery(t *testing.T, id uint16) (wire []byte, question []byte) {
+func mixedCaseQuery(t testing.TB, id uint16) (wire []byte, question []byte) {
 	t.Helper()
 	q := dnswire.NewQuery(id, "www.example.com.", dnswire.TypeA)
 	wire, err := q.AppendPack(nil)

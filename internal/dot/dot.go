@@ -351,25 +351,22 @@ func exchangeOn(ctx context.Context, conn net.Conn, query *dnswire.Message) (*dn
 	return dns53.ExchangeConn(conn, query, wire)
 }
 
-// Server terminates DoT connections and dispatches to a dns53.Server's
-// handler (sharing its framing, tracking, and shutdown).
+// Server terminates DoT connections and hands them to a dns53.Server: TLS
+// is a listener wrapped around its stream loop, so accept handling,
+// connection tracking, Shutdown and the run-to-completion serving (every
+// query pipelined into one TLS record answered in one TLS record, in
+// order; see dns53.Server) are that server's.
 type Server struct {
 	DNS *dns53.Server
 	TLS *tls.Config
 }
 
-// Serve accepts TLS connections from ln until it is closed. Pass a plain
-// TCP listener; Serve wraps it with the server's TLS config.
+// Serve accepts TLS connections from ln until it is closed or DNS is shut
+// down, which closes ln and makes Serve return nil. Pass a plain TCP
+// listener; Serve wraps it with the server's TLS config.
 func (s *Server) Serve(ln net.Listener) error {
 	if s.TLS == nil {
 		return errors.New("dot: server needs a TLS config")
 	}
-	tlsLn := tls.NewListener(ln, s.TLS)
-	for {
-		conn, err := tlsLn.Accept()
-		if err != nil {
-			return err
-		}
-		go s.DNS.ServeStream(conn)
-	}
+	return s.DNS.ServeTCP(tls.NewListener(ln, s.TLS))
 }

@@ -1,6 +1,7 @@
 package dot
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"encdns/internal/certs"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
+	"encdns/internal/obs"
 )
 
 // startDoT stands up a DoT server over a fresh CA and returns the address,
@@ -221,5 +223,94 @@ func TestDoTPoolStaleEviction(t *testing.T) {
 	s := c.Stats()
 	if s.Evictions != 1 || s.Hits != 0 || s.Misses != 2 || s.Idle != 1 {
 		t.Errorf("stats = %+v, want 2 misses, 0 hits, 1 eviction, 1 idle", s)
+	}
+}
+
+// TestShutdownStopsServe: the DoT listener belongs to the dns53 server it
+// was handed to, so Shutdown closes it, drops a live idle connection, and
+// Serve returns nil.
+func TestShutdownStopsServe(t *testing.T) {
+	ca, _ := certs.NewCA(0)
+	srvTLS, _ := ca.ServerConfig(nil, []net.IP{net.ParseIP("127.0.0.1")})
+	inner := &dns53.Server{Handler: static()}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- (&Server{DNS: inner, TLS: srvTLS}).Serve(ln) }()
+
+	c := &Client{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true}
+	defer c.Close()
+	if _, err := c.Query(context.Background(), ln.Addr().String(), "google.com", dnswire.TypeA); err != nil {
+		t.Fatal(err)
+	}
+	shut := make(chan struct{})
+	go func() { inner.Shutdown(); close(shut) }()
+	select {
+	case <-shut:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hangs with an idle DoT connection open")
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("Serve returned %v after Shutdown, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still accepting after Shutdown")
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		conn.Close()
+		t.Error("listener still accepts after Shutdown")
+	}
+}
+
+// echoHits answers every query on the dns53 fast path: header and
+// question echoed, no records.
+type echoHits struct{ dns53.Handler }
+
+func (echoHits) AppendResponse(dst []byte, q *dnswire.Message, rawQ []byte) ([]byte, int64, bool) {
+	flags := dnswire.Header{QR: true, RD: q.Header.RD}.Flags()
+	return append(dnswire.AppendRawHeader(dst, q.Header.ID, flags, 1, 0, 0, 0), rawQ...), -1, true
+}
+
+// TestDoTPipelinedBurst: 32 queries sent in one TLS record come back in
+// order from one write of the stream loop.
+func TestDoTPipelinedBurst(t *testing.T) {
+	addr, cliTLS := startDoT(t, echoHits{static()})
+	cliTLS.DynamicRecordSizingDisabled = true // or the first records are cut to one TCP segment
+	conn, err := tls.Dial("tcp", addr, cliTLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var burst bytes.Buffer
+	for id := uint16(0); id < 32; id++ {
+		wire, err := dnswire.NewQuery(id, "google.com.", dnswire.TypeA).AppendPack(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = dns53.WriteTCPMsg(&burst, wire)
+	}
+	writes := obs.Default().Counter("dns53_stream_writes_total", "")
+	queries := obs.Default().Counter("dns53_stream_queries_total", "")
+	w0, q0 := writes.Value(), queries.Value()
+	if _, err := conn.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint16(0); id < 32; id++ {
+		msg, err := dns53.ReadTCPMsg(conn)
+		if err != nil {
+			t.Fatalf("answer %d: %v", id, err)
+		}
+		if got := uint16(msg[0])<<8 | uint16(msg[1]); got != id {
+			t.Fatalf("answer %d carries ID %d", id, got)
+		}
+	}
+	if dw, dq := writes.Value()-w0, queries.Value()-q0; dw != 1 || dq != 32 {
+		t.Errorf("stream loop: %d writes for %d queries, want 1 for 32", dw, dq)
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # benchgate.sh — hot-path benchmark regression gate.
 #
-#   go test -bench 'ServeUDP$|ServeUDPBatch$|ServeHit' -benchmem ./internal/... > bench.out
+#   go test -bench 'ServeUDP$|ServeUDPBatch$|ServeStream|ServeHit' -benchmem ./internal/... > bench.out
 #   scripts/benchgate.sh BENCH_pr10.json bench.out
 #
 # Reads the committed baseline artifact (a benchjson.sh array containing a
@@ -25,8 +25,15 @@
 #      measures 1.5-1.65x where it was set; the floor leaves the margin
 #      the two figures need there, each moving +-10 % between runs even as
 #      best of five (EXPERIMENTS.md, "Run-to-completion cache hits").
+#   4. BenchmarkServeStreamPipelined (32 queries a round over loopback
+#      TCP+TLS, ns per query) must stay at least 6x faster than
+#      BenchmarkServeStream (one query a round) in the same run. It
+#      catches the stream loop going back to a write, a TLS record and a
+#      syscall per answer: that loop measures 2.5-3.1x, the burst loop
+#      9.7-15.8x over twenty runs at one and two CPUs (EXPERIMENTS.md,
+#      "Run-to-completion stream bursts"), so the floor sits clear of both.
 #
-# Either check failing exits non-zero; a missing benchmark in the fresh
+# Any check failing exits non-zero; a missing benchmark in the fresh
 # output fails too (a gate that cannot find its subject must not pass).
 # Missing baseline rows only warn: the artifact predating a new benchmark
 # is expected during bring-up, and check 2 still guards the hit path.
@@ -112,6 +119,23 @@ else
         echo "benchgate: ok inline hit ${b} ns/packet vs fallback ${cur} ns/op ($(awk -v b="$b" -v u="$cur" 'BEGIN { printf "%.1f", u / b }')x)"
     else
         echo "benchgate: FAIL inline hit ${b} ns/packet not 1.3x faster than fallback ${cur} ns/op" >&2
+        fail=1
+    fi
+fi
+
+# Check 4: pipelined stream queries >= 6x faster per query than window 1,
+# same run.
+p=$(current BenchmarkServeStreamPipelined)
+w=$(current BenchmarkServeStream)
+if [ -z "$p" ] || [ -z "$w" ]; then
+    echo "benchgate: FAIL ServeStream benchmarks missing from bench output" >&2
+    fail=1
+else
+    ok=$(awk -v p="$p" -v w="$w" 'BEGIN { print (w >= 6 * p) ? 1 : 0 }')
+    if [ "$ok" = 1 ]; then
+        echo "benchgate: ok pipelined stream ${p} ns/query vs window 1 ${w} ns/query ($(awk -v p="$p" -v w="$w" 'BEGIN { printf "%.1f", w / p }')x)"
+    else
+        echo "benchgate: FAIL pipelined stream ${p} ns/query not 6x faster than window 1 ${w} ns/query" >&2
         fail=1
     fi
 fi
