@@ -100,7 +100,6 @@ func run(args []string, w io.Writer) error {
 		selfSockets = fs.Int("self-udp-sockets", 1, "-self do53/recursive: SO_REUSEPORT UDP sockets (Linux)")
 		selfWorkers = fs.Int("self-udp-workers", 0, "-self do53/recursive: UDP worker-pool size; 0 means 32*GOMAXPROCS (min 64)")
 		selfBatch   = fs.Int("self-udp-batch", 0, "-self do53/recursive: max datagrams per batched read/write; 0 means 32, 1 disables batching")
-		selfTmpl    = fs.Bool("self-template", true, "-self recursive: serve cache hits from wire-format answer templates; false forces materialize+repack (A/B baseline)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -134,7 +133,6 @@ func run(args []string, w io.Writer) error {
 	case "do53", "doh", "recursive":
 		endpoint, clientTLS, stop, err := startSelf(*self, selfOptions{
 			sockets: *selfSockets, workers: *selfWorkers, batch: *selfBatch,
-			templates: *selfTmpl,
 		})
 		if err != nil {
 			return err
@@ -258,11 +256,9 @@ func run(args []string, w io.Writer) error {
 }
 
 // selfOptions tunes the -self UDP frontends: listener socket count
-// (SO_REUSEPORT fan-out), worker-pool size, batch depth, and whether the
-// recursive target's cache serves hits from wire templates.
+// (SO_REUSEPORT fan-out), worker-pool size and batch depth.
 type selfOptions struct {
 	sockets, workers, batch int
-	templates               bool
 }
 
 // serveSelfUDP binds the configured number of reuseport sockets on a
@@ -300,12 +296,10 @@ func startSelf(kind string, opts selfOptions) (endpoint string, clientTLS *tls.C
 		// authoritative hierarchy, fronted by a real loopback UDP server —
 		// the capacity baseline recorded in BENCH_pr5.json.
 		h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-		cache := resolver.NewCache(65536, nil)
-		cache.NoTemplates = !opts.templates
 		rec := &resolver.Recursive{
 			Exchange:         h.Registry,
 			Roots:            h.RootServers,
-			Cache:            cache,
+			Cache:            resolver.NewCache(65536, nil),
 			Infra:            resolver.NewInfra(nil),
 			Hedge:            true,
 			PrefetchFraction: 0.1,

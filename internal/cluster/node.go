@@ -287,11 +287,7 @@ func (n *Node) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte
 		return dst, 0, false
 	}
 	n.mLocalHits.Inc()
-	minTTL := int64(-1)
-	if info.Answers > 0 {
-		minTTL = int64(info.Remaining / time.Second)
-	}
-	return out, minTTL, true
+	return out, info.MinTTL(), true
 }
 
 // serveMiss routes a locally-unanswerable query: forward to the ring

@@ -1,0 +1,124 @@
+package dns53
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"encdns/internal/dnswire"
+)
+
+// This file is the one place a parsed query becomes response bytes. Every
+// frontend — Do53 UDP and TCP, DoT, DoH GET and POST, the ODoH target —
+// goes through it, so the resolver work behind each transport is the same
+// by construction. It has two halves because the loops that own a socket
+// must not block: appendHit never does, appendMiss may for as long as the
+// handler's upstreams take. Both append to the caller's buffer (a message
+// may start at any offset, e.g. behind a stream length prefix) and both
+// end in the same cut to limit (truncate). What stays with the frontend
+// is where the miss half runs (worker pool, in line after a flush, the
+// HTTP goroutine) and the limit it passes.
+
+// Answer appends the response to query onto dst: the handler's wire fast
+// path when it offers one and takes the query, else ServeDNS. raw is the
+// query as received; limit is the largest message the client accepts. A
+// response always comes back — err only says why it is a SERVFAIL (see
+// appendMiss). minTTL is the minimum answer TTL in seconds, -1 when the
+// response carries no answers.
+func Answer(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, err error) {
+	out, minTTL, ok := appendHit(h, dst, query, raw, limit)
+	if ok {
+		return out, minTTL, nil
+	}
+	return appendMiss(ctx, h, dst, query, limit)
+}
+
+// appendHit is the non-blocking half: the handler's ResponseAppender fast
+// path, when it has one and the query's question can be echoed verbatim.
+// ok=false means the query was declined and nothing was appended or
+// counted, so the caller runs appendMiss with no state to undo.
+func appendHit(h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool) {
+	ra, ok := h.(ResponseAppender)
+	if !ok {
+		return dst, 0, false
+	}
+	rawQ, ok := dnswire.QuestionBytes(raw)
+	if !ok {
+		return dst, 0, false
+	}
+	out, minTTL, ok = ra.AppendResponse(dst, query, rawQ)
+	if !ok {
+		return dst, 0, false
+	}
+	if len(out)-len(dst) > limit {
+		out, minTTL = truncate(out, len(dst)), -1
+	}
+	return out, minTTL, true
+}
+
+// appendMiss is the blocking half: ServeDNS under panic containment, then
+// pack. A handler error, panic, nil response or a response that does not
+// pack is answered SERVFAIL and reported in err; out is a complete
+// response either way.
+func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, limit int) (out []byte, minTTL int64, err error) {
+	resp, err := serveContained(ctx, h, query)
+	if err == nil {
+		if out, err = resp.AppendPack(dst); err != nil {
+			err = fmt.Errorf("packing response: %w", err)
+		}
+	}
+	if err != nil {
+		resp = query.Reply()
+		resp.Header.RCode = dnswire.RCodeServFail
+		var perr error
+		if out, perr = resp.AppendPack(dst); perr != nil {
+			// A question that parsed but does not pack: answer without it.
+			out = dnswire.AppendRawHeader(dst, query.Header.ID, resp.Header.Flags(), 0, 0, 0, 0)
+		}
+	}
+	// RFC 8484 §5.1 wants the smallest answer TTL; OPT's TTL field is flags.
+	minTTL = -1
+	for _, rr := range resp.Answers {
+		if rr.Type != dnswire.TypeOPT && (minTTL < 0 || int64(rr.TTL) < minTTL) {
+			minTTL = int64(rr.TTL)
+		}
+	}
+	if len(out)-len(dst) > limit {
+		out, minTTL = truncate(out, len(dst)), -1
+	}
+	return out, minTTL, err
+}
+
+// serveContained runs ServeDNS and turns a panic or a nil response into
+// an error, so one bad query costs its sender a SERVFAIL and nobody else
+// anything.
+func serveContained(ctx context.Context, h Handler, query *dnswire.Message) (resp *dnswire.Message, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, fmt.Errorf("handler panic: %v", r)
+		}
+	}()
+	resp, err = h.ServeDNS(ctx, query)
+	if err == nil && resp == nil {
+		err = errors.New("handler returned no response")
+	}
+	return resp, err
+}
+
+// truncate cuts the over-limit packed message out[at:] back to header and
+// question with TC set and the other section counts zeroed (RFC 1035
+// §4.1.1; the client retries over a stream), which also leaves it without
+// a minimum answer TTL. It works on the bytes so both halves share it: a
+// hit has no Message to re-pack. When the question cannot be delimited —
+// not exactly one, or a compressed name — the header alone is kept.
+func truncate(out []byte, at int) []byte {
+	msg := out[at:]
+	qlen := 0
+	if q, ok := dnswire.QuestionBytes(msg); ok {
+		qlen = len(q)
+	} else {
+		binary.BigEndian.PutUint16(msg[4:], 0) // QDCOUNT
+	}
+	return out[:at+len(dnswire.TruncateToQuestion(msg, qlen))]
+}

@@ -4,27 +4,31 @@ import (
 	"encoding/binary"
 	"net"
 
+	"encdns/internal/bufpool"
 	"encdns/internal/dnswire"
 	"encdns/internal/udpbatch"
 )
 
 // serveUDPPacket answers one datagram with the steps the receive loop and
-// the workers share — parse and limit, fast-path append, ServeDNS
-// fallback — composed the plain way: one packet in, one write out,
-// nothing batched, swapped or cloned. It is the reference the
-// differential test holds ServeUDP against, and what BenchmarkServeUDP
-// times. one is the reusable single-packet WriteBatch argument.
+// the workers share — parse and limit, hit, miss — composed the plain
+// way: one packet in, one write out, nothing batched, swapped or cloned.
+// It is the reference the differential test holds ServeUDP against, and
+// what BenchmarkServeUDP times. one is the reusable single-packet
+// WriteBatch argument.
 func (s *Server) serveUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr, query *dnswire.Message, one []udpbatch.Packet) {
 	limit, ok := s.parseUDP(query, raw, from)
 	if !ok {
 		return
 	}
-	if wire, ok := s.appendUDPHit(nil, query, raw, limit); ok {
-		one[0] = udpbatch.Packet{Buf: wire, Addr: from}
-		_, _ = conn.WriteBatch(one) // the reference conns cannot fail
-		return
+	out := bufpool.Get()
+	defer bufpool.Put(out)
+	wire, ok := s.hit((*out)[:0], query, raw, limit)
+	if !ok {
+		wire = s.miss((*out)[:0], query, limit)
 	}
-	s.serveUDPFallback(udpJob{conn: conn, query: query, addr: from, limit: limit}, one)
+	*out = wire
+	one[0] = udpbatch.Packet{Buf: wire, Addr: from}
+	_, _ = conn.WriteBatch(one) // the reference conns cannot fail
 }
 
 // ServeUDPPacket exposes serveUDPPacket to the external test package,
@@ -36,10 +40,9 @@ func (s *Server) ServeUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr) {
 }
 
 // ServeStreamReference is the stream loop composed the plain way from the
-// steps serveConn shares with it: read exactly one frame, answer it
-// (fast-path append, else ServeDNS), write it, nothing kept between
-// frames. It is the reference the differential test and FuzzServeStream
-// hold ServeStream against.
+// steps serveConn shares with it: read exactly one frame, answer it (hit,
+// else miss), write it, nothing kept between frames. It is the reference
+// the differential test and FuzzServeStream hold ServeStream against.
 func (s *Server) ServeStreamReference(conn net.Conn) {
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
@@ -48,12 +51,9 @@ func (s *Server) ServeStreamReference(conn net.Conn) {
 		if err != nil || query.Unpack(pkt) != nil {
 			return
 		}
-		frame, _, ok := s.tryAppendResponse([]byte{0, 0}, query, pkt)
+		frame, ok := s.hit([]byte{0, 0}, query, pkt, dnswire.MaxMessageSize)
 		if !ok {
-			frame, err = s.respond(query).AppendPack([]byte{0, 0})
-			if err != nil || len(frame)-2 > dnswire.MaxMessageSize {
-				return
-			}
+			frame = s.miss([]byte{0, 0}, query, dnswire.MaxMessageSize)
 		}
 		binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
 		if _, err := conn.Write(frame); err != nil {

@@ -75,10 +75,3 @@ func Static(records map[string][]net.IP) Handler {
 		return r, nil
 	})
 }
-
-// servfail builds the SERVFAIL response for a query.
-func servfail(q *dnswire.Message) *dnswire.Message {
-	r := q.Reply()
-	r.Header.RCode = dnswire.RCodeServFail
-	return r
-}

@@ -101,14 +101,18 @@ func fixedClockForwarder() *resolver.Forwarder {
 	c.PutRRset("www.example.com.", dnswire.TypeA, []dnswire.Record{{
 		Name: "www.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassIN,
 		TTL: 300, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}}})
-	var big []dnswire.Record
+	c.PutRRset("big.example.com.", dnswire.TypeTXT, bigTXT("big.example.com."))
+	return &resolver.Forwarder{Cache: c}
+}
+
+// bigTXT is a 40-record TXT RRset for name, far over 512 bytes packed.
+func bigTXT(name string) (rrs []dnswire.Record) {
 	for i := 0; i < 40; i++ {
-		big = append(big, dnswire.Record{
-			Name: "big.example.com.", Type: dnswire.TypeTXT, Class: dnswire.ClassIN,
+		rrs = append(rrs, dnswire.Record{
+			Name: name, Type: dnswire.TypeTXT, Class: dnswire.ClassIN,
 			TTL: 300, Data: &dnswire.TXT{Strings: []string{string(make([]byte, 40))}}})
 	}
-	c.PutRRset("big.example.com.", dnswire.TypeTXT, big)
-	return &resolver.Forwarder{Cache: c}
+	return rrs
 }
 
 func packQuery(t testing.TB, id uint16, name string, typ dnswire.Type, edns uint16) []byte {

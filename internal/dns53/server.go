@@ -15,8 +15,9 @@ import (
 	"encdns/internal/udpbatch"
 )
 
-// Server-side instruments shared by every frontend that dispatches
-// through respond (Do53 UDP/TCP, DoT via ServeStream, DoH via Respond).
+// Server-side instruments of the frontends this package runs (Do53 UDP and
+// TCP, DoT through ServeTCP/ServeStream); hit and miss record them. DoH
+// counts its own requests in doh_server_*.
 var (
 	serverRequests = obs.Default().Counter("dns53_server_requests_total",
 		"Queries dispatched to the server's handler.")
@@ -274,7 +275,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 				continue
 			}
 			k := len(out)
-			if wire, ok := s.appendUDPHit(send[k], query, p.Buf, limit); ok {
+			if wire, ok := s.hit(send[k][:0], query, p.Buf, limit); ok {
 				send[k] = wire
 				out = append(out, udpbatch.Packet{Buf: wire, Addr: p.Addr})
 				continue
@@ -300,14 +301,20 @@ func (s *Server) isClosed() bool {
 }
 
 // udpWorker answers the queries the receive loops declined, one blocking
-// ServeDNS at a time.
+// ServeDNS at a time, each in its own one-packet write.
 func (s *Server) udpWorker() {
 	defer s.workerWG.Done()
 	defer workerCount.Dec()
 	one := make([]udpbatch.Packet, 1) // WriteBatch argument, reused
 	for job := range s.jobs {
 		workerQueueDepth.Dec()
-		s.serveUDPFallback(job, one)
+		out := bufpool.Get()
+		*out = s.miss((*out)[:0], job.query, job.limit)
+		one[0] = udpbatch.Packet{Buf: *out, Addr: job.addr}
+		if _, err := job.conn.WriteBatch(one); err != nil {
+			s.logger().Debug("writing UDP response", "err", err)
+		}
+		bufpool.Put(out)
 		dnswire.ReleaseMessage(job.query)
 	}
 }
@@ -332,96 +339,60 @@ func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (li
 	return limit, true
 }
 
-// appendUDPHit is the wire-template fast path for one parsed datagram:
-// the handler's packed answer written over buf, cut back to header +
-// question with TC set when it exceeds limit (a template response is
-// header + question + answers, so that is the truncateTo equivalent).
-// ok=false means the handler declined.
-func (s *Server) appendUDPHit(buf []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
-	wire, qlen, ok := s.tryAppendResponse(buf[:0], query, raw)
-	if ok && len(wire) > limit {
-		wire = dnswire.TruncateToQuestion(wire, qlen)
-	}
-	return wire, ok
-}
-
-// serveUDPFallback answers one declined query through ServeDNS: dispatch,
-// pack into a pooled buffer, truncate to the sender's limit, write. one
-// is the caller's reusable single-packet WriteBatch argument.
-func (s *Server) serveUDPFallback(job udpJob, one []udpbatch.Packet) {
-	resp := s.respond(job.query)
-	out := bufpool.Get()
-	defer bufpool.Put(out)
-	wire, err := resp.AppendPack((*out)[:0])
-	if err != nil {
-		s.logger().Warn("packing response", "err", err)
-		return
-	}
-	*out = wire
-	if len(wire) > job.limit {
-		wire, err = truncateTo(resp, job.limit, wire[:0])
-		if err != nil || len(wire) > job.limit {
-			return
-		}
-		*out = wire
-	}
-	one[0] = udpbatch.Packet{Buf: wire, Addr: job.addr}
-	if _, err := job.conn.WriteBatch(one); err != nil {
-		s.logger().Debug("writing UDP response", "err", err)
-	}
-}
-
-// tryAppendResponse runs the ResponseAppender fast path when the handler
-// offers it and the request's question can be echoed verbatim, returning
-// the response and the length of the question it echoes. On success it
-// records the same request/latency instruments respond does; on decline
-// it records nothing, since the query is about to be dispatched (and
-// counted) through respond.
-func (s *Server) tryAppendResponse(dst []byte, query *dnswire.Message, raw []byte) ([]byte, int, bool) {
-	ra, ok := s.Handler.(ResponseAppender)
-	if !ok {
-		return dst, 0, false
-	}
-	rawQ, ok := dnswire.QuestionBytes(raw)
-	if !ok {
-		return dst, 0, false
-	}
+// hit is appendHit for this server's handler, counted in dns53_server_*
+// when it answers; a declined query is counted by the miss that follows.
+func (s *Server) hit(dst []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
 	start := time.Now()
-	out, _, ok := ra.AppendResponse(dst, query, rawQ)
-	if !ok {
-		return dst, 0, false
+	out, _, ok := appendHit(s.Handler, dst, query, raw, limit)
+	if ok {
+		serverRequests.Inc()
+		serverLatency.ObserveDuration(time.Since(start))
 	}
-	serverRequests.Inc()
-	serverLatency.ObserveDuration(time.Since(start))
-	return out, len(rawQ), true
+	return out, ok
 }
 
-// truncateTo re-packs resp into buf with answers removed and TC set so it
-// fits within limit.
-func truncateTo(resp *dnswire.Message, limit int, buf []byte) ([]byte, error) {
-	tr := *resp
-	tr.Header.TC = true
-	tr.Answers = nil
-	tr.Authority = nil
-	tr.Additional = nil
-	return tr.AppendPack(buf)
+// miss is appendMiss for this server's handler, counted in dns53_server_*.
+// It always appends a response; a handler failure is logged and counted
+// here and reaches the client as SERVFAIL.
+func (s *Server) miss(dst []byte, query *dnswire.Message, limit int) []byte {
+	serverRequests.Inc()
+	start := time.Now()
+	out, _, err := appendMiss(context.Background(), s.Handler, dst, query, limit)
+	serverLatency.ObserveDuration(time.Since(start))
+	if err != nil {
+		serverFailures.Inc()
+		s.logger().Warn("handler failed", "q", query.Question0().Name, "err", err)
+	}
+	return out
 }
 
 // ServeTCP answers queries on connections accepted from ln until it is
-// closed. Each connection may carry multiple length-prefixed queries.
+// closed. Each connection may carry multiple length-prefixed queries. A
+// temporary Accept error (EMFILE: the process is out of descriptors until
+// some connection closes) is retried with a backoff capped at one second,
+// as net/http.Server.Serve does, so the listener outlives it.
 func (s *Server) ServeTCP(ln net.Listener) error {
 	if !s.track(nil, ln, nil) {
 		ln.Close()
 		return errors.New("dns53: server closed")
 	}
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if s.isClosed() {
 				return nil
 			}
-			return err
+			var temp interface{ Temporary() bool }
+			if !errors.As(err, &temp) || !temp.Temporary() {
+				return err
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.logger().Warn("accept failed; retrying", "err", err, "in", backoff)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		if !s.track(nil, nil, conn) {
 			conn.Close()
 			return nil
@@ -496,8 +467,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // serveFrame answers one query frame into out behind its own two-octet
 // length prefix (compression offsets are message-start-relative, so what
 // precedes the message does not disturb them) and returns the grown
-// buffer. ok=false ends the connection: a malformed query, an answer that
-// cannot be packed, or a failed write.
+// buffer. ok=false ends the connection: a malformed query or a failed
+// write.
 func (s *Server) serveFrame(conn net.Conn, out []byte, query *dnswire.Message, pkt []byte) ([]byte, bool) {
 	if err := query.Unpack(pkt); err != nil {
 		serverMalformed.Inc()
@@ -505,24 +476,14 @@ func (s *Server) serveFrame(conn net.Conn, out []byte, query *dnswire.Message, p
 		return out, false
 	}
 	streamQueries.Inc()
-	// Wire-template fast path. No stream truncation concerns: templates
-	// never exceed MaxMessageSize.
 	at := len(out)
-	frame, _, ok := s.tryAppendResponse(append(out, 0, 0), query, pkt)
+	frame, ok := s.hit(append(out, 0, 0), query, pkt, dnswire.MaxMessageSize)
 	if !ok {
 		if out, ok = s.flushStream(conn, out); !ok {
 			return out, false
 		}
 		at = 0
-		var err error
-		frame, err = s.respond(query).AppendPack(append(out, 0, 0))
-		if err == nil && len(frame)-2 > dnswire.MaxMessageSize {
-			err = dnswire.ErrMessageTooLarge
-		}
-		if err != nil {
-			s.logger().Warn("packing response", "err", err)
-			return out, false
-		}
+		frame = s.miss(append(out, 0, 0), query, dnswire.MaxMessageSize)
 	}
 	binary.BigEndian.PutUint16(frame[at:], uint16(len(frame)-at-2))
 	if len(frame) >= streamFlushAt {
@@ -556,36 +517,4 @@ func (s *Server) ServeStream(conn net.Conn) {
 	defer s.untrackConn(conn)
 	defer conn.Close()
 	s.serveConn(conn)
-}
-
-// respond runs the handler with panic and error containment, recording
-// the request count and handler latency.
-func (s *Server) respond(query *dnswire.Message) *dnswire.Message {
-	serverRequests.Inc()
-	start := time.Now()
-	resp, err := func() (m *dnswire.Message, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.logger().Error("handler panic", "panic", r)
-				m, err = nil, errors.New("handler panic")
-			}
-		}()
-		return s.Handler.ServeDNS(context.Background(), query)
-	}()
-	serverLatency.ObserveDuration(time.Since(start))
-	if err != nil || resp == nil {
-		serverFailures.Inc()
-		if err != nil {
-			s.logger().Warn("handler failed", "q", query.Question0().Name, "err", err)
-		}
-		return servfail(query)
-	}
-	return resp
-}
-
-// Respond answers a single already-parsed query using the server's handler
-// and containment; the DoH transport calls this directly since HTTP does
-// its own framing.
-func (s *Server) Respond(query *dnswire.Message) *dnswire.Message {
-	return s.respond(query)
 }

@@ -155,58 +155,18 @@ func (h *Handler) answerWire(w http.ResponseWriter, r *http.Request, wire []byte
 	}
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
-	// Wire-template fast path: cache-backed handlers append the complete
-	// response (echoing the request's question bytes) without record
-	// materialization or repacking, and report the aged minimum TTL for
-	// the RFC 8484 §5.1 cache lifetime directly.
-	if ra, ok := h.DNS.(dns53.ResponseAppender); ok {
-		if rawQ, ok := dnswire.QuestionBytes(wire); ok {
-			if out, minTTL, ok := ra.AppendResponse((*bp)[:0], query, rawQ); ok {
-				*bp = out
-				w.Header().Set("Content-Type", ContentType)
-				if minTTL >= 0 {
-					w.Header().Set("Cache-Control", "max-age="+strconv.FormatInt(minTTL, 10))
-				}
-				w.Header().Set("Content-Length", strconv.Itoa(len(out)))
-				_, _ = w.Write(out)
-				return
-			}
-		}
-	}
-	resp, err := h.DNS.ServeDNS(r.Context(), query)
-	if err != nil || resp == nil {
-		resp = query.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-	}
-	out, err := resp.AppendPack((*bp)[:0])
-	if err != nil {
-		http.Error(w, "packing response", http.StatusInternalServerError)
-		return
-	}
+	// A handler failure is already the SERVFAIL in out: HTTP status 200.
+	out, minTTL, _ := dns53.Answer(r.Context(), h.DNS, (*bp)[:0], query, wire, dnswire.MaxMessageSize)
 	*bp = out
 	w.Header().Set("Content-Type", ContentType)
 	// RFC 8484 §5.1: cache lifetime is the minimum TTL of the answer.
-	if ttl, ok := minTTL(resp); ok {
-		w.Header().Set("Cache-Control", "max-age="+strconv.FormatUint(uint64(ttl), 10))
+	if minTTL >= 0 {
+		w.Header().Set("Cache-Control", "max-age="+strconv.FormatInt(minTTL, 10))
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	// ResponseWriter.Write copies into the HTTP layer's own buffer, so the
 	// pooled frame can be recycled as soon as this returns.
 	_, _ = w.Write(out)
-}
-
-func minTTL(m *dnswire.Message) (uint32, bool) {
-	found := false
-	var minV uint32
-	for _, rr := range m.Answers {
-		if rr.Type == dnswire.TypeOPT {
-			continue
-		}
-		if !found || rr.TTL < minV {
-			minV, found = rr.TTL, true
-		}
-	}
-	return minV, found
 }
 
 // jsonQuestion, jsonAnswer, and jsonResponse mirror the Google/Cloudflare

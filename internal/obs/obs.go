@@ -1,10 +1,9 @@
 // Package obs is the observability substrate of the reproduction: a
-// dependency-free metrics core (atomic counters, gauges, fixed-bucket
-// latency histograms, and streaming quantile summaries) held in a named
-// Registry, a per-query Trace that records attempt-level spans (dial,
-// TLS handshake, write, first byte, total) propagated via
-// context.Context through the transport middleware, and a small leveled
-// structured Logger.
+// dependency-free metrics core (atomic counters, gauges and fixed-bucket
+// latency histograms) held in a named Registry, a per-query Trace that
+// records attempt-level spans (dial, TLS handshake, write, first byte,
+// total) propagated via context.Context through the transport
+// middleware, and a small leveled structured Logger.
 //
 // The paper's contribution is latency/availability *measurement*; obs
 // makes the reproduction itself measurable. The decomposition it records

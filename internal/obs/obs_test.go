@@ -74,7 +74,6 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("conc_total", "help").Inc()
 				r.Gauge("conc_gauge", "help").Inc()
 				r.Histogram("conc_seconds", "help", nil).Observe(0.002)
-				r.Summary("conc_summary", "help").Observe(0.002)
 				r.snapshotMetrics()
 			}
 		}()
@@ -120,13 +119,5 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.0042)
-	}
-}
-
-func BenchmarkSummaryObserve(b *testing.B) {
-	s := NewRegistry().Summary("bench_summary", "help")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Observe(float64(i%100) / 1000)
 	}
 }

@@ -34,13 +34,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", joinLabels(labels, `le="+Inf"`)), total)
 			fmt.Fprintf(w, "%s %s\n", series(name+"_sum", labels), formatFloat(sum))
 			fmt.Fprintf(w, "%s %d\n", series(name+"_count", labels), total)
-		case *Summary:
-			count, sum, quantiles := v.stats()
-			for i, q := range SummaryQuantiles {
-				fmt.Fprintf(w, "%s %s\n", series(name, joinLabels(labels, `quantile="`+formatFloat(q)+`"`)), formatFloat(quantiles[i]))
-			}
-			fmt.Fprintf(w, "%s %s\n", series(name+"_sum", labels), formatFloat(sum))
-			fmt.Fprintf(w, "%s %d\n", series(name+"_count", labels), count)
 		case *WindowedCounter:
 			// Windowed counters scrape as a gauge: the event count inside
 			// the trailing span, which rises and falls with the window.
@@ -92,13 +85,6 @@ type BucketSnapshot struct {
 	Count uint64  `json:"count"`
 }
 
-// SummarySnapshot is the JSON form of one summary.
-type SummarySnapshot struct {
-	Count     uint64             `json:"count"`
-	Sum       float64            `json:"sum"`
-	Quantiles map[string]float64 `json:"quantiles"`
-}
-
 // Snapshot returns a JSON-friendly view of the registry, keyed by series
 // name (family name plus label set).
 func (r *Registry) Snapshot() map[string]any {
@@ -118,13 +104,6 @@ func (r *Registry) Snapshot() map[string]any {
 			snap := HistogramSnapshot{Count: cumulative[len(cumulative)-1], Sum: sum}
 			for i, bound := range v.bounds {
 				snap.Buckets = append(snap.Buckets, BucketSnapshot{LE: bound, Count: cumulative[i]})
-			}
-			out[key] = snap
-		case *Summary:
-			count, sum, quantiles := v.stats()
-			snap := SummarySnapshot{Count: count, Sum: sum, Quantiles: make(map[string]float64, len(quantiles))}
-			for i, q := range SummaryQuantiles {
-				snap.Quantiles[formatFloat(q)] = quantiles[i]
 			}
 			out[key] = snap
 		case *WindowedCounter:

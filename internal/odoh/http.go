@@ -58,16 +58,8 @@ func (t *TargetHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed DNS query", http.StatusBadRequest)
 		return
 	}
-	resp, err := t.DNS.ServeDNS(r.Context(), query)
-	if err != nil || resp == nil {
-		resp = query.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-	}
-	respWire, err := resp.Pack()
-	if err != nil {
-		http.Error(w, "packing response", http.StatusInternalServerError)
-		return
-	}
+	// A handler failure is already the SERVFAIL in respWire.
+	respWire, _, _ := dns53.Answer(r.Context(), t.DNS, nil, query, queryWire, dnswire.MaxMessageSize)
 	sealed, err := responder.Seal(respWire)
 	if err != nil {
 		http.Error(w, "sealing response", http.StatusInternalServerError)

@@ -26,7 +26,7 @@ var (
 		"Lookups answered from the cache (fresh entries).")
 	// Hit-serve split: template hits were answered straight from the
 	// precomputed wire template (AppendResponse); materialized hits went
-	// through record materialization and a full repack (LookupInto).
+	// through record materialization and a full repack (Lookup).
 	cacheHitTemplate = obs.Default().Counter("resolver_cache_hit_serve_total",
 		"Cache hits by serve path.", "path", "template")
 	cacheHitMaterialized = obs.Default().Counter("resolver_cache_hit_serve_total",
@@ -159,11 +159,6 @@ func (s *cacheShard) recentLocked(e *cacheEntry) bool {
 // Keys are spread across lock shards so concurrent lookups of different
 // names do not serialise on one mutex.
 type Cache struct {
-	// NoTemplates disables building and serving wire-format answer
-	// templates, forcing every hit through the materialize path. Set it
-	// before the cache starts serving (benchmark and A/B use only).
-	NoTemplates bool
-
 	shards []cacheShard
 	mask   uint32
 	now    func() time.Time
@@ -287,7 +282,7 @@ func (c *Cache) PutRRset(name string, t dnswire.Type, rrs []dnswire.Record) {
 		expires: c.now().Add(d),
 		ttl:     d,
 		records: cp,
-		tmpl:    c.buildTemplate(key, cp),
+		tmpl:    buildTemplate(key, cp),
 	})
 }
 
@@ -302,7 +297,7 @@ func (c *Cache) PutNegative(name string, t dnswire.Type, nxdomain bool, ttl uint
 		ttl:      d,
 		negative: true,
 		nxdomain: nxdomain,
-		tmpl:     c.buildTemplate(key, nil),
+		tmpl:     buildTemplate(key, nil),
 	})
 }
 
@@ -346,20 +341,13 @@ type LookupResult struct {
 }
 
 // Lookup returns the cached state for (name, type), expiring stale
-// entries. ok is false on a miss.
-func (c *Cache) Lookup(name string, t dnswire.Type) (LookupResult, bool) {
-	return c.LookupInto(nil, name, t)
-}
-
-// LookupInto is Lookup appending the positive records (TTLs aged) onto
-// dst, so a caller holding a reusable buffer pays no allocation on a hit.
-// The returned LookupResult.Records is the extended dst; entries past
-// dst's original length belong to the caller.
+// entries. ok is false on a miss. Positive records are copied with their
+// TTLs aged, so the caller owns them.
 //
 // Hits run under the shard's read lock: the entry payload is immutable
 // after insert, so only the LRU bump needs the write lock, and even that
 // is skipped while the entry sits in the newest quarter of its shard.
-func (c *Cache) LookupInto(dst []dnswire.Record, name string, t dnswire.Type) (LookupResult, bool) {
+func (c *Cache) Lookup(name string, t dnswire.Type) (LookupResult, bool) {
 	key := cacheKey{name: dnswire.CanonicalName(name), typ: t}
 	s := c.shard(key)
 	s.mu.RLock()
@@ -396,10 +384,9 @@ func (c *Cache) LookupInto(dst []dnswire.Record, name string, t dnswire.Type) (L
 	if neg {
 		return LookupResult{Negative: true, NXDomain: nx}, true
 	}
-	base := len(dst)
-	out := append(dst, records...)
+	out := append([]dnswire.Record(nil), records...)
 	aged := uint32(remaining / time.Second)
-	for i := base; i < len(out); i++ {
+	for i := range out {
 		if out[i].TTL > aged {
 			out[i].TTL = aged
 		}

@@ -43,16 +43,12 @@ func BenchmarkResolveConcurrent(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		// Each goroutine reuses one answer buffer, as a frontend worker
-		// would: steady-state cache hits then allocate nothing.
-		buf := make([]dnswire.Record, 0, 8)
 		i := 0
 		for pb.Next() {
-			res, ok := c.LookupInto(buf[:0], names[i%len(names)], dnswire.TypeA)
+			res, ok := c.Lookup(names[i%len(names)], dnswire.TypeA)
 			if !ok || len(res.Records) == 0 {
 				b.Fatal("miss")
 			}
-			buf = res.Records
 			i++
 		}
 	})
@@ -115,11 +111,10 @@ func BenchmarkColdWalkSRTTHedged(b *testing.B) { benchColdWalk(b, true) }
 // serveHitBench builds a warmed cache plus a parsed query and runs the
 // cache-hit serve path to full response bytes b.N times. template=true
 // is the tentpole wire-template path (AppendResponse); false is the
-// materialize+repack baseline the servers ran before: LookupInto into a
-// reused record buffer, a Reply-shaped response, a full AppendPack.
+// materialize+repack reference, what ServeDNS does with a hit: Lookup, a
+// Reply-shaped response, a full AppendPack.
 func serveHitBench(b *testing.B, template bool) {
 	c := NewCache(4096, nil)
-	c.NoTemplates = !template
 	name := "www.example.com."
 	c.PutRRset(name, dnswire.TypeA, []dnswire.Record{
 		{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
@@ -141,7 +136,6 @@ func serveHitBench(b *testing.B, template bool) {
 		b.Fatal(err)
 	}
 	out := make([]byte, 0, 512)
-	recs := make([]dnswire.Record, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -153,11 +147,10 @@ func serveHitBench(b *testing.B, template bool) {
 			out = wire
 			continue
 		}
-		res, ok := c.LookupInto(recs[:0], name, dnswire.TypeA)
+		res, ok := c.Lookup(name, dnswire.TypeA)
 		if !ok {
 			b.Fatal("miss")
 		}
-		recs = res.Records
 		resp := query.Reply()
 		resp.Header.RA = true
 		resp.Answers = res.Records
@@ -199,13 +192,10 @@ func hitStormBench(b *testing.B, alwaysBump bool) {
 	b.SetParallelism(8)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		buf := make([]dnswire.Record, 0, 4)
 		for pb.Next() {
-			res, ok := c.LookupInto(buf[:0], name, dnswire.TypeA)
-			if !ok {
+			if _, ok := c.Lookup(name, dnswire.TypeA); !ok {
 				b.Fatal("miss")
 			}
-			buf = res.Records
 		}
 	})
 }

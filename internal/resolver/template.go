@@ -35,12 +35,9 @@ type answerTemplate struct {
 
 // buildTemplate packs rrs (nil for a negative entry) into an answer
 // template for key. It returns nil — meaning "serve this entry via the
-// materialize path" — when templates are disabled or the RRset does not
-// pack (oversized message, unencodable RDATA).
-func (c *Cache) buildTemplate(key cacheKey, rrs []dnswire.Record) *answerTemplate {
-	if c.NoTemplates {
-		return nil
-	}
+// materialize path" — when the RRset does not pack (oversized message,
+// unencodable RDATA).
+func buildTemplate(key cacheKey, rrs []dnswire.Record) *answerTemplate {
 	m := dnswire.Message{
 		Header:    dnswire.Header{QR: true, RA: true},
 		Questions: []dnswire.Question{{Name: key.name, Type: key.typ, Class: dnswire.ClassIN}},
@@ -97,7 +94,7 @@ type HitInfo struct {
 // which also owns miss accounting and expiry eviction, so a failed fast
 // path never double-counts.
 func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, HitInfo, bool) {
-	if c.NoTemplates || len(q.Questions) != 1 {
+	if len(q.Questions) != 1 {
 		return dst, HitInfo{}, false
 	}
 	qq := &q.Questions[0]
@@ -164,12 +161,12 @@ func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byt
 	}, true
 }
 
-// templateMinTTL converts a hit into the RFC 8484 cache-lifetime value:
-// the minimum answer TTL in seconds, or -1 when the response carries no
-// answers. Every template answer TTL equals the remaining lifetime after
-// aging (the entry's lifetime is its RRset's minimum TTL), so no scan is
-// needed.
-func templateMinTTL(info HitInfo) int64 {
+// MinTTL converts a hit into the RFC 8484 cache-lifetime value the
+// dns53.ResponseAppender contract reports: the minimum answer TTL in
+// seconds, or -1 when the response carries no answers. Every template
+// answer TTL equals the remaining lifetime after aging (the entry's
+// lifetime is its RRset's minimum TTL), so no scan is needed.
+func (info HitInfo) MinTTL() int64 {
 	if info.Answers == 0 {
 		return -1
 	}
@@ -195,7 +192,7 @@ func (r *Recursive) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion [
 		Remaining: info.Remaining,
 		OrigTTL:   info.OrigTTL,
 	})
-	return out, templateMinTTL(info), true
+	return out, info.MinTTL(), true
 }
 
 // AppendResponse implements the dns53.ResponseAppender fast path for the
@@ -208,5 +205,5 @@ func (f *Forwarder) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion [
 	if !ok {
 		return dst, 0, false
 	}
-	return out, templateMinTTL(info), true
+	return out, info.MinTTL(), true
 }

@@ -78,12 +78,12 @@ func packQuery(t *testing.T, name string, qt dnswire.Type, id uint16, caseSeed u
 	return wire, parsed
 }
 
-// materializeServe reproduces the server slow path exactly: LookupInto,
+// materializeServe reproduces the server slow path exactly: Lookup,
 // Reply-shaped response, full AppendPack.
 func materializeServe(t *testing.T, c *Cache, q *dnswire.Message) ([]byte, bool) {
 	t.Helper()
 	q0 := q.Question0()
-	res, ok := c.LookupInto(nil, q0.Name, q0.Type)
+	res, ok := c.Lookup(q0.Name, q0.Type)
 	if !ok {
 		return nil, false
 	}
@@ -240,19 +240,8 @@ func TestTemplateDeclines(t *testing.T) {
 		if _, _, ok := c.AppendResponse(nil, qZ, rawQZ); ok {
 			t.Fatal("served a TTL=0 entry the materialize path would miss")
 		}
-		if _, ok := c.LookupInto(nil, "zero.example.com.", dnswire.TypeA); ok {
+		if _, ok := c.Lookup("zero.example.com.", dnswire.TypeA); ok {
 			t.Fatal("materialize path served a TTL=0 entry")
-		}
-	})
-	t.Run("no-templates", func(t *testing.T) {
-		c2 := NewCache(64, clk.Now)
-		c2.NoTemplates = true
-		c2.PutRRset("www.example.com.", dnswire.TypeA, []dnswire.Record{rr})
-		if _, _, ok := c2.AppendResponse(nil, q, rawQ); ok {
-			t.Fatal("served with NoTemplates set")
-		}
-		if _, ok := c2.LookupInto(nil, "www.example.com.", dnswire.TypeA); !ok {
-			t.Fatal("materialize fallback lost the entry")
 		}
 	})
 	t.Run("hit-counting", func(t *testing.T) {

@@ -205,57 +205,3 @@ func (c CDF) P(x float64) float64 {
 
 // InvP returns the q-th quantile of the samples behind the CDF.
 func (c CDF) InvP(q float64) float64 { return quantileSorted(c.sorted, q) }
-
-// Histogram counts samples into equal-width bins over [lo, hi). Samples
-// below lo land in an underflow count, samples >= hi in overflow.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int
-	Underflow int
-	Overflow  int
-	width     float64
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins spanning
-// [lo, hi). It panics if nbins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range is empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, nbins), width: (hi - lo) / float64(nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case math.IsNaN(v):
-		// dropped
-	case v < h.Lo:
-		h.Underflow++
-	case v >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((v - h.Lo) / h.width)
-		if i >= len(h.Bins) { // guard against float edge at Hi-epsilon
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of recorded samples, including under/overflow.
-func (h *Histogram) Total() int {
-	n := h.Underflow + h.Overflow
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -275,47 +274,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42, math.NaN()} {
-		h.Add(v)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("underflow = %d", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("overflow = %d", h.Overflow)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, b := range h.Bins {
-		if b != want[i] {
-			t.Errorf("bin %d = %d, want %d (%v)", i, b, want[i], h.Bins)
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d, want 8", h.Total())
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("bin center 0 = %v", c)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 10, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	if !math.IsNaN(c.Mean()) || !math.IsNaN(c.Min()) || !math.IsNaN(c.Max()) {
@@ -359,59 +317,6 @@ func TestCounterMatchesBatch(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestReservoirUnderCapacity(t *testing.T) {
-	r := NewReservoir(10, nil)
-	for i := 0; i < 5; i++ {
-		r.Add(float64(i))
-	}
-	got := r.Samples()
-	if len(got) != 5 {
-		t.Fatalf("len = %d", len(got))
-	}
-	if !sort.Float64sAreSorted(got) {
-		t.Error("samples not sorted")
-	}
-	if r.Seen() != 5 {
-		t.Errorf("seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirBounded(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	r := NewReservoir(100, func(n int64) int64 { return rng.Int64N(n) })
-	for i := 0; i < 10000; i++ {
-		r.Add(float64(i))
-	}
-	if len(r.Samples()) != 100 {
-		t.Fatalf("len = %d, want 100", len(r.Samples()))
-	}
-	if r.Seen() != 10000 {
-		t.Errorf("seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirIsRoughlyUniform(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 9))
-	r := NewReservoir(1000, func(n int64) int64 { return rng.Int64N(n) })
-	for i := 0; i < 100000; i++ {
-		r.Add(float64(i))
-	}
-	// The retained sample median should be near the stream median 50000.
-	med := Median(r.Samples())
-	if med < 40000 || med > 60000 {
-		t.Errorf("reservoir median = %v, want near 50000", med)
-	}
-}
-
-func TestReservoirPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewReservoir(0, nil)
 }
 
 func TestDistributionsPositive(t *testing.T) {

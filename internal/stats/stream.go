@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -115,73 +114,4 @@ func (c *Counter) Max() float64 {
 		return math.NaN()
 	}
 	return c.max
-}
-
-// Reservoir keeps a bounded, order-independent sample set using reservoir
-// sampling (Vitter's algorithm R) so distributions can be summarised from
-// unbounded streams with bounded memory. It is safe for concurrent use.
-type Reservoir struct {
-	mu   sync.Mutex
-	cap  int
-	seen int64
-	buf  []float64
-	rnd  func(int64) int64 // returns uniform in [0, n); injectable for tests
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples, using
-// the provided uniform-integer source. rnd must return a value in [0, n)
-// given n > 0; pass nil to use a small deterministic linear congruential
-// source (useful when reproducibility across runs matters more than
-// statistical perfection).
-func NewReservoir(capacity int, rnd func(n int64) int64) *Reservoir {
-	if capacity < 1 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	r := &Reservoir{cap: capacity, rnd: rnd}
-	if r.rnd == nil {
-		state := int64(0x5DEECE66D)
-		r.rnd = func(n int64) int64 {
-			state = state*6364136223846793005 + 1442695040888963407
-			v := state >> 16
-			if v < 0 {
-				v = -v
-			}
-			return v % n
-		}
-	}
-	return r
-}
-
-// Add offers one sample to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen++
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, v)
-		return
-	}
-	if j := r.rnd(r.seen); j < int64(r.cap) {
-		r.buf[j] = v
-	}
-}
-
-// Seen reports how many samples were offered.
-func (r *Reservoir) Seen() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
-}
-
-// Samples returns a sorted copy of the retained samples.
-func (r *Reservoir) Samples() []float64 {
-	r.mu.Lock()
-	out := make([]float64, len(r.buf))
-	copy(out, r.buf)
-	r.mu.Unlock()
-	sort.Float64s(out)
-	return out
 }
