@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"crypto/tls"
 	"encoding/pem"
 	"flag"
 	"fmt"
@@ -187,7 +188,8 @@ func run() error {
 	var httpSrv *http.Server
 	if *dohAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle(doh.DefaultPath, &doh.Handler{DNS: handler})
+		dohHandler := &doh.Handler{DNS: handler}
+		mux.Handle(doh.DefaultPath, dohHandler)
 		// Introspection rides the same mux: /metrics (Prometheus text),
 		// /debug/obs (JSON snapshot), and /debug/pprof (profiles).
 		obs.RegisterRuntimeMetrics(obs.Default())
@@ -198,6 +200,10 @@ func run() error {
 			Handler:     mux,
 			TLSConfig:   tlsCfg.Clone(),
 			IdleTimeout: *idleTO,
+			// HTTP/2 connections go to the DoH burst loop, which answers
+			// cache hits itself and hands everything else to the mux;
+			// HTTP/1.1 and all connection management stay net/http's.
+			TLSNextProto: map[string]func(*http.Server, *tls.Conn, http.Handler){"h2": dohHandler.ServeH2},
 		}
 		ln, err := net.Listen("tcp", *dohAddr)
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 // frontend — Do53 UDP and TCP, DoT, DoH GET and POST, the ODoH target —
 // goes through it, so the resolver work behind each transport is the same
 // by construction. It has two halves because the loops that own a socket
-// must not block: appendHit never does, appendMiss may for as long as the
+// must not block: AppendHit never does, appendMiss may for as long as the
 // handler's upstreams take. Both append to the caller's buffer (a message
 // may start at any offset, e.g. behind a stream length prefix) and both
 // end in the same cut to limit (truncate). What stays with the frontend
@@ -27,18 +27,20 @@ import (
 // appendMiss). minTTL is the minimum answer TTL in seconds, -1 when the
 // response carries no answers.
 func Answer(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, err error) {
-	out, minTTL, ok := appendHit(h, dst, query, raw, limit)
+	out, minTTL, ok := AppendHit(h, dst, query, raw, limit)
 	if ok {
 		return out, minTTL, nil
 	}
 	return appendMiss(ctx, h, dst, query, limit)
 }
 
-// appendHit is the non-blocking half: the handler's ResponseAppender fast
+// AppendHit is the non-blocking half: the handler's ResponseAppender fast
 // path, when it has one and the query's question can be echoed verbatim.
 // ok=false means the query was declined and nothing was appended or
-// counted, so the caller runs appendMiss with no state to undo.
-func appendHit(h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool) {
+// counted, so the caller runs the miss half with no state to undo. It is
+// exported for the loops that own a connection outside this package (DoH's
+// HTTP/2 loop), whose miss half is Answer on another goroutine.
+func AppendHit(h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool) {
 	ra, ok := h.(ResponseAppender)
 	if !ok {
 		return dst, 0, false
@@ -62,7 +64,7 @@ func appendHit(h Handler, dst []byte, query *dnswire.Message, raw []byte, limit 
 // pack is answered SERVFAIL and reported in err; out is a complete
 // response either way.
 func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, limit int) (out []byte, minTTL int64, err error) {
-	resp, err := serveContained(ctx, h, query)
+	resp, err := ServeContained(ctx, h, query)
 	if err == nil {
 		if out, err = resp.AppendPack(dst); err != nil {
 			err = fmt.Errorf("packing response: %w", err)
@@ -90,10 +92,11 @@ func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Messa
 	return out, minTTL, err
 }
 
-// serveContained runs ServeDNS and turns a panic or a nil response into
+// ServeContained runs ServeDNS and turns a panic or a nil response into
 // an error, so one bad query costs its sender a SERVFAIL and nobody else
-// anything.
-func serveContained(ctx context.Context, h Handler, query *dnswire.Message) (resp *dnswire.Message, err error) {
+// anything. It is the miss half up to the message; the one caller outside
+// is DoH's JSON API, which renders the message instead of packing it.
+func ServeContained(ctx context.Context, h Handler, query *dnswire.Message) (resp *dnswire.Message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, fmt.Errorf("handler panic: %v", r)

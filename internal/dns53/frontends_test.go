@@ -86,9 +86,9 @@ func streamExchange(t *testing.T, conn net.Conn, query []byte) []byte {
 	return resp
 }
 
-func httpExchange(t *testing.T, req *http.Request, contentType string) []byte {
+func httpExchange(t *testing.T, client *http.Client, req *http.Request, contentType string) []byte {
 	t.Helper()
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,9 @@ func httpExchange(t *testing.T, req *http.Request, contentType string) []byte {
 	return body
 }
 
-// startFrontends serves h on all six frontends: UDP, TCP and DoT from one
-// dns53.Server, DoH and the ODoH target from httptest servers.
+// startFrontends serves h on all eight frontends: UDP, TCP and DoT from one
+// dns53.Server, DoH (through net/http alone, and over HTTP/2 through the
+// burst loop) and the ODoH target from httptest servers.
 func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 	t.Helper()
 	srv := &dns53.Server{Handler: h}
@@ -132,8 +133,28 @@ func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 		t.Fatal(err)
 	}
 	go (&dot.Server{DNS: srv, TLS: serverTLS}).Serve(tlsLn)
-	dohSrv := httptest.NewServer(&doh.Handler{DNS: h})
+	dohHandler := &doh.Handler{DNS: h}
+	dohSrv := httptest.NewServer(dohHandler)
 	t.Cleanup(dohSrv.Close)
+	loopSrv := httptest.NewUnstartedServer(dohHandler)
+	loopSrv.EnableHTTP2 = true
+	loopSrv.Config.TLSNextProto = map[string]func(*http.Server, *tls.Conn, http.Handler){"h2": dohHandler.ServeH2}
+	loopSrv.StartTLS()
+	t.Cleanup(loopSrv.Close)
+	dohPost := func(srv *httptest.Server) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, query []byte) []byte {
+			req, _ := http.NewRequest(http.MethodPost, srv.URL+doh.DefaultPath, bytes.NewReader(query))
+			req.Header.Set("Content-Type", doh.ContentType)
+			return httpExchange(t, srv.Client(), req, doh.ContentType)
+		}
+	}
+	dohGet := func(srv *httptest.Server) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, query []byte) []byte {
+			req, _ := http.NewRequest(http.MethodGet,
+				srv.URL+doh.DefaultPath+"?dns="+base64.RawURLEncoding.EncodeToString(query), nil)
+			return httpExchange(t, srv.Client(), req, doh.ContentType)
+		}
+	}
 	key, err := odoh.NewTargetKey(1)
 	if err != nil {
 		t.Fatal(err)
@@ -177,16 +198,10 @@ func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 			}
 			return streamExchange(t, conn, query)
 		}},
-		{"doh-post", func(t *testing.T, query []byte) []byte {
-			req, _ := http.NewRequest(http.MethodPost, dohSrv.URL+doh.DefaultPath, bytes.NewReader(query))
-			req.Header.Set("Content-Type", doh.ContentType)
-			return httpExchange(t, req, doh.ContentType)
-		}},
-		{"doh-get", func(t *testing.T, query []byte) []byte {
-			req, _ := http.NewRequest(http.MethodGet,
-				dohSrv.URL+doh.DefaultPath+"?dns="+base64.RawURLEncoding.EncodeToString(query), nil)
-			return httpExchange(t, req, doh.ContentType)
-		}},
+		{"doh-post", dohPost(dohSrv)},
+		{"doh-get", dohGet(dohSrv)},
+		{"doh-post-loop", dohPost(loopSrv)},
+		{"doh-get-loop", dohGet(loopSrv)},
 		{"odoh-target", func(t *testing.T, query []byte) []byte {
 			sealed, qctx, err := odohCfg.Seal(query)
 			if err != nil {
@@ -194,7 +209,7 @@ func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 			}
 			req, _ := http.NewRequest(http.MethodPost, odohSrv.URL+odoh.DefaultPath, bytes.NewReader(sealed))
 			req.Header.Set("Content-Type", odoh.ContentType)
-			plain, err := qctx.Open(httpExchange(t, req, odoh.ContentType))
+			plain, err := qctx.Open(httpExchange(t, odohSrv.Client(), req, odoh.ContentType))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,6 +336,7 @@ func TestFrontendsCountInTheirOwnSeries(t *testing.T) {
 		want := map[string][4]uint64{
 			"udp": {3, 1, 0, 0}, "tcp": {3, 1, 0, 0}, "dot": {3, 1, 0, 0},
 			"doh-post": {0, 0, 3, 0}, "doh-get": {0, 0, 0, 3}, "odoh-target": {0, 0, 0, 0},
+			"doh-post-loop": {0, 0, 3, 0}, "doh-get-loop": {0, 0, 0, 3},
 		}[fe.name]
 		if got != want {
 			t.Errorf("%s: dns53 requests/failures, doh POST/GET moved by %v, want %v", fe.name, got, want)

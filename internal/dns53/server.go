@@ -339,11 +339,11 @@ func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (li
 	return limit, true
 }
 
-// hit is appendHit for this server's handler, counted in dns53_server_*
+// hit is AppendHit for this server's handler, counted in dns53_server_*
 // when it answers; a declined query is counted by the miss that follows.
 func (s *Server) hit(dst []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
 	start := time.Now()
-	out, _, ok := appendHit(s.Handler, dst, query, raw, limit)
+	out, _, ok := AppendHit(s.Handler, dst, query, raw, limit)
 	if ok {
 		serverRequests.Inc()
 		serverLatency.ObserveDuration(time.Since(start))

@@ -10,8 +10,8 @@ package doh
 import (
 	"encoding/base64"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -56,117 +56,117 @@ var (
 		"DoH request latency end to end (decode, resolve, encode).", nil)
 )
 
-// statusRecorder captures the response status for the error counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
+// dnsMessageType is the Content-Type value of every wire-format response;
+// header maps share the one slice.
+var dnsMessageType = []string{ContentType}
 
 // ServeHTTP implements http.Handler per RFC 8484 §4.1 (and the JSON
 // dialect when the request asks for it via Accept or the ct parameter).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	w = rec
 	start := time.Now()
-	defer func() {
-		serverLatency.ObserveDuration(time.Since(start))
-		if rec.status >= http.StatusBadRequest {
-			serverErrors.Inc()
-		}
-	}()
+	status := h.serve(w, r)
+	serverLatency.ObserveDuration(time.Since(start))
+	if status >= http.StatusBadRequest {
+		serverErrors.Inc()
+	}
+}
+
+// serve answers one request and returns the status it answered with.
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request) int {
 	switch r.Method {
 	case http.MethodGet:
 		serverRequestsGET.Inc()
-		if h.wantsJSON(r) {
-			h.serveJSON(w, r)
-			return
+		q := r.URL.Query()
+		if h.wantsJSON(r, q) {
+			return h.serveJSON(w, r, q)
 		}
-		h.serveGET(w, r)
+		return h.serveGET(w, r, q)
 	case http.MethodPost:
 		serverRequestsPOST.Inc()
-		h.servePOST(w, r)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return h.servePOST(w, r)
 	}
+	w.Header().Set("Allow", "GET, POST")
+	return httpError(w, "method not allowed", http.StatusMethodNotAllowed)
 }
 
-func (h *Handler) wantsJSON(r *http.Request) bool {
+func httpError(w http.ResponseWriter, msg string, status int) int {
+	http.Error(w, msg, status)
+	return status
+}
+
+func (h *Handler) wantsJSON(r *http.Request, q url.Values) bool {
 	if h.DisableJSON {
 		return false
 	}
-	if r.URL.Query().Get("ct") == JSONContentType {
-		return true
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, JSONContentType) ||
-		(r.URL.Query().Has("name") && !r.URL.Query().Has("dns"))
+	return q.Get("ct") == JSONContentType ||
+		strings.Contains(r.Header.Get("Accept"), JSONContentType) ||
+		(q.Has("name") && !q.Has("dns"))
 }
 
-func (h *Handler) serveGET(w http.ResponseWriter, r *http.Request) {
-	b64 := r.URL.Query().Get("dns")
+func (h *Handler) serveGET(w http.ResponseWriter, r *http.Request, q url.Values) int {
+	b64 := q.Get("dns")
 	if b64 == "" {
-		http.Error(w, "missing dns parameter", http.StatusBadRequest)
-		return
+		return httpError(w, "missing dns parameter", http.StatusBadRequest)
 	}
 	wire, err := base64.RawURLEncoding.DecodeString(b64)
 	if err != nil {
-		http.Error(w, "invalid base64url in dns parameter", http.StatusBadRequest)
-		return
+		return httpError(w, "invalid base64url in dns parameter", http.StatusBadRequest)
 	}
-	h.answerWire(w, r, wire)
+	return h.answerWire(w, r, wire)
 }
 
-func (h *Handler) servePOST(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) servePOST(w http.ResponseWriter, r *http.Request) int {
 	ct := r.Header.Get("Content-Type")
 	if ct != "" && !strings.HasPrefix(ct, ContentType) {
-		http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
-		return
+		return httpError(w, "unsupported media type", http.StatusUnsupportedMediaType)
 	}
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
 	wire, err := readAllInto((*bp)[:0], r.Body, maxPOSTBody)
 	*bp = wire
 	if err == errBodyTooLarge {
-		http.Error(w, "message too large", http.StatusRequestEntityTooLarge)
-		return
+		return httpError(w, "message too large", http.StatusRequestEntityTooLarge)
 	}
 	if err != nil {
-		http.Error(w, "reading body", http.StatusBadRequest)
-		return
+		return httpError(w, "reading body", http.StatusBadRequest)
 	}
-	h.answerWire(w, r, wire)
+	return h.answerWire(w, r, wire)
 }
 
-func (h *Handler) answerWire(w http.ResponseWriter, r *http.Request, wire []byte) {
+func (h *Handler) answerWire(w http.ResponseWriter, r *http.Request, wire []byte) int {
 	// Parse into a pooled message: handlers hand back fresh responses and
 	// retain only interned name strings from the query, so its records can
 	// be recycled once the response bytes are handed to the HTTP layer.
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
 	if err := query.Unpack(wire); err != nil {
-		http.Error(w, "malformed DNS message", http.StatusBadRequest)
-		return
+		return httpError(w, "malformed DNS message", http.StatusBadRequest)
 	}
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
 	// A handler failure is already the SERVFAIL in out: HTTP status 200.
 	out, minTTL, _ := dns53.Answer(r.Context(), h.DNS, (*bp)[:0], query, wire, dnswire.MaxMessageSize)
 	*bp = out
-	w.Header().Set("Content-Type", ContentType)
+	// One string and one slice hold both numeric header values.
+	var scratch [40]byte
+	b := strconv.AppendInt(scratch[:0], int64(len(out)), 10)
+	n := len(b)
+	if minTTL >= 0 {
+		b = strconv.AppendInt(append(b, "max-age="...), minTTL, 10)
+	}
+	text := string(b)
+	values := []string{text[:n], text[n:]}
+	hdr := w.Header()
+	hdr["Content-Type"] = dnsMessageType
+	hdr["Content-Length"] = values[:1:1]
 	// RFC 8484 §5.1: cache lifetime is the minimum TTL of the answer.
 	if minTTL >= 0 {
-		w.Header().Set("Cache-Control", "max-age="+strconv.FormatInt(minTTL, 10))
+		hdr["Cache-Control"] = values[1:]
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	// ResponseWriter.Write copies into the HTTP layer's own buffer, so the
 	// pooled frame can be recycled as soon as this returns.
 	_, _ = w.Write(out)
+	return http.StatusOK
 }
 
 // jsonQuestion, jsonAnswer, and jsonResponse mirror the Google/Cloudflare
@@ -194,30 +194,29 @@ type jsonResponse struct {
 	Answer   []jsonAnswer   `json:"Answer,omitempty"`
 }
 
-func (h *Handler) serveJSON(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+func (h *Handler) serveJSON(w http.ResponseWriter, r *http.Request, q url.Values) int {
+	name := q.Get("name")
 	if name == "" {
-		http.Error(w, "missing name parameter", http.StatusBadRequest)
-		return
+		return httpError(w, "missing name parameter", http.StatusBadRequest)
 	}
 	if err := dnswire.ValidateName(name); err != nil {
-		http.Error(w, "invalid name", http.StatusBadRequest)
-		return
+		return httpError(w, "invalid name", http.StatusBadRequest)
 	}
 	qtype := dnswire.TypeA
-	if ts := r.URL.Query().Get("type"); ts != "" {
+	if ts := q.Get("type"); ts != "" {
 		if t, ok := dnswire.ParseType(strings.ToUpper(ts)); ok {
 			qtype = t
 		} else if n, err := strconv.ParseUint(ts, 10, 16); err == nil {
 			qtype = dnswire.Type(n)
 		} else {
-			http.Error(w, "invalid type", http.StatusBadRequest)
-			return
+			return httpError(w, "invalid type", http.StatusBadRequest)
 		}
 	}
 	query := dnswire.NewQuery(0, name, qtype)
-	resp, err := h.DNS.ServeDNS(r.Context(), query)
-	if err != nil || resp == nil {
+	// Needs the message, not its bytes, so it cannot go through
+	// dns53.Answer; it shares the containment the miss half runs under.
+	resp, err := dns53.ServeContained(r.Context(), h.DNS, query)
+	if err != nil {
 		resp = query.Reply()
 		resp.Header.RCode = dnswire.RCodeServFail
 	}
@@ -235,9 +234,7 @@ func (h *Handler) serveJSON(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	w.Header().Set("Content-Type", JSONContentType)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(jr); err != nil {
-		// Headers are gone; nothing more to do.
-		_ = fmt.Errorf("doh: encoding JSON response: %w", err)
-	}
+	// Once the status line is out a failed write has nobody to go to.
+	_ = json.NewEncoder(w).Encode(jr)
+	return http.StatusOK
 }

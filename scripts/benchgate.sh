@@ -1,7 +1,7 @@
 #!/bin/sh
 # benchgate.sh — hot-path benchmark regression gate.
 #
-#   go test -bench 'ServeUDP$|ServeUDPBatch$|ServeStream|ServeHit' -benchmem ./internal/... > bench.out
+#   go test -bench 'ServeUDP$|ServeUDPBatch$|ServeStream|ServeHit|DoHBurst' -benchmem ./internal/... > bench.out
 #   scripts/benchgate.sh BENCH_pr10.json bench.out
 #
 # Reads the committed baseline artifact (a benchjson.sh array containing a
@@ -32,6 +32,13 @@
 #      syscall per answer: that loop measures 2.5-3.1x, the burst loop
 #      9.7-15.8x over twenty runs at one and two CPUs (EXPERIMENTS.md,
 #      "Run-to-completion stream bursts"), so the floor sits clear of both.
+#   5. BenchmarkDoHBurst (16 POSTs a round over loopback TLS through the
+#      HTTP/2 burst loop, ns per request) must stay at least 2x faster than
+#      BenchmarkDoHBurstNetHTTP (the same traffic through net/http's HTTP/2
+#      server) in the same run. The loop is a second HTTP/2 implementation
+#      and stays only while it pays for its lines: it measures 15-17x here
+#      (EXPERIMENTS.md, "Run-to-completion DoH"), and a loop that went back
+#      to a goroutine per stream or a write per frame would fall under 2x.
 #
 # Any check failing exits non-zero; a missing benchmark in the fresh
 # output fails too (a gate that cannot find its subject must not pass).
@@ -136,6 +143,23 @@ else
         echo "benchgate: ok pipelined stream ${p} ns/query vs window 1 ${w} ns/query ($(awk -v p="$p" -v w="$w" 'BEGIN { printf "%.1f", w / p }')x)"
     else
         echo "benchgate: FAIL pipelined stream ${p} ns/query not 6x faster than window 1 ${w} ns/query" >&2
+        fail=1
+    fi
+fi
+
+# Check 5: the DoH burst loop >= 2x faster per request than net/http's
+# HTTP/2 server on the same traffic, same run.
+l=$(current BenchmarkDoHBurst)
+n=$(current BenchmarkDoHBurstNetHTTP)
+if [ -z "$l" ] || [ -z "$n" ]; then
+    echo "benchgate: FAIL DoHBurst benchmarks missing from bench output" >&2
+    fail=1
+else
+    ok=$(awk -v l="$l" -v n="$n" 'BEGIN { print (n >= 2 * l) ? 1 : 0 }')
+    if [ "$ok" = 1 ]; then
+        echo "benchgate: ok DoH burst loop ${l} ns/request vs net/http ${n} ns/request ($(awk -v l="$l" -v n="$n" 'BEGIN { printf "%.1f", n / l }')x)"
+    else
+        echo "benchgate: FAIL DoH burst loop ${l} ns/request not 2x faster than net/http ${n} ns/request" >&2
         fail=1
     fi
 fi
