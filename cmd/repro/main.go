@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -270,9 +271,14 @@ func writeArtefact(outDir, name string, render func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := render(f); err != nil {
+	bw := bufio.NewWriter(f)
+	if err := render(bw); err != nil {
 		f.Close()
 		return fmt.Errorf("rendering %s: %w", name, err)
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
 		return err

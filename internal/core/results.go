@@ -14,9 +14,24 @@ import (
 
 // ResultSet accumulates measurement records and answers the analysis
 // queries the paper's results section needs. Safe for concurrent Add.
+//
+// It is a log plus a column index: records holds every record in arrival
+// order (the result file), cols the durations of the successful ones per
+// (kind, vantage, resolver) cell in that same order (what every figure and
+// table reads). The log is append-only, so the index is never invalidated:
+// it covers records[:indexed], and a read extends it over whatever has
+// been added since. A writer that is never read pays nothing for it.
 type ResultSet struct {
 	mu      sync.Mutex
 	records []Record
+	cols    map[cell][]float64
+	indexed int
+}
+
+// cell keys one column of the index.
+type cell struct {
+	kind              Kind
+	vantage, resolver string
 }
 
 // NewResultSet returns an empty result set.
@@ -36,59 +51,67 @@ func (rs *ResultSet) Len() int {
 	return len(rs.records)
 }
 
-// Records returns a copy of all records.
-func (rs *ResultSet) Records() []Record {
+// logged returns the records added so far, without copying them. A record
+// is never modified once appended, so the prefix captured here may be read
+// after the lock is released while other goroutines keep adding.
+func (rs *ResultSet) logged() []Record {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make([]Record, len(rs.records))
-	copy(out, rs.records)
-	return out
+	return rs.records
+}
+
+// Records returns a copy of all records.
+func (rs *ResultSet) Records() []Record {
+	return append([]Record(nil), rs.logged()...)
 }
 
 // Merge appends all records from other.
 func (rs *ResultSet) Merge(other *ResultSet) {
-	for _, r := range other.Records() {
-		rs.Add(r)
-	}
+	recs := other.logged()
+	rs.mu.Lock()
+	rs.records = append(rs.records, recs...)
+	rs.mu.Unlock()
 }
 
 // Filter returns the records matching pred.
 func (rs *ResultSet) Filter(pred func(Record) bool) []Record {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	var out []Record
-	for _, r := range rs.records {
-		if pred(r) {
-			out = append(out, r)
+	recs := rs.logged()
+	for i := range recs {
+		if pred(recs[i]) {
+			out = append(out, recs[i])
 		}
 	}
 	return out
 }
 
 // QuerySamples returns successful query response times in ms for one
-// (vantage, resolver) pair.
+// (vantage, resolver) pair, in record order. The slice is the caller's.
 func (rs *ResultSet) QuerySamples(vantage, resolver string) []float64 {
 	return rs.samples(KindQuery, vantage, resolver)
 }
 
 // PingSamples returns successful ping RTTs in ms for one (vantage,
-// resolver) pair.
+// resolver) pair, in record order. The slice is the caller's.
 func (rs *ResultSet) PingSamples(vantage, resolver string) []float64 {
 	return rs.samples(KindPing, vantage, resolver)
 }
 
+// samples brings the index up to date with the log and copies one column
+// out of it; nil when the cell is empty.
 func (rs *ResultSet) samples(kind Kind, vantage, resolver string) []float64 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	var out []float64
-	for _, r := range rs.records {
-		if r.Kind == kind && r.OK &&
-			(vantage == "" || r.Vantage == vantage) &&
-			(resolver == "" || r.Resolver == resolver) {
-			out = append(out, r.Milliseconds)
+	if rs.cols == nil {
+		rs.cols = make(map[cell][]float64)
+	}
+	for ; rs.indexed < len(rs.records); rs.indexed++ {
+		if r := &rs.records[rs.indexed]; r.OK {
+			k := cell{r.Kind, r.Vantage, r.Resolver}
+			rs.cols[k] = append(rs.cols[k], r.Milliseconds)
 		}
 	}
-	return out
+	return append([]float64(nil), rs.cols[cell{kind, vantage, resolver}]...)
 }
 
 // MedianResponse returns the median successful query response time for
@@ -126,7 +149,9 @@ func (a Availability) ErrorRate() float64 {
 func (rs *ResultSet) Unresponsive(vantage string) []string {
 	type tally struct{ ok, total int }
 	m := make(map[string]*tally)
-	for _, r := range rs.Records() {
+	recs := rs.logged()
+	for i := range recs {
+		r := &recs[i]
 		if r.Kind != KindQuery || (vantage != "" && r.Vantage != vantage) {
 			continue
 		}
@@ -157,7 +182,9 @@ func (rs *ResultSet) Availability() Availability {
 		ByResolver:        make(map[string]int),
 		QueriesByResolver: make(map[string]int),
 	}
-	for _, r := range rs.Records() {
+	recs := rs.logged()
+	for i := range recs {
+		r := &recs[i]
 		if r.Kind != KindQuery {
 			continue
 		}
@@ -179,8 +206,9 @@ func (rs *ResultSet) Availability() Availability {
 func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, r := range rs.Records() {
-		if err := enc.Encode(r); err != nil {
+	recs := rs.logged()
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
 			return fmt.Errorf("core: encoding record: %w", err)
 		}
 	}
@@ -193,8 +221,8 @@ func (rs *ResultSet) WriteJSONFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: creating %s: %w", path, err)
 	}
-	defer f.Close()
 	if err := rs.WriteJSON(f); err != nil {
+		f.Close()
 		return err
 	}
 	return f.Close()

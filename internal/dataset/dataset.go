@@ -13,6 +13,9 @@
 package dataset
 
 import (
+	"slices"
+	"sync"
+
 	"encdns/internal/geo"
 	"encdns/internal/netsim"
 )
@@ -149,8 +152,27 @@ func mk(host string, region geo.Region, mainstream bool, e netsim.Endpoint) Reso
 // sites wraps one or more coordinates.
 func sites(cs ...geo.Coord) []geo.Coord { return cs }
 
-// Resolvers returns the full measurement population (Appendix A.2).
-func Resolvers() []Resolver {
+// Resolvers returns the full measurement population (Appendix A.2). The
+// slice is the caller's; the Sites inside it are shared and read-only.
+func Resolvers() []Resolver { return slices.Clone(population().all) }
+
+// population builds the resolver table and its host index on first use —
+// not at package initialisation, which every binary importing the dataset
+// would pay for.
+var population = sync.OnceValue(func() table {
+	t := table{all: buildResolvers(), byHost: make(map[string]int)}
+	for i, r := range t.all {
+		t.byHost[r.Host] = i
+	}
+	return t
+})
+
+type table struct {
+	all    []Resolver
+	byHost map[string]int // Host → index in all; hosts are unique
+}
+
+func buildResolvers() []Resolver {
 	NA, EU, AS := geo.NorthAmerica, geo.Europe, geo.Asia
 	OC, UN := geo.Oceania, geo.Unknown
 	return []Resolver{
@@ -344,18 +366,18 @@ func Resolvers() []Resolver {
 
 // ResolverByHost finds one resolver; ok is false for unknown hosts.
 func ResolverByHost(host string) (Resolver, bool) {
-	for _, r := range Resolvers() {
-		if r.Host == host {
-			return r, true
-		}
+	p := population()
+	i, ok := p.byHost[host]
+	if !ok {
+		return Resolver{}, false
 	}
-	return Resolver{}, false
+	return p.all[i], true
 }
 
 // ByRegion filters the population.
 func ByRegion(region geo.Region) []Resolver {
 	var out []Resolver
-	for _, r := range Resolvers() {
+	for _, r := range population().all {
 		if r.Region == region {
 			out = append(out, r)
 		}
@@ -366,7 +388,7 @@ func ByRegion(region geo.Region) []Resolver {
 // Mainstream returns the browser-shipped resolvers in the population.
 func Mainstream() []Resolver {
 	var out []Resolver
-	for _, r := range Resolvers() {
+	for _, r := range population().all {
 		if r.Mainstream {
 			out = append(out, r)
 		}

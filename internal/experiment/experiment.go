@@ -111,6 +111,8 @@ func SamplesFor(rs *core.ResultSet, vantage, host string) (resp, ping []float64)
 
 // MedianFor returns the median response time for a vantage selector.
 func MedianFor(rs *core.ResultSet, vantage, host string) float64 {
-	resp, _ := SamplesFor(rs, vantage, host)
-	return stats.Median(resp)
+	if vantage == "home" {
+		return stats.Median(homeSamples(rs, host, core.KindQuery))
+	}
+	return rs.MedianResponse(vantage, host)
 }

@@ -43,22 +43,23 @@ type figureSpec struct {
 	title   string
 }
 
+var specs = map[FigureID]figureSpec{
+	Fig1:  {dataset.NAGroup, dataset.VantageOhio, "Figure 1: North America resolvers from Ohio EC2"},
+	Fig2a: {dataset.NAGroup, "home", "Figure 2a: North America resolvers from U.S. home networks"},
+	Fig2b: {dataset.NAGroup, dataset.VantageOhio, "Figure 2b: North America resolvers from Ohio EC2"},
+	Fig2c: {dataset.NAGroup, dataset.VantageFrankfurt, "Figure 2c: North America resolvers from Frankfurt EC2"},
+	Fig2d: {dataset.NAGroup, dataset.VantageSeoul, "Figure 2d: North America resolvers from Seoul EC2"},
+	Fig3a: {dataset.EUGroup, "home", "Figure 3a: Europe resolvers from U.S. home networks"},
+	Fig3b: {dataset.EUGroup, dataset.VantageOhio, "Figure 3b: Europe resolvers from Ohio EC2"},
+	Fig3c: {dataset.EUGroup, dataset.VantageFrankfurt, "Figure 3c: Europe resolvers from Frankfurt EC2"},
+	Fig3d: {dataset.EUGroup, dataset.VantageSeoul, "Figure 3d: Europe resolvers from Seoul EC2"},
+	Fig4a: {dataset.AsiaGroup, "home", "Figure 4a: Asia resolvers from U.S. home networks"},
+	Fig4b: {dataset.AsiaGroup, dataset.VantageOhio, "Figure 4b: Asia resolvers from Ohio EC2"},
+	Fig4c: {dataset.AsiaGroup, dataset.VantageFrankfurt, "Figure 4c: Asia resolvers from Frankfurt EC2"},
+	Fig4d: {dataset.AsiaGroup, dataset.VantageSeoul, "Figure 4d: Asia resolvers from Seoul EC2"},
+}
+
 func specFor(id FigureID) (figureSpec, error) {
-	specs := map[FigureID]figureSpec{
-		Fig1:  {dataset.NAGroup, dataset.VantageOhio, "Figure 1: North America resolvers from Ohio EC2"},
-		Fig2a: {dataset.NAGroup, "home", "Figure 2a: North America resolvers from U.S. home networks"},
-		Fig2b: {dataset.NAGroup, dataset.VantageOhio, "Figure 2b: North America resolvers from Ohio EC2"},
-		Fig2c: {dataset.NAGroup, dataset.VantageFrankfurt, "Figure 2c: North America resolvers from Frankfurt EC2"},
-		Fig2d: {dataset.NAGroup, dataset.VantageSeoul, "Figure 2d: North America resolvers from Seoul EC2"},
-		Fig3a: {dataset.EUGroup, "home", "Figure 3a: Europe resolvers from U.S. home networks"},
-		Fig3b: {dataset.EUGroup, dataset.VantageOhio, "Figure 3b: Europe resolvers from Ohio EC2"},
-		Fig3c: {dataset.EUGroup, dataset.VantageFrankfurt, "Figure 3c: Europe resolvers from Frankfurt EC2"},
-		Fig3d: {dataset.EUGroup, dataset.VantageSeoul, "Figure 3d: Europe resolvers from Seoul EC2"},
-		Fig4a: {dataset.AsiaGroup, "home", "Figure 4a: Asia resolvers from U.S. home networks"},
-		Fig4b: {dataset.AsiaGroup, dataset.VantageOhio, "Figure 4b: Asia resolvers from Ohio EC2"},
-		Fig4c: {dataset.AsiaGroup, dataset.VantageFrankfurt, "Figure 4c: Asia resolvers from Frankfurt EC2"},
-		Fig4d: {dataset.AsiaGroup, dataset.VantageSeoul, "Figure 4d: Asia resolvers from Seoul EC2"},
-	}
 	s, ok := specs[id]
 	if !ok {
 		return figureSpec{}, fmt.Errorf("experiment: unknown figure %q", id)

@@ -147,7 +147,7 @@ func (m *CatchmentModel) Assign(total int, instances []Instance) CatchmentReport
 			v.Coord.Lon += rng.NormFloat64() * latSigma / lonScale
 			site, _ := m.Net.SiteFor(v, ep)
 			rep.PerInstance[siteName[site]]++
-			rtts = append(rtts, m.Net.rttSample(rng, v, site))
+			rtts = append(rtts, m.Net.rttSample(rng, v, m.Net.BaseOWDMs(v, site)))
 		}
 	}
 	rep.Mean = msToDur(stats.Mean(rtts))

@@ -320,9 +320,10 @@ func (n *Net) BaseOWDMs(v Vantage, site geo.Coord) float64 {
 	return owd
 }
 
-// owdSample draws one jittered one-way delay.
-func (n *Net) owdSample(rng *rand.Rand, v Vantage, site geo.Coord) float64 {
-	base := n.BaseOWDMs(v, site)
+// owdSample draws one jittered one-way delay around base, the path's
+// BaseOWDMs. The base is a pure function of (vantage, site), so Query and
+// Ping compute it once per call and hand it to every draw on the path.
+func (n *Net) owdSample(rng *rand.Rand, v Vantage, base float64) float64 {
 	sigma := n.cfg.JitterSigma
 	if v.Access == AccessHome {
 		sigma = n.cfg.HomeJitterSigma
@@ -333,8 +334,8 @@ func (n *Net) owdSample(rng *rand.Rand, v Vantage, site geo.Coord) float64 {
 // rttSample draws one round-trip time, accounting for loss-triggered
 // retransmission: a lost segment costs an extra delay drawn from a bounded
 // Pareto (RTO back-off territory).
-func (n *Net) rttSample(rng *rand.Rand, v Vantage, site geo.Coord) float64 {
-	rtt := n.owdSample(rng, v, site) + n.owdSample(rng, v, site)
+func (n *Net) rttSample(rng *rand.Rand, v Vantage, base float64) float64 {
+	rtt := n.owdSample(rng, v, base) + n.owdSample(rng, v, base)
 	if stats.Bernoulli(rng, n.cfg.LossP) {
 		rtt += stats.Pareto(rng, 1.2, 180, 1200)
 	}
@@ -381,6 +382,7 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 		res.Duration = msToDur(n.cfg.ConnTimeoutMs)
 		return res
 	}
+	base := n.BaseOWDMs(v, site)
 	// Per-round flaky windows: drawn from a stream keyed only by endpoint
 	// and round, so all domains in a round see the same window but rounds
 	// are independent (no consistent failing subset across runs).
@@ -401,7 +403,7 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 			// Fast RST-style refusal ~70% of the time, silent SYN drop
 			// with a full connect timeout otherwise.
 			if stats.Bernoulli(rng, 0.7) {
-				res.Duration = msToDur(n.rttSample(rng, v, site))
+				res.Duration = msToDur(n.rttSample(rng, v, base))
 			} else {
 				res.Duration = msToDur(n.cfg.ConnTimeoutMs)
 			}
@@ -414,13 +416,13 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 			res.Err = ErrHTTP
 			var ms float64
 			for i := 0; i < roundTrips(p, e, reuse); i++ {
-				ms += n.rttSample(rng, v, site)
+				ms += n.rttSample(rng, v, base)
 			}
 			res.Duration = msToDur(ms)
 		default:
 			// TLS negotiation failure: TCP connected, handshake died.
 			res.Err = ErrTLS
-			res.Duration = msToDur(n.rttSample(rng, v, site) + n.rttSample(rng, v, site))
+			res.Duration = msToDur(n.rttSample(rng, v, base) + n.rttSample(rng, v, base))
 		}
 		return res
 	}
@@ -428,7 +430,7 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 	var totalMs float64
 	rtts := roundTrips(p, e, reuse) + e.ExtraRTT
 	for i := 0; i < rtts; i++ {
-		totalMs += n.rttSample(rng, v, site)
+		totalMs += n.rttSample(rng, v, base)
 	}
 	// Server processing: cache hit or a full recursion.
 	res.CacheHit = stats.Bernoulli(rng, e.CacheHitP)
@@ -455,12 +457,13 @@ func (n *Net) Ping(v Vantage, e *Endpoint, round int) (time.Duration, bool) {
 	}
 	rng := n.rng("ping", v.Name, e.Name, itoa(round))
 	site, _ := n.SiteFor(v, e)
+	base := n.BaseOWDMs(v, site)
 	for attempt := 0; attempt < 3; attempt++ {
 		if stats.Bernoulli(rng, n.cfg.LossP) {
 			continue
 		}
 		// ICMP echo is a single exchange with negligible target processing.
-		return msToDur(n.owdSample(rng, v, site) + n.owdSample(rng, v, site)), true
+		return msToDur(n.owdSample(rng, v, base) + n.owdSample(rng, v, base)), true
 	}
 	return 0, false
 }
