@@ -3,6 +3,7 @@ package authdns
 import (
 	"context"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"encdns/internal/dnswire"
@@ -276,5 +277,67 @@ func TestHierarchyCNAMELeaf(t *testing.T) {
 	}
 	if len(resp.Answers) < 2 {
 		t.Fatalf("answers = %v, want CNAME + A records", resp.Answers)
+	}
+}
+
+// nameExistsScan is nameExists as it was before the names index: one pass
+// over every record for the owner itself, another for something below it.
+func nameExistsScan(z *Zone, name string) bool {
+	name = dnswire.CanonicalName(name)
+	for k := range z.records {
+		if k.name == name {
+			return true
+		}
+	}
+	suffix := "." + name
+	if name == "." {
+		suffix = "."
+	}
+	for k := range z.records {
+		if strings.HasSuffix(k.name, suffix) && k.name != name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestNameIndexMatchesScan: existence by the names index is existence by
+// the scan it replaced, for owners, empty non-terminals at every depth,
+// names beside and below them, and the apex — and the answers follow:
+// NODATA for a name that exists only as an ancestor, NXDOMAIN beside it.
+func TestNameIndexMatchesScan(t *testing.T) {
+	z := testZone(t)
+	z.AddA("a.b.example.com.", 300, netip.MustParseAddr("192.0.2.1")) // b. is an empty non-terminal
+	z.AddA("x.y.z.deep.example.com.", 300, netip.MustParseAddr("192.0.2.2"))
+	z.Add(dnswire.Record{Name: "_dmarc.example.com.", Type: dnswire.TypeTXT, Class: dnswire.ClassIN, TTL: 300,
+		Data: &dnswire.TXT{Strings: []string{"v=DMARC1"}}})
+	root := NewZone(".")
+	root.SetSOA("a.root-servers.net.", "nstld.example.", 1, 86400)
+	root.AddA("a.root-servers.net.", 300, netip.MustParseAddr("198.41.0.4"))
+
+	for _, c := range []struct {
+		z     *Zone
+		names []string
+	}{
+		{z, []string{"example.com.", "www.example.com.", "b.example.com.", "a.b.example.com.", "c.b.example.com.",
+			"x.a.b.example.com.", "bb.example.com.", "deep.example.com.", "z.deep.example.com.", "y.z.deep.example.com.",
+			"x.y.z.deep.example.com.", "w.x.y.z.deep.example.com.", "y.deep.example.com.", "nope.example.com.",
+			"_dmarc.example.com.", "sub.example.com.", "ns1.sub.example.com.", "com.", "."}},
+		{root, []string{".", "net.", "root-servers.net.", "a.root-servers.net.", "b.root-servers.net.", "org."}},
+	} {
+		for _, name := range c.names {
+			if !dnswire.IsSubdomain(name, c.z.Origin()) {
+				continue // never asked: ServeDNS refuses names outside the zone first
+			}
+			if got, want := c.z.nameExists(name), nameExistsScan(c.z, name); got != want {
+				t.Errorf("zone %s: nameExists(%q) = %v, the scan says %v", c.z.Origin(), name, got, want)
+			}
+		}
+	}
+	if resp := query(t, z, "b.example.com.", dnswire.TypeA); resp.Header.RCode != dnswire.RCodeSuccess || len(resp.Answers) != 0 {
+		t.Errorf("b.example.com. (empty non-terminal) = %s with %d answers, want NODATA", resp.Header.RCode, len(resp.Answers))
+	}
+	if resp := query(t, z, "c.b.example.com.", dnswire.TypeA); resp.Header.RCode != dnswire.RCodeNXDomain {
+		t.Errorf("c.b.example.com. = %s, want NXDOMAIN", resp.Header.RCode)
 	}
 }

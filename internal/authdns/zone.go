@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 	"sync"
 
 	"encdns/internal/dnswire"
@@ -32,6 +31,10 @@ type Zone struct {
 	// cuts is the set of delegated child zone names (owners of NS RRsets
 	// below the origin), used to find the closest enclosing cut.
 	cuts map[string]bool
+	// names holds every owner name and every ancestor of one up to the
+	// origin — the names that exist in the zone, empty non-terminals
+	// included — so NODATA versus NXDOMAIN is one probe, not a scan.
+	names map[string]struct{}
 }
 
 // NewZone creates an empty zone rooted at origin. Every zone must be given
@@ -41,6 +44,7 @@ func NewZone(origin string) *Zone {
 		origin:  dnswire.CanonicalName(origin),
 		records: make(map[rrKey][]dnswire.Record),
 		cuts:    make(map[string]bool),
+		names:   make(map[string]struct{}),
 	}
 }
 
@@ -71,6 +75,15 @@ func (z *Zone) Add(rr dnswire.Record) {
 	z.records[k] = append(z.records[k], rr)
 	if rr.Type == dnswire.TypeNS && rr.Name != z.origin {
 		z.cuts[rr.Name] = true
+	}
+	for n := rr.Name; ; n = dnswire.ParentName(n) {
+		if _, known := z.names[n]; known {
+			break // and so are its ancestors
+		}
+		z.names[n] = struct{}{}
+		if n == z.origin {
+			break
+		}
 	}
 }
 
@@ -114,27 +127,12 @@ func (z *Zone) get(name string, t dnswire.Type) []dnswire.Record {
 	return z.records[rrKey{name: dnswire.CanonicalName(name), typ: t}]
 }
 
-// nameExists reports whether any RRset exists at name (for NODATA vs
-// NXDOMAIN discrimination).
+// nameExists reports whether name is an owner name or an "empty
+// non-terminal" — no records of its own but something below it, which is
+// not NXDOMAIN (RFC 8020) — for NODATA vs NXDOMAIN discrimination.
 func (z *Zone) nameExists(name string) bool {
-	name = dnswire.CanonicalName(name)
-	for k := range z.records {
-		if k.name == name {
-			return true
-		}
-	}
-	// An "empty non-terminal": the name has no records but something
-	// exists below it, so it is not NXDOMAIN (RFC 8020 semantics).
-	suffix := "." + name
-	if name == "." {
-		suffix = "."
-	}
-	for k := range z.records {
-		if strings.HasSuffix(k.name, suffix) && k.name != name {
-			return true
-		}
-	}
-	return false
+	_, ok := z.names[dnswire.CanonicalName(name)]
+	return ok
 }
 
 // cutFor returns the closest enclosing delegation for qname, or "" when

@@ -82,12 +82,17 @@ func (m *Message) Reset() {
 }
 
 // NewQuery builds a standard recursive query for one question with the
-// given message ID.
+// given message ID. The message and its question are one allocation.
 func NewQuery(id uint16, name string, t Type) *Message {
-	return &Message{
-		Header:    Header{ID: id, RD: true},
-		Questions: []Question{{Name: CanonicalName(name), Type: t, Class: ClassIN}},
+	q := &struct {
+		msg      Message
+		question [1]Question
+	}{
+		msg:      Message{Header: Header{ID: id, RD: true}},
+		question: [1]Question{{Name: CanonicalName(name), Type: t, Class: ClassIN}},
 	}
+	q.msg.Questions = q.question[:]
+	return &q.msg
 }
 
 // Reply builds a response skeleton for the message: same ID, opcode, and

@@ -65,10 +65,10 @@ func (k cacheKey) shardIndex(mask uint32) uint32 {
 // LRU list, avoiding the separate container/list element allocation the
 // previous implementation paid per entry.
 //
-// Everything except the LRU links and the recency stamp is immutable
-// after insertion, so readers may keep serving from records and tmpl
-// after dropping the shard lock: a replacement inserts a fresh entry
-// rather than mutating this one in place.
+// Everything except the LRU links, the recency stamp and the delegation
+// memo is immutable after insertion, so readers may keep serving from
+// records and tmpl after dropping the shard lock: a replacement inserts a
+// fresh entry rather than mutating this one in place.
 type cacheEntry struct {
 	key     cacheKey
 	expires time.Time
@@ -78,13 +78,17 @@ type cacheEntry struct {
 	// records is the positive RRset; empty for negative entries.
 	records []dnswire.Record
 	// tmpl is the precomputed wire-format answer template serving hits
-	// without materialize/repack; nil when template building failed or is
-	// disabled, which falls the hit back to the record path.
-	tmpl *answerTemplate
+	// without materialize/repack; the zero template when building it
+	// failed, which falls the hit back to the record path.
+	tmpl answerTemplate
 	// negative marks an NXDOMAIN/NODATA entry (RFC 2308).
 	negative bool
 	// nxdomain distinguishes NXDOMAIN from NODATA within negative entries.
-	nxdomain   bool
+	nxdomain bool
+	// deleg, on an NS entry, memoises the server list of the zone cut the
+	// RRset delegates (see delegation). It is the one field written after
+	// insert, hence the atomic; it goes when the entry does.
+	deleg      atomic.Pointer[delegation]
 	prev, next *cacheEntry // intrusive LRU links; nil at list ends
 	// stamp is the shard's bump counter value from the entry's last
 	// pushFront/moveToFront; recency checks compare it against the shard
@@ -289,15 +293,21 @@ func (c *Cache) PutRRset(name string, t dnswire.Type, rrs []dnswire.Record) {
 // PutNegative caches an NXDOMAIN or NODATA for (name, type) for ttl
 // seconds (the RFC 2308 value: min(SOA TTL, SOA MINIMUM)).
 func (c *Cache) PutNegative(name string, t dnswire.Type, nxdomain bool, ttl uint32) {
+	c.putNegative(cacheKey{name: dnswire.CanonicalName(name), typ: t}, nxdomain, ttl)
+}
+
+// putNegative is PutNegative for a key whose name is already canonical.
+// The entry is the only allocation: its template is held by value and,
+// for a name without escapes, computed rather than packed.
+func (c *Cache) putNegative(key cacheKey, nxdomain bool, ttl uint32) {
 	d := time.Duration(ttl) * time.Second
-	key := cacheKey{name: dnswire.CanonicalName(name), typ: t}
 	c.put(&cacheEntry{
 		key:      key,
 		expires:  c.now().Add(d),
 		ttl:      d,
 		negative: true,
 		nxdomain: nxdomain,
-		tmpl:     buildTemplate(key, nil),
+		tmpl:     negativeTemplate(key),
 	})
 }
 
@@ -348,50 +358,68 @@ type LookupResult struct {
 // after insert, so only the LRU bump needs the write lock, and even that
 // is skipped while the entry sits in the newest quarter of its shard.
 func (c *Cache) Lookup(name string, t dnswire.Type) (LookupResult, bool) {
-	key := cacheKey{name: dnswire.CanonicalName(name), typ: t}
-	s := c.shard(key)
-	s.mu.RLock()
-	e, ok := s.items[key]
-	if !ok {
-		s.mu.RUnlock()
-		c.missed()
-		return LookupResult{}, false
-	}
-	now := c.now()
-	remaining := e.expires.Sub(now)
-	if remaining <= 0 {
-		// Keep expired positive entries within the serve-stale window for
-		// LookupStale; evict everything else.
-		staleFor := time.Duration(c.staleFor.Load())
-		evict := staleFor <= 0 || e.negative || now.Sub(e.expires) > staleFor
-		s.mu.RUnlock()
-		if evict {
-			c.expire(s, key, e)
+	return c.lookupKey(cacheKey{name: dnswire.CanonicalName(name), typ: t}, c.now(), true)
+}
+
+// lookupKey is Lookup for a key whose name is already canonical, at a
+// time the caller read once for all of a walk's probes. client says whose
+// question it is: a client's moves the hit and miss counters, one the
+// resolver asks itself (NS walk, glue, the speculative CNAME) does not.
+func (c *Cache) lookupKey(key cacheKey, now time.Time, client bool) (LookupResult, bool) {
+	e, remaining := c.find(key, now)
+	if e == nil {
+		if client {
+			c.missed()
 		}
-		c.missed()
 		return LookupResult{}, false
 	}
-	recent := !c.alwaysBump && s.recentLocked(e)
-	neg, nx := e.negative, e.nxdomain
-	records, origTTL := e.records, e.ttl
-	s.mu.RUnlock()
-	if !recent {
-		c.bump(s, key, e)
+	if client {
+		c.hits.Add(1)
+		cacheHits.Inc()
+		cacheHitMaterialized.Inc()
 	}
-	c.hits.Add(1)
-	cacheHits.Inc()
-	cacheHitMaterialized.Inc()
-	if neg {
-		return LookupResult{Negative: true, NXDomain: nx}, true
+	if e.negative {
+		return LookupResult{Negative: true, NXDomain: e.nxdomain}, true
 	}
-	out := append([]dnswire.Record(nil), records...)
+	out := append([]dnswire.Record(nil), e.records...)
 	aged := uint32(remaining / time.Second)
 	for i := range out {
 		if out[i].TTL > aged {
 			out[i].TTL = aged
 		}
 	}
-	return LookupResult{Records: out, Remaining: remaining, OrigTTL: origTTL}, true
+	return LookupResult{Records: out, Remaining: remaining, OrigTTL: e.ttl}, true
+}
+
+// find returns the fresh entry at key and its remaining lifetime, or nil.
+// Finding an entry is a use of it: it is re-fronted in its shard's LRU
+// unless it already sits in the newest quarter. An entry found expired is
+// evicted, positive ones only once past the serve-stale window, which
+// LookupStale reads.
+func (c *Cache) find(key cacheKey, now time.Time) (*cacheEntry, time.Duration) {
+	s := c.shard(key)
+	s.mu.RLock()
+	e, ok := s.items[key]
+	if !ok {
+		s.mu.RUnlock()
+		return nil, 0
+	}
+	remaining := e.expires.Sub(now)
+	if remaining <= 0 {
+		staleFor := time.Duration(c.staleFor.Load())
+		evict := staleFor <= 0 || e.negative || now.Sub(e.expires) > staleFor
+		s.mu.RUnlock()
+		if evict {
+			c.expire(s, key, e)
+		}
+		return nil, 0
+	}
+	recent := !c.alwaysBump && s.recentLocked(e)
+	s.mu.RUnlock()
+	if !recent {
+		c.bump(s, key, e)
+	}
+	return e, remaining
 }
 
 // missed counts one lookup miss.

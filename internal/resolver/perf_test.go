@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"encdns/internal/authdns"
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 )
 
@@ -207,3 +208,55 @@ func BenchmarkCacheHitStormBumpSkip(b *testing.B) { hitStormBench(b, false) }
 // BenchmarkCacheHitStormAlwaysBump is the same storm with the skip
 // disabled — every hit serialises on the shard write lock.
 func BenchmarkCacheHitStormAlwaysBump(b *testing.B) { hitStormBench(b, true) }
+
+// missQueries packs n queries for distinct random-looking subdomains of
+// google.com, the shape of the udp-miss workload: every one is an NXDOMAIN
+// the resolver has never seen.
+func missQueries(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		name := fmt.Sprintf("%016x.google.com.", uint64(i+1)*0x9e3779b97f4a7c15)
+		raw, err := dnswire.NewQuery(uint16(i), name, dnswire.TypeA).AppendPack(nil)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = raw
+	}
+	return out
+}
+
+// missStack is the udp-miss server's resolver: the built-in hierarchy, a
+// 4096-entry cache, everything else the zero value. One resolved name
+// warms the google.com. delegation.
+func missStack(tb testing.TB) *Recursive {
+	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
+	r := &Recursive{Exchange: h.Registry, Roots: h.RootServers, Cache: NewCache(4096, nil)}
+	if _, _, err := r.Resolve(context.Background(), "google.com.", dnswire.TypeA, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkResolveMiss is one client miss end to end inside the process:
+// unpack the query, decline the hit path, walk from the cached delegation
+// to the leaf (one exchange), insert the negative entry (evicting one once
+// the cache is full) and pack the NXDOMAIN.
+func BenchmarkResolveMiss(b *testing.B) {
+	r := missStack(b)
+	queries := missQueries(b.N)
+	msg := dnswire.AcquireMessage()
+	defer dnswire.ReleaseMessage(msg)
+	out := make([]byte, 0, 512)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, raw := range queries {
+		if err := msg.Unpack(raw); err != nil {
+			b.Fatal(err)
+		}
+		resp, _, err := dns53.Answer(ctx, r, out[:0], msg, raw, dnswire.MaxMessageSize)
+		if err != nil || resp[3]&0x0f != byte(dnswire.RCodeNXDomain) {
+			b.Fatalf("miss answered %x, %v", resp, err)
+		}
+	}
+}

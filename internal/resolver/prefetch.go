@@ -121,7 +121,7 @@ func (r *Recursive) runPrefetch(key cacheKey) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), prefetchTimeout)
 	defer cancel()
-	if _, rcode, err := r.resolveWalk(ctx, key.name, key.typ, 0); err == nil && rcode == dnswire.RCodeSuccess {
+	if _, rcode, err := r.resolveWalk(ctx, key, r.cacheNow(), 0); err == nil && rcode == dnswire.RCodeSuccess {
 		prefetchRefreshed.Inc()
 		if r.OnPrefetch != nil {
 			r.OnPrefetch(key.name, key.typ)

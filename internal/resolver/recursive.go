@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -38,7 +40,9 @@ var (
 
 // Recursive is a caching iterative resolver. It implements dns53.Handler.
 type Recursive struct {
-	// Exchange performs upstream queries.
+	// Exchange performs upstream queries. It must be done with the query
+	// message when it returns: a walk re-addresses one message from
+	// iteration to iteration.
 	Exchange Exchanger
 	// Roots are the root server addresses ("ip:port") to start from.
 	Roots []string
@@ -106,6 +110,15 @@ func (r *Recursive) timeNow() time.Time {
 	return time.Now()
 }
 
+// cacheNow reads the cache's clock, the one its entries expire by; a walk
+// reads it once for all its probes. Zero without a cache.
+func (r *Recursive) cacheNow() time.Time {
+	if r.Cache == nil {
+		return time.Time{}
+	}
+	return r.Cache.now()
+}
+
 func (r *Recursive) maxIter() int {
 	if r.MaxIterations > 0 {
 		return r.MaxIterations
@@ -154,11 +167,12 @@ func (r *Recursive) Resolve(ctx context.Context, name string, t dnswire.Type, de
 	if depth > 6 {
 		return nil, dnswire.RCodeServFail, ErrDepthExceed
 	}
-	name = dnswire.CanonicalName(name)
+	// The one canonicalisation of the walk: everything below takes the key.
+	key := cacheKey{name: dnswire.CanonicalName(name), typ: t}
 	var chain []dnswire.Record
 
 	for hop := 0; hop <= r.maxCNAME(); hop++ {
-		rrs, rcode, err := r.resolveOne(ctx, name, t, depth)
+		rrs, rcode, err := r.resolveOne(ctx, key, depth)
 		if err != nil {
 			return nil, dnswire.RCodeServFail, err
 		}
@@ -167,14 +181,14 @@ func (r *Recursive) Resolve(ctx context.Context, name string, t dnswire.Type, de
 			return chain, rcode, nil
 		}
 		// Did we get the terminal type or a CNAME to chase?
-		last := lastCNAMETarget(rrs, name)
+		last := lastCNAMETarget(rrs, key.name)
 		if last == "" || t == dnswire.TypeCNAME {
 			return chain, dnswire.RCodeSuccess, nil
 		}
 		if hasType(chain, t) {
 			return chain, dnswire.RCodeSuccess, nil
 		}
-		name = last
+		key.name = last
 	}
 	return nil, dnswire.RCodeServFail, ErrLoop
 }
@@ -208,22 +222,27 @@ func hasType(rrs []dnswire.Record, t dnswire.Type) bool {
 
 // resolveOne resolves a single name without CNAME chasing (the caller
 // chases). It walks referrals from the closest cached NS set.
-func (r *Recursive) resolveOne(ctx context.Context, name string, t dnswire.Type, depth int) ([]dnswire.Record, dnswire.RCode, error) {
-	// Cache first.
+func (r *Recursive) resolveOne(ctx context.Context, key cacheKey, depth int) ([]dnswire.Record, dnswire.RCode, error) {
+	// Cache first. One clock reading serves every probe up to the first
+	// exchange. Only the lookup of what a client asked is counted: the
+	// CNAME probe is the resolver's own guess, and at depth > 0 so is the
+	// whole question (an NS host's address).
+	now := r.cacheNow()
 	if r.Cache != nil {
-		if res, ok := r.Cache.Lookup(name, t); ok {
+		if res, ok := r.Cache.lookupKey(key, now, depth == 0); ok {
 			if res.Negative {
 				if res.NXDomain {
 					return nil, dnswire.RCodeNXDomain, nil
 				}
 				return nil, dnswire.RCodeSuccess, nil // NODATA
 			}
-			r.noteRefreshAhead(name, t, res)
+			r.noteRefreshAhead(key.name, key.typ, res)
 			return res.Records, dnswire.RCodeSuccess, nil
 		}
 		// A cached CNAME lets us skip a full walk.
-		if res, ok := r.Cache.Lookup(name, dnswire.TypeCNAME); ok && !res.Negative {
-			r.noteRefreshAhead(name, dnswire.TypeCNAME, res)
+		cname := cacheKey{name: key.name, typ: dnswire.TypeCNAME}
+		if res, ok := r.Cache.lookupKey(cname, now, false); ok && !res.Negative {
+			r.noteRefreshAhead(key.name, dnswire.TypeCNAME, res)
 			return res.Records, dnswire.RCodeSuccess, nil
 		}
 	}
@@ -232,26 +251,29 @@ func (r *Recursive) resolveOne(ctx context.Context, name string, t dnswire.Type,
 	// a leader resolving a glueless NS address (depth > 0) must never wait
 	// on another in-flight call, which could be its own.
 	if depth > 0 {
-		return r.resolveWalk(ctx, name, t, depth)
+		return r.resolveWalk(ctx, key, now, depth)
 	}
-	res := r.sf.do(ctx, cacheKey{name: name, typ: t}, func() sfResult {
-		rrs, rcode, err := r.resolveWalk(ctx, name, t, depth)
-		return sfResult{rrs: rrs, rcode: rcode, err: err}
-	})
+	res := r.sf.do(ctx, r, key, now)
 	return res.rrs, res.rcode, res.err
 }
 
 // resolveWalk is the upstream half of resolveOne: the iterative referral
-// walk from the closest cached NS set down to the answer.
-func (r *Recursive) resolveWalk(ctx context.Context, name string, t dnswire.Type, depth int) ([]dnswire.Record, dnswire.RCode, error) {
-	servers := r.startServers(ctx, name, depth)
+// walk from the closest cached NS set down to the answer. now is the
+// cache clock as of the walk's start.
+func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time, depth int) ([]dnswire.Record, dnswire.RCode, error) {
+	name, t := key.name, key.typ
+	// zone is the zone the current servers are asked as — the cut the walk
+	// starts from, then each referral's — and what their referrals are
+	// judged against (bailiwick). curZone is how much of the name QNAME
+	// minimization has exposed: it starts at zone and runs ahead of it
+	// over labels that turn out not to be cuts.
+	servers, zone := r.startServers(ctx, name, now, depth)
 	if len(servers) == 0 {
 		return nil, dnswire.RCodeServFail, ErrNoServers
 	}
-	rng := r.newRNG(name, t)
-	// curZone tracks the closest known delegation for QNAME minimization;
-	// queries expose one label beyond it rather than the full name.
-	curZone := "."
+	curZone := zone
+	rng := r.newRNG(key)
+	var q *dnswire.Message
 
 	for iter := 0; iter < r.maxIter(); iter++ {
 		if ctx.Err() != nil {
@@ -262,55 +284,70 @@ func (r *Recursive) resolveWalk(ctx context.Context, name string, t dnswire.Type
 			qname = minimizedName(name, curZone)
 		}
 		final := qname == name
-		q := dnswire.NewQuery(uint16(rng.Uint32()), qname, t)
-		q.Header.RD = false
-		resp, server, err := r.exchangeBest(ctx, q, servers, rng)
+		// One query message a walk, re-addressed each iteration — except
+		// under hedging, where the loser of a race may still be reading
+		// its message after the winner has returned.
+		if id := uint16(rng.Uint32()); q == nil || r.Hedge {
+			q = dnswire.NewQuery(id, qname, t)
+			q.Header.RD = false
+		} else {
+			q.Header.ID, q.Questions[0].Name = id, qname
+		}
+		resp, server, err := r.exchangeBest(ctx, q, servers, &rng)
 		if err != nil {
 			// Unreachable or lame: drop this server, try others.
-			servers = remove(servers, server)
+			servers = without(servers, server)
 			if len(servers) == 0 {
 				return nil, dnswire.RCodeServFail, fmt.Errorf("%w: last error: %v", ErrNoServers, err)
 			}
 			continue
 		}
+		var ref referred
+		lame := false
 		switch resp.Header.RCode {
 		case dnswire.RCodeSuccess:
-			// fall through to interpretation
+			if len(resp.Answers) > 0 && final {
+				r.cacheAnswers(resp.Answers)
+				return resp.Answers, dnswire.RCodeSuccess, nil
+			}
+			// NS records of which none delegates towards the name, and no
+			// SOA to make it a negative answer: an upward or sideways
+			// referral, a lame server's way of saying it is one.
+			ref = referral(resp, zone, name)
+			lame = len(ref.hosts) == 0 && len(resp.Answers) == 0 &&
+				hasType(resp.Authority, dnswire.TypeNS) && !hasType(resp.Authority, dnswire.TypeSOA)
 		case dnswire.RCodeNXDomain:
 			// RFC 8020: NXDOMAIN for an ancestor means the full name
 			// cannot exist either.
-			r.cacheNegative(name, t, true, resp)
+			r.cacheNegative(key, true, resp)
 			return nil, dnswire.RCodeNXDomain, nil
 		default:
-			// Lame or broken delegation (SERVFAIL and friends): the
-			// exchange itself worked, but the server is not useful here.
+			// SERVFAIL and friends: the exchange itself worked, but the
+			// server is not useful here.
+			lame = true
+		}
+		if lame {
 			if r.Infra != nil {
 				r.Infra.Fail(server)
 			}
-			servers = remove(servers, server)
-			if len(servers) == 0 {
-				return nil, resp.Header.RCode, nil
+			servers = without(servers, server)
+			if len(servers) > 0 {
+				continue
 			}
-			continue
-		}
-
-		if len(resp.Answers) > 0 && final {
-			r.cacheAnswers(resp.Answers)
-			return resp.Answers, dnswire.RCodeSuccess, nil
+			if resp.Header.RCode == dnswire.RCodeSuccess {
+				return nil, dnswire.RCodeServFail, ErrNoServers
+			}
+			return nil, resp.Header.RCode, nil
 		}
 
 		// Referral: authority NS records for a subdomain cut.
-		next, cut, glue := referral(resp)
-		if len(next) > 0 {
-			r.cacheReferral(resp)
-			addrs := r.serverAddrs(ctx, next, glue, depth)
+		if len(ref.hosts) > 0 {
+			r.cacheAnswers(ref.accepted)
+			addrs := r.serverAddrs(ctx, ref.hosts, ref.glue, depth)
 			if len(addrs) == 0 {
 				return nil, dnswire.RCodeServFail, ErrNoServers
 			}
-			servers = addrs
-			if cut != "" {
-				curZone = cut
-			}
+			servers, zone, curZone = addrs, ref.cut, ref.cut
 			continue
 		}
 
@@ -322,7 +359,7 @@ func (r *Recursive) resolveWalk(ctx context.Context, name string, t dnswire.Type
 		}
 
 		// NODATA.
-		r.cacheNegative(name, t, false, resp)
+		r.cacheNegative(key, false, resp)
 		return nil, dnswire.RCodeSuccess, nil
 	}
 	return nil, dnswire.RCodeServFail, ErrDepthExceed
@@ -349,13 +386,17 @@ func minimizedName(full, zone string) string {
 // cache the pick is uniform random (the seed behaviour); with one it is
 // best-of-N by SRTT+penalty score, optionally hedged against the
 // second-best after an SRTT-derived delay.
-func (r *Recursive) exchangeBest(ctx context.Context, q *dnswire.Message, servers []string, rng *rand.Rand) (*dnswire.Message, string, error) {
+func (r *Recursive) exchangeBest(ctx context.Context, q *dnswire.Message, servers []string, rng *walkRNG) (*dnswire.Message, string, error) {
 	if r.Infra == nil {
 		server := servers[rng.IntN(len(servers))]
 		resp, err := r.Exchange.Exchange(ctx, q, server)
 		return resp, server, err
 	}
-	best, second := r.Infra.Select(servers, rng)
+	// Select draws through a rand.Rand, whose Source escapes; it gets a
+	// copy of the generator, and its draws are carried back.
+	src := rng.pcg
+	best, second := r.Infra.Select(servers, rand.New(&src))
+	rng.pcg = src
 	if !r.Hedge || second == "" {
 		resp, err := r.exchangeObserved(ctx, q, best)
 		return resp, best, err
@@ -397,7 +438,32 @@ func (r *Recursive) exchangeObserved(ctx context.Context, q *dnswire.Message, se
 	return resp, nil
 }
 
-func (r *Recursive) newRNG(name string, t dnswire.Type) *rand.Rand {
+// walkRNG is a walk's generator: the PCG by value, so it lives on the
+// walk's stack, with the two draws the walk itself makes. Each is the same
+// function of the PCG stream as the math/rand/v2.Rand method of its name
+// (TestWalkRNGMatchesRand), so seeded server selection is what it was when
+// the walk drew through a rand.Rand.
+type walkRNG struct{ pcg rand.PCG }
+
+func (g *walkRNG) Uint32() uint32 { return uint32(g.pcg.Uint64() >> 32) }
+
+// IntN is Rand.IntN on 64-bit platforms: a mask for powers of two, else
+// Lemire's multiply-and-reject.
+func (g *walkRNG) IntN(n int) int {
+	un := uint64(n)
+	if un&(un-1) == 0 {
+		return int(g.pcg.Uint64() & (un - 1))
+	}
+	hi, lo := bits.Mul64(g.pcg.Uint64(), un)
+	if lo < un {
+		for thresh := -un % un; lo < thresh; {
+			hi, lo = bits.Mul64(g.pcg.Uint64(), un)
+		}
+	}
+	return int(hi)
+}
+
+func (r *Recursive) newRNG(key cacheKey) (g walkRNG) {
 	// The process seed is drawn once per Recursive (lazily): the previous
 	// code called time.Now().UnixNano() on every query, a syscall on the
 	// hot path that also made concurrent same-name queries diverge.
@@ -408,58 +474,117 @@ func (r *Recursive) newRNG(name string, t dnswire.Type) *rand.Rand {
 		}
 	})
 	var mix uint64 = 1469598103934665603
-	for _, b := range []byte(name) {
-		mix = (mix ^ uint64(b)) * 1099511628211
+	for i := 0; i < len(key.name); i++ {
+		mix = (mix ^ uint64(key.name[i])) * 1099511628211
 	}
-	return rand.New(rand.NewPCG(r.seed, mix^uint64(t)))
+	g.pcg.Seed(r.seed, mix^uint64(key.typ))
+	return g
 }
 
-// startServers finds the closest enclosing NS set in cache, defaulting to
-// the roots.
-func (r *Recursive) startServers(ctx context.Context, name string, depth int) []string {
+// delegation is a zone cut's resolved server list — endpoints, in the
+// order serverAddrs produced them — memoised on the cache entry of the NS
+// RRset it was derived from, so a miss under a known cut starts its walk
+// from one probe instead of re-deriving the list from the NS RRset and
+// every address RRset behind it. It is good until the first of those
+// RRsets expires and is dropped with the NS entry (eviction or
+// replacement); nothing else invalidates it. servers is shared between
+// walks and never modified (see without).
+type delegation struct {
+	servers []string
+	expires time.Time
+}
+
+// startServers finds the closest enclosing cut the cache holds a usable
+// NS set for and returns its servers and its name, defaulting to the
+// roots. Probing an NS entry is a use of it (Cache.find), memo or not:
+// under a flood of misses the delegation is the one entry every query
+// needs, and letting the flood's own inserts push it out would turn each
+// ~256th miss a shard into a walk from the root.
+func (r *Recursive) startServers(ctx context.Context, name string, now time.Time, depth int) (servers []string, cut string) {
 	if r.Cache == nil {
-		return append([]string(nil), r.Roots...)
+		return r.Roots, "."
 	}
-	for zone := dnswire.CanonicalName(name); ; zone = dnswire.ParentName(zone) {
-		if res, ok := r.Cache.Lookup(zone, dnswire.TypeNS); ok && !res.Negative {
-			var hosts []string
-			for _, rr := range res.Records {
-				if ns, ok := rr.Data.(*dnswire.NS); ok {
-					hosts = append(hosts, ns.Host)
-				}
+	for zone := name; ; zone = dnswire.ParentName(zone) {
+		if e, _ := r.Cache.find(cacheKey{name: zone, typ: dnswire.TypeNS}, now); e != nil && !e.negative {
+			if d := e.deleg.Load(); d != nil && now.Before(d.expires) {
+				return d.servers, zone
 			}
-			if addrs := r.serverAddrs(ctx, hosts, nil, depth); len(addrs) > 0 {
-				return addrs
+			if addrs := r.deriveDelegation(ctx, e, now, depth); len(addrs) > 0 {
+				return addrs, zone
 			}
 		}
 		if zone == "." {
 			break
 		}
 	}
-	return append([]string(nil), r.Roots...)
+	return r.Roots, "."
 }
 
-// referral extracts the delegation NS hostnames, the cut (delegated zone)
-// name, and glue addresses from a response's authority/additional sections.
-func referral(resp *dnswire.Message) (hosts []string, cut string, glue map[string][]string) {
-	glue = make(map[string][]string)
-	for _, rr := range resp.Authority {
+// deriveDelegation builds the server list of the cut whose NS entry is e
+// from the cache — resolving glueless hosts if it must — and memoises it
+// on e when every address came from the cache, where each has an expiry.
+func (r *Recursive) deriveDelegation(ctx context.Context, e *cacheEntry, now time.Time, depth int) []string {
+	hosts := make([]string, 0, len(e.records))
+	for _, rr := range e.records {
 		if ns, ok := rr.Data.(*dnswire.NS); ok {
-			hosts = append(hosts, dnswire.CanonicalName(ns.Host))
-			cut = dnswire.CanonicalName(rr.Name)
+			hosts = append(hosts, ns.Host)
 		}
 	}
+	addrs, expires := r.hostAddrs(ctx, hosts, nil, now, depth)
+	if len(addrs) > 0 && !expires.IsZero() {
+		if e.expires.Before(expires) {
+			expires = e.expires
+		}
+		e.deleg.Store(&delegation{servers: addrs, expires: expires})
+	}
+	return addrs
+}
+
+// referred is what a walk takes from a referral: the NS hostnames, the
+// cut they serve, the glue endpoints by host, and the records behind both
+// for the cache.
+type referred struct {
+	hosts    []string
+	cut      string
+	glue     map[string][]string
+	accepted []dnswire.Record
+}
+
+// referral reads a delegation out of resp, keeping what the responder is
+// in a position to say (bailiwick): Authority NS records whose owner is a
+// proper descendant of zone — the zone the servers were asked as — and an
+// ancestor of, or equal to, the query name; and Additional A/AAAA records
+// owned by a target of one of those NS records, at or below zone.
+// Everything else in the two sections is ignored: neither followed nor
+// cached. No hosts means resp is no referral.
+func referral(resp *dnswire.Message, zone, name string) (ref referred) {
+	for _, rr := range resp.Authority {
+		ns, ok := rr.Data.(*dnswire.NS)
+		if !ok {
+			continue
+		}
+		owner := dnswire.CanonicalName(rr.Name)
+		if owner == zone || !dnswire.IsSubdomain(owner, zone) || !dnswire.IsSubdomain(name, owner) {
+			continue
+		}
+		ref.hosts = append(ref.hosts, dnswire.CanonicalName(ns.Host))
+		ref.cut = owner
+		ref.accepted = append(ref.accepted, rr)
+	}
+	if len(ref.hosts) == 0 {
+		return ref
+	}
+	ref.glue = make(map[string][]string)
 	for _, rr := range resp.Additional {
-		switch d := rr.Data.(type) {
-		case *dnswire.A:
-			n := dnswire.CanonicalName(rr.Name)
-			glue[n] = append(glue[n], d.Addr.String()+":53")
-		case *dnswire.AAAA:
-			n := dnswire.CanonicalName(rr.Name)
-			glue[n] = append(glue[n], "["+d.Addr.String()+"]:53")
+		endpoint := nsEndpoint(rr.Data)
+		owner := dnswire.CanonicalName(rr.Name)
+		if endpoint == "" || !slices.Contains(ref.hosts, owner) || !dnswire.IsSubdomain(owner, zone) {
+			continue
 		}
+		ref.glue[owner] = append(ref.glue[owner], endpoint)
+		ref.accepted = append(ref.accepted, rr)
 	}
-	return hosts, cut, glue
+	return ref
 }
 
 // Glueless fan-out bounds: at most nsFanout NS-host resolutions run
@@ -471,11 +596,20 @@ const (
 	nsTargetHosts = 2
 )
 
-// serverAddrs maps NS hostnames to "ip:port" addresses using glue (A and
-// AAAA), cached A/AAAA RRsets, or — for glueless delegations — bounded
-// parallel recursive resolution with first-K-wins short-circuiting.
+// serverAddrs is hostAddrs for a referral just received: the glue is in
+// hand, and an exchange has passed since the walk last read the clock.
 func (r *Recursive) serverAddrs(ctx context.Context, hosts []string, glue map[string][]string, depth int) []string {
-	var out []string
+	addrs, _ := r.hostAddrs(ctx, hosts, glue, r.cacheNow(), depth)
+	return addrs
+}
+
+// hostAddrs maps NS hostnames to "ip:port" addresses using glue (A and
+// AAAA), cached A/AAAA RRsets, or — for glueless delegations — bounded
+// parallel recursive resolution with first-K-wins short-circuiting. It is
+// the one place a delegation's server list is built. expires is the first
+// expiry among the cached RRsets used, or zero when some address came
+// from a fresh resolution instead and the list is a partial one.
+func (r *Recursive) hostAddrs(ctx context.Context, hosts []string, glue map[string][]string, now time.Time, depth int) (out []string, expires time.Time) {
 	var glueless []string
 	haveHosts := 0
 	for _, h := range hosts {
@@ -485,48 +619,59 @@ func (r *Recursive) serverAddrs(ctx context.Context, hosts []string, glue map[st
 			haveHosts++
 			continue
 		}
-		if addrs := r.cachedAddrs(h); len(addrs) > 0 {
-			out = append(out, addrs...)
-			haveHosts++
-			continue
+		if r.Cache != nil {
+			n := len(out)
+			if out, expires = r.appendCachedAddrs(out, expires, h, now); len(out) > n {
+				haveHosts++
+				continue
+			}
 		}
 		glueless = append(glueless, h)
 	}
 	if len(glueless) == 0 {
-		return out
+		return out, expires
 	}
 	if haveHosts >= nsTargetHosts {
 		// Enough servers known already: skip the glueless resolutions
 		// entirely instead of paying a full recursive walk per host.
 		nsFanoutShortcut.Inc()
-		return out
+		return out, expires
 	}
-	return append(out, r.resolveNSHosts(ctx, glueless, depth, nsTargetHosts-haveHosts)...)
+	return append(out, r.resolveNSHosts(ctx, glueless, depth, nsTargetHosts-haveHosts)...), time.Time{}
 }
 
-// cachedAddrs maps an NS hostname to cached addresses. Both address
-// families are accepted: A entries become "ip:53", AAAA entries the
-// bracketed "[ip]:53" form the transport endpoint grammar expects.
-func (r *Recursive) cachedAddrs(h string) []string {
-	if r.Cache == nil {
-		return nil
+// nsEndpoint is the endpoint of a name server's address record: "ip:53"
+// for an A, the bracketed "[ip]:53" the transport endpoint grammar expects
+// for an AAAA, "" for anything else.
+func nsEndpoint(d dnswire.RData) string {
+	switch a := d.(type) {
+	case *dnswire.A:
+		return a.Addr.String() + ":53"
+	case *dnswire.AAAA:
+		return "[" + a.Addr.String() + "]:53"
 	}
-	var out []string
-	if res, ok := r.Cache.Lookup(h, dnswire.TypeA); ok && !res.Negative {
-		for _, rr := range res.Records {
-			if a, ok := rr.Data.(*dnswire.A); ok {
-				out = append(out, a.Addr.String()+":53")
+	return ""
+}
+
+// appendCachedAddrs appends the cached addresses of NS host h, both
+// families, to out and lowers expires to the earliest expiry of the
+// RRsets it read.
+func (r *Recursive) appendCachedAddrs(out []string, expires time.Time, h string, now time.Time) ([]string, time.Time) {
+	for _, t := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
+		e, _ := r.Cache.find(cacheKey{name: h, typ: t}, now)
+		if e == nil || len(e.records) == 0 {
+			continue
+		}
+		for _, rr := range e.records {
+			if ep := nsEndpoint(rr.Data); ep != "" {
+				out = append(out, ep)
 			}
 		}
-	}
-	if res, ok := r.Cache.Lookup(h, dnswire.TypeAAAA); ok && !res.Negative {
-		for _, rr := range res.Records {
-			if a, ok := rr.Data.(*dnswire.AAAA); ok {
-				out = append(out, "["+a.Addr.String()+"]:53")
-			}
+		if expires.IsZero() || e.expires.Before(expires) {
+			expires = e.expires
 		}
 	}
-	return out
+	return out, expires
 }
 
 // resolveNSHosts resolves glueless NS hostnames concurrently, at most
@@ -600,32 +745,18 @@ func (r *Recursive) cacheAnswers(rrs []dnswire.Record) {
 	}
 }
 
-// cacheReferral stores delegation NS sets and glue addresses.
-func (r *Recursive) cacheReferral(resp *dnswire.Message) {
-	if r.Cache == nil {
-		return
-	}
-	r.cacheAnswers(resp.Authority)
-	r.cacheAnswers(resp.Additional)
-}
-
 // cacheNegative stores an RFC 2308 negative entry using the SOA MINIMUM.
-func (r *Recursive) cacheNegative(name string, t dnswire.Type, nxdomain bool, resp *dnswire.Message) {
+func (r *Recursive) cacheNegative(key cacheKey, nxdomain bool, resp *dnswire.Message) {
 	if r.Cache == nil {
 		return
 	}
-	ttl := uint32(300)
-	for _, rr := range resp.Authority {
-		if soa, ok := rr.Data.(*dnswire.SOA); ok {
-			ttl = min(rr.TTL, soa.Minimum)
-			break
-		}
-	}
-	r.Cache.PutNegative(name, t, nxdomain, ttl)
+	r.Cache.putNegative(key, nxdomain, negativeTTL(resp))
 }
 
-func remove(s []string, v string) []string {
-	out := s[:0]
+// without returns s less v. It copies: s may be a delegation memo, which
+// every walk under the same cut shares.
+func without(s []string, v string) []string {
+	out := make([]string, 0, len(s))
 	for _, x := range s {
 		if x != v {
 			out = append(out, x)

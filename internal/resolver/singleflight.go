@@ -3,6 +3,7 @@ package resolver
 import (
 	"context"
 	"sync"
+	"time"
 
 	"encdns/internal/dnswire"
 )
@@ -14,7 +15,9 @@ type sfResult struct {
 	err   error
 }
 
-// sfCall is one in-flight resolution; done closes once res is final.
+// sfCall is one in-flight resolution. done is made by the first caller
+// that has to wait (under the group's lock) and closed once res is final;
+// a resolution nobody waited for never has one.
 type sfCall struct {
 	done chan struct{}
 	res  sfResult
@@ -30,33 +33,40 @@ type singleflight struct {
 	m  map[cacheKey]*sfCall
 }
 
-// do runs fn once per key among concurrent callers and hands every caller
-// the same result. Waiters whose own context expires give up with that
-// context's error; the leader always runs fn to completion so its result
-// can still populate the cache for the next query.
-func (g *singleflight) do(ctx context.Context, key cacheKey, fn func() sfResult) sfResult {
+// do runs r's walk for key once among concurrent callers and hands every
+// caller the same result. Waiters whose own context expires give up with
+// that context's error; the leader always walks to completion so its
+// result can still populate the cache for the next query.
+func (g *singleflight) do(ctx context.Context, r *Recursive, key cacheKey, now time.Time) sfResult {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[cacheKey]*sfCall)
 	}
 	if c, ok := g.m[key]; ok {
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		g.mu.Unlock()
 		select {
-		case <-c.done:
+		case <-done:
 			return c.res
 		case <-ctx.Done():
 			return sfResult{rcode: dnswire.RCodeServFail, err: ctx.Err()}
 		}
 	}
-	c := &sfCall{done: make(chan struct{})}
+	c := &sfCall{}
 	g.m[key] = c
 	g.mu.Unlock()
 
-	c.res = fn()
+	c.res.rrs, c.res.rcode, c.res.err = r.resolveWalk(ctx, key, now, 0)
 
 	g.mu.Lock()
 	delete(g.m, key)
+	done := c.done
 	g.mu.Unlock()
-	close(c.done)
+	if done != nil {
+		close(done)
+	}
 	return c.res
 }

@@ -12,7 +12,9 @@ import (
 // is the entry's canonical name, plus the offsets of every answer TTL so
 // a serve can age them by patching bytes in place. Templates are built
 // once at put time and immutable afterwards, which is what lets hits be
-// served straight from them after the shard lock is dropped.
+// served straight from them after the shard lock is dropped. An entry
+// holds its template by value; the zero template means "none" (qlen 0
+// matches no request, a question being at least five octets).
 //
 // Layout invariant: the template's bytes were packed into a message of
 // the form header(12) + question(qlen) + answers, so its RFC 1035 §4.1.4
@@ -34,10 +36,10 @@ type answerTemplate struct {
 }
 
 // buildTemplate packs rrs (nil for a negative entry) into an answer
-// template for key. It returns nil — meaning "serve this entry via the
-// materialize path" — when the RRset does not pack (oversized message,
-// unencodable RDATA).
-func buildTemplate(key cacheKey, rrs []dnswire.Record) *answerTemplate {
+// template for key. It returns the zero template — meaning "serve this
+// entry via the materialize path" — when the RRset does not pack
+// (oversized message, unencodable RDATA).
+func buildTemplate(key cacheKey, rrs []dnswire.Record) answerTemplate {
 	m := dnswire.Message{
 		Header:    dnswire.Header{QR: true, RA: true},
 		Questions: []dnswire.Question{{Name: key.name, Type: key.typ, Class: dnswire.ClassIN}},
@@ -45,14 +47,14 @@ func buildTemplate(key cacheKey, rrs []dnswire.Record) *answerTemplate {
 	}
 	packed, offs, err := m.AppendPackTTLOffsets(make([]byte, 0, 128+32*len(rrs)), nil)
 	if err != nil {
-		return nil
+		return answerTemplate{}
 	}
 	rawQ, ok := dnswire.QuestionBytes(packed)
 	if !ok {
-		return nil
+		return answerTemplate{}
 	}
 	ansBase := 12 + len(rawQ)
-	t := &answerTemplate{
+	t := answerTemplate{
 		wire:    packed[ansBase:],
 		qlen:    uint16(len(rawQ)),
 		ancount: uint16(len(rrs)),
@@ -64,6 +66,44 @@ func buildTemplate(key cacheKey, rrs []dnswire.Record) *answerTemplate {
 		}
 	}
 	return t
+}
+
+// negativeTemplate is the template of a negative entry: no answer bytes,
+// so all it holds is the length of the question it answers. For a name
+// whose presentation form maps one to one onto wire octets that length is
+// arithmetic and nothing is packed; escapes, and names the codec would
+// reject, take the pack.
+func negativeTemplate(key cacheKey) answerTemplate {
+	if n, ok := plainWireLen(key.name); ok {
+		return answerTemplate{qlen: uint16(n + 4)}
+	}
+	return buildTemplate(key, nil)
+}
+
+// plainWireLen is the wire length of a canonical name written without
+// escapes: every label's dot becomes its length octet and the trailing
+// dot the root, one octet more than the string. ok is false for a name
+// with an escape or one the codec would not encode (an empty or over-long
+// label, more than 255 octets).
+func plainWireLen(name string) (n int, ok bool) {
+	if name == "." {
+		return 1, true
+	}
+	label := 0
+	for i := 0; i < len(name); i++ {
+		switch name[i] {
+		case '\\':
+			return 0, false
+		case '.':
+			if label == 0 || label > 63 {
+				return 0, false
+			}
+			label = 0
+		default:
+			label++
+		}
+	}
+	return len(name) + 1, label == 0 && len(name) < 255
 }
 
 // HitInfo describes a template-served cache hit: what AppendResponse
@@ -109,8 +149,8 @@ func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byt
 		s.mu.RUnlock()
 		return dst, HitInfo{}, false
 	}
-	tmpl := e.tmpl
-	if tmpl == nil || int(tmpl.qlen) != len(rawQuestion) {
+	tmpl := &e.tmpl
+	if int(tmpl.qlen) != len(rawQuestion) {
 		s.mu.RUnlock()
 		return dst, HitInfo{}, false
 	}
