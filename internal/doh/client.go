@@ -4,8 +4,10 @@ import (
 	"context"
 	"crypto/tls"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
@@ -39,10 +41,14 @@ func (e *HTTPError) Error() string {
 
 // Client issues RFC 8484 DoH queries.
 type Client struct {
-	// HTTP is the underlying client; nil uses a private default. To
-	// measure fresh-connection response times (the paper's dig-style
-	// probes) call CloseIdle between queries or set DisableKeepAlives on
-	// the transport.
+	// HTTP, when set, carries every query: a pooled client from
+	// NewClient, or one a caller injects (drain its idle pool with
+	// CloseIdle to make the next query pay connection set-up). A client
+	// from NewClient with reuse off leaves it nil and runs each query on a
+	// connection of its own, the paper's dig-style probe, with no pool to
+	// drain. Either way TLS sessions resume from the session cache: only a
+	// client's first connection to a server pays the full handshake. A nil
+	// HTTP on a Client built by hand uses a private default.
 	HTTP *http.Client
 	// Method selects GET or POST; default POST.
 	Method Method
@@ -50,6 +56,8 @@ type Client struct {
 	Timeout time.Duration
 	// UserAgent is sent on requests when non-empty.
 	UserAgent string
+
+	fresh *freshConfig // NewClient's, with reuse off
 }
 
 // Handshake-outcome counters, labelled like the DoT pair so dashboards
@@ -61,13 +69,15 @@ var (
 		"Completed DoH TLS handshakes by resumption outcome.", "resumed", "false")
 )
 
-// NewClient builds a client with its own transport configured from tlsCfg
-// and dialer (either may be nil). Keep-alives follow reuse. Session
-// tickets are cached even with reuse off: fresh-connection probes then
-// measure the abbreviated handshake on repeat targets, matching how stub
-// resolvers behave after their first contact with a server. Probes that
-// need a guaranteed full handshake should pass a tlsCfg whose
-// ClientSessionCache they control.
+// NewClient builds a client configured from tlsCfg and dialer (either may
+// be nil). With reuse it pools keep-alive connections in a net/http
+// transport of its own; without, every query dials, handshakes and asks on
+// a connection that is closed after its one answer (see fresh.go). Session
+// tickets are cached either way: fresh-connection probes then measure the
+// abbreviated handshake on repeat targets, matching how stub resolvers
+// behave after their first contact with a server. Probes that need a
+// guaranteed full handshake should pass a tlsCfg whose ClientSessionCache
+// they control.
 func NewClient(tlsCfg *tls.Config, dialer dns53.ContextDialer, reuse bool) *Client {
 	if tlsCfg == nil {
 		tlsCfg = &tls.Config{}
@@ -77,10 +87,16 @@ func NewClient(tlsCfg *tls.Config, dialer dns53.ContextDialer, reuse bool) *Clie
 	if tlsCfg.ClientSessionCache == nil {
 		tlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(32)
 	}
+	if !reuse {
+		tlsCfg.NextProtos = []string{"h2", "http/1.1"}
+		if dialer == nil {
+			dialer = &net.Dialer{}
+		}
+		return &Client{fresh: &freshConfig{tls: tlsCfg, dialer: dialer}}
+	}
 	tr := &http.Transport{
 		TLSClientConfig:   tlsCfg,
 		ForceAttemptHTTP2: true,
-		DisableKeepAlives: !reuse,
 		MaxIdleConns:      16,
 		IdleConnTimeout:   60 * time.Second,
 	}
@@ -104,10 +120,15 @@ func (c *Client) timeout() time.Duration {
 	return 5 * time.Second
 }
 
+// oneShot reports whether queries run on connections of their own.
+func (c *Client) oneShot() bool { return c.HTTP == nil && c.fresh != nil }
+
 // CloseIdle drops pooled connections, forcing the next query to pay the
-// full TCP+TLS establishment cost.
+// full TCP+TLS establishment cost. A fresh-connection client pools none.
 func (c *Client) CloseIdle() {
-	c.http().CloseIdleConnections()
+	if !c.oneShot() {
+		c.http().CloseIdleConnections()
+	}
 }
 
 // Query exchanges a single question with the DoH endpoint URL (e.g.
@@ -133,11 +154,15 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 		return nil, fmt.Errorf("doh: packing query: %w", err)
 	}
 	*bp = wire
-	body := newPooledBody(bp)
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	ctx = withClientTrace(ctx)
+	if c.oneShot() {
+		defer bufpool.Put(bp)
+		return c.exchangeFresh(ctx, wire, query.Header.ID, endpoint)
+	}
 
+	body := newPooledBody(bp)
 	var req *http.Request
 	if c.Method == MethodGET {
 		// The wire bytes are dead once base64-encoded into the URL, so the
@@ -147,10 +172,7 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 		if err != nil {
 			return nil, fmt.Errorf("doh: endpoint: %w", err)
 		}
-		qs := u.Query()
-		qs.Set("dns", base64.RawURLEncoding.EncodeToString(wire))
-		u.RawQuery = qs.Encode()
-		req, err = http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
+		req, err = http.NewRequestWithContext(ctx, http.MethodGet, withDNSParam(*u, wire).String(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("doh: building request: %w", err)
 		}
@@ -185,17 +207,36 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 	defer bufpool.Put(rbp)
 	raw, err := readAllInto((*rbp)[:0], httpResp.Body, dnswire.MaxMessageSize)
 	*rbp = raw
-	if err == errBodyTooLarge {
-		return nil, fmt.Errorf("doh: response exceeds DNS message limit")
-	}
 	if err != nil {
-		return nil, fmt.Errorf("doh: reading response: %w", err)
+		return nil, bodyErr(err)
 	}
+	return unpackResponse(raw, query.Header.ID)
+}
+
+// withDNSParam returns u with the dns parameter of an RFC 8484 GET set to
+// wire.
+func withDNSParam(u url.URL, wire []byte) *url.URL {
+	qs := u.Query()
+	qs.Set("dns", base64.RawURLEncoding.EncodeToString(wire))
+	u.RawQuery = qs.Encode()
+	return &u
+}
+
+// bodyErr is the error of a response whose body could not be read.
+func bodyErr(err error) error {
+	if err == errBodyTooLarge {
+		return errors.New("doh: response exceeds DNS message limit")
+	}
+	return fmt.Errorf("doh: reading response: %w", err)
+}
+
+// unpackResponse parses a 200 response's body, which must answer query id.
+func unpackResponse(raw []byte, id uint16) (*dnswire.Message, error) {
 	resp, err := dnswire.Unpack(raw)
 	if err != nil {
 		return nil, fmt.Errorf("doh: parsing response: %w", err)
 	}
-	if resp.Header.ID != query.Header.ID {
+	if resp.Header.ID != id {
 		return nil, dns53.ErrIDMismatch
 	}
 	return resp, nil

@@ -377,6 +377,26 @@ func appendFrameHeader(dst []byte, length int, typ, flags byte, id uint32) []byt
 		byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 }
 
+// appendHeaders appends a header block as a HEADERS frame, which carries
+// END_STREAM when endStream is set, and as many CONTINUATION frames as a
+// block over one frame needs (RFC 9113 §6.10).
+func appendHeaders(dst []byte, endStream bool, id uint32, block []byte) []byte {
+	var flags byte
+	if endStream {
+		flags = flagEndStream
+	}
+	for typ := byte(frameHeaders); ; typ, flags = frameContinuation, 0 {
+		n := min(len(block), h2MaxFrame)
+		if n == len(block) {
+			flags |= flagEndHeaders
+		}
+		dst = append(appendFrameHeader(dst, n, typ, flags, id), block[:n]...)
+		if block = block[n:]; len(block) == 0 {
+			return dst
+		}
+	}
+}
+
 // frame handles one frame. What is wrong with one stream only is answered
 // with RST_STREAM here; the code returned is for the connection.
 func (c *h2Conn) frame(typ, flags byte, id uint32, p []byte) h2Code {
@@ -928,19 +948,7 @@ func (c *h2Conn) respond(st *h2Stream, block, body []byte) {
 		c.resetStream(st, codeEnhanceYourCalm)
 		return
 	}
-	flags := byte(flagEndHeaders)
-	if len(body) == 0 {
-		flags |= flagEndStream
-	}
-	// A block over one frame continues in CONTINUATION frames (RFC 9113 §6.10).
-	for typ := byte(frameHeaders); ; typ = frameContinuation {
-		if len(block) <= h2MaxFrame {
-			c.out = append(appendFrameHeader(c.out, len(block), typ, flags, st.id), block...)
-			break
-		}
-		c.out = append(appendFrameHeader(c.out, h2MaxFrame, typ, 0, st.id), block[:h2MaxFrame]...)
-		block = block[h2MaxFrame:]
-	}
+	c.out = appendHeaders(c.out, len(body) == 0, st.id, block)
 	sent := c.appendData(st, body)
 	if sent == len(body) {
 		c.finish(st)

@@ -26,6 +26,10 @@ func Classify(err error) netsim.ErrClass {
 	if errors.As(err, &httpErr) {
 		return netsim.ErrHTTP
 	}
+	var protoErr *doh.ProtocolError // what net/http's HTTP/2 errors fell through to
+	if errors.As(err, &protoErr) {
+		return netsim.ErrConnect
+	}
 	// Typed cases first; dialer.LayerError and net.OpError wrappers all
 	// unwrap through errors.Is/As, so chain-layer failures classify the
 	// same as their underlying cause.

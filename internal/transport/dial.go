@@ -26,13 +26,17 @@ type Options struct {
 	// Dialer provides the underlying connections; nil uses net.Dialer.
 	// Injecting a dialer is how tests run over in-process transports.
 	Dialer dns53.ContextDialer
-	// Reuse keeps connections (TLS sessions, HTTP keep-alives) open
+	// Reuse keeps connections (DoT sessions, HTTP keep-alives) open
 	// between exchanges. The paper's dig-style probes measure with fresh
-	// connections, so the default is off.
+	// connections, so the default is off: every exchange then dials, and an
+	// https one runs on a connection of its own (doh.NewClient). Fresh is
+	// not full: TLS session tickets are cached per exchanger either way, so
+	// only the first connection to a server pays the full handshake and
+	// every later one resumes.
 	Reuse bool
 	// HTTPClient overrides the https transport entirely (tests inject an
-	// httptest client); TLS/Dialer/Reuse are ignored for https when set.
-	// With Reuse off the client's idle pool is still drained before each
+	// httptest client); TLS/Dialer are ignored for https when set.
+	// With Reuse off the client's idle pool is drained before each
 	// exchange so every measurement pays connection establishment.
 	HTTPClient *http.Client
 	// UserAgent is sent on https exchanges when non-empty.
@@ -106,7 +110,7 @@ func Dial(endpoint string, opts Options) (Exchanger, error) {
 		}
 		c.Timeout = opts.Timeout
 		c.UserAgent = opts.UserAgent
-		ex = &dohExchanger{client: c, url: ce.Endpoint.String(), fresh: !opts.Reuse}
+		ex = &dohExchanger{client: c, url: ce.Endpoint.String(), drain: opts.HTTPClient != nil && !opts.Reuse}
 	}
 	return WithRetry(instrument(ex, ce.Scheme), opts.retry()), nil
 }
@@ -153,17 +157,18 @@ func (e *dotExchanger) PoolStats() PoolStats {
 	return PoolStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Idle: s.Idle}
 }
 
-// dohExchanger adapts doh.Client. With fresh set it drains the idle pool
-// before each exchange so every measurement pays the full TCP+TLS
-// establishment cost, like the paper's dig runs.
+// dohExchanger adapts doh.Client. With drain set — an injected HTTP
+// client with Reuse off — it empties the client's idle pool before each
+// exchange so every measurement pays TCP+TLS establishment, like the
+// paper's dig runs; doh.NewClient's fresh-connection client has no pool.
 type dohExchanger struct {
 	client *doh.Client
 	url    string
-	fresh  bool
+	drain  bool
 }
 
 func (e *dohExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	if e.fresh {
+	if e.drain {
 		e.client.CloseIdle()
 	}
 	return e.client.Exchange(ctx, q, e.url)

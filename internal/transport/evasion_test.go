@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
 	"net/netip"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -44,55 +46,139 @@ func startVirtualDoT(t *testing.T, vn *netsim.VirtualNet, addr, serverName strin
 	return ca
 }
 
-// TestEvasionRSTOnSNI is acceptance criterion (a): a plain tls:// dial
-// fails against the RST-on-SNI middlebox while the same endpoint behind
-// tlsfrag: succeeds — through the full transport.Dial stack, not just
-// the raw dialer.
+// socketBuffered gives every connection it accepts what a kernel socket
+// has and a VirtualNet connection, a net.Pipe, lacks: writes that return
+// before the peer reads. Without it an HTTP/2 server writing its SETTINGS
+// and a client writing its request on one goroutine would wait on each
+// other forever, which on a real network they cannot.
+type socketBuffered struct{ net.Listener }
+
+func (l socketBuffered) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	// 64 writes, many more than an HTTP/2 server makes on a connection
+	// before it reads again.
+	b := &bufferedConn{Conn: c, out: make(chan []byte, 64)}
+	go func() {
+		for p := range b.out {
+			_, _ = c.Write(p) // after Close this fails at once
+		}
+	}()
+	return b, nil
+}
+
+type bufferedConn struct {
+	net.Conn
+	mu     sync.Mutex
+	closed bool
+	out    chan []byte
+}
+
+func (b *bufferedConn) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, net.ErrClosed
+	}
+	b.out <- bytes.Clone(p)
+	return len(p), nil
+}
+
+func (b *bufferedConn) Close() error {
+	b.mu.Lock()
+	if !b.closed {
+		b.closed = true
+		close(b.out)
+	}
+	b.mu.Unlock()
+	return b.Conn.Close()
+}
+
+// startVirtualDoH is startVirtualDoT for DoH, served as cmd/dohserver
+// serves it (HTTP/2 to the burst loop) from socket-buffered connections.
+func startVirtualDoH(t *testing.T, vn *netsim.VirtualNet, addr, serverName string) *certs.CA {
+	t.Helper()
+	ca, err := certs.NewCA(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvTLS, err := ca.ServerConfig([]string{serverName}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := vn.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDoH(t, socketBuffered{ln}, srvTLS, true)
+	return ca
+}
+
+// TestEvasionRSTOnSNI is acceptance criterion (a): a plain tls:// or
+// https:// dial fails against the RST-on-SNI middlebox while the same
+// endpoint behind tlsfrag: succeeds — through the full transport.Dial
+// stack, not just the raw dialer. For https that proves the chain layers
+// wrap the fresh-connection exchange's own dial.
 func TestEvasionRSTOnSNI(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	t.Cleanup(func() { testutil.WaitNoLeaks(t, baseline) })
 
-	vn := netsim.NewVirtualNet()
 	const name = "blocked.test"
-	const addr = name + ":853"
-	ca := startVirtualDoT(t, vn, addr, name)
-	path := vn.Path(&netsim.RSTOnSNI{Blocked: []string{name}})
-	opts := Options{
-		TLS:     ca.ClientConfig(name),
-		Dialer:  path,
-		Timeout: 2 * time.Second,
-		Retry:   ptr(NoRetry()),
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	for _, tc := range []struct {
+		scheme, endpoint string
+		start            func(*testing.T, *netsim.VirtualNet, string, string) *certs.CA
+	}{
+		{"tls", "tls://" + name + ":853", startVirtualDoT},
+		{"https", "https://" + name + "/dns-query", startVirtualDoH},
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			vn := netsim.NewVirtualNet()
+			ce, err := ParseChain(tc.endpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ca := tc.start(t, vn, ce.Addr(), name)
+			path := vn.Path(&netsim.RSTOnSNI{Blocked: []string{name}})
+			opts := Options{
+				TLS:     ca.ClientConfig(name),
+				Dialer:  path,
+				Timeout: 2 * time.Second,
+				Retry:   ptr(NoRetry()),
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
 
-	plain, err := Dial("tls://"+addr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if _, err := plain.Exchange(ctx, query()); err == nil {
-		t.Fatal("plain tls:// exchange succeeded through the SNI filter")
-	} else {
-		if !errors.Is(err, syscall.ECONNRESET) {
-			t.Errorf("plain failure = %v, want ECONNRESET", err)
-		}
-		if got := Classify(err); got != netsim.ErrConnect {
-			t.Errorf("Classify(reset) = %v, want ErrConnect", got)
-		}
-	}
+			plain, err := Dial(tc.endpoint, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plain.Close()
+			if _, err := plain.Exchange(ctx, query()); err == nil {
+				t.Fatalf("plain %s:// exchange succeeded through the SNI filter", tc.scheme)
+			} else {
+				if !errors.Is(err, syscall.ECONNRESET) {
+					t.Errorf("plain failure = %v, want ECONNRESET", err)
+				}
+				if got := Classify(err); got != netsim.ErrConnect {
+					t.Errorf("Classify(reset) = %v, want ErrConnect", got)
+				}
+			}
 
-	evade, err := Dial("tlsfrag:sni|tls://"+addr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer evade.Close()
-	resp, err := evade.Exchange(ctx, query())
-	if err != nil {
-		t.Fatalf("tlsfrag exchange failed: %v", err)
-	}
-	if len(resp.Answers) == 0 {
-		t.Error("tlsfrag exchange returned no answers")
+			evade, err := Dial("tlsfrag:sni|"+tc.endpoint, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer evade.Close()
+			resp, err := evade.Exchange(ctx, query())
+			if err != nil {
+				t.Fatalf("tlsfrag exchange failed: %v", err)
+			}
+			if len(resp.Answers) == 0 {
+				t.Error("tlsfrag exchange returned no answers")
+			}
+		})
 	}
 }
 
