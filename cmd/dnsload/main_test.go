@@ -3,18 +3,48 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"encoding/pem"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"encdns/internal/authdns"
+	"encdns/internal/certs"
+	"encdns/internal/dns53"
+	"encdns/internal/doh"
+	"encdns/internal/resolver"
 )
 
-func TestSelfDo53OpenLoopJSON(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-self", "do53",
-		"-rate", "200", "-duration", "500ms", "-arrivals", "constant",
-		"-timeout", "1s", "-json",
-	}, &buf)
+// testDomain is the one name the static test targets answer.
+const testDomain = "bench.example."
+
+func staticHandler() dns53.Handler {
+	return dns53.Static(map[string][]net.IP{testDomain: {net.ParseIP("192.0.2.1")}})
+}
+
+// serveUDP serves h on a loopback UDP socket and returns its udp://
+// endpoint.
+func serveUDP(t *testing.T, h dns53.Handler) string {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &dns53.Server{Handler: h}
+	go srv.ServeUDP(pc)
+	t.Cleanup(srv.Shutdown)
+	return "udp://" + pc.LocalAddr().String()
+}
+
+// openLoopJSON runs dnsload with args plus -json and checks the summary
+// of an open-loop run that must have answered nearly everything.
+func openLoopJSON(t *testing.T, args ...string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(append(args, "-json"), &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	var s struct {
@@ -33,19 +63,67 @@ func TestSelfDo53OpenLoopJSON(t *testing.T) {
 		t.Fatalf("no traffic recorded: %+v", s)
 	}
 	if s.ErrorRate > 0.05 {
-		t.Fatalf("error rate %.2f against the in-process Do53 server", s.ErrorRate)
+		t.Fatalf("error rate %.2f against a loopback server", s.ErrorRate)
 	}
 	if s.P99Ms <= 0 {
 		t.Fatalf("p99 %.3fms, want > 0", s.P99Ms)
 	}
 }
 
-func TestSelfDoHClosedLoop(t *testing.T) {
+func TestDo53OpenLoopJSON(t *testing.T) {
+	openLoopJSON(t, "-targets", serveUDP(t, staticHandler()), "-domains", testDomain,
+		"-rate", "200", "-duration", "500ms", "-arrivals", "constant", "-timeout", "1s")
+}
+
+// TestRecursiveOpenLoopJSON loads the full resolver stack — a caching
+// recursive resolver with SRTT selection, hedging and refresh-ahead over
+// the in-memory authoritative hierarchy — with the default
+// measurement-domain mix, so concurrent hedged walks run over real
+// sockets. After the first walks everything is cache-hot, so errors mean
+// the resolver stack is broken, not slow.
+func TestRecursiveOpenLoopJSON(t *testing.T) {
+	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
+	rec := &resolver.Recursive{
+		Exchange:         h.Registry,
+		Roots:            h.RootServers,
+		Cache:            resolver.NewCache(65536, nil),
+		Infra:            resolver.NewInfra(nil),
+		Hedge:            true,
+		PrefetchFraction: 0.1,
+	}
+	t.Cleanup(rec.Close)
+	openLoopJSON(t, "-targets", serveUDP(t, rec),
+		"-rate", "200", "-duration", "500ms", "-arrivals", "constant", "-timeout", "2s")
+}
+
+func TestDoHClosedLoop(t *testing.T) {
+	ca, err := certs.NewCA(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverTLS, err := ca.ServerConfig(nil, []net.IP{net.ParseIP("127.0.0.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle(doh.DefaultPath, &doh.Handler{DNS: staticHandler()})
+	hs := &http.Server{Handler: mux, TLSConfig: serverTLS}
+	go hs.ServeTLS(ln, "", "")
+	t.Cleanup(func() { hs.Close() })
+	caPath := filepath.Join(t.TempDir(), "ca.pem")
+	if err := os.WriteFile(caPath, pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: ca.Cert.Raw}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	var buf bytes.Buffer
-	err := run([]string{
-		"-self", "doh",
-		"-mode", "closed", "-workers", "4", "-duration", "500ms",
-		"-timeout", "2s",
+	err = run([]string{
+		"-targets", "https://" + ln.Addr().String() + doh.DefaultPath, "-cacert", caPath,
+		"-domains", testDomain,
+		"-mode", "closed", "-workers", "4", "-duration", "500ms", "-timeout", "2s",
 	}, &buf)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
@@ -59,74 +137,19 @@ func TestSelfDoHClosedLoop(t *testing.T) {
 	}
 }
 
-func TestSelfDo53CapacityCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-self", "do53", "-capacity",
-		"-ramp-start", "200", "-ramp-max", "400", "-ramp-step", "200",
-		"-step-duration", "400ms", "-cooldown", "50ms",
-		"-slo-p99", "500ms", "-slo-errors", "0.2",
-		"-csv",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Rate (qps)") {
-		t.Fatalf("missing CSV header:\n%s", out)
-	}
-	// Both tiny rungs must appear (the in-process server sustains 400qps).
-	if !strings.Contains(out, "200,") || !strings.Contains(out, "400,") {
-		t.Fatalf("ramp rungs missing:\n%s", out)
-	}
-}
-
 func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},                      // no targets
 		{"-targets", "ftp://x"}, // bad scheme
-		{"-self", "dot"},        // unsupported self target
 		{"-targets", "1.1.1.1", "-mode", "sideways"},
 		{"-targets", "1.1.1.1", "-arrivals", "fibonacci"},
 		{"-targets", "1.1.1.1", "-qtypes", "BOGUS"},
+		{"-targets", "1.1.1.1", "-capacity"},     // no longer a flag
+		{"-targets", "1.1.1.1", "-self", "do53"}, // no longer a flag
 	} {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v): want error", args)
 		}
-	}
-}
-
-func TestSelfRecursiveOpenLoopJSON(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-self", "recursive",
-		"-rate", "200", "-duration", "500ms", "-arrivals", "constant",
-		"-timeout", "2s", "-json",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	var s struct {
-		Mode      string  `json:"mode"`
-		Offered   uint64  `json:"offered"`
-		Received  uint64  `json:"received"`
-		ErrorRate float64 `json:"error_rate"`
-		P99Ms     float64 `json:"p99_ms"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, buf.String())
-	}
-	if s.Mode != "open" || s.Offered == 0 || s.Received == 0 {
-		t.Fatalf("no traffic recorded: %+v", s)
-	}
-	// The recursive self target serves the measurement domains from its
-	// in-memory hierarchy; after the first walks everything is cache-hot,
-	// so errors mean the resolver stack is broken, not slow.
-	if s.ErrorRate > 0.05 {
-		t.Fatalf("error rate %.2f against the in-process recursive resolver", s.ErrorRate)
-	}
-	if s.P99Ms <= 0 {
-		t.Fatalf("p99 %.3fms, want > 0", s.P99Ms)
 	}
 }

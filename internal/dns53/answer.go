@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the one place a parsed query becomes response bytes. Every
-// frontend — Do53 UDP and TCP, DoT, DoH GET and POST, the ODoH target —
-// goes through it, so the resolver work behind each transport is the same
-// by construction. It has two halves because the loops that own a socket
+// frontend — Do53 UDP and TCP, DoT, DoH GET and POST — goes through it,
+// so the resolver work behind each transport is the same by
+// construction. It has two halves because the loops that own a socket
 // must not block: AppendHit never does, appendMiss may for as long as the
 // handler's upstreams take. Both append to the caller's buffer (a message
 // may start at any offset, e.g. behind a stream length prefix) and both

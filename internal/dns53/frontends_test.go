@@ -25,7 +25,6 @@ import (
 	"encdns/internal/doh"
 	"encdns/internal/dot"
 	"encdns/internal/obs"
-	"encdns/internal/odoh"
 	"encdns/internal/resolver"
 )
 
@@ -103,9 +102,9 @@ func httpExchange(t *testing.T, client *http.Client, req *http.Request, contentT
 	return body
 }
 
-// startFrontends serves h on all eight frontends: UDP, TCP and DoT from one
-// dns53.Server, DoH (through net/http alone, and over HTTP/2 through the
-// burst loop) and the ODoH target from httptest servers.
+// startFrontends serves h on all seven frontends: UDP, TCP and DoT from one
+// dns53.Server, and DoH (through net/http alone, and over HTTP/2 through
+// the burst loop) from httptest servers.
 func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 	t.Helper()
 	srv := &dns53.Server{Handler: h}
@@ -155,16 +154,6 @@ func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 			return httpExchange(t, srv.Client(), req, doh.ContentType)
 		}
 	}
-	key, err := odoh.NewTargetKey(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	odohSrv := httptest.NewServer(&odoh.TargetHandler{Key: key, DNS: h})
-	t.Cleanup(odohSrv.Close)
-	odohCfg, err := odoh.ParseConfig(key.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	return []frontend{
 		{"udp", func(t *testing.T, query []byte) []byte {
@@ -202,19 +191,6 @@ func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 		{"doh-get", dohGet(dohSrv)},
 		{"doh-post-loop", dohPost(loopSrv)},
 		{"doh-get-loop", dohGet(loopSrv)},
-		{"odoh-target", func(t *testing.T, query []byte) []byte {
-			sealed, qctx, err := odohCfg.Seal(query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req, _ := http.NewRequest(http.MethodPost, odohSrv.URL+odoh.DefaultPath, bytes.NewReader(sealed))
-			req.Header.Set("Content-Type", odoh.ContentType)
-			plain, err := qctx.Open(httpExchange(t, odohSrv.Client(), req, odoh.ContentType))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return plain
-		}},
 	}
 }
 
@@ -335,7 +311,7 @@ func TestFrontendsCountInTheirOwnSeries(t *testing.T) {
 			dohPOST.Value() - before[2], dohGET.Value() - before[3]}
 		want := map[string][4]uint64{
 			"udp": {3, 1, 0, 0}, "tcp": {3, 1, 0, 0}, "dot": {3, 1, 0, 0},
-			"doh-post": {0, 0, 3, 0}, "doh-get": {0, 0, 0, 3}, "odoh-target": {0, 0, 0, 0},
+			"doh-post": {0, 0, 3, 0}, "doh-get": {0, 0, 0, 3},
 			"doh-post-loop": {0, 0, 3, 0}, "doh-get-loop": {0, 0, 0, 3},
 		}[fe.name]
 		if got != want {

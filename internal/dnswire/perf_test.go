@@ -7,7 +7,7 @@ import (
 
 // Hot-path performance tests: the pooled codec must pack and unpack a
 // typical query/response with zero allocations per operation, and the
-// benchmarks below feed the CI bench smoke step (BENCH_pr3.json).
+// benchmarks below feed the CI bench smoke step.
 
 // typicalQuery is the message every probe sends: one question plus an
 // EDNS OPT advertising a 1232-byte UDP payload.

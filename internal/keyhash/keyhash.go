@@ -1,10 +1,9 @@
-// Package keyhash is the one place DNS cache keys are hashed. Three
-// layers partition work by hashing the same (qname, qtype) key — the
-// resolver cache spreads entries over lock shards, the distribute
-// strategies send each domain to a stable resolver, and the cluster ring
-// assigns ownership of names to peers — and they must all agree on the
-// key bytes, or a name canonicalised in one layer lands in a different
-// partition than the same name hashed raw in another.
+// Package keyhash is the one place DNS cache keys are hashed. Two layers
+// partition work by hashing the same (qname, qtype) key — the resolver
+// cache spreads entries over lock shards and the cluster ring assigns
+// ownership of names to peers — and they must agree on the key bytes, or
+// a name canonicalised in one layer lands in a different partition than
+// the same name hashed raw in the other.
 //
 // Every function hashes the *canonical* form of the name (ASCII
 // lowercased, exactly one trailing root dot, matching

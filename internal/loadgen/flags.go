@@ -57,9 +57,10 @@ func schemeForProto(proto string) (string, error) {
 //	udp://127.0.0.1:5353=3,https://127.0.0.1:8443/dns-query=1
 //	dns.quad9.net=1,tls://dns.google:853=1          (bare names follow proto)
 //
-// A bare target gets weight 1. The trailing =N is taken as a weight only
-// when N parses as a positive number, so https URLs containing '=' in a
-// query string still parse.
+// A bare target gets weight 1. A trailing =N is a weight when N parses as
+// a number and the text before it does not end in a query parameter
+// without a value: "https://h/dns-query?x=2" is one URL of weight 1,
+// "https://h/dns-query?x=2=3" the same URL of weight 3.
 func ParseTargetMix(spec, proto string) ([]WeightedEndpoint, error) {
 	var out []WeightedEndpoint
 	for _, part := range strings.Split(spec, ",") {
@@ -68,7 +69,7 @@ func ParseTargetMix(spec, proto string) ([]WeightedEndpoint, error) {
 			continue
 		}
 		target, weight := part, 1.0
-		if i := strings.LastIndexByte(part, '='); i >= 0 {
+		if i := strings.LastIndexByte(part, '='); i >= 0 && !endsInBareParam(part[:i]) {
 			if w, err := strconv.ParseFloat(part[i+1:], 64); err == nil {
 				if w <= 0 {
 					return nil, fmt.Errorf("loadgen: endpoint weight %q: want a positive number", part)
@@ -86,6 +87,17 @@ func ParseTargetMix(spec, proto string) ([]WeightedEndpoint, error) {
 		return nil, fmt.Errorf("loadgen: empty target mix")
 	}
 	return out, nil
+}
+
+// endsInBareParam reports whether s has a query string whose last
+// parameter has no '=' yet, so an '=' after s is that parameter's value.
+func endsInBareParam(s string) bool {
+	q := strings.IndexByte(s, '?')
+	if q < 0 {
+		return false
+	}
+	query := s[q+1:]
+	return !strings.Contains(query[strings.LastIndexByte(query, '&')+1:], "=")
 }
 
 // SendFunc performs one exchange for the generator and reports whether

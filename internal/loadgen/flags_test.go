@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"strings"
 	"testing"
 
 	"encdns/internal/dnswire"
@@ -64,13 +63,28 @@ func TestParseTargetMix(t *testing.T) {
 		}
 	}
 
-	// A '=' inside an https query string is not a weight separator.
-	mix, err = ParseTargetMix("https://dns.example/dns-query?x=y", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 1 || !strings.Contains(mix[0].Endpoint, "x=y") || mix[0].Weight != 1 {
-		t.Fatalf("query-string '=' mangled: %+v", mix)
+	// A '=' inside an https query string is not a weight separator, even
+	// when the parameter's value is a number.
+	for _, tc := range []struct {
+		spec     string
+		endpoint string
+		weight   float64
+	}{
+		{"https://dns.example/dns-query?x=y", "https://dns.example/dns-query?x=y", 1},
+		{"https://dns.example/dns-query?x=2", "https://dns.example/dns-query?x=2", 1},
+		{"https://dns.example/dns-query?x=0", "https://dns.example/dns-query?x=0", 1},
+		{"https://dns.example/dns-query?a=b&x=2", "https://dns.example/dns-query?a=b&x=2", 1},
+		{"https://dns.example/dns-query?x=2=3", "https://dns.example/dns-query?x=2", 3},
+		{"https://dns.example/dns-query=2", "https://dns.example/dns-query", 2},
+	} {
+		mix, err := ParseTargetMix(tc.spec, "")
+		if err != nil {
+			t.Errorf("ParseTargetMix(%q): %v", tc.spec, err)
+			continue
+		}
+		if want := (WeightedEndpoint{Endpoint: tc.endpoint, Weight: tc.weight}); len(mix) != 1 || mix[0] != want {
+			t.Errorf("ParseTargetMix(%q) = %+v, want [%+v]", tc.spec, mix, want)
+		}
 	}
 
 	for _, bad := range []string{"", "udp://1.1.1.1=0", "udp://1.1.1.1=-2", "ftp://x"} {

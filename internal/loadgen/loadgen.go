@@ -22,12 +22,9 @@
 // a weighted QTYPE mix, and a weighted endpoint mix spanning udp://,
 // tcp://, tls://, and https:// via internal/transport. Results carry an
 // HDR-style latency recorder (p50/p90/p99/p999), exact extremes, and a
-// per-second timeline. SearchCapacity ramps offered load until an SLO
-// breaks and reports the last sustainable rate — the number the ROADMAP
-// has been missing ("serves heavy traffic" needs a measured QPS, not a
-// microbenchmark). RunAgainst runs the same open-loop engine against an
-// in-process model on internal/netsim's virtual clock, which is how the
-// coordinated-omission property is provable in a deterministic test.
+// per-second timeline. RunAgainst runs the same open-loop engine against
+// an in-process model on internal/netsim's virtual clock, which is how
+// the coordinated-omission property is provable in a deterministic test.
 package loadgen
 
 import (

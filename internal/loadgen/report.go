@@ -66,63 +66,6 @@ func WriteJSON(w io.Writer, res *Result) error {
 	return report.WriteJSON(w, Summarize(res))
 }
 
-// CapacityJSON wraps a CapacityResult with flattened headline fields so
-// line-oriented extraction (scripts/benchjson.sh capacity mode) does not
-// need a JSON parser.
-type CapacityJSON struct {
-	MaxSustainableQPS float64 `json:"max_sustainable_qps"`
-	AchievedQPS       float64 `json:"achieved_qps"`
-	P50MsAtMax        float64 `json:"p50_ms_at_max"`
-	P99MsAtMax        float64 `json:"p99_ms_at_max"`
-	P999MsAtMax       float64 `json:"p999_ms_at_max"`
-	ErrorRateAtMax    float64 `json:"error_rate_at_max"`
-	Steps             []struct {
-		Rate      float64 `json:"rate_qps"`
-		OK        bool    `json:"ok"`
-		Reason    string  `json:"reason,omitempty"`
-		ActualQPS float64 `json:"actual_qps"`
-		P50Ms     float64 `json:"p50_ms"`
-		P99Ms     float64 `json:"p99_ms"`
-		P999Ms    float64 `json:"p999_ms"`
-		ErrorRate float64 `json:"error_rate"`
-	} `json:"steps"`
-}
-
-// WriteCapacityJSON writes the capacity-search digest as indented JSON.
-func WriteCapacityJSON(w io.Writer, cr *CapacityResult) error {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	out := CapacityJSON{
-		MaxSustainableQPS: cr.MaxSustainableQPS,
-		AchievedQPS:       cr.Achieved,
-	}
-	for _, st := range cr.Steps {
-		var row struct {
-			Rate      float64 `json:"rate_qps"`
-			OK        bool    `json:"ok"`
-			Reason    string  `json:"reason,omitempty"`
-			ActualQPS float64 `json:"actual_qps"`
-			P50Ms     float64 `json:"p50_ms"`
-			P99Ms     float64 `json:"p99_ms"`
-			P999Ms    float64 `json:"p999_ms"`
-			ErrorRate float64 `json:"error_rate"`
-		}
-		row.Rate, row.OK, row.Reason = st.Rate, st.OK, st.Reason
-		row.ActualQPS = st.Result.ActualQPS()
-		row.P50Ms = ms(st.Result.Latency.Quantile(0.5))
-		row.P99Ms = ms(st.Result.Latency.Quantile(0.99))
-		row.P999Ms = ms(st.Result.Latency.Quantile(0.999))
-		row.ErrorRate = st.Result.ErrorRate()
-		out.Steps = append(out.Steps, row)
-		if st.OK && st.Rate == cr.MaxSustainableQPS {
-			out.P50MsAtMax = row.P50Ms
-			out.P99MsAtMax = row.P99Ms
-			out.P999MsAtMax = row.P999Ms
-			out.ErrorRateAtMax = row.ErrorRate
-		}
-	}
-	return report.WriteJSON(w, out)
-}
-
 // TimelineTable renders the per-second timeline as a report.Table, the
 // shared table/CSV surface of the repository.
 func TimelineTable(res *Result) *report.Table {
@@ -139,31 +82,6 @@ func TimelineTable(res *Result) *report.Table {
 			fmt.Sprintf("%.2f", s.P50),
 			fmt.Sprintf("%.2f", s.P99),
 			fmt.Sprintf("%.2f", s.P999),
-		)
-	}
-	return t
-}
-
-// CapacityTable renders the ramp as a report.Table.
-func CapacityTable(cr *CapacityResult) *report.Table {
-	t := &report.Table{
-		Title:   "Capacity search",
-		Headers: []string{"Rate (qps)", "Actual (qps)", "P50 (ms)", "P99 (ms)", "Err %", "SLO", "Reason"},
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for _, st := range cr.Steps {
-		verdict := "ok"
-		if !st.OK {
-			verdict = "FAIL"
-		}
-		t.AddRow(
-			fmt.Sprintf("%.0f", st.Rate),
-			fmt.Sprintf("%.0f", st.Result.ActualQPS()),
-			fmt.Sprintf("%.2f", ms(st.Result.Latency.Quantile(0.5))),
-			fmt.Sprintf("%.2f", ms(st.Result.Latency.Quantile(0.99))),
-			fmt.Sprintf("%.2f", st.Result.ErrorRate()*100),
-			verdict,
-			st.Reason,
 		)
 	}
 	return t

@@ -6,9 +6,7 @@ import (
 )
 
 // WriteJSON renders v as indented JSON — the one JSON-writing path for
-// every reporting surface (dnsload results, capacity searches), so the
-// on-disk shape stays uniform and scripts/benchjson.sh can extract
-// fields with line-oriented tools.
+// every reporting surface, so the on-disk shape stays uniform.
 func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -55,8 +55,8 @@ type cacheKey struct {
 }
 
 // shardIndex hashes the key with the shared FNV-1a key hash
-// (internal/keyhash — the same bytes the distribute strategies and the
-// cluster ring hash) and masks it onto a shard.
+// (internal/keyhash — the same bytes the cluster ring hashes) and masks
+// it onto a shard.
 func (k cacheKey) shardIndex(mask uint32) uint32 {
 	return uint32(keyhash.Key(k.name, uint16(k.typ))) & mask
 }

@@ -12,7 +12,7 @@ import (
 	"encdns/internal/dnswire"
 )
 
-// Microbenchmarks feeding the CI bench smoke step (BENCH_pr3.json).
+// Microbenchmarks feeding the CI bench smoke step.
 // BenchmarkCacheGetPut is the single-goroutine hot path; the concurrent
 // variant is where lock sharding pays: the pre-sharding cache serialised
 // every lookup on one mutex.
