@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -221,16 +220,15 @@ func run(args []string, stdout *os.File) error {
 	if tracker != nil {
 		cfg.Observer = tracker
 	}
+	var stream *os.File
 	if *watch && *output != "" {
 		// An unbounded run cannot buffer records: stream them as JSON
 		// Lines instead.
-		f, err := os.Create(*output)
-		if err != nil {
+		if stream, err = os.Create(*output); err != nil {
 			return err
 		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		cfg.Sink = func(rec core.Record) error { return enc.Encode(rec) }
+		defer stream.Close() // the early returns; the run's end checks Close
+		cfg.Sink = core.JSONLSink(stream)
 		cfg.DiscardResults = true
 	}
 	campaign, err := core.NewCampaign(cfg, prober)
@@ -249,7 +247,10 @@ func run(args []string, stdout *os.File) error {
 		rep := tracker.WatchReport()
 		fmt.Fprintf(stdout, "watch stopped: %d targets tracked, %d journal events\n",
 			len(rep.Targets), tracker.Journal().Len())
-		if *output != "" {
+		if stream != nil {
+			if err := stream.Close(); err != nil {
+				return fmt.Errorf("closing %s: %w", *output, err)
+			}
 			fmt.Fprintf(stdout, "streamed records to %s\n", *output)
 		}
 		return nil

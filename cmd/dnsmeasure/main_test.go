@@ -84,6 +84,31 @@ func TestWritesJSONOutput(t *testing.T) {
 	}
 }
 
+// A bounded watch streams its records as they happen; the file must be
+// the one a plain run writes at its end.
+func TestWatchStreamsWhatOWrites(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-resolvers", "dns.google,ordns.he.net", "-rounds", "4", "-interval", "8h", "-summary=false"}
+	if _, err := capture(t, append(args, "-o", filepath.Join(dir, "plain.jsonl"))...); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, append(args, "-watch", "-metrics-addr", "127.0.0.1:0", "-o", filepath.Join(dir, "watch.jsonl"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "streamed records to") {
+		t.Errorf("watch output: %s", out)
+	}
+	plain, err1 := os.ReadFile(filepath.Join(dir, "plain.jsonl"))
+	watched, err2 := os.ReadFile(filepath.Join(dir, "watch.jsonl"))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if len(plain) == 0 || string(plain) != string(watched) {
+		t.Errorf("-watch -o streamed %d bytes, -o wrote %d, and they differ", len(watched), len(plain))
+	}
+}
+
 func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{"-resolvers", "not.a.known.host"},

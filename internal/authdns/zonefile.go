@@ -119,6 +119,9 @@ func (p *zoneParser) entry(raw string, ownerOmitted bool) error {
 		fields = fields[1:]
 	}
 	p.lastOwn = owner
+	if !dnswire.IsSubdomain(owner, p.zone.Origin()) {
+		return fmt.Errorf("%s is outside zone %s", owner, p.zone.Origin())
+	}
 
 	// Optional TTL and class, in either order (RFC 1035 §5.1).
 	ttl := p.ttl

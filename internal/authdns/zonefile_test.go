@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"encdns/internal/dnswire"
 )
@@ -159,6 +160,8 @@ func TestParseZoneErrors(t *testing.T) {
 		{"srv arity", "@ IN SRV 1 2 853\n"},
 		{"soa arity", "@ IN SOA ns1 h 1 2 3\n"},
 		{"bad caa flags", "@ IN CAA x issue y\n"},
+		{"owner outside the zone", "www.example.net. IN A 192.0.2.1\n"},
+		{"origin outside the zone", "$ORIGIN example.net.\nwww IN A 192.0.2.1\n"},
 	}
 	for _, c := range cases {
 		if _, err := ParseZone("example.com", strings.NewReader(c.zone)); err == nil {
@@ -194,4 +197,27 @@ func TestTokenizeQuotes(t *testing.T) {
 			t.Fatalf("tokens = %q", got)
 		}
 	}
+}
+
+// FuzzParseZone drives the zone-file parser with arbitrary text and
+// origins: it must return, with a zone or an error, and never panic.
+func FuzzParseZone(f *testing.F) {
+	f.Add("example.com", sampleZone)
+	f.Add("example.com", "$ORIGIN sub.example.com.\nwww IN A 192.0.2.1\n")
+	f.Add(".", "@ IN SOA a. b. ( 1 2 3 4 5 )\n")
+	f.Add("example.com", "txt IN TXT \"unterminated ; not a comment\n")
+	f.Add("example.com", "x ( IN A\n 192.0.2.1 ) )\n")
+	f.Add("example.com", "  IN MX 10 mail\n$TTL 99999999999\n$INCLUDE other\n")
+	f.Fuzz(func(t *testing.T, origin, zone string) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = ParseZone(origin, strings.NewReader(zone))
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("ParseZone(%q, %q) did not return", origin, zone)
+		}
+	})
 }

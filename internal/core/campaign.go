@@ -93,12 +93,22 @@ type ProbeObserver interface {
 type Campaign struct {
 	cfg    CampaignConfig
 	prober Prober
-	// probes counts issued queries per target host — the per-target
-	// progress reading at /metrics.
-	probes map[string]*obs.Counter
-	// failures counts failed queries per target host.
-	failures map[string]*obs.Counter
+	// targets holds, per cfg.Targets entry, what every probe of it reuses.
+	targets []targetState
 }
+
+// targetState is what is fixed per target for a campaign's life.
+type targetState struct {
+	// proto is the records' protocol label, obsKey the Observer's key.
+	proto, obsKey string
+	// probes counts issued queries per target host — the per-target
+	// progress reading at /metrics; failures counts the failed ones.
+	probes, failures *obs.Counter
+}
+
+// maxPresize caps the records Run allocates room for up front, so a long
+// live campaign cancelled early does not pay for rounds it never ran.
+const maxPresize = 1 << 18
 
 // NewCampaign validates the configuration and builds a campaign.
 func NewCampaign(cfg CampaignConfig, prober Prober) (*Campaign, error) {
@@ -131,19 +141,28 @@ func NewCampaign(cfg CampaignConfig, prober Prober) (*Campaign, error) {
 	if cfg.DiscardResults && cfg.Sink == nil && !cfg.Continuous {
 		return nil, fmt.Errorf("core: DiscardResults needs a Sink")
 	}
-	c := &Campaign{
-		cfg:      cfg,
-		prober:   prober,
-		probes:   make(map[string]*obs.Counter, len(cfg.Targets)),
-		failures: make(map[string]*obs.Counter, len(cfg.Targets)),
-	}
-	for _, t := range cfg.Targets {
-		c.probes[t.Host] = obs.Default().Counter("campaign_probes_total",
+	c := &Campaign{cfg: cfg, prober: prober, targets: make([]targetState, len(cfg.Targets))}
+	for i, t := range cfg.Targets {
+		ts := &c.targets[i]
+		ts.proto = protoName(prober, t)
+		if cfg.Observer != nil {
+			ts.obsKey = observerTarget(ts.proto, prober, t)
+		}
+		ts.probes = obs.Default().Counter("campaign_probes_total",
 			"Queries issued per target resolver.", "resolver", t.Host)
-		c.failures[t.Host] = obs.Default().Counter("campaign_probe_failures_total",
+		ts.failures = obs.Default().Counter("campaign_probe_failures_total",
 			"Failed queries per target resolver.", "resolver", t.Host)
 	}
 	return c, nil
+}
+
+// perVantage is the number of records one vantage produces per round.
+func (c *Campaign) perVantage() int {
+	n := len(c.cfg.Domains)
+	if !c.cfg.SkipPing {
+		n++
+	}
+	return len(c.cfg.Targets) * n
 }
 
 // Run executes every round, following the paper's §3.2 measurement
@@ -154,23 +173,23 @@ func NewCampaign(cfg CampaignConfig, prober Prober) (*Campaign, error) {
 // not an error to alarm on.
 func (c *Campaign) Run(ctx context.Context) (*ResultSet, error) {
 	rs := NewResultSet()
+	if !c.cfg.Continuous && !c.cfg.DiscardResults {
+		perRound := len(c.cfg.Vantages) * c.perVantage()
+		rs.records = make([]Record, 0, perRound*min(c.cfg.Rounds, maxPresize/perRound+1))
+	}
+	var spare []Record // the round buffer of a run whose records only the Sink sees
 	for round := 0; c.cfg.Continuous || round < c.cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return rs, err
 		}
 		now := c.cfg.Clock.Now()
-		emit := func(rec Record) error {
-			campaignRecords.Inc()
-			if c.cfg.Sink != nil {
-				if err := c.cfg.Sink(rec); err != nil {
-					return fmt.Errorf("core: sink: %w", err)
-				}
-			}
-			if !c.cfg.DiscardResults {
-				rs.Add(rec)
-			}
-			return nil
+		// The round appends straight into the set: nothing else holds rs
+		// until Run returns it.
+		log := rs.records
+		if c.cfg.DiscardResults {
+			log = spare[:0]
 		}
+		var err error
 		if c.cfg.Parallel && len(c.cfg.Vantages) > 1 {
 			perVantage := make([][]Record, len(c.cfg.Vantages))
 			var wg sync.WaitGroup
@@ -178,27 +197,33 @@ func (c *Campaign) Run(ctx context.Context) (*ResultSet, error) {
 				wg.Add(1)
 				go func(i int, v netsim.Vantage) {
 					defer wg.Done()
-					perVantage[i] = c.probeVantage(ctx, v, round, now)
+					perVantage[i] = c.probeVantage(ctx, make([]Record, 0, c.perVantage()), v, round, now)
 				}(i, v)
 			}
 			wg.Wait()
 			// Emit in vantage order so the record stream is identical to
 			// a sequential run.
 			for _, recs := range perVantage {
-				for _, rec := range recs {
-					if err := emit(rec); err != nil {
-						return rs, err
-					}
+				from := len(log)
+				if log, err = c.emit(append(log, recs...), from); err != nil {
+					break
 				}
 			}
 		} else {
 			for _, v := range c.cfg.Vantages {
-				for _, rec := range c.probeVantage(ctx, v, round, now) {
-					if err := emit(rec); err != nil {
-						return rs, err
-					}
+				from := len(log)
+				if log, err = c.emit(c.probeVantage(ctx, log, v, round, now), from); err != nil {
+					break
 				}
 			}
+		}
+		if c.cfg.DiscardResults {
+			spare = log
+		} else {
+			rs.records = log
+		}
+		if err != nil {
+			return rs, err
 		}
 		campaignRounds.Inc()
 		if c.cfg.Progress != nil {
@@ -214,6 +239,23 @@ func (c *Campaign) Run(ctx context.Context) (*ResultSet, error) {
 		}
 	}
 	return rs, nil
+}
+
+// emit counts log[from:], the records one vantage has just added, and
+// hands them to the Sink in order. A record the Sink refuses is counted
+// but cut from the log, with everything after it.
+func (c *Campaign) emit(log []Record, from int) ([]Record, error) {
+	if c.cfg.Sink == nil {
+		campaignRecords.Add(uint64(len(log) - from))
+		return log, nil
+	}
+	for i := from; i < len(log); i++ {
+		campaignRecords.Inc()
+		if err := c.cfg.Sink(log[i]); err != nil {
+			return log[:i], fmt.Errorf("core: sink: %w", err)
+		}
+	}
+	return log, nil
 }
 
 // sleeper is the optional real-time side of a clock: WallClock has it,
@@ -253,29 +295,24 @@ func (c *Campaign) waitRound(ctx context.Context, last bool) error {
 }
 
 // probeVantage runs one round's probes from one vantage point, following
-// the §3.2 procedure per resolver.
-func (c *Campaign) probeVantage(ctx context.Context, v netsim.Vantage, round int, now time.Time) []Record {
+// the §3.2 procedure per resolver, and appends their records to out.
+func (c *Campaign) probeVantage(ctx context.Context, out []Record, v netsim.Vantage, round int, now time.Time) []Record {
 	campaignInflight.Inc()
 	defer campaignInflight.Dec()
-	out := make([]Record, 0, len(c.cfg.Targets)*(len(c.cfg.Domains)+1))
-	for _, t := range c.cfg.Targets {
-		proto := protoName(c.prober, t)
-		var obsKey string
-		if c.cfg.Observer != nil {
-			obsKey = observerTarget(proto, c.prober, t)
-		}
+	for i, t := range c.cfg.Targets {
+		ts := &c.targets[i]
 		for _, domain := range c.cfg.Domains {
 			q := c.prober.Query(ctx, v, t, domain, round)
-			c.probes[t.Host].Inc()
+			ts.probes.Inc()
 			if q.Err != netsim.OK {
-				c.failures[t.Host].Inc()
+				ts.failures.Inc()
 			}
 			rec := Record{
 				Time:         now,
 				Vantage:      v.Name,
 				Resolver:     t.Host,
 				Kind:         KindQuery,
-				Protocol:     proto,
+				Protocol:     ts.proto,
 				Domain:       domain,
 				Round:        round,
 				Milliseconds: float64(q.Duration) / float64(time.Millisecond),
@@ -287,7 +324,7 @@ func (c *Campaign) probeVantage(ctx context.Context, v netsim.Vantage, round int
 				rec.RCode = q.RCode.String()
 			}
 			if c.cfg.Observer != nil {
-				c.cfg.Observer.ObserveProbe(obsKey, rec.OK, q.Duration, rec.Error)
+				c.cfg.Observer.ObserveProbe(ts.obsKey, rec.OK, q.Duration, rec.Error)
 			}
 			out = append(out, rec)
 		}

@@ -476,6 +476,13 @@ func TestCampaignSinkStreams(t *testing.T) {
 		Sink:     JSONLSink(&buf),
 	}
 	rs := simCampaign(t, cfg, 31)
+	var written bytes.Buffer
+	if err := rs.WriteJSON(&written); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), written.Bytes()) {
+		t.Fatalf("sink wrote\n%s\nWriteJSON wrote\n%s", buf.Bytes(), written.Bytes())
+	}
 	streamed, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)

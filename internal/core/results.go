@@ -205,11 +205,14 @@ func (rs *ResultSet) Availability() Availability {
 // file", §3.1). JSON Lines keeps multi-gigabyte campaigns streamable.
 func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	recs := rs.logged()
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
+		b, err := appendRecord(bw.AvailableBuffer(), &recs[i])
+		if err != nil {
 			return fmt.Errorf("core: encoding record: %w", err)
+		}
+		if _, err := bw.Write(b); err != nil {
+			return fmt.Errorf("core: writing record: %w", err)
 		}
 	}
 	return bw.Flush()
@@ -255,13 +258,22 @@ func ReadJSONFile(path string) (*ResultSet, error) {
 
 // JSONLSink returns a campaign Sink that appends each record to w as JSON
 // Lines, flushing per record — the continuous-deployment path where months
-// of results stream to disk as they happen.
+// of results stream to disk as they happen. The bytes are WriteJSON's for
+// the same records.
 func JSONLSink(w io.Writer) func(Record) error {
-	enc := json.NewEncoder(w)
-	var mu sync.Mutex
+	var (
+		mu  sync.Mutex
+		buf []byte
+	)
 	return func(r Record) error {
 		mu.Lock()
 		defer mu.Unlock()
-		return enc.Encode(r)
+		b, err := appendRecord(buf[:0], &r)
+		if err != nil {
+			return err
+		}
+		buf = b
+		_, err = w.Write(b)
+		return err
 	}
 }

@@ -47,6 +47,8 @@ type ECS struct {
 
 // MarshalECS encodes the option payload per RFC 7871 §6: family,
 // source/scope prefix lengths, then only the significant address octets.
+// The family is the prefix's own: an IPv4-mapped IPv6 prefix is sent as
+// IPv6, so that every payload ParseECS accepts marshals back unchanged.
 func MarshalECS(e ECS) ([]byte, error) {
 	if !e.Prefix.IsValid() {
 		return nil, fmt.Errorf("dnswire: invalid ECS prefix")
@@ -54,10 +56,8 @@ func MarshalECS(e ECS) ([]byte, error) {
 	p := e.Prefix.Masked()
 	family := ecsFamilyIPv4
 	addr := p.Addr()
-	if addr.Is6() && !addr.Is4In6() {
+	if addr.Is6() {
 		family = ecsFamilyIPv6
-	} else {
-		addr = addr.Unmap()
 	}
 	srcLen := p.Bits()
 	nBytes := (srcLen + 7) / 8

@@ -133,7 +133,7 @@ func (m *CatchmentModel) Assign(total int, instances []Instance) CatchmentReport
 			n = total - assigned // rounding remainder lands on the last class
 		}
 		assigned += n
-		rng := m.Net.rng("catchment", class.Vantage.Name, itoa(ci))
+		rng := m.Net.rng(ci, "catchment", class.Vantage.Name)
 		// ~111 km per degree of latitude; longitude shrinks by cos(lat).
 		latSigma := class.SpreadKm / 111.0
 		lonScale := math.Cos(class.Vantage.Coord.Lat * math.Pi / 180)

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"hash/fnv"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,9 +12,50 @@ import (
 )
 
 // The reference below is Query and Ping as they were before the serving
-// site's base one-way delay was hoisted out of the draws: every draw asks
-// SiteFor and BaseOWDMs again. TestHoistedPathMatchesPerDrawReference holds
-// the hoisted code to it bit for bit.
+// site's base one-way delay was hoisted out of the draws and memoised per
+// path: every draw asks SiteFor and BaseOWDMs again, and every stream is
+// seeded through a hash/fnv object. TestHoistedPathMatchesPerDrawReference
+// holds the memoised code to it bit for bit.
+
+// refRNG is the stream derivation through hash/fnv that Net.rng inlines.
+func refRNG(n *Net, keys ...string) *rand.Rand {
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < 8; i++ {
+		b[i] = byte(n.cfg.Seed >> (8 * i))
+	}
+	h.Write(b[:])
+	for _, k := range keys {
+		h.Write([]byte{0})
+		h.Write([]byte(k))
+	}
+	s1 := h.Sum64()
+	h.Write([]byte{0xA5})
+	s2 := h.Sum64()
+	return rand.New(rand.NewPCG(s1, s2))
+}
+
+func itoa(i int) string {
+	if i == 0 {
+		return "0"
+	}
+	neg := i < 0
+	if neg {
+		i = -i
+	}
+	var b [20]byte
+	p := len(b)
+	for i > 0 {
+		p--
+		b[p] = byte('0' + i%10)
+		i /= 10
+	}
+	if neg {
+		p--
+		b[p] = '-'
+	}
+	return string(b[p:])
+}
 
 func refOWD(n *Net, rng *rand.Rand, v Vantage, e *Endpoint) float64 {
 	site, _ := n.SiteFor(v, e)
@@ -32,7 +75,7 @@ func refRTT(n *Net, rng *rand.Rand, v Vantage, e *Endpoint) float64 {
 }
 
 func refQuery(n *Net, v Vantage, e *Endpoint, p Protocol, reuse bool, round int, domain string) QueryResult {
-	rng := n.rng("query", v.Name, e.Name, p.String(), domain, itoa(round))
+	rng := refRNG(n, "query", v.Name, e.Name, p.String(), domain, itoa(round))
 	site, _ := n.SiteFor(v, e)
 	res := QueryResult{Site: site}
 	if e.Down {
@@ -42,7 +85,7 @@ func refQuery(n *Net, v Vantage, e *Endpoint, p Protocol, reuse bool, round int,
 	}
 	failP := e.FailP
 	if e.FlakyP > 0 {
-		if stats.Bernoulli(n.rng("window", e.Name, itoa(round)), e.FlakyP) {
+		if stats.Bernoulli(refRNG(n, "window", e.Name, itoa(round)), e.FlakyP) {
 			failP = 0.85
 		}
 	}
@@ -94,7 +137,7 @@ func refPing(n *Net, v Vantage, e *Endpoint, round int) (time.Duration, bool) {
 	if e.Down || !e.ICMPResponds {
 		return 0, false
 	}
-	rng := n.rng("ping", v.Name, e.Name, itoa(round))
+	rng := refRNG(n, "ping", v.Name, e.Name, itoa(round))
 	for attempt := 0; attempt < 3; attempt++ {
 		if stats.Bernoulli(rng, n.cfg.LossP) {
 			continue
@@ -104,13 +147,20 @@ func refPing(n *Net, v Vantage, e *Endpoint, round int) (time.Duration, bool) {
 	return 0, false
 }
 
-func TestHoistedPathMatchesPerDrawReference(t *testing.T) {
-	n := New(Config{Seed: 11, LossP: 0.05}) // enough loss to reach the retransmission and ping-retry draws
+// pathFixture is a Net with enough loss to reach the retransmission and
+// ping-retry draws, and the vantages and endpoints the memo must keep
+// apart.
+func pathFixture() (*Net, []Vantage, []*Endpoint) {
+	n := New(Config{Seed: 11, LossP: 0.05})
 	vantages := []Vantage{
 		{Name: "home-chicago", Coord: geo.Chicago, Access: AccessHome},
 		dcVantage("ohio", geo.Ohio),
 		dcVantage("frankfurt", geo.Frankfurt),
 		dcVantage("seoul", geo.Seoul),
+		// One name that moves and changes access class: the memo must
+		// notice either.
+		dcVantage("ohio", geo.Seoul),
+		{Name: "ohio", Coord: geo.Seoul, Access: AccessHome},
 	}
 	global := []geo.Coord{geo.Ashburn, geo.Chicago, geo.Fremont, geo.Frankfurt, geo.London,
 		geo.Stockholm, geo.Seoul, geo.Tokyo, geo.Singapore, geo.Sydney}
@@ -119,9 +169,8 @@ func TestHoistedPathMatchesPerDrawReference(t *testing.T) {
 		flaky(goodEndpoint("global", global...)),
 		flaky(goodEndpoint("regional", geo.Frankfurt, geo.London, geo.NewYork)),
 		flaky(goodEndpoint("single", geo.Jakarta)),
-		// Two deployments under one name: what a cache keyed by (vantage,
-		// endpoint name) would confuse, and why the delay is hoisted per
-		// call rather than memoised.
+		// Two deployments under one name: the memo must tell them apart
+		// by their Sites.
 		flaky(goodEndpoint("twin", geo.Tokyo)),
 		flaky(goodEndpoint("twin", geo.Dallas, geo.Amsterdam)),
 		{Name: "tls12-relay", Sites: []geo.Coord{geo.Nuremberg}, ICMPResponds: true, TLS12: true,
@@ -129,40 +178,133 @@ func TestHoistedPathMatchesPerDrawReference(t *testing.T) {
 		{Name: "down", Sites: global, Down: true},
 		{Name: "nowhere", ICMPResponds: true, ProcMs: 2, ProcSigma: 0.3, CacheHitP: 0.9, RecurseMs: 40},
 	}
-	probes, classes := 0, map[ErrClass]int{}
+	return n, vantages, endpoints
+}
+
+// matchReference probes every protocol and connection mode plus one ping
+// from v to e in one round and fails unless each result equals the
+// reference's; classes tallies the query outcomes.
+func matchReference(t *testing.T, n *Net, v Vantage, e *Endpoint, round int, classes map[ErrClass]int) {
+	t.Helper()
+	for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDo53} {
+		for _, reuse := range []bool{false, true} {
+			got := n.Query(v, e, p, reuse, round, "google.com")
+			if want := refQuery(n, v, e, p, reuse, round, "google.com"); got != want {
+				t.Errorf("Query(%+v, %s %v, %v, reuse=%v, round %d) = %+v, reference %+v",
+					v, e.Name, e.Sites, p, reuse, round, got, want)
+				return
+			}
+			if classes != nil {
+				classes[got.Err]++
+			}
+		}
+	}
+	d, ok := n.Ping(v, e, round)
+	if wd, wok := refPing(n, v, e, round); d != wd || ok != wok {
+		t.Errorf("Ping(%+v, %s %v, round %d) = %v %v, reference %v %v",
+			v, e.Name, e.Sites, round, d, ok, wd, wok)
+	}
+}
+
+func TestHoistedPathMatchesPerDrawReference(t *testing.T) {
+	n, vantages, endpoints := pathFixture()
+	classes := map[ErrClass]int{}
 	for _, v := range vantages {
 		for _, e := range endpoints {
 			for round := 0; round < 40; round++ {
-				for _, p := range []Protocol{ProtoDoH, ProtoDoT, ProtoDo53} {
-					for _, reuse := range []bool{false, true} {
-						got := n.Query(v, e, p, reuse, round, "google.com")
-						if want := refQuery(n, v, e, p, reuse, round, "google.com"); got != want {
-							t.Fatalf("Query(%s, %s, %v, reuse=%v, round %d) = %+v, reference %+v",
-								v.Name, e.Name, p, reuse, round, got, want)
-						}
-						classes[got.Err]++
-						probes++
-					}
-				}
-				d, ok := n.Ping(v, e, round)
-				if wd, wok := refPing(n, v, e, round); d != wd || ok != wok {
-					t.Fatalf("Ping(%s, %s, round %d) = %v %v, reference %v %v",
-						v.Name, e.Name, round, d, ok, wd, wok)
-				}
-				probes++
+				matchReference(t, n, v, e, round, classes)
 			}
 		}
+	}
+	// Alternate the same-named vantages and endpoints probe by probe, so
+	// every lookup finds the other one's entry.
+	for round := 0; round < 40; round++ {
+		for _, v := range vantages[1:] {
+			for _, e := range endpoints[3:5] {
+				matchReference(t, n, v, e, round, classes)
+			}
+		}
+	}
+	// An endpoint whose Sites change in place, behind the memo's back.
+	e := endpoints[2]
+	matchReference(t, n, vantages[3], e, 0, classes)
+	e.Sites[0] = geo.Seoul
+	matchReference(t, n, vantages[3], e, 0, classes)
+	if t.Failed() {
+		return
 	}
 	// The comparison means something only if every branch that draws a
 	// delay was taken.
 	for _, c := range []ErrClass{OK, ErrConnect, ErrTimeout, ErrTLS, ErrHTTP} {
 		if classes[c] == 0 {
-			t.Errorf("no %v outcome among %d probes", c, probes)
+			t.Errorf("no %v outcome among %v", c, classes)
 		}
 	}
 	a := n.Query(vantages[1], endpoints[3], ProtoDoH, false, 0, "google.com")
 	b := n.Query(vantages[1], endpoints[4], ProtoDoH, false, 0, "google.com")
 	if a.Site == b.Site {
 		t.Errorf("same-named endpoints served from one site %v", a.Site)
+	}
+}
+
+// TestPathMemoConcurrent probes one Net from a goroutine per vantage, as a
+// Parallel campaign does; run it under -race.
+func TestPathMemoConcurrent(t *testing.T) {
+	n, vantages, endpoints := pathFixture()
+	var wg sync.WaitGroup
+	for _, v := range vantages {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for _, e := range endpoints {
+					matchReference(t, n, v, e, round, nil)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestStreamSeedsMatchReference(t *testing.T) {
+	src := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		n := New(Config{Seed: src.Uint64()})
+		keys := make([]string, src.IntN(7))
+		for j := range keys {
+			b := make([]byte, src.IntN(13))
+			for k := range b {
+				b[k] = byte(src.Uint32())
+			}
+			keys[j] = string(b)
+		}
+		index := src.IntN(2_000_000_000) - 1_000_000
+		got, want := n.rng(index, keys...), refRNG(n, append(keys, itoa(index))...)
+		for d := 0; d < 4; d++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, keys %q, index %d: draw %d = %#x, reference %#x",
+					n.cfg.Seed, keys, index, d, g, w)
+			}
+		}
+	}
+}
+
+// TestQueryAllocs pins a memoised path's allocations: one per RNG stream,
+// and a flaky endpoint draws two streams a query.
+func TestQueryAllocs(t *testing.T) {
+	n, vantages, endpoints := pathFixture()
+	v, flaky, steady := vantages[1], endpoints[0], endpoints[5]
+	for _, c := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"query", 1, func() { n.Query(v, steady, ProtoDoH, false, 12, "google.com") }},
+		{"flaky query", 2, func() { n.Query(v, flaky, ProtoDoH, false, 12, "google.com") }},
+		{"ping", 1, func() { n.Ping(v, flaky, 12) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.run); got > c.want {
+			t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.want)
+		}
 	}
 }

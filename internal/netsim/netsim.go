@@ -19,9 +19,11 @@
 package netsim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strconv"
+	"sync"
 	"time"
 
 	"encdns/internal/geo"
@@ -206,9 +208,27 @@ func Defaults() Config {
 	}
 }
 
-// Net is the simulated internet.
+// Net is the simulated internet. It is safe for concurrent use.
 type Net struct {
 	cfg Config
+
+	// paths memoises each (vantage, endpoint) path's serving site and base
+	// one-way delay. The names only find an entry; it is used when the
+	// vantage's Coord and Access and the endpoint's Sites equal what it was
+	// computed from, since one name can stand for different deployments.
+	mu    sync.Mutex
+	paths map[pathKey]*path
+}
+
+type pathKey struct{ vantage, endpoint string }
+
+// path is one memoised path and the inputs it was computed from.
+type path struct {
+	coord  geo.Coord
+	access Access
+	sites  []geo.Coord // a copy: the caller's slice may change under it
+	site   geo.Coord
+	base   float64
 }
 
 // New builds a Net, filling zero Config fields from Defaults.
@@ -259,24 +279,47 @@ func New(cfg Config) *Net {
 // Config returns the effective configuration.
 func (n *Net) Config() Config { return n.cfg }
 
-// rng derives a deterministic RNG stream for a purpose. Every independent
-// random decision in the model gets its own stream so adding a draw in one
-// place never perturbs another.
-func (n *Net) rng(keys ...string) *rand.Rand {
-	h := fnv.New64a()
-	var b [8]byte
+// FNV-1a, the arithmetic of hash/fnv's New64a.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// stream is an RNG and its source, allocated together.
+type stream struct {
+	src rand.PCG
+	rand.Rand
+}
+
+// rng derives a deterministic RNG stream for a purpose, named by keys and
+// then index. Every independent random decision in the model gets its own
+// stream so adding a draw in one place never perturbs another. The PCG
+// seeds are FNV-1a over the seed's 8 little-endian bytes, a 0 byte before
+// each key and before index's decimal digits; the second seed hashes one
+// more byte, 0xA5.
+func (n *Net) rng(index int, keys ...string) *rand.Rand {
+	h := uint64(fnvOffset)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(n.cfg.Seed >> (8 * i))
+		h = (h ^ uint64(byte(n.cfg.Seed>>(8*i)))) * fnvPrime
 	}
-	h.Write(b[:])
 	for _, k := range keys {
-		h.Write([]byte{0})
-		h.Write([]byte(k))
+		h = fnvKey(h, k)
 	}
-	s1 := h.Sum64()
-	h.Write([]byte{0xA5})
-	s2 := h.Sum64()
-	return rand.New(rand.NewPCG(s1, s2))
+	var digits [20]byte
+	h = fnvKey(h, string(strconv.AppendInt(digits[:0], int64(index), 10)))
+	s := new(stream)
+	s.src.Seed(h, (h^0xA5)*fnvPrime)
+	s.Rand = *rand.New(&s.src)
+	return &s.Rand
+}
+
+// fnvKey continues FNV-1a hash h over a 0 byte and then k.
+func fnvKey(h uint64, k string) uint64 {
+	h *= fnvPrime // h^0 is h
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * fnvPrime
+	}
+	return h
 }
 
 // stretch returns the path-stretch factor for a geodesic distance.
@@ -320,9 +363,30 @@ func (n *Net) BaseOWDMs(v Vantage, site geo.Coord) float64 {
 	return owd
 }
 
+// path returns what SiteFor and BaseOWDMs give for v and e, from the memo
+// when v and e still hold what its entry was computed from.
+func (n *Net) path(v Vantage, e *Endpoint) (geo.Coord, float64) {
+	k := pathKey{v.Name, e.Name}
+	n.mu.Lock()
+	p := n.paths[k]
+	n.mu.Unlock()
+	if p == nil || p.coord != v.Coord || p.access != v.Access || !slices.Equal(p.sites, e.Sites) {
+		site, _ := n.SiteFor(v, e)
+		p = &path{coord: v.Coord, access: v.Access, sites: slices.Clone(e.Sites),
+			site: site, base: n.BaseOWDMs(v, site)}
+		n.mu.Lock()
+		if n.paths == nil {
+			n.paths = make(map[pathKey]*path)
+		}
+		n.paths[k] = p
+		n.mu.Unlock()
+	}
+	return p.site, p.base
+}
+
 // owdSample draws one jittered one-way delay around base, the path's
 // BaseOWDMs. The base is a pure function of (vantage, site), so Query and
-// Ping compute it once per call and hand it to every draw on the path.
+// Ping look it up once per call and hand it to every draw on the path.
 func (n *Net) owdSample(rng *rand.Rand, v Vantage, base float64) float64 {
 	sigma := n.cfg.JitterSigma
 	if v.Access == AccessHome {
@@ -373,8 +437,8 @@ func roundTrips(p Protocol, e *Endpoint, reuse bool) int {
 // reuse selects an established-connection query (the tool's default, like
 // the paper's dig runs, is fresh connections: reuse=false).
 func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, domain string) QueryResult {
-	rng := n.rng("query", v.Name, e.Name, p.String(), domain, itoa(round))
-	site, _ := n.SiteFor(v, e)
+	rng := n.rng(round, "query", v.Name, e.Name, p.String(), domain)
+	site, base := n.path(v, e)
 	res := QueryResult{Site: site}
 
 	if e.Down {
@@ -382,13 +446,12 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 		res.Duration = msToDur(n.cfg.ConnTimeoutMs)
 		return res
 	}
-	base := n.BaseOWDMs(v, site)
 	// Per-round flaky windows: drawn from a stream keyed only by endpoint
 	// and round, so all domains in a round see the same window but rounds
 	// are independent (no consistent failing subset across runs).
 	failP := e.FailP
 	if e.FlakyP > 0 {
-		wrng := n.rng("window", e.Name, itoa(round))
+		wrng := n.rng(round, "window", e.Name)
 		if stats.Bernoulli(wrng, e.FlakyP) {
 			failP = 0.85
 		}
@@ -455,9 +518,8 @@ func (n *Net) Ping(v Vantage, e *Endpoint, round int) (time.Duration, bool) {
 	if e.Down || !e.ICMPResponds {
 		return 0, false
 	}
-	rng := n.rng("ping", v.Name, e.Name, itoa(round))
-	site, _ := n.SiteFor(v, e)
-	base := n.BaseOWDMs(v, site)
+	rng := n.rng(round, "ping", v.Name, e.Name)
+	_, base := n.path(v, e)
 	for attempt := 0; attempt < 3; attempt++ {
 		if stats.Bernoulli(rng, n.cfg.LossP) {
 			continue
@@ -470,26 +532,4 @@ func (n *Net) Ping(v Vantage, e *Endpoint, round int) (time.Duration, bool) {
 
 func msToDur(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		p--
-		b[p] = '-'
-	}
-	return string(b[p:])
 }

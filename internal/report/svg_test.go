@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/xml"
+	"io"
 	"strings"
 	"testing"
 )
@@ -88,5 +89,18 @@ func TestNiceStep(t *testing.T) {
 func TestXMLEscape(t *testing.T) {
 	if got := xmlEscape(`a<b>&"c"`); got != "a&lt;b&gt;&amp;&quot;c&quot;" {
 		t.Errorf("escape = %q", got)
+	}
+}
+
+// TestChartSVGAllocs pins ChartSVG's allocations for a figure-sized
+// chart: the document buffer, and nothing per row or per number.
+func TestChartSVGAllocs(t *testing.T) {
+	c := &BoxChart{Title: "Figure 1: response times", MaxMs: 600}
+	for i := 0; i < 40; i++ {
+		c.Rows = append(c.Rows, BoxRow{Label: "resolver.example", Bold: i%3 == 0,
+			Response: box(t, 10, 12, 14, 16, 18, 300, 900), Ping: box(t, 3, 4, 5, 40), HasPing: i%2 == 0})
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = ChartSVG(c, io.Discard) }); n != 1 {
+		t.Errorf("ChartSVG: %v allocations, want 1", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -90,15 +91,16 @@ func ChartCSV(c *BoxChart, w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	f := func(v float64) string { return fmt.Sprintf("%.3f", v) }
+	var num [32]byte
+	f := func(v float64) string { return string(appendFixed(num[:0], v, 3)) } // %.3f
 	for _, r := range c.Rows {
-		row := []string{r.Label, fmt.Sprintf("%v", r.Bold),
-			fmt.Sprintf("%d", r.Response.N),
+		row := []string{r.Label, strconv.FormatBool(r.Bold),
+			strconv.Itoa(r.Response.N),
 			f(r.Response.Q1), f(r.Response.Q2), f(r.Response.Q3),
 			f(r.Response.WhiskerLow), f(r.Response.WhiskerHigh),
 		}
 		if r.HasPing {
-			row = append(row, fmt.Sprintf("%d", r.Ping.N), f(r.Ping.Q2))
+			row = append(row, strconv.Itoa(r.Ping.N), f(r.Ping.Q2))
 		} else {
 			row = append(row, "0", "")
 		}
