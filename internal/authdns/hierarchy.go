@@ -54,6 +54,10 @@ func (r *Registry) Exchange(ctx context.Context, q *dnswire.Message, server stri
 	return resp, nil
 }
 
+// InMemory reports that Exchange never waits on I/O, which lets a
+// recursive resolver over the registry promise the same (dns53.InMemory).
+func (r *Registry) InMemory() bool { return true }
+
 // Hierarchy is a complete root → TLD → leaf deployment: the zones, the
 // registry that serves them, and the root hints a resolver starts from.
 type Hierarchy struct {

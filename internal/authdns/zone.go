@@ -148,6 +148,10 @@ func (z *Zone) cutFor(qname string) string {
 	return ""
 }
 
+// InMemory implements dns53.InMemory: ServeDNS answers from the zone's
+// maps under a read lock and never waits on I/O.
+func (z *Zone) InMemory() bool { return true }
+
 // ServeDNS implements dns53.Handler with authoritative semantics:
 //
 //   - name at/under a delegation cut → referral (NS in authority + glue)

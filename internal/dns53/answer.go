@@ -13,50 +13,59 @@ import (
 // frontend — Do53 UDP and TCP, DoT, DoH GET and POST — goes through it,
 // so the resolver work behind each transport is the same by
 // construction. It has two halves because the loops that own a socket
-// must not block: AppendHit never does, appendMiss may for as long as the
-// handler's upstreams take. Both append to the caller's buffer (a message
-// may start at any offset, e.g. behind a stream length prefix) and both
-// end in the same cut to limit (truncate). What stays with the frontend
-// is where the miss half runs (worker pool, in line after a flush, the
-// HTTP goroutine) and the limit it passes.
+// must not block: AppendInline never does, appendMiss may for as long as
+// the handler's upstreams take. Both append to the caller's buffer (a
+// message may start at any offset, e.g. behind a stream length prefix) and
+// both end in the same cut to limit (truncate). What stays with the
+// frontend is where a declined query's miss half runs (worker pool, in
+// line after a flush, the HTTP goroutine) and the limit it passes.
+//
+// Where the miss half runs depends on the handler, not the frontend: for
+// one that answers from memory (InMemory) the miss cannot block either, so
+// AppendInline runs it too and the loop that read the query answers it in
+// the same batch, write or TLS record as its hits: a goroutine hand-off
+// and a write of its own cost such a miss as much CPU as ServeDNS does
+// (EXPERIMENTS.md, "In-memory misses in the loop").
 
-// Answer appends the response to query onto dst: the handler's wire fast
-// path when it offers one and takes the query, else ServeDNS. raw is the
-// query as received; limit is the largest message the client accepts. A
-// response always comes back — err only says why it is a SERVFAIL (see
-// appendMiss). minTTL is the minimum answer TTL in seconds, -1 when the
-// response carries no answers.
+// Answer appends the response to query onto dst: AppendInline when it
+// answers, else the blocking miss half. raw is the query as received;
+// limit is the largest message the client accepts. A response always comes
+// back — err only says why it is a SERVFAIL (see appendMiss). minTTL is
+// the minimum answer TTL in seconds, -1 when the response carries no
+// answers.
 func Answer(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, err error) {
-	out, minTTL, ok := AppendHit(h, dst, query, raw, limit)
+	out, minTTL, ok, err := AppendInline(ctx, h, dst, query, raw, limit)
 	if ok {
-		return out, minTTL, nil
+		return out, minTTL, err
 	}
 	return appendMiss(ctx, h, dst, query, limit)
 }
 
-// AppendHit is the non-blocking half: the handler's ResponseAppender fast
-// path, when it has one and the query's question can be echoed verbatim.
-// ok=false means the query was declined and nothing was appended or
-// counted, so the caller runs the miss half with no state to undo. It is
-// exported for the loops that own a connection outside this package (DoH's
-// HTTP/2 loop), whose miss half is Answer on another goroutine.
-func AppendHit(h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool) {
-	ra, ok := h.(ResponseAppender)
-	if !ok {
-		return dst, 0, false
+// AppendInline is the non-blocking half: the handler's ResponseAppender
+// fast path, when it has one and the query's question can be echoed
+// verbatim, else — for an InMemory handler — the miss half in line, with
+// its panic containment, SERVFAIL and truncation, reported in err as
+// appendMiss reports it. ok=false means the query was declined and nothing
+// was appended or counted, so the caller runs the miss half with no state
+// to undo. It is exported for the loops that own a connection outside this
+// package (DoH's HTTP/2 loop), whose miss half is Answer on another
+// goroutine.
+func AppendInline(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool, err error) {
+	if ra, isRA := h.(ResponseAppender); isRA {
+		if rawQ, echoable := dnswire.QuestionBytes(raw); echoable {
+			if out, minTTL, ok = ra.AppendResponse(dst, query, rawQ); ok {
+				if len(out)-len(dst) > limit {
+					out, minTTL = truncate(out, len(dst)), -1
+				}
+				return out, minTTL, true, nil
+			}
+		}
 	}
-	rawQ, ok := dnswire.QuestionBytes(raw)
-	if !ok {
-		return dst, 0, false
+	if !inMemory(h) {
+		return dst, 0, false, nil
 	}
-	out, minTTL, ok = ra.AppendResponse(dst, query, rawQ)
-	if !ok {
-		return dst, 0, false
-	}
-	if len(out)-len(dst) > limit {
-		out, minTTL = truncate(out, len(dst)), -1
-	}
-	return out, minTTL, true
+	out, minTTL, err = appendMiss(ctx, h, dst, query, limit)
+	return out, minTTL, true, err
 }
 
 // appendMiss is the blocking half: ServeDNS under panic containment, then

@@ -10,7 +10,7 @@ import (
 )
 
 // serveUDPPacket answers one datagram with the steps the receive loop and
-// the workers share — parse and limit, hit, miss — composed the plain
+// the workers share — parse and limit, in line, miss — composed the plain
 // way: one packet in, one write out, nothing batched, swapped or cloned.
 // It is the reference the differential test holds ServeUDP against, and
 // what BenchmarkServeUDP times. one is the reusable single-packet
@@ -22,7 +22,7 @@ func (s *Server) serveUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr, q
 	}
 	out := bufpool.Get()
 	defer bufpool.Put(out)
-	wire, ok := s.hit((*out)[:0], query, raw, limit)
+	wire, ok := s.inline((*out)[:0], query, raw, limit)
 	if !ok {
 		wire = s.miss((*out)[:0], query, limit)
 	}
@@ -51,7 +51,7 @@ func (s *Server) ServeStreamReference(conn net.Conn) {
 		if err != nil || query.Unpack(pkt) != nil {
 			return
 		}
-		frame, ok := s.hit([]byte{0, 0}, query, pkt, dnswire.MaxMessageSize)
+		frame, ok := s.inline([]byte{0, 0}, query, pkt, dnswire.MaxMessageSize)
 		if !ok {
 			frame = s.miss([]byte{0, 0}, query, dnswire.MaxMessageSize)
 		}

@@ -204,23 +204,54 @@ func upperCased(query []byte) []byte {
 	return out
 }
 
+// inMemoryScripted is scriptedResolver promising to answer from memory,
+// which it does: its misses are scripted, and the Forwarder behind them
+// has no upstream to wait on. Every frontend answers its misses in line.
+type inMemoryScripted struct{ scriptedResolver }
+
+func (inMemoryScripted) InMemory() bool { return true }
+
+// answerCase is one query every frontend must answer with the same bytes.
+type answerCase struct {
+	name    string
+	query   []byte
+	rcode   dnswire.RCode
+	answers int
+	echoed  bool // the question comes back in the client's spelling
+}
+
+func scriptedCases(t *testing.T, prefix string) []answerCase {
+	return []answerCase{
+		{prefix + "template hit", upperCased(packQuery(t, 0x1001, "www.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, true},
+		{prefix + "template hit, EDNS", packQuery(t, 0x1002, "www.example.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 1, true},
+		{prefix + "cached NXDOMAIN", upperCased(packQuery(t, 0x1003, "gone.example.com.", dnswire.TypeA, 0)), dnswire.RCodeNXDomain, 0, true},
+		{prefix + "miss", upperCased(packQuery(t, 0x1004, "miss.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false},
+		{prefix + "NXDOMAIN", packQuery(t, 0x1005, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
+		{prefix + "handler error", packQuery(t, 0x1006, "error.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
+		{prefix + "handler panic", packQuery(t, 0x1007, "panic.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
+	}
+}
+
 func TestEveryFrontendAnswersAlike(t *testing.T) {
-	frontends := startFrontends(t, newScriptedResolver())
-	for _, tc := range []struct {
-		name    string
-		query   []byte
-		rcode   dnswire.RCode
-		answers int
-		echoed  bool // the question comes back in the client's spelling
-	}{
-		{"template hit", upperCased(packQuery(t, 0x1001, "www.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, true},
-		{"template hit, EDNS", packQuery(t, 0x1002, "www.example.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 1, true},
-		{"cached NXDOMAIN", upperCased(packQuery(t, 0x1003, "gone.example.com.", dnswire.TypeA, 0)), dnswire.RCodeNXDomain, 0, true},
-		{"miss", upperCased(packQuery(t, 0x1004, "miss.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false},
-		{"NXDOMAIN", packQuery(t, 0x1005, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
-		{"handler error", packQuery(t, 0x1006, "error.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
-		{"handler panic", packQuery(t, 0x1007, "panic.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
-	} {
+	answerAlike(t, startFrontends(t, newScriptedResolver()), scriptedCases(t, ""))
+	answerAlike(t, startFrontends(t, inMemoryScripted{newScriptedResolver()}), scriptedCases(t, "in memory: "))
+	// The resolvers dohserver runs: the hierarchy walked in memory (no
+	// cache, so every frontend's query is a miss) and a zone.
+	answerAlike(t, startFrontends(t, registryResolver(0)), []answerCase{
+		{"recursive miss", upperCased(packQuery(t, 0x3001, "google.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false},
+		{"recursive miss, CNAME chased", packQuery(t, 0x3002, "www.amazon.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 4, true},
+		{"recursive NXDOMAIN", packQuery(t, 0x3003, "0123abcd.wikipedia.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
+	})
+	answerAlike(t, startFrontends(t, exampleZone()), []answerCase{
+		{"zone answer", packQuery(t, 0x3101, "www.example.com.", dnswire.TypeA, 0), dnswire.RCodeSuccess, 1, true},
+		{"zone NXDOMAIN", packQuery(t, 0x3102, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
+		{"zone REFUSED", packQuery(t, 0x3103, "google.com.", dnswire.TypeA, 0), dnswire.RCodeRefused, 0, true},
+	})
+}
+
+// answerAlike asks every frontend each case's query and wants one answer.
+func answerAlike(t *testing.T, frontends []frontend, cases []answerCase) {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var first []byte
 			for _, fe := range frontends {
@@ -250,9 +281,14 @@ func TestEveryFrontendAnswersAlike(t *testing.T) {
 
 // TestOverLimitAnswerOnUDP: an answer over the client's UDP limit comes
 // back as header and question with TC, the same whether the template or
-// ServeDNS produced it, and whole over every other frontend.
+// ServeDNS produced it, in a worker or in line, and whole over every other
+// frontend.
 func TestOverLimitAnswerOnUDP(t *testing.T) {
-	frontends := startFrontends(t, newScriptedResolver())
+	overLimitOnUDP(t, startFrontends(t, newScriptedResolver()))
+	overLimitOnUDP(t, startFrontends(t, inMemoryScripted{newScriptedResolver()}))
+}
+
+func overLimitOnUDP(t *testing.T, frontends []frontend) {
 	var cuts [][]byte
 	for _, name := range []string{"big.example.com.", "bigmiss.example.com."} {
 		query := packQuery(t, 0x2001, name, dnswire.TypeTXT, 0)
@@ -289,10 +325,15 @@ func TestOverLimitAnswerOnUDP(t *testing.T) {
 }
 
 // TestFrontendsCountInTheirOwnSeries: dns53_server_* counts Do53 and DoT
-// queries only, doh_server_* DoH only, whichever half answered — the
-// benchmark harness adds the two, so a query must land in exactly one.
+// queries only, doh_server_* DoH only, whichever half answered and
+// wherever the miss half ran — the benchmark harness adds the two, so a
+// query must land in exactly one, and a failure is counted once.
 func TestFrontendsCountInTheirOwnSeries(t *testing.T) {
-	frontends := startFrontends(t, newScriptedResolver())
+	countOwnSeries(t, startFrontends(t, newScriptedResolver()))
+	countOwnSeries(t, startFrontends(t, inMemoryScripted{newScriptedResolver()}))
+}
+
+func countOwnSeries(t *testing.T, frontends []frontend) {
 	dns53Requests := obs.Default().Counter("dns53_server_requests_total", "")
 	dns53Failures := obs.Default().Counter("dns53_server_failures_total", "")
 	dohPOST := obs.Default().Counter("doh_server_requests_total", "", "method", "POST")

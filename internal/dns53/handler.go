@@ -36,6 +36,21 @@ type ResponseAppender interface {
 	AppendResponse(dst []byte, query *dnswire.Message, rawQuestion []byte) (out []byte, minTTL int64, ok bool)
 }
 
+// InMemory is the optional promise a Handler may make that ServeDNS never
+// waits on I/O: it answers from memory, so the loop that read a query may
+// run it to completion instead of handing it to a goroutine that may
+// block (see answer.go). A handler that cannot keep the promise on every
+// query must report false or not implement it.
+type InMemory interface {
+	InMemory() bool
+}
+
+// inMemory reports whether h made that promise.
+func inMemory(h Handler) bool {
+	m, ok := h.(InMemory)
+	return ok && m.InMemory()
+}
+
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error)
 

@@ -28,12 +28,15 @@ var (
 	serverMalformed = obs.Default().Counter("dns53_server_malformed_total",
 		"Dropped queries that failed wire parsing.")
 	// Worker-pool instruments: queue depth counts jobs handed off but not
-	// yet picked up (including producers blocked on a full channel), the
-	// worker gauge counts live pool goroutines across servers.
+	// yet picked up, the worker gauge counts live pool goroutines across
+	// servers, and the drop counter the queries a receive loop found the
+	// queue full for.
 	workerQueueDepth = obs.Default().Gauge("dns53_udp_worker_queue_depth",
 		"UDP queries queued for the worker pool, not yet being handled.")
 	workerCount = obs.Default().Gauge("dns53_udp_workers",
 		"Live UDP worker-pool goroutines across servers.")
+	udpDropped = obs.Default().Counter("dns53_udp_dropped_total",
+		"UDP queries dropped because the worker-pool queue was full.")
 	// Stream-loop instruments (TCP and DoT): queries per write is the
 	// stream twin of udpbatch's packets per syscall.
 	streamReads = obs.Default().Counter("dns53_stream_reads_total",
@@ -52,19 +55,22 @@ const maxUDPDatagram = 64 * 1024
 // listeners to ServeUDP/ServeTCP (each blocks; run them in goroutines) and
 // call Shutdown to stop. The zero value is not usable; populate Handler.
 //
-// The UDP frontend runs cache hits to completion in the receive loop and
-// keeps a worker pool for everything else. Each listener socket gets one
-// loop that pulls up to UDPBatch datagrams per syscall (recvmmsg on Linux
-// via internal/udpbatch) into buffers it owns, parses each into a message
-// it owns, and asks the handler's ResponseAppender for the packed answer
-// straight into a send buffer it owns; every answer of the batch then
-// leaves in one WriteBatch (sendmmsg). A hit therefore costs no goroutine
-// hop, no lock and no pool traffic. What the appender declines — a cache
-// miss, a hop-marked cluster query, a handler without the fast path — is
-// handed, already parsed, to a bounded pool of workers that run ServeDNS
-// (which may block on upstream I/O) and write their one response
-// themselves. Pass several SO_REUSEPORT sockets from udpbatch.Listen to
-// ServeUDP (one call each) to spread receive load across loops.
+// The UDP frontend runs everything that cannot block to completion in the
+// receive loop and keeps a worker pool for the rest. Each listener socket
+// gets one loop that pulls up to UDPBatch datagrams per syscall (recvmmsg
+// on Linux via internal/udpbatch) into buffers it owns, parses each into a
+// message it owns, and answers it through AppendInline straight into a
+// send buffer it owns; every answer of the batch then leaves in one
+// WriteBatch (sendmmsg). That covers cache hits (the handler's
+// ResponseAppender) and, for a handler that answers from memory
+// (InMemory), misses too, so such a query costs no goroutine hop and no
+// write of its own. What is declined — a miss behind a handler that may
+// block on upstream I/O (forwarders, cluster nodes), a hop-marked cluster
+// query — is handed, already parsed, to a bounded pool of workers that
+// run ServeDNS and write their one response themselves; the pool starts
+// only for such a handler. In-memory misses share the receive loop's CPU,
+// so, like hits, they scale across cores through several SO_REUSEPORT
+// sockets from udpbatch.Listen (one ServeUDP call each).
 //
 // The stream frontend (ServeTCP, ServeStream, and DoT through them) has
 // the same shape per connection: every query that arrived in one read is
@@ -87,7 +93,8 @@ type Server struct {
 	// on upstream I/O (forwarders, recursion) need enough workers to
 	// cover rate × handler latency. Zero means 32×GOMAXPROCS with a
 	// floor of 64 — generous for blocking handlers, still a hard bound.
-	// The pool starts with the first ServeUDP call.
+	// The pool starts with the first ServeUDP call, and only for a handler
+	// that is not InMemory.
 	UDPWorkers int
 	// UDPBatch caps datagrams moved per batched read or write; zero means
 	// udpbatch.DefaultBatch. One means strict packet-at-a-time behaviour.
@@ -204,8 +211,9 @@ func (s *Server) Shutdown() {
 // startUDPWorkers launches the bounded worker pool once, sized by
 // UDPWorkers. The job channel is buffered so a receive loop can hand off
 // a full batch of misses without a context switch per packet; beyond
-// that it blocks, pushing overload back into the kernel socket buffer
-// where excess is dropped cheaply instead of ballooning goroutines.
+// that the loop drops the query and counts it in dns53_udp_dropped_total
+// rather than wait, so a flood of slow misses never stops it answering
+// hits.
 func (s *Server) startUDPWorkers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,7 +250,9 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		return errors.New("dns53: server closed")
 	}
 	defer s.udpLoops.Done()
-	s.startUDPWorkers()
+	if !inMemory(s.Handler) {
+		s.startUDPWorkers()
+	}
 	bc := udpbatch.NewConn(pc)
 	batch := s.udpBatch()
 	// Loop-owned state: receive buffers, one send buffer per slot (kept
@@ -275,7 +285,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 				continue
 			}
 			k := len(out)
-			if wire, ok := s.hit(send[k][:0], query, p.Buf, limit); ok {
+			if wire, ok := s.inline(send[k][:0], query, p.Buf, limit); ok {
 				send[k] = wire
 				out = append(out, udpbatch.Packet{Buf: wire, Addr: p.Addr})
 				continue
@@ -283,8 +293,13 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 			// The worker outlives this batch: it gets the parsed message
 			// (the loop takes a fresh one) and its own copy of the peer.
 			workerQueueDepth.Inc()
-			s.jobs <- udpJob{conn: bc, query: query, addr: udpbatch.CloneAddr(p.Addr), limit: limit}
-			query = dnswire.AcquireMessage()
+			select {
+			case s.jobs <- udpJob{conn: bc, query: query, addr: udpbatch.CloneAddr(p.Addr), limit: limit}:
+				query = dnswire.AcquireMessage()
+			default:
+				workerQueueDepth.Dec()
+				udpDropped.Inc()
+			}
 		}
 		if len(out) > 0 {
 			if _, err := bc.WriteBatch(out); err != nil {
@@ -339,31 +354,36 @@ func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (li
 	return limit, true
 }
 
-// hit is AppendHit for this server's handler, counted in dns53_server_*
-// when it answers; a declined query is counted by the miss that follows.
-func (s *Server) hit(dst []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
+// inline is AppendInline for this server's handler, counted in
+// dns53_server_* when it answers; a declined query is counted by the miss
+// that follows.
+func (s *Server) inline(dst []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
 	start := time.Now()
-	out, _, ok := AppendHit(s.Handler, dst, query, raw, limit)
+	out, _, ok, err := AppendInline(context.Background(), s.Handler, dst, query, raw, limit)
 	if ok {
-		serverRequests.Inc()
-		serverLatency.ObserveDuration(time.Since(start))
+		s.served(query, start, err)
 	}
 	return out, ok
 }
 
 // miss is appendMiss for this server's handler, counted in dns53_server_*.
-// It always appends a response; a handler failure is logged and counted
-// here and reaches the client as SERVFAIL.
+// It always appends a response.
 func (s *Server) miss(dst []byte, query *dnswire.Message, limit int) []byte {
-	serverRequests.Inc()
 	start := time.Now()
 	out, _, err := appendMiss(context.Background(), s.Handler, dst, query, limit)
+	s.served(query, start, err)
+	return out
+}
+
+// served counts one answered query; a handler failure, which reached the
+// client as SERVFAIL, is logged and counted here, once.
+func (s *Server) served(query *dnswire.Message, start time.Time, err error) {
+	serverRequests.Inc()
 	serverLatency.ObserveDuration(time.Since(start))
 	if err != nil {
 		serverFailures.Inc()
 		s.logger().Warn("handler failed", "q", query.Question0().Name, "err", err)
 	}
-	return out
 }
 
 // ServeTCP answers queries on connections accepted from ln until it is
@@ -419,10 +439,12 @@ const streamFlushAt = 16 << 10
 // — one syscall and, on DoT, one TLS record for up to 16 KiB of answers.
 // Pending output is written on exactly three occasions: (a) before the
 // loop blocks in Read, so a client that sent one query, or half of one,
-// never waits on a buffered answer; (b) before the blocking ServeDNS
-// fallback runs, so a miss does not hold the hits ahead of it; (c) when it
-// reaches streamFlushAt. Both buffers and the parsed query belong to the
-// connection and are reused, so a busy stream allocates nothing.
+// never waits on a buffered answer; (b) before a miss that AppendInline
+// declined runs ServeDNS, which may block, so it does not hold the hits
+// ahead of it (an InMemory handler's misses are answered in line and
+// flush nothing); (c) when it reaches streamFlushAt. Both buffers and the
+// parsed query belong to the connection and are reused, so a busy stream
+// allocates nothing.
 func (s *Server) serveConn(conn net.Conn) {
 	inp, outp := bufpool.Get(), bufpool.Get()
 	defer bufpool.Put(inp)
@@ -477,7 +499,7 @@ func (s *Server) serveFrame(conn net.Conn, out []byte, query *dnswire.Message, p
 	}
 	streamQueries.Inc()
 	at := len(out)
-	frame, ok := s.hit(append(out, 0, 0), query, pkt, dnswire.MaxMessageSize)
+	frame, ok := s.inline(append(out, 0, 0), query, pkt, dnswire.MaxMessageSize)
 	if !ok {
 		if out, ok = s.flushStream(conn, out); !ok {
 			return out, false

@@ -33,10 +33,12 @@ import (
 // goroutine per stream and a write per frame; on a cache hit that is 50
 // times what the resolver costs (EXPERIMENTS.md, "Run-to-completion DoH").
 //
-// Only RFC 8484 requests that dns53.AppendHit takes are answered in the
-// loop. Every other request — a cache miss, the JSON dialect, another path,
-// method or media type — becomes an *http.Request for the handler net/http
-// would have served it with, on a goroutine of its own.
+// Only RFC 8484 requests that dns53.AppendInline takes — cache hits, and
+// every query when the resolver answers from memory — are answered in the
+// loop. Every other request — a miss that may block on an upstream, the
+// JSON dialect, another path, method or media type — becomes an
+// *http.Request for the handler net/http would have served it with, on a
+// goroutine of its own.
 
 // HTTP/2 constants: frame types, flags, error codes, settings (RFC 9113
 // §6, §7).
@@ -112,7 +114,8 @@ const (
 
 // The loop's instruments, the counterparts of dns53_stream_*: requests per
 // write is what the peer had in flight per read, the inline share is the
-// cache hit ratio as this frontend sees it.
+// cache hit ratio as this frontend sees it (every request, behind a
+// resolver that answers from memory).
 var (
 	h2Reads = obs.Default().Counter("doh_h2_reads_total",
 		"Read calls issued by DoH HTTP/2 connection loops.")
@@ -152,7 +155,7 @@ const (
 type h2Stream struct {
 	id     uint32
 	state  uint8
-	inline bool // an RFC 8484 request on DefaultPath: try the hit half first
+	inline bool // an RFC 8484 request on DefaultPath: try the non-blocking half first
 	head   bool // HEAD: the response carries no body
 	// peerDone: END_STREAM seen. A response that ends first is followed by
 	// RST_STREAM(NO_ERROR) so the peer stops sending (RFC 9113 §8.1).
@@ -189,7 +192,7 @@ type h2Conn struct {
 	dec       hpackDecoder
 	query     *dnswire.Message
 	wire      []byte // base64-decoded GET query
-	answer    []byte // the response an inline hit appended
+	answer    []byte // the response answerInline appended
 	date      []byte // the encoded date field of inline responses, good for second dateSec
 	dateSec   int64
 	settled   bool   // the peer's first SETTINGS has arrived
@@ -774,7 +777,8 @@ func (c *h2Conn) headerBlock(id uint32, flags byte, block []byte) h2Code {
 
 // classify validates a request's header list (RFC 9113 §8.2, §8.3) and
 // notes what the loop itself acts on: whether it is an RFC 8484 request
-// the hit half may answer, its declared length, whether it is a HEAD.
+// the non-blocking half may answer, its declared length, whether it is a
+// HEAD.
 func (c *h2Conn) classify(st *h2Stream) bool {
 	var method, path, contentType []byte
 	var seen uint8 // pseudo-header fields seen, one bit each
@@ -859,8 +863,8 @@ func parseContentLength(value []byte) (n int64, ok bool) {
 }
 
 // request acts on a request whose body, st.body, is complete or over the
-// limit: the hit half in line when it applies and answers, else the
-// fallback handler.
+// limit: the non-blocking half in line when it applies and answers, else
+// the fallback handler.
 func (c *h2Conn) request(st *h2Stream) {
 	if st.inline && c.answerInline(st, st.body) {
 		return
@@ -879,10 +883,11 @@ func (c *h2Conn) request(st *h2Stream) {
 }
 
 // answerInline is ServeHTTP's path for a wire-format request cut down to
-// what cannot block or fail: decode, parse, dns53.AppendHit, respond. It
+// what cannot block: decode, parse, dns53.AppendInline, respond. It
 // reports false with nothing sent or counted when any step declines, and
 // is not asked again; the fallback then starts from the request as
-// received. wire may lie in the read buffer.
+// received. A handler failure is already the SERVFAIL in the answer, sent
+// with status 200 as ServeHTTP sends it. wire may lie in the read buffer.
 func (c *h2Conn) answerInline(st *h2Stream, wire []byte) bool {
 	st.inline = false
 	start := time.Now()
@@ -902,7 +907,7 @@ func (c *h2Conn) answerInline(st *h2Stream, wire []byte) bool {
 	if len(wire) > maxPOSTBody || c.query.Unpack(wire) != nil {
 		return false
 	}
-	answer, minTTL, ok := dns53.AppendHit(c.h.DNS, c.answer[:0], c.query, wire, dnswire.MaxMessageSize)
+	answer, minTTL, ok, _ := dns53.AppendInline(c.ctx, c.h.DNS, c.answer[:0], c.query, wire, dnswire.MaxMessageSize)
 	if !ok {
 		return false
 	}

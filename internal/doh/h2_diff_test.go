@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/obs"
@@ -55,12 +56,19 @@ func (h diffResolver) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswir
 	return r, nil
 }
 
-// startH2Pair serves one mux — the DoH handler, and /metrics over a
+// inMemoryDiffResolver is diffResolver promising to answer from memory
+// (its misses are scripted), so the loop answers its misses and failures
+// in line instead of handing them to net/http.
+type inMemoryDiffResolver struct{ diffResolver }
+
+func (inMemoryDiffResolver) InMemory() bool { return true }
+
+// startH2Pair serves one mux — a DoH handler over dns, and /metrics over a
 // registry nothing else touches — over HTTP/2 twice: by net/http's own
 // server, the reference, and by the burst loop.
-func startH2Pair(t *testing.T) (reference, loop *httptest.Server) {
+func startH2Pair(t *testing.T, dns dns53.Handler) (reference, loop *httptest.Server) {
 	t.Helper()
-	h := &doh.Handler{DNS: newDiffResolver()}
+	h := &doh.Handler{DNS: dns}
 	reg := obs.NewRegistry()
 	reg.Counter("differential_test_total", "A series that never moves.").Add(42)
 	mux := http.NewServeMux()
@@ -91,9 +99,31 @@ func packed(t *testing.T, id uint16, name string) []byte {
 
 // TestH2LoopMatchesNetHTTP sends one request mix through both servers with
 // net/http's client and requires the same status, Content-Type,
-// Cache-Control, Content-Length, Allow and body from each.
+// Cache-Control, Content-Length, Allow and body from each: once behind a
+// resolver whose misses the loop hands to net/http, once behind one whose
+// misses it answers itself.
 func TestH2LoopMatchesNetHTTP(t *testing.T) {
-	reference, loop := startH2Pair(t)
+	reference, loop := startH2Pair(t, newDiffResolver())
+	matchNetHTTP(t, reference, loop, "")
+	reference, loop = startH2Pair(t, inMemoryDiffResolver{newDiffResolver()})
+	fallback := obs.Default().Counter("doh_h2_requests_total", "", "path", "fallback")
+	f0 := fallback.Value()
+	for i, name := range []string{"miss.example.com.", "error.example.com.", "panic.example.com."} {
+		req, _ := http.NewRequest(http.MethodPost, loop.URL+doh.DefaultPath, bytes.NewReader(packed(t, uint16(i), name)))
+		req.Header.Set("Content-Type", doh.ContentType)
+		resp, err := loop.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	if f := fallback.Value() - f0; f != 0 {
+		t.Errorf("%d of an in-memory resolver's misses and failures went to net/http, want none", f)
+	}
+	matchNetHTTP(t, reference, loop, "in memory: ")
+}
+
+func matchNetHTTP(t *testing.T, reference, loop *httptest.Server, prefix string) {
 	post := func(body []byte, contentType string) func(string) *http.Request {
 		return func(base string) *http.Request {
 			req, _ := http.NewRequest(http.MethodPost, base+doh.DefaultPath, bytes.NewReader(body))
@@ -147,7 +177,7 @@ func TestH2LoopMatchesNetHTTP(t *testing.T) {
 		{"PUT", 405, get("PUT", doh.DefaultPath)},
 		{"HEAD", 405, get("HEAD", doh.DefaultPath+"?dns="+b64(hit))},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(prefix+tc.name, func(t *testing.T) {
 			type result struct {
 				status int
 				header [5]string

@@ -133,6 +133,18 @@ func (r *Recursive) maxCNAME() int {
 	return 8
 }
 
+// InMemory implements dns53.InMemory: ServeDNS never waits on I/O exactly
+// when Exchange never does (authdns.Registry). Nothing else a walk does on
+// the serving goroutine can wait on anything but such exchanges: the
+// cache, infra and memo take short locks, a singleflight follower and a
+// glueless fan-out wait for walks over the same Exchange, a hedge for the
+// first of two, and refresh-ahead only starts a goroutine (or drops the
+// refresh), so OnPrefetch never runs on the serving goroutine.
+func (r *Recursive) InMemory() bool {
+	m, ok := r.Exchange.(interface{ InMemory() bool })
+	return ok && m.InMemory()
+}
+
 // ServeDNS answers a stub query by recursive resolution.
 func (r *Recursive) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	q0 := q.Question0()

@@ -154,7 +154,8 @@ func (c *mmsgConn) ReadBatch(pkts []Packet) (int, error) {
 
 // WriteBatch submits every packet through sendmmsg, looping over partial
 // progress (the kernel may accept fewer than requested under socket-
-// buffer pressure) and past any packet the kernel rejects.
+// buffer pressure) and past any packet the kernel rejects or whose address
+// cannot be encoded (not a *net.UDPAddr), as the portable path does.
 func (c *mmsgConn) WriteBatch(pkts []Packet) (int, error) {
 	if len(pkts) == 0 {
 		return 0, nil
@@ -173,9 +174,8 @@ func (c *mmsgConn) WriteBatch(pkts []Packet) (int, error) {
 			p := &pkts[done+i]
 			nameLen, ok := encodeSockaddr(&c.wv.names[i], p.Addr)
 			if !ok {
-				c.inst.observeWrite(calls, sent)
-				return sent, &net.OpError{Op: "write", Net: "udp", Addr: p.Addr,
-					Err: syscall.EAFNOSUPPORT}
+				n = i // send the packets ahead of it; the next round skips it
+				break
 			}
 			c.wv.iovs[i].Base = &p.Buf[0]
 			c.wv.iovs[i].SetLen(len(p.Buf))
@@ -185,6 +185,13 @@ func (c *mmsgConn) WriteBatch(pkts []Packet) (int, error) {
 				Iov:     &c.wv.iovs[i],
 			}
 			c.wv.hdrs[i].Hdr.Iovlen = 1
+		}
+		if n == 0 {
+			if rejected == nil {
+				rejected = &net.OpError{Op: "write", Net: "udp", Addr: pkts[done].Addr, Err: syscall.EAFNOSUPPORT}
+			}
+			done++
+			continue
 		}
 		c.wv.n = n
 		err := c.rc.Write(c.wv.call)
@@ -236,7 +243,7 @@ func decodeSockaddr(sa *syscall.RawSockaddrAny, a *udpAddr) net.Addr {
 // encodeSockaddr fills sa from addr, returning the sockaddr length.
 func encodeSockaddr(sa *syscall.RawSockaddrAny, addr net.Addr) (uint32, bool) {
 	ua, ok := addr.(*net.UDPAddr)
-	if !ok {
+	if !ok || ua == nil {
 		return 0, false
 	}
 	if ip4 := ua.IP.To4(); ip4 != nil {

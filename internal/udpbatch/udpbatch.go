@@ -61,8 +61,8 @@ type Packet struct {
 
 // Conn is a batched packet connection. One goroutine reads; any number
 // may write concurrently with it and with each other (the dns53
-// frontend's shape: the receive loop answers cache hits itself while the
-// worker pool answers everything else on the same socket).
+// frontend's shape: the receive loop answers what cannot block itself
+// while the worker pool answers everything else on the same socket).
 type Conn interface {
 	// ReadBatch blocks until at least one datagram arrives, then fills up
 	// to len(pkts) without blocking again, returning how many were read.
@@ -73,9 +73,10 @@ type Conn interface {
 	ReadBatch(pkts []Packet) (int, error)
 	// WriteBatch sends every packet, looping over partial progress, and
 	// returns how many were sent. A packet the socket rejects (a peer
-	// address the kernel refuses, say) costs only itself: the rest are
-	// still sent and the first such error is returned. It may be called
-	// with addresses the latest ReadBatch returned.
+	// address the kernel refuses or that is no *net.UDPAddr, say) costs
+	// only itself: the rest are still sent and the first such error is
+	// returned. It may be called with addresses the latest ReadBatch
+	// returned.
 	WriteBatch(pkts []Packet) (int, error)
 	LocalAddr() net.Addr
 	Close() error

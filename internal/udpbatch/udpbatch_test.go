@@ -381,39 +381,51 @@ func TestReadBatchReusesAddrs(t *testing.T) {
 	}
 }
 
-// TestWriteBatchSkipsRejectedPacket: one destination the kernel refuses
-// (port 0, which a spoofed query can carry as its source) must cost only
-// its own packet, not the answers batched behind it for other peers.
+// TestWriteBatchSkipsRejectedPacket: one destination the socket refuses
+// must cost only its own packet, not the answers batched behind it for
+// other peers: port 0, which a spoofed query can carry as its source and
+// the kernel rejects, and addresses no UDP socket can send to — none, as
+// a read of an unknown address family leaves it, or another kind.
 func TestWriteBatchSkipsRejectedPacket(t *testing.T) {
-	conns, err := Listen("udp", "127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewConn(conns[0])
-	defer server.Close()
-	client, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	for _, tc := range []struct {
+		name string
+		bad  net.Addr
+	}{
+		{"port 0", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}},
+		{"nil", nil},
+		{"IPAddr", &net.IPAddr{IP: net.IPv4(127, 0, 0, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conns, err := Listen("udp", "127.0.0.1:0", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			server := NewConn(conns[0])
+			defer server.Close()
+			client, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
 
-	bad := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
-	pkts := []Packet{
-		{Buf: []byte("one"), Addr: client.LocalAddr()},
-		{Buf: []byte("lost"), Addr: bad},
-		{Buf: []byte("two"), Addr: client.LocalAddr()},
-		{Buf: []byte("three"), Addr: client.LocalAddr()},
-	}
-	sent, err := server.WriteBatch(pkts)
-	if sent != 3 || err == nil {
-		t.Errorf("WriteBatch = %d, %v; want 3 sent and the rejected packet's error", sent, err)
-	}
-	buf := make([]byte, 16)
-	_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for _, want := range []string{"one", "two", "three"} {
-		n, _, err := client.ReadFrom(buf)
-		if err != nil || string(buf[:n]) != want {
-			t.Fatalf("client read %q, %v; want %q", buf[:n], err, want)
-		}
+			pkts := []Packet{
+				{Buf: []byte("one"), Addr: client.LocalAddr()},
+				{Buf: []byte("lost"), Addr: tc.bad},
+				{Buf: []byte("two"), Addr: client.LocalAddr()},
+				{Buf: []byte("three"), Addr: client.LocalAddr()},
+			}
+			sent, err := server.WriteBatch(pkts)
+			if sent != 3 || err == nil {
+				t.Errorf("WriteBatch = %d, %v; want 3 sent and the rejected packet's error", sent, err)
+			}
+			buf := make([]byte, 16)
+			_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
+			for _, want := range []string{"one", "two", "three"} {
+				n, _, err := client.ReadFrom(buf)
+				if err != nil || string(buf[:n]) != want {
+					t.Fatalf("client read %q, %v; want %q", buf[:n], err, want)
+				}
+			}
+		})
 	}
 }
