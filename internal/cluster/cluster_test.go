@@ -247,6 +247,44 @@ func TestClusterReplicatedEntryAnswersLocally(t *testing.T) {
 	}
 }
 
+// TestClusterCountsEachClientLookupOnce puts each node over a Recursive
+// that shares the node's cache, as dohserver does, and checks the cache's
+// counters move once per client query: the node routes first, so a key
+// it owns is looked up by the resolver alone, and a key a peer owns by
+// the node alone (its replicated copy) before the forward.
+func TestClusterCountsEachClientLookupOnce(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	for i, n := range tc.nodes {
+		n.Local = &resolver.Recursive{Exchange: authAnswerer{}, Roots: []string{"198.41.0.4:53"},
+			Cache: tc.caches[i], RNGSeed: 1, Now: tc.clock.Now}
+	}
+	cache := tc.caches[0]
+	step := func(name string, wantHits, wantMisses uint64) {
+		t.Helper()
+		before := cache.Metrics()
+		if resp := query(t, tc.nodes[0], name); len(resp.Answers) != 1 {
+			t.Fatalf("%s: %d answers", name, len(resp.Answers))
+		}
+		m := cache.Metrics()
+		if hits, misses := m.Hits-before.Hits, m.Misses-before.Misses; hits != wantHits || misses != wantMisses {
+			t.Errorf("%s: +%d hits +%d misses, want +%d +%d", name, hits, misses, wantHits, wantMisses)
+		}
+	}
+	own := tc.ownedBy(t, 0)
+	step(own, 0, 1) // owner-local miss: the resolver's lookup only
+	step(own, 1, 0) // and the hit behind it
+	peer := tc.ownedNames(t, 1, 2)
+	step(peer[0], 0, 1) // forwarded: the replica probe; the owner counts in its own cache
+	if m := tc.caches[1].Metrics(); m.Misses != 1 || m.Hits != 0 {
+		t.Errorf("owner's cache after one forward: %+v", m)
+	}
+	// A failed forward falls back to the local resolver, which looks the
+	// key up again: two misses for the one query, the replica probe's and
+	// the resolver's.
+	tc.net.setFail(tc.peers[1], true)
+	step(peer[1], 0, 2)
+}
+
 func TestClusterNoteHotReplicatesToReplicaSet(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	name := tc.ownedBy(t, 0) // node 0 owns the key, so it fans out

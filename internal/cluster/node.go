@@ -76,9 +76,9 @@ type Node struct {
 	// Forward exchanges marked queries with peers, addressed by the
 	// peer ID (a transport endpoint). Required.
 	Forward transport.Multi
-	// Cache, when set, is consulted before any ownership decision so
-	// replicated hot entries answer locally on non-owners. Usually the
-	// same cache the local resolver writes.
+	// Cache, when set, answers template hits before any routing and
+	// peer-owned keys it holds a replicated copy of before they are
+	// forwarded. Usually the same cache the local resolver writes.
 	Cache *resolver.Cache
 	// ClusterID must match on every member; mismatched hops are REFUSED.
 	ClusterID string
@@ -162,7 +162,7 @@ func (n *Node) init() {
 		n.repSem = make(chan struct{}, budget)
 		reg := obs.Default()
 		n.mLocalHits = reg.Counter("cluster_local_hits_total",
-			"Queries answered from the local cache partition or a replicated hot entry.")
+			"Queries answered from the local cache before routing (template hits) or from a replicated copy of a peer's key.")
 		n.mOwnerLocal = reg.Counter("cluster_owner_local_total",
 			"Queries whose cache key this instance owns (answered locally).")
 		n.mOwnerRemote = reg.Counter("cluster_owner_remote_total",
@@ -253,51 +253,27 @@ func (n *Node) Close() {
 }
 
 // ServeDNS implements dns53.Handler: the cluster routing decision for
-// one query.
+// one query. It routes first: a key this instance owns goes straight to
+// Local, whose own cache lookup is the one the query counts in; only a
+// key a peer owns is looked up in Cache — a replicated copy — before it
+// is forwarded.
 func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	n.init()
 	if purpose, cid, ok := clusterHop(q); ok {
 		return n.serveHop(ctx, q, purpose, cid)
 	}
 	q0 := q.Question0()
-	if n.Cache != nil {
-		if res, ok := n.Cache.Lookup(q0.Name, q0.Type); ok {
-			n.mLocalHits.Inc()
-			return cacheReply(q, res), nil
-		}
-	}
-	return n.serveMiss(ctx, q, q0)
-}
-
-// AppendResponse implements the dns53.ResponseAppender fast path:
-// local-partition (or replicated) hits are served straight from the
-// cache's wire template; everything else — including hop-marked peer
-// queries, which must run the full routing decision — declines back to
-// ServeDNS.
-func (n *Node) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	if n.Cache == nil {
-		return dst, 0, false
-	}
-	if _, _, ok := clusterHop(q); ok {
-		return dst, 0, false
-	}
-	n.init()
-	out, info, ok := n.Cache.AppendResponse(dst, q, rawQuestion)
-	if !ok {
-		return dst, 0, false
-	}
-	n.mLocalHits.Inc()
-	return out, info.MinTTL(), true
-}
-
-// serveMiss routes a locally-unanswerable query: forward to the ring
-// owner when that is a healthy peer, otherwise resolve locally.
-func (n *Node) serveMiss(ctx context.Context, q *dnswire.Message, q0 dnswire.Question) (*dnswire.Message, error) {
 	hash := keyhash.Key(q0.Name, uint16(q0.Type))
 	owner, ok := n.Members.Ring().OwnerBounded(hash, n.peerLoad, n.loadFactor())
 	if !ok || owner == n.Members.Self() {
 		n.mOwnerLocal.Inc()
 		return n.Local.ServeDNS(ctx, q)
+	}
+	if n.Cache != nil {
+		if resp, ok := n.Cache.Reply(q); ok {
+			n.mLocalHits.Inc()
+			return resp, nil
+		}
 	}
 	n.mOwnerRemote.Inc()
 	resp, err := n.forward(ctx, owner, q0)
@@ -315,6 +291,27 @@ func (n *Node) serveMiss(ctx context.Context, q *dnswire.Message, q0 dnswire.Que
 	out.Header.RCode = resp.Header.RCode
 	out.Answers = resp.Answers
 	return out, nil
+}
+
+// AppendResponse implements the dns53.ResponseAppender fast path:
+// local-partition (or replicated) hits are served straight from the
+// cache's wire template; everything else — including hop-marked peer
+// queries, which must run the full routing decision — declines back to
+// ServeDNS.
+func (n *Node) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
+	if n.Cache == nil {
+		return dst, 0, false
+	}
+	if _, _, ok := clusterHop(q); ok {
+		return dst, 0, false
+	}
+	n.init()
+	out, res, ok := n.Cache.AppendResponse(dst, q, rawQuestion)
+	if !ok {
+		return dst, 0, false
+	}
+	n.mLocalHits.Inc()
+	return out, res.MinTTL(), true
 }
 
 // serveHop handles a query already forwarded once by a peer: answer
@@ -489,21 +486,6 @@ func (n *Node) ProbeLoop(ctx context.Context, interval time.Duration) {
 			n.ProbeOnce(ctx)
 		}
 	}
-}
-
-// cacheReply builds a client reply from a cache lookup, mirroring the
-// forwarder's cache path.
-func cacheReply(q *dnswire.Message, res resolver.LookupResult) *dnswire.Message {
-	resp := q.Reply()
-	resp.Header.RA = true
-	if res.Negative {
-		if res.NXDomain {
-			resp.Header.RCode = dnswire.RCodeNXDomain
-		}
-		return resp
-	}
-	resp.Answers = res.Records
-	return resp
 }
 
 // setClusterHop attaches the one-hop marker option (purpose byte, then

@@ -5,8 +5,8 @@ import "encoding/binary"
 // Wire-surgery helpers for the answer-template fast path: a cache can
 // store a response's answer section as packed bytes and serve hits by
 // copying them behind a freshly written header and the client's own
-// question bytes, patching the few fields that vary per query (ID,
-// flags, TTLs) in place instead of re-packing records.
+// question bytes, patching the TTLs in place instead of re-packing
+// records.
 
 // Flags returns the packed 16 header flag bits (the wire form of
 // everything in the header except ID and the section counts).
@@ -24,18 +24,6 @@ func AppendRawHeader(dst []byte, id, flags, qd, an, ns, ar uint16) []byte {
 		byte(ns>>8), byte(ns),
 		byte(ar>>8), byte(ar),
 	)
-}
-
-// PatchID overwrites the message ID of a packed message in place. msg
-// must hold at least a header.
-func PatchID(msg []byte, id uint16) {
-	binary.BigEndian.PutUint16(msg, id)
-}
-
-// PatchFlags overwrites the 16 header flag bits of a packed message in
-// place. msg must hold at least a header.
-func PatchFlags(msg []byte, flags uint16) {
-	binary.BigEndian.PutUint16(msg[2:], flags)
 }
 
 // TruncateToQuestion shrinks a packed response to header plus its qlen-

@@ -65,10 +65,10 @@ func (k cacheKey) shardIndex(mask uint32) uint32 {
 // LRU list, avoiding the separate container/list element allocation the
 // previous implementation paid per entry.
 //
-// Everything except the LRU links, the recency stamp and the delegation
-// memo is immutable after insertion, so readers may keep serving from
-// records and tmpl after dropping the shard lock: a replacement inserts a
-// fresh entry rather than mutating this one in place.
+// Everything except the LRU links and the delegation memo is immutable
+// after insertion, so readers may keep serving from records and tmpl after
+// dropping the shard lock: a replacement inserts a fresh entry rather than
+// mutating this one in place.
 type cacheEntry struct {
 	key     cacheKey
 	expires time.Time
@@ -90,30 +90,22 @@ type cacheEntry struct {
 	// insert, hence the atomic; it goes when the entry does.
 	deleg      atomic.Pointer[delegation]
 	prev, next *cacheEntry // intrusive LRU links; nil at list ends
-	// stamp is the shard's bump counter value from the entry's last
-	// pushFront/moveToFront; recency checks compare it against the shard
-	// counter. Guarded by the shard lock (write lock to change).
-	stamp uint64
 }
 
 // cacheShard is one lock domain: a map plus an intrusive LRU list
-// (head = most recent, tail = least recent). Lookups take the read lock
-// only; list surgery (insert, evict, recency bump) takes the write lock.
+// (head = most recent, tail = least recent) under one plain mutex. Every
+// access changes the list — a read re-fronts what it finds — so there is
+// nothing a shared lock could let readers share.
 type cacheShard struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	items map[cacheKey]*cacheEntry
 	head  *cacheEntry
 	tail  *cacheEntry
 	max   int
-	// stamp counts LRU bumps; entries record it on every move so readers
-	// can tell "recently used" without touching the list.
-	stamp uint64
-	_     [24]byte // soften false sharing between adjacent shard locks
+	_     [24]byte // pads a shard to 64 bytes, one cache line
 }
 
 func (s *cacheShard) pushFront(e *cacheEntry) {
-	s.stamp++
-	e.stamp = s.stamp
 	e.prev = nil
 	e.next = s.head
 	if s.head != nil {
@@ -140,23 +132,10 @@ func (s *cacheShard) unlink(e *cacheEntry) {
 }
 
 func (s *cacheShard) moveToFront(e *cacheEntry) {
-	if s.head == e {
-		s.stamp++
-		e.stamp = s.stamp
-		return
+	if s.head != e {
+		s.unlink(e)
+		s.pushFront(e)
 	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-// recentLocked reports whether e has been bumped within roughly the
-// newest quarter of the shard: fewer than len(items)/4 bumps have
-// happened since e's last one. Hits on such entries skip moveToFront —
-// and with it the shard's exclusive lock — because re-fronting an entry
-// already near the front cannot change which tail entry LRU evicts next.
-// Callers hold at least the read lock.
-func (s *cacheShard) recentLocked(e *cacheEntry) bool {
-	return s.stamp-e.stamp <= uint64(len(s.items)/4)
 }
 
 // Cache is a TTL- and LRU-bounded DNS cache, safe for concurrent use.
@@ -166,14 +145,11 @@ type Cache struct {
 	shards []cacheShard
 	mask   uint32
 	now    func() time.Time
-	// staleFor keeps expired positive entries usable by LookupStale for
-	// this long past expiry (RFC 8767 serve-stale); zero disables.
+	// staleFor keeps expired positive entries readable by LookupStale for
+	// this long past expiry (RFC 8767 serve-stale); zero disables. It is
+	// the one serve-stale switch.
 	staleFor atomic.Int64 // time.Duration
 	closed   atomic.Bool
-
-	// alwaysBump restores unconditional moveToFront on every hit,
-	// bypassing the newest-quarter skip (contention benchmarks only).
-	alwaysBump bool
 
 	hits, misses, evictions atomic.Uint64
 	entries                 atomic.Int64
@@ -194,7 +170,8 @@ type CacheStats struct {
 
 // EnableServeStale keeps expired positive RRsets around for window past
 // their TTL so LookupStale can serve them when upstreams are unreachable
-// (RFC 8767 recommends a maximum of 1–3 days).
+// (RFC 8767 recommends a maximum of 1–3 days). A resolver over this cache
+// then answers from them when its walk fails; zero turns that off again.
 func (c *Cache) EnableServeStale(window time.Duration) {
 	c.staleFor.Store(int64(window))
 }
@@ -228,13 +205,6 @@ func NewCache(maxEntries int, now func() time.Time) *Cache {
 
 func (c *Cache) shard(key cacheKey) *cacheShard {
 	return &c.shards[key.shardIndex(c.mask)]
-}
-
-// Stats returns cumulative hit and miss counts. It remains as a thin
-// shim over Metrics for existing callers.
-func (c *Cache) Stats() (hits, misses uint64) {
-	m := c.Metrics()
-	return m.Hits, m.Misses
 }
 
 // Metrics returns the cache's full counter set, read from the per-cache
@@ -290,6 +260,18 @@ func (c *Cache) PutRRset(name string, t dnswire.Type, rrs []dnswire.Record) {
 	})
 }
 
+// putAnswers caches answer records as RRsets grouped by (name, type).
+func (c *Cache) putAnswers(rrs []dnswire.Record) {
+	groups := make(map[cacheKey][]dnswire.Record)
+	for _, rr := range rrs {
+		k := cacheKey{name: dnswire.CanonicalName(rr.Name), typ: rr.Type}
+		groups[k] = append(groups[k], rr)
+	}
+	for k, g := range groups {
+		c.PutRRset(k.name, k.typ, g)
+	}
+}
+
 // PutNegative caches an NXDOMAIN or NODATA for (name, type) for ttl
 // seconds (the RFC 2308 value: min(SOA TTL, SOA MINIMUM)).
 func (c *Cache) PutNegative(name string, t dnswire.Type, nxdomain bool, ttl uint32) {
@@ -337,26 +319,40 @@ func (c *Cache) put(e *cacheEntry) {
 // LookupResult reports what the cache knows about a (name, type).
 type LookupResult struct {
 	// Records is the positive RRset with TTLs aged to the remaining
-	// lifetime; nil for negative results.
+	// lifetime; nil for negative results and template-served hits.
 	Records []dnswire.Record
 	// Negative is true for a cached NXDOMAIN/NODATA.
 	Negative bool
 	// NXDomain is true when the negative entry is an NXDOMAIN.
 	NXDomain bool
 	// Remaining is the entry's time left before expiry and OrigTTL its
-	// original lifetime, both set on positive hits. Their ratio tells a
+	// original lifetime, both set on every hit. Their ratio tells a
 	// refresh-ahead caller how close the hit was to the TTL cliff.
 	Remaining time.Duration
 	OrigTTL   time.Duration
 }
 
+// MinTTL converts a hit into the RFC 8484 cache-lifetime value the
+// dns53.ResponseAppender contract reports: the minimum answer TTL in
+// seconds, or -1 when the response carries no answers (a negative hit; a
+// positive entry is never empty). Every answer TTL is aged to at most the
+// remaining lifetime and the RRset's shortest equals it, so no scan is
+// needed.
+func (r LookupResult) MinTTL() int64 {
+	if r.Negative {
+		return -1
+	}
+	return int64(r.Remaining / time.Second)
+}
+
+// result reports a read of e with remaining lifetime left, records aside.
+func (e *cacheEntry) result(remaining time.Duration) LookupResult {
+	return LookupResult{Negative: e.negative, NXDomain: e.nxdomain, Remaining: remaining, OrigTTL: e.ttl}
+}
+
 // Lookup returns the cached state for (name, type), expiring stale
 // entries. ok is false on a miss. Positive records are copied with their
 // TTLs aged, so the caller owns them.
-//
-// Hits run under the shard's read lock: the entry payload is immutable
-// after insert, so only the LRU bump needs the write lock, and even that
-// is skipped while the entry sits in the newest quarter of its shard.
 func (c *Cache) Lookup(name string, t dnswire.Type) (LookupResult, bool) {
 	return c.lookupKey(cacheKey{name: dnswire.CanonicalName(name), typ: t}, c.now(), true)
 }
@@ -366,7 +362,7 @@ func (c *Cache) Lookup(name string, t dnswire.Type) (LookupResult, bool) {
 // question it is: a client's moves the hit and miss counters, one the
 // resolver asks itself (NS walk, glue, the speculative CNAME) does not.
 func (c *Cache) lookupKey(key cacheKey, now time.Time, client bool) (LookupResult, bool) {
-	e, remaining := c.find(key, now)
+	e, remaining := c.find(key, now, false)
 	if e == nil {
 		if client {
 			c.missed()
@@ -378,47 +374,63 @@ func (c *Cache) lookupKey(key cacheKey, now time.Time, client bool) (LookupResul
 		cacheHits.Inc()
 		cacheHitMaterialized.Inc()
 	}
-	if e.negative {
-		return LookupResult{Negative: true, NXDomain: e.nxdomain}, true
-	}
-	out := append([]dnswire.Record(nil), e.records...)
-	aged := uint32(remaining / time.Second)
-	for i := range out {
-		if out[i].TTL > aged {
-			out[i].TTL = aged
+	res := e.result(remaining)
+	if !e.negative {
+		res.Records = append([]dnswire.Record(nil), e.records...)
+		aged := uint32(remaining / time.Second)
+		for i := range res.Records {
+			if res.Records[i].TTL > aged {
+				res.Records[i].TTL = aged
+			}
 		}
 	}
-	return LookupResult{Records: out, Remaining: remaining, OrigTTL: e.ttl}, true
+	return res, true
 }
 
-// find returns the fresh entry at key and its remaining lifetime, or nil.
-// Finding an entry is a use of it: it is re-fronted in its shard's LRU
-// unless it already sits in the newest quarter. An entry found expired is
-// evicted, positive ones only once past the serve-stale window, which
-// LookupStale reads.
-func (c *Cache) find(key cacheKey, now time.Time) (*cacheEntry, time.Duration) {
-	s := c.shard(key)
-	s.mu.RLock()
-	e, ok := s.items[key]
+// Reply answers q from the cache as a resolver answers a hit: q's reply
+// with RA set, carrying the cached RRset (TTLs aged) or the negative
+// entry's RCODE. ok is false on a miss, which Lookup has counted.
+func (c *Cache) Reply(q *dnswire.Message) (*dnswire.Message, bool) {
+	q0 := q.Question0()
+	res, ok := c.Lookup(q0.Name, q0.Type)
 	if !ok {
-		s.mu.RUnlock()
+		return nil, false
+	}
+	resp := q.Reply()
+	resp.Header.RA = true
+	if res.NXDomain {
+		resp.Header.RCode = dnswire.RCodeNXDomain
+	}
+	resp.Answers = res.Records
+	return resp, true
+}
+
+// find is the one read of a shard's map for a lookup. In one critical
+// section it looks key up, applies expiry, and re-fronts the entry it
+// returns, so the LRU order is exact. It returns the entry and its
+// remaining lifetime, or nil. An expired entry is evicted unless it is
+// positive and inside the serve-stale window; such an entry is kept, and
+// returned (remaining ≤ 0) only to a stale read.
+func (c *Cache) find(key cacheKey, now time.Time, stale bool) (*cacheEntry, time.Duration) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.items[key]
+	if e == nil {
 		return nil, 0
 	}
 	remaining := e.expires.Sub(now)
 	if remaining <= 0 {
-		staleFor := time.Duration(c.staleFor.Load())
-		evict := staleFor <= 0 || e.negative || now.Sub(e.expires) > staleFor
-		s.mu.RUnlock()
-		if evict {
-			c.expire(s, key, e)
+		window := time.Duration(c.staleFor.Load())
+		if window <= 0 || e.negative || -remaining > window {
+			c.evictLocked(s, e)
+			return nil, 0
 		}
-		return nil, 0
+		if !stale {
+			return nil, 0
+		}
 	}
-	recent := !c.alwaysBump && s.recentLocked(e)
-	s.mu.RUnlock()
-	if !recent {
-		c.bump(s, key, e)
-	}
+	s.moveToFront(e)
 	return e, remaining
 }
 
@@ -428,55 +440,16 @@ func (c *Cache) missed() {
 	cacheMisses.Inc()
 }
 
-// bump re-fronts e in its shard's LRU under the write lock, re-checking
-// that e is still the entry mapped at key: a concurrent replacement or
-// eviction between the reader's RUnlock and here must not re-link a node
-// that already left the list.
-func (c *Cache) bump(s *cacheShard, key cacheKey, e *cacheEntry) {
-	s.mu.Lock()
-	if s.items[key] == e {
-		s.moveToFront(e)
-	}
-	s.mu.Unlock()
-}
-
-// expire evicts an entry observed expired under the read lock, with the
-// same identity re-check as bump.
-func (c *Cache) expire(s *cacheShard, key cacheKey, e *cacheEntry) {
-	s.mu.Lock()
-	if s.items[key] == e {
-		c.evictLocked(s, e)
-	}
-	s.mu.Unlock()
-}
-
 // LookupStale returns an expired positive RRset still inside the
-// serve-stale window, with TTLs clamped to the RFC 8767 recommendation of
+// serve-stale window, with TTLs set to the RFC 8767 recommendation of
 // 30 seconds. ok is false when serve-stale is disabled, the entry is
 // missing, negative, fresh (use Lookup), or past the window.
 func (c *Cache) LookupStale(name string, t dnswire.Type) (LookupResult, bool) {
-	staleFor := time.Duration(c.staleFor.Load())
-	if staleFor <= 0 {
+	e, remaining := c.find(cacheKey{name: dnswire.CanonicalName(name), typ: t}, c.now(), true)
+	if e == nil || remaining > 0 {
 		return LookupResult{}, false
 	}
-	key := cacheKey{name: dnswire.CanonicalName(name), typ: t}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.items[key]
-	if !ok || e.negative {
-		return LookupResult{}, false
-	}
-	now := c.now()
-	if e.expires.After(now) {
-		return LookupResult{}, false // fresh: Lookup handles it
-	}
-	if now.Sub(e.expires) > staleFor {
-		c.evictLocked(s, e)
-		return LookupResult{}, false
-	}
-	out := make([]dnswire.Record, len(e.records))
-	copy(out, e.records)
+	out := append([]dnswire.Record(nil), e.records...)
 	for i := range out {
 		out[i].TTL = 30 // RFC 8767 §5: stale data served with a short TTL
 	}

@@ -98,7 +98,7 @@ func TestSingleflightDeduplicatesConcurrentMisses(t *testing.T) {
 	if got := upstream.calls.Load(); got != 1 {
 		t.Fatalf("upstream exchanges = %d, want exactly 1 for %d concurrent identical misses", got, K)
 	}
-	if hits, _ := r.Cache.Stats(); hits != 0 {
+	if hits := r.Cache.Metrics().Hits; hits != 0 {
 		// Every goroutine missed (they all raced past the cache check);
 		// the singleflight, not the cache, absorbed the herd.
 		t.Logf("note: %d followers were served from cache instead of singleflight", hits)

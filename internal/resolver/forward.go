@@ -27,16 +27,7 @@ var ErrNoUpstreams = errors.New("resolver: no upstreams")
 func (f *Forwarder) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	q0 := q.Question0()
 	if f.Cache != nil {
-		if res, ok := f.Cache.Lookup(q0.Name, q0.Type); ok {
-			resp := q.Reply()
-			resp.Header.RA = true
-			if res.Negative {
-				if res.NXDomain {
-					resp.Header.RCode = dnswire.RCodeNXDomain
-				}
-				return resp, nil
-			}
-			resp.Answers = res.Records
+		if resp, ok := f.Cache.Reply(q); ok {
 			return resp, nil
 		}
 	}
@@ -71,14 +62,7 @@ func (f *Forwarder) cacheResponse(q0 dnswire.Question, resp *dnswire.Message) {
 	case len(resp.Answers) == 0 && resp.Header.RCode == dnswire.RCodeSuccess:
 		f.Cache.PutNegative(q0.Name, q0.Type, false, negativeTTL(resp))
 	case resp.Header.RCode == dnswire.RCodeSuccess:
-		groups := make(map[cacheKey][]dnswire.Record)
-		for _, rr := range resp.Answers {
-			k := cacheKey{name: dnswire.CanonicalName(rr.Name), typ: rr.Type}
-			groups[k] = append(groups[k], rr)
-		}
-		for k, g := range groups {
-			f.Cache.PutRRset(k.name, k.typ, g)
-		}
+		f.Cache.putAnswers(resp.Answers)
 	}
 }
 

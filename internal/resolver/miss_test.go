@@ -279,7 +279,7 @@ func TestMemoExpiresWithItsAddresses(t *testing.T) {
 	if got, cut := r.startServers(ctx, "www.example.org.", clk.Now(), 0); !slices.Equal(got, old) || cut != "example.org." {
 		t.Fatalf("derived %v at %q", got, cut)
 	}
-	e, _ := c.find(cacheKey{"example.org.", dnswire.TypeNS}, clk.Now())
+	e, _ := c.find(cacheKey{"example.org.", dnswire.TypeNS}, clk.Now(), false)
 	d := e.deleg.Load()
 	if d == nil || !d.expires.Equal(clk.Now().Add(300*time.Second)) {
 		t.Fatalf("memo %+v, want one expiring with ns1's address in 300 s", d)
@@ -589,9 +589,9 @@ func memoFor(c *Cache, name string, now time.Time) []string {
 	for zone := dnswire.CanonicalName(name); ; zone = dnswire.ParentName(zone) {
 		key := cacheKey{name: zone, typ: dnswire.TypeNS}
 		s := c.shard(key)
-		s.mu.RLock()
+		s.mu.Lock()
 		e := s.items[key]
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		if e != nil && !e.negative && e.expires.After(now) {
 			if d := e.deleg.Load(); d != nil && now.Before(d.expires) {
 				return d.servers

@@ -171,19 +171,16 @@ func BenchmarkServeHitTemplate(b *testing.B) { serveHitBench(b, true) }
 // acceptance criterion compares against.
 func BenchmarkServeHitMaterialized(b *testing.B) { serveHitBench(b, false) }
 
-// hitStormBench hammers one hot name from 8 goroutines — every lookup
-// lands on the same shard, the worst case for LRU bookkeeping. With
-// alwaysBump the pre-PR behaviour is restored: every hit takes the shard
-// write lock to moveToFront; the default skips the bump while the entry
-// is in the newest quarter, so the storm runs under read locks only.
-func hitStormBench(b *testing.B, alwaysBump bool) {
+// BenchmarkCacheHitStorm hammers one hot name from 8 goroutines — every
+// lookup lands on the same shard and takes its one mutex to re-front the
+// entry, the worst case for LRU bookkeeping under contention.
+func BenchmarkCacheHitStorm(b *testing.B) {
 	c := NewCache(4096, nil)
-	c.alwaysBump = alwaysBump
 	name := "hot.example.com."
 	c.PutRRset(name, dnswire.TypeA, []dnswire.Record{{
 		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
 		Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}}})
-	// Background entries so the newest-quarter window is non-trivial.
+	// Background entries, so the hot one has neighbours to move past.
 	for i := 0; i < 256; i++ {
 		n := fmt.Sprintf("cold%d.example.com.", i)
 		c.PutRRset(n, dnswire.TypeA, []dnswire.Record{{
@@ -200,14 +197,6 @@ func hitStormBench(b *testing.B, alwaysBump bool) {
 		}
 	})
 }
-
-// BenchmarkCacheHitStormBumpSkip is the satellite win: 8-goroutine hit
-// storm with the newest-quarter bump skip (default behaviour).
-func BenchmarkCacheHitStormBumpSkip(b *testing.B) { hitStormBench(b, false) }
-
-// BenchmarkCacheHitStormAlwaysBump is the same storm with the skip
-// disabled — every hit serialises on the shard write lock.
-func BenchmarkCacheHitStormAlwaysBump(b *testing.B) { hitStormBench(b, true) }
 
 // missQueries packs n queries for distinct random-looking subdomains of
 // google.com, the shape of the udp-miss workload: every one is an NXDOMAIN

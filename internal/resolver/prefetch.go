@@ -50,7 +50,7 @@ type prefetcher struct {
 // inside the final PrefetchFraction of the entry's original TTL, kicks off
 // a deduplicated, budget-bounded background re-resolution. The hit itself
 // has already been served — refresh-ahead only ever adds work off-path.
-func (r *Recursive) noteRefreshAhead(name string, t dnswire.Type, res LookupResult) {
+func (r *Recursive) noteRefreshAhead(key cacheKey, res LookupResult) {
 	frac := r.PrefetchFraction
 	if frac <= 0 || res.Negative || res.OrigTTL <= 0 {
 		return
@@ -59,7 +59,7 @@ func (r *Recursive) noteRefreshAhead(name string, t dnswire.Type, res LookupResu
 		return
 	}
 	prefetchHits.Inc()
-	r.maybePrefetch(cacheKey{name: name, typ: t})
+	r.maybePrefetch(key)
 }
 
 // maybePrefetch launches a background refresh for key unless one is

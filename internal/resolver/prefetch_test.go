@@ -162,7 +162,6 @@ func TestPrefetchStalledFallsBackToServeStale(t *testing.T) {
 		Exchange:         h.Registry,
 		Roots:            h.RootServers,
 		Cache:            cache,
-		ServeStale:       true,
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
 		Now:              clk.Now,
@@ -247,7 +246,6 @@ func TestResolverStressRace(t *testing.T) {
 		Exchange:         h.Registry,
 		Roots:            h.RootServers,
 		Cache:            cache,
-		ServeStale:       true,
 		RNGSeed:          1,
 		PrefetchFraction: 0.3,
 		Infra:            NewInfra(clk.Now),

@@ -47,14 +47,13 @@ type Recursive struct {
 	// Roots are the root server addresses ("ip:port") to start from.
 	Roots []string
 	// Cache holds positive and negative entries; nil disables caching.
+	// With its serve-stale window on (Cache.EnableServeStale), expired
+	// entries answer when upstreams are unreachable (RFC 8767).
 	Cache *Cache
 	// MaxIterations bounds referral steps per query; zero means 32.
 	MaxIterations int
 	// MaxCNAME bounds alias chains; zero means 8.
 	MaxCNAME int
-	// ServeStale answers from expired cache entries when upstreams are
-	// unreachable (RFC 8767). The cache must have serve-stale enabled.
-	ServeStale bool
 	// QNAMEMinimize sends only as many labels as each zone needs to
 	// delegate (RFC 9156), so the root and TLD servers never learn the
 	// full query name — the same data-minimisation instinct that
@@ -158,9 +157,9 @@ func (r *Recursive) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 
 	answers, rcode, err := r.Resolve(ctx, q0.Name, q0.Type, 0)
 	if err != nil {
-		// Upstreams unreachable: fall back to stale data when allowed
-		// (RFC 8767 — "stale bread is better than no bread").
-		if r.ServeStale && r.Cache != nil {
+		// Upstreams unreachable: fall back to stale data when the cache
+		// keeps any (RFC 8767 — "stale bread is better than no bread").
+		if r.Cache != nil {
 			if res, ok := r.Cache.LookupStale(q0.Name, q0.Type); ok {
 				resp.Answers = res.Records
 				return resp, nil
@@ -248,13 +247,13 @@ func (r *Recursive) resolveOne(ctx context.Context, key cacheKey, depth int) ([]
 				}
 				return nil, dnswire.RCodeSuccess, nil // NODATA
 			}
-			r.noteRefreshAhead(key.name, key.typ, res)
+			r.noteRefreshAhead(key, res)
 			return res.Records, dnswire.RCodeSuccess, nil
 		}
 		// A cached CNAME lets us skip a full walk.
 		cname := cacheKey{name: key.name, typ: dnswire.TypeCNAME}
 		if res, ok := r.Cache.lookupKey(cname, now, false); ok && !res.Negative {
-			r.noteRefreshAhead(key.name, dnswire.TypeCNAME, res)
+			r.noteRefreshAhead(cname, res)
 			return res.Records, dnswire.RCodeSuccess, nil
 		}
 	}
@@ -517,7 +516,7 @@ func (r *Recursive) startServers(ctx context.Context, name string, now time.Time
 		return r.Roots, "."
 	}
 	for zone := name; ; zone = dnswire.ParentName(zone) {
-		if e, _ := r.Cache.find(cacheKey{name: zone, typ: dnswire.TypeNS}, now); e != nil && !e.negative {
+		if e, _ := r.Cache.find(cacheKey{name: zone, typ: dnswire.TypeNS}, now, false); e != nil && !e.negative {
 			if d := e.deleg.Load(); d != nil && now.Before(d.expires) {
 				return d.servers, zone
 			}
@@ -670,7 +669,7 @@ func nsEndpoint(d dnswire.RData) string {
 // RRsets it read.
 func (r *Recursive) appendCachedAddrs(out []string, expires time.Time, h string, now time.Time) ([]string, time.Time) {
 	for _, t := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-		e, _ := r.Cache.find(cacheKey{name: h, typ: t}, now)
+		e, _ := r.Cache.find(cacheKey{name: h, typ: t}, now, false)
 		if e == nil || len(e.records) == 0 {
 			continue
 		}
@@ -744,16 +743,8 @@ func (r *Recursive) resolveNSHosts(ctx context.Context, hosts []string, depth, n
 
 // cacheAnswers stores answer RRsets grouped by (name, type).
 func (r *Recursive) cacheAnswers(rrs []dnswire.Record) {
-	if r.Cache == nil {
-		return
-	}
-	groups := make(map[cacheKey][]dnswire.Record)
-	for _, rr := range rrs {
-		k := cacheKey{name: dnswire.CanonicalName(rr.Name), typ: rr.Type}
-		groups[k] = append(groups[k], rr)
-	}
-	for k, g := range groups {
-		r.Cache.PutRRset(k.name, k.typ, g)
+	if r.Cache != nil {
+		r.Cache.putAnswers(rrs)
 	}
 }
 

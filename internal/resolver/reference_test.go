@@ -279,29 +279,23 @@ func refRemove(s []string, v string) []string {
 	return out
 }
 
-// cloneCache copies c entry for entry — LRU order, recency stamps and
-// expiries included, delegation memos not — so the reference can be run
-// from exactly the state the real resolver is about to run from without
-// disturbing it. Entry payloads are immutable and shared. Close the clone
-// when done: it is counted in the process-wide entries gauge.
+// cloneCache copies c entry for entry — LRU order and expiries included,
+// delegation memos not — so the reference can be run from exactly the
+// state the real resolver is about to run from without disturbing it.
+// Entry payloads are immutable and shared. Close the clone when done: it
+// is counted in the process-wide entries gauge.
 func cloneCache(c *Cache) *Cache {
 	out := &Cache{shards: make([]cacheShard, len(c.shards)), mask: c.mask, now: c.now}
 	for i := range c.shards {
-		src, dst := &c.shards[i], &out.shards[i]
-		src.mu.RLock()
-		dst.items = make(map[cacheKey]*cacheEntry, len(src.items))
-		dst.max = src.max
+		src := &c.shards[i]
+		src.mu.Lock()
+		out.shards[i].items = make(map[cacheKey]*cacheEntry, len(src.items))
+		out.shards[i].max = src.max
 		for e := src.tail; e != nil; e = e.prev {
-			ne := &cacheEntry{key: e.key, expires: e.expires, ttl: e.ttl, records: e.records,
-				tmpl: e.tmpl, negative: e.negative, nxdomain: e.nxdomain}
-			dst.pushFront(ne)
-			ne.stamp = e.stamp
-			dst.items[ne.key] = ne
-			out.entries.Add(1)
-			cacheEntries.Inc()
+			out.put(&cacheEntry{key: e.key, expires: e.expires, ttl: e.ttl, records: e.records,
+				tmpl: e.tmpl, negative: e.negative, nxdomain: e.nxdomain})
 		}
-		dst.stamp = src.stamp
-		src.mu.RUnlock()
+		src.mu.Unlock()
 	}
 	return out
 }

@@ -47,9 +47,8 @@ func TestCachePositiveHit(t *testing.T) {
 	if !ok || res.Negative || len(res.Records) != 1 {
 		t.Fatalf("lookup = %+v, %v", res, ok)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 0 {
-		t.Errorf("stats = %d/%d", hits, misses)
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 0 {
+		t.Errorf("stats = %d/%d", m.Hits, m.Misses)
 	}
 }
 
@@ -534,7 +533,7 @@ func TestRecursiveServeStale(t *testing.T) {
 	cache.EnableServeStale(24 * time.Hour)
 	r := &Recursive{
 		Exchange: h.Registry, Roots: h.RootServers,
-		Cache: cache, ServeStale: true, RNGSeed: 1,
+		Cache: cache, RNGSeed: 1,
 	}
 	ctx := context.Background()
 	// Warm the cache.
@@ -556,8 +555,8 @@ func TestRecursiveServeStale(t *testing.T) {
 	if resp.Answers[0].TTL != 30 {
 		t.Errorf("stale TTL = %d", resp.Answers[0].TTL)
 	}
-	// Without ServeStale the same failure propagates.
-	r.ServeStale = false
+	// With the cache's window off the same failure propagates.
+	cache.EnableServeStale(0)
 	if _, err := r.ServeDNS(ctx, dnswire.NewQuery(3, "google.com", dnswire.TypeA)); err == nil {
 		t.Fatal("failure swallowed without serve-stale")
 	}

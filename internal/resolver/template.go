@@ -106,17 +106,14 @@ func plainWireLen(name string) (n int, ok bool) {
 	return len(name) + 1, label == 0 && len(name) < 255
 }
 
-// HitInfo describes a template-served cache hit: what AppendResponse
-// answered without materializing records.
-type HitInfo struct {
-	// Negative is true for a served NXDOMAIN/NODATA; NXDomain picks which.
-	Negative bool
-	NXDomain bool
-	// Remaining and OrigTTL mirror LookupResult, feeding refresh-ahead.
-	Remaining time.Duration
-	OrigTTL   time.Duration
-	// Answers is the number of answer records in the response.
-	Answers int
+// questionKey is the cache key of q's one question. ok is false for any
+// other shape, and for an empty name, which the materialize path answers
+// with FORMERR.
+func questionKey(q *dnswire.Message) (cacheKey, bool) {
+	if len(q.Questions) != 1 || q.Questions[0].Name == "" {
+		return cacheKey{}, false
+	}
+	return cacheKey{name: dnswire.CanonicalName(q.Questions[0].Name), typ: q.Questions[0].Type}, true
 }
 
 // AppendResponse serves a cache hit for q's question straight from the
@@ -131,41 +128,26 @@ type HitInfo struct {
 // the materialize path — miss, expired entry, no template, or a raw
 // question whose wire length differs from the template's (compressed
 // name spellings). The caller then falls back to the ServeDNS path,
-// which also owns miss accounting and expiry eviction, so a failed fast
-// path never double-counts.
-func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, HitInfo, bool) {
-	if len(q.Questions) != 1 {
-		return dst, HitInfo{}, false
-	}
-	qq := &q.Questions[0]
-	if qq.Name == "" {
-		return dst, HitInfo{}, false // materialize path answers FORMERR
-	}
-	key := cacheKey{name: dnswire.CanonicalName(qq.Name), typ: qq.Type}
-	s := c.shard(key)
-	s.mu.RLock()
-	e, ok := s.items[key]
+// which owns miss accounting, so a failed fast path never double-counts.
+// The lookup is an ordinary find: an expired entry it meets is evicted
+// then and there, and one it declines still counts as used.
+func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, LookupResult, bool) {
+	key, ok := questionKey(q)
 	if !ok {
-		s.mu.RUnlock()
-		return dst, HitInfo{}, false
+		return dst, LookupResult{}, false
 	}
-	tmpl := &e.tmpl
-	if int(tmpl.qlen) != len(rawQuestion) {
-		s.mu.RUnlock()
-		return dst, HitInfo{}, false
-	}
-	remaining := e.expires.Sub(c.now())
-	if remaining <= 0 {
-		s.mu.RUnlock()
-		return dst, HitInfo{}, false
-	}
-	recent := !c.alwaysBump && s.recentLocked(e)
-	neg, nx := e.negative, e.nxdomain
-	origTTL := e.ttl
-	s.mu.RUnlock()
+	return c.appendResponse(dst, key, q, rawQuestion)
+}
 
+// appendResponse is AppendResponse for q's key. The entry is immutable,
+// so its template is copied after find has dropped the shard lock.
+func (c *Cache) appendResponse(dst []byte, key cacheKey, q *dnswire.Message, rawQuestion []byte) ([]byte, LookupResult, bool) {
+	e, remaining := c.find(key, c.now(), false)
+	if e == nil || int(e.tmpl.qlen) != len(rawQuestion) {
+		return dst, LookupResult{}, false
+	}
 	rcode := dnswire.RCodeSuccess
-	if nx {
+	if e.nxdomain {
 		rcode = dnswire.RCodeNXDomain
 	}
 	flags := dnswire.Header{
@@ -175,6 +157,7 @@ func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byt
 		RA:     true,
 		RCode:  rcode,
 	}.Flags()
+	tmpl := &e.tmpl
 	dst = dnswire.AppendRawHeader(dst, q.Header.ID, flags, 1, tmpl.ancount, 0, 0)
 	dst = append(dst, rawQuestion...)
 	ansBase := len(dst)
@@ -186,31 +169,10 @@ func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byt
 			binary.BigEndian.PutUint32(p, aged)
 		}
 	}
-	if !recent {
-		c.bump(s, key, e)
-	}
 	c.hits.Add(1)
 	cacheHits.Inc()
 	cacheHitTemplate.Inc()
-	return dst, HitInfo{
-		Negative:  neg,
-		NXDomain:  nx,
-		Remaining: remaining,
-		OrigTTL:   origTTL,
-		Answers:   int(tmpl.ancount),
-	}, true
-}
-
-// MinTTL converts a hit into the RFC 8484 cache-lifetime value the
-// dns53.ResponseAppender contract reports: the minimum answer TTL in
-// seconds, or -1 when the response carries no answers. Every template
-// answer TTL equals the remaining lifetime after aging (the entry's
-// lifetime is its RRset's minimum TTL), so no scan is needed.
-func (info HitInfo) MinTTL() int64 {
-	if info.Answers == 0 {
-		return -1
-	}
-	return int64(info.Remaining / time.Second)
+	return dst, e.result(remaining), true
 }
 
 // AppendResponse implements the dns53.ResponseAppender fast path for the
@@ -222,17 +184,16 @@ func (r *Recursive) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion [
 	if r.Cache == nil {
 		return dst, 0, false
 	}
-	out, info, ok := r.Cache.AppendResponse(dst, q, rawQuestion)
+	key, ok := questionKey(q)
 	if !ok {
 		return dst, 0, false
 	}
-	q0 := q.Question0()
-	r.noteRefreshAhead(dnswire.CanonicalName(q0.Name), q0.Type, LookupResult{
-		Negative:  info.Negative,
-		Remaining: info.Remaining,
-		OrigTTL:   info.OrigTTL,
-	})
-	return out, info.MinTTL(), true
+	out, res, ok := r.Cache.appendResponse(dst, key, q, rawQuestion)
+	if !ok {
+		return dst, 0, false
+	}
+	r.noteRefreshAhead(key, res)
+	return out, res.MinTTL(), true
 }
 
 // AppendResponse implements the dns53.ResponseAppender fast path for the
@@ -241,9 +202,9 @@ func (f *Forwarder) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion [
 	if f.Cache == nil {
 		return dst, 0, false
 	}
-	out, info, ok := f.Cache.AppendResponse(dst, q, rawQuestion)
+	out, res, ok := f.Cache.AppendResponse(dst, q, rawQuestion)
 	if !ok {
 		return dst, 0, false
 	}
-	return out, info.MinTTL(), true
+	return out, res.MinTTL(), true
 }
