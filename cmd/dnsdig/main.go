@@ -37,7 +37,6 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/keyhash"
-	"encdns/internal/loadgen"
 	"encdns/internal/obs"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
@@ -114,9 +113,9 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Shared target grammar (loadgen.ParseTarget): the same -server /
-	// -proto spelling works in dnsload, dnsmeasure, and here.
-	endpoint, err := loadgen.ParseTarget(*server, *proto)
+	// Shared target grammar (transport.ParseTarget): the same endpoint
+	// spelling works in dnsmeasure -resolvers and here.
+	endpoint, err := transport.ParseTarget(*server, *proto)
 	if err != nil {
 		return err
 	}

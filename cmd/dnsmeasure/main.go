@@ -37,7 +37,6 @@ import (
 
 	"encdns/internal/core"
 	"encdns/internal/dataset"
-	"encdns/internal/loadgen"
 	"encdns/internal/monitor"
 	"encdns/internal/netsim"
 	"encdns/internal/obs"
@@ -272,7 +271,9 @@ func run(args []string, stdout *os.File) error {
 
 // parseTargets resolves the -resolvers flag: known hostnames come from the
 // dataset (with their model parameters); scheme-prefixed endpoints
-// (udp://, tcp://, tls://, https://) become ad-hoc live targets.
+// (udp://, tcp://, tls://, https://) become ad-hoc live targets, each
+// named by its canonical endpoint string so two endpoints on one host
+// stay two resolvers in the records, counters and summary.
 func parseTargets(spec string) ([]core.Target, error) {
 	switch spec {
 	case "all":
@@ -283,13 +284,14 @@ func parseTargets(spec string) ([]core.Target, error) {
 	var out []core.Target
 	for _, item := range splitNonEmpty(spec) {
 		if strings.Contains(item, "://") {
-			// Shared target grammar (loadgen.ParseTarget): the same
-			// endpoint spelling works in dnsload, dnsdig, and here.
-			ep, err := loadgen.ParseTarget(item, "")
+			// Shared target grammar (transport.ParseTarget): the same
+			// endpoint spelling works in dnsdig -server and here.
+			ep, err := transport.ParseTarget(item, "")
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, core.Target{Host: ep.Host, Endpoint: ep.String()})
+			name := ep.String()
+			out = append(out, core.Target{Host: name, Endpoint: name})
 			continue
 		}
 		r, ok := dataset.ResolverByHost(item)
@@ -306,9 +308,9 @@ func parseTargets(spec string) ([]core.Target, error) {
 
 // liveEndpoints rewrites dataset targets' endpoints for the selected
 // protocol: dataset entries carry the RFC 8484 URL, so DoT and Do53 runs
-// derive tls:// and udp:// endpoints (IANA ports via the shared
-// loadgen.ParseTarget grammar). Endpoints that already carry a non-https
-// scheme (ad-hoc targets) pass through.
+// derive tls:// and udp:// endpoints for the URL's host (IANA ports via
+// the shared transport.ParseTarget grammar). Endpoints that already carry
+// a non-https scheme (ad-hoc targets) pass through.
 func liveEndpoints(targets []core.Target, proto string) []core.Target {
 	out := make([]core.Target, len(targets))
 	for i, t := range targets {
@@ -317,8 +319,10 @@ func liveEndpoints(targets []core.Target, proto string) []core.Target {
 			continue
 		}
 		if proto != "doh" {
-			if ep, err := loadgen.ParseTarget(t.Host, proto); err == nil {
-				t.Endpoint = ep.String()
+			if u, err := transport.ParseEndpoint(t.Endpoint); err == nil {
+				if ep, err := transport.ParseTarget(u.Host, proto); err == nil {
+					t.Endpoint = ep.String()
+				}
 			}
 		}
 		out[i] = t

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,6 +12,8 @@ import (
 	"testing"
 
 	"encdns/internal/core"
+	"encdns/internal/dns53"
+	"encdns/internal/dnswire"
 )
 
 // capture runs run() with stdout redirected to a pipe and returns output.
@@ -141,11 +146,56 @@ func TestAdHocHTTPSTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(targets) != 1 || targets[0].Host != "dns.example" {
+	if len(targets) != 1 || targets[0].Host != "https://dns.example/custom-path" {
 		t.Fatalf("targets = %+v", targets)
 	}
 	if targets[0].Endpoint != "https://dns.example/custom-path" {
 		t.Errorf("endpoint = %s", targets[0].Endpoint)
+	}
+	// Live -proto dot probes the URL's host on the DoT port.
+	if got := liveEndpoints(targets, "dot")[0].Endpoint; got != "tls://dns.example:853" {
+		t.Errorf("-proto dot endpoint = %s, want tls://dns.example:853", got)
+	}
+}
+
+// serveUDP serves h on a loopback UDP socket and returns its udp://
+// endpoint.
+func serveUDP(t *testing.T, h dns53.Handler) string {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &dns53.Server{Handler: h}
+	go srv.ServeUDP(pc)
+	t.Cleanup(srv.Shutdown)
+	return "udp://" + pc.LocalAddr().String()
+}
+
+// TestAdHocEndpointsOnOneHostStayApart: two live endpoints on one host
+// are two resolvers. One answers, the other SERVFAILs every query, so
+// their summary rows must differ in Errors.
+func TestAdHocEndpointsOnOneHostStayApart(t *testing.T) {
+	good := serveUDP(t, dns53.Static(map[string][]net.IP{"google.com.": {net.ParseIP("192.0.2.1")}}))
+	bad := serveUDP(t, dns53.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+		return nil, errors.New("always SERVFAIL")
+	}))
+	const rounds = 3
+	out, err := capture(t, "-mode", "live", "-proto", "do53", "-resolvers", good+","+bad,
+		"-domains", "google.com", "-rounds", strconv.Itoa(rounds), "-interval", "1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]string{} // summary row's Resolver → Errors
+	for _, line := range strings.Split(out, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		if len(cells) != 6 || strings.HasPrefix(cells[0], "-") || strings.TrimSpace(cells[0]) == "Resolver" {
+			continue
+		}
+		errs[strings.TrimSpace(cells[0])] = strings.TrimSpace(cells[5])
+	}
+	if len(errs) != 2 || errs[good] != "0" || errs[bad] != strconv.Itoa(rounds) {
+		t.Fatalf("summary rows (resolver → errors) = %v, want %s → 0 and %s → %d\n%s", errs, good, bad, rounds, out)
 	}
 }
 

@@ -220,51 +220,61 @@ func TestFullQueueDropsNotBlocks(t *testing.T) {
 // TestInMemoryLoopsShareOneResolver runs two receive loops over one
 // in-memory resolver with refresh-ahead on every hit, both fed the same
 // never-seen names at once, so one loop's miss waits on the other's walk
-// (singleflight) while refreshes run beside them. Meant for -race; every
-// answer must carry the right RCODE, and Shutdown — no pool to drain —
-// must leave no goroutine behind.
+// (singleflight) while refreshes run beside them. It runs twice: once
+// plain, once with SRTT selection and hedged walks, whose raced attempts
+// run on goroutines of their own. Meant for -race; every answer must
+// carry the right RCODE, and Shutdown — no pool to drain — must leave no
+// goroutine behind.
 func TestInMemoryLoopsShareOneResolver(t *testing.T) {
-	baseline := testutil.GoroutineBaseline()
-	rec := registryResolver(4096)
-	rec.PrefetchFraction = 1
-	var refreshed atomic.Int64
-	rec.OnPrefetch = func(string, dnswire.Type) { refreshed.Add(1) }
-	srv := &dns53.Server{Handler: rec}
-	var wrong atomic.Int64
-	check := func(p udpbatch.Packet) {
-		id := int(p.Buf[0])<<8 | int(p.Buf[1])
-		want := byte(dnswire.RCodeSuccess)
-		if id%2 == 1 {
-			want = byte(dnswire.RCodeNXDomain)
-		}
-		if p.Buf[3]&0x0f != want {
-			wrong.Add(1)
-		}
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			baseline := testutil.GoroutineBaseline()
+			rec := registryResolver(4096)
+			if hedge {
+				rec.Infra = resolver.NewInfra(nil)
+				rec.Hedge = true
+			}
+			rec.PrefetchFraction = 1
+			var refreshed atomic.Int64
+			rec.OnPrefetch = func(string, dnswire.Type) { refreshed.Add(1) }
+			srv := &dns53.Server{Handler: rec}
+			var wrong atomic.Int64
+			check := func(p udpbatch.Packet) {
+				id := int(p.Buf[0])<<8 | int(p.Buf[1])
+				want := byte(dnswire.RCodeSuccess)
+				if id%2 == 1 {
+					want = byte(dnswire.RCodeNXDomain)
+				}
+				if p.Buf[3]&0x0f != want {
+					wrong.Add(1)
+				}
+			}
+			conns := []*memConn{newMemConn(check), newMemConn(check)}
+			var loops sync.WaitGroup
+			for _, c := range conns {
+				loops.Add(1)
+				go func() { defer loops.Done(); _ = srv.ServeUDP(c) }()
+			}
+			const n = 16
+			for round := 0; round < 50; round++ {
+				batch := mixedRegistryBatch(t, round, n)
+				for _, c := range conns {
+					c.feed <- batch
+				}
+				for _, c := range conns {
+					waitWrites(t, c, n)
+				}
+			}
+			srv.Shutdown()
+			loops.Wait()
+			rec.Close()
+			if w := wrong.Load(); w != 0 {
+				t.Errorf("%d answers carried the wrong RCODE", w)
+			}
+			if refreshed.Load() == 0 {
+				t.Error("no refresh-ahead ran beside the loops: nothing was tested")
+			}
+			testutil.WaitNoLeaks(t, baseline)
+		})
 	}
-	conns := []*memConn{newMemConn(check), newMemConn(check)}
-	var loops sync.WaitGroup
-	for _, c := range conns {
-		loops.Add(1)
-		go func() { defer loops.Done(); _ = srv.ServeUDP(c) }()
-	}
-	const n = 16
-	for round := 0; round < 50; round++ {
-		batch := mixedRegistryBatch(t, round, n)
-		for _, c := range conns {
-			c.feed <- batch
-		}
-		for _, c := range conns {
-			waitWrites(t, c, n)
-		}
-	}
-	srv.Shutdown()
-	loops.Wait()
-	rec.Close()
-	if w := wrong.Load(); w != 0 {
-		t.Errorf("%d answers carried the wrong RCODE", w)
-	}
-	if refreshed.Load() == 0 {
-		t.Error("no refresh-ahead ran beside the loops: nothing was tested")
-	}
-	testutil.WaitNoLeaks(t, baseline)
 }

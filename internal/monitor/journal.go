@@ -3,9 +3,9 @@
 // rolling-window availability SLOs evaluated as multi-window multi-burn-
 // rate alerts (the Google SRE workbook shape), and a bounded structured
 // event journal. It consumes probe outcomes (from the campaign's
-// observer hook or the transport outcome hook), keeps everything in
-// windowed obs instruments, and renders itself as the /debug/watch
-// surface via obs.WatchSource.
+// observer hook or the cluster's forwards and peer probes), keeps
+// everything in windowed obs instruments, and renders itself as the
+// /debug/watch surface via obs.WatchSource.
 //
 // The paper's headline result is *continuous* measurement — availability
 // is a property of a time window, not of a cumulative aggregate. This

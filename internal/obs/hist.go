@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -48,59 +47,15 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	return r.register(h).(*Histogram)
 }
 
-// NewHistogram builds a standalone histogram that belongs to no registry:
-// the building block for per-worker latency recorders (internal/loadgen)
-// that are merged after a run rather than scraped. bounds are ascending
-// upper bounds in seconds; nil selects DefaultRTTBounds.
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultRTTBounds
-	}
-	return &Histogram{
-		desc:    desc{typ: "histogram"},
-		bounds:  bounds,
-		buckets: make([]atomic.Uint64, len(bounds)+1),
-	}
-}
-
 // Bounds returns the bucket upper bounds (shared, not a copy — callers
 // must not mutate).
 func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// Merge folds o's observations into h. Both histograms stay usable and
-// o's hot path is never locked: bucket counts are read atomically, so a
-// racing Observe on o lands in either this merge or the next. The bucket
-// bounds must be identical (same length and values).
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d and %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d (%g vs %g)", i, h.bounds[i], o.bounds[i])
-		}
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	sum := o.Sum()
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sum)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) from the bucket
 // counts by linear interpolation inside the containing bucket — the
 // HDR-histogram readout. The estimate's relative error is bounded by the
 // bucket width around the true value (for the doubling DefaultRTTBounds
-// that is a factor of two; recorders that need tighter tails use finer
+// that is a factor of two; series that need tighter tails register finer
 // bounds). Returns NaN for an empty histogram; values in the +Inf bucket
 // clamp to the last finite bound.
 func (h *Histogram) Quantile(q float64) float64 {

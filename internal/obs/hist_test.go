@@ -75,54 +75,9 @@ func TestHistogramSumAndDuration(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{0.001, 0.01, 0.1})
-	b := NewHistogram([]float64{0.001, 0.01, 0.1})
-	for _, v := range []float64{0.0005, 0.005} {
-		a.Observe(v)
-	}
-	for _, v := range []float64{0.05, 5} {
-		b.Observe(v)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	cumulative, count, sum := a.snapshot()
-	if want := []uint64{1, 2, 3, 4}; !equalU64(cumulative, want) {
-		t.Errorf("cumulative = %v, want %v", cumulative, want)
-	}
-	if count != 4 {
-		t.Errorf("count = %d, want 4", count)
-	}
-	if math.Abs(sum-5.0555) > 1e-9 {
-		t.Errorf("sum = %v, want 5.0555", sum)
-	}
-	// b is untouched and still usable.
-	if b.Count() != 2 {
-		t.Errorf("merged-from histogram count = %d, want 2", b.Count())
-	}
-	if err := a.Merge(NewHistogram([]float64{1})); err == nil {
-		t.Error("merging mismatched bounds did not error")
-	}
-	if err := a.Merge(NewHistogram([]float64{0.001, 0.01, 0.2})); err == nil {
-		t.Error("merging different bound values did not error")
-	}
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8})
+	r := NewRegistry()
+	h := r.Histogram("q_seconds", "help", []float64{1, 2, 4, 8})
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("empty histogram quantile is not NaN")
 	}
@@ -142,7 +97,7 @@ func TestHistogramQuantile(t *testing.T) {
 		}
 	}
 	// Values past every bound clamp to the last finite bound.
-	over := NewHistogram([]float64{1, 2})
+	over := r.Histogram("over_seconds", "help", []float64{1, 2})
 	over.Observe(100)
 	if got := over.Quantile(0.99); got != 2 {
 		t.Errorf("+Inf-bucket quantile = %v, want clamp to 2", got)

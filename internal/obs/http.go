@@ -94,8 +94,8 @@ var shutdownDrain = 2 * time.Second
 
 // Serve listens on addr (":0" picks a free port) and serves the
 // introspection endpoints for r over plain HTTP. It returns the bound
-// address and a shutdown function. This backs the -metrics-addr flag in
-// dnsmeasure, dnsload, and repro.
+// address and a shutdown function. This backs repro's -metrics-addr flag;
+// dnsmeasure's goes through ServeHandler.
 func Serve(addr string, r *Registry) (bound string, shutdown func() error, err error) {
 	return ServeHandler(addr, NewHTTPHandler(r))
 }

@@ -131,7 +131,7 @@ func TestBucketQuantiles(t *testing.T) {
 // minutes.
 func TestWindowedVsCumulativeDivergence(t *testing.T) {
 	clk := newFakeClock()
-	cum := NewHistogram(nil)
+	cum := NewRegistry().Histogram("cum_seconds", "help", nil)
 	win := NewWindowedHistogram(10*time.Second, 30, nil) // span 5m
 	win.SetNow(clk.Now)
 

@@ -6,28 +6,38 @@ import (
 	"sort"
 	"testing"
 
-	"encdns/internal/loadgen"
 	"encdns/internal/obs"
 	"encdns/internal/stats"
 )
 
 // This file cross-checks the one streaming quantile estimator the repo
-// ships — the bucketed obs.Histogram over loadgen.LatencyBounds, which
-// loadgen.Recorder and every latency series at /metrics sit on — against
-// the exact type-7 quantile of the full sample on skewed, Zipf-like
-// inputs. Latency streams are exactly this shape: a dense head (cache
-// hits, nearby anycast) and a heavy tail (cold paths, stalls), and an
-// estimator that is fine on uniform data can drift badly on the tail of
-// a skewed one.
+// ships — obs.Histogram's linear interpolation inside the containing
+// bucket (quantileFromCumulative), which every latency series at
+// /metrics and every windowed reading of the watchtower goes through —
+// against the exact type-7 quantile of the full sample on skewed,
+// Zipf-like inputs. Latency streams are exactly this shape: a dense head
+// (cache hits, nearby anycast) and a heavy tail (cold paths, stalls), and
+// an estimator that is fine on uniform data can drift badly on the tail
+// of a skewed one.
 //
-// The bound asserted here is the accuracy contract the rest of the repo
-// relies on: a quantile read off the histogram lies in the bucket that
-// holds the exact one, so its relative error is below the bucket ratio
-// (2^¼, 19%) at every quantile including p999 — which is why loadgen
-// decides SLOs from it.
+// The bound asserted here is the interpolation's accuracy contract: over
+// geometric bounds a quantile read off the histogram lies in the bucket
+// that holds the exact one, so its relative error is below the bucket
+// ratio (2^¼, 19%) at every quantile including p999.
 //
 // The generators are seeded: these are regression tests, not flaky
 // statistical coin flips.
+
+// quarterOctaveBounds are geometric bucket bounds from 100µs to ~100s,
+// four per octave (ratio 2^¼ ≈ 1.19).
+var quarterOctaveBounds = func() []float64 {
+	const ratio = 1.189207115002721 // 2^(1/4)
+	var bounds []float64
+	for v := 0.0001; v < 100; v *= ratio {
+		bounds = append(bounds, v)
+	}
+	return bounds
+}()
 
 // skewedStream draws n values from the named heavy-tailed generator.
 func skewedStream(t *testing.T, kind string, n int) []float64 {
@@ -74,7 +84,7 @@ func TestHistogramQuantilesVsExact(t *testing.T) {
 	for _, kind := range []string{"zipf-steps", "lognormal", "pareto"} {
 		t.Run(kind, func(t *testing.T) {
 			streamVals := skewedStream(t, kind, n)
-			hist := obs.NewHistogram(loadgen.LatencyBounds)
+			hist := obs.NewRegistry().Histogram("accuracy_seconds", "help", quarterOctaveBounds)
 			for _, v := range streamVals {
 				hist.Observe(v)
 			}

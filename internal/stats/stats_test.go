@@ -274,51 +274,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if !math.IsNaN(c.Mean()) || !math.IsNaN(c.Min()) || !math.IsNaN(c.Max()) {
-		t.Error("empty counter should report NaN")
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		c.Add(v)
-	}
-	c.Add(math.NaN()) // ignored
-	if c.N() != 8 {
-		t.Errorf("N = %d", c.N())
-	}
-	if !almostEqual(c.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %v", c.Mean())
-	}
-	if !almostEqual(c.StdDev(), math.Sqrt(32.0/7.0), 1e-9) {
-		t.Errorf("stddev = %v", c.StdDev())
-	}
-	if c.Min() != 2 || c.Max() != 9 {
-		t.Errorf("min/max = %v/%v", c.Min(), c.Max())
-	}
-}
-
-func TestCounterMatchesBatch(t *testing.T) {
-	f := func(raw []float64) bool {
-		s := make([]float64, 0, len(raw))
-		var c Counter
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				continue
-			}
-			s = append(s, v)
-			c.Add(v)
-		}
-		if len(s) == 0 {
-			return c.N() == 0
-		}
-		return almostEqual(c.Mean(), Mean(s), 1e-6) &&
-			c.Min() == Min(s) && c.Max() == Max(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDistributionsPositive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 1000; i++ {
@@ -354,11 +309,11 @@ func TestLogNormalMedianCalibration(t *testing.T) {
 
 func TestGammaMeanCalibration(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
-	var c Counter
-	for i := 0; i < 20000; i++ {
-		c.Add(Gamma(rng, 4, 2.5)) // mean = k*theta = 10
+	samples := make([]float64, 20000)
+	for i := range samples {
+		samples[i] = Gamma(rng, 4, 2.5) // mean = k*theta = 10
 	}
-	if m := c.Mean(); m < 9.5 || m > 10.5 {
+	if m := Mean(samples); m < 9.5 || m > 10.5 {
 		t.Errorf("gamma mean = %v, want ~10", m)
 	}
 }

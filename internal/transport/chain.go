@@ -62,6 +62,44 @@ func ParseChain(s string) (ChainEndpoint, error) {
 	return ChainEndpoint{Endpoint: ep, Layers: specs}, nil
 }
 
+// ParseTarget resolves one target flag value (dnsdig -server, dnsmeasure
+// -resolvers) into a chain-addressed endpoint. An explicit scheme
+// (udp://, tcp://, tls://, https://) wins; a bare host[:port] takes its
+// scheme from proto: "do53"/"udp" (default), "tcp", "dot"/"tls", or
+// "doh"/"https". A dialer-chain prefix ("tlsfrag:sni|dns.quad9.net" with
+// proto dot) applies to the endpoint element only — the proto default is
+// filled in after the chain is stripped, so chains compose with bare hosts.
+func ParseTarget(spec, proto string) (ChainEndpoint, error) {
+	spec = strings.TrimSpace(spec)
+	chain, ep := "", spec
+	if i := strings.LastIndex(spec, "|"); i >= 0 {
+		chain, ep = spec[:i+1], spec[i+1:]
+	}
+	if !strings.Contains(ep, "://") {
+		scheme, err := schemeForProto(proto)
+		if err != nil {
+			return ChainEndpoint{}, err
+		}
+		ep = scheme + "://" + ep
+	}
+	return ParseChain(chain + ep)
+}
+
+// schemeForProto maps the -proto vocabulary onto endpoint schemes.
+func schemeForProto(proto string) (string, error) {
+	switch proto {
+	case "", "do53", "udp":
+		return SchemeUDP, nil
+	case "tcp":
+		return SchemeTCP, nil
+	case "dot", "tls":
+		return SchemeTLS, nil
+	case "doh", "https":
+		return SchemeHTTPS, nil
+	}
+	return "", fmt.Errorf("transport: unknown proto %q (want do53, tcp, dot, or doh)", proto)
+}
+
 // buildDialer composes the endpoint's full dialer stack and returns it in
 // the ContextDialer shape the protocol clients accept:
 //

@@ -49,6 +49,97 @@ func TestParseChain(t *testing.T) {
 	}
 }
 
+func TestParseTarget(t *testing.T) {
+	for _, tc := range []struct {
+		spec, proto string
+		want        string // canonical endpoint string; "" means error
+	}{
+		{"1.1.1.1", "", "udp://1.1.1.1:53"},
+		{"1.1.1.1", "do53", "udp://1.1.1.1:53"},
+		{"1.1.1.1:5353", "udp", "udp://1.1.1.1:5353"},
+		{"9.9.9.9", "tcp", "tcp://9.9.9.9:53"},
+		{"dns.google", "dot", "tls://dns.google:853"},
+		{"dns.google", "tls", "tls://dns.google:853"},
+		{"cloudflare-dns.com", "doh", "https://cloudflare-dns.com/dns-query"},
+		{"cloudflare-dns.com", "https", "https://cloudflare-dns.com/dns-query"},
+		// An explicit scheme wins over -proto.
+		{"tls://9.9.9.9", "doh", "tls://9.9.9.9:853"},
+		{"https://dns.google/dns-query", "do53", "https://dns.google/dns-query"},
+		{"1.1.1.1", "carrier-pigeon", ""},
+		{"ftp://example.com", "", ""},
+	} {
+		ep, err := ParseTarget(tc.spec, tc.proto)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("ParseTarget(%q, %q) = %v, want error", tc.spec, tc.proto, ep)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseTarget(%q, %q): %v", tc.spec, tc.proto, err)
+			continue
+		}
+		if got := ep.String(); got != tc.want {
+			t.Errorf("ParseTarget(%q, %q) = %q, want %q", tc.spec, tc.proto, got, tc.want)
+		}
+	}
+}
+
+// TestEndpointRoundTrip: bracketed IPv6 literals — with and without zone
+// IDs — and scheme-default ports must round-trip identically through
+// ParseEndpoint, Endpoint.String, and ParseTarget, for every scheme.
+// String output must itself be a parse fixed point, so canonical forms
+// are stable however many times they cross a flag or a report.
+func TestEndpointRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want string // canonical form
+	}{
+		// Scheme-default ports materialise at parse time for socket schemes…
+		{"udp://1.1.1.1", "udp://1.1.1.1:53"},
+		{"tcp://9.9.9.9", "tcp://9.9.9.9:53"},
+		{"tls://dns.google", "tls://dns.google:853"},
+		// …and stay implicit for https (the URL convention).
+		{"https://dns.google", "https://dns.google/dns-query"},
+		{"https://dns.google:443/dns-query", "https://dns.google/dns-query"},
+		// Bracketed IPv6 literals, default and explicit ports.
+		{"udp://[2001:db8::1]", "udp://[2001:db8::1]:53"},
+		{"tcp://[2001:db8::1]:5353", "tcp://[2001:db8::1]:5353"},
+		{"tls://[2001:db8::1]", "tls://[2001:db8::1]:853"},
+		{"https://[2001:db8::1]/dns-query", "https://[2001:db8::1]/dns-query"},
+		{"https://[2001:db8::1]:8443/dns-query", "https://[2001:db8::1]:8443/dns-query"},
+		// Zone IDs: raw in host:port schemes, RFC 6874 %25-escaped in URLs.
+		{"udp://[fe80::1%eth0]", "udp://[fe80::1%eth0]:53"},
+		{"tcp://[fe80::1%eth0]:5353", "tcp://[fe80::1%eth0]:5353"},
+		{"tls://[fe80::1%eth0]", "tls://[fe80::1%eth0]:853"},
+		{"https://[fe80::1%25eth0]/dns-query", "https://[fe80::1%25eth0]/dns-query"},
+		{"https://[fe80::1%25eth0]:8443/dns-query", "https://[fe80::1%25eth0]:8443/dns-query"},
+	} {
+		ep, err := ParseEndpoint(tc.spec)
+		if err != nil {
+			t.Errorf("ParseEndpoint(%q): %v", tc.spec, err)
+			continue
+		}
+		if got := ep.String(); got != tc.want {
+			t.Errorf("ParseEndpoint(%q).String() = %q, want %q", tc.spec, got, tc.want)
+		}
+		// The canonical form must be a fixed point of parse → String.
+		again, err := ParseEndpoint(tc.want)
+		if err != nil {
+			t.Errorf("re-parse %q: %v", tc.want, err)
+		} else if again != ep {
+			t.Errorf("re-parse %q = %+v, want %+v", tc.want, again, ep)
+		}
+		// ParseTarget must agree with ParseEndpoint on every spelling.
+		ce, err := ParseTarget(tc.spec, "")
+		if err != nil {
+			t.Errorf("ParseTarget(%q): %v", tc.spec, err)
+		} else if ce.String() != tc.want || ce.Endpoint != ep {
+			t.Errorf("ParseTarget(%q) = %q (%+v), want %q (%+v)", tc.spec, ce.String(), ce.Endpoint, tc.want, ep)
+		}
+	}
+}
+
 // TestPoolChainIdentity: the same endpoint with different chains must be
 // distinct pooled exchangers — they establish connections differently.
 func TestPoolChainIdentity(t *testing.T) {

@@ -52,12 +52,6 @@ type Options struct {
 	// Stagger is the delay between successive happy-eyeballs connection
 	// attempts; zero uses dialer.DefaultStagger (250ms, RFC 8305).
 	Stagger time.Duration
-	// OnOutcome, when non-nil, is invoked by Pool.Exchange after every
-	// exchange with the endpoint, the wall-clock duration, and the error
-	// (nil on success) — the hook that lets a load generator or custom
-	// harness feed monitor.Tracker without re-plumbing its send path.
-	// It runs on the exchanging goroutine; keep it fast.
-	OnOutcome func(endpoint string, rtt time.Duration, err error)
 }
 
 func (o Options) retry() RetryPolicy {
@@ -218,23 +212,13 @@ func (p *Pool) Get(endpoint string) (Exchanger, error) {
 	return ex, nil
 }
 
-// Exchange implements Multi. When Options.OnOutcome is set it observes
-// every exchange (including dial failures, with zero duration).
+// Exchange implements Multi.
 func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message, endpoint string) (*dnswire.Message, error) {
 	ex, err := p.Get(endpoint)
 	if err != nil {
-		if p.opts.OnOutcome != nil {
-			p.opts.OnOutcome(endpoint, 0, err)
-		}
 		return nil, err
 	}
-	if p.opts.OnOutcome == nil {
-		return ex.Exchange(ctx, q)
-	}
-	start := time.Now()
-	resp, err := ex.Exchange(ctx, q)
-	p.opts.OnOutcome(endpoint, time.Since(start), err)
-	return resp, err
+	return ex.Exchange(ctx, q)
 }
 
 // Stats aggregates pool counters across every dialled exchanger that

@@ -217,42 +217,6 @@ func TestPoolReusesExchangerPerEndpoint(t *testing.T) {
 	}
 }
 
-// TestPoolOnOutcome: the per-exchange outcome hook fires for successes,
-// exchange failures, and dial failures alike — it is the feed for a
-// monitor.Tracker wired behind a load generator.
-func TestPoolOnOutcome(t *testing.T) {
-	addr := startUDP(t)
-	type outcome struct {
-		endpoint string
-		rtt      time.Duration
-		err      error
-	}
-	var got []outcome
-	p := NewPool(Options{
-		OnOutcome: func(endpoint string, rtt time.Duration, err error) {
-			got = append(got, outcome{endpoint, rtt, err})
-		},
-	})
-	defer p.Close()
-
-	q := dnswire.NewQuery(dns53.NewID(), "example.com", dnswire.TypeA)
-	resp, err := p.Exchange(context.Background(), q, "udp://"+addr)
-	checkAnswer(t, resp, err)
-	if _, err := p.Exchange(context.Background(), q, "gopher://x"); err == nil {
-		t.Fatal("bad endpoint exchanged")
-	}
-
-	if len(got) != 2 {
-		t.Fatalf("outcomes = %d, want 2", len(got))
-	}
-	if got[0].err != nil || got[0].rtt <= 0 || got[0].endpoint != "udp://"+addr {
-		t.Errorf("success outcome = %+v, want positive rtt, nil err", got[0])
-	}
-	if got[1].err == nil || got[1].endpoint != "gopher://x" {
-		t.Errorf("dial-failure outcome = %+v, want non-nil err", got[1])
-	}
-}
-
 // TestPoolStatsThroughMiddleware exercises the satellite instrumentation
 // path: the DoT connection cache's counters surface through the retry
 // middleware, the Stats unwrapper, and the pool aggregate.
