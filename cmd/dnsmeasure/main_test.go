@@ -14,6 +14,7 @@ import (
 	"encdns/internal/core"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
 )
 
 // capture runs run() with stdout redirected to a pipe and returns output.
@@ -33,6 +34,21 @@ func capture(t *testing.T, args ...string) (string, error) {
 	out := <-done
 	r.Close()
 	return string(out), runErr
+}
+
+// readResults loads the records a run wrote with -o.
+func readResults(t *testing.T, path string) *core.ResultSet {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rs := core.NewResultSet()
+	for _, rec := range testutil.DecodeJSONL[core.Record](t, f) {
+		rs.Add(rec)
+	}
+	return rs
 }
 
 func TestListVantages(t *testing.T) {
@@ -79,10 +95,7 @@ func TestWritesJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := core.ReadJSONFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := readResults(t, path)
 	// 5 rounds × (3 domains + 1 ping).
 	if rs.Len() != 20 {
 		t.Errorf("records = %d, want 20", rs.Len())
@@ -199,6 +212,24 @@ func TestAdHocEndpointsOnOneHostStayApart(t *testing.T) {
 	}
 }
 
+// TestLiveWritesNoPingRecords: live mode has no pinger, so it must not
+// record a ping for any target, answered or not.
+func TestLiveWritesNoPingRecords(t *testing.T) {
+	good := serveUDP(t, dns53.Static(map[string][]net.IP{"google.com.": {net.ParseIP("192.0.2.1")}}))
+	path := filepath.Join(t.TempDir(), "live.jsonl")
+	if _, err := capture(t, "-mode", "live", "-proto", "do53", "-resolvers", good, "-domains", "google.com",
+		"-rounds", "3", "-interval", "1ms", "-summary=false", "-o", path); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[core.Kind]int{}
+	for _, rec := range readResults(t, path).Records() {
+		kinds[rec.Kind]++
+	}
+	if kinds[core.KindQuery] != 3 || kinds[core.KindPing] != 0 {
+		t.Errorf("records by kind = %v, want 3 queries and no pings", kinds)
+	}
+}
+
 func TestSplitNonEmpty(t *testing.T) {
 	got := splitNonEmpty(" a, ,b ,, c ")
 	want := []string{"a", "b", "c"}
@@ -235,10 +266,7 @@ func TestConfigFile(t *testing.T) {
 	if !strings.Contains(out, "ec2-seoul") || !strings.Contains(out, "dns.quad9.net") {
 		t.Errorf("config not applied:\n%s", out)
 	}
-	rs, err := core.ReadJSONFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := readResults(t, outPath)
 	if rs.Len() != 4*2*2 { // 4 rounds × 2 resolvers × (1 domain + 1 ping)
 		t.Errorf("records = %d", rs.Len())
 	}
@@ -309,10 +337,7 @@ func TestProtoAffectsSimTiming(t *testing.T) {
 			"-proto", proto, "-o", path); err != nil {
 			t.Fatal(err)
 		}
-		rs, err := core.ReadJSONFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := readResults(t, path)
 		return rs.MedianResponse("ec2-ohio", "doh.la.ahadns.net")
 	}
 	udp, doh := med("do53"), med("doh")

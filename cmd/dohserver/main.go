@@ -37,7 +37,6 @@ import (
 	"encdns/internal/obs"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
-	"encdns/internal/udpbatch"
 )
 
 func main() {
@@ -60,7 +59,6 @@ func run() error {
 		prefetch = flag.Float64("prefetch", 0.1, "refresh-ahead fraction: a cache hit inside this final fraction of its TTL triggers a background re-resolution (and, in cluster mode, hot-set replication); 0 disables")
 		verbose  = flag.Bool("v", false, "debug-level logging")
 
-		udpSockets = flag.Int("udp-sockets", 1, "SO_REUSEPORT UDP sockets for Do53 (Linux; >1 spreads receive load)")
 		udpWorkers = flag.Int("udp-workers", 0, "UDP worker-pool size; 0 means 32*GOMAXPROCS (min 64)")
 		udpBatch   = flag.Int("udp-batch", 0, "max datagrams per batched read/write; 0 means 32, 1 disables batching")
 		maxConns   = flag.Int("max-conns", 4096, "max concurrent connections per stream listener (Do53/TCP, DoT, DoH); 0 unlimited")
@@ -159,7 +157,7 @@ func run() error {
 	}
 
 	if *do53Addr != "" {
-		pcs, err := udpbatch.Listen("udp", *do53Addr, *udpSockets)
+		pc, err := net.ListenPacket("udp", *do53Addr)
 		if err != nil {
 			return fmt.Errorf("do53 udp: %w", err)
 		}
@@ -167,11 +165,9 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("do53 tcp: %w", err)
 		}
-		for _, pc := range pcs {
-			go func() { errCh <- inner.ServeUDP(pc) }()
-		}
+		go func() { errCh <- inner.ServeUDP(pc) }()
 		go func() { errCh <- inner.ServeTCP(transport.LimitListener(ln, *maxConns, 0, "do53-tcp")) }()
-		logger.Info("do53 listening", "addr", *do53Addr, "udp-sockets", len(pcs))
+		logger.Info("do53 listening", "addr", *do53Addr)
 	}
 	if *dotAddr != "" {
 		ln, err := net.Listen("tcp", *dotAddr)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"encdns/internal/core"
+	"encdns/internal/testutil"
 )
 
 func TestReproAllArtefacts(t *testing.T) {
@@ -37,12 +38,13 @@ func TestReproAllArtefacts(t *testing.T) {
 		}
 	}
 	// The raw records parse back.
-	rs, err := core.ReadJSONFile(filepath.Join(dir, "results.jsonl"))
+	f, err := os.Open(filepath.Join(dir, "results.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Len() != 7*75*4*12 {
-		t.Errorf("records = %d", rs.Len())
+	defer f.Close()
+	if n := len(testutil.DecodeJSONL[core.Record](t, f)); n != 7*75*4*12 {
+		t.Errorf("records = %d", n)
 	}
 }
 

@@ -55,9 +55,9 @@ type CampaignConfig struct {
 	// Clock timestamps records and advances between rounds; nil uses a
 	// virtual clock starting at the paper's campaign epoch.
 	Clock netsim.Clock
-	// PingPerRound issues one ICMP probe per (vantage, target) round,
-	// as the paper's procedure step 2 specifies. Default true via Run;
-	// set SkipPing to disable.
+	// SkipPing turns off the one ICMP probe per (vantage, target) round
+	// that the paper's procedure step 2 specifies. A LiveProber without a
+	// Pinger cannot ping, so its campaigns skip pings regardless.
 	SkipPing bool
 	// Sink, when non-nil, receives every record as it is produced (in
 	// deterministic order), enabling continuous deployments to stream
@@ -140,6 +140,9 @@ func NewCampaign(cfg CampaignConfig, prober Prober) (*Campaign, error) {
 	}
 	if cfg.DiscardResults && cfg.Sink == nil && !cfg.Continuous {
 		return nil, fmt.Errorf("core: DiscardResults needs a Sink")
+	}
+	if lp, ok := prober.(*LiveProber); ok && lp.Pinger == nil {
+		cfg.SkipPing = true
 	}
 	c := &Campaign{cfg: cfg, prober: prober, targets: make([]targetState, len(cfg.Targets))}
 	for i, t := range cfg.Targets {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -12,7 +14,17 @@ import (
 	"encdns/internal/geo"
 	"encdns/internal/netsim"
 	"encdns/internal/stats"
+	"encdns/internal/testutil"
 )
+
+// readJSON loads a result stream written by WriteJSON.
+func readJSON(t testing.TB, r io.Reader) *ResultSet {
+	rs := NewResultSet()
+	for _, rec := range testutil.DecodeJSONL[Record](t, r) {
+		rs.Add(rec)
+	}
+	return rs
+}
 
 func simTargets(hosts ...string) []Target {
 	var out []Target
@@ -298,10 +310,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := rs.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readJSON(t, &buf)
 	if got.Len() != rs.Len() {
 		t.Fatalf("round trip lost records: %d vs %d", got.Len(), rs.Len())
 	}
@@ -329,18 +338,14 @@ func TestJSONFileRoundTrip(t *testing.T) {
 	if err := rs.WriteJSONFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	got := readJSON(t, f)
 	if got.Len() != rs.Len() {
 		t.Errorf("file round trip: %d vs %d", got.Len(), rs.Len())
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewReader([]byte("{not json"))); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 
@@ -378,30 +383,6 @@ func TestMainstreamFlatAcrossVantages(t *testing.T) {
 		t.Errorf("ffmuc median spread = %.1f ms; unicast should vary hugely (medians %v)", fSpread, ffmucMedians)
 	}
 }
-
-func TestClassifyError(t *testing.T) {
-	cases := []struct {
-		err  error
-		want netsim.ErrClass
-	}{
-		{nil, netsim.OK},
-		{context.DeadlineExceeded, netsim.ErrTimeout},
-		{errString("dial tcp: connection refused"), netsim.ErrConnect},
-		{errString("tls: handshake failure"), netsim.ErrTLS},
-		{errString("x509: certificate signed by unknown authority"), netsim.ErrTLS},
-		{errString("read: i/o timeout on socket"), netsim.ErrTimeout},
-		{errString("something inscrutable"), netsim.ErrConnect},
-	}
-	for _, c := range cases {
-		if got := ClassifyError(c.err); got != c.want {
-			t.Errorf("classify(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
 
 func TestHomeVantagesNoisier(t *testing.T) {
 	home := dataset.HomeVantages()[0]
@@ -483,10 +464,7 @@ func TestCampaignSinkStreams(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), written.Bytes()) {
 		t.Fatalf("sink wrote\n%s\nWriteJSON wrote\n%s", buf.Bytes(), written.Bytes())
 	}
-	streamed, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	streamed := readJSON(t, &buf)
 	if streamed.Len() != rs.Len() {
 		t.Fatalf("sink saw %d records, result set has %d", streamed.Len(), rs.Len())
 	}

@@ -101,7 +101,7 @@ func TestIndexMatchesScan(t *testing.T) {
 					t.Fatalf("self-merge: %d records from %d", rs.Len(), n)
 				}
 				checkColumns(t, rs, "after self-merge")
-			case 3: // continue from a WriteJSON/ReadJSON round trip, once
+			case 3: // continue from a WriteJSON/readJSON round trip, once
 				if tripped {
 					break
 				}
@@ -110,15 +110,12 @@ func TestIndexMatchesScan(t *testing.T) {
 				if err := rs.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
 				}
-				back, err := ReadJSON(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
+				back := readJSON(t, &buf)
 				if !slices.Equal(back.Records(), rs.Records()) {
 					t.Fatal("round trip changed the log")
 				}
 				rs = back
-				checkColumns(t, rs, "after ReadJSON")
+				checkColumns(t, rs, "after readJSON")
 			}
 		}
 		checkColumns(t, rs, "at the end")

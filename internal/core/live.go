@@ -6,10 +6,17 @@ import (
 
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
-	"encdns/internal/icmp"
 	"encdns/internal/netsim"
 	"encdns/internal/transport"
 )
+
+// Pinger measures round-trip time to a host with one ICMP echo (§3.1:
+// "we also issued a ICMP ping message and noted the round-trip time").
+type Pinger interface {
+	// Ping sends one echo request to host and returns the round-trip
+	// time, or an error when no reply arrives.
+	Ping(ctx context.Context, host string) (time.Duration, error)
+}
 
 // LiveProber measures real resolvers through the shared transport layer,
 // timing each exchange end to end — the §3.1 definition of DNS query
@@ -21,10 +28,10 @@ type LiveProber struct {
 	// Transport performs the exchanges; a transport.Pool configured with
 	// the campaign's TLS/timeout/retry options is the usual value.
 	Transport transport.Multi
-	// Pinger measures ICMP RTT; nil makes every ping fail (no raw-socket
-	// privileges), matching resolvers "that did not respond to our ICMP
-	// ping probes".
-	Pinger icmp.Pinger
+	// Pinger measures ICMP RTT. Raw ICMP needs privileges and no pinger
+	// ships here, so nil is the usual value: a campaign then issues no
+	// pings rather than record every resolver as silent.
+	Pinger Pinger
 	// QueryType is the record type queried; default A.
 	QueryType dnswire.Type
 	// EDNSSize advertises an EDNS0 buffer size on queries when non-zero.
@@ -69,19 +76,9 @@ func (p *LiveProber) Ping(ctx context.Context, _ netsim.Vantage, t Target, _ int
 	if p.Pinger == nil {
 		return PingOutcome{}
 	}
-	host := t.Host
-	rtt, err := p.Pinger.Ping(ctx, host)
+	rtt, err := p.Pinger.Ping(ctx, t.Host)
 	if err != nil {
 		return PingOutcome{}
 	}
 	return PingOutcome{RTT: rtt, OK: true}
-}
-
-// ClassifyError maps live transport errors onto the model's error
-// taxonomy. The implementation moved to the transport layer
-// (transport.Classify) so the measurement engine, the forwarder, and the
-// CLIs share one taxonomy; this wrapper remains for the engine's public
-// surface.
-func ClassifyError(err error) netsim.ErrClass {
-	return transport.Classify(err)
 }

@@ -16,7 +16,6 @@ import (
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/dot"
-	"encdns/internal/icmp"
 	"encdns/internal/netsim"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
@@ -38,6 +37,13 @@ func (d *delayDialer) DialContext(ctx context.Context, network, address string) 
 		return nil, ctx.Err()
 	}
 	return d.inner.DialContext(ctx, network, address)
+}
+
+// pingerFunc adapts a function to the Pinger interface.
+type pingerFunc func(ctx context.Context, host string) (time.Duration, error)
+
+func (f pingerFunc) Ping(ctx context.Context, host string) (time.Duration, error) {
+	return f(ctx, host)
 }
 
 // startLiveStack stands up the full substrate: authoritative hierarchy →
@@ -69,7 +75,7 @@ func TestLiveProberEndToEnd(t *testing.T) {
 	endpoint, ts := startLiveStack(t)
 	prober := &LiveProber{
 		Transport: poolWith(ts.Client(), true),
-		Pinger: icmp.PingerFunc(func(ctx context.Context, host string) (time.Duration, error) {
+		Pinger: pingerFunc(func(ctx context.Context, host string) (time.Duration, error) {
 			return 12 * time.Millisecond, nil
 		}),
 	}
@@ -222,7 +228,7 @@ func TestLiveCampaign(t *testing.T) {
 	endpoint, ts := startLiveStack(t)
 	prober := &LiveProber{
 		Transport: poolWith(ts.Client(), true),
-		Pinger: icmp.PingerFunc(func(ctx context.Context, host string) (time.Duration, error) {
+		Pinger: pingerFunc(func(ctx context.Context, host string) (time.Duration, error) {
 			return 3 * time.Millisecond, nil
 		}),
 	}
@@ -252,6 +258,26 @@ func TestLiveCampaign(t *testing.T) {
 	med := rs.MedianResponse("loopback", "live.test")
 	if med <= 0 {
 		t.Errorf("median = %v", med)
+	}
+	isPing := func(r Record) bool { return r.Kind == KindPing }
+	if pings := rs.Filter(isPing); len(pings) != 3 || !pings[0].OK {
+		t.Errorf("ping records = %+v, want 3 answered", pings)
+	}
+
+	// Without a Pinger nothing is pinged, so nothing may be recorded as
+	// an unanswered ping.
+	prober.Pinger = nil
+	if c, err = NewCampaign(cfg, prober); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err = c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if pings := rs.Filter(isPing); len(pings) != 0 {
+		t.Errorf("pinger-less campaign wrote %d ping records: %+v", len(pings), pings[0])
+	}
+	if rs.Len() != 3*3 {
+		t.Errorf("pinger-less campaign wrote %d records, want 9 queries", rs.Len())
 	}
 }
 
@@ -309,28 +335,5 @@ func TestLiveProberDo53(t *testing.T) {
 		Target{Host: "udp.test", Endpoint: pc.LocalAddr().String()}, "google.com", 0)
 	if out.Err != netsim.OK || out.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("outcome = %+v", out)
-	}
-}
-
-func TestLiveProberUDPPinger(t *testing.T) {
-	// Wire the real UDP echo pinger through the prober.
-	echoSrv := &icmp.EchoServer{Delay: 5 * time.Millisecond}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go echoSrv.Serve(pc)
-	t.Cleanup(func() { pc.Close() })
-
-	pinger := icmp.NewUDPPinger()
-	addr := pc.LocalAddr().String()
-	pinger.Resolve = func(host string) (string, error) { return addr, nil }
-	prober := &LiveProber{Pinger: pinger}
-	out := prober.Ping(context.Background(), netsim.Vantage{}, Target{Host: "x"}, 0)
-	if !out.OK {
-		t.Fatal("ping failed")
-	}
-	if out.RTT < 5*time.Millisecond {
-		t.Errorf("rtt = %v, below injected delay", out.RTT)
 	}
 }

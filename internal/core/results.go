@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -229,31 +228,6 @@ func (rs *ResultSet) WriteJSONFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadJSON loads a result stream written by WriteJSON.
-func ReadJSON(r io.Reader) (*ResultSet, error) {
-	rs := NewResultSet()
-	dec := json.NewDecoder(r)
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return rs, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("core: decoding record: %w", err)
-		}
-		rs.Add(rec)
-	}
-}
-
-// ReadJSONFile loads a result file.
-func ReadJSONFile(path string) (*ResultSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return ReadJSON(f)
 }
 
 // JSONLSink returns a campaign Sink that appends each record to w as JSON

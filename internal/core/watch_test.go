@@ -14,6 +14,7 @@ import (
 	"encdns/internal/monitor"
 	"encdns/internal/netsim"
 	"encdns/internal/obs"
+	"encdns/internal/testutil"
 )
 
 // TestWatchOutageDetection is the watchtower acceptance test: a
@@ -67,13 +68,13 @@ func TestWatchOutageDetection(t *testing.T) {
 			if round == outageRound {
 				targets[0].Net.Down = true
 			}
-			if tracker.AlertFiring(watched, "fast") {
+			if testutil.AlertFiring(tracker.WatchReport(), watched, "fast") {
 				firedAtRound = round
 				targets[0].Net.Down = false
 				phase = phaseRecover
 			}
 		case phaseRecover:
-			if !tracker.AlertFiring(watched, "fast") {
+			if !testutil.AlertFiring(tracker.WatchReport(), watched, "fast") {
 				if st, _ := tracker.State(watched); st == monitor.StateHealthy {
 					resolvedAtRound = round
 					phase = phaseDone

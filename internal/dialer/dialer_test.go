@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"strings"
@@ -229,7 +230,7 @@ func TestHappyEyeballsPrefersHealthyFamily(t *testing.T) {
 	t.Cleanup(func() { testutil.WaitNoLeaks(t, baseline) })
 	v6 := netip.MustParseAddr("2001:db8::1")
 	v4 := netip.MustParseAddr("192.0.2.1")
-	resolve := StaticResolve(map[string][]netip.Addr{
+	resolve := staticResolve(map[string][]netip.Addr{
 		"resolver.test": {v4, v6},
 	})
 	inner := FuncStreamDialer(func(ctx context.Context, addr string) (net.Conn, error) {
@@ -257,7 +258,7 @@ func TestHappyEyeballsPrefersHealthyFamily(t *testing.T) {
 func TestHappyEyeballsFailureReleasesNext(t *testing.T) {
 	v6 := netip.MustParseAddr("2001:db8::1")
 	v4 := netip.MustParseAddr("192.0.2.1")
-	resolve := StaticResolve(map[string][]netip.Addr{"r.test": {v6, v4}})
+	resolve := staticResolve(map[string][]netip.Addr{"r.test": {v6, v4}})
 	inner := FuncStreamDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 		if strings.HasPrefix(addr, "[2001:db8::1]") {
 			return nil, errors.New("network unreachable")
@@ -279,7 +280,7 @@ func TestHappyEyeballsFailureReleasesNext(t *testing.T) {
 func TestHappyEyeballsAllFail(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	t.Cleanup(func() { testutil.WaitNoLeaks(t, baseline) })
-	resolve := StaticResolve(map[string][]netip.Addr{
+	resolve := staticResolve(map[string][]netip.Addr{
 		"r.test": {netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")},
 	})
 	boom := errors.New("connection refused")
@@ -300,7 +301,7 @@ func TestHappyEyeballsAllFail(t *testing.T) {
 }
 
 func TestHappyEyeballsLiteralBypass(t *testing.T) {
-	resolve := StaticResolve(nil) // would fail for any host
+	resolve := staticResolve(nil) // would fail for any host
 	inner := &sinkDialer{}
 	h := &HappyEyeballs{Inner: inner, Resolve: resolve}
 	if _, err := h.DialStream(context.Background(), "192.0.2.1:853"); err != nil {
@@ -420,5 +421,16 @@ func TestBuildStreamLayerOrder(t *testing.T) {
 	}
 	if len(segs[0]) != 2 {
 		t.Errorf("first segment = %d bytes, want 2", len(segs[0]))
+	}
+}
+
+// staticResolve builds a ResolveFunc from a fixed host→addresses table.
+func staticResolve(table map[string][]netip.Addr) ResolveFunc {
+	return func(_ context.Context, host string) ([]netip.Addr, error) {
+		addrs, ok := table[host]
+		if !ok {
+			return nil, fmt.Errorf("no addresses for %q", host)
+		}
+		return addrs, nil
 	}
 }

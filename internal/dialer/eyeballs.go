@@ -189,18 +189,6 @@ func interleaveFamilies(addrs []netip.Addr) []netip.Addr {
 	return out
 }
 
-// StaticResolve builds a ResolveFunc from a fixed host→addresses table —
-// netsim vantages and tests use it; live use can wrap net.Resolver.
-func StaticResolve(table map[string][]netip.Addr) ResolveFunc {
-	return func(_ context.Context, host string) ([]netip.Addr, error) {
-		addrs, ok := table[host]
-		if !ok {
-			return nil, fmt.Errorf("no addresses for %q", host)
-		}
-		return addrs, nil
-	}
-}
-
 // NetResolve adapts the system resolver to ResolveFunc for live chains.
 func NetResolve(r *net.Resolver) ResolveFunc {
 	if r == nil {

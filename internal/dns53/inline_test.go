@@ -20,6 +20,7 @@ import (
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
 	"encdns/internal/resolver"
+	"encdns/internal/testutil"
 	"encdns/internal/udpbatch"
 )
 
@@ -260,7 +261,6 @@ func TestHitsNotBlockedBehindMiss(t *testing.T) {
 // way it was served.
 func TestCountersOncePerQuery(t *testing.T) {
 	requests := obs.Default().Counter("dns53_server_requests_total", "")
-	latency := obs.Default().Histogram("dns53_server_seconds", "", nil)
 	peer := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 10), Port: 1111}
 	conn := newMemConn(nil)
 	srv := &dns53.Server{Handler: fixedClockForwarder(), UDPWorkers: 1}
@@ -275,10 +275,10 @@ func TestCountersOncePerQuery(t *testing.T) {
 		{"declined then served", packQuery(t, 2, "nope.example.com.", dnswire.TypeA, 0)},
 		{"truncated hit", packQuery(t, 3, "big.example.com.", dnswire.TypeTXT, 0)},
 	} {
-		r0, l0 := requests.Value(), latency.Count()
+		r0, l0 := requests.Value(), testutil.HistogramCount(t, "dns53_server_seconds")
 		conn.feed <- []memPkt{{tc.wire, peer}}
 		waitWrites(t, conn, 1)
-		if dr, dl := requests.Value()-r0, latency.Count()-l0; dr != 1 || dl != 1 {
+		if dr, dl := requests.Value()-r0, testutil.HistogramCount(t, "dns53_server_seconds")-l0; dr != 1 || dl != 1 {
 			t.Errorf("%s: requests +%d, latency observations +%d, want +1 and +1", tc.name, dr, dl)
 		}
 	}

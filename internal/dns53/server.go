@@ -68,9 +68,9 @@ const maxUDPDatagram = 64 * 1024
 // block on upstream I/O (forwarders, cluster nodes), a hop-marked cluster
 // query — is handed, already parsed, to a bounded pool of workers that
 // run ServeDNS and write their one response themselves; the pool starts
-// only for such a handler. In-memory misses share the receive loop's CPU,
-// so, like hits, they scale across cores through several SO_REUSEPORT
-// sockets from udpbatch.Listen (one ServeUDP call each).
+// only for such a handler. In-memory misses, like hits, share the
+// receive loop's CPU; a caller that wants more cores serves more sockets,
+// one ServeUDP call each.
 //
 // The stream frontend (ServeTCP, ServeStream, and DoT through them) has
 // the same shape per connection: every query that arrived in one read is

@@ -20,6 +20,7 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
+	"encdns/internal/testutil"
 )
 
 // streamConn is an in-memory net.Conn that decides what each Read of the
@@ -426,7 +427,6 @@ func TestStreamHitsZeroAlloc(t *testing.T) {
 // whichever way the stream loop served it.
 func TestStreamCountersOncePerQuery(t *testing.T) {
 	requests := obs.Default().Counter("dns53_server_requests_total", "")
-	latency := obs.Default().Histogram("dns53_server_seconds", "", nil)
 	conn := interactive(false)
 	srv := &dns53.Server{Handler: fixedClockForwarder()}
 	go srv.ServeStream(conn)
@@ -439,12 +439,12 @@ func TestStreamCountersOncePerQuery(t *testing.T) {
 		{"declined then served", packQuery(t, 2, "nope.example.com.", dnswire.TypeA, 0)},
 		{"hit over 512 bytes", packQuery(t, 3, "big.example.com.", dnswire.TypeTXT, 0)},
 	} {
-		r0, l0 := requests.Value(), latency.Count()
+		r0, l0 := requests.Value(), testutil.HistogramCount(t, "dns53_server_seconds")
 		_, _, q0 := streamCounters()
 		conn.feed <- framed(tc.wire)
 		conn.waitWrite(t)
 		_, _, q1 := streamCounters()
-		if dr, dl, dq := requests.Value()-r0, latency.Count()-l0, q1-q0; dr != 1 || dl != 1 || dq != 1 {
+		if dr, dl, dq := requests.Value()-r0, testutil.HistogramCount(t, "dns53_server_seconds")-l0, q1-q0; dr != 1 || dl != 1 || dq != 1 {
 			t.Errorf("%s: requests +%d, latency observations +%d, stream queries +%d, want +1 each", tc.name, dr, dl, dq)
 		}
 	}

@@ -2,9 +2,45 @@ package dnswire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// The escaping cases run through the codec's own paths: decode through
+// Unpack (appendPresentationLabel), encode through Pack and ValidateName
+// (appendName).
+
+// questionWire is a one-question query whose name is the single label raw.
+func questionWire(raw []byte) []byte {
+	msg := []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, byte(len(raw))}
+	msg = append(msg, raw...)
+	return append(msg, 0, 0, 1, 0, 1) // root, type A, class IN
+}
+
+// unpackLabel decodes raw as a one-label name through Unpack.
+func unpackLabel(t *testing.T, raw []byte) string {
+	t.Helper()
+	m, err := Unpack(questionWire(raw))
+	if err != nil {
+		t.Fatalf("Unpack of label %q: %v", raw, err)
+	}
+	return m.Questions[0].Name
+}
+
+// packLabel encodes the one-label name label+"." through Pack and returns
+// the label's raw wire bytes.
+func packLabel(label string) ([]byte, error) {
+	wire, err := NewQuery(1, label+".", TypeA).Pack()
+	if err != nil {
+		return nil, err
+	}
+	name := wire[12 : len(wire)-4] // between the header and type/class
+	if len(name) < 2 || int(name[0]) != len(name)-2 || name[len(name)-1] != 0 {
+		return nil, fmt.Errorf("%q packed as %x, not one label", label, name)
+	}
+	return name[1 : len(name)-1], nil
+}
 
 func TestEscapeLabel(t *testing.T) {
 	cases := []struct {
@@ -17,11 +53,11 @@ func TestEscapeLabel(t *testing.T) {
 		{[]byte{0x00}, `\000`},
 		{[]byte{0x20}, `\032`}, // space is non-printable in names
 		{[]byte{0xFF}, `\255`},
-		{[]byte("0a-Z"), "0a-Z"},
+		{[]byte("0a-Z"), "0a-z"}, // decoding lowers ASCII
 	}
 	for _, c := range cases {
-		if got := escapeLabel(c.raw); got != c.want {
-			t.Errorf("escapeLabel(%q) = %q, want %q", c.raw, got, c.want)
+		if got := unpackLabel(t, c.raw); got != c.want+"." {
+			t.Errorf("label %q decodes to %q, want %q", c.raw, got, c.want+".")
 		}
 	}
 }
@@ -39,21 +75,21 @@ func TestUnescapeLabel(t *testing.T) {
 		{`\.`, []byte(".")},
 	}
 	for _, c := range cases {
-		got, err := unescapeLabel(c.in)
+		got, err := packLabel(c.in)
 		if err != nil {
-			t.Errorf("unescapeLabel(%q): %v", c.in, err)
+			t.Errorf("pack %q: %v", c.in, err)
 			continue
 		}
 		if !bytes.Equal(got, c.want) {
-			t.Errorf("unescapeLabel(%q) = %q, want %q", c.in, got, c.want)
+			t.Errorf("pack %q = label %q, want %q", c.in, got, c.want)
 		}
 	}
 }
 
 func TestUnescapeLabelErrors(t *testing.T) {
 	for _, in := range []string{`a\`, `\2`, `\25`, `\999`, `\25x`} {
-		if _, err := unescapeLabel(in); err == nil {
-			t.Errorf("unescapeLabel(%q) accepted", in)
+		if err := ValidateName(in); err == nil {
+			t.Errorf("ValidateName(%q) accepted", in)
 		}
 	}
 }
@@ -63,8 +99,15 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 		if len(raw) == 0 || len(raw) > 63 {
 			return true
 		}
-		got, err := unescapeLabel(escapeLabel(raw))
-		return err == nil && bytes.Equal(got, raw)
+		name := unpackLabel(t, raw)
+		got, err := packLabel(name[:len(name)-1])
+		want := bytes.Clone(raw)
+		for i, b := range want { // decoding lowers ASCII only
+			if 'A' <= b && b <= 'Z' {
+				want[i] = b + 'a' - 'A'
+			}
+		}
+		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -30,15 +30,6 @@ func ExampleMessage_Reply() {
 	// Output: example.com. 300 IN A 93.184.216.34
 }
 
-// ExampleMessage_SetECS attaches a client-subnet hint (RFC 7871).
-func ExampleMessage_SetECS() {
-	q := dnswire.NewQuery(1, "cdn.example.com", dnswire.TypeA)
-	_ = q.SetECS(dnswire.ECS{Prefix: netip.MustParsePrefix("203.0.113.0/24")}, dnswire.MaxEDNSSize)
-	e, ok := q.GetECS()
-	fmt.Println(ok, e.Prefix)
-	// Output: true 203.0.113.0/24
-}
-
 // ExampleCanonicalName shows the name canonicalisation every lookup uses.
 func ExampleCanonicalName() {
 	fmt.Println(dnswire.CanonicalName("WWW.Example.COM"))

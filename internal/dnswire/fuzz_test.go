@@ -135,30 +135,3 @@ func FuzzNameRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseECS drives the client-subnet option parser: it must never
-// panic, and any payload it accepts must marshal back to the same bytes.
-func FuzzParseECS(f *testing.F) {
-	for _, p := range []string{"203.0.113.0/24", "0.0.0.0/0", "10.1.2.3/32", "2001:db8::/56", "::/0",
-		"::ffff:192.0.2.0/120", "::ffff:192.0.2.1/128"} {
-		if b, err := MarshalECS(ECS{Prefix: netip.MustParsePrefix(p), ScopeLen: 16}); err == nil {
-			f.Add(b)
-		}
-	}
-	f.Add([]byte{0, 2, 128, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 192, 0, 2, 1}) // IPv4-mapped, family 2
-	f.Add([]byte{0, 1, 24, 0, 203, 0, 113, 7})                                          // bits past the prefix
-	f.Add([]byte{0, 9, 0, 0})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		e, err := ParseECS(b)
-		if err != nil {
-			return
-		}
-		out, err := MarshalECS(e)
-		if err != nil {
-			t.Fatalf("ParseECS(%x) = %v, which does not marshal: %v", b, e, err)
-		}
-		if !bytes.Equal(out, b) {
-			t.Fatalf("ParseECS(%x) = %v, marshals to %x", b, e, out)
-		}
-	})
-}

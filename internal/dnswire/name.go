@@ -19,57 +19,9 @@ var (
 // Presentation-format escaping (RFC 4343 §2.1): wire labels are 8-bit
 // clean, so a label byte that is a dot, a backslash, or non-printable is
 // rendered as "\." / "\\" / "\DDD" in the string form. The codec escapes
-// on decode and unescapes on encode, keeping string ↔ wire unambiguous
-// even for hostile labels (a property the fuzzer checks).
-
-// escapeLabel renders one raw wire label in presentation form.
-func escapeLabel(raw []byte) string {
-	var sb strings.Builder
-	for _, b := range raw {
-		switch {
-		case b == '.' || b == '\\':
-			sb.WriteByte('\\')
-			sb.WriteByte(b)
-		case b < '!' || b > '~':
-			fmt.Fprintf(&sb, "\\%03d", b)
-		default:
-			sb.WriteByte(b)
-		}
-	}
-	return sb.String()
-}
-
-// unescapeLabel converts a presentation label back to raw wire bytes.
-func unescapeLabel(label string) ([]byte, error) {
-	out := make([]byte, 0, len(label))
-	for i := 0; i < len(label); i++ {
-		c := label[i]
-		if c != '\\' {
-			out = append(out, c)
-			continue
-		}
-		if i+1 >= len(label) {
-			return nil, fmt.Errorf("dnswire: dangling escape in label %q", label)
-		}
-		next := label[i+1]
-		if next >= '0' && next <= '9' {
-			if i+3 >= len(label) || label[i+2] < '0' || label[i+2] > '9' ||
-				label[i+3] < '0' || label[i+3] > '9' {
-				return nil, fmt.Errorf("dnswire: bad \\DDD escape in label %q", label)
-			}
-			v := int(next-'0')*100 + int(label[i+2]-'0')*10 + int(label[i+3]-'0')
-			if v > 255 {
-				return nil, fmt.Errorf("dnswire: \\DDD escape out of range in label %q", label)
-			}
-			out = append(out, byte(v))
-			i += 3
-			continue
-		}
-		out = append(out, next)
-		i++
-	}
-	return out, nil
-}
+// on decode (appendPresentationLabel) and unescapes on encode (appendName
+// through nextNameByte), keeping string ↔ wire unambiguous even for
+// hostile labels (a property the fuzzer checks).
 
 // CanonicalName lowercases a domain name and ensures it ends with a single
 // trailing dot, turning "" into ".". DNS names are case-insensitive
@@ -158,6 +110,10 @@ func isCanonical(name string) bool {
 // common already-canonical case encodes without allocating.
 func appendName(buf []byte, name string, comp *compressor) ([]byte, error) {
 	if !isCanonical(name) {
+		if endsInEscape(name) {
+			// The root dot CanonicalName appends would complete it.
+			return buf, fmt.Errorf("dnswire: dangling escape in name %q", name)
+		}
 		name = CanonicalName(name)
 	}
 	if name == "." {
@@ -205,6 +161,16 @@ func appendName(buf []byte, name string, comp *compressor) ([]byte, error) {
 		pos++ // the separator (or trailing) dot
 	}
 	return append(buf, 0), nil
+}
+
+// endsInEscape reports whether name ends in a backslash that escapes
+// nothing.
+func endsInEscape(name string) bool {
+	n := 0
+	for i := len(name) - 1; i >= 0 && name[i] == '\\'; i-- {
+		n++
+	}
+	return n%2 == 1
 }
 
 // appendPresentationLabel appends one raw wire label to dst in canonical

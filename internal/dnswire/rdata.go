@@ -425,6 +425,14 @@ type EDNSOption struct {
 	Data []byte
 }
 
+// OptionCodeClusterHop marks a query forwarded once inside a resolver
+// cluster (internal/cluster): the receiving peer must answer locally and
+// never forward again, which bounds any routing disagreement between
+// peers' hash rings to one extra hop. The code sits in the RFC 6891
+// local/experimental range (65001–65534) and never leaves a cluster's own
+// peer links.
+const OptionCodeClusterHop uint16 = 65021
+
 func (o *OPT) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	for _, opt := range o.Options {
 		buf = binary.BigEndian.AppendUint16(buf, opt.Code)

@@ -23,6 +23,7 @@ import (
 
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
+	"encdns/internal/testutil"
 )
 
 // testDNS is a resolver scripted by query name. hit.test. is answered by
@@ -1055,7 +1056,7 @@ func TestH2InlineCountsLikeServeHTTP(t *testing.T) {
 	c := startLoop(t)
 	post := obs.Default().Counter("doh_server_requests_total", "", "method", "POST")
 	get := obs.Default().Counter("doh_server_requests_total", "", "method", "GET")
-	latency := serverLatency.Count
+	latency := func() uint64 { return testutil.HistogramCount(t, "doh_server_seconds") }
 	before := [4]uint64{post.Value(), get.Value(), serverErrors.Value(), latency()}
 	hit, miss := dnsQuery(t, 1, "hit.test."), dnsQuery(t, 2, "miss.test.")
 	c.send(postFrames(1, hit), getFrames(3, hit), getFrames(5, hit), postFrames(7, miss), postFrames(9, []byte("not DNS")))

@@ -39,9 +39,6 @@ var (
 		"Completed DoT TLS handshakes by resumption outcome.", "resumed", "false")
 )
 
-// DefaultPort is the IANA-assigned DoT port.
-const DefaultPort = 853
-
 // Client issues DNS queries over TLS.
 type Client struct {
 	// TLS configures certificate verification; nil uses the system roots

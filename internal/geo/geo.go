@@ -1,9 +1,8 @@
 // Package geo provides the geographic substrate for the measurement study:
-// great-circle math for the network latency model, a continent/region
-// taxonomy matching the paper's resolver grouping, and an IP-range
-// geolocation database with the same query shape as MaxMind's GeoLite2
-// (the paper's §3.2 geolocation source), loadable with a synthetic registry
-// covering the simulated address plan.
+// great-circle math for the network latency model and a continent/region
+// taxonomy matching the paper's resolver grouping. The paper geolocates
+// resolvers with MaxMind (§3.2); here each resolver's region and
+// coordinates are part of its dataset entry.
 package geo
 
 import "math"
@@ -55,7 +54,6 @@ var (
 	Paris      = Coord{48.86, 2.35}
 	Zurich     = Coord{47.38, 8.54}
 	Stockholm  = Coord{59.33, 18.07}
-	Warsaw     = Coord{52.23, 21.01}
 	Seoul      = Coord{37.57, 126.98}
 	Tokyo      = Coord{35.68, 139.69}
 	Beijing    = Coord{39.90, 116.40}
@@ -72,9 +70,7 @@ var (
 	Luxembourg = Coord{49.61, 6.13}
 	Helsinki   = Coord{60.17, 24.94}
 	Nuremberg  = Coord{49.45, 11.08}
-	Vilnius    = Coord{54.69, 25.28}
 	Athens     = Coord{37.98, 23.73}
-	Reykjavik  = Coord{64.15, -21.94}
 	Mumbai     = Coord{19.08, 72.88}
 )
 

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"net/netip"
 	"testing"
 	"testing/quick"
 )
@@ -98,100 +97,6 @@ func TestRegionString(t *testing.T) {
 	for r, want := range cases {
 		if got := r.String(); got != want {
 			t.Errorf("%v.String() = %q, want %q", r, got, want)
-		}
-	}
-}
-
-func TestDBLookup(t *testing.T) {
-	db := NewDB()
-	add := func(cidr string, loc Location) {
-		t.Helper()
-		if err := db.Add(netip.MustParsePrefix(cidr), loc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add("10.1.0.0/16", Location{Region: NorthAmerica, Country: "US", City: "Chicago", Coord: Chicago})
-	add("10.2.0.0/16", Location{Region: Europe, Country: "DE", City: "Frankfurt", Coord: Frankfurt})
-	add("10.3.0.0/16", Location{Region: Asia, Country: "KR", City: "Seoul", Coord: Seoul})
-	add("2001:db8::/48", Location{Region: Europe, Country: "NL", City: "Amsterdam", Coord: Amsterdam})
-
-	cases := []struct {
-		addr string
-		want string
-	}{
-		{"10.1.0.1", "Chicago"},
-		{"10.1.255.255", "Chicago"},
-		{"10.2.42.42", "Frankfurt"},
-		{"10.3.0.0", "Seoul"},
-		{"2001:db8::1234", "Amsterdam"},
-	}
-	for _, c := range cases {
-		loc, err := db.Lookup(netip.MustParseAddr(c.addr))
-		if err != nil {
-			t.Errorf("lookup %s: %v", c.addr, err)
-			continue
-		}
-		if loc.City != c.want {
-			t.Errorf("lookup %s = %s, want %s", c.addr, loc.City, c.want)
-		}
-	}
-	if _, err := db.Lookup(netip.MustParseAddr("192.168.1.1")); err != ErrNotFound {
-		t.Errorf("miss err = %v, want ErrNotFound", err)
-	}
-	if _, err := db.Lookup(netip.MustParseAddr("2001:db9::1")); err != ErrNotFound {
-		t.Errorf("v6 miss err = %v, want ErrNotFound", err)
-	}
-	if db.Len() != 4 {
-		t.Errorf("len = %d", db.Len())
-	}
-}
-
-func TestDBNestedRanges(t *testing.T) {
-	db := NewDB()
-	_ = db.Add(netip.MustParsePrefix("10.0.0.0/8"), Location{City: "broad"})
-	_ = db.Add(netip.MustParsePrefix("10.5.0.0/16"), Location{City: "narrow"})
-	loc, err := db.Lookup(netip.MustParseAddr("10.5.1.1"))
-	if err != nil || loc.City != "narrow" {
-		t.Errorf("nested lookup = %+v, %v (want narrow)", loc, err)
-	}
-	loc, err = db.Lookup(netip.MustParseAddr("10.9.1.1"))
-	if err != nil || loc.City != "broad" {
-		t.Errorf("outer lookup = %+v, %v (want broad)", loc, err)
-	}
-}
-
-func TestDBMappedV4(t *testing.T) {
-	db := NewDB()
-	_ = db.Add(netip.MustParsePrefix("10.0.0.0/8"), Location{City: "v4"})
-	loc, err := db.Lookup(netip.MustParseAddr("::ffff:10.1.2.3"))
-	if err != nil || loc.City != "v4" {
-		t.Errorf("mapped lookup = %+v, %v", loc, err)
-	}
-}
-
-func TestDBSingleHostPrefix(t *testing.T) {
-	db := NewDB()
-	_ = db.Add(netip.MustParsePrefix("203.0.113.7/32"), Location{City: "host"})
-	if loc, err := db.Lookup(netip.MustParseAddr("203.0.113.7")); err != nil || loc.City != "host" {
-		t.Errorf("host lookup = %+v, %v", loc, err)
-	}
-	if _, err := db.Lookup(netip.MustParseAddr("203.0.113.8")); err != ErrNotFound {
-		t.Errorf("adjacent addr err = %v", err)
-	}
-}
-
-func TestLastAddr(t *testing.T) {
-	cases := []struct{ prefix, want string }{
-		{"10.0.0.0/8", "10.255.255.255"},
-		{"192.0.2.0/24", "192.0.2.255"},
-		{"192.0.2.128/25", "192.0.2.255"},
-		{"203.0.113.7/32", "203.0.113.7"},
-		{"2001:db8::/32", "2001:db8:ffff:ffff:ffff:ffff:ffff:ffff"},
-	}
-	for _, c := range cases {
-		got := lastAddr(netip.MustParsePrefix(c.prefix))
-		if got != netip.MustParseAddr(c.want) {
-			t.Errorf("lastAddr(%s) = %s, want %s", c.prefix, got, c.want)
 		}
 	}
 }

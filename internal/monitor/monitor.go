@@ -381,19 +381,6 @@ func (t *Tracker) evaluateAlerts(tg *target, now time.Time) {
 	}
 }
 
-// AlertFiring reports whether the named burn alert is firing for a
-// target.
-func (t *Tracker) AlertFiring(name, burnWindow string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tg, ok := t.targets[name]
-	if !ok {
-		return false
-	}
-	as, ok := tg.alerts[burnWindow]
-	return ok && as.firing
-}
-
 // noNaN maps the empty-window NaN quantile onto 0 so reports stay
 // JSON-encodable.
 func noNaN(v float64) float64 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"encdns/internal/netsim"
+	"encdns/internal/testutil"
 )
 
 // testConfig is scaled to virtual time: 10s buckets, one fast burn pair
@@ -121,7 +122,7 @@ func TestBurnAlertFiresAndResolves(t *testing.T) {
 		tr.ObserveProbe(target, true, 10*time.Millisecond, "")
 		clk.Advance(10 * time.Second)
 	}
-	if tr.AlertFiring(target, "fast") {
+	if testutil.AlertFiring(tr.WatchReport(), target, "fast") {
 		t.Fatalf("fast alert firing on all-success history")
 	}
 
@@ -131,7 +132,7 @@ func TestBurnAlertFiresAndResolves(t *testing.T) {
 	var fired bool
 	for i := 0; i < 4; i++ {
 		tr.ObserveProbe(target, false, 0, "timeout")
-		if tr.AlertFiring(target, "fast") {
+		if testutil.AlertFiring(tr.WatchReport(), target, "fast") {
 			fired = true
 			break
 		}
@@ -144,11 +145,11 @@ func TestBurnAlertFiresAndResolves(t *testing.T) {
 	// Recovery: successes push the short-window burn to 0; the alert
 	// must auto-resolve even while the long window still remembers the
 	// outage.
-	for i := 0; i < 6 && tr.AlertFiring(target, "fast"); i++ {
+	for i := 0; i < 6 && testutil.AlertFiring(tr.WatchReport(), target, "fast"); i++ {
 		clk.Advance(10 * time.Second)
 		tr.ObserveProbe(target, true, 10*time.Millisecond, "")
 	}
-	if tr.AlertFiring(target, "fast") {
+	if testutil.AlertFiring(tr.WatchReport(), target, "fast") {
 		t.Fatalf("fast alert still firing after sustained recovery")
 	}
 

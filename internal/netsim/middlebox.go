@@ -108,40 +108,6 @@ func (m *DropLargeRecord) Inspect(index int, segment []byte) Verdict {
 	return VerdictPass
 }
 
-// ThrottleFamily blackholes connection establishment for one address
-// family ("ipv4" or "ipv6"): dials to that family hang until the
-// caller's context expires, the way a broken 6to4 path or a null-routed
-// prefix behaves. Happy-eyeballs racing exists to make this failure cost
-// one stagger interval instead of a full timeout.
-type ThrottleFamily struct {
-	// Family is the address family to strand ("ipv4" or "ipv6").
-	Family string
-}
-
-// Name implements Middlebox.
-func (m *ThrottleFamily) Name() string { return "throttle-" + m.Family }
-
-// FilterDial implements DialFilter.
-func (m *ThrottleFamily) FilterDial(ctx context.Context, _ string, address string) error {
-	host, _, err := net.SplitHostPort(address)
-	if err != nil {
-		host = address
-	}
-	ip := net.ParseIP(host)
-	if ip == nil {
-		return nil // hostname dials pass; filtering keys on literal family
-	}
-	fam := "ipv6"
-	if ip.To4() != nil {
-		fam = "ipv4"
-	}
-	if fam != m.Family {
-		return nil
-	}
-	<-ctx.Done()
-	return &net.OpError{Op: "dial", Net: "tcp", Err: ctx.Err()}
-}
-
 // Blackhole strands every dial until the caller's context expires —
 // the fully unreachable vantage/endpoint pair.
 type Blackhole struct{}

@@ -150,30 +150,6 @@ func TestDropLargeRecordFirstSegmentOnly(t *testing.T) {
 	}
 }
 
-func TestThrottleFamilyStrandsOneFamily(t *testing.T) {
-	vn := NewVirtualNet()
-	const name = "resolver.test"
-	const v4addr, v6addr = "192.0.2.55:853", "[2001:db8::55]:853"
-	startTLSEcho(t, vn, v4addr, name)
-	startTLSEcho(t, vn, v6addr, name)
-	path := vn.Path(&ThrottleFamily{Family: "ipv6"})
-
-	// Direct v6 dial hangs until the context dies.
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if _, err := path.DialContext(ctx, "tcp", v6addr); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("v6 dial = %v, want deadline exceeded", err)
-	}
-	// v4 is untouched.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	conn, err := path.DialContext(ctx2, "tcp", v4addr)
-	if err != nil {
-		t.Fatalf("v4 dial = %v", err)
-	}
-	conn.Close()
-}
-
 func TestBlackholeAndMissingListener(t *testing.T) {
 	vn := NewVirtualNet()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -191,10 +167,9 @@ func TestBlackholeAndMissingListener(t *testing.T) {
 
 func TestMiddleboxNames(t *testing.T) {
 	for mb, want := range map[Middlebox]string{
-		&RSTOnSNI{}:                     "rst-on-sni",
-		&DropLargeRecord{}:              "drop-large-record",
-		&ThrottleFamily{Family: "ipv6"}: "throttle-ipv6",
-		&Blackhole{}:                    "blackhole",
+		&RSTOnSNI{}:        "rst-on-sni",
+		&DropLargeRecord{}: "drop-large-record",
+		&Blackhole{}:       "blackhole",
 	} {
 		if got := mb.Name(); got != want {
 			t.Errorf("Name = %q, want %q", got, want)

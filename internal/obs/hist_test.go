@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// count is the number of observations h holds.
+func count(h *Histogram) uint64 {
+	cumulative, _ := h.snapshot()
+	return cumulative[len(cumulative)-1]
+}
+
 func TestDefaultRTTBounds(t *testing.T) {
 	if len(DefaultRTTBounds) != 16 {
 		t.Fatalf("len(DefaultRTTBounds) = %d, want 16", len(DefaultRTTBounds))
@@ -58,7 +64,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			}
 		}
 	}
-	if got, want := h.Count(), uint64(len(cases)); got != want {
+	if got, want := count(h), uint64(len(cases)); got != want {
 		t.Errorf("count = %d, want %d", got, want)
 	}
 }
@@ -70,15 +76,18 @@ func TestHistogramSumAndDuration(t *testing.T) {
 	if got := h.Sum(); got != 0.5 {
 		t.Errorf("sum = %v, want 0.5", got)
 	}
-	if got := h.Count(); got != 2 {
+	if got := count(h); got != 2 {
 		t.Errorf("count = %d, want 2", got)
 	}
 }
 
+// TestHistogramQuantile pins the bucket interpolation behind the
+// windowed p50/p95/p99 on /debug/watch.
 func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "help", []float64{1, 2, 4, 8})
-	if !math.IsNaN(h.Quantile(0.5)) {
+	clk := newFakeClock()
+	h := NewWindowedHistogram(time.Hour, 1, []float64{1, 2, 4, 8})
+	h.SetNow(clk.Now)
+	if !math.IsNaN(h.Quantile(0.5, time.Hour)) {
 		t.Error("empty histogram quantile is not NaN")
 	}
 	// 100 observations uniform on (0, 4]: 25 per unit interval.
@@ -92,14 +101,15 @@ func TestHistogramQuantile(t *testing.T) {
 		{0.75, 3.0, 0.12}, // interpolated inside (2,4]
 		{1.0, 4.0, 1e-9},  // top of the last populated bucket
 	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
+		if got := h.Quantile(tc.q, time.Hour); math.Abs(got-tc.want) > tc.tol {
 			t.Errorf("Quantile(%v) = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
 		}
 	}
 	// Values past every bound clamp to the last finite bound.
-	over := r.Histogram("over_seconds", "help", []float64{1, 2})
+	over := NewWindowedHistogram(time.Hour, 1, []float64{1, 2})
+	over.SetNow(clk.Now)
 	over.Observe(100)
-	if got := over.Quantile(0.99); got != 2 {
+	if got := over.Quantile(0.99, time.Hour); got != 2 {
 		t.Errorf("+Inf-bucket quantile = %v, want clamp to 2", got)
 	}
 }
@@ -109,15 +119,12 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	for _, v := range []float64{0.0005, 0.005, 0.005, 5} {
 		h.Observe(v)
 	}
-	cumulative, count, sum := h.snapshot()
+	cumulative, sum := h.snapshot()
 	want := []uint64{1, 3, 4}
 	for i, c := range cumulative {
 		if c != want[i] {
 			t.Errorf("cumulative[%d] = %d, want %d", i, c, want[i])
 		}
-	}
-	if count != 4 {
-		t.Errorf("count = %d, want 4", count)
 	}
 	if math.Abs(sum-5.0105) > 1e-9 {
 		t.Errorf("sum = %v, want 5.0105", sum)

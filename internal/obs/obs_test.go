@@ -82,7 +82,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("conc_total", "help").Value(); got != workers*iters {
 		t.Errorf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := r.Histogram("conc_seconds", "help", nil).Count(); got != workers*iters {
+	if got := count(r.Histogram("conc_seconds", "help", nil)); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
 	}
 }

@@ -26,7 +26,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		case *GaugeFunc:
 			fmt.Fprintf(w, "%s %s\n", series(name, labels), formatFloat(v.Value()))
 		case *Histogram:
-			cumulative, _, sum := v.snapshot()
+			cumulative, sum := v.snapshot()
 			for i, bound := range v.bounds {
 				fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", joinLabels(labels, `le="`+formatFloat(bound)+`"`)), cumulative[i])
 			}
@@ -34,20 +34,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", joinLabels(labels, `le="+Inf"`)), total)
 			fmt.Fprintf(w, "%s %s\n", series(name+"_sum", labels), formatFloat(sum))
 			fmt.Fprintf(w, "%s %d\n", series(name+"_count", labels), total)
-		case *WindowedCounter:
-			// Windowed counters scrape as a gauge: the event count inside
-			// the trailing span, which rises and falls with the window.
-			fmt.Fprintf(w, "%s %d\n", series(name, labels), v.Total())
-		case *WindowedHistogram:
-			v.mu.Lock()
-			cumulative, count, sum := v.windowMerge(v.Span())
-			v.mu.Unlock()
-			for i, bound := range v.bounds {
-				fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", joinLabels(labels, `le="`+formatFloat(bound)+`"`)), cumulative[i])
-			}
-			fmt.Fprintf(w, "%s %d\n", series(name+"_bucket", joinLabels(labels, `le="+Inf"`)), cumulative[len(cumulative)-1])
-			fmt.Fprintf(w, "%s %s\n", series(name+"_sum", labels), formatFloat(sum))
-			fmt.Fprintf(w, "%s %d\n", series(name+"_count", labels), count)
 		}
 	}
 }
@@ -100,18 +86,7 @@ func (r *Registry) Snapshot() map[string]any {
 		case *GaugeFunc:
 			out[key] = v.Value()
 		case *Histogram:
-			cumulative, _, sum := v.snapshot()
-			snap := HistogramSnapshot{Count: cumulative[len(cumulative)-1], Sum: sum}
-			for i, bound := range v.bounds {
-				snap.Buckets = append(snap.Buckets, BucketSnapshot{LE: bound, Count: cumulative[i]})
-			}
-			out[key] = snap
-		case *WindowedCounter:
-			out[key] = v.Total()
-		case *WindowedHistogram:
-			v.mu.Lock()
-			cumulative, _, sum := v.windowMerge(v.Span())
-			v.mu.Unlock()
+			cumulative, sum := v.snapshot()
 			snap := HistogramSnapshot{Count: cumulative[len(cumulative)-1], Sum: sum}
 			for i, bound := range v.bounds {
 				snap.Buckets = append(snap.Buckets, BucketSnapshot{LE: bound, Count: cumulative[i]})

@@ -41,9 +41,6 @@ func NewTrace(name string) *Trace {
 	return tr
 }
 
-// Root returns the trace's root span.
-func (t *Trace) Root() *Span { return t.root }
-
 // Finish ends the root span.
 func (t *Trace) Finish() { t.root.End() }
 
@@ -129,20 +126,6 @@ func (s *Span) Annotate(format string, args ...any) {
 	s.tr.mu.Lock()
 	s.notes = append(s.notes, note)
 	s.tr.mu.Unlock()
-}
-
-// Duration returns the span's elapsed time; an unfinished span measures
-// up to now.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	if s.end.IsZero() {
-		return time.Since(s.start)
-	}
-	return s.end.Sub(s.start)
 }
 
 // Render writes the span tree, one line per span with its attributes,

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -15,9 +16,9 @@ import (
 // windowed one (TestWindowedVsCumulativeDivergence pins this).
 //
 // Both types are clock-injectable via SetNow so netsim virtual time
-// drives them deterministically, and both register into a Registry
-// (rendered as a windowed gauge / histogram on scrape) or stand alone
-// via their New constructors.
+// drives them deterministically. They are not registry instruments:
+// monitor.Tracker owns one set per target and reports them on
+// /debug/watch.
 
 // WindowBucket is one interval's worth of a windowed counter, for
 // timeseries readouts (/debug/watch).
@@ -37,12 +38,10 @@ type counterSlot struct {
 }
 
 // WindowedCounter counts events into a ring of fixed intervals. The
-// zero value is unusable; use NewWindowedCounter or
-// Registry.WindowedCounter. All methods are safe for concurrent use
-// (one mutex — windowed instruments sit on probe-rate paths, not the
-// packet hot path).
+// zero value is unusable; use NewWindowedCounter. All methods are safe
+// for concurrent use (one mutex — windowed instruments sit on probe-rate
+// paths, not the packet hot path).
 type WindowedCounter struct {
-	desc
 	mu       mutexNow
 	interval time.Duration
 	slots    []counterSlot
@@ -73,18 +72,9 @@ func NewWindowedCounter(interval time.Duration, slots int) *WindowedCounter {
 		panic("obs: windowed counter needs at least one slot")
 	}
 	return &WindowedCounter{
-		desc:     desc{typ: "gauge"},
 		interval: interval,
 		slots:    make([]counterSlot, slots),
 	}
-}
-
-// WindowedCounter registers (or retrieves) a windowed counter. On scrape
-// it renders as a gauge whose value is the count over the full span.
-func (r *Registry) WindowedCounter(name, help string, interval time.Duration, slots int, labels ...string) *WindowedCounter {
-	w := NewWindowedCounter(interval, slots)
-	w.desc = newDesc(name, help, "gauge", labels)
-	return r.register(w).(*WindowedCounter)
 }
 
 // SetNow injects the clock; nil restores time.Now. Call before the first
@@ -94,9 +84,6 @@ func (w *WindowedCounter) SetNow(now func() time.Time) {
 	w.mu.now = now
 	w.mu.Unlock()
 }
-
-// Interval returns the bucket width.
-func (w *WindowedCounter) Interval() time.Duration { return w.interval }
 
 // Span returns the total observable window (interval × slots).
 func (w *WindowedCounter) Span() time.Duration {
@@ -128,9 +115,6 @@ func (w *WindowedCounter) Add(n uint64) {
 	w.slotFor(epochOf(w.mu.clock(), w.interval)).count += n
 	w.mu.Unlock()
 }
-
-// Total returns the count over the full span ending now.
-func (w *WindowedCounter) Total() uint64 { return w.SumWindow(w.Span()) }
 
 // SumWindow returns the count over the trailing window d (including the
 // current, partially filled interval). d is clamped to [interval, span].
@@ -186,15 +170,13 @@ type histSlot struct {
 	epoch   int64
 	buckets []uint64 // one per bound, plus +Inf
 	count   uint64
-	sum     float64
 }
 
 // WindowedHistogram observes values into a ring of per-interval
 // fixed-bucket histograms, answering quantile queries over any trailing
 // window up to the span. The zero value is unusable; use
-// NewWindowedHistogram or Registry.WindowedHistogram.
+// NewWindowedHistogram.
 type WindowedHistogram struct {
-	desc
 	mu       mutexNow
 	interval time.Duration
 	bounds   []float64
@@ -214,19 +196,10 @@ func NewWindowedHistogram(interval time.Duration, slots int, bounds []float64) *
 		bounds = DefaultRTTBounds
 	}
 	return &WindowedHistogram{
-		desc:     desc{typ: "histogram"},
 		interval: interval,
 		bounds:   bounds,
 		slots:    make([]histSlot, slots),
 	}
-}
-
-// WindowedHistogram registers (or retrieves) a windowed histogram. On
-// scrape it renders as a histogram of the observations inside the span.
-func (r *Registry) WindowedHistogram(name, help string, interval time.Duration, slots int, bounds []float64, labels ...string) *WindowedHistogram {
-	w := NewWindowedHistogram(interval, slots, bounds)
-	w.desc = newDesc(name, help, "histogram", labels)
-	return r.register(w).(*WindowedHistogram)
 }
 
 // SetNow injects the clock; nil restores time.Now.
@@ -235,17 +208,6 @@ func (w *WindowedHistogram) SetNow(now func() time.Time) {
 	w.mu.now = now
 	w.mu.Unlock()
 }
-
-// Interval returns the bucket width.
-func (w *WindowedHistogram) Interval() time.Duration { return w.interval }
-
-// Span returns the total observable window.
-func (w *WindowedHistogram) Span() time.Duration {
-	return w.interval * time.Duration(len(w.slots))
-}
-
-// Bounds returns the bucket upper bounds (shared, not a copy).
-func (w *WindowedHistogram) Bounds() []float64 { return w.bounds }
 
 // Observe records one value (in seconds) into the current interval.
 func (w *WindowedHistogram) Observe(v float64) {
@@ -256,7 +218,6 @@ func (w *WindowedHistogram) Observe(v float64) {
 	if s.epoch != e || s.buckets == nil {
 		s.epoch = e
 		s.count = 0
-		s.sum = 0
 		if s.buckets == nil {
 			s.buckets = make([]uint64, len(w.bounds)+1)
 		} else {
@@ -269,15 +230,14 @@ func (w *WindowedHistogram) Observe(v float64) {
 	}
 	s.buckets[i]++
 	s.count++
-	s.sum += v
 }
 
 // ObserveDuration records one duration into the current interval.
 func (w *WindowedHistogram) ObserveDuration(d time.Duration) { w.Observe(d.Seconds()) }
 
-// windowMerge returns cumulative bucket counts, count, and sum over the
-// trailing window d. Callers hold the lock.
-func (w *WindowedHistogram) windowMerge(d time.Duration) (cumulative []uint64, count uint64, sum float64) {
+// windowMerge returns cumulative bucket counts over the trailing window
+// d. Callers hold the lock.
+func (w *WindowedHistogram) windowMerge(d time.Duration) []uint64 {
 	nowE := epochOf(w.mu.clock(), w.interval)
 	k := intervalsIn(d, w.interval, len(w.slots))
 	merged := make([]uint64, len(w.bounds)+1)
@@ -287,8 +247,6 @@ func (w *WindowedHistogram) windowMerge(d time.Duration) (cumulative []uint64, c
 			for j, n := range s.buckets {
 				merged[j] += n
 			}
-			count += s.count
-			sum += s.sum
 		}
 	}
 	var running uint64
@@ -296,25 +254,16 @@ func (w *WindowedHistogram) windowMerge(d time.Duration) (cumulative []uint64, c
 		running += merged[i]
 		merged[i] = running
 	}
-	return merged, count, sum
+	return merged
 }
 
-// CountWindow returns the number of observations in the trailing window.
-func (w *WindowedHistogram) CountWindow(d time.Duration) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, count, _ := w.windowMerge(d)
-	return count
-}
-
-// Quantile estimates the q-th quantile over the trailing window d, by
-// the same bucket interpolation as Histogram.Quantile. NaN when the
-// window is empty.
+// Quantile estimates the q-th quantile over the trailing window d by
+// bucket interpolation (quantileFromCumulative). NaN when the window is
+// empty.
 func (w *WindowedHistogram) Quantile(q float64, d time.Duration) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cumulative, _, _ := w.windowMerge(d)
-	return quantileFromCumulative(cumulative, w.bounds, q)
+	return quantileFromCumulative(w.windowMerge(d), w.bounds, q)
 }
 
 // WindowQuantiles is one interval's latency readout for timeseries
@@ -353,4 +302,48 @@ func (w *WindowedHistogram) BucketQuantiles(d time.Duration, qs ...float64) []Wi
 		out = append(out, wq)
 	}
 	return out
+}
+
+// quantileFromCumulative estimates the q-th quantile (0 <= q <= 1) from
+// cumulative bucket counts (len(bounds)+1 entries, the last being +Inf) by
+// linear interpolation inside the containing bucket — the HDR-histogram
+// readout. The estimate's relative error is bounded by the bucket width
+// around the true value (for the doubling DefaultRTTBounds that is a
+// factor of two). Returns NaN when the counts are all zero; values in the
+// +Inf bucket clamp to the last finite bound.
+func quantileFromCumulative(cumulative []uint64, bounds []float64, q float64) float64 {
+	if q < 0 || q > 1 || math.IsNaN(q) {
+		panic("obs: histogram quantile out of range")
+	}
+	total := cumulative[len(cumulative)-1]
+	if total == 0 {
+		return math.NaN()
+	}
+	// rank is the 1-based position of the target observation.
+	rank := q * float64(total)
+	if rank < 1 {
+		rank = 1
+	}
+	for i, c := range cumulative {
+		if float64(c) < rank {
+			continue
+		}
+		if i == len(bounds) {
+			// +Inf bucket: no upper edge to interpolate towards.
+			return bounds[len(bounds)-1]
+		}
+		lo := 0.0
+		var below uint64
+		if i > 0 {
+			lo = bounds[i-1]
+			below = cumulative[i-1]
+		}
+		width := float64(c - below)
+		if width == 0 {
+			return bounds[i]
+		}
+		frac := (rank - float64(below)) / width
+		return lo + frac*(bounds[i]-lo)
+	}
+	return bounds[len(bounds)-1]
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -26,8 +25,8 @@ func TestWindowedCounterRotationAndExpiry(t *testing.T) {
 	w.Add(5)
 	clk.step(10 * time.Second)
 	w.Add(3)
-	if got := w.Total(); got != 8 {
-		t.Fatalf("Total=%d, want 8", got)
+	if got := w.SumWindow(w.Span()); got != 8 {
+		t.Fatalf("SumWindow(span)=%d, want 8", got)
 	}
 	if got := w.SumWindow(10 * time.Second); got != 3 {
 		t.Fatalf("SumWindow(10s)=%d, want only the current bucket", got)
@@ -36,14 +35,14 @@ func TestWindowedCounterRotationAndExpiry(t *testing.T) {
 	// Advance past the span: everything expires, even though the ring
 	// slots still physically hold the old counts.
 	clk.step(2 * time.Minute)
-	if got := w.Total(); got != 0 {
-		t.Fatalf("Total=%d after span elapsed, want 0", got)
+	if got := w.SumWindow(w.Span()); got != 0 {
+		t.Fatalf("SumWindow(span)=%d after span elapsed, want 0", got)
 	}
 
 	// The ring wraps onto stale slots and resets them.
 	w.Add(2)
-	if got := w.Total(); got != 2 {
-		t.Fatalf("Total=%d after wrap, want 2", got)
+	if got := w.SumWindow(w.Span()); got != 2 {
+		t.Fatalf("SumWindow(span)=%d after wrap, want 2", got)
 	}
 }
 
@@ -87,12 +86,6 @@ func TestWindowedHistogramQuantileWindows(t *testing.T) {
 	}
 	if p := w.Quantile(0.5, 10*time.Minute); p > 0.5 {
 		t.Fatalf("p50 over full span = %v, want mixed median below 0.5", p)
-	}
-	if c := w.CountWindow(time.Minute); c != 100 {
-		t.Fatalf("CountWindow(1m)=%d, want 100", c)
-	}
-	if c := w.CountWindow(10 * time.Minute); c != 200 {
-		t.Fatalf("CountWindow(span)=%d, want 200", c)
 	}
 
 	// Empty window → NaN, by contract.
@@ -147,59 +140,14 @@ func TestWindowedVsCumulativeDivergence(t *testing.T) {
 		observe(5.0)
 	}
 
-	cumP99 := cum.Quantile(0.99)
+	cumulative, _ := cum.snapshot()
+	cumP99 := quantileFromCumulative(cumulative, cum.bounds, 0.99)
 	winP99 := win.Quantile(0.99, 5*time.Minute)
 	if cumP99 >= 0.1 {
 		t.Fatalf("cumulative p99 = %vs — the stall should be hidden below 0.1s", cumP99)
 	}
 	if winP99 <= 1 {
 		t.Fatalf("windowed p99 = %vs — the stall should dominate the window (>1s)", winP99)
-	}
-}
-
-func TestWindowedInstrumentsRenderOnScrape(t *testing.T) {
-	clk := newFakeClock()
-	r := NewRegistry()
-	wc := r.WindowedCounter("w_total", "Windowed things.", time.Second, 60)
-	wc.SetNow(clk.Now)
-	wh := r.WindowedHistogram("w_seconds", "Windowed latency.", time.Second, 60, []float64{0.001, 0.01})
-	wh.SetNow(clk.Now)
-	wc.Add(4)
-	wh.Observe(0.0009765625)
-	wh.Observe(0.25)
-
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE w_total gauge",
-		"w_total 4",
-		"# TYPE w_seconds histogram",
-		`w_seconds_bucket{le="0.001"} 1`,
-		`w_seconds_bucket{le="+Inf"} 2`,
-		"w_seconds_count 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q:\n%s", want, out)
-		}
-	}
-
-	snap := r.Snapshot()
-	if got := snap["w_total"]; got != uint64(4) {
-		t.Errorf("snapshot w_total = %v, want 4", got)
-	}
-	hs, ok := snap["w_seconds"].(HistogramSnapshot)
-	if !ok || hs.Count != 2 {
-		t.Errorf("snapshot w_seconds = %#v, want HistogramSnapshot count 2", snap["w_seconds"])
-	}
-
-	// Expired observations drop off the scrape, unlike a cumulative
-	// histogram.
-	clk.step(2 * time.Minute)
-	b.Reset()
-	r.WritePrometheus(&b)
-	if !strings.Contains(b.String(), "w_seconds_count 0") || !strings.Contains(b.String(), "w_total 0") {
-		t.Errorf("expired windowed instruments still render old counts:\n%s", b.String())
 	}
 }
 

@@ -456,9 +456,15 @@ func (c *Cache) LookupStale(name string, t dnswire.Type) (LookupResult, bool) {
 	return LookupResult{Records: out}, true
 }
 
-// drop empties every shard. countEvictions selects whether the dropped
-// entries are reported as evictions (Purge) or silently released (Close).
-func (c *Cache) drop(countEvictions bool) {
+// Close releases the cache's entries and detaches it from the process-wide
+// resolver_cache_entries gauge. It is idempotent: closing a cache twice
+// (e.g. from both a frontend teardown and a defer) cannot drive the shared
+// gauge negative. A closed cache stays usable for lookups but ignores
+// further puts.
+func (c *Cache) Close() {
+	if !c.closed.CompareAndSwap(false, true) {
+		return
+	}
 	var dropped int64
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -470,25 +476,4 @@ func (c *Cache) drop(countEvictions bool) {
 	}
 	c.entries.Add(-dropped)
 	cacheEntries.Add(-dropped)
-	if countEvictions {
-		c.evictions.Add(uint64(dropped))
-		cacheEvictions.Add(uint64(dropped))
-	}
-}
-
-// Purge drops every entry.
-func (c *Cache) Purge() {
-	c.drop(true)
-}
-
-// Close releases the cache's entries and detaches it from the process-wide
-// resolver_cache_entries gauge. It is idempotent: closing a cache twice
-// (e.g. from both a frontend teardown and a defer) cannot drive the shared
-// gauge negative. A closed cache stays usable for lookups but ignores
-// further puts.
-func (c *Cache) Close() {
-	if !c.closed.CompareAndSwap(false, true) {
-		return
-	}
-	c.drop(false)
 }

@@ -166,11 +166,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 				case 3:
 					c.LookupStale(name, dnswire.TypeA)
 				case 4:
-					if i%500 == 0 {
-						c.Purge()
-					} else {
-						c.Metrics()
-					}
+					c.Metrics()
 				}
 			}
 		}(w)

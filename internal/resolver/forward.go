@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 )
 
@@ -36,7 +37,9 @@ func (f *Forwarder) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 	}
 	var lastErr error = ErrNoUpstreams
 	for _, up := range f.Upstreams {
-		fq := dnswire.NewQuery(q.Header.ID, q0.Name, q0.Type)
+		// A fresh random ID per attempt: echoing the client's would let a
+		// spoofed upstream answer match on an ID the client chose.
+		fq := dnswire.NewQuery(dns53.NewID(), q0.Name, q0.Type)
 		resp, err := f.Exchange.Exchange(ctx, fq, up)
 		if err != nil {
 			lastErr = err

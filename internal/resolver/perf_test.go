@@ -73,7 +73,7 @@ func (l *latencyExchanger) Exchange(ctx context.Context, q *dnswire.Message, ser
 	return l.inner.Exchange(ctx, q, server)
 }
 
-// benchColdWalk measures a full cold referral walk (cache purged per
+// benchColdWalk measures a full cold referral walk (a new cache every
 // iteration) against a hierarchy where half the servers are 8× slower.
 // Unique names keep the per-name RNG from replaying one fixed server path.
 func benchColdWalk(b *testing.B, srtt bool) {
@@ -92,7 +92,8 @@ func benchColdWalk(b *testing.B, srtt bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Cache.Purge()
+		r.Cache.Close()
+		r.Cache = NewCache(4096, nil)
 		name := fmt.Sprintf("h%d.google.com.", i)
 		if _, _, err := r.Resolve(context.Background(), name, dnswire.TypeA, 0); err != nil {
 			b.Fatal(err)

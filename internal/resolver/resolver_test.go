@@ -140,15 +140,6 @@ func TestCacheLRUTouchOnLookup(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	c := NewCache(100, nil)
-	c.PutRRset("x.example.", dnswire.TypeA, []dnswire.Record{aRecord("x.example.", 300, "1.2.3.4")})
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("len after purge = %d", c.Len())
-	}
-}
-
 func TestCacheReplaceUpdates(t *testing.T) {
 	c := NewCache(100, nil)
 	c.PutRRset("x.example.", dnswire.TypeA, []dnswire.Record{aRecord("x.example.", 300, "1.1.1.1")})
@@ -400,6 +391,31 @@ func TestForwarderBasic(t *testing.T) {
 	}
 	if resp.Header.ID != 9 {
 		t.Errorf("ID = %d", resp.Header.ID)
+	}
+}
+
+// TestForwarderDrawsUpstreamIDs: the upstream query carries an ID of the
+// forwarder's choosing, not the client's, while the client's reply keeps
+// the client's ID.
+func TestForwarderDrawsUpstreamIDs(t *testing.T) {
+	rec, _ := newTestResolver(t)
+	upstreamIDs := map[uint16]bool{}
+	upstream := exchangerFunc(func(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
+		upstreamIDs[q.Header.ID] = true
+		return rec.ServeDNS(ctx, q)
+	})
+	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53"}}
+	for i := 0; i < 20; i++ {
+		resp, err := f.ServeDNS(context.Background(), dnswire.NewQuery(9, "google.com", dnswire.TypeA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.ID != 9 {
+			t.Fatalf("reply ID = %d, want the client's 9", resp.Header.ID)
+		}
+	}
+	if len(upstreamIDs) == 1 && upstreamIDs[9] {
+		t.Error("every upstream query reused the client's ID 9")
 	}
 }
 

@@ -26,49 +26,6 @@ func LogNormalByMedian(rng *rand.Rand, median, sigma float64) float64 {
 	return LogNormal(rng, math.Log(median), sigma)
 }
 
-// Gamma samples a gamma variate with the given shape k and scale theta
-// using Marsaglia and Tsang's method (with Ahrens-Dieter boost for k < 1).
-// Server processing time is well modelled as gamma: positive, skewed,
-// tunable tail.
-func Gamma(rng *rand.Rand, shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		return 0
-	}
-	if shape < 1 {
-		// Boost: Gamma(k) = Gamma(k+1) * U^(1/k).
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return Gamma(rng, shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1.0 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
-// Exponential samples an exponential variate with the given mean.
-func Exponential(rng *rand.Rand, mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return rng.ExpFloat64() * mean
-}
-
 // Bernoulli returns true with probability p.
 func Bernoulli(rng *rand.Rand, p float64) bool {
 	if p <= 0 {

@@ -5,16 +5,17 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
+	"time"
 
 	"encdns/internal/obs"
 	"encdns/internal/stats"
 )
 
 // This file cross-checks the one streaming quantile estimator the repo
-// ships — obs.Histogram's linear interpolation inside the containing
-// bucket (quantileFromCumulative), which every latency series at
-// /metrics and every windowed reading of the watchtower goes through —
-// against the exact type-7 quantile of the full sample on skewed,
+// ships — obs.WindowedHistogram.Quantile, linear interpolation inside the
+// containing bucket (quantileFromCumulative), which produces the
+// watchtower's p50/p95/p99 on /debug/watch — against the exact type-7
+// quantile of the full sample on skewed,
 // Zipf-like inputs. Latency streams are exactly this shape: a dense head
 // (cache hits, nearby anycast) and a heavy tail (cold paths, stalls), and
 // an estimator that is fine on uniform data can drift badly on the tail
@@ -84,14 +85,16 @@ func TestHistogramQuantilesVsExact(t *testing.T) {
 	for _, kind := range []string{"zipf-steps", "lognormal", "pareto"} {
 		t.Run(kind, func(t *testing.T) {
 			streamVals := skewedStream(t, kind, n)
-			hist := obs.NewRegistry().Histogram("accuracy_seconds", "help", quarterOctaveBounds)
+			// One slot on a stopped clock: the window holds the whole stream.
+			hist := obs.NewWindowedHistogram(time.Hour, 1, quarterOctaveBounds)
+			hist.SetNow(func() time.Time { return time.Unix(0, 0) })
 			for _, v := range streamVals {
 				hist.Observe(v)
 			}
 			exactSorted := append([]float64(nil), streamVals...)
 			sort.Float64s(exactSorted)
 			for _, q := range []float64{0.50, 0.90, 0.99, 0.999} {
-				exact, got := stats.Quantile(exactSorted, q), hist.Quantile(q)
+				exact, got := stats.Quantile(exactSorted, q), hist.Quantile(q, time.Hour)
 				if e := relErr(got, exact); e > 0.19 {
 					t.Errorf("%s q=%v: got %.6f exact %.6f relerr %.3f > 0.19", kind, q, got, exact, e)
 				}

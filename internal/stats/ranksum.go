@@ -99,18 +99,3 @@ func RankSum(a, b []float64) (u float64, pValue float64) {
 func normSurvival(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
 }
-
-// FasterThan reports whether sample a is statistically faster than sample
-// b at significance level alpha: the rank-sum test rejects equality AND
-// a's median is lower. This is the primitive behind "resolver X
-// outperformed resolver Y" claims.
-func FasterThan(a, b []float64, alpha float64) bool {
-	if alpha <= 0 {
-		alpha = 0.05
-	}
-	_, p := RankSum(a, b)
-	if math.IsNaN(p) || p >= alpha {
-		return false
-	}
-	return Median(a) < Median(b)
-}

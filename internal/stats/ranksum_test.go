@@ -35,15 +35,13 @@ func TestRankSumDetectsShift(t *testing.T) {
 		a[i] = LogNormalByMedian(rng, 20, 0.3)
 		b[i] = LogNormalByMedian(rng, 30, 0.3) // 50% slower
 	}
-	_, p := RankSum(a, b)
+	u, p := RankSum(a, b)
 	if p > 0.01 {
 		t.Errorf("p = %v for a clear shift", p)
 	}
-	if !FasterThan(a, b, 0.05) {
-		t.Error("FasterThan missed a clear winner")
-	}
-	if FasterThan(b, a, 0.05) {
-		t.Error("FasterThan inverted")
+	// a ranks low: its U is well under the n1*n2/2 a tie would give.
+	if u >= 60*60/2 {
+		t.Errorf("U = %v for the faster sample, want < %d", u, 60*60/2)
 	}
 }
 
@@ -81,30 +79,14 @@ func TestRankSumAllIdenticalValues(t *testing.T) {
 	if p != 1 {
 		t.Errorf("p = %v for identical constants, want 1", p)
 	}
-	if FasterThan(a, b, 0.05) {
-		t.Error("constant samples declared different")
-	}
 }
 
 func TestRankSumEmpty(t *testing.T) {
 	if _, p := RankSum(nil, []float64{1}); !math.IsNaN(p) {
 		t.Errorf("p = %v for empty sample", p)
 	}
-	if FasterThan(nil, []float64{1}, 0.05) {
-		t.Error("empty sample declared faster")
-	}
 	// NaN-only samples behave as empty.
 	if _, p := RankSum([]float64{math.NaN()}, []float64{1}); !math.IsNaN(p) {
 		t.Errorf("p = %v for NaN sample", p)
-	}
-}
-
-func TestFasterThanRequiresSignificance(t *testing.T) {
-	// Tiny samples with overlapping values: medians differ but the test
-	// cannot be confident.
-	a := []float64{10, 11, 30}
-	b := []float64{12, 13, 9}
-	if FasterThan(a, b, 0.05) {
-		t.Error("insignificant difference declared significant")
 	}
 }

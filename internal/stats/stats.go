@@ -1,6 +1,6 @@
 // Package stats provides the statistical machinery used by the measurement
 // analysis pipeline: quantiles, five-number boxplot summaries with IQR
-// outlier detection, empirical CDFs, histograms, and seeded distributions.
+// outlier detection, the rank-sum test, and seeded distributions.
 //
 // All functions operate on float64 samples (milliseconds throughout this
 // repository) and are careful about the edge cases that show up in real
@@ -66,29 +66,6 @@ func Mean(samples []float64) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator), ignoring
-// NaNs. NaN when fewer than two valid samples.
-func StdDev(samples []float64) float64 {
-	m := Mean(samples)
-	if math.IsNaN(m) {
-		return math.NaN()
-	}
-	var ss float64
-	var n int
-	for _, v := range samples {
-		if math.IsNaN(v) {
-			continue
-		}
-		d := v - m
-		ss += d * d
-		n++
-	}
-	if n < 2 {
-		return math.NaN()
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Min returns the smallest non-NaN sample, or NaN when none exist.
@@ -181,27 +158,3 @@ func Summarize(samples []float64) (BoxPlot, error) {
 	}
 	return b, nil
 }
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF over the samples (NaNs dropped).
-func NewCDF(samples []float64) CDF { return CDF{sorted: cleanSorted(samples)} }
-
-// N reports the number of samples behind the CDF.
-func (c CDF) N() int { return len(c.sorted) }
-
-// P returns the fraction of samples <= x. Zero for an empty CDF.
-func (c CDF) P(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// First index with sorted[i] > x.
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// InvP returns the q-th quantile of the samples behind the CDF.
-func (c CDF) InvP(q float64) float64 { return quantileSorted(c.sorted, q) }

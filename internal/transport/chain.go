@@ -123,12 +123,6 @@ func buildDialer(ce ChainEndpoint, opts Options) (dns53.ContextDialer, error) {
 	}, nil
 }
 
-// DialFailures reads the dial-failure counter for a scheme/layer pair —
-// reports and tests use it rather than scraping the registry by hand.
-func DialFailures(scheme, layer string) uint64 {
-	return dialFailureCounter(scheme, layer).Value()
-}
-
 // dialFailureCounter registers-or-retrieves the per-scheme, per-layer
 // dial failure counter. Dial failures are the cold path, so the registry
 // lookup (needed because layer values are open-ended) costs nothing that

@@ -241,15 +241,3 @@ func TestPoolStatsThroughMiddleware(t *testing.T) {
 		t.Errorf("pool aggregate %+v != exchanger stats %+v", agg, s)
 	}
 }
-
-func TestWithTimeout(t *testing.T) {
-	slow := &delayExchanger{delay: time.Hour}
-	ex := WithTimeout(slow, 10*time.Millisecond)
-	_, err := ex.Exchange(context.Background(), query())
-	if err == nil {
-		t.Fatal("timeout did not fire")
-	}
-	if WithTimeout(slow, 0) != Exchanger(slow) {
-		t.Error("zero timeout should be identity")
-	}
-}

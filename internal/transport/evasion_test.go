@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -223,6 +224,32 @@ func TestEvasionDropLargeRecord(t *testing.T) {
 	}
 }
 
+// strandIPv6 blackholes dials to IPv6 literals until the caller's
+// context expires, the way a broken v6 path behaves; happy-eyeballs
+// racing exists to make that cost one stagger interval, not a timeout.
+type strandIPv6 struct{}
+
+func (strandIPv6) Name() string { return "strand-ipv6" }
+
+func (strandIPv6) FilterDial(ctx context.Context, _, address string) error {
+	host, _, _ := net.SplitHostPort(address)
+	if ip, err := netip.ParseAddr(host); err != nil || ip.Is4() {
+		return nil
+	}
+	<-ctx.Done()
+	return &net.OpError{Op: "dial", Net: "tcp", Err: ctx.Err()}
+}
+
+// staticResolve resolves from a fixed host→addresses table.
+func staticResolve(table map[string][]netip.Addr) dialer.ResolveFunc {
+	return func(_ context.Context, host string) ([]netip.Addr, error) {
+		if addrs, ok := table[host]; ok {
+			return addrs, nil
+		}
+		return nil, fmt.Errorf("no addresses for %q", host)
+	}
+}
+
 // TestEyeballsPicksHealthyFamily is acceptance criterion (b):
 // happy-eyeballs picks the healthy family within one stagger interval
 // when the other family is throttled.
@@ -250,8 +277,8 @@ func TestEyeballsPicksHealthyFamily(t *testing.T) {
 	const stagger = 50 * time.Millisecond
 	opts := Options{
 		TLS:     ca.ClientConfig(name),
-		Dialer:  vn.Path(&netsim.ThrottleFamily{Family: "ipv6"}),
-		Resolve: dialer.StaticResolve(map[string][]netip.Addr{name: {v6, v4}}),
+		Dialer:  vn.Path(strandIPv6{}),
+		Resolve: staticResolve(map[string][]netip.Addr{name: {v6, v4}}),
 		Stagger: stagger,
 		Retry:   ptr(NoRetry()),
 	}
@@ -286,7 +313,7 @@ func TestDialFailureCounters(t *testing.T) {
 	vn := netsim.NewVirtualNet() // no listeners: every dial fails
 	opts := Options{Dialer: vn.Path(), Retry: ptr(NoRetry()), Timeout: time.Second}
 
-	base0 := DialFailures(SchemeTLS, "base")
+	base0 := dialFailureCounter(SchemeTLS, "base").Value()
 	ex, err := Dial("tls://192.0.2.99:853", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -297,12 +324,12 @@ func TestDialFailureCounters(t *testing.T) {
 	if _, err := ex.Exchange(ctx, query()); err == nil {
 		t.Fatal("exchange against empty net succeeded")
 	}
-	if got := DialFailures(SchemeTLS, "base"); got != base0+1 {
+	if got := dialFailureCounter(SchemeTLS, "base").Value(); got != base0+1 {
 		t.Errorf("base failures = %d, want %d", got, base0+1)
 	}
 
-	eye0 := DialFailures(SchemeTLS, "eyeballs")
-	opts.Resolve = dialer.StaticResolve(nil) // resolution always fails
+	eye0 := dialFailureCounter(SchemeTLS, "eyeballs").Value()
+	opts.Resolve = staticResolve(nil) // resolution always fails
 	ex2, err := Dial("tls://unresolvable.test:853", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +338,7 @@ func TestDialFailureCounters(t *testing.T) {
 	if _, err := ex2.Exchange(ctx, query()); err == nil {
 		t.Fatal("exchange with failing resolver succeeded")
 	}
-	if got := DialFailures(SchemeTLS, "eyeballs"); got != eye0+1 {
+	if got := dialFailureCounter(SchemeTLS, "eyeballs").Value(); got != eye0+1 {
 		t.Errorf("eyeballs failures = %d, want %d", got, eye0+1)
 	}
 }

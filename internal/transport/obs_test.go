@@ -9,6 +9,7 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
+	"encdns/internal/testutil"
 )
 
 func noSleep(ctx context.Context, d time.Duration) error { return nil }
@@ -102,7 +103,7 @@ func TestInstrumentCounters(t *testing.T) {
 	m := schemeInstruments[SchemeUDP]
 	exBefore := m.exchanges.Value()
 	errBefore := m.errors.Value()
-	histBefore := m.latency.Count()
+	histBefore := testutil.HistogramCount(t, `transport_exchange_seconds{scheme="udp"}`)
 
 	scripted := &scriptedExchanger{failures: 1}
 	ex := instrument(scripted, SchemeUDP)
@@ -120,7 +121,7 @@ func TestInstrumentCounters(t *testing.T) {
 	if got := m.errors.Value() - errBefore; got != 1 {
 		t.Errorf("errors advanced by %d, want 1", got)
 	}
-	if got := m.latency.Count() - histBefore; got != 2 {
+	if got := testutil.HistogramCount(t, `transport_exchange_seconds{scheme="udp"}`) - histBefore; got != 2 {
 		t.Errorf("latency observations advanced by %d, want 2", got)
 	}
 	// The wrapper must stay transparent to accessor unwrapping.

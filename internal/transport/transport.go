@@ -19,9 +19,8 @@
 // Dial binds one endpoint to an Exchanger; Pool manages a lazily dialled
 // Exchanger per endpoint and is the endpoint-addressed (Multi) surface
 // that multi-upstream consumers use. Policy is middleware over
-// Exchanger: WithRetry (exponential backoff, decorrelated jitter),
-// WithTimeout (per-attempt deadline), and NewHedged (race the same query
-// against several endpoints). The policy is written once here so every
+// Exchanger: WithRetry (exponential backoff, decorrelated jitter) and
+// NewHedged (race the same query against several endpoints). The policy is written once here so every
 // protocol gets the same behaviour — in the seed tree only Do53 retried,
 // while DoT and DoH failed on the first error, skewing exactly the
 // cross-protocol comparison the paper makes (§3.1).
@@ -29,7 +28,6 @@ package transport
 
 import (
 	"context"
-	"time"
 
 	"encdns/internal/dnswire"
 )
@@ -102,28 +100,3 @@ func Stats(ex Exchanger) (stats PoolStats, ok bool) {
 	}
 	return PoolStats{}, false
 }
-
-// WithTimeout bounds each Exchange call on ex with a deadline. The
-// protocol clients apply their own per-attempt timeouts; this middleware
-// is for composing a tighter bound (for example a per-attempt deadline
-// inside a retry loop) without reconfiguring the client.
-func WithTimeout(ex Exchanger, d time.Duration) Exchanger {
-	if d <= 0 {
-		return ex
-	}
-	return &timeoutExchanger{inner: ex, d: d}
-}
-
-type timeoutExchanger struct {
-	inner Exchanger
-	d     time.Duration
-}
-
-func (t *timeoutExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	ctx, cancel := context.WithTimeout(ctx, t.d)
-	defer cancel()
-	return t.inner.Exchange(ctx, q)
-}
-
-func (t *timeoutExchanger) Close() error      { return t.inner.Close() }
-func (t *timeoutExchanger) Unwrap() Exchanger { return t.inner }

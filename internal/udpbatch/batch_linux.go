@@ -85,10 +85,6 @@ func (v *vectors) grow(n int) {
 var mmsgConns = obs.Default().Counter("udpbatch_mmsg_conns_total",
 	"Sockets served by the recvmmsg/sendmmsg fast path.")
 
-// fastPathExpected tells tests whether *net.UDPConn should take the
-// mmsg path on this build.
-const fastPathExpected = true
-
 // newMmsgConn returns the fast-path conn, or nil when pc cannot take it
 // (not a kernel UDP socket) so NewConn falls back.
 func newMmsgConn(pc net.PacketConn) Conn {

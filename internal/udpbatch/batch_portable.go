@@ -7,7 +7,3 @@ import "net"
 // newMmsgConn always declines on builds without the mmsg fast path, so
 // NewConn serves every socket through the portable fallback.
 func newMmsgConn(net.PacketConn) Conn { return nil }
-
-// fastPathExpected tells tests whether *net.UDPConn should take the
-// mmsg path on this build.
-const fastPathExpected = false

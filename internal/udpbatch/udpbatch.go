@@ -1,13 +1,11 @@
 // Package udpbatch amortises UDP syscall cost for the Do53 frontend: a
-// listener factory that opens N SO_REUSEPORT sockets on one address (the
-// kernel then spreads inbound packets across them by flow hash), and a
 // batched packet connection that moves up to dozens of datagrams per
 // syscall through recvmmsg/sendmmsg on Linux.
 //
 // The motivation is per-query transport overhead: Böttger et al. and
 // Hounsel et al. show that amortising it is what makes encrypted DNS
 // competitive, and the same holds one layer down at the syscall
-// boundary. The benchmark's udp-hit row is where both halves earn their
+// boundary. The benchmark's udp-hit row is where batching earns its
 // place: the dns53 receive loop answers every cache hit of a recvmmsg
 // batch with one sendmmsg (EXPERIMENTS.md, "Run-to-completion cache
 // hits").
@@ -26,8 +24,6 @@
 package udpbatch
 
 import (
-	"context"
-	"fmt"
 	"net"
 
 	"encdns/internal/obs"
@@ -213,40 +209,3 @@ func (c *fallbackConn) WriteBatch(pkts []Packet) (int, error) {
 
 func (c *fallbackConn) LocalAddr() net.Addr { return c.pc.LocalAddr() }
 func (c *fallbackConn) Close() error        { return c.pc.Close() }
-
-// Listen opens n UDP sockets bound to the same address. With n > 1 every
-// socket sets SO_REUSEPORT (Linux only) so the kernel load-balances
-// inbound packets across them; the first socket resolves an ephemeral
-// port and the rest bind to it. The sockets are plain net.PacketConns —
-// pass each to dns53.Server.ServeUDP, which wraps them via NewConn.
-func Listen(network, address string, n int) ([]net.PacketConn, error) {
-	if n < 1 {
-		n = 1
-	}
-	if n > 1 && !reusePortAvailable {
-		return nil, fmt.Errorf("udpbatch: %d sockets on one address needs SO_REUSEPORT, unavailable on this platform", n)
-	}
-	lc := net.ListenConfig{}
-	if n > 1 {
-		lc.Control = reusePortControl
-	}
-	first, err := lc.ListenPacket(context.Background(), network, address)
-	if err != nil {
-		return nil, fmt.Errorf("udpbatch: listen %s %s: %w", network, address, err)
-	}
-	conns := []net.PacketConn{first}
-	// Rebind the remaining sockets to the resolved address so ":0"
-	// requests land every socket on the same ephemeral port.
-	bound := first.LocalAddr().String()
-	for i := 1; i < n; i++ {
-		pc, err := lc.ListenPacket(context.Background(), network, bound)
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, fmt.Errorf("udpbatch: listen socket %d/%d on %s: %w", i+1, n, bound, err)
-		}
-		conns = append(conns, pc)
-	}
-	return conns, nil
-}

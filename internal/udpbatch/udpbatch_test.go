@@ -89,11 +89,11 @@ func echoRoundTrip(t *testing.T, conn Conn, nSend int) {
 }
 
 func TestFastPathRoundTrip(t *testing.T) {
-	conns, err := Listen("udp", "127.0.0.1:0", 1)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(conns[0])
+	c := NewConn(pc)
 	defer c.Close()
 	if runtime.GOOS == "linux" {
 		if _, ok := c.(*fallbackConn); ok && fastPathExpected {
@@ -117,11 +117,11 @@ func TestFallbackRoundTrip(t *testing.T) {
 }
 
 func TestWriteBatchLargerThanMax(t *testing.T) {
-	conns, err := Listen("udp", "127.0.0.1:0", 1)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := NewConn(conns[0])
+	server := NewConn(pc)
 	defer server.Close()
 	client, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -148,11 +148,11 @@ func TestWriteBatchLargerThanMax(t *testing.T) {
 }
 
 func TestReadBatchAfterClose(t *testing.T) {
-	conns, err := Listen("udp", "127.0.0.1:0", 1)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(conns[0])
+	c := NewConn(pc)
 	done := make(chan error, 1)
 	go func() {
 		pkts := makePkts(4, 1024)
@@ -171,86 +171,6 @@ func TestReadBatchAfterClose(t *testing.T) {
 	}
 }
 
-func TestListenMultiSocket(t *testing.T) {
-	if !reusePortAvailable {
-		t.Skip("SO_REUSEPORT unavailable on this platform")
-	}
-	conns, err := Listen("udp", "127.0.0.1:0", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, pc := range conns {
-			pc.Close()
-		}
-	}()
-	if len(conns) != 4 {
-		t.Fatalf("got %d sockets, want 4", len(conns))
-	}
-	port := conns[0].LocalAddr().String()
-	for i, pc := range conns {
-		if pc.LocalAddr().String() != port {
-			t.Errorf("socket %d bound %s, want %s", i, pc.LocalAddr(), port)
-		}
-	}
-	// Spray packets at the shared port: every one must land on some
-	// socket (kernel flow hashing decides which, so read them all with
-	// one batched conn per socket and count).
-	client, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	const total = 50
-	for i := 0; i < total; i++ {
-		if _, err := client.WriteTo([]byte("spray"), conns[0].LocalAddr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := 0
-	pkts := makePkts(16, 512)
-	deadline := time.Now().Add(5 * time.Second)
-	for got < total && time.Now().Before(deadline) {
-		for _, pc := range conns {
-			// All 50 packets share one flow, so the kernel hashes them to
-			// one socket — drain each socket fully before moving on.
-			bc := NewConn(pc)
-			for {
-				_ = pc.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-				resetPkts(pkts)
-				n, err := bc.ReadBatch(pkts)
-				if err != nil {
-					break // deadline on an idle socket
-				}
-				got += n
-			}
-		}
-	}
-	if got != total {
-		t.Errorf("received %d/%d across reuseport sockets", got, total)
-	}
-}
-
-func TestListenMultiSocketRejectedWithoutReusePort(t *testing.T) {
-	if reusePortAvailable {
-		t.Skip("platform has SO_REUSEPORT")
-	}
-	if _, err := Listen("udp", "127.0.0.1:0", 2); err == nil {
-		t.Error("Listen n=2 succeeded without SO_REUSEPORT")
-	}
-}
-
-func TestListenClampsZero(t *testing.T) {
-	conns, err := Listen("udp", "127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conns[0].Close()
-	if len(conns) != 1 {
-		t.Fatalf("n=0 gave %d sockets, want 1", len(conns))
-	}
-}
-
 // TestConcurrentWriteBatch is the Conn contract dns53 relies on: the
 // receive loop and every worker write to one socket at once. Run with
 // -race; every datagram of every writer must arrive intact.
@@ -260,11 +180,11 @@ func TestConcurrentWriteBatch(t *testing.T) {
 		"fallback": func(pc net.PacketConn) net.PacketConn { return wrapPC{pc} },
 	} {
 		t.Run(name, func(t *testing.T) {
-			conns, err := Listen("udp", "127.0.0.1:0", 1)
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			server := NewConn(wrap(conns[0]))
+			server := NewConn(wrap(pc))
 			defer server.Close()
 			client, err := net.ListenPacket("udp", "127.0.0.1:0")
 			if err != nil {
@@ -319,11 +239,11 @@ func TestConcurrentWriteBatch(t *testing.T) {
 // kept across the next ReadBatch may change under the caller, and
 // CloneAddr's copy does not.
 func TestReadBatchReusesAddrs(t *testing.T) {
-	conns, err := Listen("udp", "127.0.0.1:0", 1)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := NewConn(conns[0])
+	server := NewConn(pc)
 	defer server.Close()
 	var clients [2]net.PacketConn
 	for i := range clients {
@@ -396,11 +316,11 @@ func TestWriteBatchSkipsRejectedPacket(t *testing.T) {
 		{"IPAddr", &net.IPAddr{IP: net.IPv4(127, 0, 0, 1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conns, err := Listen("udp", "127.0.0.1:0", 1)
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			server := NewConn(conns[0])
+			server := NewConn(pc)
 			defer server.Close()
 			client, err := net.ListenPacket("udp", "127.0.0.1:0")
 			if err != nil {
