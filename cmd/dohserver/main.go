@@ -30,7 +30,6 @@ import (
 	"encdns/internal/certs"
 	"encdns/internal/cluster"
 	"encdns/internal/dns53"
-	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/dot"
 	"encdns/internal/monitor"
@@ -75,15 +74,14 @@ func run() error {
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 
-	handler, cache, err := buildHandler(*upstream, *zoneFile, *zoneOrig, *cacheN)
+	cache := resolver.NewCache(*cacheN, nil)
+	defer cache.Close()
+	handler, err := buildHandler(*upstream, *zoneFile, *zoneOrig, cache)
 	if err != nil {
 		return err
 	}
 	if rec, ok := handler.(*resolver.Recursive); ok {
 		rec.PrefetchFraction = *prefetch
-	}
-	if cache != nil {
-		defer cache.Close()
 	}
 	localHandler := handler // the unwrapped resolver, for ordered shutdown
 
@@ -107,7 +105,7 @@ func run() error {
 		node = &cluster.Node{
 			Members: cluster.NewMembership(selfID, remotes, monitor.Config{
 				Interval: time.Second,
-			}, 0),
+			}),
 			Local:     handler,
 			Forward:   peerPool,
 			Cache:     cache,
@@ -166,7 +164,7 @@ func run() error {
 			return fmt.Errorf("do53 tcp: %w", err)
 		}
 		go func() { errCh <- inner.ServeUDP(pc) }()
-		go func() { errCh <- inner.ServeTCP(transport.LimitListener(ln, *maxConns, 0, "do53-tcp")) }()
+		go func() { errCh <- inner.ServeTCP(transport.LimitListener(ln, *maxConns, "do53-tcp")) }()
 		logger.Info("do53 listening", "addr", *do53Addr)
 	}
 	if *dotAddr != "" {
@@ -177,8 +175,8 @@ func run() error {
 		defer ln.Close()
 		srv := &dot.Server{DNS: inner, TLS: tlsCfg}
 		// The conn cap rejects fast at the TCP layer; idle disconnects come
-		// from the dns53 read deadline, so LimitListener's own idle stays 0.
-		go func() { errCh <- srv.Serve(transport.LimitListener(ln, *maxConns, 0, "dot")) }()
+		// from the dns53 read deadline.
+		go func() { errCh <- srv.Serve(transport.LimitListener(ln, *maxConns, "dot")) }()
 		logger.Info("dot listening", "addr", *dotAddr)
 	}
 	var httpSrv *http.Server
@@ -205,7 +203,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("doh: %w", err)
 		}
-		go func() { errCh <- httpSrv.ServeTLS(transport.LimitListener(ln, *maxConns, 0, "doh"), "", "") }()
+		go func() { errCh <- httpSrv.ServeTLS(transport.LimitListener(ln, *maxConns, "doh"), "", "") }()
 		logger.Info("doh listening", "addr", *dohAddr, "path", doh.DefaultPath)
 	}
 
@@ -240,41 +238,30 @@ func run() error {
 	}
 }
 
-// buildHandler assembles the resolver: an authoritative zone when -zone
-// is given, a forwarder when -forward is given, otherwise a recursive
-// resolver over the built-in hierarchy.
-func buildHandler(upstream, zoneFile, zoneOrigin string, cacheN int) (dns53.Handler, *resolver.Cache, error) {
+// buildHandler assembles the resolver over cache: an authoritative zone
+// when -zone is given (the cache then serves only a cluster node), a
+// forwarder when -forward is given, otherwise a recursive resolver over
+// the built-in hierarchy.
+func buildHandler(upstream, zoneFile, zoneOrigin string, cache *resolver.Cache) (dns53.Handler, error) {
 	if zoneFile != "" {
 		f, err := os.Open(zoneFile)
 		if err != nil {
-			return nil, nil, fmt.Errorf("opening zone: %w", err)
+			return nil, fmt.Errorf("opening zone: %w", err)
 		}
 		defer f.Close()
-		h, err := authdns.ParseZone(zoneOrigin, f)
-		return h, nil, err
+		return authdns.ParseZone(zoneOrigin, f)
 	}
-	cache := resolver.NewCache(cacheN, nil)
 	if upstream != "" {
-		client := &dns53.Client{}
 		return &resolver.Forwarder{
-			Exchange:  exchangeVia(client),
+			Exchange:  &dns53.Client{},
 			Upstreams: []string{upstream},
 			Cache:     cache,
-		}, cache, nil
+		}, nil
 	}
 	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
 	return &resolver.Recursive{
 		Exchange: h.Registry,
 		Roots:    h.RootServers,
 		Cache:    cache,
-	}, cache, nil
-}
-
-// clientExchanger adapts dns53.Client to the resolver.Exchanger interface.
-type clientExchanger struct{ c *dns53.Client }
-
-func exchangeVia(c *dns53.Client) resolver.Exchanger { return clientExchanger{c} }
-
-func (e clientExchanger) Exchange(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
-	return e.c.Exchange(ctx, q, server)
+	}, nil
 }

@@ -10,16 +10,6 @@ import (
 	"encdns/internal/obs"
 )
 
-// PeerStatus is one row of a membership snapshot: a peer, its health
-// state, and its primary-ownership share of the current ring. Used by
-// dnsdig -ring and the dohserver logs.
-type PeerStatus struct {
-	Peer  string
-	Self  bool
-	State monitor.State
-	Share float64
-}
-
 // Membership tracks which peers are eligible to own ring segments. The
 // peer list is static (the paper's deployment model: a fixed fleet of
 // instances behind stable addresses); health is dynamic, driven through
@@ -30,7 +20,6 @@ type PeerStatus struct {
 type Membership struct {
 	self    string
 	remotes []string
-	vnodes  int
 	tracker *monitor.Tracker
 
 	mu       sync.Mutex
@@ -46,11 +35,11 @@ type Membership struct {
 // configures the hysteresis tracker; set health.Now to a virtual clock
 // to drive the whole layer deterministically in tests. All peers start
 // eligible: a cluster must assume its members are up until observed
-// otherwise, or a cold start would forward nothing.
-func NewMembership(self string, peers []string, health monitor.Config, vnodes int) *Membership {
+// otherwise, or a cold start would forward nothing. Rings have
+// DefaultVNodes points per peer.
+func NewMembership(self string, peers []string, health monitor.Config) *Membership {
 	m := &Membership{
 		self:     self,
-		vnodes:   vnodes,
 		tracker:  monitor.New(health),
 		eligible: make(map[string]bool, len(peers)+1),
 		rebuilds: obs.Default().Counter("cluster_ring_rebuilds_total",
@@ -93,7 +82,7 @@ func (m *Membership) buildLocked() *Ring {
 			eligible = append(eligible, p)
 		}
 	}
-	return NewRing(eligible, m.vnodes)
+	return NewRing(eligible, DefaultVNodes)
 }
 
 // Observe feeds one interaction outcome with a remote peer — a
@@ -120,34 +109,4 @@ func (m *Membership) Observe(peer string, ok bool, rtt time.Duration, errClass s
 	m.eligible[peer] = elig
 	m.ring.Store(m.buildLocked())
 	m.rebuilds.Inc()
-}
-
-// State reports a peer's health as tracked so far. Peers that have
-// never been observed report StateHealthy, matching their initial
-// eligibility.
-func (m *Membership) State(peer string) monitor.State {
-	if st, ok := m.tracker.State(peer); ok {
-		return st
-	}
-	return monitor.StateHealthy
-}
-
-// Rebuilds returns the ring-rebuild count (eligibility flips since
-// start).
-func (m *Membership) Rebuilds() uint64 { return m.rebuilds.Value() }
-
-// Journal exposes the underlying health-event journal for debugging.
-func (m *Membership) Journal() *monitor.Journal { return m.tracker.Journal() }
-
-// Snapshot returns one row per configured peer (self included), with
-// health state and the peer's primary-ownership share of the current
-// ring (zero when the peer is off the ring).
-func (m *Membership) Snapshot() []PeerStatus {
-	shares := m.Ring().Shares()
-	out := make([]PeerStatus, 0, len(m.remotes)+1)
-	out = append(out, PeerStatus{Peer: m.self, Self: true, State: monitor.StateHealthy, Share: shares[m.self]})
-	for _, p := range m.remotes {
-		out = append(out, PeerStatus{Peer: p, State: m.State(p), Share: shares[p]})
-	}
-	return out
 }

@@ -10,7 +10,6 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/keyhash"
-	"encdns/internal/monitor"
 	"encdns/internal/obs"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
@@ -41,21 +40,22 @@ const (
 // resolver; .invalid keeps any misdirected copy unresolvable (RFC 2606).
 const ProbeName = "_cluster-health.invalid."
 
-// Defaults for Node tuning knobs.
+// DefaultReplicas is how many peers beyond the owner carry each hot key
+// (K=2: with the owner that is three copies, so two failures leave the
+// popular tail warm somewhere).
+const DefaultReplicas = 2
+
+// Node tuning.
 const (
-	// DefaultReplicas is how many peers beyond the owner carry each hot
-	// key (K=2: with the owner that is three copies, so two failures
-	// leave the popular tail warm somewhere).
-	DefaultReplicas = 2
-	// DefaultLoadFactor is the bounded-load factor c in the
-	// ceil(c·(total+1)/N) per-peer bound on in-flight forwards.
-	DefaultLoadFactor = 1.25
-	// DefaultForwardTimeout bounds one peer forward or replication push.
-	DefaultForwardTimeout = 2 * time.Second
-	// DefaultReplicationInflight bounds concurrent replication pushes;
-	// beyond it new pushes are dropped (the next prefetch refresh
-	// retries), so a hot-set burst cannot starve query forwarding.
-	DefaultReplicationInflight = 16
+	// loadFactor is the bounded-load factor c in the ceil(c·(total+1)/N)
+	// per-peer bound on in-flight forwards.
+	loadFactor = 1.25
+	// forwardTimeout bounds one peer forward, replication push or probe.
+	forwardTimeout = 2 * time.Second
+	// replicationInflight bounds concurrent replication pushes; beyond it
+	// new pushes are dropped (the next prefetch refresh retries), so a
+	// hot-set burst cannot starve query forwarding.
+	replicationInflight = 16
 )
 
 // ErrClosed is returned for forwards attempted after Close.
@@ -65,8 +65,7 @@ var ErrClosed = errors.New("cluster: node closed")
 // front ends and the local resolver: queries whose cache key the local
 // instance owns (or already holds, via replication) are answered
 // locally; misses owned by a peer are forwarded one hop over the
-// transport layer. Zero-value fields get defaults on first use; Members,
-// Local, and Forward are required.
+// transport layer. Members, Local, Forward and Cache are required.
 type Node struct {
 	// Members is the ring + health view. Required.
 	Members *Membership
@@ -76,24 +75,15 @@ type Node struct {
 	// Forward exchanges marked queries with peers, addressed by the
 	// peer ID (a transport endpoint). Required.
 	Forward transport.Multi
-	// Cache, when set, answers template hits before any routing and
-	// peer-owned keys it holds a replicated copy of before they are
-	// forwarded. Usually the same cache the local resolver writes.
+	// Cache answers template hits before any routing and peer-owned keys
+	// it holds a replicated copy of before they are forwarded. Usually
+	// the same cache the local resolver writes. Required.
 	Cache *resolver.Cache
 	// ClusterID must match on every member; mismatched hops are REFUSED.
 	ClusterID string
 	// Replicas is how many peers beyond the owner receive hot-set
 	// replication (default DefaultReplicas; negative disables).
 	Replicas int
-	// LoadFactor is the bounded-load factor (default DefaultLoadFactor;
-	// set to 1 to disable bounding and always use the plain owner).
-	LoadFactor float64
-	// ForwardTimeout bounds each peer exchange (default
-	// DefaultForwardTimeout).
-	ForwardTimeout time.Duration
-	// ReplicationInflight bounds concurrent replication pushes (default
-	// DefaultReplicationInflight).
-	ReplicationInflight int
 	// Now is the clock used for peer RTT measurement; nil uses
 	// time.Now. Hand it netsim.NowFunc(clock) in virtual-time tests.
 	Now func() time.Time
@@ -155,11 +145,7 @@ func (n *Node) init() {
 			n.inflight[p] = new(atomic.Int64)
 		}
 		n.repBusy = make(map[repKey]bool)
-		budget := n.ReplicationInflight
-		if budget <= 0 {
-			budget = DefaultReplicationInflight
-		}
-		n.repSem = make(chan struct{}, budget)
+		n.repSem = make(chan struct{}, replicationInflight)
 		reg := obs.Default()
 		n.mLocalHits = reg.Counter("cluster_local_hits_total",
 			"Queries answered from the local cache before routing (template hits) or from a replicated copy of a peer's key.")
@@ -191,20 +177,6 @@ func (n *Node) now() time.Time {
 		return n.Now()
 	}
 	return time.Now()
-}
-
-func (n *Node) forwardTimeout() time.Duration {
-	if n.ForwardTimeout > 0 {
-		return n.ForwardTimeout
-	}
-	return DefaultForwardTimeout
-}
-
-func (n *Node) loadFactor() float64 {
-	if n.LoadFactor > 0 {
-		return n.LoadFactor
-	}
-	return DefaultLoadFactor
 }
 
 func (n *Node) replicas() int {
@@ -256,24 +228,28 @@ func (n *Node) Close() {
 // one query. It routes first: a key this instance owns goes straight to
 // Local, whose own cache lookup is the one the query counts in; only a
 // key a peer owns is looked up in Cache — a replicated copy — before it
-// is forwarded.
+// is forwarded. A query without a question has no key to route and is
+// answered FORMERR, as the resolvers answer it.
 func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	n.init()
 	if purpose, cid, ok := clusterHop(q); ok {
 		return n.serveHop(ctx, q, purpose, cid)
 	}
 	q0 := q.Question0()
+	if q0.Name == "" {
+		resp := q.Reply()
+		resp.Header.RCode = dnswire.RCodeFormat
+		return resp, nil
+	}
 	hash := keyhash.Key(q0.Name, uint16(q0.Type))
-	owner, ok := n.Members.Ring().OwnerBounded(hash, n.peerLoad, n.loadFactor())
+	owner, ok := n.Members.Ring().OwnerBounded(hash, n.peerLoad, loadFactor)
 	if !ok || owner == n.Members.Self() {
 		n.mOwnerLocal.Inc()
 		return n.Local.ServeDNS(ctx, q)
 	}
-	if n.Cache != nil {
-		if resp, ok := n.Cache.Reply(q); ok {
-			n.mLocalHits.Inc()
-			return resp, nil
-		}
+	if resp, ok := n.Cache.Reply(q); ok {
+		n.mLocalHits.Inc()
+		return resp, nil
 	}
 	n.mOwnerRemote.Inc()
 	resp, err := n.forward(ctx, owner, q0)
@@ -299,9 +275,6 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 // queries, which must run the full routing decision — declines back to
 // ServeDNS.
 func (n *Node) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	if n.Cache == nil {
-		return dst, 0, false
-	}
 	if _, _, ok := clusterHop(q); ok {
 		return dst, 0, false
 	}
@@ -345,7 +318,7 @@ func (n *Node) forward(ctx context.Context, peer string, q0 dnswire.Question) (*
 		defer c.Add(-1)
 	}
 	n.mForwards.get(peer).Inc()
-	ctx, cancel := context.WithTimeout(ctx, n.forwardTimeout())
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	fq := dnswire.NewQuery(dns53.NewID(), q0.Name, q0.Type)
 	setClusterHop(fq, purposeForward, n.ClusterID)
@@ -422,7 +395,7 @@ func (n *Node) replicateAsync(peer, name string, t dnswire.Type) {
 	go func() {
 		defer n.wg.Done()
 		defer release()
-		ctx, cancel := context.WithTimeout(context.Background(), n.forwardTimeout())
+		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 		defer cancel()
 		fq := dnswire.NewQuery(dns53.NewID(), name, t)
 		setClusterHop(fq, purposeReplicate, n.ClusterID)
@@ -460,7 +433,7 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 		}
 		func() {
 			defer n.wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, n.forwardTimeout())
+			pctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 			defer cancel()
 			fq := ProbeQuery(n.ClusterID)
 			start := n.now()
@@ -521,7 +494,3 @@ func clusterHop(m *dnswire.Message) (purpose byte, clusterID string, ok bool) {
 	}
 	return 0, "", false
 }
-
-// HealthState re-exports the membership view for callers that only hold
-// the node (dohserver's status log).
-func (n *Node) HealthState(peer string) monitor.State { return n.Members.State(peer) }

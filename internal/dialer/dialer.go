@@ -58,24 +58,23 @@ func (f FuncStreamDialer) DialStream(ctx context.Context, addr string) (net.Conn
 	return f(ctx, addr)
 }
 
+// kernel dials for the base dialers, with net.Dialer's defaults.
+var kernel net.Dialer
+
 // TCPDialer is the base StreamDialer over the kernel's TCP stack.
-type TCPDialer struct {
-	Dialer net.Dialer
-}
+type TCPDialer struct{}
 
 // DialStream implements StreamDialer.
-func (d *TCPDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
-	return d.Dialer.DialContext(ctx, "tcp", addr)
+func (*TCPDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
+	return kernel.DialContext(ctx, "tcp", addr)
 }
 
 // UDPDialer is the base PacketDialer over the kernel's UDP stack.
-type UDPDialer struct {
-	Dialer net.Dialer
-}
+type UDPDialer struct{}
 
 // DialPacket implements PacketDialer.
-func (d *UDPDialer) DialPacket(ctx context.Context, addr string) (net.Conn, error) {
-	return d.Dialer.DialContext(ctx, "udp", addr)
+func (*UDPDialer) DialPacket(ctx context.Context, addr string) (net.Conn, error) {
+	return kernel.DialContext(ctx, "udp", addr)
 }
 
 // StreamOf adapts a ContextDialer (an injected test transport, a netsim

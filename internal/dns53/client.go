@@ -14,11 +14,38 @@ import (
 	"encdns/internal/obs"
 )
 
-// Errors returned by the client.
+// Errors CheckResponse returns.
 var (
-	ErrIDMismatch = errors.New("dns53: response ID does not match query")
-	ErrNotReply   = errors.New("dns53: response is not a reply")
+	ErrIDMismatch       = errors.New("dns53: response ID does not match query")
+	ErrNotReply         = errors.New("dns53: response is not a reply")
+	ErrQuestionMismatch = errors.New("dns53: response question does not match query")
 )
+
+// CheckResponse is the one check every client (Do53 over UDP and TCP, DoT,
+// DoH) makes of a parsed response before taking it as the answer to
+// query: the query's ID, QR set, and the query's question echoed (RFC 5452
+// §9.1) — the name compared regardless of case, the type and the class. A
+// response without a question passes only as an error answer, a non-zero
+// RCODE, which is how a server answers a question it could not read.
+func CheckResponse(query, resp *dnswire.Message) error {
+	switch {
+	case resp.Header.ID != query.Header.ID:
+		return ErrIDMismatch
+	case !resp.Header.QR:
+		return ErrNotReply
+	case len(resp.Questions) == 0 && resp.Header.RCode != dnswire.RCodeSuccess:
+		return nil
+	case len(resp.Questions) != len(query.Questions):
+		return ErrQuestionMismatch
+	}
+	for i, q := range query.Questions {
+		r := resp.Questions[i]
+		if r.Type != q.Type || r.Class != q.Class || dnswire.CanonicalName(r.Name) != dnswire.CanonicalName(q.Name) {
+			return ErrQuestionMismatch
+		}
+	}
+	return nil
+}
 
 // Client issues conventional DNS queries over UDP with automatic retry and
 // RFC 1035 §4.2.2 TCP fallback on truncation.
@@ -103,7 +130,7 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server st
 	*bp = wire
 	var lastErr error
 	for attempt := 0; attempt <= c.retries(); attempt++ {
-		resp, err := c.exchangeUDP(ctx, wire, query.Header.ID, server)
+		resp, err := c.exchangeUDP(ctx, wire, query, server)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -119,7 +146,7 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server st
 	return nil, fmt.Errorf("dns53: all UDP attempts failed: %w", lastErr)
 }
 
-func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16, server string) (*dnswire.Message, error) {
+func (c *Client) exchangeUDP(ctx context.Context, wire []byte, query *dnswire.Message, server string) (*dnswire.Message, error) {
 	attemptCtx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	dialSp := obs.SpanFromContext(ctx).Start("dial")
@@ -157,13 +184,13 @@ func (c *Client) exchangeUDP(ctx context.Context, wire []byte, id uint16, server
 			// Malformed or spoofed datagram; keep waiting for the real one.
 			continue
 		}
-		if resp.Header.ID != id {
-			continue // stale or spoofed response
+		switch err := CheckResponse(query, resp); err {
+		case nil:
+			return resp, nil
+		case ErrNotReply:
+			return nil, err
 		}
-		if !resp.Header.QR {
-			return nil, ErrNotReply
-		}
-		return resp, nil
+		// Another question's answer or ID: stale or spoofed, keep waiting.
 	}
 }
 
@@ -215,11 +242,8 @@ func ExchangeConn(conn net.Conn, query *dnswire.Message, wire []byte) (*dnswire.
 	if err != nil {
 		return nil, fmt.Errorf("dns53: parsing response: %w", err)
 	}
-	if resp.Header.ID != query.Header.ID {
-		return nil, ErrIDMismatch
-	}
-	if !resp.Header.QR {
-		return nil, ErrNotReply
+	if err := CheckResponse(query, resp); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

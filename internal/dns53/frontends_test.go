@@ -235,8 +235,8 @@ func scriptedCases(t *testing.T, prefix string) []answerCase {
 func TestEveryFrontendAnswersAlike(t *testing.T) {
 	answerAlike(t, startFrontends(t, newScriptedResolver()), scriptedCases(t, ""))
 	answerAlike(t, startFrontends(t, inMemoryScripted{newScriptedResolver()}), scriptedCases(t, "in memory: "))
-	// The resolvers dohserver runs: the hierarchy walked in memory (no
-	// cache, so every frontend's query is a miss) and a zone.
+	// The resolvers dohserver runs: the hierarchy walked in memory (a
+	// closed cache, so every frontend's query is a miss) and a zone.
 	answerAlike(t, startFrontends(t, registryResolver(0)), []answerCase{
 		{"recursive miss", upperCased(packQuery(t, 0x3001, "google.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false},
 		{"recursive miss, CNAME chased", packQuery(t, 0x3002, "www.amazon.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 4, true},

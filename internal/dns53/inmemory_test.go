@@ -27,12 +27,13 @@ import (
 )
 
 // registryResolver is the resolver dohserver runs by default: the paper's
-// hierarchy walked in memory, with a cache of n entries (none when n is 0).
+// hierarchy walked in memory, with a cache of n entries. With n 0 the
+// cache is closed, so it keeps nothing and every query is a miss.
 func registryResolver(n int) *resolver.Recursive {
 	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	r := &resolver.Recursive{Exchange: h.Registry, Roots: h.RootServers, RNGSeed: 1}
-	if n > 0 {
-		r.Cache = resolver.NewCache(n, nil)
+	r := &resolver.Recursive{Exchange: h.Registry, Roots: h.RootServers, Cache: resolver.NewCache(n, nil), RNGSeed: 1}
+	if n == 0 {
+		r.Cache.Close()
 	}
 	return r
 }
@@ -120,9 +121,11 @@ func TestInMemoryMissesShareTheBatchWrite(t *testing.T) {
 // every other handler starts the pool and its miss is written by a worker.
 func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 	workers := obs.Default().Gauge("dns53_udp_workers", "")
+	local := registryResolver(64)
 	node := &cluster.Node{
-		Members: cluster.NewMembership("udp://127.0.0.1:1", nil, monitor.Config{}, 0),
-		Local:   registryResolver(64),
+		Members: cluster.NewMembership("udp://127.0.0.1:1", nil, monitor.Config{}),
+		Local:   local,
+		Cache:   local.Cache,
 	}
 	blocking := registryResolver(64)
 	blocking.Exchange = hiddenExchanger{blocking.Exchange}

@@ -85,9 +85,6 @@ type Server struct {
 	// idle timeout of TCP and DoT connections, and each stream write, so a
 	// peer that stops reading is dropped; zero means 10 seconds.
 	ReadTimeout time.Duration
-	// MaxUDPResponse truncates UDP responses longer than this (TC bit set);
-	// zero means dnswire.MaxUDPSize, raised per-query by EDNS.
-	MaxUDPResponse int
 	// UDPWorkers bounds the worker pool shared by every UDP listener on
 	// this server, and with it ServeDNS concurrency: handlers that block
 	// on upstream I/O (forwarders, recursion) need enough workers to
@@ -344,10 +341,7 @@ func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (li
 		s.logger().Debug("dropping malformed UDP query", "from", from, "err", err)
 		return 0, false
 	}
-	limit = s.MaxUDPResponse
-	if limit == 0 {
-		limit = dnswire.MaxUDPSize
-	}
+	limit = dnswire.MaxUDPSize
 	if opt, ok := query.EDNS(); ok && int(opt.UDPSize) > limit {
 		limit = int(opt.UDPSize)
 	}

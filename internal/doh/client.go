@@ -159,7 +159,7 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 	ctx = withClientTrace(ctx)
 	if c.oneShot() {
 		defer bufpool.Put(bp)
-		return c.exchangeFresh(ctx, wire, query.Header.ID, endpoint)
+		return c.exchangeFresh(ctx, wire, query, endpoint)
 	}
 
 	body := newPooledBody(bp)
@@ -210,7 +210,7 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 	if err != nil {
 		return nil, bodyErr(err)
 	}
-	return unpackResponse(raw, query.Header.ID)
+	return unpackResponse(raw, query)
 }
 
 // withDNSParam returns u with the dns parameter of an RFC 8484 GET set to
@@ -230,14 +230,15 @@ func bodyErr(err error) error {
 	return fmt.Errorf("doh: reading response: %w", err)
 }
 
-// unpackResponse parses a 200 response's body, which must answer query id.
-func unpackResponse(raw []byte, id uint16) (*dnswire.Message, error) {
+// unpackResponse parses a 200 response's body, which must answer query
+// (dns53.CheckResponse).
+func unpackResponse(raw []byte, query *dnswire.Message) (*dnswire.Message, error) {
 	resp, err := dnswire.Unpack(raw)
 	if err != nil {
 		return nil, fmt.Errorf("doh: parsing response: %w", err)
 	}
-	if resp.Header.ID != id {
-		return nil, dns53.ErrIDMismatch
+	if err := dns53.CheckResponse(query, resp); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

@@ -267,23 +267,6 @@ func TestDoHJSONNumericTypeAndErrors(t *testing.T) {
 	}
 }
 
-func TestDoHJSONDisabled(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.Handle(DefaultPath, &Handler{DNS: static(), DisableJSON: true})
-	ts := httptest.NewTLSServer(mux)
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + DefaultPath + "?name=google.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	// With JSON off, a name-only GET is a missing-dns-param error.
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
-	}
-}
-
 func TestDoHHTTP2Negotiated(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle(DefaultPath, &Handler{DNS: static()})

@@ -104,7 +104,7 @@ func (o *freshConfig) target(endpoint string) (*freshTarget, error) {
 
 // exchangeFresh runs one query, packed in wire, on a connection of its
 // own. An error once ctx is done is ctx's.
-func (c *Client) exchangeFresh(ctx context.Context, wire []byte, id uint16, endpoint string) (_ *dnswire.Message, err error) {
+func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.Message, endpoint string) (_ *dnswire.Message, err error) {
 	t, err := c.fresh.target(endpoint)
 	if err != nil {
 		return nil, err
@@ -170,7 +170,7 @@ func (c *Client) exchangeFresh(ctx context.Context, wire []byte, id uint16, endp
 	if err != nil {
 		return nil, fmt.Errorf("doh: writing request: %w", err)
 	}
-	return readResponse(conn, h2, id, trace, inp, outp)
+	return readResponse(conn, h2, query, trace, inp, outp)
 }
 
 // appendH2Request appends the client preface, SETTINGS, WINDOW_UPDATE,
@@ -235,10 +235,10 @@ func appendNamedField(block []byte, index int, value string) []byte {
 // readResponse reads the response to the request written on rw, over
 // HTTP/2 or HTTP/1.1, and returns the DNS message it carries once it has
 // passed the checks every DoH response passes: status 200, a body no
-// longer than a DNS message, a message that parses, the query's ID. It
+// longer than a DNS message, a message that parses and answers query. It
 // writes only the SETTINGS and PING acknowledgements HTTP/2 obliges it to.
 // in and body are scratch buffers, grown to at most a frame and a message.
-func readResponse(rw io.ReadWriter, h2 bool, id uint16, trace *httptrace.ClientTrace, in, body *[]byte) (*dnswire.Message, error) {
+func readResponse(rw io.ReadWriter, h2 bool, query *dnswire.Message, trace *httptrace.ClientTrace, in, body *[]byte) (*dnswire.Message, error) {
 	var status int
 	var err error
 	if h2 {
@@ -254,7 +254,7 @@ func readResponse(rw io.ReadWriter, h2 bool, id uint16, trace *httptrace.ClientT
 	if status != http.StatusOK {
 		return nil, &HTTPError{StatusCode: status, Status: fmt.Sprintf("%d %s", status, http.StatusText(status))}
 	}
-	return unpackResponse(*body, id)
+	return unpackResponse(*body, query)
 }
 
 // readH1 reads an HTTP/1.1 response's final status and, for a 200, its

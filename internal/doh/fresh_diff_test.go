@@ -31,27 +31,31 @@ import (
 
 const freshID = 0x4242
 
-// sizedAnswer is a DNS message of exactly n octets answering id: one
-// record of a private type whose RDATA fills the rest.
-func sizedAnswer(id uint16, n int) []byte {
-	msg := dnswire.AppendRawHeader(nil, id, 0x8180, 0, 1, 0, 0)
+// sizedAnswer is a DNS message of exactly n octets answering id and
+// echoing question: one record of a private type whose RDATA fills the
+// rest.
+func sizedAnswer(id uint16, question []byte, n int) []byte {
+	msg := dnswire.AppendRawHeader(nil, id, 0x8180, 1, 1, 0, 0)
+	msg = append(msg, question...)
 	msg = append(msg, 0, 0xff, 0x00, 0, 1, 0, 0, 0, 0) // root, TYPE65280, IN, TTL 0
 	msg = binary.BigEndian.AppendUint16(msg, uint16(n-len(msg)-2))
 	return append(msg, make([]byte, n-len(msg))...)
 }
 
-// queryID is the ID of the query a DoH request carries.
-func queryID(r *http.Request) uint16 {
+// requestQuery is the ID and raw question of the query a DoH request
+// carries.
+func requestQuery(r *http.Request) (uint16, []byte) {
 	var wire []byte
 	if r.Method == http.MethodGet {
 		wire, _ = base64.RawURLEncoding.DecodeString(r.URL.Query().Get("dns"))
 	} else {
 		wire, _ = io.ReadAll(r.Body)
 	}
-	if len(wire) < 2 {
-		return 0
+	question, ok := dnswire.QuestionBytes(wire)
+	if !ok {
+		return 0, nil
 	}
-	return binary.BigEndian.Uint16(wire)
+	return binary.BigEndian.Uint16(wire), question
 }
 
 // freshMux serves the DoH handler at DefaultPath and, beside it, one path
@@ -70,17 +74,21 @@ func freshMux(h *doh.Handler) *http.ServeMux {
 	}
 	mux.HandleFunc("/size/", func(w http.ResponseWriter, r *http.Request) {
 		n, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/size/"))
-		message(w, sizedAnswer(queryID(r), n))
+		id, question := requestQuery(r)
+		message(w, sizedAnswer(id, question, n))
 	})
 	mux.HandleFunc("/wrong-id", func(w http.ResponseWriter, r *http.Request) {
-		message(w, sizedAnswer(^queryID(r), 100))
+		id, question := requestQuery(r)
+		message(w, sizedAnswer(^id, question, 100))
 	})
 	mux.HandleFunc("/truncated", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", "100")
-		message(w, sizedAnswer(queryID(r), 100)[:50])
+		id, question := requestQuery(r)
+		message(w, sizedAnswer(id, question, 100)[:50])
 	})
 	mux.HandleFunc("/close-mid-body", func(w http.ResponseWriter, r *http.Request) {
-		body := sizedAnswer(queryID(r), 100)
+		id, question := requestQuery(r)
+		body := sizedAnswer(id, question, 100)
 		if hj, ok := w.(http.Hijacker); ok { // HTTP/1.1: hang up after half the body
 			conn, buf, err := hj.Hijack()
 			if err == nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"encdns/internal/certs"
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/testutil"
 )
@@ -309,8 +310,8 @@ func (c *fuzzConn) Write(p []byte) (int, error) { c.wrote += len(p); return len(
 // it read (acknowledgements only), must hold no more than a frame and a DNS
 // message, and must return a message only when it answers the query.
 func FuzzFreshResponse(f *testing.F) {
-	const id = 0x4242
-	answer, err := dnswire.NewQuery(id, "hit.test.", dnswire.TypeA).Reply().Pack()
+	query := dnswire.NewQuery(0x4242, "hit.test.", dnswire.TypeA)
+	answer, err := query.Reply().Pack()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func FuzzFreshResponse(f *testing.F) {
 		for _, h2 := range []bool{true, false} {
 			conn := &fuzzConn{in: bytes.NewReader(data)}
 			in, body := make([]byte, 0, 4096), make([]byte, 0, 4096)
-			msg, err := readResponse(conn, h2, id, &httptrace.ClientTrace{}, &in, &body)
+			msg, err := readResponse(conn, h2, query, &httptrace.ClientTrace{}, &in, &body)
 			if conn.wrote > len(data) {
 				t.Fatalf("h2 %v: %d octets written for %d read", h2, conn.wrote, len(data))
 			}
@@ -340,7 +341,7 @@ func FuzzFreshResponse(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if msg.Header.ID != id || !h2 && !bytes.Contains(data, []byte(" 200")) {
+			if dns53.CheckResponse(query, msg) != nil || !h2 && !bytes.Contains(data, []byte(" 200")) {
 				t.Fatalf("h2 %v: returned %v", h2, msg)
 			}
 		}

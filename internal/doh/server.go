@@ -39,8 +39,6 @@ const maxPOSTBody = dnswire.MaxMessageSize
 type Handler struct {
 	// DNS answers the decoded queries.
 	DNS dns53.Handler
-	// DisableJSON turns off the application/dns-json dialect.
-	DisableJSON bool
 }
 
 // Server-side DoH instruments, split by HTTP method so GET (cacheable)
@@ -77,7 +75,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request) int {
 	case http.MethodGet:
 		serverRequestsGET.Inc()
 		q := r.URL.Query()
-		if h.wantsJSON(r, q) {
+		if wantsJSON(r, q) {
 			return h.serveJSON(w, r, q)
 		}
 		return h.serveGET(w, r, q)
@@ -94,10 +92,7 @@ func httpError(w http.ResponseWriter, msg string, status int) int {
 	return status
 }
 
-func (h *Handler) wantsJSON(r *http.Request, q url.Values) bool {
-	if h.DisableJSON {
-		return false
-	}
+func wantsJSON(r *http.Request, q url.Values) bool {
 	return q.Get("ct") == JSONContentType ||
 		strings.Contains(r.Header.Get("Accept"), JSONContentType) ||
 		(q.Has("name") && !q.Has("dns"))

@@ -84,8 +84,6 @@ type ReachabilityConfig struct {
 	Vantages []VantagePolicy
 	// Endpoints are chainless endpoint specs ("tls://host:853").
 	Endpoints []string
-	// Chains is the evasion ladder; nil uses DefaultEvasionChains.
-	Chains []string
 	// Options is the base transport configuration (TLS roots for the
 	// in-process CAs, etc.). Dialer and Retry are overwritten per probe.
 	Options transport.Options
@@ -93,27 +91,21 @@ type ReachabilityConfig struct {
 	// in-process handshake, short enough that stranded dials (the drop
 	// and blackhole middleboxes) settle quickly.
 	Timeout time.Duration
-	// Domain is the probe query name; empty means "example.com".
-	Domain string
 }
 
-// RunReachability probes every endpoint from every vantage and returns
-// the classification grid, vantage-major in input order.
+// reachDomain is the name every reachability probe asks for.
+const reachDomain = "example.com"
+
+// RunReachability probes every endpoint from every vantage, climbing the
+// DefaultEvasionChains ladder where the plain dial fails, and returns the
+// classification grid, vantage-major in input order.
 func RunReachability(ctx context.Context, cfg ReachabilityConfig) ([]ReachabilityResult, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("experiment: reachability needs a VirtualNet")
 	}
-	chains := cfg.Chains
-	if chains == nil {
-		chains = DefaultEvasionChains()
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 500 * time.Millisecond
-	}
-	domain := cfg.Domain
-	if domain == "" {
-		domain = "example.com"
 	}
 	var out []ReachabilityResult
 	for _, vp := range cfg.Vantages {
@@ -124,15 +116,15 @@ func RunReachability(ctx context.Context, cfg ReachabilityConfig) ([]Reachabilit
 		opts.Timeout = timeout
 		for _, ep := range cfg.Endpoints {
 			r := ReachabilityResult{Vantage: vp.Name, Endpoint: ep, Class: Unreachable}
-			err := probe(ctx, ep, domain, timeout, opts)
+			err := probe(ctx, ep, timeout, opts)
 			if err == nil {
 				r.Class = ReachPlain
 				out = append(out, r)
 				continue
 			}
 			r.PlainErr = transport.Classify(err)
-			for _, chain := range chains {
-				if probe(ctx, chain+"|"+ep, domain, timeout, opts) == nil {
+			for _, chain := range DefaultEvasionChains() {
+				if probe(ctx, chain+"|"+ep, timeout, opts) == nil {
 					r.Class = ReachEvasion
 					r.Chain = chain
 					break
@@ -145,7 +137,7 @@ func RunReachability(ctx context.Context, cfg ReachabilityConfig) ([]Reachabilit
 }
 
 // probe performs one exchange against a (possibly chained) endpoint.
-func probe(ctx context.Context, endpoint, domain string, timeout time.Duration, opts transport.Options) error {
+func probe(ctx context.Context, endpoint string, timeout time.Duration, opts transport.Options) error {
 	ex, err := transport.Dial(endpoint, opts)
 	if err != nil {
 		return err
@@ -153,7 +145,7 @@ func probe(ctx context.Context, endpoint, domain string, timeout time.Duration, 
 	defer ex.Close()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	_, err = ex.Exchange(ctx, dnswire.NewQuery(dns53.NewID(), domain, dnswire.TypeA))
+	_, err = ex.Exchange(ctx, dnswire.NewQuery(dns53.NewID(), reachDomain, dnswire.TypeA))
 	return err
 }
 

@@ -16,11 +16,8 @@ import (
 	"encdns/internal/obs"
 )
 
-// Process-wide cache instruments; every Cache instance folds into them
-// so the resolver cache reads at /metrics alongside its typed accessors.
-// The per-cache atomic counters in Cache are the single bookkeeping
-// source; these aggregates receive the same increments so they can never
-// disagree with the sum of per-cache stats.
+// Process-wide cache instruments, the one count of what every Cache
+// instance does; they read at /metrics.
 var (
 	cacheHits = obs.Default().Counter("resolver_cache_hits_total",
 		"Lookups answered from the cache (fresh entries).")
@@ -140,40 +137,15 @@ func (s *cacheShard) moveToFront(e *cacheEntry) {
 
 // Cache is a TTL- and LRU-bounded DNS cache, safe for concurrent use.
 // Keys are spread across lock shards so concurrent lookups of different
-// names do not serialise on one mutex.
+// names do not serialise on one mutex. An entry is dropped at the first
+// read past its expiry. Recursive, Forwarder and cluster.Node each
+// require one.
 type Cache struct {
-	shards []cacheShard
-	mask   uint32
-	now    func() time.Time
-	// staleFor keeps expired positive entries readable by LookupStale for
-	// this long past expiry (RFC 8767 serve-stale); zero disables. It is
-	// the one serve-stale switch.
-	staleFor atomic.Int64 // time.Duration
-	closed   atomic.Bool
-
-	hits, misses, evictions atomic.Uint64
-	entries                 atomic.Int64
-}
-
-// CacheStats is a point-in-time view of one cache's counters.
-type CacheStats struct {
-	// Hits counts lookups answered from the cache.
-	Hits uint64
-	// Misses counts lookups that found no usable entry.
-	Misses uint64
-	// Evictions counts entries dropped for expiry, LRU bound, or
-	// replacement.
-	Evictions uint64
-	// Entries is the current number of live entries.
-	Entries int
-}
-
-// EnableServeStale keeps expired positive RRsets around for window past
-// their TTL so LookupStale can serve them when upstreams are unreachable
-// (RFC 8767 recommends a maximum of 1–3 days). A resolver over this cache
-// then answers from them when its walk fails; zero turns that off again.
-func (c *Cache) EnableServeStale(window time.Duration) {
-	c.staleFor.Store(int64(window))
+	shards  []cacheShard
+	mask    uint32
+	now     func() time.Time
+	closed  atomic.Bool
+	entries atomic.Int64
 }
 
 // NewCache creates a cache holding at most maxEntries RRsets (minimum 16).
@@ -207,23 +179,11 @@ func (c *Cache) shard(key cacheKey) *cacheShard {
 	return &c.shards[key.shardIndex(c.mask)]
 }
 
-// Metrics returns the cache's full counter set, read from the per-cache
-// atomics (the single bookkeeping source).
-func (c *Cache) Metrics() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   int(c.entries.Load()),
-	}
-}
-
 // evictLocked removes e from its shard, counting the eviction. Callers
 // hold s.mu.
 func (c *Cache) evictLocked(s *cacheShard, e *cacheEntry) {
 	s.unlink(e)
 	delete(s.items, e.key)
-	c.evictions.Add(1)
 	c.entries.Add(-1)
 	cacheEvictions.Inc()
 	cacheEntries.Dec()
@@ -362,15 +322,14 @@ func (c *Cache) Lookup(name string, t dnswire.Type) (LookupResult, bool) {
 // question it is: a client's moves the hit and miss counters, one the
 // resolver asks itself (NS walk, glue, the speculative CNAME) does not.
 func (c *Cache) lookupKey(key cacheKey, now time.Time, client bool) (LookupResult, bool) {
-	e, remaining := c.find(key, now, false)
+	e, remaining := c.find(key, now)
 	if e == nil {
 		if client {
-			c.missed()
+			cacheMisses.Inc()
 		}
 		return LookupResult{}, false
 	}
 	if client {
-		c.hits.Add(1)
 		cacheHits.Inc()
 		cacheHitMaterialized.Inc()
 	}
@@ -406,12 +365,10 @@ func (c *Cache) Reply(q *dnswire.Message) (*dnswire.Message, bool) {
 }
 
 // find is the one read of a shard's map for a lookup. In one critical
-// section it looks key up, applies expiry, and re-fronts the entry it
-// returns, so the LRU order is exact. It returns the entry and its
-// remaining lifetime, or nil. An expired entry is evicted unless it is
-// positive and inside the serve-stale window; such an entry is kept, and
-// returned (remaining ≤ 0) only to a stale read.
-func (c *Cache) find(key cacheKey, now time.Time, stale bool) (*cacheEntry, time.Duration) {
+// section it looks key up, evicts it if expired, and re-fronts the entry
+// it returns, so the LRU order is exact. It returns the entry and its
+// remaining lifetime, or nil.
+func (c *Cache) find(key cacheKey, now time.Time) (*cacheEntry, time.Duration) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -421,39 +378,11 @@ func (c *Cache) find(key cacheKey, now time.Time, stale bool) (*cacheEntry, time
 	}
 	remaining := e.expires.Sub(now)
 	if remaining <= 0 {
-		window := time.Duration(c.staleFor.Load())
-		if window <= 0 || e.negative || -remaining > window {
-			c.evictLocked(s, e)
-			return nil, 0
-		}
-		if !stale {
-			return nil, 0
-		}
+		c.evictLocked(s, e)
+		return nil, 0
 	}
 	s.moveToFront(e)
 	return e, remaining
-}
-
-// missed counts one lookup miss.
-func (c *Cache) missed() {
-	c.misses.Add(1)
-	cacheMisses.Inc()
-}
-
-// LookupStale returns an expired positive RRset still inside the
-// serve-stale window, with TTLs set to the RFC 8767 recommendation of
-// 30 seconds. ok is false when serve-stale is disabled, the entry is
-// missing, negative, fresh (use Lookup), or past the window.
-func (c *Cache) LookupStale(name string, t dnswire.Type) (LookupResult, bool) {
-	e, remaining := c.find(cacheKey{name: dnswire.CanonicalName(name), typ: t}, c.now(), true)
-	if e == nil || remaining > 0 {
-		return LookupResult{}, false
-	}
-	out := append([]dnswire.Record(nil), e.records...)
-	for i := range out {
-		out[i].TTL = 30 // RFC 8767 §5: stale data served with a short TTL
-	}
-	return LookupResult{Records: out}, true
 }
 
 // Close releases the cache's entries and detaches it from the process-wide

@@ -98,11 +98,6 @@ func TestSingleflightDeduplicatesConcurrentMisses(t *testing.T) {
 	if got := upstream.calls.Load(); got != 1 {
 		t.Fatalf("upstream exchanges = %d, want exactly 1 for %d concurrent identical misses", got, K)
 	}
-	if hits := r.Cache.Metrics().Hits; hits != 0 {
-		// Every goroutine missed (they all raced past the cache check);
-		// the singleflight, not the cache, absorbed the herd.
-		t.Logf("note: %d followers were served from cache instead of singleflight", hits)
-	}
 }
 
 // TestSingleflightDistinctKeysDoNotShare checks that different (name,
@@ -134,11 +129,10 @@ func TestSingleflightDistinctKeysDoNotShare(t *testing.T) {
 }
 
 // TestCacheConcurrentStress hammers one cache from many goroutines doing
-// mixed puts, lookups, stale lookups, purges, and metric reads. Run under
-// -race (the CI test step does) this checks the sharded cache's locking.
+// mixed puts, lookups, replies and length reads. Run under -race (the CI
+// test step does) this checks the sharded cache's locking.
 func TestCacheConcurrentStress(t *testing.T) {
 	c := NewCache(2048, nil)
-	c.EnableServeStale(time.Hour)
 	const (
 		workers = 8
 		ops     = 2000
@@ -164,20 +158,16 @@ func TestCacheConcurrentStress(t *testing.T) {
 				case 2:
 					c.Lookup(name, dnswire.TypeA)
 				case 3:
-					c.LookupStale(name, dnswire.TypeA)
+					c.Reply(dnswire.NewQuery(0, name, dnswire.TypeAAAA))
 				case 4:
-					c.Metrics()
+					c.Len()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	m := c.Metrics()
-	if m.Entries < 0 || m.Entries > 2048 {
-		t.Fatalf("entries = %d, want within [0, 2048]", m.Entries)
-	}
-	if c.Len() != m.Entries {
-		t.Fatalf("Len() = %d disagrees with Metrics().Entries = %d", c.Len(), m.Entries)
+	if n := c.Len(); n < 0 || n > 2048 {
+		t.Fatalf("entries = %d, want within [0, 2048]", n)
 	}
 }
 

@@ -59,6 +59,7 @@ func TestServerAddrsShortcutSkipsGlueless(t *testing.T) {
 			return nil, context.Canceled
 		}),
 		Roots:   []string{"198.18.0.1:53"},
+		Cache:   NewCache(64, nil),
 		RNGSeed: 1,
 	}
 	glue := map[string][]string{
@@ -103,6 +104,7 @@ func TestResolveNSHostsFirstKWins(t *testing.T) {
 			return answer(q, "192.0.2.102"), nil
 		}),
 		Roots:   []string{"198.18.0.1:53"},
+		Cache:   NewCache(64, nil),
 		RNGSeed: 1,
 	}
 	start := time.Now()
@@ -136,6 +138,7 @@ func TestServerAddrsGluelessFanoutResolves(t *testing.T) {
 			return resp, nil
 		}),
 		Roots:   []string{"198.18.0.1:53"},
+		Cache:   NewCache(64, nil),
 		RNGSeed: 1,
 	}
 	resolves := nsFanoutResolves.Value()
@@ -145,28 +148,5 @@ func TestServerAddrsGluelessFanoutResolves(t *testing.T) {
 	}
 	if got := nsFanoutResolves.Value() - resolves; got == 0 {
 		t.Fatal("fan-out resolve counter never moved")
-	}
-}
-
-func TestMinimizedNameEdgeCases(t *testing.T) {
-	cases := []struct{ full, zone, want string }{
-		// Root zone asked at the root: nothing to strip.
-		{".", ".", "."},
-		// Single-label name from the root: already minimal.
-		{"com.", ".", "com."},
-		// name == zone at depth: send as-is.
-		{"example.com.", "example.com.", "example.com."},
-		// An escaped dot is part of one label, not a boundary: from com.,
-		// the next label out is example, not the escaped pair.
-		{`a\.b.example.com.`, "com.", "example.com."},
-		// ...and stepping once more exposes the whole escaped label.
-		{`a\.b.example.com.`, "example.com.", `a\.b.example.com.`},
-		// Escaped label deeper in: one label past the zone cut.
-		{`x.a\.b.example.com.`, "example.com.", `a\.b.example.com.`},
-	}
-	for _, c := range cases {
-		if got := minimizedName(c.full, c.zone); got != c.want {
-			t.Errorf("minimizedName(%q, %q) = %q, want %q", c.full, c.zone, got, c.want)
-		}
 	}
 }

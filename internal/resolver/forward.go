@@ -17,20 +17,22 @@ type Forwarder struct {
 	Exchange Exchanger
 	// Upstreams are tried in order until one answers.
 	Upstreams []string
-	// Cache is optional.
+	// Cache answers repeated questions. Required.
 	Cache *Cache
 }
 
 // ErrNoUpstreams is returned when no upstream is configured or reachable.
 var ErrNoUpstreams = errors.New("resolver: no upstreams")
 
-// ServeDNS implements dns53.Handler.
+// ServeDNS implements dns53.Handler. A query without a question is
+// answered FORMERR, as the recursive resolver answers it, not sent on.
 func (f *Forwarder) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	q0 := q.Question0()
-	if f.Cache != nil {
-		if resp, ok := f.Cache.Reply(q); ok {
-			return resp, nil
-		}
+	if q0.Name == "" {
+		return formErr(q), nil
+	}
+	if resp, ok := f.Cache.Reply(q); ok {
+		return resp, nil
 	}
 	if len(f.Upstreams) == 0 {
 		return nil, ErrNoUpstreams
@@ -56,9 +58,6 @@ func (f *Forwarder) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 }
 
 func (f *Forwarder) cacheResponse(q0 dnswire.Question, resp *dnswire.Message) {
-	if f.Cache == nil {
-		return
-	}
 	switch {
 	case resp.Header.RCode == dnswire.RCodeNXDomain:
 		f.Cache.PutNegative(q0.Name, q0.Type, true, negativeTTL(resp))
@@ -67,6 +66,13 @@ func (f *Forwarder) cacheResponse(q0 dnswire.Question, resp *dnswire.Message) {
 	case resp.Header.RCode == dnswire.RCodeSuccess:
 		f.Cache.putAnswers(resp.Answers)
 	}
+}
+
+// formErr is q's reply with RCODE FORMERR.
+func formErr(q *dnswire.Message) *dnswire.Message {
+	resp := q.Reply()
+	resp.Header.RCode = dnswire.RCodeFormat
+	return resp
 }
 
 func negativeTTL(resp *dnswire.Message) uint32 {

@@ -193,13 +193,14 @@ func TestSRTTConvergesAwayFromSlowServer(t *testing.T) {
 		Exchange: upstream,
 		// All three servers are "roots" so every query is one exchange.
 		Roots:   []string{slow, fastA, fastB},
+		Cache:   NewCache(4096, clk.Now),
 		RNGSeed: 1,
 		Infra:   NewInfra(clk.Now),
 		Now:     clk.Now,
 	}
 	const queries = 50
 	for i := 0; i < queries; i++ {
-		// Unique names defeat any caching layer; no Cache is set anyway.
+		// Unique names: every query misses the cache.
 		name := "q" + string(rune('a'+i%26)) + string(rune('a'+i/26)) + ".example.com."
 		if _, rcode, err := r.Resolve(context.Background(), name, dnswire.TypeA, 0); err != nil || rcode != dnswire.RCodeSuccess {
 			t.Fatalf("query %d: rcode=%v err=%v", i, rcode, err)
@@ -251,6 +252,7 @@ func TestHedgeRacesSecondBest(t *testing.T) {
 	r := &Recursive{
 		Exchange: upstream,
 		Roots:    []string{hang, backup},
+		Cache:    NewCache(64, nil),
 		RNGSeed:  1,
 		Infra:    inf,
 		Hedge:    true,
@@ -292,6 +294,7 @@ func TestInfraFailureSteersSelection(t *testing.T) {
 	r := &Recursive{
 		Exchange: upstream,
 		Roots:    []string{dead, alive},
+		Cache:    NewCache(64, clk.Now),
 		RNGSeed:  1,
 		Infra:    NewInfra(clk.Now),
 		Now:      clk.Now,

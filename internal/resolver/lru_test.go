@@ -20,8 +20,7 @@ import (
 // out the plain way.
 type naiveCache struct {
 	max     int
-	window  time.Duration // serve-stale window; zero is off
-	order   []cacheKey    // most recently used first
+	order   []cacheKey // most recently used first
 	items   map[cacheKey]naiveEntry
 	hits    uint64
 	misses  uint64
@@ -55,23 +54,17 @@ func (n *naiveCache) put(k cacheKey, e naiveEntry) {
 	}
 }
 
-// get is every read: an entry past its TTL goes, unless it is positive
-// and inside the serve-stale window, in which case it stays but only a
-// stale read may have it; whatever a read returns moves to the front.
-func (n *naiveCache) get(k cacheKey, now time.Time, stale bool) (naiveEntry, time.Duration, bool) {
+// get is every read: an entry past its TTL goes; whatever a read returns
+// moves to the front.
+func (n *naiveCache) get(k cacheKey, now time.Time) (naiveEntry, time.Duration, bool) {
 	e, ok := n.items[k]
 	if !ok {
 		return naiveEntry{}, 0, false
 	}
 	left := e.expires.Sub(now)
 	if left <= 0 {
-		if e.negative || n.window <= 0 || now.Sub(e.expires) > n.window {
-			n.remove(k)
-			return naiveEntry{}, 0, false
-		}
-		if !stale {
-			return naiveEntry{}, 0, false
-		}
+		n.remove(k)
+		return naiveEntry{}, 0, false
 	}
 	n.order = slices.DeleteFunc(n.order, func(x cacheKey) bool { return x == k })
 	n.order = slices.Insert(n.order, 0, k)
@@ -81,7 +74,7 @@ func (n *naiveCache) get(k cacheKey, now time.Time, stale bool) (naiveEntry, tim
 // lookup is Lookup: a counted read, records copied with each TTL capped
 // at the whole seconds left.
 func (n *naiveCache) lookup(k cacheKey, now time.Time) (LookupResult, bool) {
-	e, left, ok := n.get(k, now, false)
+	e, left, ok := n.get(k, now)
 	if !ok {
 		n.misses++
 		return LookupResult{}, false
@@ -95,27 +88,12 @@ func (n *naiveCache) lookup(k cacheKey, now time.Time) (LookupResult, bool) {
 	return res, true
 }
 
-// stale is LookupStale: an uncounted read that answers only for an
-// entry past its TTL, every record at 30 seconds.
-func (n *naiveCache) stale(k cacheKey, now time.Time) (LookupResult, bool) {
-	e, left, ok := n.get(k, now, true)
-	if !ok || left > 0 {
-		return LookupResult{}, false
-	}
-	var res LookupResult
-	for _, rr := range e.records {
-		rr.TTL = 30
-		res.Records = append(res.Records, rr)
-	}
-	return res, true
-}
-
 // appendResponse is AppendResponse: a read that declines uncounted when
 // the client's question bytes are not the length of the name's plain
 // spelling (fullQ), and otherwise answers — counted — with what
 // materialize + AppendPack makes of the lookup result.
 func (n *naiveCache) appendResponse(t *testing.T, k cacheKey, now time.Time, q *dnswire.Message, rawQ []byte, fullQ int) ([]byte, LookupResult, bool) {
-	e, left, ok := n.get(k, now, false)
+	e, left, ok := n.get(k, now)
 	if !ok || len(rawQ) != fullQ {
 		return nil, LookupResult{}, false
 	}
@@ -168,12 +146,12 @@ func naiveRecords(rng *rand.Rand, key cacheKey, ttl uint32) []dnswire.Record {
 // TestCacheMatchesNaiveLRU runs seeded random operation sequences against
 // the cache and naiveCache side by side on a virtual clock: puts of both
 // kinds, counted lookups, template serves (some with a question of the
-// wrong length), stale reads with the window on and off, and clock jumps
-// that land on, just before and just past TTL and window edges. A cache
-// of at most 127 entries has one shard, so its LRU is the global one.
-// After every step the hit, miss, eviction and entry counts, the LRU
-// order (and so which key each eviction took), every result with its
-// aged TTLs, and every template response's bytes must match.
+// wrong length), and clock jumps that land on, just before and just past
+// TTL edges. A cache of at most 127 entries has one shard, so its LRU is
+// the global one. After every step the hit, miss and eviction counts
+// (resolver_cache_*), the entry count, the LRU order (and so which key
+// each eviction took), every result with its aged TTLs, and every
+// template response's bytes must match.
 func TestCacheMatchesNaiveLRU(t *testing.T) {
 	const (
 		seeds    = 8
@@ -181,7 +159,6 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 		capacity = 32
 	)
 	ttls := []uint32{0, 1, 2, 5, 30, 60, 300}
-	windows := []time.Duration{0, 3 * time.Second, 20 * time.Second, time.Minute}
 	jumps := []time.Duration{time.Nanosecond, 999 * time.Millisecond, time.Second, 2 * time.Second, 5 * time.Second, 21 * time.Second}
 
 	// 48 names × 2 types: three times what the cache holds.
@@ -203,8 +180,8 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 	}
 
 	var tally struct {
-		hits, templateHits, declined, stale, expiredEvictions, edges int
-		boundEvictions                                               uint64
+		hits, templateHits, declined, expiredEvictions, edges int
+		boundEvictions                                        uint64
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x1b5))
@@ -214,6 +191,7 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 			t.Fatalf("a %d-entry cache has %d shards", capacity, len(c.shards))
 		}
 		ref := &naiveCache{max: capacity, items: map[cacheKey]naiveEntry{}}
+		base := readCacheCounts()
 		for step := 0; step < steps; step++ {
 			fail := func(format string, args ...any) {
 				t.Helper()
@@ -239,7 +217,7 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 				c.PutNegative(spelled, key.typ, nx, ttl)
 				d := time.Duration(ttl) * time.Second
 				ref.put(key, naiveEntry{expires: now.Add(d), ttl: d, negative: true, nxdomain: nx})
-			case op < 55:
+			case op < 62:
 				got, gotOK := c.Lookup(spelled, key.typ)
 				want, wantOK := ref.lookup(key, now)
 				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
@@ -248,7 +226,7 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 				if gotOK {
 					tally.hits++
 				}
-			case op < 75:
+			case op < 88:
 				raw, err := dnswire.NewQuery(uint16(step), key.name, key.typ).AppendPack(nil)
 				if err != nil {
 					t.Fatal(err)
@@ -259,7 +237,7 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 					t.Fatal(err)
 				}
 				rawQ, _ := dnswire.QuestionBytes(raw)
-				if op >= 70 {
+				if op >= 81 {
 					rawQ = rawQ[:len(rawQ)-1] // a question of another length
 				}
 				got, gotRes, gotOK := c.AppendResponse(nil, q, rawQ)
@@ -281,29 +259,14 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 					fail("template response differs from materialize + AppendPack:\ntmpl %x\n mat %x", got, want)
 				}
 				tally.templateHits++
-			case op < 88:
-				got, gotOK := c.LookupStale(spelled, key.typ)
-				want, wantOK := ref.stale(key, now)
-				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-					fail("LookupStale(%v) = %+v %v, reference %+v %v", key, got, gotOK, want, wantOK)
-				}
-				if gotOK {
-					tally.stale++
-				}
-			case op < 90:
-				ref.window = windows[rng.IntN(len(windows))]
-				c.EnableServeStale(ref.window)
 			default:
-				// Half the jumps go to the next edge of a held entry — an
-				// expiry or the end of a stale window — landing a
-				// nanosecond before, on, or a nanosecond past it.
+				// Half the jumps go to the next expiry of a held entry,
+				// landing a nanosecond before, on, or a nanosecond past it.
 				d := jumps[rng.IntN(len(jumps))]
 				var next time.Time
 				for _, e := range ref.items {
-					for _, edge := range []time.Time{e.expires, e.expires.Add(ref.window)} {
-						if edge.After(now) && (next.IsZero() || edge.Before(next)) {
-							next = edge
-						}
+					if e.expires.After(now) && (next.IsZero() || e.expires.Before(next)) {
+						next = e.expires
 					}
 				}
 				if rng.IntN(2) == 0 && !next.IsZero() {
@@ -316,10 +279,9 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 				tally.expiredEvictions++ // a read met an expired entry
 			}
 
-			m := c.Metrics()
-			if m.Hits != ref.hits || m.Misses != ref.misses || m.Evictions != ref.evicted || m.Entries != len(ref.items) {
-				fail("metrics %+v, reference hits %d misses %d evictions %d entries %d",
-					m, ref.hits, ref.misses, ref.evicted, len(ref.items))
+			if m := readCacheCounts().since(base); m.hits != ref.hits || m.misses != ref.misses || m.evictions != ref.evicted || c.Len() != len(ref.items) {
+				fail("counted %+v and %d entries, reference hits %d misses %d evictions %d entries %d",
+					m, c.Len(), ref.hits, ref.misses, ref.evicted, len(ref.items))
 			}
 			if got := lruOrder(c); !slices.Equal(got, ref.order) {
 				fail("LRU order\n got %v\nwant %v", got, ref.order)
@@ -329,7 +291,7 @@ func TestCacheMatchesNaiveLRU(t *testing.T) {
 		tally.boundEvictions += ref.bounded
 	}
 	t.Logf("%+v", tally)
-	if tally.hits < 500 || tally.templateHits < 500 || tally.declined < 200 || tally.stale < 50 ||
+	if tally.hits < 500 || tally.templateHits < 500 || tally.declined < 200 ||
 		tally.expiredEvictions < 500 || tally.edges < 500 || tally.boundEvictions < 500 {
 		t.Fatalf("sequences too tame: %+v", tally)
 	}

@@ -145,24 +145,19 @@ func TestMissAllocs(t *testing.T) {
 // the walk's infrastructure hits are nobody's hits.
 func TestMissCountsOnce(t *testing.T) {
 	r := missStack(t)
-	before := r.Cache.Metrics()
-	h0, m0 := cacheHits.Value(), cacheMisses.Value()
+	before := readCacheCounts()
 	resp := answer(t, r, rawQuery(t, 1, "no-such-name.google.com.", dnswire.TypeA))
 	if resp[3]&0x0f != byte(dnswire.RCodeNXDomain) {
 		t.Fatalf("response %x", resp)
 	}
-	after := r.Cache.Metrics()
-	if after.Misses-before.Misses != 1 || after.Hits != before.Hits {
-		t.Fatalf("one client miss moved misses by %d and hits by %d, want 1 and 0",
-			after.Misses-before.Misses, after.Hits-before.Hits)
-	}
-	if dh, dm := cacheHits.Value()-h0, cacheMisses.Value()-m0; dh != 0 || dm != 1 {
-		t.Fatalf("resolver_cache_{hits,misses}_total moved by %d and %d, want 0 and 1", dh, dm)
+	if d := readCacheCounts().since(before); d.hits != 0 || d.misses != 1 {
+		t.Fatalf("resolver_cache_{hits,misses}_total moved by %d and %d, want 0 and 1", d.hits, d.misses)
 	}
 	// The repeat is a hit, served from the negative template.
+	before = readCacheCounts()
 	answer(t, r, rawQuery(t, 2, "no-such-name.google.com.", dnswire.TypeA))
-	if m := r.Cache.Metrics(); m.Hits != after.Hits+1 || m.Misses != after.Misses {
-		t.Fatalf("repeat moved hits %d→%d, misses %d→%d", after.Hits, m.Hits, after.Misses, m.Misses)
+	if d := readCacheCounts().since(before); d.hits != 1 || d.misses != 0 {
+		t.Fatalf("the repeat moved hits by %d and misses by %d, want 1 and 0", d.hits, d.misses)
 	}
 }
 
@@ -177,7 +172,7 @@ func TestMissFloodKeepsDelegation(t *testing.T) {
 	r := &Recursive{Exchange: up, Roots: h.RootServers, Cache: NewCache(4096, nil)}
 	answer(t, r, rawQuery(t, 0, "google.com.", dnswire.TypeA))
 	queries := missQueries(10000)
-	before := up.calls.Load()
+	before, counts := up.calls.Load(), readCacheCounts()
 	for _, raw := range queries {
 		if resp := answer(t, r, raw); resp[3]&0x0f != byte(dnswire.RCodeNXDomain) {
 			t.Fatalf("response %x", resp)
@@ -186,7 +181,7 @@ func TestMissFloodKeepsDelegation(t *testing.T) {
 	if got := up.calls.Load() - before; got != int64(len(queries)) {
 		t.Fatalf("%d misses cost %d upstream exchanges, want one each", len(queries), got)
 	}
-	if ev := r.Cache.Metrics().Evictions; ev < 5000 {
+	if ev := readCacheCounts().since(counts).evictions; ev < 5000 {
 		t.Fatalf("only %d evictions: the flood never filled the cache", ev)
 	}
 }
@@ -279,7 +274,7 @@ func TestMemoExpiresWithItsAddresses(t *testing.T) {
 	if got, cut := r.startServers(ctx, "www.example.org.", clk.Now(), 0); !slices.Equal(got, old) || cut != "example.org." {
 		t.Fatalf("derived %v at %q", got, cut)
 	}
-	e, _ := c.find(cacheKey{"example.org.", dnswire.TypeNS}, clk.Now(), false)
+	e, _ := c.find(cacheKey{"example.org.", dnswire.TypeNS}, clk.Now())
 	d := e.deleg.Load()
 	if d == nil || !d.expires.Equal(clk.Now().Add(300*time.Second)) {
 		t.Fatalf("memo %+v, want one expiring with ns1's address in 300 s", d)
@@ -487,6 +482,7 @@ func TestDelegationMemoMatchesDerivation(t *testing.T) {
 			up.dead = map[string]bool{"198.19.0.3:53": true, ns2.Answers[0].Data.(*dnswire.A).Addr.String() + ":53": true}
 		}
 		r := &Recursive{Exchange: up, Roots: h.RootServers, Cache: NewCache(64, clk.Now), RNGSeed: seed}
+		counts := readCacheCounts() // the reference's caches evict into it too
 		rng := rand.New(rand.NewPCG(seed, 20))
 		ctx := context.Background()
 		for step := 0; step < 2500; step++ {
@@ -568,7 +564,7 @@ func TestDelegationMemoMatchesDerivation(t *testing.T) {
 				fail("\n got %x\nwant %x", gotResp, wantResp)
 			}
 		}
-		if ev := r.Cache.Metrics().Evictions; ev < 500 {
+		if ev := readCacheCounts().since(counts).evictions; ev < 500 {
 			t.Fatalf("seed %d: %d evictions, the cache was never under pressure", seed, ev)
 		}
 	}

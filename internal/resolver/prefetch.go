@@ -26,9 +26,8 @@ var (
 )
 
 const (
-	// defaultPrefetchBudget bounds concurrent background refreshes when
-	// Recursive.PrefetchBudget is zero.
-	defaultPrefetchBudget = 32
+	// prefetchBudget bounds concurrent background refreshes.
+	prefetchBudget = 32
 	// prefetchTimeout bounds one background refresh walk; the foreground
 	// hit was already served, so a stuck walk should just die quietly.
 	prefetchTimeout = 5 * time.Second
@@ -74,11 +73,7 @@ func (r *Recursive) maybePrefetch(key cacheKey) {
 	}
 	if pf.inflight == nil {
 		pf.inflight = make(map[cacheKey]struct{})
-		budget := r.PrefetchBudget
-		if budget <= 0 {
-			budget = defaultPrefetchBudget
-		}
-		pf.sem = make(chan struct{}, budget)
+		pf.sem = make(chan struct{}, prefetchBudget)
 	}
 	if _, dup := pf.inflight[key]; dup {
 		pf.mu.Unlock()
@@ -104,11 +99,11 @@ func (r *Recursive) maybePrefetch(key cacheKey) {
 }
 
 // runPrefetch is the background refresh: a bounded-time resolveWalk whose
-// answers land in the cache through the ordinary cacheAnswers path. It
-// deliberately bypasses both the cache lookup (the stale-ish entry is
-// exactly what it must replace) and the top-level singleflight (a
-// foreground miss waiting on the singleflight should never chain behind a
-// background refresh's timeout).
+// answers land in the cache as every walk's do. It deliberately bypasses
+// both the cache lookup (the stale-ish entry is exactly what it must
+// replace) and the top-level singleflight (a foreground miss waiting on
+// the singleflight should never chain behind a background refresh's
+// timeout).
 func (r *Recursive) runPrefetch(key cacheKey) {
 	defer func() {
 		pf := &r.pf
@@ -121,7 +116,7 @@ func (r *Recursive) runPrefetch(key cacheKey) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), prefetchTimeout)
 	defer cancel()
-	if _, rcode, err := r.resolveWalk(ctx, key, r.cacheNow(), 0); err == nil && rcode == dnswire.RCodeSuccess {
+	if _, rcode, err := r.resolveWalk(ctx, key, r.Cache.now(), 0); err == nil && rcode == dnswire.RCodeSuccess {
 		prefetchRefreshed.Inc()
 		if r.OnPrefetch != nil {
 			r.OnPrefetch(key.name, key.typ)

@@ -77,22 +77,21 @@ func TestPrefetchKeepsHotNameWarm(t *testing.T) {
 	if got := upstream.calls.Load(); got != before {
 		t.Fatalf("post-boundary query cost %d upstream exchanges, want 0", got-before)
 	}
-	misses := r.Cache.Metrics().Misses
-	// Sanity: the third query's (name, A) lookup was a hit, so the miss
-	// counter cannot have moved for it. (The warm walk's internal lookups
-	// account for every prior miss.)
+	counts := readCacheCounts()
+	// Sanity: the fourth query's (name, A) lookup is a hit, so the miss
+	// counter cannot move for it.
 	resp, err = r.ServeDNS(ctx, dnswire.NewQuery(4, "google.com", dnswire.TypeA))
 	if err != nil || len(resp.Answers) == 0 {
 		t.Fatal("fourth query failed")
 	}
-	if got := r.Cache.Metrics().Misses; got != misses {
-		t.Fatalf("hot name still missing: misses %d → %d", misses, got)
+	if d := readCacheCounts().since(counts); d.misses != 0 {
+		t.Fatalf("hot name still missing: %d more misses", d.misses)
 	}
 }
 
 // TestPrefetchCoalescesAndBounds checks the dedup map (one refresh per key
 // no matter how hot the name) and the budget semaphore (excess keys are
-// dropped, not queued).
+// dropped, not queued), here a budget of one instead of prefetchBudget.
 func TestPrefetchCoalescesAndBounds(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(1_700_000_000, 0)}
 	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
@@ -103,9 +102,9 @@ func TestPrefetchCoalescesAndBounds(t *testing.T) {
 		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
-		PrefetchBudget:   1,
 		Now:              clk.Now,
 	}
+	r.pf.inflight, r.pf.sem = map[cacheKey]struct{}{}, make(chan struct{}, 1)
 	ctx := context.Background()
 	for _, name := range []string{"google.com", "amazon.com"} {
 		if _, err := r.ServeDNS(ctx, dnswire.NewQuery(1, name, dnswire.TypeA)); err != nil {
@@ -150,18 +149,16 @@ func TestPrefetchCoalescesAndBounds(t *testing.T) {
 	r.Close()
 }
 
-// TestPrefetchStalledFallsBackToServeStale: a refresh that cannot reach
-// any upstream must not take the hot name down with it — the TTL lapse is
-// absorbed by RFC 8767 serve-stale, and the foreground never blocks.
-func TestPrefetchStalledFallsBackToServeStale(t *testing.T) {
+// TestPrefetchStalledDoesNotBlock: a refresh that cannot reach any upstream
+// fails in the background while the windowed hit that started it is
+// served at once; once the entry expires the name fails like any walk.
+func TestPrefetchStalledDoesNotBlock(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(1_700_000_000, 0)}
 	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	cache := NewCache(4096, clk.Now)
-	cache.EnableServeStale(24 * time.Hour)
 	r := &Recursive{
 		Exchange:         h.Registry,
 		Roots:            h.RootServers,
-		Cache:            cache,
+		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
 		Now:              clk.Now,
@@ -181,14 +178,10 @@ func TestPrefetchStalledFallsBackToServeStale(t *testing.T) {
 		t.Fatalf("windowed hit blocked on a doomed refresh: %v %v", resp, err)
 	}
 	r.pf.wg.Wait() // the refresh fails in the background
-	// Past expiry: the foreground walk fails too, serve-stale rescues.
+	// Past expiry: the foreground walk fails too.
 	clk.advance(60 * time.Second)
-	resp, err = r.ServeDNS(ctx, dnswire.NewQuery(3, "google.com", dnswire.TypeA))
-	if err != nil {
-		t.Fatalf("serve-stale did not rescue after stalled refresh: %v", err)
-	}
-	if len(resp.Answers) == 0 || resp.Answers[0].TTL != 30 {
-		t.Fatalf("stale answer = %v", resp.Answers)
+	if _, err := r.ServeDNS(ctx, dnswire.NewQuery(3, "google.com", dnswire.TypeA)); !errors.Is(err, ErrNoServers) {
+		t.Fatalf("expired name with no upstream: err = %v, want ErrNoServers", err)
 	}
 }
 
@@ -235,17 +228,15 @@ func TestPrefetchCloseDrains(t *testing.T) {
 	testutil.WaitNoLeaks(t, before)
 }
 
-// TestResolverStressRace mixes prefetch, serve-stale, and concurrent
-// identical queries over an advancing clock; run under -race by CI.
+// TestResolverStressRace mixes prefetch and concurrent identical queries
+// over an advancing clock; run under -race by CI.
 func TestResolverStressRace(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(1_700_000_000, 0)}
 	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	cache := NewCache(4096, clk.Now)
-	cache.EnableServeStale(time.Hour)
 	r := &Recursive{
 		Exchange:         h.Registry,
 		Roots:            h.RootServers,
-		Cache:            cache,
+		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.3,
 		Infra:            NewInfra(clk.Now),
@@ -265,7 +256,7 @@ func TestResolverStressRace(t *testing.T) {
 				}
 				if i%25 == 0 {
 					// Hop the clock around TTL cliffs so hits, refresh
-					// windows, misses, and stale serves all interleave.
+					// windows and misses all interleave.
 					clk.advance(45 * time.Second)
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,6 +37,12 @@ var (
 	ErrDepthExceed = errors.New("resolver: resolution depth exceeded")
 )
 
+// Walk bounds: referral steps per resolution and CNAME hops per chain.
+const (
+	maxIterations = 32
+	maxCNAME      = 8
+)
+
 // Recursive is a caching iterative resolver. It implements dns53.Handler.
 type Recursive struct {
 	// Exchange performs upstream queries. It must be done with the query
@@ -46,19 +51,9 @@ type Recursive struct {
 	Exchange Exchanger
 	// Roots are the root server addresses ("ip:port") to start from.
 	Roots []string
-	// Cache holds positive and negative entries; nil disables caching.
-	// With its serve-stale window on (Cache.EnableServeStale), expired
-	// entries answer when upstreams are unreachable (RFC 8767).
+	// Cache holds positive and negative entries, and the delegations the
+	// walk starts from. Required.
 	Cache *Cache
-	// MaxIterations bounds referral steps per query; zero means 32.
-	MaxIterations int
-	// MaxCNAME bounds alias chains; zero means 8.
-	MaxCNAME int
-	// QNAMEMinimize sends only as many labels as each zone needs to
-	// delegate (RFC 9156), so the root and TLD servers never learn the
-	// full query name — the same data-minimisation instinct that
-	// motivates encrypted DNS in the first place.
-	QNAMEMinimize bool
 	// rngSeed, when non-zero, makes server selection deterministic.
 	RNGSeed uint64
 	// Infra is the per-nameserver performance cache (EWMA SRTT plus a
@@ -76,8 +71,6 @@ type Recursive struct {
 	// background goroutine re-resolves the name, so steady-state hot
 	// names never take a top-level miss. 0 disables; 0.1 is typical.
 	PrefetchFraction float64
-	// PrefetchBudget bounds concurrent background refreshes; zero means 32.
-	PrefetchBudget int
 	// OnPrefetch, when set, is called after each background refresh that
 	// completed successfully — i.e. for every key the refresh-ahead
 	// machinery currently considers hot. Cluster mode wires it to
@@ -109,29 +102,6 @@ func (r *Recursive) timeNow() time.Time {
 	return time.Now()
 }
 
-// cacheNow reads the cache's clock, the one its entries expire by; a walk
-// reads it once for all its probes. Zero without a cache.
-func (r *Recursive) cacheNow() time.Time {
-	if r.Cache == nil {
-		return time.Time{}
-	}
-	return r.Cache.now()
-}
-
-func (r *Recursive) maxIter() int {
-	if r.MaxIterations > 0 {
-		return r.MaxIterations
-	}
-	return 32
-}
-
-func (r *Recursive) maxCNAME() int {
-	if r.MaxCNAME > 0 {
-		return r.MaxCNAME
-	}
-	return 8
-}
-
 // InMemory implements dns53.InMemory: ServeDNS never waits on I/O exactly
 // when Exchange never does (authdns.Registry). Nothing else a walk does on
 // the serving goroutine can wait on anything but such exchanges: the
@@ -148,25 +118,14 @@ func (r *Recursive) InMemory() bool {
 func (r *Recursive) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	q0 := q.Question0()
 	if q0.Name == "" {
-		resp := q.Reply()
-		resp.Header.RCode = dnswire.RCodeFormat
-		return resp, nil
+		return formErr(q), nil
+	}
+	answers, rcode, err := r.Resolve(ctx, q0.Name, q0.Type, 0)
+	if err != nil {
+		return nil, err
 	}
 	resp := q.Reply()
 	resp.Header.RA = true
-
-	answers, rcode, err := r.Resolve(ctx, q0.Name, q0.Type, 0)
-	if err != nil {
-		// Upstreams unreachable: fall back to stale data when the cache
-		// keeps any (RFC 8767 — "stale bread is better than no bread").
-		if r.Cache != nil {
-			if res, ok := r.Cache.LookupStale(q0.Name, q0.Type); ok {
-				resp.Answers = res.Records
-				return resp, nil
-			}
-		}
-		return nil, err
-	}
 	resp.Header.RCode = rcode
 	resp.Answers = answers
 	return resp, nil
@@ -182,7 +141,7 @@ func (r *Recursive) Resolve(ctx context.Context, name string, t dnswire.Type, de
 	key := cacheKey{name: dnswire.CanonicalName(name), typ: t}
 	var chain []dnswire.Record
 
-	for hop := 0; hop <= r.maxCNAME(); hop++ {
+	for hop := 0; hop <= maxCNAME; hop++ {
 		rrs, rcode, err := r.resolveOne(ctx, key, depth)
 		if err != nil {
 			return nil, dnswire.RCodeServFail, err
@@ -238,24 +197,22 @@ func (r *Recursive) resolveOne(ctx context.Context, key cacheKey, depth int) ([]
 	// exchange. Only the lookup of what a client asked is counted: the
 	// CNAME probe is the resolver's own guess, and at depth > 0 so is the
 	// whole question (an NS host's address).
-	now := r.cacheNow()
-	if r.Cache != nil {
-		if res, ok := r.Cache.lookupKey(key, now, depth == 0); ok {
-			if res.Negative {
-				if res.NXDomain {
-					return nil, dnswire.RCodeNXDomain, nil
-				}
-				return nil, dnswire.RCodeSuccess, nil // NODATA
+	now := r.Cache.now()
+	if res, ok := r.Cache.lookupKey(key, now, depth == 0); ok {
+		if res.Negative {
+			if res.NXDomain {
+				return nil, dnswire.RCodeNXDomain, nil
 			}
-			r.noteRefreshAhead(key, res)
-			return res.Records, dnswire.RCodeSuccess, nil
+			return nil, dnswire.RCodeSuccess, nil // NODATA
 		}
-		// A cached CNAME lets us skip a full walk.
-		cname := cacheKey{name: key.name, typ: dnswire.TypeCNAME}
-		if res, ok := r.Cache.lookupKey(cname, now, false); ok && !res.Negative {
-			r.noteRefreshAhead(cname, res)
-			return res.Records, dnswire.RCodeSuccess, nil
-		}
+		r.noteRefreshAhead(key, res)
+		return res.Records, dnswire.RCodeSuccess, nil
+	}
+	// A cached CNAME lets us skip a full walk.
+	cname := cacheKey{name: key.name, typ: dnswire.TypeCNAME}
+	if res, ok := r.Cache.lookupKey(cname, now, false); ok && !res.Negative {
+		r.noteRefreshAhead(cname, res)
+		return res.Records, dnswire.RCodeSuccess, nil
 	}
 
 	// Deduplicate concurrent identical misses, but only at the top level:
@@ -275,34 +232,26 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 	name, t := key.name, key.typ
 	// zone is the zone the current servers are asked as — the cut the walk
 	// starts from, then each referral's — and what their referrals are
-	// judged against (bailiwick). curZone is how much of the name QNAME
-	// minimization has exposed: it starts at zone and runs ahead of it
-	// over labels that turn out not to be cuts.
+	// judged against (bailiwick).
 	servers, zone := r.startServers(ctx, name, now, depth)
 	if len(servers) == 0 {
 		return nil, dnswire.RCodeServFail, ErrNoServers
 	}
-	curZone := zone
 	rng := r.newRNG(key)
 	var q *dnswire.Message
 
-	for iter := 0; iter < r.maxIter(); iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if ctx.Err() != nil {
 			return nil, dnswire.RCodeServFail, ctx.Err()
 		}
-		qname := name
-		if r.QNAMEMinimize {
-			qname = minimizedName(name, curZone)
-		}
-		final := qname == name
 		// One query message a walk, re-addressed each iteration — except
 		// under hedging, where the loser of a race may still be reading
 		// its message after the winner has returned.
 		if id := uint16(rng.Uint32()); q == nil || r.Hedge {
-			q = dnswire.NewQuery(id, qname, t)
+			q = dnswire.NewQuery(id, name, t)
 			q.Header.RD = false
 		} else {
-			q.Header.ID, q.Questions[0].Name = id, qname
+			q.Header.ID = id
 		}
 		resp, server, err := r.exchangeBest(ctx, q, servers, &rng)
 		if err != nil {
@@ -317,8 +266,8 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 		lame := false
 		switch resp.Header.RCode {
 		case dnswire.RCodeSuccess:
-			if len(resp.Answers) > 0 && final {
-				r.cacheAnswers(resp.Answers)
+			if len(resp.Answers) > 0 {
+				r.Cache.putAnswers(resp.Answers)
 				return resp.Answers, dnswire.RCodeSuccess, nil
 			}
 			// NS records of which none delegates towards the name, and no
@@ -328,9 +277,7 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 			lame = len(ref.hosts) == 0 && len(resp.Answers) == 0 &&
 				hasType(resp.Authority, dnswire.TypeNS) && !hasType(resp.Authority, dnswire.TypeSOA)
 		case dnswire.RCodeNXDomain:
-			// RFC 8020: NXDOMAIN for an ancestor means the full name
-			// cannot exist either.
-			r.cacheNegative(key, true, resp)
+			r.Cache.putNegative(key, true, negativeTTL(resp))
 			return nil, dnswire.RCodeNXDomain, nil
 		default:
 			// SERVFAIL and friends: the exchange itself worked, but the
@@ -353,43 +300,20 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 
 		// Referral: authority NS records for a subdomain cut.
 		if len(ref.hosts) > 0 {
-			r.cacheAnswers(ref.accepted)
+			r.Cache.putAnswers(ref.accepted)
 			addrs := r.serverAddrs(ctx, ref.hosts, ref.glue, depth)
 			if len(addrs) == 0 {
 				return nil, dnswire.RCodeServFail, ErrNoServers
 			}
-			servers, zone, curZone = addrs, ref.cut, ref.cut
-			continue
-		}
-
-		if !final {
-			// Intermediate label exists (answer or empty non-terminal):
-			// expose one more label to the same servers.
-			curZone = qname
+			servers, zone = addrs, ref.cut
 			continue
 		}
 
 		// NODATA.
-		r.cacheNegative(key, false, resp)
+		r.Cache.putNegative(key, false, negativeTTL(resp))
 		return nil, dnswire.RCodeSuccess, nil
 	}
 	return nil, dnswire.RCodeServFail, ErrDepthExceed
-}
-
-// minimizedName returns zone plus the next label of full (RFC 9156): for
-// full = www.example.com. and zone = com., it returns example.com.
-func minimizedName(full, zone string) string {
-	full, zone = dnswire.CanonicalName(full), dnswire.CanonicalName(zone)
-	if !dnswire.IsSubdomain(full, zone) || full == zone {
-		return full
-	}
-	fullLabels := dnswire.SplitLabels(full)
-	zoneLabels := dnswire.SplitLabels(zone)
-	take := len(zoneLabels) + 1
-	if take >= len(fullLabels) {
-		return full
-	}
-	return strings.Join(fullLabels[len(fullLabels)-take:], ".") + "."
 }
 
 // exchangeBest sends q to the best nameserver of servers and returns the
@@ -512,11 +436,8 @@ type delegation struct {
 // needs, and letting the flood's own inserts push it out would turn each
 // ~256th miss a shard into a walk from the root.
 func (r *Recursive) startServers(ctx context.Context, name string, now time.Time, depth int) (servers []string, cut string) {
-	if r.Cache == nil {
-		return r.Roots, "."
-	}
 	for zone := name; ; zone = dnswire.ParentName(zone) {
-		if e, _ := r.Cache.find(cacheKey{name: zone, typ: dnswire.TypeNS}, now, false); e != nil && !e.negative {
+		if e, _ := r.Cache.find(cacheKey{name: zone, typ: dnswire.TypeNS}, now); e != nil && !e.negative {
 			if d := e.deleg.Load(); d != nil && now.Before(d.expires) {
 				return d.servers, zone
 			}
@@ -610,7 +531,7 @@ const (
 // serverAddrs is hostAddrs for a referral just received: the glue is in
 // hand, and an exchange has passed since the walk last read the clock.
 func (r *Recursive) serverAddrs(ctx context.Context, hosts []string, glue map[string][]string, depth int) []string {
-	addrs, _ := r.hostAddrs(ctx, hosts, glue, r.cacheNow(), depth)
+	addrs, _ := r.hostAddrs(ctx, hosts, glue, r.Cache.now(), depth)
 	return addrs
 }
 
@@ -630,12 +551,10 @@ func (r *Recursive) hostAddrs(ctx context.Context, hosts []string, glue map[stri
 			haveHosts++
 			continue
 		}
-		if r.Cache != nil {
-			n := len(out)
-			if out, expires = r.appendCachedAddrs(out, expires, h, now); len(out) > n {
-				haveHosts++
-				continue
-			}
+		n := len(out)
+		if out, expires = r.appendCachedAddrs(out, expires, h, now); len(out) > n {
+			haveHosts++
+			continue
 		}
 		glueless = append(glueless, h)
 	}
@@ -669,7 +588,7 @@ func nsEndpoint(d dnswire.RData) string {
 // RRsets it read.
 func (r *Recursive) appendCachedAddrs(out []string, expires time.Time, h string, now time.Time) ([]string, time.Time) {
 	for _, t := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-		e, _ := r.Cache.find(cacheKey{name: h, typ: t}, now, false)
+		e, _ := r.Cache.find(cacheKey{name: h, typ: t}, now)
 		if e == nil || len(e.records) == 0 {
 			continue
 		}
@@ -739,21 +658,6 @@ func (r *Recursive) resolveNSHosts(ctx context.Context, hosts []string, depth, n
 		}
 	}
 	return out
-}
-
-// cacheAnswers stores answer RRsets grouped by (name, type).
-func (r *Recursive) cacheAnswers(rrs []dnswire.Record) {
-	if r.Cache != nil {
-		r.Cache.putAnswers(rrs)
-	}
-}
-
-// cacheNegative stores an RFC 2308 negative entry using the SOA MINIMUM.
-func (r *Recursive) cacheNegative(key cacheKey, nxdomain bool, resp *dnswire.Message) {
-	if r.Cache == nil {
-		return
-	}
-	r.Cache.putNegative(key, nxdomain, negativeTTL(resp))
 }
 
 // without returns s less v. It copies: s may be a delegation memo, which

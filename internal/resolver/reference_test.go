@@ -13,8 +13,8 @@ import (
 // real one: every miss re-derives its starting servers from the NS RRset
 // and the address RRsets behind it through counted Cache.Lookups, remove
 // filters in place, referrals are cached whole. It carries no Infra,
-// hedging, QNAME minimization, prefetch or singleflight — the tests that
-// use it switch none of them on.
+// hedging, prefetch or singleflight — the tests that use it switch none
+// of them on.
 type refRecursive struct {
 	Exchange Exchanger
 	Roots    []string

@@ -32,6 +32,20 @@ func (c *fixedClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// cacheCounts is a reading of the process-wide resolver_cache_* counters,
+// the one count of lookups and evictions; tests take deltas of it, so the
+// package's tests do not run in parallel.
+type cacheCounts struct{ hits, misses, evictions uint64 }
+
+func readCacheCounts() cacheCounts {
+	return cacheCounts{cacheHits.Value(), cacheMisses.Value(), cacheEvictions.Value()}
+}
+
+// since is the change from before to c.
+func (c cacheCounts) since(before cacheCounts) cacheCounts {
+	return cacheCounts{c.hits - before.hits, c.misses - before.misses, c.evictions - before.evictions}
+}
+
 func aRecord(name string, ttl uint32, addr string) dnswire.Record {
 	return dnswire.Record{
 		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl,
@@ -43,12 +57,13 @@ func TestCachePositiveHit(t *testing.T) {
 	clk := &fixedClock{now: time.Unix(0, 0)}
 	c := NewCache(100, clk.Now)
 	c.PutRRset("a.example.", dnswire.TypeA, []dnswire.Record{aRecord("a.example.", 60, "1.2.3.4")})
+	before := readCacheCounts()
 	res, ok := c.Lookup("A.EXAMPLE", dnswire.TypeA) // case-insensitive
 	if !ok || res.Negative || len(res.Records) != 1 {
 		t.Fatalf("lookup = %+v, %v", res, ok)
 	}
-	if m := c.Metrics(); m.Hits != 1 || m.Misses != 0 {
-		t.Errorf("stats = %d/%d", m.Hits, m.Misses)
+	if d := readCacheCounts().since(before); d.hits != 1 || d.misses != 0 {
+		t.Errorf("counted %d hits, %d misses", d.hits, d.misses)
 	}
 }
 
@@ -343,7 +358,7 @@ func TestRecursiveCNAMELoopBounded(t *testing.T) {
 		})
 		return resp, nil
 	})
-	r := &Recursive{Exchange: loop, Roots: []string{"198.18.0.1:53"}, RNGSeed: 1}
+	r := &Recursive{Exchange: loop, Roots: []string{"198.18.0.1:53"}, Cache: NewCache(128, nil), RNGSeed: 1}
 	_, err := r.ServeDNS(context.Background(), dnswire.NewQuery(1, "a.loop.example", dnswire.TypeA))
 	if !errors.Is(err, ErrLoop) {
 		t.Fatalf("err = %v, want ErrLoop", err)
@@ -404,9 +419,9 @@ func TestForwarderDrawsUpstreamIDs(t *testing.T) {
 		upstreamIDs[q.Header.ID] = true
 		return rec.ServeDNS(ctx, q)
 	})
-	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53"}}
-	for i := 0; i < 20; i++ {
-		resp, err := f.ServeDNS(context.Background(), dnswire.NewQuery(9, "google.com", dnswire.TypeA))
+	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53"}, Cache: NewCache(128, nil)}
+	for i := 0; i < 20; i++ { // a name a query, so that each goes upstream
+		resp, err := f.ServeDNS(context.Background(), dnswire.NewQuery(9, fmt.Sprintf("n%d.google.com", i), dnswire.TypeA))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +484,7 @@ func TestForwarderFailover(t *testing.T) {
 		}
 		return rec.ServeDNS(ctx, q)
 	})
-	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53", "10.0.0.2:53"}}
+	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53", "10.0.0.2:53"}, Cache: NewCache(128, nil)}
 	resp, err := f.ServeDNS(context.Background(), dnswire.NewQuery(1, "google.com", dnswire.TypeA))
 	if err != nil {
 		t.Fatal(err)
@@ -482,202 +497,28 @@ func TestForwarderFailover(t *testing.T) {
 func TestForwarderNoUpstreams(t *testing.T) {
 	f := &Forwarder{Exchange: exchangerFunc(func(context.Context, *dnswire.Message, string) (*dnswire.Message, error) {
 		return nil, errors.New("unused")
-	})}
+	}), Cache: NewCache(128, nil)}
 	if _, err := f.ServeDNS(context.Background(), dnswire.NewQuery(1, "x.example", dnswire.TypeA)); !errors.Is(err, ErrNoUpstreams) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestServeStaleCache(t *testing.T) {
-	clk := &fixedClock{now: time.Unix(0, 0)}
-	c := NewCache(100, clk.Now)
-	c.EnableServeStale(time.Hour)
-	c.PutRRset("a.example.", dnswire.TypeA, []dnswire.Record{aRecord("a.example.", 60, "1.2.3.4")})
-
-	// Fresh: Lookup works, LookupStale refuses.
-	if _, ok := c.Lookup("a.example.", dnswire.TypeA); !ok {
-		t.Fatal("fresh lookup failed")
-	}
-	if _, ok := c.LookupStale("a.example.", dnswire.TypeA); ok {
-		t.Fatal("fresh entry served as stale")
-	}
-	// Expired within the window: Lookup fails, LookupStale serves with
-	// the 30s clamp.
-	clk.advance(10 * time.Minute)
-	if _, ok := c.Lookup("a.example.", dnswire.TypeA); ok {
-		t.Fatal("expired entry served fresh")
-	}
-	res, ok := c.LookupStale("a.example.", dnswire.TypeA)
-	if !ok {
-		t.Fatal("stale entry not served")
-	}
-	if res.Records[0].TTL != 30 {
-		t.Errorf("stale TTL = %d, want 30", res.Records[0].TTL)
-	}
-	// Past the window: gone for good.
-	clk.advance(2 * time.Hour)
-	if _, ok := c.LookupStale("a.example.", dnswire.TypeA); ok {
-		t.Fatal("entry served beyond the stale window")
-	}
-}
-
-func TestServeStaleDisabledByDefault(t *testing.T) {
-	clk := &fixedClock{now: time.Unix(0, 0)}
-	c := NewCache(100, clk.Now)
-	c.PutRRset("a.example.", dnswire.TypeA, []dnswire.Record{aRecord("a.example.", 60, "1.2.3.4")})
-	clk.advance(time.Minute * 2)
-	if _, ok := c.LookupStale("a.example.", dnswire.TypeA); ok {
-		t.Fatal("serve-stale active without opt-in")
-	}
-}
-
-func TestServeStaleNegativeNeverServed(t *testing.T) {
-	clk := &fixedClock{now: time.Unix(0, 0)}
-	c := NewCache(100, clk.Now)
-	c.EnableServeStale(time.Hour)
-	c.PutNegative("nx.example.", dnswire.TypeA, true, 30)
-	clk.advance(time.Minute)
-	if _, ok := c.LookupStale("nx.example.", dnswire.TypeA); ok {
-		t.Fatal("stale negative served")
-	}
-}
-
-func TestRecursiveServeStale(t *testing.T) {
-	clk := &fixedClock{now: time.Unix(1_700_000_000, 0)}
-	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	cache := NewCache(4096, clk.Now)
-	cache.EnableServeStale(24 * time.Hour)
-	r := &Recursive{
-		Exchange: h.Registry, Roots: h.RootServers,
-		Cache: cache, RNGSeed: 1,
-	}
-	ctx := context.Background()
-	// Warm the cache.
-	if _, err := r.ServeDNS(ctx, dnswire.NewQuery(1, "google.com", dnswire.TypeA)); err != nil {
-		t.Fatal(err)
-	}
-	// TTLs expire, upstreams die.
-	clk.advance(2 * time.Hour)
-	r.Exchange = exchangerFunc(func(context.Context, *dnswire.Message, string) (*dnswire.Message, error) {
-		return nil, errors.New("the internet is down")
-	})
-	resp, err := r.ServeDNS(ctx, dnswire.NewQuery(2, "google.com", dnswire.TypeA))
-	if err != nil {
-		t.Fatalf("serve-stale did not rescue: %v", err)
-	}
-	if len(resp.Answers) == 0 {
-		t.Fatal("no stale answers")
-	}
-	if resp.Answers[0].TTL != 30 {
-		t.Errorf("stale TTL = %d", resp.Answers[0].TTL)
-	}
-	// With the cache's window off the same failure propagates.
-	cache.EnableServeStale(0)
-	if _, err := r.ServeDNS(ctx, dnswire.NewQuery(3, "google.com", dnswire.TypeA)); err == nil {
-		t.Fatal("failure swallowed without serve-stale")
-	}
-}
-
-func TestMinimizedName(t *testing.T) {
-	cases := []struct{ full, zone, want string }{
-		{"www.example.com.", ".", "com."},
-		{"www.example.com.", "com.", "example.com."},
-		{"www.example.com.", "example.com.", "www.example.com."},
-		{"www.example.com.", "www.example.com.", "www.example.com."},
-		{"com.", ".", "com."},
-		// Zone not an ancestor: no minimization possible.
-		{"www.example.com.", "example.org.", "www.example.com."},
-	}
-	for _, c := range cases {
-		if got := minimizedName(c.full, c.zone); got != c.want {
-			t.Errorf("minimizedName(%q, %q) = %q, want %q", c.full, c.zone, got, c.want)
-		}
-	}
-}
-
-// spyExchanger records which qnames each server saw.
-type spyExchanger struct {
-	inner Exchanger
-	seen  map[string][]string // server → qnames
-}
-
-func (s *spyExchanger) Exchange(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
-	if s.seen == nil {
-		s.seen = make(map[string][]string)
-	}
-	s.seen[server] = append(s.seen[server], q.Question0().Name)
-	return s.inner.Exchange(ctx, q, server)
-}
-
-func TestQNAMEMinimizationHidesFullName(t *testing.T) {
-	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	spy := &spyExchanger{inner: h.Registry}
-	r := &Recursive{
-		Exchange: spy, Roots: h.RootServers,
-		Cache: NewCache(4096, nil), QNAMEMinimize: true, RNGSeed: 1,
-	}
-	resp, err := r.ServeDNS(context.Background(), dnswire.NewQuery(1, "www.amazon.com", dnswire.TypeA))
+// TestForwarderEmptyQuestion: a query without a question is answered
+// FORMERR, as the recursive resolver answers it, and never sent upstream.
+func TestForwarderEmptyQuestion(t *testing.T) {
+	exchanges := 0
+	f := &Forwarder{Exchange: exchangerFunc(func(context.Context, *dnswire.Message, string) (*dnswire.Message, error) {
+		exchanges++
+		return nil, errors.New("unused")
+	}), Upstreams: []string{"10.0.0.1:53"}, Cache: NewCache(128, nil)}
+	resp, err := f.ServeDNS(context.Background(), &dnswire.Message{Header: dnswire.Header{ID: 7, RD: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Header.RCode != dnswire.RCodeSuccess || len(resp.Answers) == 0 {
-		t.Fatalf("resolution failed: %v", resp)
+	if resp.Header.RCode != dnswire.RCodeFormat || resp.Header.ID != 7 || !resp.Header.QR {
+		t.Errorf("reply header = %+v, want FORMERR answering ID 7", resp.Header)
 	}
-	// The root servers must never have seen the full name — only "com.".
-	for _, root := range h.RootServers {
-		for _, q := range spy.seen[root] {
-			if q != "com." {
-				t.Errorf("root %s saw %q; minimization leaked", root, q)
-			}
-		}
-	}
-	// Some server saw the full name (the leaf).
-	sawFull := false
-	for _, qs := range spy.seen {
-		for _, q := range qs {
-			if q == "www.amazon.com." {
-				sawFull = true
-			}
-		}
-	}
-	if !sawFull {
-		t.Error("no server saw the full name; resolution cannot have completed correctly")
-	}
-}
-
-func TestQNAMEMinimizationSameAnswers(t *testing.T) {
-	resolve := func(minimize bool) []dnswire.Record {
-		h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-		r := &Recursive{Exchange: h.Registry, Roots: h.RootServers,
-			Cache: NewCache(4096, nil), QNAMEMinimize: minimize, RNGSeed: 1}
-		resp, err := r.ServeDNS(context.Background(), dnswire.NewQuery(1, "www.amazon.com", dnswire.TypeA))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.Answers
-	}
-	plain := resolve(false)
-	min := resolve(true)
-	if len(plain) != len(min) {
-		t.Fatalf("answer counts differ: %d vs %d", len(plain), len(min))
-	}
-	for i := range plain {
-		if plain[i].String() != min[i].String() {
-			t.Errorf("answer %d differs: %v vs %v", i, plain[i], min[i])
-		}
-	}
-}
-
-func TestQNAMEMinimizationNXDomainAncestor(t *testing.T) {
-	// RFC 8020: an NXDOMAIN at an intermediate label short-circuits.
-	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	r := &Recursive{Exchange: h.Registry, Roots: h.RootServers,
-		Cache: NewCache(4096, nil), QNAMEMinimize: true, RNGSeed: 1}
-	resp, err := r.ServeDNS(context.Background(), dnswire.NewQuery(1, "deep.under.nonexistent.google.com", dnswire.TypeA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.RCode != dnswire.RCodeNXDomain {
-		t.Errorf("rcode = %v", resp.Header.RCode)
+	if exchanges != 0 {
+		t.Errorf("%d upstream exchanges, want none", exchanges)
 	}
 }

@@ -142,7 +142,7 @@ func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byt
 // appendResponse is AppendResponse for q's key. The entry is immutable,
 // so its template is copied after find has dropped the shard lock.
 func (c *Cache) appendResponse(dst []byte, key cacheKey, q *dnswire.Message, rawQuestion []byte) ([]byte, LookupResult, bool) {
-	e, remaining := c.find(key, c.now(), false)
+	e, remaining := c.find(key, c.now())
 	if e == nil || int(e.tmpl.qlen) != len(rawQuestion) {
 		return dst, LookupResult{}, false
 	}
@@ -169,7 +169,6 @@ func (c *Cache) appendResponse(dst []byte, key cacheKey, q *dnswire.Message, raw
 			binary.BigEndian.PutUint32(p, aged)
 		}
 	}
-	c.hits.Add(1)
 	cacheHits.Inc()
 	cacheHitTemplate.Inc()
 	return dst, e.result(remaining), true
@@ -178,12 +177,9 @@ func (c *Cache) appendResponse(dst []byte, key cacheKey, q *dnswire.Message, raw
 // AppendResponse implements the dns53.ResponseAppender fast path for the
 // recursive resolver: direct cache hits are served from wire templates,
 // still feeding refresh-ahead exactly like a materialized hit. Anything
-// else — miss, CNAME chase, empty cache — declines, and the server falls
-// back to ServeDNS.
+// else — miss, CNAME chase — declines, and the server falls back to
+// ServeDNS.
 func (r *Recursive) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	if r.Cache == nil {
-		return dst, 0, false
-	}
 	key, ok := questionKey(q)
 	if !ok {
 		return dst, 0, false
@@ -199,9 +195,6 @@ func (r *Recursive) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion [
 // AppendResponse implements the dns53.ResponseAppender fast path for the
 // forwarding resolver.
 func (f *Forwarder) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	if f.Cache == nil {
-		return dst, 0, false
-	}
 	out, res, ok := f.Cache.AppendResponse(dst, q, rawQuestion)
 	if !ok {
 		return dst, 0, false

@@ -17,6 +17,17 @@ func HistogramCount(t testing.TB, series string) uint64 {
 	return h.Count
 }
 
+// CounterValue reads one counter series ("name" or `name{k="v"}`) off the
+// default registry's snapshot.
+func CounterValue(t testing.TB, series string) uint64 {
+	t.Helper()
+	v, ok := obs.Default().Snapshot()[series].(uint64)
+	if !ok {
+		t.Fatalf("no counter series %s in the default registry", series)
+	}
+	return v
+}
+
 // AlertFiring reports whether the report shows the named burn alert
 // firing for target.
 func AlertFiring(rep obs.WatchReport, target, window string) bool {

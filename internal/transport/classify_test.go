@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"encdns/internal/dialer"
+	"encdns/internal/dns53"
 	"encdns/internal/doh"
 	"encdns/internal/netsim"
 )
@@ -47,6 +48,9 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{"x509", errors.New(`x509: certificate signed by unknown authority`), netsim.ErrTLS},
 		{"tls alert", errors.New("tls: handshake failure"), netsim.ErrTLS},
 		{"http status", &doh.HTTPError{StatusCode: 503, Status: "503 Service Unavailable"}, netsim.ErrHTTP},
+		// A response that answers another query, by ID or by question.
+		{"wrong ID", dns53.ErrIDMismatch, netsim.ErrConnect},
+		{"wrong question", dns53.ErrQuestionMismatch, netsim.ErrConnect},
 
 		// Dialer-chain error paths: the LayerError wrapper must be
 		// transparent to the taxonomy.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -22,9 +23,9 @@ func staticHandler() dns53.Handler {
 	})
 }
 
-func startUDP(t *testing.T) string {
+func startUDP(t *testing.T, h dns53.Handler) string {
 	t.Helper()
-	srv := &dns53.Server{Handler: staticHandler()}
+	srv := &dns53.Server{Handler: h}
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +35,9 @@ func startUDP(t *testing.T) string {
 	return pc.LocalAddr().String()
 }
 
-func startTCP(t *testing.T) string {
+func startTCP(t *testing.T, h dns53.Handler) string {
 	t.Helper()
-	srv := &dns53.Server{Handler: staticHandler()}
+	srv := &dns53.Server{Handler: h}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +47,7 @@ func startTCP(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func startTLS(t *testing.T) (addr string, ca *certs.CA) {
+func startTLS(t *testing.T, h dns53.Handler) (addr string, ca *certs.CA) {
 	t.Helper()
 	ca, err := certs.NewCA(0)
 	if err != nil {
@@ -56,7 +57,7 @@ func startTLS(t *testing.T) (addr string, ca *certs.CA) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := &dns53.Server{Handler: staticHandler()}
+	inner := &dns53.Server{Handler: h}
 	srv := &dot.Server{DNS: inner, TLS: srvTLS}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -67,10 +68,10 @@ func startTLS(t *testing.T) (addr string, ca *certs.CA) {
 	return ln.Addr().String(), ca
 }
 
-func startHTTPS(t *testing.T) *httptest.Server {
+func startHTTPS(t *testing.T, h dns53.Handler) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.Handle(doh.DefaultPath, &doh.Handler{DNS: staticHandler()})
+	mux.Handle(doh.DefaultPath, &doh.Handler{DNS: h})
 	ts := httptest.NewTLSServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -98,7 +99,7 @@ func exchangeQuery(t *testing.T, ex Exchanger) {
 // TestDialEveryScheme runs one real exchange per scheme against
 // in-process servers — the factory's protocol selection end to end.
 func TestDialEverySchemeUDP(t *testing.T) {
-	ex, err := Dial("udp://"+startUDP(t), Options{})
+	ex, err := Dial("udp://"+startUDP(t, staticHandler()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestDialEverySchemeUDP(t *testing.T) {
 }
 
 func TestDialEverySchemeTCP(t *testing.T) {
-	ex, err := Dial("tcp://"+startTCP(t), Options{})
+	ex, err := Dial("tcp://"+startTCP(t, staticHandler()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestDialEverySchemeTCP(t *testing.T) {
 }
 
 func TestDialEverySchemeTLS(t *testing.T) {
-	addr, ca := startTLS(t)
+	addr, ca := startTLS(t, staticHandler())
 	ex, err := Dial("tls://"+addr, Options{TLS: ca.ClientConfig("127.0.0.1")})
 	if err != nil {
 		t.Fatal(err)
@@ -126,13 +127,114 @@ func TestDialEverySchemeTLS(t *testing.T) {
 }
 
 func TestDialEverySchemeHTTPS(t *testing.T) {
-	ts := startHTTPS(t)
+	ts := startHTTPS(t, staticHandler())
 	ex, err := Dial(ts.URL+doh.DefaultPath, Options{HTTPClient: ts.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Close()
 	exchangeQuery(t, ex)
+}
+
+// answering is a handler whose replies carry the query's ID but are
+// changed by edit first.
+func answering(edit func(*dnswire.Message)) dns53.Handler {
+	return dns53.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		resp := q.Reply()
+		edit(resp)
+		return resp, nil
+	})
+}
+
+// exchangeOnce makes one exchange for example.com. A with endpoint,
+// without retries.
+func exchangeOnce(t *testing.T, endpoint string, opts Options) (*dnswire.Message, error) {
+	t.Helper()
+	opts.Retry, opts.Timeout = ptr(NoRetry()), time.Second
+	ex, err := Dial(endpoint, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	return ex.Exchange(context.Background(), dnswire.NewQuery(dns53.NewID(), "example.com", dnswire.TypeA))
+}
+
+// startUDPTwice answers every UDP query twice with its ID: first with
+// another question, then with its own.
+func startUDPTwice(t *testing.T) string {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go func() {
+		buf := make([]byte, 512)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			q, err := dnswire.Unpack(buf[:n])
+			if err != nil || len(q.Questions) != 1 {
+				continue
+			}
+			for _, name := range []string{"example.org.", q.Questions[0].Name} {
+				resp := q.Reply()
+				resp.Questions[0].Name = name
+				if wire, err := resp.Pack(); err == nil {
+					_, _ = pc.WriteTo(wire, from)
+				}
+			}
+		}
+	}()
+	return pc.LocalAddr().String()
+}
+
+// TestEveryClientRejectsAnotherQuestion: a response with the query's ID
+// but another question is refused by every client (RFC 5452 §9.1). The
+// UDP client passes over it, as over a wrong ID, and takes the answer to
+// its own question that follows; the stream and DoH clients fail with
+// ErrQuestionMismatch.
+func TestEveryClientRejectsAnotherQuestion(t *testing.T) {
+	resp, err := exchangeOnce(t, "udp://"+startUDPTwice(t), Options{})
+	if err != nil || resp.Question0().Name != "example.com." {
+		t.Errorf("udp: answered %v, %v; want the answer to example.com.", resp, err)
+	}
+
+	other := answering(func(m *dnswire.Message) { m.Questions[0].Name = "example.org." })
+	tlsAddr, ca := startTLS(t, other)
+	ts := startHTTPS(t, other)
+	for _, tc := range []struct {
+		name, endpoint string
+		opts           Options
+		want           error
+	}{
+		{"tcp", "tcp://" + startTCP(t, other), Options{}, dns53.ErrQuestionMismatch},
+		{"tls", "tls://" + tlsAddr, Options{TLS: ca.ClientConfig("127.0.0.1")}, dns53.ErrQuestionMismatch},
+		{"https, fresh connection", ts.URL + doh.DefaultPath, Options{TLS: ts.Client().Transport.(*http.Transport).TLSClientConfig}, dns53.ErrQuestionMismatch},
+		{"https, net/http", ts.URL + doh.DefaultPath, Options{HTTPClient: ts.Client()}, dns53.ErrQuestionMismatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := exchangeOnce(t, tc.endpoint, tc.opts); !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDoHRejectsQRClear: a DoH 200 response whose message is not a reply
+// (QR clear) is no answer, on both DoH clients.
+func TestDoHRejectsQRClear(t *testing.T) {
+	ts := startHTTPS(t, answering(func(m *dnswire.Message) { m.Header.QR = false }))
+	for name, opts := range map[string]Options{
+		"fresh connection": {TLS: ts.Client().Transport.(*http.Transport).TLSClientConfig},
+		"net/http":         {HTTPClient: ts.Client()},
+	} {
+		if _, err := exchangeOnce(t, ts.URL+doh.DefaultPath, opts); !errors.Is(err, dns53.ErrNotReply) {
+			t.Errorf("%s: err = %v, want %v", name, err, dns53.ErrNotReply)
+		}
+	}
 }
 
 func TestDialBadEndpoint(t *testing.T) {
@@ -162,7 +264,7 @@ func TestRetryParityAcrossSchemes(t *testing.T) {
 	noSleep := func(context.Context, time.Duration) error { return nil }
 
 	t.Run("tls", func(t *testing.T) {
-		addr, ca := startTLS(t)
+		addr, ca := startTLS(t, staticHandler())
 		fd := &flakyDialer{}
 		fd.failures.Store(1)
 		ex, err := Dial("tls://"+addr, Options{
@@ -180,7 +282,7 @@ func TestRetryParityAcrossSchemes(t *testing.T) {
 	t.Run("udp", func(t *testing.T) {
 		fd := &flakyDialer{}
 		fd.failures.Store(1)
-		ex, err := Dial("udp://"+startUDP(t), Options{
+		ex, err := Dial("udp://"+startUDP(t, staticHandler()), Options{
 			Dialer: fd,
 			Retry:  &RetryPolicy{MaxAttempts: 3, Sleep: noSleep},
 		})
@@ -193,7 +295,7 @@ func TestRetryParityAcrossSchemes(t *testing.T) {
 }
 
 func TestPoolReusesExchangerPerEndpoint(t *testing.T) {
-	addr := startUDP(t)
+	addr := startUDP(t, staticHandler())
 	p := NewPool(Options{})
 	defer p.Close()
 	a, err := p.Get("udp://" + addr)
@@ -221,7 +323,7 @@ func TestPoolReusesExchangerPerEndpoint(t *testing.T) {
 // path: the DoT connection cache's counters surface through the retry
 // middleware, the Stats unwrapper, and the pool aggregate.
 func TestPoolStatsThroughMiddleware(t *testing.T) {
-	addr, ca := startTLS(t)
+	addr, ca := startTLS(t, staticHandler())
 	p := NewPool(Options{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true})
 	defer p.Close()
 	ex, err := p.Get("tls://" + addr)

@@ -3,7 +3,6 @@ package transport
 import (
 	"net"
 	"sync"
-	"time"
 
 	"encdns/internal/obs"
 )
@@ -28,21 +27,15 @@ var (
 // over the limit are accepted and closed immediately: a stalled accept
 // queue under overload turns every waiting client into a slow timeout,
 // whereas fail-fast lets well-behaved clients retry another resolver —
-// exactly the failure mode the PR4 DoH bench exposed at saturation.
-//
-// IdleTimeout, when positive, arms a read deadline on every accepted
-// connection that is pushed forward by each read, so an idle peer is
-// disconnected by its next blocked read rather than holding a connection
-// slot forever. It overrides read deadlines the wrapped server sets, so
-// leave it zero when that server manages its own (http.Server.IdleTimeout,
-// dns53.Server.ReadTimeout) and only the connection cap is wanted.
+// exactly the failure mode the PR4 DoH bench exposed at saturation. Idle
+// connections are the wrapped server's to drop (http.Server.IdleTimeout,
+// dns53.Server.ReadTimeout).
 //
 // The name labels the active-connection gauge and rejection counter.
-func LimitListener(ln net.Listener, max int, idleTimeout time.Duration, name string) net.Listener {
+func LimitListener(ln net.Listener, max int, name string) net.Listener {
 	return &limitListener{
 		Listener: ln,
 		max:      max,
-		idle:     idleTimeout,
 		active:   limitActiveConns(name),
 		rejects:  limitRejects(name),
 	}
@@ -51,7 +44,6 @@ func LimitListener(ln net.Listener, max int, idleTimeout time.Duration, name str
 type limitListener struct {
 	net.Listener
 	max     int
-	idle    time.Duration
 	active  *obs.Gauge
 	rejects *obs.Counter
 
@@ -86,19 +78,11 @@ func (l *limitListener) release() {
 	l.active.Dec()
 }
 
-// limitedConn returns its slot exactly once on first Close and renews the
-// idle deadline after every successful read.
+// limitedConn returns its slot exactly once on first Close.
 type limitedConn struct {
 	net.Conn
 	ln        *limitListener
 	closeOnce sync.Once
-}
-
-func (c *limitedConn) Read(p []byte) (int, error) {
-	if c.ln.idle > 0 {
-		_ = c.Conn.SetReadDeadline(time.Now().Add(c.ln.idle))
-	}
-	return c.Conn.Read(p)
 }
 
 func (c *limitedConn) Close() error {

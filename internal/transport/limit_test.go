@@ -3,7 +3,6 @@ package transport
 import (
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 )
@@ -48,7 +47,7 @@ func TestLimitListenerCapsConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := LimitListener(inner, 2, 0, "test-cap")
+	ln := LimitListener(inner, 2, "test-cap")
 	defer ln.Close()
 	go acceptLoop(ln)
 
@@ -96,52 +95,12 @@ func TestLimitListenerCapsConns(t *testing.T) {
 	}
 }
 
-func TestLimitListenerIdleTimeout(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := LimitListener(inner, 10, 100*time.Millisecond, "test-idle")
-	defer ln.Close()
-
-	var served sync.WaitGroup
-	served.Add(1)
-	var readErr error
-	go func() {
-		defer served.Done()
-		conn, err := ln.Accept()
-		if err != nil {
-			readErr = err
-			return
-		}
-		defer conn.Close()
-		_, readErr = conn.Read(make([]byte, 1)) // must time out: client stays silent
-	}()
-
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	done := make(chan struct{})
-	go func() { served.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		t.Fatal("idle connection read did not time out")
-	}
-	nerr, ok := readErr.(net.Error)
-	if !ok || !nerr.Timeout() {
-		t.Fatalf("idle read error = %v, want timeout", readErr)
-	}
-}
-
 func TestLimitListenerZeroMaxUnlimited(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := LimitListener(inner, 0, 0, "test-unlimited")
+	ln := LimitListener(inner, 0, "test-unlimited")
 	defer ln.Close()
 	go acceptLoop(ln)
 	conns := make([]net.Conn, 0, 8)
@@ -169,7 +128,7 @@ func TestLimitedConnDoubleCloseReleasesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := LimitListener(inner, 1, 0, "test-double").(*limitListener)
+	lim := LimitListener(inner, 1, "test-double").(*limitListener)
 	defer lim.Close()
 
 	accepted := make(chan net.Conn, 1)

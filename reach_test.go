@@ -67,15 +67,35 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 //     names must not vanish under it;
 //   - the allow-listed code below, and what it uses.
 //
-// A method counts as reached when its receiver type is: dynamic dispatch
-// cannot be followed, so dead methods on live types are not caught here. A
-// helper only tests call belongs in a _test.go file. The code is
+// A method is reached when reached code names it, or when its receiver
+// type is reached and its name is a method of some interface type — one
+// declared in the module or in a standard-library package it imports —
+// since a call through an interface cannot be followed to its callee. A
+// type the facade exposes (see facadeTypes) keeps all its methods, as a
+// library user may call any of them.
+//
+// It also holds every exported field of an internal struct type to one
+// rule: some non-test code sets it, as a composite-literal key, an
+// assignment or increment target, or by taking its address. A field only
+// tests set is a mode no binary can switch on: a constant with its
+// default, or gone. Exempt are the fields of types the facade exposes,
+// tagged fields (decoders set them by reflection) and the test seams
+// listed below.
+//
+// A helper only tests call belongs in a _test.go file. The code is
 // type-checked from source for the host build context, like the package
 // rule above.
 func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	allowed := map[string]string{ // package directory or file → why it stays
 		"internal/testutil":            "test-only by design: the helpers the test suites share",
 		"internal/netsim/catchment.go": "the anycast catchment model, kept for the ROADMAP's resolver-cluster item",
+	}
+	seams := map[string]string{ // pkg.Type.Field → why only tests set it
+		"resolver.Recursive.Now":                "virtual-clock tests drive RTT measurement and infra ageing",
+		"resolver.Recursive.RNGSeed":            "tests pin server selection; binaries seed from the clock",
+		"cluster.Node.Now":                      "virtual-clock tests drive peer RTT and health",
+		"experiment.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
+		"dialer.DelayDialer.Sleep":              "tests count the sleeps instead of taking them",
 	}
 
 	g := newDeclGraph()
@@ -93,7 +113,8 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range g.load(t, ".").decls {
+	facade := g.load(t, ".")
+	for _, d := range facade.decls {
 		if ast.IsExported(d.name) && d.recv == nil {
 			roots = append(roots, d)
 		}
@@ -111,16 +132,34 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		}
 	}
 
-	reached := g.reach(roots)
+	exposed := g.facadeTypes(facade.types)
+	reached := g.reach(roots, exposed)
+	written := g.writtenFields()
 	var dead []string
 	for _, d := range judged {
 		if !reached[d] {
-			dead = append(dead, fmt.Sprintf("%s (%s:%d)", d.qualified(), d.file, g.fset.Position(d.pos).Line))
+			dead = append(dead, fmt.Sprintf("%s (%s:%d): no binary, example or the library surface reaches it", d.qualified(), d.file, g.fset.Position(d.pos).Line))
+		}
+		tn, ok := d.obj.(*types.TypeName)
+		if !ok || exposed[d] {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			name := d.qualified() + "." + f.Name()
+			if !f.Exported() || f.Embedded() || st.Tag(i) != "" || written[f] || seams[name] != "" {
+				continue
+			}
+			dead = append(dead, fmt.Sprintf("%s (%s:%d): no non-test code sets it", name, d.file, g.fset.Position(f.Pos()).Line))
 		}
 	}
 	sort.Strings(dead)
 	for _, s := range dead {
-		t.Errorf("%s: no binary, example or the library surface reaches it", s)
+		t.Error(s)
 	}
 }
 
@@ -157,7 +196,8 @@ func internalPackages(t *testing.T) []string {
 type decl struct {
 	pkg  string // package name
 	name string
-	recv *decl // a method's receiver type
+	obj  types.Object // a type's or function's object; nil for var and const specs
+	recv *decl        // a method's receiver type
 	file string
 	pos  token.Pos
 	uses []*decl // declarations its syntax refers to
@@ -177,6 +217,8 @@ func (d *decl) qualified() string {
 type pkgDecls struct {
 	dir   string // slash-separated, relative to the module root
 	types *types.Package
+	info  *types.Info
+	files []*ast.File
 	decls []*decl
 }
 
@@ -187,14 +229,23 @@ type declGraph struct {
 	std   types.Importer
 	pkgs  map[string]*pkgDecls // by import path
 	byObj map[types.Object]*decl
+	// dispatched holds every method name an interface call may reach: the
+	// methods of the module's interface types and of the exported ones of
+	// every standard-library package the module imports, directly or not.
+	dispatched map[string]bool
+	stdSeen    map[*types.Package]bool
 }
 
 func newDeclGraph() *declGraph {
 	return &declGraph{
-		fset:  token.NewFileSet(),
-		std:   importer.Default(),
-		pkgs:  map[string]*pkgDecls{},
-		byObj: map[types.Object]*decl{},
+		fset:    token.NewFileSet(),
+		std:     importer.Default(),
+		pkgs:    map[string]*pkgDecls{},
+		byObj:   map[types.Object]*decl{},
+		stdSeen: map[*types.Package]bool{},
+		// error, and what errors.Is, As and Unwrap assert on through
+		// interfaces no package exports.
+		dispatched: map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true},
 	}
 }
 
@@ -217,7 +268,32 @@ func (g *declGraph) Import(path string) (*types.Package, error) {
 		}
 		return p.types, nil
 	}
-	return g.std.Import(path)
+	pkg, err := g.std.Import(path)
+	if err == nil {
+		g.addStd(pkg)
+	}
+	return pkg, err
+}
+
+// addStd adds the methods of pkg's exported interface types, and those of
+// the packages it imports, to the dispatched names.
+func (g *declGraph) addStd(pkg *types.Package) {
+	if g.stdSeen[pkg] {
+		return
+	}
+	g.stdSeen[pkg] = true
+	for _, name := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					g.dispatched[it.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	for _, imp := range pkg.Imports() {
+		g.addStd(imp)
+	}
 }
 
 // loadDir type-checks the package in dir (slash-separated, relative to the
@@ -245,25 +321,38 @@ func (g *declGraph) loadDir(dir string) (*pkgDecls, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 	pkg, err := (&types.Config{Importer: g}).Check(path, g.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	p := &pkgDecls{dir: dir, types: pkg}
+	p := &pkgDecls{dir: dir, types: pkg, info: info, files: files}
 	g.pkgs[path] = p
 
 	// Every object defined inside a declaration's syntax (its name,
 	// fields, interface methods, parameters, locals) maps to it, so a use
 	// of any of them is a use of the declaration.
 	nodes := map[*decl]ast.Node{}
-	add := func(name string, pos token.Pos, node ast.Node) {
-		d := &decl{pkg: pkg.Name(), name: name, file: filepath.ToSlash(g.fset.Position(pos).Filename), pos: pos}
+	add := func(name string, obj types.Object, pos token.Pos, node ast.Node) {
+		d := &decl{pkg: pkg.Name(), name: name, obj: obj, file: filepath.ToSlash(g.fset.Position(pos).Filename), pos: pos}
 		p.decls = append(p.decls, d)
 		nodes[d] = node
 		ast.Inspect(node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && info.Defs[id] != nil {
-				g.byObj[origin(info.Defs[id])] = d
+			switch n := n.(type) {
+			case *ast.Ident:
+				if info.Defs[n] != nil {
+					g.byObj[origin(info.Defs[n])] = d
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						g.dispatched[id.Name] = true
+					}
+				}
 			}
 			return true
 		})
@@ -272,18 +361,18 @@ func (g *declGraph) loadDir(dir string) (*pkgDecls, error) {
 		for _, fd := range f.Decls {
 			switch fd := fd.(type) {
 			case *ast.FuncDecl:
-				add(fd.Name.Name, fd.Name.Pos(), fd)
+				add(fd.Name.Name, info.Defs[fd.Name], fd.Name.Pos(), fd)
 			case *ast.GenDecl:
 				for _, spec := range fd.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						add(s.Name.Name, s.Name.Pos(), s)
+						add(s.Name.Name, info.Defs[s.Name], s.Name.Pos(), s)
 					case *ast.ValueSpec:
 						var names []string
 						for _, n := range s.Names {
 							names = append(names, n.Name)
 						}
-						add(strings.Join(names, ", "), s.Pos(), s)
+						add(strings.Join(names, ", "), nil, s.Pos(), s)
 					}
 				}
 			}
@@ -309,8 +398,10 @@ func (g *declGraph) loadDir(dir string) (*pkgDecls, error) {
 }
 
 // reach returns every declaration the roots lead to; init functions run
-// whenever their package is linked, so they are roots too.
-func (g *declGraph) reach(roots []*decl) map[*decl]bool {
+// whenever their package is linked, so they are roots too. A reached type
+// brings along the methods an interface call may reach, or all of them if
+// it is exposed.
+func (g *declGraph) reach(roots []*decl, exposed map[*decl]bool) map[*decl]bool {
 	reached := map[*decl]bool{}
 	queue := append([]*decl(nil), roots...)
 	for _, p := range g.pkgs {
@@ -328,9 +419,129 @@ func (g *declGraph) reach(roots []*decl) map[*decl]bool {
 		}
 		reached[d] = true
 		queue = append(queue, d.uses...)
-		queue = append(queue, d.meth...)
+		for _, m := range d.meth {
+			if exposed[d] || g.dispatched[m.name] {
+				queue = append(queue, m)
+			}
+		}
 	}
 	return reached
+}
+
+// facadeTypes returns the module's named types a library user can reach
+// through root's exported API: the types its exported names have, and,
+// from each such type on, the types of its exported fields and of its
+// exported methods' signatures.
+func (g *declGraph) facadeTypes(root *types.Package) map[*decl]bool {
+	exposed := map[*decl]bool{}
+	seen := map[types.Type]bool{}
+	var visit func(types.Type)
+	visitTuple := func(tup *types.Tuple) {
+		for i := 0; i < tup.Len(); i++ {
+			visit(tup.At(i).Type())
+		}
+	}
+	visit = func(t types.Type) {
+		t = types.Unalias(t)
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			d := g.byObj[t.Origin().Obj()]
+			if d == nil {
+				return // not the module's
+			}
+			exposed[d] = true
+			for i := 0; i < t.NumMethods(); i++ {
+				if m := t.Method(i); m.Exported() {
+					visit(m.Type())
+				}
+			}
+			visit(t.Underlying())
+		case *types.Pointer:
+			visit(t.Elem())
+		case *types.Slice:
+			visit(t.Elem())
+		case *types.Array:
+			visit(t.Elem())
+		case *types.Chan:
+			visit(t.Elem())
+		case *types.Map:
+			visit(t.Key())
+			visit(t.Elem())
+		case *types.Signature:
+			visitTuple(t.Params())
+			visitTuple(t.Results())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := t.Field(i); f.Exported() || f.Embedded() {
+					visit(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				if m := t.Method(i); m.Exported() {
+					visit(m.Type())
+				}
+			}
+		}
+	}
+	for _, name := range root.Scope().Names() {
+		if obj := root.Scope().Lookup(name); obj.Exported() {
+			visit(obj.Type())
+		}
+	}
+	return exposed
+}
+
+// writtenFields returns every struct field the module's non-test code
+// sets: a composite-literal key (or position), the target of an
+// assignment or increment, or an operand of &.
+func (g *declGraph) writtenFields() map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	for _, p := range g.pkgs {
+		field := func(x ast.Expr) {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
+					written[f.Origin()] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								written[f.Origin()] = true
+							}
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						field(x)
+					}
+				case *ast.IncDecStmt:
+					field(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						field(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
 }
 
 // origin maps an instantiated generic function or field to its declaration.
