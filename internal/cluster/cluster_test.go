@@ -450,6 +450,54 @@ func TestRecursiveOnPrefetchFiresForHotKeys(t *testing.T) {
 	}
 }
 
+// TestNodeFastPathRefreshesAhead: a template hit the node answers on the
+// fast path, late in its TTL, starts the recursor's refresh-ahead, whose
+// completion announces the key as hot — as a hit through ServeDNS does.
+func TestNodeFastPathRefreshesAhead(t *testing.T) {
+	clock := netsim.NewVirtualClock(time.Unix(1700000000, 0))
+	cache := resolver.NewCache(256, clock.Now)
+	var hot atomic.Int64
+	rec := &resolver.Recursive{
+		Exchange:         authAnswerer{},
+		Roots:            []string{"198.41.0.4:53"},
+		Cache:            cache,
+		RNGSeed:          1,
+		Now:              clock.Now,
+		PrefetchFraction: 0.5,
+		OnPrefetch:       func(string, dnswire.Type) { hot.Add(1) },
+	}
+	node := &Node{
+		Members:   NewMembership("udp://127.0.0.1:5301", nil, monitor.Config{Now: netsim.NowFunc(clock), Interval: time.Second}),
+		Local:     rec,
+		Forward:   newLoopNet(),
+		Cache:     cache,
+		ClusterID: "test-cluster",
+		Now:       netsim.NowFunc(clock),
+	}
+	t.Cleanup(node.Close)
+	q := dnswire.NewQuery(1, "hot.example.com.", dnswire.TypeA)
+	if _, err := node.ServeDNS(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := q.AppendPack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Into the final half of the 60 s TTL.
+	clock.Advance(40 * time.Second)
+	issued := testutil.CounterValue(t, "resolver_prefetch_issued_total")
+	if _, _, ok, err := dns53.AppendInline(context.Background(), node, nil, q, raw, dnswire.MaxMessageSize); !ok || err != nil {
+		t.Fatalf("the fast path declined a warm hit (ok %v, err %v)", ok, err)
+	}
+	if got := testutil.CounterValue(t, "resolver_prefetch_issued_total") - issued; got != 1 {
+		t.Errorf("resolver_prefetch_issued_total moved by %d on a late fast-path hit, want 1", got)
+	}
+	rec.Close() // drains the background refresh
+	if hot.Load() == 0 {
+		t.Error("OnPrefetch never fired for a key hit on the fast path")
+	}
+}
+
 // authAnswerer answers any query authoritatively in one exchange, so the
 // recursive walk terminates immediately.
 type authAnswerer struct{}

@@ -273,18 +273,30 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 // local-partition (or replicated) hits are served straight from the
 // cache's wire template; everything else — including hop-marked peer
 // queries, which must run the full routing decision — declines back to
-// ServeDNS.
+// ServeDNS. Local's own fast path answers when it has one, so a hit feeds
+// the recursor's refresh-ahead (and through OnPrefetch, replication).
 func (n *Node) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
 	if _, _, ok := clusterHop(q); ok {
 		return dst, 0, false
 	}
 	n.init()
-	out, res, ok := n.Cache.AppendResponse(dst, q, rawQuestion)
+	var (
+		out    []byte
+		minTTL int64
+		ok     bool
+	)
+	if ra, isRA := n.Local.(dns53.ResponseAppender); isRA {
+		out, minTTL, ok = ra.AppendResponse(dst, q, rawQuestion)
+	} else {
+		var res resolver.LookupResult
+		out, res, ok = n.Cache.AppendResponse(dst, q, rawQuestion)
+		minTTL = res.MinTTL()
+	}
 	if !ok {
 		return dst, 0, false
 	}
 	n.mLocalHits.Inc()
-	return out, res.MinTTL(), true
+	return out, minTTL, true
 }
 
 // serveHop handles a query already forwarded once by a peer: answer

@@ -11,8 +11,9 @@ import (
 
 // serveUDPPacket answers one datagram with the steps the receive loop and
 // the workers share — parse and limit, in line, miss — composed the plain
-// way: one packet in, one write out, nothing batched, swapped or cloned.
-// It is the reference the differential test holds ServeUDP against, and
+// way: one packet in, one write out, nothing batched, swapped or cloned,
+// and only the miss half counted: ServeUDP counts its in-line answers per
+// batch, and this reference has no batch. It is the reference the differential test holds ServeUDP against, and
 // what BenchmarkServeUDP times. one is the reusable single-packet
 // WriteBatch argument.
 func (s *Server) serveUDPPacket(conn udpbatch.Conn, raw []byte, from net.Addr, query *dnswire.Message, one []udpbatch.Packet) {

@@ -284,6 +284,83 @@ func TestCountersOncePerQuery(t *testing.T) {
 	}
 }
 
+// panickingInMemory answers hits from its Forwarder's templates and
+// promises to answer misses from memory, which it does by panicking: every
+// loop runs such a miss in line, where it becomes a SERVFAIL and one
+// counted failure.
+type panickingInMemory struct{ *resolver.Forwarder }
+
+func (panickingInMemory) InMemory() bool { return true }
+
+func (panickingInMemory) ServeDNS(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+	panic("in-line miss")
+}
+
+// serverSeries reads dns53_server_requests_total, dns53_server_failures_total
+// and the count and sum of dns53_server_seconds.
+func serverSeries(t *testing.T) (requests, failures, count uint64, sum float64) {
+	t.Helper()
+	snap := obs.Default().Snapshot()
+	h, ok := snap["dns53_server_seconds"].(obs.HistogramSnapshot)
+	if !ok {
+		t.Fatal("no dns53_server_seconds in the default registry")
+	}
+	return snap["dns53_server_requests_total"].(uint64), snap["dns53_server_failures_total"].(uint64), h.Count, h.Sum
+}
+
+// TestLoopsCountPerBatch: a batch the UDP loop, or a burst the stream loop,
+// answers in line — 31 hits and a miss whose handler panics — moves the
+// request counter and the latency count by 32 and the failure counter by
+// one, all before the write the client sees; the latency it adds up to is
+// more than nothing and no more than the batch took.
+func TestLoopsCountPerBatch(t *testing.T) {
+	srv := &dns53.Server{Handler: panickingInMemory{fixedClockForwarder()}}
+	t.Cleanup(srv.Shutdown)
+	var batch []memPkt
+	var stream []byte
+	for i := 0; i < 32; i++ {
+		name := "www.example.com."
+		if i == 20 {
+			name = "nope.example.com."
+		}
+		q := packQuery(t, uint16(i), name, dnswire.TypeA, 0)
+		batch = append(batch, memPkt{q, &net.UDPAddr{IP: net.IPv4(192, 0, 2, byte(i)), Port: 4000 + i}})
+		stream = append(stream, framed(q)...)
+	}
+	check := func(name string, serve func() (writes int)) {
+		r0, f0, c0, s0 := serverSeries(t)
+		start := time.Now()
+		writes := serve()
+		wall := time.Since(start).Seconds()
+		r1, f1, c1, s1 := serverSeries(t)
+		if writes != 1 || r1-r0 != 32 || c1-c0 != 32 || f1-f0 != 1 {
+			t.Errorf("%s: %d writes; requests +%d, latency observations +%d, failures +%d; want 1 write, +32 +32 +1",
+				name, writes, r1-r0, c1-c0, f1-f0)
+		}
+		if d := s1 - s0; d <= 0 || d > wall {
+			t.Errorf("%s: latency sum moved by %v s, want more than 0 and at most the batch's %v s", name, d, wall)
+		}
+	}
+
+	conn := newMemConn(nil)
+	go srv.ServeUDP(conn)
+	check("udp", func() int {
+		conn.feed <- batch
+		return len(waitWrites(t, conn, len(batch)))
+	})
+	sc := interactive(true)
+	go srv.ServeStream(sc)
+	check("stream", func() int {
+		sc.feed <- stream
+		sc.waitWrite(t)
+		writes := sc.recorded()
+		if n := len(unframe(t, writes[0])); n != 32 {
+			t.Errorf("stream: the first write holds %d answers, want 32", n)
+		}
+		return len(writes)
+	})
+}
+
 // hitBatch is n hits on www.example.com from n peers.
 func hitBatch(t testing.TB, n int) []memPkt {
 	batch := make([]memPkt, n)

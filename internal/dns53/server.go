@@ -16,15 +16,16 @@ import (
 )
 
 // Server-side instruments of the frontends this package runs (Do53 UDP and
-// TCP, DoT through ServeTCP/ServeStream); hit and miss record them. DoH
-// counts its own requests in doh_server_*.
+// TCP, DoT through ServeTCP/ServeStream). The loops record what they
+// answer in line once per batch (see countServed), the blocking miss half
+// once per query (see miss). DoH counts its own requests in doh_server_*.
 var (
 	serverRequests = obs.Default().Counter("dns53_server_requests_total",
 		"Queries dispatched to the server's handler.")
 	serverFailures = obs.Default().Counter("dns53_server_failures_total",
 		"Handler errors, panics, and nil responses (answered SERVFAIL).")
 	serverLatency = obs.Default().Histogram("dns53_server_seconds",
-		"Handler latency per dispatched query.", nil)
+		"Time per answered query: a blocking miss's own, or the mean of the batch an in-line answer left in, read to write.", obs.ServerBounds)
 	serverMalformed = obs.Default().Counter("dns53_server_malformed_total",
 		"Dropped queries that failed wire parsing.")
 	// Worker-pool instruments: queue depth counts jobs handed off but not
@@ -275,6 +276,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 			}
 			return err
 		}
+		start := time.Now()
 		out = out[:0]
 		for _, p := range in[:n] {
 			limit, ok := s.parseUDP(query, p.Buf, p.Addr)
@@ -299,6 +301,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 			}
 		}
 		if len(out) > 0 {
+			countServed(len(out), start, time.Now())
 			if _, err := bc.WriteBatch(out); err != nil {
 				s.logger().Debug("writing UDP responses", "err", err)
 			}
@@ -348,35 +351,42 @@ func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (li
 	return limit, true
 }
 
-// inline is AppendInline for this server's handler, counted in
-// dns53_server_* when it answers; a declined query is counted by the miss
-// that follows.
+// inline is AppendInline for this server's handler, with no clock read:
+// its caller counts its answers per batch (countServed), the miss that
+// follows a declined query counts that one. A failure is counted here.
 func (s *Server) inline(dst []byte, query *dnswire.Message, raw []byte, limit int) ([]byte, bool) {
-	start := time.Now()
 	out, _, ok, err := AppendInline(context.Background(), s.Handler, dst, query, raw, limit)
-	if ok {
-		s.served(query, start, err)
-	}
+	s.failed(query, err)
 	return out, ok
 }
 
-// miss is appendMiss for this server's handler, counted in dns53_server_*.
-// It always appends a response.
+// miss is appendMiss for this server's handler, timed and counted per
+// query: next to an upstream's RTT its clock reads are noise. It always
+// appends a response.
 func (s *Server) miss(dst []byte, query *dnswire.Message, limit int) []byte {
 	start := time.Now()
 	out, _, err := appendMiss(context.Background(), s.Handler, dst, query, limit)
-	s.served(query, start, err)
+	countServed(1, start, time.Now())
+	s.failed(query, err)
 	return out
 }
 
-// served counts one answered query; a handler failure, which reached the
-// client as SERVFAIL, is logged and counted here, once.
-func (s *Server) served(query *dnswire.Message, start time.Time, err error) {
-	serverRequests.Inc()
-	serverLatency.ObserveDuration(time.Since(start))
+// failed logs and counts a handler failure (err != nil), which reached the
+// client as SERVFAIL.
+func (s *Server) failed(query *dnswire.Message, err error) {
 	if err != nil {
 		serverFailures.Inc()
 		s.logger().Warn("handler failed", "q", query.Question0().Name, "err", err)
+	}
+}
+
+// countServed counts k queries answered between start and now, each at
+// their mean. The loops call it per batch, with the clock read after the
+// read and before the write, so a client finds its answer counted.
+func countServed(k int, start, now time.Time) {
+	if k > 0 {
+		serverRequests.Add(uint64(k))
+		serverLatency.ObserveN(now.Sub(start).Seconds()/float64(k), uint64(k))
 	}
 }
 
@@ -438,23 +448,24 @@ const streamFlushAt = 16 << 10
 // ahead of it (an InMemory handler's misses are answered in line and
 // flush nothing); (c) when it reaches streamFlushAt. Both buffers and the
 // parsed query belong to the connection and are reused, so a busy stream
-// allocates nothing.
+// allocates nothing. The clock is read once after each Read and once per
+// write (see flushStream), never per answer.
 func (s *Server) serveConn(conn net.Conn) {
 	inp, outp := bufpool.Get(), bufpool.Get()
 	defer bufpool.Put(inp)
 	defer bufpool.Put(outp)
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
-	in, out := (*inp)[:cap(*inp)], (*outp)[:0]
-	r, w, ok := 0, 0, true // in[r:w] is read and not yet answered
+	in, b := (*inp)[:cap(*inp)], burst{out: (*outp)[:0]}
+	r, w := 0, 0 // in[r:w] is read and not yet answered
 	for {
 		for w-r >= 2 {
 			end := r + 2 + int(binary.BigEndian.Uint16(in[r:]))
 			if end > w {
 				break
 			}
-			if out, ok = s.serveFrame(conn, out, query, in[r+2:end]); !ok {
-				s.flushStream(conn, out) // the answers ahead of the bad frame
+			if !s.serveFrame(conn, &b, query, in[r+2:end]) {
+				s.flushStream(conn, &b) // the answers ahead of the bad frame
 				return
 			}
 			r = end
@@ -467,58 +478,78 @@ func (s *Server) serveConn(conn net.Conn) {
 				in = append(in[:w], make([]byte, need-w)...)
 			}
 		}
-		if out, ok = s.flushStream(conn, out); !ok {
+		now, ok := s.flushStream(conn, &b)
+		if !ok {
 			return
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		_ = conn.SetReadDeadline(now.Add(s.readTimeout()))
 		streamReads.Inc()
 		n, err := conn.Read(in[w:])
 		if n == 0 && err != nil {
 			return // EOF, timeout, or peer reset: stream is done either way
 		}
+		b.start = time.Now()
 		w += n
 	}
 }
 
-// serveFrame answers one query frame into out behind its own two-octet
+// burst is a stream loop's pending output, the k answers in it served in
+// line, and the clock when the interval they are counted over began.
+type burst struct {
+	out   []byte
+	k     int
+	start time.Time
+}
+
+// serveFrame answers one query frame into b.out behind its own two-octet
 // length prefix (compression offsets are message-start-relative, so what
-// precedes the message does not disturb them) and returns the grown
-// buffer. ok=false ends the connection: a malformed query or a failed
-// write.
-func (s *Server) serveFrame(conn net.Conn, out []byte, query *dnswire.Message, pkt []byte) ([]byte, bool) {
+// precedes the message does not disturb them). false ends the connection:
+// a malformed query or a failed write.
+func (s *Server) serveFrame(conn net.Conn, b *burst, query *dnswire.Message, pkt []byte) bool {
 	if err := query.Unpack(pkt); err != nil {
 		serverMalformed.Inc()
 		s.logger().Debug("dropping malformed TCP query", "err", err)
-		return out, false
+		return false
 	}
 	streamQueries.Inc()
-	at := len(out)
-	frame, ok := s.inline(append(out, 0, 0), query, pkt, dnswire.MaxMessageSize)
-	if !ok {
-		if out, ok = s.flushStream(conn, out); !ok {
-			return out, false
+	at := len(b.out)
+	frame, ok := s.inline(append(b.out, 0, 0), query, pkt, dnswire.MaxMessageSize)
+	if ok {
+		b.k++
+	} else {
+		// The answers ahead leave, and are counted, before the miss runs;
+		// the miss times itself, and the next interval starts after it.
+		if _, ok = s.flushStream(conn, b); !ok {
+			return false
 		}
 		at = 0
-		frame = s.miss(append(out, 0, 0), query, dnswire.MaxMessageSize)
+		frame = s.miss(append(b.out, 0, 0), query, dnswire.MaxMessageSize)
+		b.start = time.Now()
 	}
 	binary.BigEndian.PutUint16(frame[at:], uint16(len(frame)-at-2))
+	b.out = frame
 	if len(frame) >= streamFlushAt {
-		return s.flushStream(conn, frame)
+		_, ok = s.flushStream(conn, b)
 	}
-	return frame, true
+	return ok
 }
 
-// flushStream writes pending output, if any, in one Write under a write
-// deadline (a peer that stops reading costs the connection, not a
-// goroutine) and returns the emptied buffer.
-func (s *Server) flushStream(conn net.Conn, out []byte) ([]byte, bool) {
-	if len(out) == 0 {
-		return out, true
+// flushStream reads the clock once to count the burst's in-line answers,
+// start the next interval and date the write deadline under which pending
+// output, if any, leaves in one Write (a peer that stops reading costs the
+// connection, not a goroutine). It returns that reading and the outcome.
+func (s *Server) flushStream(conn net.Conn, b *burst) (time.Time, bool) {
+	now := time.Now()
+	countServed(b.k, b.start, now)
+	b.k, b.start = 0, now
+	if len(b.out) == 0 {
+		return now, true
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(s.readTimeout()))
+	_ = conn.SetWriteDeadline(now.Add(s.readTimeout()))
 	streamWrites.Inc()
-	_, err := conn.Write(out)
-	return out[:0], err == nil
+	_, err := conn.Write(b.out)
+	b.out = b.out[:0]
+	return now, err == nil
 }
 
 // ServeStream exposes serveConn for transports (DoT) that bring their own

@@ -212,6 +212,11 @@ type h2Conn struct {
 	buffered    int   // request body octets held, bounded by h2MaxBuffered
 	pending     int   // response body octets held in stSend, bounded likewise
 	closed      bool  // the loop has ended or a write failed: write nothing more
+	// now is the clock as last read, after a Read or at a flush: it dates
+	// inline responses, and the next flush counts the gets and posts
+	// answered inline since over the interval it starts.
+	now         time.Time
+	gets, posts uint64
 }
 
 // ServeH2 serves one HTTP/2 connection and returns when it has ended. It
@@ -311,23 +316,25 @@ func (c *h2Conn) readLoop(in []byte) []byte {
 		if !c.flush() {
 			return in
 		}
+		now := c.now
 		c.mu.Unlock()
-		n, err := c.read(in[w:])
+		n, err := c.read(in[w:], now)
 		c.mu.Lock()
 		if err != nil || c.closed {
 			return in
 		}
+		c.now = time.Now()
 		w += n
 	}
 }
 
-// read is one Read under the idle deadline. The deadline passing with a
-// handler still running is not idleness: net/http would not have closed
-// the connection either.
-func (c *h2Conn) read(p []byte) (int, error) {
-	for {
+// read is one Read under the idle deadline, which runs from now. The
+// deadline passing with a handler still running is not idleness: net/http
+// would not have closed the connection either.
+func (c *h2Conn) read(p []byte, now time.Time) (int, error) {
+	for ; ; now = time.Now() {
 		if c.idle > 0 {
-			_ = c.conn.SetReadDeadline(time.Now().Add(c.idle)) // a conn without deadlines just has none
+			_ = c.conn.SetReadDeadline(now.Add(c.idle)) // a conn without deadlines just has none
 		}
 		h2Reads.Inc()
 		n, err := c.conn.Read(p)
@@ -353,12 +360,22 @@ func (c *h2Conn) handlerRunning() bool {
 	return false
 }
 
-// flush writes pending output, if any, in one Write under a write deadline
-// (a peer that stops reading costs the connection, not a goroutine). After
-// a failed write the connection is closed, which ends the read loop.
+// flush reads the clock once to count the requests answered inline since
+// c.now, before the write, and to date the write deadline under which
+// pending output, if any, leaves in one Write (a peer that stops reading
+// costs the connection, not a goroutine). After a failed write the
+// connection is closed, which ends the read loop.
 func (c *h2Conn) flush() bool {
+	now := time.Now()
+	if k := c.gets + c.posts; k > 0 {
+		serverRequestsGET.Add(c.gets)
+		serverRequestsPOST.Add(c.posts)
+		serverLatency.ObserveN(now.Sub(c.now).Seconds()/float64(k), k)
+		c.gets, c.posts = 0, 0
+	}
+	c.now = now
 	if len(c.out) > 0 && !c.closed {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		_ = c.conn.SetWriteDeadline(now.Add(c.writeTimeout))
 		h2Writes.Inc()
 		if _, err := c.conn.Write(c.out); err != nil {
 			c.closed = true
@@ -888,12 +905,12 @@ func (c *h2Conn) request(st *h2Stream) {
 // is not asked again; the fallback then starts from the request as
 // received. A handler failure is already the SERVFAIL in the answer, sent
 // with status 200 as ServeHTTP sends it. wire may lie in the read buffer.
+// It reads no clock: flush counts what it answers.
 func (c *h2Conn) answerInline(st *h2Stream, wire []byte) bool {
 	st.inline = false
-	start := time.Now()
-	requests := serverRequestsPOST
+	requests := &c.posts
 	if st.dns != nil {
-		requests = serverRequestsGET
+		requests = &c.gets
 		n := base64.RawURLEncoding.DecodedLen(len(st.dns))
 		if cap(c.wire) < n {
 			c.wire = make([]byte, n)
@@ -913,9 +930,9 @@ func (c *h2Conn) answerInline(st *h2Stream, wire []byte) bool {
 	}
 	c.answer = answer
 	block := append(c.hblock[:0], h2InlineHeaders...)
-	if sec := start.Unix(); sec != c.dateSec { // date, static index 33; the value is always 29 octets
+	if sec := c.now.Unix(); sec != c.dateSec { // date, static index 33; the value is always 29 octets
 		c.dateSec = sec
-		c.date = start.UTC().AppendFormat(append(c.date[:0], 0x0f, 0x12, 29), http.TimeFormat)
+		c.date = c.now.UTC().AppendFormat(append(c.date[:0], 0x0f, 0x12, 29), http.TimeFormat)
 	}
 	block = append(block, c.date...)
 	block = appendDecimalField(block, 0x0d, "", int64(len(answer))) // content-length, static index 28
@@ -924,9 +941,8 @@ func (c *h2Conn) answerInline(st *h2Stream, wire []byte) bool {
 	}
 	c.hblock = block
 	h2Inline.Inc()
-	requests.Inc()
+	*requests++
 	c.respond(st, block, answer)
-	serverLatency.ObserveDuration(time.Since(start))
 	return true
 }
 

@@ -1069,6 +1069,27 @@ func TestH2InlineCountsLikeServeHTTP(t *testing.T) {
 	}
 }
 
+// TestH2CountsPerBurst: sixteen POSTs that arrive in one read are answered
+// inline in one write, and that write's flush has moved the POST counter
+// and the latency count by sixteen before the client sees a response.
+func TestH2CountsPerBurst(t *testing.T) {
+	c := startLoop(t)
+	post := obs.Default().Counter("doh_server_requests_total", "", "method", "POST")
+	before := [3]uint64{post.Value(), testutil.HistogramCount(t, "doh_server_seconds"), h2Writes.Value()}
+	var burst [][]byte
+	for i := uint32(0); i < 16; i++ {
+		burst = append(burst, postFrames(1+2*i, dnsQuery(t, uint16(i), "hit.test.")))
+	}
+	c.send(burst...)
+	for i := uint32(0); i < 16; i++ {
+		c.response(1 + 2*i)
+	}
+	got := [3]uint64{post.Value() - before[0], testutil.HistogramCount(t, "doh_server_seconds") - before[1], h2Writes.Value() - before[2]}
+	if want := [3]uint64{16, 16, 1}; got != want {
+		t.Errorf("POST requests, latency observations, writes moved by %v, want %v", got, want)
+	}
+}
+
 // TestH2InlineZeroAlloc: in steady state a hit costs no allocation, for
 // POST (HEADERS and DATA in one read or two) and for GET.
 func TestH2InlineZeroAlloc(t *testing.T) {

@@ -42,7 +42,9 @@ type Handler struct {
 }
 
 // Server-side DoH instruments, split by HTTP method so GET (cacheable)
-// and POST traffic read separately at /metrics.
+// and POST traffic read separately at /metrics. ServeHTTP records each
+// request; the HTTP/2 loop records what it answers inline once per burst
+// (h2Conn.flush).
 var (
 	serverRequestsGET = obs.Default().Counter("doh_server_requests_total",
 		"DoH requests served.", "method", "GET")
@@ -51,7 +53,7 @@ var (
 	serverErrors = obs.Default().Counter("doh_server_errors_total",
 		"DoH requests answered with an HTTP error status.")
 	serverLatency = obs.Default().Histogram("doh_server_seconds",
-		"DoH request latency end to end (decode, resolve, encode).", nil)
+		"DoH request latency end to end (decode, resolve, encode); for requests the HTTP/2 loop answers inline, the mean of their burst, read to write.", obs.ServerBounds)
 )
 
 // dnsMessageType is the Content-Type value of every wire-format response;

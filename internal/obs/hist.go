@@ -10,15 +10,22 @@ import (
 // to DNS round-trip times: exponential from 1 ms to ~33 s, doubling each
 // bucket. Sub-millisecond exchanges land in the first bucket; anything
 // beyond 32.768 s (far past every timeout in the tree) lands in +Inf.
-var DefaultRTTBounds = func() []float64 {
-	bounds := make([]float64, 16)
-	v := 0.001
+var DefaultRTTBounds = doubling(0.001, 16)
+
+// ServerBounds are bucket upper bounds for time spent inside a server per
+// query: from 1 µs, doubling to ~33.5 s, so answers from memory and ones
+// that waited on an upstream land in buckets of their own.
+var ServerBounds = doubling(1e-6, 26)
+
+// doubling returns n bounds starting at first, each twice the last.
+func doubling(first float64, n int) []float64 {
+	bounds := make([]float64, n)
 	for i := range bounds {
-		bounds[i] = v
-		v *= 2
+		bounds[i] = first
+		first *= 2
 	}
 	return bounds
-}()
+}
 
 // Histogram is a fixed-bucket latency histogram with cumulative
 // Prometheus-style rendering. Observe is allocation-free and safe for
@@ -47,17 +54,25 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 }
 
 // Observe records one value (in seconds).
-func (h *Histogram) Observe(v float64) {
-	// Linear scan: the bound slice is short (16 for RTTs) and branch
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v (in seconds), as n Observe calls
+// would: a loop that times a batch with one clock read records its mean.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
+	// Linear scan: the bound slice is short (16 or 26) and branch
 	// prediction makes this cheaper than a binary search at this size.
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
+	h.buckets[i].Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -128,5 +129,41 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	}
 	if math.Abs(sum-5.0105) > 1e-9 {
 		t.Errorf("sum = %v, want 5.0105", sum)
+	}
+}
+
+// TestObserveNMatchesObserve: ObserveN(v, n) leaves the buckets and the
+// sum n Observe(v) calls leave, for n = 0, on a bound, between bounds and
+// past the last one.
+func TestObserveNMatchesObserve(t *testing.T) {
+	bounds := []float64{1e-6, 2e-6, 4e-6}
+	for _, tc := range []struct {
+		v float64
+		n uint64
+	}{{3e-6, 0}, {2e-6, 1}, {3e-6, 7}, {0.5e-6, 32}, {1, 5}, {0, 3}} {
+		one, many := NewRegistry().Histogram("o_seconds", "", bounds), NewRegistry().Histogram("n_seconds", "", bounds)
+		for i := uint64(0); i < tc.n; i++ {
+			one.Observe(tc.v)
+		}
+		many.ObserveN(tc.v, tc.n)
+		c1, s1 := one.snapshot()
+		cn, sn := many.snapshot()
+		if !slices.Equal(c1, cn) || math.Abs(s1-sn) > 1e-12*math.Abs(s1) {
+			t.Errorf("v %v, n %d: ObserveN left buckets %v sum %v, Observe %v sum %v", tc.v, tc.n, cn, sn, c1, s1)
+		}
+	}
+}
+
+func TestServerBounds(t *testing.T) {
+	if len(ServerBounds) != 26 || ServerBounds[0] != 1e-6 {
+		t.Fatalf("ServerBounds = %v, want 26 bounds from 1e-6", ServerBounds)
+	}
+	for i := 1; i < len(ServerBounds); i++ {
+		if ServerBounds[i] != 2*ServerBounds[i-1] {
+			t.Errorf("bound[%d] = %v, want double of %v", i, ServerBounds[i], ServerBounds[i-1])
+		}
+	}
+	if last := ServerBounds[25]; last < 33 || last > 34 {
+		t.Errorf("last bound %v, want about 33.5 s", last)
 	}
 }
