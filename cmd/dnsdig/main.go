@@ -103,10 +103,10 @@ func run(args []string, w io.Writer) error {
 		if *roots == "" {
 			return fmt.Errorf("-infra requires -roots (the engine measures per-nameserver RTTs while walking referrals)")
 		}
-		return runInfra(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout)
+		return runInfra(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *retries)
 	}
 	if *trace && *roots != "" {
-		return runTrace(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *gluePort)
+		return runTrace(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *retries, *gluePort)
 	}
 
 	tlsCfg, err := tlsConfig(*caCert, *insecure)
@@ -195,11 +195,11 @@ func tlsConfig(caCert string, insecure bool) (*tls.Config, error) {
 // Do53 sockets and prints the answers followed by the per-server SRTT and
 // penalty table the walk accumulated — the measurement tool explaining
 // *why* a resolver path was fast or slow, one server at a time.
-func runInfra(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, roots []string, timeout time.Duration) error {
+func runInfra(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, roots []string, timeout time.Duration, retries int) error {
 	for i := range roots {
 		roots[i] = strings.TrimSpace(roots[i])
 	}
-	pool := transport.NewPool(transport.Options{Timeout: timeout})
+	pool := transport.NewPool(transport.Options{Timeout: timeout, Retry: &transport.RetryPolicy{MaxAttempts: retries}})
 	defer pool.Close()
 	inf := resolver.NewInfra(nil)
 	rec := &resolver.Recursive{
@@ -296,8 +296,9 @@ func probePeer(ctx context.Context, pool *transport.Pool, peer, clusterID string
 
 // runTrace walks the delegation chain from the roots over Do53, printing
 // each step — dig +trace.
-func runTrace(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, roots []string, timeout time.Duration, gluePort int) error {
-	client := &dns53.Client{Timeout: timeout}
+func runTrace(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, roots []string, timeout time.Duration, retries, gluePort int) error {
+	pool := transport.NewPool(transport.Options{Timeout: timeout, Retry: &transport.RetryPolicy{MaxAttempts: retries}})
+	defer pool.Close()
 	servers := roots
 	zone := "."
 	for depth := 0; depth < 16; depth++ {
@@ -307,7 +308,7 @@ func runTrace(ctx context.Context, w io.Writer, name string, qtype dnswire.Type,
 		server := strings.TrimSpace(servers[0])
 		q := dnswire.NewQuery(dns53.NewID(), name, qtype)
 		q.Header.RD = false
-		resp, err := client.Exchange(ctx, q, server)
+		resp, err := pool.Exchange(ctx, q, server)
 		if err != nil {
 			if len(servers) > 1 {
 				servers = servers[1:]

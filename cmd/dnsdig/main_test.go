@@ -41,9 +41,9 @@ func startDo53(t *testing.T, h dns53.Handler) string {
 }
 
 func static() dns53.Handler {
-	return dns53.Static(map[string][]net.IP{
-		"google.com.": {net.ParseIP("142.250.64.78")},
-	})
+	z := authdns.NewZone(".")
+	z.AddA("google.com.", 300, netip.MustParseAddr("142.250.64.78"))
+	return z
 }
 
 func TestDo53Query(t *testing.T) {

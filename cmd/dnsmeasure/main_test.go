@@ -5,12 +5,14 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"encdns/internal/authdns"
 	"encdns/internal/core"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
@@ -173,6 +175,13 @@ func TestAdHocHTTPSTarget(t *testing.T) {
 
 // serveUDP serves h on a loopback UDP socket and returns its udp://
 // endpoint.
+// googleZone answers google.com. A 192.0.2.1.
+func googleZone() *authdns.Zone {
+	z := authdns.NewZone(".")
+	z.AddA("google.com.", 300, netip.MustParseAddr("192.0.2.1"))
+	return z
+}
+
 func serveUDP(t *testing.T, h dns53.Handler) string {
 	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -189,8 +198,8 @@ func serveUDP(t *testing.T, h dns53.Handler) string {
 // are two resolvers. One answers, the other SERVFAILs every query, so
 // their summary rows must differ in Errors.
 func TestAdHocEndpointsOnOneHostStayApart(t *testing.T) {
-	good := serveUDP(t, dns53.Static(map[string][]net.IP{"google.com.": {net.ParseIP("192.0.2.1")}}))
-	bad := serveUDP(t, dns53.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+	good := serveUDP(t, googleZone())
+	bad := serveUDP(t, testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, errors.New("always SERVFAIL")
 	}))
 	const rounds = 3
@@ -215,7 +224,7 @@ func TestAdHocEndpointsOnOneHostStayApart(t *testing.T) {
 // TestLiveWritesNoPingRecords: live mode has no pinger, so it must not
 // record a ping for any target, answered or not.
 func TestLiveWritesNoPingRecords(t *testing.T) {
-	good := serveUDP(t, dns53.Static(map[string][]net.IP{"google.com.": {net.ParseIP("192.0.2.1")}}))
+	good := serveUDP(t, googleZone())
 	path := filepath.Join(t.TempDir(), "live.jsonl")
 	if _, err := capture(t, "-mode", "live", "-proto", "do53", "-resolvers", good, "-domains", "google.com",
 		"-rounds", "3", "-interval", "1ms", "-summary=false", "-o", path); err != nil {

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
+	"net/netip"
 
+	"encdns/internal/authdns"
 	"encdns/internal/certs"
 	"encdns/internal/dns53"
 	"encdns/internal/dot"
@@ -30,6 +31,8 @@ func runReachability(w io.Writer) error {
 		return err
 	}
 	hosts := []string{"dns.google", "one.one.one.one", "dns.quad9.net"}
+	zone := authdns.NewZone(".")
+	zone.AddA("example.com.", 300, netip.MustParseAddr("192.0.2.1"))
 	var endpoints []string
 	var shutdowns []func()
 	defer func() {
@@ -42,9 +45,7 @@ func runReachability(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		inner := &dns53.Server{Handler: dns53.Static(map[string][]net.IP{
-			"example.com.": {net.ParseIP("192.0.2.1")},
-		})}
+		inner := &dns53.Server{Handler: zone}
 		ln, err := vn.Listen(host + ":853")
 		if err != nil {
 			return err

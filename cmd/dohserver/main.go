@@ -253,7 +253,7 @@ func buildHandler(upstream, zoneFile, zoneOrigin string, cache *resolver.Cache) 
 	}
 	if upstream != "" {
 		return &resolver.Forwarder{
-			Exchange:  &dns53.Client{},
+			Exchange:  transport.NewPool(transport.Options{}),
 			Upstreams: []string{upstream},
 			Cache:     cache,
 		}, nil

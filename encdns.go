@@ -9,8 +9,8 @@
 //
 //   - Measuring: Campaign, CampaignConfig, Prober, SimProber, LiveProber,
 //     Target, Record, ResultSet.
-//   - The protocol substrate: the DoH/DoT/Do53 clients under
-//     internal/{doh,dot,dns53} via the NewDoH*/NewDoT*/NewDo53* helpers.
+//   - The transport substrate: DialEndpoint and NewTransportPool, the one
+//     way to the DoH/DoT/Do53 clients, addressed by endpoint scheme.
 //   - The measurement population and vantage points of the paper under
 //     Resolvers/Vantages.
 //   - Reporting: BuildChart plus the report.BoxChart/Table renderers.
@@ -39,14 +39,8 @@
 package encdns
 
 import (
-	"crypto/tls"
-	"time"
-
 	"encdns/internal/core"
 	"encdns/internal/dataset"
-	"encdns/internal/dns53"
-	"encdns/internal/doh"
-	"encdns/internal/dot"
 	"encdns/internal/experiment"
 	"encdns/internal/netsim"
 	"encdns/internal/report"
@@ -64,8 +58,6 @@ type (
 	TransportPool = transport.Pool
 	// RetryPolicy is the shared retry/backoff policy.
 	RetryPolicy = transport.RetryPolicy
-	// PoolStats counts connection-pool activity.
-	PoolStats = transport.PoolStats
 )
 
 // DialEndpoint binds an Exchanger to a scheme-addressed endpoint
@@ -78,13 +70,6 @@ func DialEndpoint(endpoint string, opts TransportOptions) (Exchanger, error) {
 // NewTransportPool builds the endpoint-addressed transport pool that
 // LiveProber and the forwarder consume.
 func NewTransportPool(opts TransportOptions) *TransportPool { return transport.NewPool(opts) }
-
-// NewHedgedExchanger races the same query against several endpoints,
-// staggered by delay; the first success wins and the losers are
-// cancelled.
-func NewHedgedExchanger(delay time.Duration, exchangers ...Exchanger) Exchanger {
-	return transport.NewHedged(delay, exchangers...)
-}
 
 // Measurement engine surface.
 type (
@@ -183,21 +168,6 @@ func Vantages() []Vantage { return dataset.Vantages() }
 
 // Targets converts resolvers into campaign targets.
 func Targets(rs []Resolver) []Target { return experiment.Targets(rs) }
-
-// NewDoHClient builds an RFC 8484 client. tlsCfg and dialer may be nil;
-// reuse selects HTTP keep-alive.
-func NewDoHClient(tlsCfg *tls.Config, dialer dns53.ContextDialer, reuse bool) *doh.Client {
-	return doh.NewClient(tlsCfg, dialer, reuse)
-}
-
-// NewDoTClient builds an RFC 7858 client.
-func NewDoTClient(tlsCfg *tls.Config, reuse bool) *dot.Client {
-	return &dot.Client{TLS: tlsCfg, Reuse: reuse}
-}
-
-// NewDo53Client builds a conventional DNS client with UDP retry and TCP
-// truncation fallback.
-func NewDo53Client() *dns53.Client { return &dns53.Client{} }
 
 // BuildChart assembles a figure-style chart from any result set.
 func BuildChart(rs *ResultSet, title string, group []Resolver, vantage string) *BoxChart {

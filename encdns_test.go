@@ -56,8 +56,8 @@ func TestFacadeSimCampaign(t *testing.T) {
 	}
 }
 
-// TestFacadeLiveClients exercises the public client constructors against a
-// real in-process DoH server.
+// TestFacadeLiveClients runs a live campaign through the public transport
+// pool against a real in-process DoH server, on the one-shot client.
 func TestFacadeLiveClients(t *testing.T) {
 	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
 	rec := &resolver.Recursive{
@@ -70,7 +70,7 @@ func TestFacadeLiveClients(t *testing.T) {
 	defer ts.Close()
 
 	prober := &encdns.LiveProber{Transport: encdns.NewTransportPool(
-		encdns.TransportOptions{HTTPClient: ts.Client(), Reuse: true})}
+		encdns.TransportOptions{TLS: ts.Client().Transport.(*http.Transport).TLSClientConfig})}
 	cfg := encdns.CampaignConfig{
 		Vantages: []encdns.Vantage{{Name: "local"}},
 		Targets:  []encdns.Target{{Host: "t", Endpoint: ts.URL + doh.DefaultPath}},
@@ -103,19 +103,5 @@ func TestFacadeRunner(t *testing.T) {
 	}
 	if len(chart.Rows) != 18 {
 		t.Errorf("fig4d rows = %d", len(chart.Rows))
-	}
-}
-
-// TestFacadeClientConstructors checks the protocol client helpers build
-// usable values.
-func TestFacadeClientConstructors(t *testing.T) {
-	if c := encdns.NewDoHClient(nil, nil, true); c == nil || c.HTTP == nil {
-		t.Error("DoH client")
-	}
-	if c := encdns.NewDoTClient(nil, true); c == nil || !c.Reuse {
-		t.Error("DoT client")
-	}
-	if c := encdns.NewDo53Client(); c == nil {
-		t.Error("Do53 client")
 	}
 }

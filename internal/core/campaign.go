@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"encdns/internal/netsim"
@@ -56,8 +55,8 @@ type CampaignConfig struct {
 	// virtual clock starting at the paper's campaign epoch.
 	Clock netsim.Clock
 	// SkipPing turns off the one ICMP probe per (vantage, target) round
-	// that the paper's procedure step 2 specifies. A LiveProber without a
-	// Pinger cannot ping, so its campaigns skip pings regardless.
+	// that the paper's procedure step 2 specifies. A LiveProber cannot
+	// ping, so its campaigns skip pings regardless.
 	SkipPing bool
 	// Sink, when non-nil, receives every record as it is produced (in
 	// deterministic order), enabling continuous deployments to stream
@@ -68,13 +67,6 @@ type CampaignConfig struct {
 	// DiscardResults stops the campaign from retaining records in memory;
 	// only the Sink sees them. Requires Sink.
 	DiscardResults bool
-	// Parallel probes the vantage points concurrently within each round.
-	// Results are identical to the sequential order (every probe draws
-	// from its own deterministic stream and records are appended in
-	// vantage order), so this is purely a wall-clock optimisation for
-	// large simulated campaigns. Live probers must be safe for concurrent
-	// use to enable it.
-	Parallel bool
 	// Progress, when non-nil, receives a callback after each round.
 	// total is 0 for continuous campaigns.
 	Progress func(round, total int)
@@ -83,8 +75,7 @@ type CampaignConfig struct {
 // ProbeObserver consumes per-query outcomes as the campaign produces
 // them. monitor.Tracker implements it; ok carries whether the query
 // succeeded, rtt its duration, and errClass the failure classification
-// (empty on success). Implementations must be safe for concurrent use
-// when the campaign runs Parallel.
+// (empty on success).
 type ProbeObserver interface {
 	ObserveProbe(target string, ok bool, rtt time.Duration, errClass string)
 }
@@ -141,7 +132,7 @@ func NewCampaign(cfg CampaignConfig, prober Prober) (*Campaign, error) {
 	if cfg.DiscardResults && cfg.Sink == nil && !cfg.Continuous {
 		return nil, fmt.Errorf("core: DiscardResults needs a Sink")
 	}
-	if lp, ok := prober.(*LiveProber); ok && lp.Pinger == nil {
+	if _, ok := prober.(*LiveProber); ok {
 		cfg.SkipPing = true
 	}
 	c := &Campaign{cfg: cfg, prober: prober, targets: make([]targetState, len(cfg.Targets))}
@@ -193,31 +184,10 @@ func (c *Campaign) Run(ctx context.Context) (*ResultSet, error) {
 			log = spare[:0]
 		}
 		var err error
-		if c.cfg.Parallel && len(c.cfg.Vantages) > 1 {
-			perVantage := make([][]Record, len(c.cfg.Vantages))
-			var wg sync.WaitGroup
-			for i, v := range c.cfg.Vantages {
-				wg.Add(1)
-				go func(i int, v netsim.Vantage) {
-					defer wg.Done()
-					perVantage[i] = c.probeVantage(ctx, make([]Record, 0, c.perVantage()), v, round, now)
-				}(i, v)
-			}
-			wg.Wait()
-			// Emit in vantage order so the record stream is identical to
-			// a sequential run.
-			for _, recs := range perVantage {
-				from := len(log)
-				if log, err = c.emit(append(log, recs...), from); err != nil {
-					break
-				}
-			}
-		} else {
-			for _, v := range c.cfg.Vantages {
-				from := len(log)
-				if log, err = c.emit(c.probeVantage(ctx, log, v, round, now), from); err != nil {
-					break
-				}
+		for _, v := range c.cfg.Vantages {
+			from := len(log)
+			if log, err = c.emit(c.probeVantage(ctx, log, v, round, now), from); err != nil {
+				break
 			}
 		}
 		if c.cfg.DiscardResults {

@@ -425,28 +425,6 @@ func TestSiteForUsedByPing(t *testing.T) {
 	_ = geo.Seoul
 }
 
-func TestParallelCampaignIdenticalToSequential(t *testing.T) {
-	base := CampaignConfig{
-		Vantages: dataset.EC2Vantages(),
-		Targets:  simTargets("dns.google", "ordns.he.net", "doh.ffmuc.net"),
-		Domains:  dataset.Domains,
-		Rounds:   15,
-	}
-	seq := simCampaign(t, base, 21).Records()
-	par := base
-	par.Parallel = true
-	par.Clock = nil
-	got := simCampaign(t, par, 21).Records()
-	if len(seq) != len(got) {
-		t.Fatalf("lengths: %d vs %d", len(seq), len(got))
-	}
-	for i := range seq {
-		if seq[i] != got[i] {
-			t.Fatalf("record %d differs:\nseq: %+v\npar: %+v", i, seq[i], got[i])
-		}
-	}
-}
-
 func TestCampaignSinkStreams(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := CampaignConfig{

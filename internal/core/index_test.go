@@ -139,8 +139,7 @@ func TestSamplesAreTheCallers(t *testing.T) {
 	}
 }
 
-// Concurrent Add (what CampaignConfig.Parallel's callers and live sinks
-// may do) with readers alongside; run under -race. Record order across
+// Concurrent Add (what live sinks may do) with readers alongside; run under -race. Record order across
 // goroutines is not defined, so the check is against the set's own log.
 func TestIndexConcurrentAdd(t *testing.T) {
 	rs := NewResultSet()

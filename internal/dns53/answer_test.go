@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
 )
 
 // repackTruncated is the truncation the miss path used before it shared
@@ -102,7 +103,7 @@ func TestTruncateMatchesRepack(t *testing.T) {
 			// The same through the miss half, which also owns the limit
 			// comparison: one byte short of the packed size cuts, the exact
 			// size does not.
-			h := HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { return tc.resp, nil })
+			h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { return tc.resp, nil })
 			full, err := tc.resp.AppendPack(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -174,7 +175,7 @@ func TestAnswerHitElseMiss(t *testing.T) {
 		return append(dst, "scribble"...), 0, false
 	})
 	serve := func(resp *dnswire.Message, err error) Handler {
-		return HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { return resp, err })
+		return testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { return resp, err })
 	}
 	unpackable := query.Reply()
 	unpackable.Answers = []dnswire.Record{{Name: strings.Repeat("a", 64) + ".example.com.", Type: dnswire.TypeA,
@@ -197,7 +198,7 @@ func TestAnswerHitElseMiss(t *testing.T) {
 		{"miss", serve(answer, nil), raw, 512, packed, 30, ""},
 		{"handler error", serve(nil, errors.New("upstream on fire")), raw, 512, servfailWire, -1, "upstream on fire"},
 		{"nil response", serve(nil, nil), raw, 512, servfailWire, -1, "no response"},
-		{"panic", HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { panic("boom") }),
+		{"panic", testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { panic("boom") }),
 			raw, 512, servfailWire, -1, "handler panic: boom"},
 		{"response does not pack", serve(unpackable, nil), raw, 512, servfailWire, -1, "packing response"},
 	} {

@@ -47,23 +47,16 @@ func CheckResponse(query, resp *dnswire.Message) error {
 	return nil
 }
 
-// Client issues conventional DNS queries over UDP with automatic retry and
-// RFC 1035 §4.2.2 TCP fallback on truncation.
+// Client issues conventional DNS queries over UDP with RFC 1035 §4.2.2 TCP
+// fallback on truncation. It makes one attempt per exchange: retry policy
+// is transport.WithRetry's, the same for every scheme.
 type Client struct {
 	// Timeout bounds each individual attempt; zero means 2 seconds.
 	Timeout time.Duration
-	// Retries is the number of extra UDP attempts after the first; zero
-	// means 2 (three attempts total), the classic stub-resolver default.
-	// Negative disables the built-in loop entirely (one attempt) — the
-	// transport layer's shared retry middleware sets this so policy is
-	// not applied twice.
-	Retries int
 	// Dialer is used for both "udp" and "tcp" connections; nil uses a
 	// net.Dialer. Injecting a dialer is how tests and the live prober run
 	// the client over in-process transports.
 	Dialer ContextDialer
-	// EDNSSize advertises an EDNS0 buffer size on queries when non-zero.
-	EDNSSize uint16
 }
 
 // ContextDialer matches net.Dialer's DialContext, the injection point for
@@ -77,16 +70,6 @@ func (c *Client) timeout() time.Duration {
 		return c.Timeout
 	}
 	return 2 * time.Second
-}
-
-func (c *Client) retries() int {
-	switch {
-	case c.Retries > 0:
-		return c.Retries
-	case c.Retries < 0:
-		return 0
-	}
-	return 2
 }
 
 func (c *Client) dialer() ContextDialer {
@@ -107,19 +90,8 @@ func NewID() uint16 {
 	return binary.BigEndian.Uint16(b[:])
 }
 
-// Query builds and exchanges an A-record query for name, the measurement
-// tool's common case.
-func (c *Client) Query(ctx context.Context, server, name string, t dnswire.Type) (*dnswire.Message, error) {
-	q := dnswire.NewQuery(NewID(), name, t)
-	if c.EDNSSize > 0 {
-		q.SetEDNS(c.EDNSSize, false)
-	}
-	return c.Exchange(ctx, q, server)
-}
-
-// Exchange sends query to server ("host:port") and returns the validated
-// response, retrying over UDP and falling back to TCP when the response
-// arrives truncated.
+// Exchange sends query to server ("host:port") over UDP and returns the
+// validated response, falling back to TCP when it arrives truncated.
 func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server string) (*dnswire.Message, error) {
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
@@ -128,22 +100,17 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server st
 		return nil, fmt.Errorf("dns53: packing query: %w", err)
 	}
 	*bp = wire
-	var lastErr error
-	for attempt := 0; attempt <= c.retries(); attempt++ {
-		resp, err := c.exchangeUDP(ctx, wire, query, server)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			continue
+	resp, err := c.exchangeUDP(ctx, wire, query, server)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		if resp.Header.TC {
-			return c.ExchangeTCP(ctx, query, server)
-		}
-		return resp, nil
+		return nil, err
 	}
-	return nil, fmt.Errorf("dns53: all UDP attempts failed: %w", lastErr)
+	if resp.Header.TC {
+		return c.ExchangeTCP(ctx, query, server)
+	}
+	return resp, nil
 }
 
 func (c *Client) exchangeUDP(ctx context.Context, wire []byte, query *dnswire.Message, server string) (*dnswire.Message, error) {

@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
+	"encdns/internal/authdns"
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
 )
 
 // startServer launches a Server with the handler on loopback UDP and TCP,
@@ -33,16 +36,22 @@ func startServer(t *testing.T, h Handler) (udpAddr, tcpAddr string, srv *Server)
 }
 
 func staticHandler() Handler {
-	return Static(map[string][]net.IP{
-		"google.com.":    {net.ParseIP("142.250.1.100")},
-		"wikipedia.com.": {net.ParseIP("208.80.154.224"), net.ParseIP("2620:0:861:ed1a::1")},
-	})
+	z := authdns.NewZone(".")
+	z.AddA("google.com.", 300, netip.MustParseAddr("142.250.1.100"))
+	z.AddA("wikipedia.com.", 300, netip.MustParseAddr("208.80.154.224"))
+	z.AddA("wikipedia.com.", 300, netip.MustParseAddr("2620:0:861:ed1a::1"))
+	return z
+}
+
+// ask exchanges one query for name and type with server.
+func ask(ctx context.Context, c *Client, server, name string, t dnswire.Type) (*dnswire.Message, error) {
+	return c.Exchange(ctx, dnswire.NewQuery(NewID(), name, t), server)
 }
 
 func TestUDPQuery(t *testing.T) {
 	udp, _, _ := startServer(t, staticHandler())
 	c := &Client{}
-	resp, err := c.Query(context.Background(), udp, "google.com", dnswire.TypeA)
+	resp, err := ask(context.Background(), c, udp, "google.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestUDPQuery(t *testing.T) {
 func TestUDPNXDomain(t *testing.T) {
 	udp, _, _ := startServer(t, staticHandler())
 	c := &Client{}
-	resp, err := c.Query(context.Background(), udp, "nonexistent.example", dnswire.TypeA)
+	resp, err := ask(context.Background(), c, udp, "nonexistent.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +114,7 @@ func TestTCPConnectionReuse(t *testing.T) {
 func TestAAAAQuery(t *testing.T) {
 	udp, _, _ := startServer(t, staticHandler())
 	c := &Client{}
-	resp, err := c.Query(context.Background(), udp, "wikipedia.com", dnswire.TypeAAAA)
+	resp, err := ask(context.Background(), c, udp, "wikipedia.com", dnswire.TypeAAAA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +130,7 @@ func TestAAAAQuery(t *testing.T) {
 func TestTruncationFallback(t *testing.T) {
 	// A handler that answers with many records, overflowing 512 bytes so
 	// the UDP path truncates and the client retries over TCP.
-	big := HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	big := testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		r := q.Reply()
 		for i := 0; i < 60; i++ {
 			r.Answers = append(r.Answers, dnswire.Record{
@@ -143,7 +152,7 @@ func TestTruncationFallback(t *testing.T) {
 	defer srv.Shutdown()
 
 	c := &Client{}
-	resp, err := c.Query(context.Background(), pc.LocalAddr().String(), "txt.example", dnswire.TypeTXT)
+	resp, err := ask(context.Background(), c, pc.LocalAddr().String(), "txt.example", dnswire.TypeTXT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func TestTruncationFallback(t *testing.T) {
 func TestEDNSRaisesUDPLimit(t *testing.T) {
 	// ~30 TXT answers ≈ 1.7 KB: over 512 but under a 4096 EDNS buffer, so
 	// with EDNS the answer arrives over UDP un-truncated.
-	big := HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	big := testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		r := q.Reply()
 		for i := 0; i < 30; i++ {
 			r.Answers = append(r.Answers, dnswire.Record{
@@ -169,8 +178,9 @@ func TestEDNSRaisesUDPLimit(t *testing.T) {
 		return r, nil
 	})
 	udp, _, _ := startServer(t, big)
-	c := &Client{EDNSSize: 4096}
-	resp, err := c.Query(context.Background(), udp, "txt.example", dnswire.TypeTXT)
+	q := dnswire.NewQuery(NewID(), "txt.example", dnswire.TypeTXT)
+	q.SetEDNS(4096, false)
+	resp, err := (&Client{}).Exchange(context.Background(), q, udp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +190,12 @@ func TestEDNSRaisesUDPLimit(t *testing.T) {
 }
 
 func TestServerAnswersServfailOnHandlerError(t *testing.T) {
-	h := HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+	h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, errors.New("boom")
 	})
 	udp, _, _ := startServer(t, h)
 	c := &Client{}
-	resp, err := c.Query(context.Background(), udp, "any.example", dnswire.TypeA)
+	resp, err := ask(context.Background(), c, udp, "any.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +205,12 @@ func TestServerAnswersServfailOnHandlerError(t *testing.T) {
 }
 
 func TestServerContainsHandlerPanic(t *testing.T) {
-	h := HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+	h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 		panic("handler bug")
 	})
 	udp, _, _ := startServer(t, h)
 	c := &Client{}
-	resp, err := c.Query(context.Background(), udp, "any.example", dnswire.TypeA)
+	resp, err := ask(context.Background(), c, udp, "any.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +231,7 @@ func TestServerIgnoresGarbageUDP(t *testing.T) {
 	}
 	// Server must survive; a real query afterwards still works.
 	c := &Client{}
-	if _, err := c.Query(context.Background(), udp, "google.com", dnswire.TypeA); err != nil {
+	if _, err := ask(context.Background(), c, udp, "google.com", dnswire.TypeA); err != nil {
 		t.Fatalf("query after garbage: %v", err)
 	}
 }
@@ -248,9 +258,9 @@ func TestClientTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	c := &Client{Timeout: 50 * time.Millisecond, Retries: 1}
+	c := &Client{Timeout: 50 * time.Millisecond}
 	start := time.Now()
-	_, err = c.Query(context.Background(), pc.LocalAddr().String(), "google.com", dnswire.TypeA)
+	_, err = ask(context.Background(), c, pc.LocalAddr().String(), "google.com", dnswire.TypeA)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -272,7 +282,7 @@ func TestClientContextCancel(t *testing.T) {
 	}()
 	c := &Client{Timeout: 5 * time.Second}
 	start := time.Now()
-	_, err = c.Query(ctx, pc.LocalAddr().String(), "google.com", dnswire.TypeA)
+	_, err = ask(ctx, c, pc.LocalAddr().String(), "google.com", dnswire.TypeA)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -308,7 +318,7 @@ func TestClientIgnoresMismatchedID(t *testing.T) {
 		_, _ = pc.WriteTo(goodWire, from)
 	}()
 	c := &Client{}
-	resp, err := c.Query(context.Background(), pc.LocalAddr().String(), "example.com", dnswire.TypeA)
+	resp, err := ask(context.Background(), c, pc.LocalAddr().String(), "example.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net/netip"
 
 	"encdns/internal/bufpool"
 	"encdns/internal/dnswire"
@@ -42,13 +41,4 @@ func ReadTCPMsg(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// netipFrom converts a net.IP to netip.Addr, unmapping 4-in-6 forms.
-func netipFrom(ip []byte) (netip.Addr, bool) {
-	a, ok := netip.AddrFromSlice(ip)
-	if !ok {
-		return netip.Addr{}, false
-	}
-	return a.Unmap(), true
 }

@@ -1,5 +1,5 @@
 // Package dns53 implements conventional DNS transport (RFC 1035 §4.2):
-// a UDP client with retry and truncation fallback, a TCP client with
+// a UDP client with truncation fallback, a TCP client with
 // two-octet length framing, and a concurrent UDP/TCP server framework with
 // a handler interface. The DoT and DoH packages layer their transports over
 // the same Handler, so one resolver implementation can serve all three
@@ -8,7 +8,6 @@ package dns53
 
 import (
 	"context"
-	"net"
 
 	"encdns/internal/dnswire"
 )
@@ -49,44 +48,4 @@ type InMemory interface {
 func inMemory(h Handler) bool {
 	m, ok := h.(InMemory)
 	return ok && m.InMemory()
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error)
-
-// ServeDNS implements Handler.
-func (f HandlerFunc) ServeDNS(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error) {
-	return f(ctx, query)
-}
-
-// Static returns a handler that answers every A/AAAA question from the
-// given name → address map and NXDOMAIN otherwise. It is a building block
-// for tests and examples; real deployments use internal/resolver.
-func Static(records map[string][]net.IP) Handler {
-	return HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		r := q.Reply()
-		r.Header.RA = true
-		q0 := q.Question0()
-		ips, ok := records[dnswire.CanonicalName(q0.Name)]
-		if !ok {
-			r.Header.RCode = dnswire.RCodeNXDomain
-			return r, nil
-		}
-		for _, ip := range ips {
-			if ip4 := ip.To4(); ip4 != nil && q0.Type == dnswire.TypeA {
-				addr, _ := netipFrom(ip4)
-				r.Answers = append(r.Answers, dnswire.Record{
-					Name: q0.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-					TTL: 300, Data: &dnswire.A{Addr: addr},
-				})
-			} else if ip4 == nil && q0.Type == dnswire.TypeAAAA {
-				addr, _ := netipFrom(ip)
-				r.Answers = append(r.Answers, dnswire.Record{
-					Name: q0.Name, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN,
-					TTL: 300, Data: &dnswire.AAAA{Addr: addr},
-				})
-			}
-		}
-		return r, nil
-	})
 }

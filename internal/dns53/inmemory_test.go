@@ -136,7 +136,7 @@ func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 	}{
 		{"Forwarder", fixedClockForwarder(), true},
 		{"cluster.Node over an in-memory resolver", node, true},
-		{"HandlerFunc", dns53.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		{"HandlerFunc", testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 			return q.Reply(), nil
 		}), true},
 		{"Recursive over an exchanger that may block", blocking, true},

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
 	"encdns/internal/udpbatch"
 )
 
@@ -31,7 +32,7 @@ func (discardPacketConn) SetWriteDeadline(time.Time) error          { return nil
 // factored out. Cache hits do not take this path; BenchmarkServeUDPBatch
 // times the one they take.
 func BenchmarkServeUDP(b *testing.B) {
-	answer := HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	answer := testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		resp := q.Reply()
 		resp.Answers = append(resp.Answers, dnswire.Record{
 			Name: q.Question0().Name, Type: dnswire.TypeA, Class: dnswire.ClassIN,

@@ -127,7 +127,7 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 // TestShutdownIdempotent verifies repeated Shutdown calls return without
 // hanging or double-closing the worker channel.
 func TestShutdownIdempotent(t *testing.T) {
-	s := &Server{Handler: HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	s := &Server{Handler: testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		return q.Reply(), nil
 	})}
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")

@@ -3,29 +3,18 @@ package doh
 import (
 	"context"
 	"crypto/tls"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptrace"
-	"net/url"
 	"time"
 
 	"encdns/internal/bufpool"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
-)
-
-// Method selects how the client sends queries (RFC 8484 allows both).
-type Method int
-
-// Methods. GET is cache-friendly; POST is smaller and the common default.
-const (
-	MethodPOST Method = iota
-	MethodGET
 )
 
 // HTTPError reports a non-200 DoH response; the measurement engine
@@ -39,23 +28,18 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("doh: server returned %s", e.Status)
 }
 
-// Client issues RFC 8484 DoH queries.
+// Client issues RFC 8484 DoH queries, each a POST of the wire-format
+// message. Build one with NewClient.
 type Client struct {
-	// HTTP, when set, carries every query: a pooled client from
-	// NewClient, or one a caller injects (drain its idle pool with
-	// CloseIdle to make the next query pay connection set-up). A client
-	// from NewClient with reuse off leaves it nil and runs each query on a
-	// connection of its own, the paper's dig-style probe, with no pool to
-	// drain. Either way TLS sessions resume from the session cache: only a
-	// client's first connection to a server pays the full handshake. A nil
-	// HTTP on a Client built by hand uses a private default.
+	// HTTP carries every query of a client with reuse: a pooled client
+	// from NewClient. A client from NewClient with reuse off leaves it nil
+	// and runs each query on a connection of its own, the paper's
+	// dig-style probe. Either way TLS sessions resume from the session
+	// cache: only a client's first connection to a server pays the full
+	// handshake.
 	HTTP *http.Client
-	// Method selects GET or POST; default POST.
-	Method Method
 	// Timeout bounds each query; zero means 5s.
 	Timeout time.Duration
-	// UserAgent is sent on requests when non-empty.
-	UserAgent string
 
 	fresh *freshConfig // NewClient's, with reuse off
 }
@@ -106,13 +90,6 @@ func NewClient(tlsCfg *tls.Config, dialer dns53.ContextDialer, reuse bool) *Clie
 	return &Client{HTTP: &http.Client{Transport: tr}}
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
-	}
-	return c.HTTP
-}
-
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
 		return c.Timeout
@@ -120,32 +97,16 @@ func (c *Client) timeout() time.Duration {
 	return 5 * time.Second
 }
 
-// oneShot reports whether queries run on connections of their own.
-func (c *Client) oneShot() bool { return c.HTTP == nil && c.fresh != nil }
-
 // CloseIdle drops pooled connections, forcing the next query to pay the
 // full TCP+TLS establishment cost. A fresh-connection client pools none.
 func (c *Client) CloseIdle() {
-	if !c.oneShot() {
-		c.http().CloseIdleConnections()
+	if c.HTTP != nil {
+		c.HTTP.CloseIdleConnections()
 	}
 }
 
-// Query exchanges a single question with the DoH endpoint URL (e.g.
-// "https://dns.example/dns-query").
-func (c *Client) Query(ctx context.Context, endpoint, name string, t dnswire.Type) (*dnswire.Message, error) {
-	// RFC 8484 recommends ID 0 for cacheability of GETs; the TLS channel
-	// provides the anti-spoofing the ID used to.
-	id := uint16(0)
-	if c.Method == MethodPOST {
-		id = dns53.NewID()
-	}
-	q := dnswire.NewQuery(id, name, t)
-	q.SetEDNS(dnswire.MaxEDNSSize, false)
-	return c.Exchange(ctx, q, endpoint)
-}
-
-// Exchange sends the query to the endpoint and parses the response.
+// Exchange sends the query to the endpoint URL (e.g.
+// "https://dns.example/dns-query") and parses the response.
 func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint string) (*dnswire.Message, error) {
 	bp := bufpool.Get()
 	wire, err := query.AppendPack((*bp)[:0])
@@ -157,42 +118,24 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	ctx = withClientTrace(ctx)
-	if c.oneShot() {
+	if c.fresh != nil {
 		defer bufpool.Put(bp)
 		return c.exchangeFresh(ctx, wire, query, endpoint)
 	}
 
+	// The transport owns body until the request write loop finishes;
+	// body.Close (called by the transport) recycles it.
 	body := newPooledBody(bp)
-	var req *http.Request
-	if c.Method == MethodGET {
-		// The wire bytes are dead once base64-encoded into the URL, so the
-		// buffer can be released when this function returns.
-		defer body.Close()
-		u, err := url.Parse(endpoint)
-		if err != nil {
-			return nil, fmt.Errorf("doh: endpoint: %w", err)
-		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodGet, withDNSParam(*u, wire).String(), nil)
-		if err != nil {
-			return nil, fmt.Errorf("doh: building request: %w", err)
-		}
-	} else {
-		// For POST the transport owns body until the request write loop
-		// finishes; body.Close (called by the transport) recycles it.
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, endpoint, body)
-		if err != nil {
-			body.Close()
-			return nil, fmt.Errorf("doh: building request: %w", err)
-		}
-		req.ContentLength = int64(len(wire))
-		req.Header.Set("Content-Type", ContentType)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, body)
+	if err != nil {
+		body.Close()
+		return nil, fmt.Errorf("doh: building request: %w", err)
 	}
+	req.ContentLength = int64(len(wire))
+	req.Header.Set("Content-Type", ContentType)
 	req.Header.Set("Accept", ContentType)
-	if c.UserAgent != "" {
-		req.Header.Set("User-Agent", c.UserAgent)
-	}
 
-	httpResp, err := c.http().Do(req)
+	httpResp, err := c.HTTP.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("doh: request: %w", err)
 	}
@@ -211,15 +154,6 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint 
 		return nil, bodyErr(err)
 	}
 	return unpackResponse(raw, query)
-}
-
-// withDNSParam returns u with the dns parameter of an RFC 8484 GET set to
-// wire.
-func withDNSParam(u url.URL, wire []byte) *url.URL {
-	qs := u.Query()
-	qs.Set("dns", base64.RawURLEncoding.EncodeToString(wire))
-	u.RawQuery = qs.Encode()
-	return &u
 }
 
 // bodyErr is the error of a response whose body could not be read.

@@ -6,43 +6,46 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"net/url"
 	"strings"
 	"testing"
 	"time"
 
+	"encdns/internal/authdns"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
 )
 
 func static() dns53.Handler {
-	return dns53.Static(map[string][]net.IP{
-		"google.com.":    {net.ParseIP("142.250.1.100")},
-		"wikipedia.com.": {net.ParseIP("208.80.154.224")},
-	})
+	z := authdns.NewZone(".")
+	z.AddA("google.com.", 300, netip.MustParseAddr("142.250.1.100"))
+	z.AddA("wikipedia.com.", 300, netip.MustParseAddr("208.80.154.224"))
+	return z
 }
 
 // startDoH stands up an httptest TLS server with the RFC 8484 handler and
-// returns its endpoint URL plus a ready client.
-func startDoH(t *testing.T, h dns53.Handler, method Method, reuse bool) (string, *Client) {
+// returns its endpoint URL plus a client from NewClient that trusts it.
+func startDoH(t *testing.T, h dns53.Handler, reuse bool) (string, *Client) {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle(DefaultPath, &Handler{DNS: h})
 	ts := httptest.NewTLSServer(mux)
 	t.Cleanup(ts.Close)
-	cli := &Client{HTTP: ts.Client(), Method: method}
-	if tr, ok := ts.Client().Transport.(*http.Transport); ok {
-		tr.DisableKeepAlives = !reuse
-	}
-	return ts.URL + DefaultPath, cli
+	return ts.URL + DefaultPath, NewClient(ts.Client().Transport.(*http.Transport).TLSClientConfig, nil, reuse)
+}
+
+// ask exchanges one query for name and type with endpoint.
+func ask(ctx context.Context, c *Client, endpoint, name string, t dnswire.Type) (*dnswire.Message, error) {
+	return c.Exchange(ctx, dnswire.NewQuery(dns53.NewID(), name, t), endpoint)
 }
 
 func TestDoHPOST(t *testing.T) {
-	endpoint, c := startDoH(t, static(), MethodPOST, true)
-	resp, err := c.Query(context.Background(), endpoint, "google.com", dnswire.TypeA)
+	endpoint, c := startDoH(t, static(), true)
+	resp, err := ask(context.Background(), c, endpoint, "google.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,34 +58,50 @@ func TestDoHPOST(t *testing.T) {
 	}
 }
 
+// TestDoHGET: the server answers an RFC 8484 GET, whose query carries ID
+// 0 for cacheability, with ID 0.
 func TestDoHGET(t *testing.T) {
-	endpoint, c := startDoH(t, static(), MethodGET, true)
-	resp, err := c.Query(context.Background(), endpoint, "wikipedia.com", dnswire.TypeA)
+	mux := http.NewServeMux()
+	mux.Handle(DefaultPath, &Handler{DNS: static()})
+	ts := httptest.NewTLSServer(mux)
+	defer ts.Close()
+	wire, err := dnswire.NewQuery(0, "wikipedia.com", dnswire.TypeA).Pack()
 	if err != nil {
 		t.Fatal(err)
+	}
+	httpResp, err := ts.Client().Get(ts.URL + DefaultPath + "?dns=" + base64.RawURLEncoding.EncodeToString(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	body, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := dnswire.Unpack(body)
+	if err != nil {
+		t.Fatalf("status %d: %v", httpResp.StatusCode, err)
 	}
 	if len(resp.Answers) != 1 {
 		t.Fatalf("answers = %d", len(resp.Answers))
 	}
-	// RFC 8484 GETs use ID 0 for cacheability.
 	if resp.Header.ID != 0 {
 		t.Errorf("GET response ID = %d, want 0", resp.Header.ID)
 	}
 }
 
 func TestDoHFreshConnections(t *testing.T) {
-	endpoint, c := startDoH(t, static(), MethodPOST, false)
+	endpoint, c := startDoH(t, static(), false)
 	for i := 0; i < 3; i++ {
-		c.CloseIdle()
-		if _, err := c.Query(context.Background(), endpoint, "google.com", dnswire.TypeA); err != nil {
+		if _, err := ask(context.Background(), c, endpoint, "google.com", dnswire.TypeA); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
 }
 
 func TestDoHNXDomain(t *testing.T) {
-	endpoint, c := startDoH(t, static(), MethodPOST, true)
-	resp, err := c.Query(context.Background(), endpoint, "missing.example", dnswire.TypeA)
+	endpoint, c := startDoH(t, static(), true)
+	resp, err := ask(context.Background(), c, endpoint, "missing.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +180,11 @@ func TestDoHServerRejectsBadRequests(t *testing.T) {
 }
 
 func TestDoHServfailOnHandlerError(t *testing.T) {
-	h := dns53.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+	h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, errors.New("resolver exploded")
 	})
-	endpoint, c := startDoH(t, h, MethodPOST, true)
-	resp, err := c.Query(context.Background(), endpoint, "any.example", dnswire.TypeA)
+	endpoint, c := startDoH(t, h, true)
+	resp, err := ask(context.Background(), c, endpoint, "any.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +199,7 @@ func TestDoHClientClassifiesHTTPErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := &Client{HTTP: ts.Client()}
-	_, err := c.Query(context.Background(), ts.URL, "google.com", dnswire.TypeA)
+	_, err := ask(context.Background(), c, ts.URL, "google.com", dnswire.TypeA)
 	var he *HTTPError
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *HTTPError", err)
@@ -276,7 +295,7 @@ func TestDoHHTTP2Negotiated(t *testing.T) {
 	defer ts.Close()
 
 	c := &Client{HTTP: ts.Client()}
-	resp, err := c.Query(context.Background(), ts.URL+DefaultPath, "google.com", dnswire.TypeA)
+	resp, err := ask(context.Background(), c, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +313,7 @@ func TestDoHTimeout(t *testing.T) {
 	defer ts.Close()
 	c := &Client{HTTP: ts.Client(), Timeout: 100 * time.Millisecond}
 	start := time.Now()
-	_, err := c.Query(context.Background(), ts.URL+DefaultPath, "google.com", dnswire.TypeA)
+	_, err := ask(context.Background(), c, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}

@@ -149,9 +149,6 @@ func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.
 	}
 
 	path := t.url.RequestURI()
-	if c.Method == MethodGET {
-		path = withDNSParam(*t.url, wire).RequestURI()
-	}
 	outp, inp := bufpool.Get(), bufpool.Get()
 	defer func() {
 		bufpool.Put(outp)
@@ -159,9 +156,9 @@ func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.
 	}()
 	h2 := state.NegotiatedProtocol == "h2"
 	if h2 { // the read buffer is the header block's scratch until the write
-		*outp, *inp = c.appendH2Request((*outp)[:0], (*inp)[:0], t.url.Host, path, wire)
+		*outp, *inp = appendH2Request((*outp)[:0], (*inp)[:0], t.url.Host, path, wire)
 	} else {
-		*outp = c.appendH1Request((*outp)[:0], t.url.Host, path, wire)
+		*outp = appendH1Request((*outp)[:0], t.url.Host, path, wire)
 	}
 	_, err = conn.Write(*outp)
 	if trace.WroteRequest != nil {
@@ -174,27 +171,17 @@ func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.
 }
 
 // appendH2Request appends the client preface, SETTINGS, WINDOW_UPDATE,
-// HEADERS and, for a POST, DATA: the request in one write. The header
-// block, built in block, needs no table: :method and :scheme indexed, the
-// rest literals under static-table names (RFC 7541 Appendix A).
-func (c *Client) appendH2Request(out, block []byte, authority, path string, wire []byte) ([]byte, []byte) {
-	post := c.Method != MethodGET
-	method := byte(0x82) // GET; POST is 0x83
-	if post {
-		method = 0x83
-	}
-	block = append(block, method, 0x87) // :scheme https
+// HEADERS and DATA: the POST in one write. The header block, built in
+// block, needs no table: :method and :scheme indexed, the rest literals
+// under static-table names (RFC 7541 Appendix A).
+func appendH2Request(out, block []byte, authority, path string, wire []byte) ([]byte, []byte) {
+	block = append(block, 0x83, 0x87) // :method POST, :scheme https
 	block = appendNamedField(appendNamedField(block, 1, authority), 4, path)
-	block = appendNamedField(block, 19, ContentType) // accept
-	if post {
-		block = appendNamedField(block, 31, ContentType)              // content-type
-		block = appendDecimalField(block, 0x0d, "", int64(len(wire))) // content-length
-	}
-	if c.UserAgent != "" {
-		block = appendNamedField(block, 58, c.UserAgent)
-	}
-	out = appendHeaders(append(append(out, h2ClientPreface...), h2FreshStart...), !post, 1, block)
-	for post && len(wire) > 0 {
+	block = appendNamedField(block, 19, ContentType)              // accept
+	block = appendNamedField(block, 31, ContentType)              // content-type
+	block = appendDecimalField(block, 0x0d, "", int64(len(wire))) // content-length
+	out = appendHeaders(append(append(out, h2ClientPreface...), h2FreshStart...), false, 1, block)
+	for len(wire) > 0 {
 		n := min(len(wire), h2MaxFrame)
 		var flags byte
 		if n == len(wire) {
@@ -206,19 +193,10 @@ func (c *Client) appendH2Request(out, block []byte, authority, path string, wire
 	return out, block
 }
 
-func (c *Client) appendH1Request(out []byte, host, path string, wire []byte) []byte {
-	method, body := "POST", wire
-	if c.Method == MethodGET {
-		method, body = "GET", nil
-	}
-	out = fmt.Appendf(out, "%s %s HTTP/1.1\r\nHost: %s\r\nAccept: %s\r\nConnection: close\r\n", method, path, host, ContentType)
-	if c.UserAgent != "" {
-		out = fmt.Appendf(out, "User-Agent: %s\r\n", c.UserAgent)
-	}
-	if body != nil {
-		out = fmt.Appendf(out, "Content-Type: %s\r\nContent-Length: %d\r\n", ContentType, len(body))
-	}
-	return append(append(out, "\r\n"...), body...)
+func appendH1Request(out []byte, host, path string, wire []byte) []byte {
+	out = fmt.Appendf(out, "POST %s HTTP/1.1\r\nHost: %s\r\nAccept: %s\r\nConnection: close\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		path, host, ContentType, ContentType, len(wire))
+	return append(out, wire...)
 }
 
 // appendNamedField appends a literal header field without indexing whose

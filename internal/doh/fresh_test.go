@@ -72,7 +72,7 @@ func TestFreshProbeShape(t *testing.T) {
 	full, resumed := handshakesFull.Value(), handshakesResumed.Value()
 	for i := range 4 {
 		before := d.writes.Load()
-		resp, err := c.Query(context.Background(), endpoint, "hit.test.", dnswire.TypeA)
+		resp, err := ask(context.Background(), c, endpoint, "hit.test.", dnswire.TypeA)
 		if err != nil || len(resp.Answers) != 1 {
 			t.Fatalf("probe %d: %v %v", i, resp, err)
 		}
@@ -108,7 +108,7 @@ func TestFreshConcurrentProbes(t *testing.T) {
 				if (g+i)%2 == 1 {
 					endpoint = second
 				}
-				if _, err := c.Query(context.Background(), endpoint, "hit.test.", dnswire.TypeA); err != nil {
+				if _, err := ask(context.Background(), c, endpoint, "hit.test.", dnswire.TypeA); err != nil {
 					t.Errorf("%s: %v", endpoint, err)
 				}
 			}
@@ -270,7 +270,7 @@ func TestFreshCancellation(t *testing.T) {
 			defer cancel()
 			errc := make(chan error, 1)
 			go func() {
-				_, err := c.Query(ctx, tc.endpoint, "hit.test.", dnswire.TypeA)
+				_, err := ask(ctx, c, tc.endpoint, "hit.test.", dnswire.TypeA)
 				errc <- err
 			}()
 			select {

@@ -36,7 +36,7 @@ func TestDoHSessionResumption(t *testing.T) {
 				}
 			},
 		})
-		resp, err := c.Query(ctx, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
+		resp, err := ask(ctx, c, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestDoHResumptionCounters(t *testing.T) {
 	resumedBefore := handshakesResumed.Value()
 	fullBefore := handshakesFull.Value()
 	for i := 0; i < 2; i++ {
-		if _, err := c.Query(context.Background(), ts.URL+DefaultPath, "google.com", dnswire.TypeA); err != nil {
+		if _, err := ask(context.Background(), c, ts.URL+DefaultPath, "google.com", dnswire.TypeA); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

@@ -21,16 +21,14 @@ import (
 	"encdns/internal/obs"
 )
 
-// Process-wide pool instruments. The typed Stats accessor remains the
-// per-client view; these fold the same events into the obs registry so
-// the DoT connection cache shows up at /metrics.
+// Process-wide pool instruments: the DoT connection cache at /metrics.
 var (
 	poolHits = obs.Default().Counter("transport_dot_pool_hits_total",
 		"DoT exchanges served over a cached TLS session.")
 	poolMisses = obs.Default().Counter("transport_dot_pool_misses_total",
 		"DoT exchanges that had to dial and handshake.")
 	poolEvictions = obs.Default().Counter("transport_dot_pool_evictions_total",
-		"Cached DoT sessions dropped for staleness or bound.")
+		"Cached DoT sessions dropped: stale, over the bound, or dead when reused.")
 	poolIdle = obs.Default().Gauge("transport_dot_pool_idle",
 		"Currently cached DoT sessions across clients.")
 	handshakesResumed = obs.Default().Counter("transport_dot_handshakes_total",
@@ -52,16 +50,9 @@ type Client struct {
 	// related work (Zhu et al., Böttger et al.) found connection reuse
 	// amortises most of the encryption overhead.
 	Reuse bool
-	// MaxIdleConns bounds the connection cache across servers; zero
-	// means 4. The oldest idle connection is evicted when full.
-	MaxIdleConns int
-	// IdleTimeout evicts cached connections idle longer than this; zero
-	// means 60 seconds (matching the DoH transport's idle timeout).
-	IdleTimeout time.Duration
 
 	mu       sync.Mutex
-	conns    map[string]*idleConn // cached connections when Reuse is set
-	stats    PoolStats
+	conns    map[string]*idleConn   // cached connections when Reuse is set
 	sessions tls.ClientSessionCache // lazily created, shared across dials
 	now      func() time.Time       // test hook; nil means time.Now
 }
@@ -72,19 +63,13 @@ type idleConn struct {
 	last time.Time
 }
 
-// PoolStats counts connection-cache activity; the transport layer
-// surfaces it as transport.PoolStats.
-type PoolStats struct {
-	// Hits counts queries served over a cached connection.
-	Hits uint64
-	// Misses counts queries that had to dial and handshake.
-	Misses uint64
-	// Evictions counts cached connections dropped for staleness or to
-	// respect MaxIdleConns.
-	Evictions uint64
-	// Idle is the number of currently cached connections.
-	Idle int
-}
+// The connection cache's bounds: at most maxIdleConns connections across
+// servers, the least recently used evicted when full, and none idle longer
+// than idleTimeout (the DoH transport's idle timeout).
+const (
+	maxIdleConns = 4
+	idleTimeout  = 60 * time.Second
+)
 
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
@@ -100,20 +85,6 @@ func (c *Client) dialer() dns53.ContextDialer {
 	return &net.Dialer{}
 }
 
-func (c *Client) maxIdle() int {
-	if c.MaxIdleConns > 0 {
-		return c.MaxIdleConns
-	}
-	return 4
-}
-
-func (c *Client) idleTimeout() time.Duration {
-	if c.IdleTimeout > 0 {
-		return c.IdleTimeout
-	}
-	return 60 * time.Second
-}
-
 func (c *Client) clock() time.Time {
 	if c.now != nil {
 		return c.now()
@@ -121,12 +92,8 @@ func (c *Client) clock() time.Time {
 	return time.Now()
 }
 
-// Query exchanges a single question with the server ("host:port").
-func (c *Client) Query(ctx context.Context, server, name string, t dnswire.Type) (*dnswire.Message, error) {
-	return c.Exchange(ctx, dnswire.NewQuery(dns53.NewID(), name, t), server)
-}
-
-// Exchange sends query to server over TLS and returns the response.
+// Exchange sends query to server ("host:port") over TLS and returns the
+// response.
 func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server string) (*dnswire.Message, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
@@ -139,9 +106,6 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server st
 		// through to a fresh dial — exactly what stub resolvers do.
 	}
 	if c.Reuse {
-		c.mu.Lock()
-		c.stats.Misses++
-		c.mu.Unlock()
 		poolMisses.Inc()
 	}
 	conn, err := c.dial(ctx, server)
@@ -164,7 +128,8 @@ func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server st
 }
 
 // exchangeCached tries the cached connection for server, evicting stale
-// entries first.
+// entries first. Only an exchange that succeeds on it counts as a hit; a
+// connection that turns out dead is an eviction.
 func (c *Client) exchangeCached(ctx context.Context, query *dnswire.Message, server string) (*dnswire.Message, error) {
 	c.mu.Lock()
 	c.evictStaleLocked()
@@ -174,16 +139,16 @@ func (c *Client) exchangeCached(ctx context.Context, query *dnswire.Message, ser
 		return nil, errors.New("dot: no cached connection")
 	}
 	delete(c.conns, server) // claim it; returned on success
-	c.stats.Hits++
 	poolIdle.Dec()
 	c.mu.Unlock()
-	poolHits.Inc()
 	obs.Annotate(ctx, "dot: reusing cached session to %s", server)
 	resp, err := exchangeOn(ctx, ic.conn, query)
 	if err != nil {
 		ic.conn.Close()
+		poolEvictions.Inc()
 		return nil, err
 	}
+	poolHits.Inc()
 	c.store(ic.conn, server)
 	return resp, nil
 }
@@ -198,14 +163,13 @@ func (c *Client) store(conn *tls.Conn, server string) {
 	if old := c.conns[server]; old != nil && old.conn != conn {
 		// Replacement: the idle count is unchanged (one out, one in).
 		closing = append(closing, old.conn)
-		c.stats.Evictions++
 		poolEvictions.Inc()
 	} else if old == nil {
 		poolIdle.Inc()
 	}
 	c.conns[server] = &idleConn{conn: conn, last: c.clock()}
 	// Over the bound: evict the least recently used other entry.
-	for len(c.conns) > c.maxIdle() {
+	for len(c.conns) > maxIdleConns {
 		var oldestKey string
 		var oldest *idleConn
 		for k, ic := range c.conns {
@@ -221,7 +185,6 @@ func (c *Client) store(conn *tls.Conn, server string) {
 		}
 		delete(c.conns, oldestKey)
 		closing = append(closing, oldest.conn)
-		c.stats.Evictions++
 		poolEvictions.Inc()
 		poolIdle.Dec()
 	}
@@ -231,28 +194,18 @@ func (c *Client) store(conn *tls.Conn, server string) {
 	}
 }
 
-// evictStaleLocked drops connections idle past IdleTimeout. Callers hold
+// evictStaleLocked drops connections idle past idleTimeout. Callers hold
 // c.mu.
 func (c *Client) evictStaleLocked() {
-	cutoff := c.clock().Add(-c.idleTimeout())
+	cutoff := c.clock().Add(-idleTimeout)
 	for k, ic := range c.conns {
 		if ic.last.Before(cutoff) {
 			delete(c.conns, k)
 			ic.conn.Close()
-			c.stats.Evictions++
 			poolEvictions.Inc()
 			poolIdle.Dec()
 		}
 	}
-}
-
-// Stats reports connection-cache counters.
-func (c *Client) Stats() PoolStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Idle = len(c.conns)
-	return s
 }
 
 // Close drops every cached connection.

@@ -5,13 +5,16 @@ import (
 	"context"
 	"crypto/tls"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
+	"encdns/internal/authdns"
 	"encdns/internal/certs"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
+	"encdns/internal/testutil"
 )
 
 // startDoT stands up a DoT server over a fresh CA and returns the address,
@@ -41,15 +44,41 @@ func startDoT(t *testing.T, h dns53.Handler) (addr string, clientTLS *tls.Config
 }
 
 func static() dns53.Handler {
-	return dns53.Static(map[string][]net.IP{
-		"google.com.": {net.ParseIP("142.250.1.100")},
-	})
+	z := authdns.NewZone(".")
+	z.AddA("google.com.", 300, netip.MustParseAddr("142.250.1.100"))
+	return z
+}
+
+// ask exchanges one google.com. A query with server.
+func ask(c *Client, server string) (*dnswire.Message, error) {
+	return c.Exchange(context.Background(), dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA), server)
+}
+
+// poolCounts is a reading of the transport_dot_pool_* series.
+type poolCounts struct {
+	hits, misses, evictions uint64
+	idle                    int64
+}
+
+func readPool(t *testing.T) poolCounts {
+	t.Helper()
+	return poolCounts{
+		hits:      testutil.CounterValue(t, "transport_dot_pool_hits_total"),
+		misses:    testutil.CounterValue(t, "transport_dot_pool_misses_total"),
+		evictions: testutil.CounterValue(t, "transport_dot_pool_evictions_total"),
+		idle:      poolIdle.Value(),
+	}
+}
+
+// since is the change from an earlier reading.
+func (p poolCounts) since(before poolCounts) poolCounts {
+	return poolCounts{p.hits - before.hits, p.misses - before.misses, p.evictions - before.evictions, p.idle - before.idle}
 }
 
 func TestDoTQuery(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
 	c := &Client{TLS: cliTLS}
-	resp, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA)
+	resp, err := ask(c, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +91,7 @@ func TestDoTUntrustedCertRejected(t *testing.T) {
 	addr, _ := startDoT(t, static())
 	// Client with empty root pool trusts nothing.
 	c := &Client{TLS: &tls.Config{RootCAs: nil, ServerName: "dot.test"}}
-	_, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA)
+	_, err := ask(c, addr)
 	if err == nil {
 		t.Fatal("untrusted certificate accepted")
 	}
@@ -73,7 +102,7 @@ func TestDoTReuse(t *testing.T) {
 	c := &Client{TLS: cliTLS, Reuse: true}
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		resp, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA)
+		resp, err := ask(c, addr)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -97,12 +126,18 @@ func TestDoTReuseSurvivesServerClosingConn(t *testing.T) {
 
 	c := &Client{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true}
 	defer c.Close()
-	if _, err := c.Query(context.Background(), ln.Addr().String(), "google.com", dnswire.TypeA); err != nil {
+	before := readPool(t)
+	if _, err := ask(c, ln.Addr().String()); err != nil {
 		t.Fatalf("first query: %v", err)
 	}
 	time.Sleep(150 * time.Millisecond) // server read deadline passes
-	if _, err := c.Query(context.Background(), ln.Addr().String(), "google.com", dnswire.TypeA); err != nil {
+	if _, err := ask(c, ln.Addr().String()); err != nil {
 		t.Fatalf("query after idle close: %v", err)
+	}
+	// The dead cached connection is an eviction, not a hit, and the redial
+	// a second miss.
+	if d := readPool(t).since(before); d.hits != 0 || d.misses != 2 || d.evictions != 1 || d.idle != 1 {
+		t.Errorf("pool deltas = %+v, want 0 hits, 2 misses, 1 eviction, 1 idle", d)
 	}
 }
 
@@ -124,7 +159,7 @@ func TestDoTTimeout(t *testing.T) {
 	}()
 	c := &Client{Timeout: 100 * time.Millisecond, TLS: &tls.Config{InsecureSkipVerify: true}}
 	start := time.Now()
-	_, err = c.Query(context.Background(), ln.Addr().String(), "google.com", dnswire.TypeA)
+	_, err = ask(c, ln.Addr().String())
 	if err == nil {
 		t.Fatal("expected handshake timeout")
 	}
@@ -140,7 +175,7 @@ func TestDoTServerNameInferred(t *testing.T) {
 	cfg := cliTLS.Clone()
 	cfg.ServerName = ""
 	c := &Client{TLS: cfg}
-	if _, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA); err != nil {
+	if _, err := ask(c, addr); err != nil {
 		t.Fatalf("query with inferred server name: %v", err)
 	}
 }
@@ -168,61 +203,64 @@ func TestDoTPoolStatsCounters(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
 	c := &Client{TLS: cliTLS, Reuse: true}
 	defer c.Close()
+	before := readPool(t)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA); err != nil {
+		if _, err := ask(c, addr); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 2 || s.Idle != 1 || s.Evictions != 0 {
-		t.Errorf("stats = %+v, want 1 miss, 2 hits, 1 idle, 0 evictions", s)
+	if d := readPool(t).since(before); d.misses != 1 || d.hits != 2 || d.idle != 1 || d.evictions != 0 {
+		t.Errorf("pool deltas = %+v, want 1 miss, 2 hits, 1 idle, 0 evictions", d)
 	}
 }
 
 func TestDoTPoolBoundedEviction(t *testing.T) {
-	// Two servers under one client bounded to a single cached
-	// connection: alternating queries evict the other server's session
-	// every time.
-	addrA, _ := startDoT(t, static())
-	addrB, _ := startDoT(t, static())
-	// One CA per startDoT call; trust both by skipping verification.
-	c := &Client{TLS: &tls.Config{InsecureSkipVerify: true}, Reuse: true, MaxIdleConns: 1}
+	// One server more than the cache holds: the last dial evicts the least
+	// recently used session, so the first server dials again and evicts
+	// the next oldest.
+	addrs := make([]string, maxIdleConns+1)
+	for i := range addrs {
+		addrs[i], _ = startDoT(t, static())
+	}
+	// One CA per startDoT call; trust them all by skipping verification.
+	c := &Client{TLS: &tls.Config{InsecureSkipVerify: true}, Reuse: true}
 	defer c.Close()
-	for i, addr := range []string{addrA, addrB, addrA} {
-		if _, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA); err != nil {
+	before := readPool(t)
+	for i, addr := range append(addrs, addrs[0]) {
+		if _, err := ask(c, addr); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	s := c.Stats()
-	if s.Idle != 1 {
-		t.Errorf("idle = %d, want the bound of 1", s.Idle)
+	d := readPool(t).since(before)
+	if d.idle != maxIdleConns {
+		t.Errorf("idle = %d, want the bound of %d", d.idle, maxIdleConns)
 	}
-	if s.Evictions != 2 || s.Misses != 3 || s.Hits != 0 {
-		t.Errorf("stats = %+v, want 3 misses, 0 hits, 2 evictions", s)
+	if d.evictions != 2 || d.misses != maxIdleConns+2 || d.hits != 0 {
+		t.Errorf("pool deltas = %+v, want %d misses, 0 hits, 2 evictions", d, maxIdleConns+2)
 	}
 }
 
 func TestDoTPoolStaleEviction(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
 	clock := time.Now()
-	c := &Client{TLS: cliTLS, Reuse: true, IdleTimeout: time.Minute}
+	c := &Client{TLS: cliTLS, Reuse: true}
 	c.now = func() time.Time { return clock }
 	defer c.Close()
-	if _, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA); err != nil {
+	before := readPool(t)
+	if _, err := ask(c, addr); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Idle != 1 {
-		t.Fatalf("idle = %d after first query", s.Idle)
+	if d := readPool(t).since(before); d.idle != 1 {
+		t.Fatalf("idle = %d after first query", d.idle)
 	}
-	// Two minutes pass: the cached session is stale, so the next query
-	// evicts it and dials fresh.
-	clock = clock.Add(2 * time.Minute)
-	if _, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA); err != nil {
+	// The cached session goes stale, so the next query evicts it and
+	// dials fresh.
+	clock = clock.Add(idleTimeout + time.Minute)
+	if _, err := ask(c, addr); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Stats()
-	if s.Evictions != 1 || s.Hits != 0 || s.Misses != 2 || s.Idle != 1 {
-		t.Errorf("stats = %+v, want 2 misses, 0 hits, 1 eviction, 1 idle", s)
+	if d := readPool(t).since(before); d.evictions != 1 || d.hits != 0 || d.misses != 2 || d.idle != 1 {
+		t.Errorf("pool deltas = %+v, want 2 misses, 0 hits, 1 eviction, 1 idle", d)
 	}
 }
 
@@ -243,7 +281,7 @@ func TestShutdownStopsServe(t *testing.T) {
 
 	c := &Client{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true}
 	defer c.Close()
-	if _, err := c.Query(context.Background(), ln.Addr().String(), "google.com", dnswire.TypeA); err != nil {
+	if _, err := ask(c, ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	shut := make(chan struct{})

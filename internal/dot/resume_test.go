@@ -1,7 +1,6 @@
 package dot
 
 import (
-	"context"
 	"crypto/tls"
 	"testing"
 
@@ -66,7 +65,7 @@ func TestClientResumesAcrossDials(t *testing.T) {
 	resumedBefore := handshakesResumed.Value()
 	fullBefore := handshakesFull.Value()
 	for i := 0; i < 2; i++ {
-		if _, err := c.Query(context.Background(), addr, "google.com", dnswire.TypeA); err != nil {
+		if _, err := ask(c, addr); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

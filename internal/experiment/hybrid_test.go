@@ -85,17 +85,14 @@ func TestLiveVsSimAgreement(t *testing.T) {
 	ts := httptest.NewTLSServer(mux)
 	defer ts.Close()
 
-	baseTr := ts.Client().Transport.(*http.Transport)
 	ld := &latencyDialer{oneWay: time.Duration(oneWayMs * float64(time.Millisecond))}
-	tr := baseTr.Clone()
-	tr.DialContext = ld.DialContext
-	tr.DisableKeepAlives = true
-
+	// Fresh connections through the one-shot client dnsmeasure runs.
 	liveProber := &core.LiveProber{
 		Transport: transport.NewPool(transport.Options{
-			HTTPClient: &http.Client{Transport: tr},
-			Timeout:    10 * time.Second,
-			Retry:      &transport.RetryPolicy{MaxAttempts: 1},
+			TLS:     ts.Client().Transport.(*http.Transport).TLSClientConfig,
+			Dialer:  ld,
+			Timeout: 10 * time.Second,
+			Retry:   &transport.RetryPolicy{MaxAttempts: 1},
 		}),
 	}
 	liveCfg := core.CampaignConfig{

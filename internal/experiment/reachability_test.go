@@ -2,11 +2,12 @@ package experiment
 
 import (
 	"context"
-	"net"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
+	"encdns/internal/authdns"
 	"encdns/internal/certs"
 	"encdns/internal/dns53"
 	"encdns/internal/dot"
@@ -22,9 +23,9 @@ func startReachDoT(t *testing.T, vn *netsim.VirtualNet, ca *certs.CA, addr, serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := &dns53.Server{Handler: dns53.Static(map[string][]net.IP{
-		"example.com.": {net.ParseIP("192.0.2.1")},
-	})}
+	zone := authdns.NewZone(".")
+	zone.AddA("example.com.", 300, netip.MustParseAddr("192.0.2.1"))
+	inner := &dns53.Server{Handler: zone}
 	ln, err := vn.Listen(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -115,7 +115,7 @@ func refQuery(n *Net, v Vantage, e *Endpoint, p Protocol, reuse bool, round int,
 		return res
 	}
 	var totalMs float64
-	for i := 0; i < roundTrips(p, e, reuse)+e.ExtraRTT; i++ {
+	for i := 0; i < roundTrips(p, e, reuse); i++ {
 		totalMs += refRTT(n, rng, v, e)
 	}
 	res.CacheHit = stats.Bernoulli(rng, e.CacheHitP)
@@ -174,7 +174,7 @@ func pathFixture() (*Net, []Vantage, []*Endpoint) {
 		flaky(goodEndpoint("twin", geo.Tokyo)),
 		flaky(goodEndpoint("twin", geo.Dallas, geo.Amsterdam)),
 		{Name: "tls12-relay", Sites: []geo.Coord{geo.Nuremberg}, ICMPResponds: true, TLS12: true,
-			ExtraRTT: 1, ProcMs: 48, ProcSigma: 0.35, CacheHitP: 0.5, RecurseMs: 45, FailP: 0.3},
+			ProcMs: 48, ProcSigma: 0.35, CacheHitP: 0.5, RecurseMs: 45, FailP: 0.3},
 		{Name: "down", Sites: global, Down: true},
 		{Name: "nowhere", ICMPResponds: true, ProcMs: 2, ProcSigma: 0.3, CacheHitP: 0.9, RecurseMs: 40},
 	}
@@ -247,8 +247,8 @@ func TestHoistedPathMatchesPerDrawReference(t *testing.T) {
 	}
 }
 
-// TestPathMemoConcurrent probes one Net from a goroutine per vantage, as a
-// Parallel campaign does; run it under -race.
+// TestPathMemoConcurrent probes one Net from a goroutine per vantage; run
+// it under -race.
 func TestPathMemoConcurrent(t *testing.T) {
 	n, vantages, endpoints := pathFixture()
 	var wg sync.WaitGroup

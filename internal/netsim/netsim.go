@@ -88,10 +88,6 @@ type Endpoint struct {
 	// paper's finding of "no consistent pattern of not receiving responses
 	// from a certain subset of resolvers each time the measurements ran".
 	FlakyP float64
-	// ExtraRTT adds protocol round trips beyond the standard composition,
-	// modelling relay indirection (the ODoH targets in the appendix) or
-	// pathological middleboxes.
-	ExtraRTT int
 	// Down marks a permanently unresponsive endpoint.
 	Down bool
 }
@@ -491,8 +487,7 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 	}
 
 	var totalMs float64
-	rtts := roundTrips(p, e, reuse) + e.ExtraRTT
-	for i := 0; i < rtts; i++ {
+	for i := roundTrips(p, e, reuse); i > 0; i-- {
 		totalMs += n.rttSample(rng, v, base)
 	}
 	// Server processing: cache hit or a full recursion.

@@ -141,19 +141,6 @@ func TestTLS12CostsExtraRTT(t *testing.T) {
 	}
 }
 
-func TestExtraRTTPenalty(t *testing.T) {
-	n := testNet()
-	v := dcVantage("ohio", geo.Ohio)
-	plain := goodEndpoint("plain", geo.Fremont)
-	odoh := goodEndpoint("odoh", geo.Fremont)
-	odoh.ExtraRTT = 2
-	mp := queryMedian(n, v, plain, ProtoDoH, false, 300)
-	mo := queryMedian(n, v, odoh, ProtoDoH, false, 300)
-	if mo <= mp {
-		t.Errorf("ExtraRTT endpoint %.1f <= plain %.1f", mo, mp)
-	}
-}
-
 func TestDownEndpointAlwaysConnectError(t *testing.T) {
 	n := testNet()
 	v := dcVantage("ohio", geo.Ohio)

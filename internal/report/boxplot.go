@@ -35,9 +35,10 @@ type BoxChart struct {
 	// MaxMs truncates the axis, like the paper's 600 ms cut ("we have
 	// truncated the plots for ease of exposition"). Zero auto-scales.
 	MaxMs float64
-	// Width is the plot area in character cells; zero means 72.
-	Width int
 }
+
+// chartWidth is the plot area in character cells.
+const chartWidth = 72
 
 // SortByMedian orders rows fastest-first (the paper's figures are ordered
 // by median response time).
@@ -45,13 +46,6 @@ func (c *BoxChart) SortByMedian() {
 	sort.SliceStable(c.Rows, func(i, j int) bool {
 		return c.Rows[i].Response.Q2 < c.Rows[j].Response.Q2
 	})
-}
-
-func (c *BoxChart) width() int {
-	if c.Width > 0 {
-		return c.Width
-	}
-	return 72
 }
 
 func (c *BoxChart) maxMs() float64 {
@@ -84,12 +78,11 @@ func (c *BoxChart) Render(w io.Writer) error {
 		}
 	}
 	maxMs := c.maxMs()
-	width := c.width()
 
 	if _, err := fmt.Fprintf(w, "%s\n%s\n", c.Title, strings.Repeat("=", len(c.Title))); err != nil {
 		return err
 	}
-	scaleNote := fmt.Sprintf("axis: 0 .. %.0f ms (%d cells/row; ▒=IQR █=median ├┤=whiskers ∘=outlier beyond axis→)", maxMs, width)
+	scaleNote := fmt.Sprintf("axis: 0 .. %.0f ms (%d cells/row; ▒=IQR █=median ├┤=whiskers ∘=outlier beyond axis→)", maxMs, chartWidth)
 	if _, err := fmt.Fprintf(w, "%s\n\n", scaleNote); err != nil {
 		return err
 	}
@@ -98,7 +91,7 @@ func (c *BoxChart) Render(w io.Writer) error {
 		if r.Bold {
 			label = "**" + label + "**"
 		}
-		respLine := renderBox(r.Response, maxMs, width)
+		respLine := renderBox(r.Response, maxMs, chartWidth)
 		med := ""
 		if r.Response.N > 0 {
 			med = fmt.Sprintf("  med=%.0fms n=%d", r.Response.Q2, r.Response.N)
@@ -107,12 +100,12 @@ func (c *BoxChart) Render(w io.Writer) error {
 			return err
 		}
 		if r.HasPing {
-			pingLine := renderBox(r.Ping, maxMs, width)
+			pingLine := renderBox(r.Ping, maxMs, chartWidth)
 			if _, err := fmt.Fprintf(w, "%-*s |%s|  med=%.0fms\n", labelW+4, "(ping)", pingLine, r.Ping.Q2); err != nil {
 				return err
 			}
 		} else {
-			if _, err := fmt.Fprintf(w, "%-*s |%s|  (no ICMP reply)\n", labelW+4, "(ping)", strings.Repeat(" ", width)); err != nil {
+			if _, err := fmt.Fprintf(w, "%-*s |%s|  (no ICMP reply)\n", labelW+4, "(ping)", strings.Repeat(" ", chartWidth)); err != nil {
 				return err
 			}
 		}

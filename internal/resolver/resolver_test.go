@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -12,6 +13,8 @@ import (
 
 	"encdns/internal/authdns"
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
+	"encdns/internal/transport"
 )
 
 // fixedClock is a controllable clock for cache TTL tests.
@@ -520,5 +523,51 @@ func TestForwarderEmptyQuestion(t *testing.T) {
 	}
 	if exchanges != 0 {
 		t.Errorf("%d upstream exchanges, want none", exchanges)
+	}
+}
+
+// TestForwarderRetriesLostDatagram: a forwarder over a transport.Pool
+// absorbs a lost UDP datagram with the pool's one retry policy (what
+// dohserver -forward runs).
+func TestForwarderRetriesLostDatagram(t *testing.T) {
+	rec, _ := newTestResolver(t)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go func() { // answers every datagram but the first
+		buf := make([]byte, 512)
+		for n := 0; ; n++ {
+			k, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			q, err := dnswire.Unpack(buf[:k])
+			if n == 0 || err != nil {
+				continue
+			}
+			if resp, err := rec.ServeDNS(context.Background(), q); err == nil {
+				wire, _ := resp.Pack()
+				_, _ = pc.WriteTo(wire, from)
+			}
+		}
+	}()
+	pool := transport.NewPool(transport.Options{
+		Timeout: 200 * time.Millisecond,
+		Retry:   &transport.RetryPolicy{MaxAttempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }},
+	})
+	defer pool.Close()
+	f := &Forwarder{Exchange: pool, Upstreams: []string{pc.LocalAddr().String()}, Cache: NewCache(128, nil)}
+	retries := testutil.CounterValue(t, "transport_retry_attempts_total")
+	resp, err := f.ServeDNS(context.Background(), dnswire.NewQuery(1, "google.com", dnswire.TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.RCode != dnswire.RCodeSuccess || len(resp.Answers) == 0 {
+		t.Errorf("resp = %v, want a NOERROR answer", resp)
+	}
+	if d := testutil.CounterValue(t, "transport_retry_attempts_total") - retries; d != 1 {
+		t.Errorf("transport_retry_attempts_total rose by %d, want 1", d)
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"crypto/tls"
-	"net/http"
 	"sync"
 	"time"
 
@@ -34,13 +33,6 @@ type Options struct {
 	// only the first connection to a server pays the full handshake and
 	// every later one resumes.
 	Reuse bool
-	// HTTPClient overrides the https transport entirely (tests inject an
-	// httptest client); TLS/Dialer are ignored for https when set.
-	// With Reuse off the client's idle pool is drained before each
-	// exchange so every measurement pays connection establishment.
-	HTTPClient *http.Client
-	// UserAgent is sent on https exchanges when non-empty.
-	UserAgent string
 	// Retry is the shared retry policy applied to every scheme; nil
 	// applies DefaultRetryPolicy. Pass NoRetry() for single attempts.
 	Retry *RetryPolicy
@@ -79,10 +71,8 @@ func Dial(endpoint string, opts Options) (Exchanger, error) {
 	var ex Exchanger
 	switch ce.Scheme {
 	case SchemeUDP:
-		// Retries: -1 turns off the client's built-in retry loop — the
-		// shared middleware owns retry policy for every scheme.
 		ex = &udpExchanger{
-			client: &dns53.Client{Timeout: opts.Timeout, Retries: -1, Dialer: cd},
+			client: &dns53.Client{Timeout: opts.Timeout, Dialer: cd},
 			addr:   ce.Addr(),
 		}
 	case SchemeTCP:
@@ -97,14 +87,8 @@ func Dial(endpoint string, opts Options) (Exchanger, error) {
 		}
 	case SchemeHTTPS:
 		c := doh.NewClient(opts.TLS, cd, opts.Reuse)
-		if opts.HTTPClient != nil {
-			// Injected HTTP clients own their transport; chain layers and
-			// eyeballs do not apply.
-			c = &doh.Client{HTTP: opts.HTTPClient}
-		}
 		c.Timeout = opts.Timeout
-		c.UserAgent = opts.UserAgent
-		ex = &dohExchanger{client: c, url: ce.Endpoint.String(), drain: opts.HTTPClient != nil && !opts.Reuse}
+		ex = &dohExchanger{client: c, url: ce.Endpoint.String()}
 	}
 	return WithRetry(instrument(ex, ce.Scheme), opts.retry()), nil
 }
@@ -133,8 +117,7 @@ func (e *tcpExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 
 func (e *tcpExchanger) Close() error { return nil }
 
-// dotExchanger adapts dot.Client and surfaces its connection-pool
-// counters.
+// dotExchanger adapts dot.Client.
 type dotExchanger struct {
 	client *dot.Client
 	addr   string
@@ -146,25 +129,13 @@ func (e *dotExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 
 func (e *dotExchanger) Close() error { return e.client.Close() }
 
-func (e *dotExchanger) PoolStats() PoolStats {
-	s := e.client.Stats()
-	return PoolStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Idle: s.Idle}
-}
-
-// dohExchanger adapts doh.Client. With drain set — an injected HTTP
-// client with Reuse off — it empties the client's idle pool before each
-// exchange so every measurement pays TCP+TLS establishment, like the
-// paper's dig runs; doh.NewClient's fresh-connection client has no pool.
+// dohExchanger adapts doh.Client.
 type dohExchanger struct {
 	client *doh.Client
 	url    string
-	drain  bool
 }
 
 func (e *dohExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	if e.drain {
-		e.client.CloseIdle()
-	}
 	return e.client.Exchange(ctx, q, e.url)
 }
 
@@ -219,20 +190,6 @@ func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message, endpoint string
 		return nil, err
 	}
 	return ex.Exchange(ctx, q)
-}
-
-// Stats aggregates pool counters across every dialled exchanger that
-// exposes them.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total PoolStats
-	for _, ex := range p.exs {
-		if s, ok := Stats(ex); ok {
-			total.add(s)
-		}
-	}
-	return total
 }
 
 // Close closes every dialled exchanger, returning the first error.

@@ -2,25 +2,29 @@ package transport
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"encdns/internal/authdns"
 	"encdns/internal/certs"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/dot"
+	"encdns/internal/testutil"
 )
 
 func staticHandler() dns53.Handler {
-	return dns53.Static(map[string][]net.IP{
-		"example.com.": {net.ParseIP("192.0.2.1")},
-	})
+	z := authdns.NewZone(".")
+	z.AddA("example.com.", 300, netip.MustParseAddr("192.0.2.1"))
+	return z
 }
 
 func startUDP(t *testing.T, h dns53.Handler) string {
@@ -77,6 +81,11 @@ func startHTTPS(t *testing.T, h dns53.Handler) *httptest.Server {
 	return ts
 }
 
+// trusting is the TLS configuration of ts's own client.
+func trusting(ts *httptest.Server) *tls.Config {
+	return ts.Client().Transport.(*http.Transport).TLSClientConfig
+}
+
 func checkAnswer(t *testing.T, resp *dnswire.Message, err error) {
 	t.Helper()
 	if err != nil {
@@ -128,7 +137,7 @@ func TestDialEverySchemeTLS(t *testing.T) {
 
 func TestDialEverySchemeHTTPS(t *testing.T) {
 	ts := startHTTPS(t, staticHandler())
-	ex, err := Dial(ts.URL+doh.DefaultPath, Options{HTTPClient: ts.Client()})
+	ex, err := Dial(ts.URL+doh.DefaultPath, Options{TLS: trusting(ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestDialEverySchemeHTTPS(t *testing.T) {
 // answering is a handler whose replies carry the query's ID but are
 // changed by edit first.
 func answering(edit func(*dnswire.Message)) dns53.Handler {
-	return dns53.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		resp := q.Reply()
 		edit(resp)
 		return resp, nil
@@ -212,8 +221,8 @@ func TestEveryClientRejectsAnotherQuestion(t *testing.T) {
 	}{
 		{"tcp", "tcp://" + startTCP(t, other), Options{}, dns53.ErrQuestionMismatch},
 		{"tls", "tls://" + tlsAddr, Options{TLS: ca.ClientConfig("127.0.0.1")}, dns53.ErrQuestionMismatch},
-		{"https, fresh connection", ts.URL + doh.DefaultPath, Options{TLS: ts.Client().Transport.(*http.Transport).TLSClientConfig}, dns53.ErrQuestionMismatch},
-		{"https, net/http", ts.URL + doh.DefaultPath, Options{HTTPClient: ts.Client()}, dns53.ErrQuestionMismatch},
+		{"https, fresh connection", ts.URL + doh.DefaultPath, Options{TLS: trusting(ts)}, dns53.ErrQuestionMismatch},
+		{"https, net/http", ts.URL + doh.DefaultPath, Options{TLS: trusting(ts), Reuse: true}, dns53.ErrQuestionMismatch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := exchangeOnce(t, tc.endpoint, tc.opts); !errors.Is(err, tc.want) {
@@ -228,8 +237,8 @@ func TestEveryClientRejectsAnotherQuestion(t *testing.T) {
 func TestDoHRejectsQRClear(t *testing.T) {
 	ts := startHTTPS(t, answering(func(m *dnswire.Message) { m.Header.QR = false }))
 	for name, opts := range map[string]Options{
-		"fresh connection": {TLS: ts.Client().Transport.(*http.Transport).TLSClientConfig},
-		"net/http":         {HTTPClient: ts.Client()},
+		"fresh connection": {TLS: trusting(ts)},
+		"net/http":         {TLS: trusting(ts), Reuse: true},
 	} {
 		if _, err := exchangeOnce(t, ts.URL+doh.DefaultPath, opts); !errors.Is(err, dns53.ErrNotReply) {
 			t.Errorf("%s: err = %v, want %v", name, err, dns53.ErrNotReply)
@@ -319,9 +328,9 @@ func TestPoolReusesExchangerPerEndpoint(t *testing.T) {
 	}
 }
 
-// TestPoolStatsThroughMiddleware exercises the satellite instrumentation
-// path: the DoT connection cache's counters surface through the retry
-// middleware, the Stats unwrapper, and the pool aggregate.
+// TestPoolStatsThroughMiddleware: a pool with Reuse keeps the DoT
+// session under the retry and instrument middleware, and the
+// transport_dot_pool_* series count it: one dial, then one reuse.
 func TestPoolStatsThroughMiddleware(t *testing.T) {
 	addr, ca := startTLS(t, staticHandler())
 	p := NewPool(Options{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true})
@@ -330,16 +339,12 @@ func TestPoolStatsThroughMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits := testutil.CounterValue(t, "transport_dot_pool_hits_total")
+	misses := testutil.CounterValue(t, "transport_dot_pool_misses_total")
 	exchangeQuery(t, ex) // miss: first exchange dials
 	exchangeQuery(t, ex) // hit: cached connection
-	s, ok := Stats(ex)
-	if !ok {
-		t.Fatal("tls exchanger exposes no stats")
-	}
-	if s.Misses != 1 || s.Hits != 1 || s.Idle != 1 {
-		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 idle", s)
-	}
-	if agg := p.Stats(); agg != s {
-		t.Errorf("pool aggregate %+v != exchanger stats %+v", agg, s)
+	if dh, dm := testutil.CounterValue(t, "transport_dot_pool_hits_total")-hits,
+		testutil.CounterValue(t, "transport_dot_pool_misses_total")-misses; dh != 1 || dm != 1 {
+		t.Errorf("pool deltas: %d hits, %d misses; want 1 and 1", dh, dm)
 	}
 }

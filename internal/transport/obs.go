@@ -8,7 +8,7 @@ import (
 	"encdns/internal/obs"
 )
 
-// Per-scheme exchange instruments plus shared retry/hedge counters, all
+// Per-scheme exchange instruments plus shared retry counters, all
 // in the process-wide obs registry. The handles are registered once here
 // so the Exchange hot path is an atomic add, never a registry lookup.
 type schemeMetrics struct {
@@ -38,10 +38,6 @@ var (
 		"Re-attempts issued by the shared retry middleware (first attempts excluded).")
 	retryExhausted = obs.Default().Counter("transport_retry_exhausted_total",
 		"Exchanges that failed every attempt of their retry budget.")
-	hedgeLaunched = obs.Default().Counter("transport_hedge_launched_total",
-		"Hedge attempts launched beyond the primary (index > 0).")
-	hedgeWins = obs.Default().Counter("transport_hedge_wins_total",
-		"Races won by a hedge attempt rather than the primary.")
 	poolEndpoints = obs.Default().Gauge("transport_pool_endpoints",
 		"Endpoints with a dialled exchanger in transport.Pool instances.")
 )
@@ -50,8 +46,7 @@ var (
 // self-reports: a per-attempt trace span (the retry middleware above it
 // calls once per attempt, so spans align with attempts), the per-scheme
 // latency histogram, and exchange/error counters. It sits between the
-// retry middleware and the protocol client, and unwraps transparently so
-// accessors like Stats still reach the client.
+// retry middleware and the protocol client.
 func instrument(ex Exchanger, scheme string) Exchanger {
 	m, ok := schemeInstruments[scheme]
 	if !ok {
@@ -82,5 +77,4 @@ func (e *instrumented) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 	return resp, err
 }
 
-func (e *instrumented) Close() error      { return e.inner.Close() }
-func (e *instrumented) Unwrap() Exchanger { return e.inner }
+func (e *instrumented) Close() error { return e.inner.Close() }

@@ -54,49 +54,6 @@ func TestTraceThroughRetry(t *testing.T) {
 	}
 }
 
-// TestTraceThroughHedge races a failing primary against a working hedge
-// and checks the hedge spans, their index attributes, and the win
-// counter. The primary fails instantly while the hedge answers after a
-// delay, so Race is guaranteed to process (and finish the span of) the
-// primary before the hedge wins.
-func TestTraceThroughHedge(t *testing.T) {
-	reply := dnswire.NewQuery(1, "example.com", dnswire.TypeA)
-	reply.Header.QR = true
-	dead := &scriptedExchanger{failures: 1 << 20}
-	fast := &delayExchanger{delay: 20 * time.Millisecond, msg: reply}
-	hedged := NewHedged(0, instrument(dead, SchemeUDP), instrument(fast, SchemeTCP))
-	defer hedged.Close()
-
-	winsBefore := hedgeWins.Value()
-	launchedBefore := hedgeLaunched.Value()
-	ctx, tr := obs.StartTrace(context.Background(), "hedged query")
-	q := dnswire.NewQuery(dns53.NewID(), "example.com", dnswire.TypeA)
-	if _, err := hedged.Exchange(ctx, q); err != nil {
-		t.Fatalf("hedged exchange: %v", err)
-	}
-	tr.Finish()
-
-	if got := hedgeWins.Value() - winsBefore; got != 1 {
-		t.Errorf("hedgeWins advanced by %d, want 1", got)
-	}
-	if got := hedgeLaunched.Value() - launchedBefore; got != 1 {
-		t.Errorf("hedgeLaunched advanced by %d, want 1", got)
-	}
-	out := tr.String()
-	for _, want := range []string{
-		"hedge (index=0)",
-		"hedge (index=1)",
-		"attempt (scheme=udp)",
-		"attempt (scheme=tcp)",
-		"error: scripted failure",
-		"hedge: attempt 1 won the race",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestInstrumentCounters pins the per-scheme counters and histogram the
 // instrumented wrapper feeds.
 func TestInstrumentCounters(t *testing.T) {
@@ -123,10 +80,6 @@ func TestInstrumentCounters(t *testing.T) {
 	}
 	if got := testutil.HistogramCount(t, `transport_exchange_seconds{scheme="udp"}`) - histBefore; got != 2 {
 		t.Errorf("latency observations advanced by %d, want 2", got)
-	}
-	// The wrapper must stay transparent to accessor unwrapping.
-	if inner := ex.(interface{ Unwrap() Exchanger }).Unwrap(); inner != Exchanger(scripted) {
-		t.Error("Unwrap did not return the protocol client")
 	}
 }
 

@@ -147,5 +147,4 @@ func (r *retryExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dns
 	return nil, fmt.Errorf("transport: %d attempt(s) failed: %w", r.policy.MaxAttempts, lastErr)
 }
 
-func (r *retryExchanger) Close() error      { return r.inner.Close() }
-func (r *retryExchanger) Unwrap() Exchanger { return r.inner }
+func (r *retryExchanger) Close() error { return r.inner.Close() }
