@@ -12,7 +12,6 @@
 //	dnsdig -server tcp://9.9.9.9:53 -retries 1 example.org
 //	dnsdig -trace -server tls://127.0.0.1:8853 -insecure example.org
 //	dnsdig -trace -roots 198.18.0.1:53,198.18.0.2:53 www.amazon.com
-//	dnsdig -infra -roots 198.41.0.4:53,199.9.14.201:53 example.org
 //
 // -trace has two modes. With -roots it resolves iteratively from the
 // given root servers over Do53, printing each referral step like dig
@@ -33,12 +32,10 @@ import (
 	"time"
 
 	"encdns/internal/cluster"
-	"encdns/internal/dialer"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/keyhash"
 	"encdns/internal/obs"
-	"encdns/internal/resolver"
 	"encdns/internal/transport"
 )
 
@@ -59,12 +56,9 @@ func run(args []string, w io.Writer) error {
 		timeout  = fs.Duration("timeout", 5*time.Second, "query timeout")
 		retries  = fs.Int("retries", 3, "total exchange attempts (shared transport retry policy)")
 		chain    = fs.String("chain", "", "dialer-chain prefix for -server, e.g. \"split:3|tlsfrag:sni\" (layers: split:N, tlsfrag:sni|N, delay:DUR[:every])")
-		eyeballs = fs.Bool("eyeballs", false, "resolve every A/AAAA address of the server host and race address families with a staggered start (RFC 8305)")
-		stagger  = fs.Duration("stagger", 0, "happy-eyeballs attempt stagger; 0 uses the RFC 8305 default (250ms)")
 		short    = fs.Bool("short", false, "print only the answer RDATA")
 		trace    = fs.Bool("trace", false, "with -roots: iterate from the roots printing each step; without: print the query's span tree")
-		infra    = fs.Bool("infra", false, "resolve via the latency-aware recursive engine (requires -roots) and dump the per-server SRTT/penalty table")
-		roots    = fs.String("roots", "", "comma-separated root server addresses for referral -trace / -infra")
+		roots    = fs.String("roots", "", "comma-separated root server addresses for referral -trace")
 		gluePort = fs.Int("glue-port", 53, "port appended to glue addresses during -trace")
 
 		ring      = fs.Bool("ring", false, "cluster debug mode: print ring ownership, per-peer health, and the replica set for the query name (requires -peers)")
@@ -99,12 +93,6 @@ func run(args []string, w io.Writer) error {
 		}
 		return runRing(ctx, w, name, qtype, strings.Split(*peers, ","), *clusterID, *replicas, *timeout)
 	}
-	if *infra {
-		if *roots == "" {
-			return fmt.Errorf("-infra requires -roots (the engine measures per-nameserver RTTs while walking referrals)")
-		}
-		return runInfra(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *retries)
-	}
 	if *trace && *roots != "" {
 		return runTrace(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *retries, *gluePort)
 	}
@@ -129,10 +117,6 @@ func run(args []string, w io.Writer) error {
 		TLS:     tlsCfg,
 		Timeout: *timeout,
 		Retry:   &transport.RetryPolicy{MaxAttempts: *retries},
-	}
-	if *eyeballs {
-		opts.Resolve = dialer.NetResolve(nil)
-		opts.Stagger = *stagger
 	}
 	ex, err := transport.Dial(spec, opts)
 	if err != nil {
@@ -191,48 +175,8 @@ func tlsConfig(caCert string, insecure bool) (*tls.Config, error) {
 	return cfg, nil
 }
 
-// runInfra resolves name with the latency-aware recursive engine over real
-// Do53 sockets and prints the answers followed by the per-server SRTT and
-// penalty table the walk accumulated — the measurement tool explaining
-// *why* a resolver path was fast or slow, one server at a time.
-func runInfra(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, roots []string, timeout time.Duration, retries int) error {
-	for i := range roots {
-		roots[i] = strings.TrimSpace(roots[i])
-	}
-	pool := transport.NewPool(transport.Options{Timeout: timeout, Retry: &transport.RetryPolicy{MaxAttempts: retries}})
-	defer pool.Close()
-	inf := resolver.NewInfra(nil)
-	rec := &resolver.Recursive{
-		Exchange: pool,
-		Roots:    roots,
-		Cache:    resolver.NewCache(4096, nil),
-		Infra:    inf,
-		Hedge:    true,
-	}
-	defer rec.Close()
-	start := time.Now()
-	rrs, rcode, err := rec.Resolve(ctx, name, qtype, 0)
-	elapsed := time.Since(start)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, ";; status: %s, %d answer(s), %d msec\n", rcode, len(rrs), elapsed.Milliseconds())
-	for _, rr := range rrs {
-		fmt.Fprintln(w, rr)
-	}
-	fmt.Fprintln(w, ";; infra cache (selection order — score = SRTT + decayed failure penalty):")
-	fmt.Fprintf(w, ";; %-24s %10s %10s %10s %10s %5s %5s\n",
-		"SERVER", "SRTT", "RTTVAR", "PENALTY", "SCORE", "OBS", "FAIL")
-	for _, s := range inf.Snapshot() {
-		fmt.Fprintf(w, ";; %-24s %10s %10s %10s %10s %5d %5d\n",
-			s.Server, fmtDur(s.SRTT), fmtDur(s.RTTVar), fmtDur(s.Penalty), fmtDur(s.Score),
-			s.Observations, s.Failures)
-	}
-	return nil
-}
-
 // fmtDur renders sub-second durations at microsecond precision so the
-// infra table columns stay aligned and comparable.
+// ring table's RTT column stays aligned and comparable.
 func fmtDur(d time.Duration) string {
 	return d.Round(time.Microsecond).String()
 }
@@ -241,7 +185,7 @@ func fmtDur(d time.Duration) string {
 // (ring layout depends only on the peer ID strings, so any observer that
 // spells them the same way derives the same ring), probes each peer's
 // health over the cluster marker protocol, and prints where the query
-// name lives — the -infra table's sibling for cluster mode.
+// name lives.
 func runRing(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, peers []string, clusterID string, replicas int, timeout time.Duration) error {
 	for i := range peers {
 		peers[i] = strings.TrimSpace(peers[i])

@@ -258,7 +258,7 @@ func TestClusterCountsEachClientLookupOnce(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	for i, n := range tc.nodes {
 		n.Local = &resolver.Recursive{Exchange: authAnswerer{}, Roots: []string{"198.41.0.4:53"},
-			Cache: tc.caches[i], RNGSeed: 1, Now: tc.clock.Now}
+			Cache: tc.caches[i], RNGSeed: 1}
 	}
 	step := func(name string, wantHits, wantMisses uint64) {
 		t.Helper()
@@ -424,7 +424,6 @@ func TestRecursiveOnPrefetchFiresForHotKeys(t *testing.T) {
 		Roots:            []string{"198.41.0.4:53"},
 		Cache:            cache,
 		RNGSeed:          1,
-		Now:              clock.Now,
 		PrefetchFraction: 0.5,
 		OnPrefetch: func(name string, tpe dnswire.Type) {
 			mu.Lock()
@@ -462,7 +461,6 @@ func TestNodeFastPathRefreshesAhead(t *testing.T) {
 		Roots:            []string{"198.41.0.4:53"},
 		Cache:            cache,
 		RNGSeed:          1,
-		Now:              clock.Now,
 		PrefetchFraction: 0.5,
 		OnPrefetch:       func(string, dnswire.Type) { hot.Add(1) },
 	}

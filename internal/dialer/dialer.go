@@ -2,9 +2,8 @@
 // internal/transport: small dialers that wrap each other the way the
 // Outline SDK composes stream transports. A dialer chain decides *how*
 // bytes reach a resolver endpoint — split first segments, fragment the
-// TLS ClientHello, pace writes, race address families — independently of
-// *which protocol* (Do53/DoT/DoH) is spoken over the resulting
-// connection.
+// TLS ClientHello, pace writes — independently of *which protocol*
+// (Do53/DoT/DoH) is spoken over the resulting connection.
 //
 // The paper's availability question ("does this encrypted resolver
 // answer from here?") depends on exactly this seam on hostile or
@@ -20,8 +19,9 @@
 //
 // Wrappers implement StreamDialer over an inner StreamDialer; the chain
 // grammar ("split:3|tlsfrag:sni|…", see ParseSpecs) builds them from
-// endpoint strings. Layer failures carry the layer name via LayerError
-// so the transport layer can count which link of the chain broke.
+// endpoint strings. A layer acts on the connection's writes, never on
+// the dial itself: a failed dial is the inner dial's error as it is, and
+// a failed write carries the layer name via LayerError.
 package dialer
 
 import (
@@ -133,10 +133,9 @@ func (d *NetDialer) DialContext(ctx context.Context, network, address string) (n
 	return nil, fmt.Errorf("dialer: unsupported network %q", network)
 }
 
-// LayerError marks a failure with the chain layer that produced it
-// ("split", "tlsfrag", "delay", "eyeballs", or "base" for the underlying
-// dial). transport.Classify unwraps it for the error taxonomy and the
-// per-layer dial-failure counters read the label.
+// LayerError marks a write failure with the chain layer that produced it
+// ("split", "tlsfrag" or "delay"). transport.Classify unwraps it for the
+// error taxonomy.
 type LayerError struct {
 	// Layer names the chain layer that failed.
 	Layer string
@@ -163,14 +162,4 @@ func layerErr(layer string, err error) error {
 		return err
 	}
 	return &LayerError{Layer: layer, Err: err}
-}
-
-// Layer extracts the chain-layer label from an error, or "base" when the
-// error carries none (the plain underlying dial failed).
-func Layer(err error) string {
-	var le *LayerError
-	if errors.As(err, &le) {
-		return le.Layer
-	}
-	return "base"
 }

@@ -4,14 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
-
-	"encdns/internal/testutil"
 )
 
 // sinkConn is a net.Conn that records every Write as a separate segment,
@@ -225,122 +221,15 @@ func TestTLSFragBuffersPartialWrites(t *testing.T) {
 	}
 }
 
-func TestHappyEyeballsPrefersHealthyFamily(t *testing.T) {
-	baseline := testutil.GoroutineBaseline()
-	t.Cleanup(func() { testutil.WaitNoLeaks(t, baseline) })
-	v6 := netip.MustParseAddr("2001:db8::1")
-	v4 := netip.MustParseAddr("192.0.2.1")
-	resolve := staticResolve(map[string][]netip.Addr{
-		"resolver.test": {v4, v6},
-	})
-	inner := FuncStreamDialer(func(ctx context.Context, addr string) (net.Conn, error) {
-		host, _, _ := net.SplitHostPort(addr)
-		a := netip.MustParseAddr(host)
-		if Family(a) == "ipv6" {
-			// Throttled family: never completes, honours cancellation.
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return &sinkConn{}, nil
-	})
-	h := &HappyEyeballs{Inner: inner, Resolve: resolve, Stagger: 10 * time.Millisecond}
-	start := time.Now()
-	conn, err := h.DialStream(context.Background(), "resolver.test:853")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("healthy family took %v, want ~one stagger", elapsed)
-	}
-}
-
-func TestHappyEyeballsFailureReleasesNext(t *testing.T) {
-	v6 := netip.MustParseAddr("2001:db8::1")
-	v4 := netip.MustParseAddr("192.0.2.1")
-	resolve := staticResolve(map[string][]netip.Addr{"r.test": {v6, v4}})
-	inner := FuncStreamDialer(func(ctx context.Context, addr string) (net.Conn, error) {
-		if strings.HasPrefix(addr, "[2001:db8::1]") {
-			return nil, errors.New("network unreachable")
-		}
-		return &sinkConn{}, nil
-	})
-	// Enormous stagger: only an immediate release on failure lets the
-	// test finish.
-	h := &HappyEyeballs{Inner: inner, Resolve: resolve, Stagger: time.Hour}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	conn, err := h.DialStream(ctx, "r.test:853")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-}
-
-func TestHappyEyeballsAllFail(t *testing.T) {
-	baseline := testutil.GoroutineBaseline()
-	t.Cleanup(func() { testutil.WaitNoLeaks(t, baseline) })
-	resolve := staticResolve(map[string][]netip.Addr{
-		"r.test": {netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")},
-	})
-	boom := errors.New("connection refused")
-	inner := FuncStreamDialer(func(ctx context.Context, addr string) (net.Conn, error) {
-		return nil, boom
-	})
-	h := &HappyEyeballs{Inner: inner, Resolve: resolve, Stagger: time.Millisecond}
-	_, err := h.DialStream(context.Background(), "r.test:853")
-	if err == nil {
-		t.Fatal("want error when every attempt fails")
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("joined error must expose the underlying causes: %v", err)
-	}
-	if Layer(err) != "eyeballs" {
-		t.Errorf("Layer = %q, want eyeballs", Layer(err))
-	}
-}
-
-func TestHappyEyeballsLiteralBypass(t *testing.T) {
-	resolve := staticResolve(nil) // would fail for any host
-	inner := &sinkDialer{}
-	h := &HappyEyeballs{Inner: inner, Resolve: resolve}
-	if _, err := h.DialStream(context.Background(), "192.0.2.1:853"); err != nil {
-		t.Fatalf("IP literal must bypass resolution: %v", err)
-	}
-	if _, err := h.DialStream(context.Background(), "[2001:db8::1%eth0]:853"); err == nil {
-		// Zoned literals are not valid netip addresses without the zone
-		// rules; they still must not hit the resolver table.
-		t.Log("zoned literal dialed directly")
-	}
-}
-
-func TestInterleaveFamilies(t *testing.T) {
-	addrs := []netip.Addr{
-		netip.MustParseAddr("192.0.2.1"),
-		netip.MustParseAddr("192.0.2.2"),
-		netip.MustParseAddr("2001:db8::1"),
-		netip.MustParseAddr("2001:db8::2"),
-	}
-	got := interleaveFamilies(addrs)
-	want := []string{"2001:db8::1", "192.0.2.1", "2001:db8::2", "192.0.2.2"}
-	for i, a := range got {
-		if a.String() != want[i] {
-			t.Fatalf("order[%d] = %s, want %s (full: %v)", i, a, want[i], got)
-		}
-	}
-}
-
 func TestLayerErrorInnermostWins(t *testing.T) {
 	base := errors.New("boom")
 	err := layerErr("split", layerErr("tlsfrag", base))
-	if Layer(err) != "tlsfrag" {
-		t.Errorf("Layer = %q, want innermost tlsfrag", Layer(err))
+	var le *LayerError
+	if !errors.As(err, &le) || le.Layer != "tlsfrag" {
+		t.Errorf("layer of %v, want innermost tlsfrag", err)
 	}
 	if !errors.Is(err, base) {
 		t.Error("unwrap chain broken")
-	}
-	if Layer(base) != "base" {
-		t.Errorf("unlabelled error Layer = %q, want base", Layer(base))
 	}
 }
 
@@ -421,16 +310,5 @@ func TestBuildStreamLayerOrder(t *testing.T) {
 	}
 	if len(segs[0]) != 2 {
 		t.Errorf("first segment = %d bytes, want 2", len(segs[0]))
-	}
-}
-
-// staticResolve builds a ResolveFunc from a fixed host→addresses table.
-func staticResolve(table map[string][]netip.Addr) ResolveFunc {
-	return func(_ context.Context, host string) ([]netip.Addr, error) {
-		addrs, ok := table[host]
-		if !ok {
-			return nil, fmt.Errorf("no addresses for %q", host)
-		}
-		return addrs, nil
 	}
 }

@@ -23,7 +23,7 @@ type SplitDialer struct {
 func (d *SplitDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
 	conn, err := d.Inner.DialStream(ctx, addr)
 	if err != nil {
-		return nil, layerErr("split", err)
+		return nil, err
 	}
 	n := d.Prefix
 	if n < 1 {
@@ -77,7 +77,7 @@ type DelayDialer struct {
 func (d *DelayDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
 	conn, err := d.Inner.DialStream(ctx, addr)
 	if err != nil {
-		return nil, layerErr("delay", err)
+		return nil, err
 	}
 	sleep := d.Sleep
 	if sleep == nil {

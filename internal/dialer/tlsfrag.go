@@ -35,7 +35,7 @@ type TLSFragDialer struct {
 func (d *TLSFragDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
 	conn, err := d.Inner.DialStream(ctx, addr)
 	if err != nil {
-		return nil, layerErr("tlsfrag", err)
+		return nil, err
 	}
 	return &fragConn{Conn: conn, splitAt: d.SplitAt}, nil
 }

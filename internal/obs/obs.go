@@ -7,7 +7,7 @@
 //
 // The paper's contribution is latency/availability *measurement*; obs
 // makes the reproduction itself measurable. The decomposition it records
-// (connect vs handshake vs exchange, retry/hedge counts, cache
+// (connect vs handshake vs exchange, retry counts, cache
 // behaviour) is exactly what "Can Encrypted DNS Be Fast?" (Hounsel et
 // al.) and "An Empirical Study of the Cost of DNS-over-HTTPS" (Böttger
 // et al.) show is needed to explain DoH/DoT latency.

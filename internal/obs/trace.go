@@ -10,20 +10,18 @@ import (
 )
 
 // Trace records the attempt-level span tree of one query: the transport
-// middleware opens a span per exchange attempt (retry and hedge attempts
-// each get their own) and the protocol clients open child spans for
-// dial, TLS handshake, write, and first byte. A trace exists only when a
-// caller puts one in the context — with no trace, every span operation
-// is a nil no-op, so the exchange path pays one context lookup and
-// nothing else.
+// middleware opens a span per exchange attempt (each retry gets its own)
+// and the protocol clients open child spans for dial, TLS handshake,
+// write, and first byte. A trace exists only when a caller puts one in
+// the context — with no trace, every span operation is a nil no-op, so
+// the exchange path pays one context lookup and nothing else.
 type Trace struct {
 	mu   sync.Mutex
 	root *Span
 }
 
 // Span is one timed phase of a trace. All methods are safe on a nil
-// receiver (the no-trace case) and for concurrent use (hedged attempts
-// record in parallel).
+// receiver (the no-trace case) and for concurrent use.
 type Span struct {
 	tr       *Trace
 	name     string

@@ -55,61 +55,6 @@ func BenchmarkResolveConcurrent(b *testing.B) {
 	})
 }
 
-// latencyExchanger injects per-server latency over an inner Exchanger by
-// address parity: the hierarchy hands each zone's two nameservers
-// consecutive addresses, so every delegation level gets one fast and one
-// slow server — the setting where SRTT selection and hedging pay off.
-type latencyExchanger struct {
-	inner      Exchanger
-	fast, slow time.Duration
-}
-
-func (l *latencyExchanger) Exchange(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
-	d := l.fast
-	if ap, err := netip.ParseAddrPort(server); err == nil && ap.Addr().As4()[3]&1 == 1 {
-		d = l.slow
-	}
-	time.Sleep(d)
-	return l.inner.Exchange(ctx, q, server)
-}
-
-// benchColdWalk measures a full cold referral walk (a new cache every
-// iteration) against a hierarchy where half the servers are 8× slower.
-// Unique names keep the per-name RNG from replaying one fixed server path.
-func benchColdWalk(b *testing.B, srtt bool) {
-	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-	lat := &latencyExchanger{inner: h.Registry, fast: time.Millisecond, slow: 8 * time.Millisecond}
-	r := &Recursive{
-		Exchange: lat,
-		Roots:    h.RootServers,
-		Cache:    NewCache(4096, nil),
-		RNGSeed:  1,
-	}
-	if srtt {
-		r.Infra = NewInfra(nil)
-		r.Hedge = true
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Cache.Close()
-		r.Cache = NewCache(4096, nil)
-		name := fmt.Sprintf("h%d.google.com.", i)
-		if _, _, err := r.Resolve(context.Background(), name, dnswire.TypeA, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColdWalkUniform is the seed behaviour: uniform random server
-// selection eats the slow server on ~half the picks at every level.
-func BenchmarkColdWalkUniform(b *testing.B) { benchColdWalk(b, false) }
-
-// BenchmarkColdWalkSRTTHedged is the tentpole: best-of-N SRTT selection
-// with tail hedging; the infra cache stays warm across iterations as it
-// would in a long-running resolver.
-func BenchmarkColdWalkSRTTHedged(b *testing.B) { benchColdWalk(b, true) }
-
 // serveHitBench builds a warmed cache plus a parsed query and runs the
 // cache-hit serve path to full response bytes b.N times. template=true
 // is the tentpole wire-template path (AppendResponse); false is the

@@ -47,7 +47,6 @@ func TestPrefetchKeepsHotNameWarm(t *testing.T) {
 		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
-		Now:              clk.Now,
 	}
 	defer r.Close()
 	ctx := context.Background()
@@ -102,7 +101,6 @@ func TestPrefetchCoalescesAndBounds(t *testing.T) {
 		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
-		Now:              clk.Now,
 	}
 	r.pf.inflight, r.pf.sem = map[cacheKey]struct{}{}, make(chan struct{}, 1)
 	ctx := context.Background()
@@ -161,7 +159,6 @@ func TestPrefetchStalledDoesNotBlock(t *testing.T) {
 		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
-		Now:              clk.Now,
 	}
 	defer r.Close()
 	ctx := context.Background()
@@ -198,7 +195,6 @@ func TestPrefetchCloseDrains(t *testing.T) {
 		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.2,
-		Now:              clk.Now,
 	}
 	ctx := context.Background()
 	for i, name := range []string{"google.com", "amazon.com", "wikipedia.com"} {
@@ -239,8 +235,6 @@ func TestResolverStressRace(t *testing.T) {
 		Cache:            NewCache(4096, clk.Now),
 		RNGSeed:          1,
 		PrefetchFraction: 0.3,
-		Infra:            NewInfra(clk.Now),
-		Now:              clk.Now,
 	}
 	names := []string{"google.com", "www.amazon.com", "wikipedia.com"}
 	const workers = 8

@@ -56,15 +56,6 @@ type Recursive struct {
 	Cache *Cache
 	// rngSeed, when non-zero, makes server selection deterministic.
 	RNGSeed uint64
-	// Infra is the per-nameserver performance cache (EWMA SRTT plus a
-	// decaying failure penalty). When non-nil, referral exchanges pick
-	// the lowest-score server instead of a uniform random one; nil keeps
-	// uniform random selection.
-	Infra *Infra
-	// Hedge races the query against the second-best nameserver after an
-	// SRTT-derived delay when the best one stays silent (tail-latency
-	// hedging over the transport Race primitive). Requires Infra.
-	Hedge bool
 	// PrefetchFraction enables refresh-ahead: a cache hit whose
 	// remaining TTL is inside this final fraction of its original
 	// lifetime is served immediately while a deduplicated, budgeted
@@ -77,9 +68,6 @@ type Recursive struct {
 	// hot-set replication (internal/cluster Node.NoteHot). Called from
 	// the refresh goroutine; implementations must be cheap or go async.
 	OnPrefetch func(name string, t dnswire.Type)
-	// Now is the clock behind RTT measurement and infra aging; nil means
-	// time.Now. Virtual-time tests inject a netsim clock's Now.
-	Now func() time.Time
 
 	// seedOnce draws the process seed exactly once when RNGSeed is zero,
 	// keeping time.Now off the per-query path.
@@ -94,21 +82,13 @@ type Recursive struct {
 	sf singleflight
 }
 
-// timeNow reads the resolver's clock.
-func (r *Recursive) timeNow() time.Time {
-	if r.Now != nil {
-		return r.Now()
-	}
-	return time.Now()
-}
-
 // InMemory implements dns53.InMemory: ServeDNS never waits on I/O exactly
 // when Exchange never does (authdns.Registry). Nothing else a walk does on
 // the serving goroutine can wait on anything but such exchanges: the
-// cache, infra and memo take short locks, a singleflight follower and a
-// glueless fan-out wait for walks over the same Exchange, a hedge for the
-// first of two, and refresh-ahead only starts a goroutine (or drops the
-// refresh), so OnPrefetch never runs on the serving goroutine.
+// cache and memo take short locks, a singleflight follower and a glueless
+// fan-out wait for walks over the same Exchange, and refresh-ahead only
+// starts a goroutine (or drops the refresh), so OnPrefetch never runs on
+// the serving goroutine.
 func (r *Recursive) InMemory() bool {
 	m, ok := r.Exchange.(interface{ InMemory() bool })
 	return ok && m.InMemory()
@@ -244,16 +224,16 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 		if ctx.Err() != nil {
 			return nil, dnswire.RCodeServFail, ctx.Err()
 		}
-		// One query message a walk, re-addressed each iteration — except
-		// under hedging, where the loser of a race may still be reading
-		// its message after the winner has returned.
-		if id := uint16(rng.Uint32()); q == nil || r.Hedge {
+		// One query message a walk, re-addressed each iteration to a
+		// server drawn uniformly from the set.
+		if id := uint16(rng.Uint32()); q == nil {
 			q = dnswire.NewQuery(id, name, t)
 			q.Header.RD = false
 		} else {
 			q.Header.ID = id
 		}
-		resp, server, err := r.exchangeBest(ctx, q, servers, &rng)
+		server := servers[rng.IntN(len(servers))]
+		resp, err := r.Exchange.Exchange(ctx, q, server)
 		if err != nil {
 			// Unreachable or lame: drop this server, try others.
 			servers = without(servers, server)
@@ -285,9 +265,6 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 			lame = true
 		}
 		if lame {
-			if r.Infra != nil {
-				r.Infra.Fail(server)
-			}
 			servers = without(servers, server)
 			if len(servers) > 0 {
 				continue
@@ -314,63 +291,6 @@ func (r *Recursive) resolveWalk(ctx context.Context, key cacheKey, now time.Time
 		return nil, dnswire.RCodeSuccess, nil
 	}
 	return nil, dnswire.RCodeServFail, ErrDepthExceed
-}
-
-// exchangeBest sends q to the best nameserver of servers and returns the
-// response plus the server charged with the outcome. Without an Infra
-// cache the pick is uniform random (the seed behaviour); with one it is
-// best-of-N by SRTT+penalty score, optionally hedged against the
-// second-best after an SRTT-derived delay.
-func (r *Recursive) exchangeBest(ctx context.Context, q *dnswire.Message, servers []string, rng *walkRNG) (*dnswire.Message, string, error) {
-	if r.Infra == nil {
-		server := servers[rng.IntN(len(servers))]
-		resp, err := r.Exchange.Exchange(ctx, q, server)
-		return resp, server, err
-	}
-	// Select draws through a rand.Rand, whose Source escapes; it gets a
-	// copy of the generator, and its draws are carried back.
-	src := rng.pcg
-	best, second := r.Infra.Select(servers, rand.New(&src))
-	rng.pcg = src
-	if !r.Hedge || second == "" {
-		resp, err := r.exchangeObserved(ctx, q, best)
-		return resp, best, err
-	}
-	targets := []string{best, second}
-	attempts := make([]func(context.Context) (*dnswire.Message, error), len(targets))
-	for i, srv := range targets {
-		attempts[i] = func(c context.Context) (*dnswire.Message, error) {
-			if i > 0 {
-				resolverHedgeLaunched.Inc()
-			}
-			return r.exchangeObserved(c, q, srv)
-		}
-	}
-	resp, winner, err := transport.Race(ctx, r.Infra.HedgeDelay(best), attempts)
-	if err != nil {
-		return nil, best, err
-	}
-	if winner > 0 {
-		resolverHedgeWins.Inc()
-	}
-	return resp, targets[winner], nil
-}
-
-// exchangeObserved is one upstream exchange with infra bookkeeping: the
-// RTT feeds the server's SRTT on success, a failure adds a decaying
-// penalty. A failure caused by our own cancellation (a hedge loser, a
-// caller giving up) is not charged to the server.
-func (r *Recursive) exchangeObserved(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
-	start := r.timeNow()
-	resp, err := r.Exchange.Exchange(ctx, q, server)
-	if err != nil {
-		if ctx.Err() == nil {
-			r.Infra.Fail(server)
-		}
-		return nil, err
-	}
-	r.Infra.Observe(server, r.timeNow().Sub(start))
-	return resp, nil
 }
 
 // walkRNG is a walk's generator: the PCG by value, so it lives on the
@@ -635,8 +555,8 @@ func (r *Recursive) resolveNSHosts(ctx context.Context, hosts []string, depth, n
 			}
 			var addrs []string
 			for _, rr := range rrs {
-				if a, ok := rr.Data.(*dnswire.A); ok {
-					addrs = append(addrs, a.Addr.String()+":53")
+				if ep := nsEndpoint(rr.Data); ep != "" {
+					addrs = append(addrs, ep)
 				}
 			}
 			results <- addrs

@@ -12,9 +12,8 @@ import (
 // memos, kept as the reference the differential tests run beside the
 // real one: every miss re-derives its starting servers from the NS RRset
 // and the address RRsets behind it through counted Cache.Lookups, remove
-// filters in place, referrals are cached whole. It carries no Infra,
-// hedging, prefetch or singleflight — the tests that use it switch none
-// of them on.
+// filters in place, referrals are cached whole. It carries no
+// prefetch or singleflight — the tests that use it switch neither on.
 type refRecursive struct {
 	Exchange Exchanger
 	Roots    []string

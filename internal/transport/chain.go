@@ -103,63 +103,48 @@ func schemeForProto(proto string) (string, error) {
 // buildDialer composes the endpoint's full dialer stack and returns it in
 // the ContextDialer shape the protocol clients accept:
 //
-//	eyeballs → chain layers (outermost = rightmost spec) → base dial
+//	chain layers (outermost = rightmost spec) → base dial
 //
-// The base dial is opts.Dialer (kernel sockets when nil); happy-eyeballs
-// wraps the whole chain only when opts.Resolve is set, so each raced
-// address pays the same evasion layers. Every stream dial failure is
-// counted by scheme and failing layer.
+// The base dial is opts.Dialer (kernel sockets when nil). Every dial
+// failure is counted by scheme.
 func buildDialer(ce ChainEndpoint, opts Options) (dns53.ContextDialer, error) {
 	stream, err := dialer.BuildStream(ce.Layers, dialer.StreamOf(opts.Dialer))
 	if err != nil {
 		return nil, err
 	}
-	if opts.Resolve != nil {
-		stream = &dialer.HappyEyeballs{Inner: stream, Resolve: opts.Resolve, Stagger: opts.Stagger}
-	}
+	failures := schemeInstruments[ce.Scheme].dialFailures
 	return &dialer.NetDialer{
-		Stream: &countedStream{inner: stream, scheme: ce.Scheme},
-		Packet: &countedPacket{inner: dialer.PacketOf(opts.Dialer), scheme: ce.Scheme},
+		Stream: &countedStream{inner: stream, failures: failures},
+		Packet: &countedPacket{inner: dialer.PacketOf(opts.Dialer), failures: failures},
 	}, nil
 }
 
-// dialFailureCounter registers-or-retrieves the per-scheme, per-layer
-// dial failure counter. Dial failures are the cold path, so the registry
-// lookup (needed because layer values are open-ended) costs nothing that
-// matters.
-func dialFailureCounter(scheme, layer string) *obs.Counter {
-	return obs.Default().Counter("transport_dial_failures_total",
-		"Connection-establishment failures by endpoint scheme and failing dialer-chain layer.",
-		"scheme", scheme, "layer", layer)
-}
-
-// countedStream counts stream dial failures by failing chain layer.
+// countedStream counts stream dial failures.
 type countedStream struct {
-	inner  dialer.StreamDialer
-	scheme string
+	inner    dialer.StreamDialer
+	failures *obs.Counter
 }
 
 // DialStream implements dialer.StreamDialer.
 func (d *countedStream) DialStream(ctx context.Context, addr string) (net.Conn, error) {
 	conn, err := d.inner.DialStream(ctx, addr)
 	if err != nil {
-		dialFailureCounter(d.scheme, dialer.Layer(err)).Inc()
+		d.failures.Inc()
 	}
 	return conn, err
 }
 
-// countedPacket counts packet dial failures (always layer "base": chain
-// layers are stream-only).
+// countedPacket counts packet dial failures.
 type countedPacket struct {
-	inner  dialer.PacketDialer
-	scheme string
+	inner    dialer.PacketDialer
+	failures *obs.Counter
 }
 
 // DialPacket implements dialer.PacketDialer.
 func (d *countedPacket) DialPacket(ctx context.Context, addr string) (net.Conn, error) {
 	conn, err := d.inner.DialPacket(ctx, addr)
 	if err != nil {
-		dialFailureCounter(d.scheme, "base").Inc()
+		d.failures.Inc()
 	}
 	return conn, err
 }

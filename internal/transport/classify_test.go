@@ -55,13 +55,8 @@ func TestClassifyTaxonomy(t *testing.T) {
 		// Dialer-chain error paths: the LayerError wrapper must be
 		// transparent to the taxonomy.
 		{"layered reset", layered("tlsfrag", opErr("write", syscall.ECONNRESET)), netsim.ErrConnect},
-		{"layered deadline", layered("eyeballs", context.DeadlineExceeded), netsim.ErrTimeout},
+		{"layered deadline", layered("delay", context.DeadlineExceeded), netsim.ErrTimeout},
 		{"layered record header", layered("split", tls.RecordHeaderError{Msg: "bad record"}), netsim.ErrTLS},
-		{"layered refused", layered("base", opErr("dial", syscall.ECONNREFUSED)), netsim.ErrConnect},
-		{"eyeballs join", layered("eyeballs", errors.Join(
-			fmt.Errorf("2001:db8::1: %w", opErr("dial", syscall.ECONNREFUSED)),
-			fmt.Errorf("192.0.2.1: %w", opErr("dial", syscall.ECONNREFUSED)),
-		)), netsim.ErrConnect},
 	}
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {

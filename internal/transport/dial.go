@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"encdns/internal/dialer"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
@@ -36,14 +35,6 @@ type Options struct {
 	// Retry is the shared retry policy applied to every scheme; nil
 	// applies DefaultRetryPolicy. Pass NoRetry() for single attempts.
 	Retry *RetryPolicy
-	// Resolve enables happy-eyeballs endpoint racing for hostname
-	// endpoints: all A/AAAA addresses are resolved through it and the
-	// address families raced with a staggered start. nil dials the
-	// endpoint host as written (IP literals always bypass the race).
-	Resolve dialer.ResolveFunc
-	// Stagger is the delay between successive happy-eyeballs connection
-	// attempts; zero uses dialer.DefaultStagger (250ms, RFC 8305).
-	Stagger time.Duration
 }
 
 func (o Options) retry() RetryPolicy {

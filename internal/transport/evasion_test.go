@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
-	"net/netip"
 	"sync"
 	"syscall"
 	"testing"
@@ -224,121 +222,35 @@ func TestEvasionDropLargeRecord(t *testing.T) {
 	}
 }
 
-// strandIPv6 blackholes dials to IPv6 literals until the caller's
-// context expires, the way a broken v6 path behaves; happy-eyeballs
-// racing exists to make that cost one stagger interval, not a timeout.
-type strandIPv6 struct{}
-
-func (strandIPv6) Name() string { return "strand-ipv6" }
-
-func (strandIPv6) FilterDial(ctx context.Context, _, address string) error {
-	host, _, _ := net.SplitHostPort(address)
-	if ip, err := netip.ParseAddr(host); err != nil || ip.Is4() {
-		return nil
-	}
-	<-ctx.Done()
-	return &net.OpError{Op: "dial", Net: "tcp", Err: ctx.Err()}
-}
-
-// staticResolve resolves from a fixed host→addresses table.
-func staticResolve(table map[string][]netip.Addr) dialer.ResolveFunc {
-	return func(_ context.Context, host string) ([]netip.Addr, error) {
-		if addrs, ok := table[host]; ok {
-			return addrs, nil
-		}
-		return nil, fmt.Errorf("no addresses for %q", host)
-	}
-}
-
-// TestEyeballsPicksHealthyFamily is acceptance criterion (b):
-// happy-eyeballs picks the healthy family within one stagger interval
-// when the other family is throttled.
-func TestEyeballsPicksHealthyFamily(t *testing.T) {
-	vn := netsim.NewVirtualNet()
-	const name = "resolver.test"
-	v4 := netip.MustParseAddr("192.0.2.53")
-	v6 := netip.MustParseAddr("2001:db8::53")
-	v4addr := net.JoinHostPort(v4.String(), "853")
-	v6addr := net.JoinHostPort(v6.String(), "853")
-	ca := startVirtualDoT(t, vn, v4addr, name)
-	// Reuse the same CA for the v6 site so one ClientConfig trusts both.
-	srvTLS, err := ca.ServerConfig([]string{name}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := &dns53.Server{Handler: staticHandler()}
-	ln, err := vn.Listen(v6addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go (&dot.Server{DNS: inner, TLS: srvTLS}).Serve(ln)
-	t.Cleanup(func() { ln.Close(); inner.Shutdown() })
-
-	const stagger = 50 * time.Millisecond
-	opts := Options{
-		TLS:     ca.ClientConfig(name),
-		Dialer:  vn.Path(strandIPv6{}),
-		Resolve: staticResolve(map[string][]netip.Addr{name: {v6, v4}}),
-		Stagger: stagger,
-		Retry:   ptr(NoRetry()),
-	}
-	ex, err := Dial("tls://"+name+":853", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	start := time.Now()
-	resp, err := ex.Exchange(ctx, query())
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("eyeballs exchange failed: %v", err)
-	}
-	if len(resp.Answers) == 0 {
-		t.Error("no answers")
-	}
-	// IPv6 is interleaved first and strands; the v4 attempt starts one
-	// stagger later and completes in-process (microseconds). Anything
-	// approaching the 2s protocol timeout means racing didn't happen.
-	if elapsed > stagger+500*time.Millisecond {
-		t.Errorf("exchange took %v, want ~one stagger (%v)", elapsed, stagger)
-	}
-}
-
-// TestDialFailureCounters: failures increment the per-scheme, per-layer
-// counters — base dial failures and eyeballs resolution failures land in
-// different layer buckets.
+// TestDialFailureCounters: a failed dial is counted per scheme, chain
+// layers or not — a layer acts on the connection's writes, so it cannot
+// be what failed a dial.
 func TestDialFailureCounters(t *testing.T) {
 	vn := netsim.NewVirtualNet() // no listeners: every dial fails
 	opts := Options{Dialer: vn.Path(), Retry: ptr(NoRetry()), Timeout: time.Second}
-
-	base0 := dialFailureCounter(SchemeTLS, "base").Value()
-	ex, err := Dial("tls://192.0.2.99:853", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := ex.Exchange(ctx, query()); err == nil {
-		t.Fatal("exchange against empty net succeeded")
-	}
-	if got := dialFailureCounter(SchemeTLS, "base").Value(); got != base0+1 {
-		t.Errorf("base failures = %d, want %d", got, base0+1)
-	}
-
-	eye0 := dialFailureCounter(SchemeTLS, "eyeballs").Value()
-	opts.Resolve = staticResolve(nil) // resolution always fails
-	ex2, err := Dial("tls://unresolvable.test:853", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex2.Close()
-	if _, err := ex2.Exchange(ctx, query()); err == nil {
-		t.Fatal("exchange with failing resolver succeeded")
-	}
-	if got := dialFailureCounter(SchemeTLS, "eyeballs").Value(); got != eye0+1 {
-		t.Errorf("eyeballs failures = %d, want %d", got, eye0+1)
+	for _, endpoint := range []string{
+		"tls://192.0.2.99:853",
+		"split:3|tls://192.0.2.99:853",
+		"tlsfrag:sni|tls://192.0.2.99:853",
+	} {
+		before := schemeInstruments[SchemeTLS].dialFailures.Value()
+		ex, err := Dial(endpoint, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ex.Exchange(ctx, query())
+		ex.Close()
+		if err == nil {
+			t.Fatalf("%s: exchange against empty net succeeded", endpoint)
+		}
+		var le *dialer.LayerError
+		if errors.As(err, &le) {
+			t.Errorf("%s: dial failure blamed on layer %s: %v", endpoint, le.Layer, err)
+		}
+		if got := schemeInstruments[SchemeTLS].dialFailures.Value(); got != before+1 {
+			t.Errorf("%s: dial failures = %d, want %d", endpoint, got, before+1)
+		}
 	}
 }

@@ -162,11 +162,15 @@ func TestFreshHTTPSTaxonomy(t *testing.T) {
 	}
 }
 
-// TestRaceCancelsFreshLoser: racing two fresh https exchangers, the one
-// whose server never answers is cancelled when the other wins, and its
-// exchange returns at once with the context's error.
-func TestRaceCancelsFreshLoser(t *testing.T) {
-	endpoint, ca := startDoH(t, true)
+// TestCancelFreshExchange: a fresh https exchange whose server never
+// answers returns at once with the context's error when its caller cancels
+// after the request is written, and leaves no goroutine behind. The live
+// prober's timeout and Shutdown rely on this.
+func TestCancelFreshExchange(t *testing.T) {
+	ca, err := certs.NewCA(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	deaf, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -189,47 +193,38 @@ func TestRaceCancelsFreshLoser(t *testing.T) {
 	}()
 	t.Cleanup(func() { deaf.Close(); <-done })
 
-	opts := Options{TLS: ca.ClientConfig("127.0.0.1"), Retry: ptr(NoRetry())}
-	fast, err := Dial(endpoint, opts)
+	ex, err := Dial("https://"+deaf.Addr().String()+doh.DefaultPath,
+		Options{TLS: ca.ClientConfig("127.0.0.1"), Retry: ptr(NoRetry())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fast.Close()
-	slow, err := Dial("https://"+deaf.Addr().String()+doh.DefaultPath, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
+	defer ex.Close()
 
 	baseline := testutil.GoroutineBaseline()
-	loser := make(chan error, 1)
-	waiting := make(chan struct{})
-	attempts := []func(context.Context) (*dnswire.Message, error){
-		func(ctx context.Context) (*dnswire.Message, error) {
-			<-waiting // the loser is blocked on its response before the winner asks
-			return fast.Exchange(ctx, query())
-		},
-		func(ctx context.Context) (*dnswire.Message, error) {
-			ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
-				WroteRequest: func(httptrace.WroteRequestInfo) { close(waiting) },
-			})
-			resp, err := slow.Exchange(ctx, query())
-			loser <- err
-			return resp, err
-		},
-	}
-	resp, winner, err := Race(context.Background(), 0, attempts)
-	if err != nil || winner != 0 {
-		t.Fatalf("race: winner %d, %v", winner, err)
-	}
-	checkAnswer(t, resp, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wrote := make(chan struct{})
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { close(wrote) },
+	})
+	result := make(chan error, 1)
+	go func() {
+		_, err := ex.Exchange(ctx, query())
+		result <- err
+	}()
 	select {
-	case err := <-loser:
+	case <-wrote: // the exchange is blocked on its response
+	case err := <-result:
+		t.Fatalf("exchange returned before its request was written: %v", err)
+	}
+	cancel()
+	select {
+	case err := <-result:
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("loser: %v, want the context's error", err)
+			t.Errorf("exchange: %v, want the context's error", err)
 		}
 	case <-time.After(50 * time.Millisecond):
-		t.Error("the loser was still exchanging 50 ms after the race ended")
+		t.Error("the exchange was still running 50 ms after its context was cancelled")
 	}
 	testutil.WaitNoLeaks(t, baseline)
 }

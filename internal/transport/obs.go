@@ -8,13 +8,14 @@ import (
 	"encdns/internal/obs"
 )
 
-// Per-scheme exchange instruments plus shared retry counters, all
+// Per-scheme exchange and dial instruments plus shared retry counters, all
 // in the process-wide obs registry. The handles are registered once here
 // so the Exchange hot path is an atomic add, never a registry lookup.
 type schemeMetrics struct {
-	exchanges *obs.Counter
-	errors    *obs.Counter
-	latency   *obs.Histogram
+	exchanges    *obs.Counter
+	errors       *obs.Counter
+	latency      *obs.Histogram
+	dialFailures *obs.Counter
 }
 
 var (
@@ -29,6 +30,10 @@ var (
 					"Failed exchange attempts per endpoint scheme.", "scheme", scheme),
 				latency: reg.Histogram("transport_exchange_seconds",
 					"Per-attempt exchange latency by endpoint scheme.", nil, "scheme", scheme),
+				// A chain layer acts only once the base dial has returned a
+				// connection, so a dial fails in the base dial alone.
+				dialFailures: reg.Counter("transport_dial_failures_total",
+					"Connection-establishment failures by endpoint scheme.", "scheme", scheme),
 			}
 		}
 		return out

@@ -32,9 +32,9 @@ import (
 )
 
 // Exchanger performs DNS exchanges with the single endpoint bound at
-// Dial time. Implementations must not mutate the query message: a hedged
-// resolver hands the same *dnswire.Message to several exchanges
-// concurrently.
+// Dial time. Implementations must not mutate the query message: the
+// recursive walk re-addresses one *dnswire.Message from exchange to
+// exchange.
 type Exchanger interface {
 	// Exchange sends the query and returns the validated response.
 	Exchange(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error)

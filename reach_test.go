@@ -86,22 +86,40 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 // A helper only tests call belongs in a _test.go file. The code is
 // type-checked from source for the host build context, like the package
 // rule above.
+//
+// dnsdig is a diagnostic tool: a mode only it switches on is a mode the
+// served resolver and the measurement never run. So the rule runs a
+// second time with dnsdig's main left out of the roots and its files out
+// of the field writes. A field only dnsdig sets fails; so does a
+// declaration only dnsdig reaches, unless the diagnostic map below names
+// it with the reason it stays.
+//
+// Every key of the allowed, seams and diagnostic maps must still exempt
+// something: a directory or file that exists, a field no non-test code
+// sets, a declaration only dnsdig reaches. A stale key fails.
 func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	allowed := map[string]string{ // package directory or file → why it stays
 		"internal/testutil":            "test-only by design: the helpers the test suites share",
 		"internal/netsim/catchment.go": "the anycast catchment model, kept for the ROADMAP's resolver-cluster item",
 	}
 	seams := map[string]string{ // pkg.Type.Field → why only tests set it
-		"resolver.Recursive.Now":                "virtual-clock tests drive RTT measurement and infra ageing",
 		"resolver.Recursive.RNGSeed":            "tests pin server selection; binaries seed from the clock",
 		"cluster.Node.Now":                      "virtual-clock tests drive peer RTT and health",
 		"experiment.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
 		"dialer.DelayDialer.Sleep":              "tests count the sleeps instead of taking them",
 		"netsim.Endpoint.Down":                  "tests take an endpoint down to drive outage detection",
 	}
+	diagnostic := map[string]string{ // pkg.Decl only dnsdig reaches → why it stays
+		"cluster.Ring.Peers":  "dnsdig -ring; ROADMAP item 4 decides the cluster",
+		"cluster.Ring.Shares": "dnsdig -ring; ROADMAP item 4 decides the cluster",
+		"obs.NewTrace":        "dnsdig -trace span tree, dig +trace's analogue: kept",
+		"obs.StartTrace":      "dnsdig -trace span tree, dig +trace's analogue: kept",
+		"obs.Trace.Finish":    "dnsdig -trace span tree, dig +trace's analogue: kept",
+	}
+	const tool = "cmd/dnsdig"
 
 	g := newDeclGraph()
-	var roots []*decl
+	var roots, toolRoots []*decl
 	for _, pattern := range []string{"cmd/*", "examples/*"} {
 		dirs, err := filepath.Glob(filepath.FromSlash(pattern))
 		if err != nil || len(dirs) == 0 {
@@ -109,7 +127,11 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		}
 		for _, dir := range dirs {
 			for _, d := range g.load(t, dir).decls {
-				if d.name == "main" && d.recv == nil {
+				switch {
+				case d.name != "main" || d.recv != nil:
+				case filepath.ToSlash(dir) == tool:
+					toolRoots = append(toolRoots, d)
+				default:
 					roots = append(roots, d)
 				}
 			}
@@ -123,9 +145,12 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	}
 	roots = append(roots, g.load(t, filepath.Join("benchmark", "layers")).decls...)
 	var judged []*decl
+	used := map[string]bool{} // exemption keys that exempt something
 	for _, dir := range internalPackages(t) {
 		p := g.load(t, dir)
+		used[p.dir] = true
 		for _, d := range p.decls {
+			used[d.file] = true
 			if allowed[p.dir] != "" || allowed[d.file] != "" {
 				roots = append(roots, d)
 			} else {
@@ -135,12 +160,20 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	}
 
 	exposed := g.facadeTypes(facade.types)
-	reached := g.reach(roots, exposed)
-	written := g.writtenFields()
+	served := g.reach(roots, exposed)
+	reached := g.reach(append(roots, toolRoots...), exposed)
+	written, servedWritten := g.writtenFields(""), g.writtenFields(tool)
 	var dead []string
 	for _, d := range judged {
-		if !reached[d] {
-			dead = append(dead, fmt.Sprintf("%s (%s:%d): no binary, example or the library surface reaches it", d.qualified(), d.file, g.fset.Position(d.pos).Line))
+		at := fmt.Sprintf("(%s:%d)", d.file, g.fset.Position(d.pos).Line)
+		switch {
+		case !reached[d]:
+			dead = append(dead, fmt.Sprintf("%s %s: no binary, example or the library surface reaches it", d.qualified(), at))
+		case served[d]:
+		case diagnostic[d.qualified()] != "":
+			used[d.qualified()] = true
+		default:
+			dead = append(dead, fmt.Sprintf("%s %s: only dnsdig reaches it", d.qualified(), at))
 		}
 		tn, ok := d.obj.(*types.TypeName)
 		if !ok {
@@ -153,10 +186,26 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			name := d.qualified() + "." + f.Name()
-			if !f.Exported() || f.Embedded() || st.Tag(i) != "" || written[f] || seams[name] != "" {
+			if !f.Exported() || f.Embedded() || st.Tag(i) != "" {
 				continue
 			}
-			dead = append(dead, fmt.Sprintf("%s (%s:%d): no non-test code sets it", name, d.file, g.fset.Position(f.Pos()).Line))
+			at := fmt.Sprintf("(%s:%d)", d.file, g.fset.Position(f.Pos()).Line)
+			switch {
+			case servedWritten[f]:
+			case written[f]:
+				dead = append(dead, fmt.Sprintf("%s %s: only dnsdig sets it", name, at))
+			case seams[name] != "":
+				used[name] = true
+			default:
+				dead = append(dead, fmt.Sprintf("%s %s: no non-test code sets it", name, at))
+			}
+		}
+	}
+	for _, exempt := range []map[string]string{allowed, seams, diagnostic} {
+		for key := range exempt {
+			if !used[key] {
+				dead = append(dead, fmt.Sprintf("%s: a stale exemption, it exempts nothing", key))
+			}
 		}
 	}
 	sort.Strings(dead)
@@ -498,12 +547,15 @@ func (g *declGraph) facadeTypes(root *types.Package) map[*decl]bool {
 	return exposed
 }
 
-// writtenFields returns every struct field the module's non-test code
-// sets: a composite-literal key (or position), the target of an
-// assignment or increment, or an operand of &.
-func (g *declGraph) writtenFields() map[*types.Var]bool {
+// writtenFields returns every struct field the module's non-test code,
+// less the package in directory skip, sets: a composite-literal key (or
+// position), the target of an assignment or increment, or an operand of &.
+func (g *declGraph) writtenFields(skip string) map[*types.Var]bool {
 	written := map[*types.Var]bool{}
 	for _, p := range g.pkgs {
+		if p.dir == skip {
+			continue
+		}
 		field := func(x ast.Expr) {
 			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
 				if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
