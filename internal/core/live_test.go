@@ -61,18 +61,17 @@ func startLiveStack(t *testing.T) (string, *httptest.Server) {
 
 // poolWith builds a single-attempt transport pool that trusts ts's
 // certificate and dials through d (nil: net.Dialer).
-func poolWith(ts *httptest.Server, d dns53.ContextDialer, reuse bool) *transport.Pool {
+func poolWith(ts *httptest.Server, d dns53.ContextDialer) *transport.Pool {
 	return transport.NewPool(transport.Options{
 		TLS:    ts.Client().Transport.(*http.Transport).TLSClientConfig,
 		Dialer: d,
-		Reuse:  reuse,
 		Retry:  &transport.RetryPolicy{MaxAttempts: 1},
 	})
 }
 
 func TestLiveProberEndToEnd(t *testing.T) {
 	endpoint, ts := startLiveStack(t)
-	prober := &LiveProber{Transport: poolWith(ts, nil, true)}
+	prober := &LiveProber{Transport: poolWith(ts, nil)}
 	target := Target{Host: "live.test", Endpoint: endpoint}
 	v := netsim.Vantage{Name: "loopback"}
 
@@ -98,7 +97,7 @@ func TestLiveProberMeasuresInjectedLatency(t *testing.T) {
 	const injected = 60 * time.Millisecond
 
 	dd := &delayDialer{delay: injected}
-	prober := &LiveProber{Transport: poolWith(ts, dd, false)}
+	prober := &LiveProber{Transport: poolWith(ts, dd)}
 	target := Target{Host: "live.test", Endpoint: endpoint}
 	v := netsim.Vantage{Name: "loopback"}
 
@@ -117,6 +116,9 @@ func TestLiveProberMeasuresInjectedLatency(t *testing.T) {
 	}
 }
 
+// TestLiveProberFreshVsReusedConnections: a warm probe is as fresh as a
+// cold one. The prober's pool keeps its exchanger, and with it the TLS
+// session cache, but no connection: every query dials and pays the delay.
 func TestLiveProberFreshVsReusedConnections(t *testing.T) {
 	endpoint, ts := startLiveStack(t)
 	const injected = 30 * time.Millisecond
@@ -124,27 +126,18 @@ func TestLiveProberFreshVsReusedConnections(t *testing.T) {
 
 	v := netsim.Vantage{Name: "loopback"}
 	target := Target{Host: "live.test", Endpoint: endpoint}
-
-	// Reused connections: only the first query pays the dial delay.
-	reused := &LiveProber{Transport: poolWith(ts, dd, true)}
-	_ = reused.Query(context.Background(), v, target, "google.com", 0) // warm up
-	warm := reused.Query(context.Background(), v, target, "google.com", 1)
-	if warm.Err != netsim.OK {
-		t.Fatalf("warm query failed: %v", warm.Err)
+	prober := &LiveProber{Transport: poolWith(ts, dd)}
+	for i, name := range []string{"cold", "warm"} {
+		out := prober.Query(context.Background(), v, target, "google.com", i)
+		if out.Err != netsim.OK {
+			t.Fatalf("%s query failed: %v", name, out.Err)
+		}
+		if out.Duration < injected {
+			t.Errorf("%s query took %v, should include the %v dial", name, out.Duration, injected)
+		}
 	}
-	if warm.Duration >= injected {
-		t.Errorf("reused-connection query took %v, should avoid the %v dial", warm.Duration, injected)
-	}
-
-	// Fresh connections pay it every time: with Reuse off every exchange
-	// dials a connection of its own.
-	fresh := &LiveProber{Transport: poolWith(ts, dd, false)}
-	cold := fresh.Query(context.Background(), v, target, "google.com", 2)
-	if cold.Err != netsim.OK {
-		t.Fatalf("cold query failed: %v", cold.Err)
-	}
-	if cold.Duration < injected {
-		t.Errorf("fresh-connection query took %v, should include the %v dial", cold.Duration, injected)
+	if got := dd.dials.Load(); got != 2 {
+		t.Errorf("%d dials for two queries, want 2", got)
 	}
 }
 
@@ -172,7 +165,7 @@ func TestLiveProberHTTPErrorClass(t *testing.T) {
 		http.Error(w, "no", http.StatusBadGateway)
 	}))
 	defer ts.Close()
-	prober := &LiveProber{Transport: poolWith(ts, nil, true)}
+	prober := &LiveProber{Transport: poolWith(ts, nil)}
 	out := prober.Query(context.Background(), netsim.Vantage{}, Target{Host: "x", Endpoint: ts.URL}, "google.com", 0)
 	if out.Err != netsim.ErrHTTP {
 		t.Errorf("err = %v, want http-error", out.Err)
@@ -205,7 +198,7 @@ func TestLiveCampaign(t *testing.T) {
 	// LiveProber against the real DoH stack; the analysis pipeline then
 	// consumes the records exactly as it does simulated ones.
 	endpoint, ts := startLiveStack(t)
-	prober := &LiveProber{Transport: poolWith(ts, nil, true)}
+	prober := &LiveProber{Transport: poolWith(ts, nil)}
 	cfg := CampaignConfig{
 		Vantages: []netsim.Vantage{{Name: "loopback"}},
 		Targets:  []Target{{Host: "live.test", Endpoint: endpoint}},

@@ -1,12 +1,8 @@
 package doh
 
 import (
-	"bytes"
 	"errors"
 	"io"
-	"sync"
-
-	"encdns/internal/bufpool"
 )
 
 // errBodyTooLarge reports a request or response body over the DNS message
@@ -33,30 +29,4 @@ func readAllInto(buf []byte, r io.Reader, limit int) ([]byte, error) {
 			return buf, err
 		}
 	}
-}
-
-// pooledBody is a POST request body backed by a pooled pack buffer. The
-// HTTP transport owns the request body and closes it once the write loop
-// is done with it (even on error) — and that close is the only point the
-// buffer is provably no longer being read, because a response can arrive
-// while the body is still in flight. So the buffer is returned to the
-// pool from Close rather than by the exchange path.
-type pooledBody struct {
-	bytes.Reader
-	bp   *[]byte
-	once sync.Once
-}
-
-func newPooledBody(bp *[]byte) *pooledBody {
-	b := &pooledBody{bp: bp}
-	b.Reset(*bp)
-	return b
-}
-
-func (b *pooledBody) Close() error {
-	b.once.Do(func() {
-		bufpool.Put(b.bp)
-		b.bp = nil
-	})
-	return nil
 }

@@ -5,10 +5,9 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"net/http/httptrace"
+	"sync/atomic"
 	"time"
 
 	"encdns/internal/bufpool"
@@ -29,19 +28,18 @@ func (e *HTTPError) Error() string {
 }
 
 // Client issues RFC 8484 DoH queries, each a POST of the wire-format
-// message. Build one with NewClient.
+// message on a connection of its own, the paper's dig-style probe: dial,
+// TLS handshake, one request and its response, close (fresh.go). TLS
+// sessions resume from the client's session cache, so only its first
+// connection to a server pays the full handshake. Build one with
+// NewClient.
 type Client struct {
-	// HTTP carries every query of a client with reuse: a pooled client
-	// from NewClient. A client from NewClient with reuse off leaves it nil
-	// and runs each query on a connection of its own, the paper's
-	// dig-style probe. Either way TLS sessions resume from the session
-	// cache: only a client's first connection to a server pays the full
-	// handshake.
-	HTTP *http.Client
 	// Timeout bounds each query; zero means 5s.
 	Timeout time.Duration
 
-	fresh *freshConfig // NewClient's, with reuse off
+	tls    *tls.Config // NewClient's clone: ALPN and the session cache
+	dialer dns53.ContextDialer
+	last   atomic.Pointer[freshTarget] // a client mostly asks one endpoint
 }
 
 // Handshake-outcome counters, labelled like the DoT pair so dashboards
@@ -54,15 +52,11 @@ var (
 )
 
 // NewClient builds a client configured from tlsCfg and dialer (either may
-// be nil). With reuse it pools keep-alive connections in a net/http
-// transport of its own; without, every query dials, handshakes and asks on
-// a connection that is closed after its one answer (see fresh.go). Session
-// tickets are cached either way: fresh-connection probes then measure the
-// abbreviated handshake on repeat targets, matching how stub resolvers
-// behave after their first contact with a server. Probes that need a
-// guaranteed full handshake should pass a tlsCfg whose ClientSessionCache
-// they control.
-func NewClient(tlsCfg *tls.Config, dialer dns53.ContextDialer, reuse bool) *Client {
+// be nil). Session tickets are cached: probes then measure the abbreviated
+// handshake on repeat targets, matching how stub resolvers behave after
+// their first contact with a server. Probes that need a guaranteed full
+// handshake should pass a tlsCfg whose ClientSessionCache they control.
+func NewClient(tlsCfg *tls.Config, dialer dns53.ContextDialer) *Client {
 	if tlsCfg == nil {
 		tlsCfg = &tls.Config{}
 	} else {
@@ -71,23 +65,11 @@ func NewClient(tlsCfg *tls.Config, dialer dns53.ContextDialer, reuse bool) *Clie
 	if tlsCfg.ClientSessionCache == nil {
 		tlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(32)
 	}
-	if !reuse {
-		tlsCfg.NextProtos = []string{"h2", "http/1.1"}
-		if dialer == nil {
-			dialer = &net.Dialer{}
-		}
-		return &Client{fresh: &freshConfig{tls: tlsCfg, dialer: dialer}}
+	tlsCfg.NextProtos = []string{"h2", "http/1.1"}
+	if dialer == nil {
+		dialer = &net.Dialer{}
 	}
-	tr := &http.Transport{
-		TLSClientConfig:   tlsCfg,
-		ForceAttemptHTTP2: true,
-		MaxIdleConns:      16,
-		IdleConnTimeout:   60 * time.Second,
-	}
-	if dialer != nil {
-		tr.DialContext = dialer.DialContext
-	}
-	return &Client{HTTP: &http.Client{Transport: tr}}
+	return &Client{tls: tlsCfg, dialer: dialer}
 }
 
 func (c *Client) timeout() time.Duration {
@@ -97,63 +79,19 @@ func (c *Client) timeout() time.Duration {
 	return 5 * time.Second
 }
 
-// CloseIdle drops pooled connections, forcing the next query to pay the
-// full TCP+TLS establishment cost. A fresh-connection client pools none.
-func (c *Client) CloseIdle() {
-	if c.HTTP != nil {
-		c.HTTP.CloseIdleConnections()
-	}
-}
-
 // Exchange sends the query to the endpoint URL (e.g.
 // "https://dns.example/dns-query") and parses the response.
 func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, endpoint string) (*dnswire.Message, error) {
 	bp := bufpool.Get()
+	defer bufpool.Put(bp)
 	wire, err := query.AppendPack((*bp)[:0])
 	if err != nil {
-		bufpool.Put(bp)
 		return nil, fmt.Errorf("doh: packing query: %w", err)
 	}
 	*bp = wire
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
-	ctx = withClientTrace(ctx)
-	if c.fresh != nil {
-		defer bufpool.Put(bp)
-		return c.exchangeFresh(ctx, wire, query, endpoint)
-	}
-
-	// The transport owns body until the request write loop finishes;
-	// body.Close (called by the transport) recycles it.
-	body := newPooledBody(bp)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, body)
-	if err != nil {
-		body.Close()
-		return nil, fmt.Errorf("doh: building request: %w", err)
-	}
-	req.ContentLength = int64(len(wire))
-	req.Header.Set("Content-Type", ContentType)
-	req.Header.Set("Accept", ContentType)
-
-	httpResp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("doh: request: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(httpResp.Body, 4096))
-		return nil, &HTTPError{StatusCode: httpResp.StatusCode, Status: httpResp.Status}
-	}
-	// The response wire lives in a pooled buffer only as long as Unpack
-	// needs it: plain Unpack fully copies into the returned Message.
-	rbp := bufpool.Get()
-	defer bufpool.Put(rbp)
-	raw, err := readAllInto((*rbp)[:0], httpResp.Body, dnswire.MaxMessageSize)
-	*rbp = raw
-	if err != nil {
-		return nil, bodyErr(err)
-	}
-	return unpackResponse(raw, query)
+	return c.exchangeFresh(withClientTrace(ctx), wire, query, endpoint)
 }
 
 // bodyErr is the error of a response whose body could not be read.
@@ -181,9 +119,9 @@ func unpackResponse(raw []byte, query *dnswire.Message) (*dnswire.Message, error
 // handshake, and first-byte spans on the context's current obs span, and
 // counts handshake resumption outcomes. Untraced queries still count
 // handshakes (the counters are process-wide); everything else costs
-// nothing without a span in ctx. The HTTP transport invokes the callbacks
-// sequentially for a single request, so the captured span variables need
-// no locking.
+// nothing without a span in ctx. One exchange invokes the callbacks
+// sequentially on its own goroutine (the dial's among them, from the net
+// package), so the captured span variables need no locking.
 func withClientTrace(ctx context.Context) context.Context {
 	sp := obs.SpanFromContext(ctx)
 	countHandshake := func(cs tls.ConnectionState, err error) {
@@ -211,11 +149,6 @@ func withClientTrace(ctx context.Context) context.Context {
 			countHandshake(cs, err)
 			if err == nil && cs.DidResume {
 				sp.Annotate("doh: abbreviated handshake (session resumed)")
-			}
-		},
-		GotConn: func(info httptrace.GotConnInfo) {
-			if info.Reused {
-				sp.Annotate("doh: reused pooled connection")
 			}
 		},
 		WroteRequest:         func(_ httptrace.WroteRequestInfo) { fbSp = sp.Start("first-byte") },

@@ -2,12 +2,14 @@ package doh
 
 import (
 	"context"
+	"crypto/tls"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/netip"
 	"net/url"
 	"strings"
@@ -29,13 +31,18 @@ func static() dns53.Handler {
 
 // startDoH stands up an httptest TLS server with the RFC 8484 handler and
 // returns its endpoint URL plus a client from NewClient that trusts it.
-func startDoH(t *testing.T, h dns53.Handler, reuse bool) (string, *Client) {
+func startDoH(t *testing.T, h dns53.Handler) (string, *Client) {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle(DefaultPath, &Handler{DNS: h})
 	ts := httptest.NewTLSServer(mux)
 	t.Cleanup(ts.Close)
-	return ts.URL + DefaultPath, NewClient(ts.Client().Transport.(*http.Transport).TLSClientConfig, nil, reuse)
+	return ts.URL + DefaultPath, trustingClient(ts)
+}
+
+// trustingClient is a client from NewClient that trusts ts.
+func trustingClient(ts *httptest.Server) *Client {
+	return NewClient(ts.Client().Transport.(*http.Transport).TLSClientConfig, nil)
 }
 
 // ask exchanges one query for name and type with endpoint.
@@ -44,7 +51,7 @@ func ask(ctx context.Context, c *Client, endpoint, name string, t dnswire.Type) 
 }
 
 func TestDoHPOST(t *testing.T) {
-	endpoint, c := startDoH(t, static(), true)
+	endpoint, c := startDoH(t, static())
 	resp, err := ask(context.Background(), c, endpoint, "google.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +98,7 @@ func TestDoHGET(t *testing.T) {
 }
 
 func TestDoHFreshConnections(t *testing.T) {
-	endpoint, c := startDoH(t, static(), false)
+	endpoint, c := startDoH(t, static())
 	for i := 0; i < 3; i++ {
 		if _, err := ask(context.Background(), c, endpoint, "google.com", dnswire.TypeA); err != nil {
 			t.Fatalf("query %d: %v", i, err)
@@ -100,7 +107,7 @@ func TestDoHFreshConnections(t *testing.T) {
 }
 
 func TestDoHNXDomain(t *testing.T) {
-	endpoint, c := startDoH(t, static(), true)
+	endpoint, c := startDoH(t, static())
 	resp, err := ask(context.Background(), c, endpoint, "missing.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +190,7 @@ func TestDoHServfailOnHandlerError(t *testing.T) {
 	h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 		return nil, errors.New("resolver exploded")
 	})
-	endpoint, c := startDoH(t, h, true)
+	endpoint, c := startDoH(t, h)
 	resp, err := ask(context.Background(), c, endpoint, "any.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +205,7 @@ func TestDoHClientClassifiesHTTPErrors(t *testing.T) {
 		http.Error(w, "down for maintenance", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := &Client{HTTP: ts.Client()}
+	c := trustingClient(ts)
 	_, err := ask(context.Background(), c, ts.URL, "google.com", dnswire.TypeA)
 	var he *HTTPError
 	if !errors.As(err, &he) {
@@ -294,13 +301,19 @@ func TestDoHHTTP2Negotiated(t *testing.T) {
 	ts.StartTLS()
 	defer ts.Close()
 
-	c := &Client{HTTP: ts.Client()}
-	resp, err := ask(context.Background(), c, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
+	var proto string
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		TLSHandshakeDone: func(cs tls.ConnectionState, _ error) { proto = cs.NegotiatedProtocol },
+	})
+	resp, err := ask(ctx, trustingClient(ts), ts.URL+DefaultPath, "google.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Answers) != 1 {
 		t.Fatalf("answers = %d", len(resp.Answers))
+	}
+	if proto != "h2" {
+		t.Errorf("negotiated %q, want h2", proto)
 	}
 }
 
@@ -311,7 +324,8 @@ func TestDoHTimeout(t *testing.T) {
 	}))
 	ts := httptest.NewTLSServer(mux)
 	defer ts.Close()
-	c := &Client{HTTP: ts.Client(), Timeout: 100 * time.Millisecond}
+	c := trustingClient(ts)
+	c.Timeout = 100 * time.Millisecond
 	start := time.Now()
 	_, err := ask(context.Background(), c, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
 	if err == nil {

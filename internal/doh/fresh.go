@@ -12,20 +12,18 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
-	"sync/atomic"
 
 	"encdns/internal/bufpool"
-	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 )
 
-// This file is what a Client from NewClient with reuse off runs per query:
-// one connection, one TLS handshake, one request and its response, all on
-// the calling goroutine, as dot.Client dials. net/http would spend a
-// handshake goroutine, a read-loop goroutine and a write per frame on a
-// connection it uses once. Dialer, TLS configuration and session cache,
-// ALPN (h2, else http/1.1) and httptrace hooks are the ones net/http used;
-// HTTP/2 goes through h2.go's constants and HPACK decoder.
+// This file is what a Client runs per query: one connection, one TLS
+// handshake, one request and its response, all on the calling goroutine,
+// as dot.Client dials. net/http would spend a handshake goroutine, a
+// read-loop goroutine and a write per frame on a connection it uses once.
+// Dialer, TLS configuration and session cache, ALPN (h2, else http/1.1)
+// and httptrace hooks are the ones a net/http client would use; HTTP/2
+// goes through h2.go's constants and HPACK decoder.
 
 // ProtocolError reports an HTTP/2 response the server broke off or that
 // breaks RFC 9113: a GOAWAY that leaves the request unanswered, a
@@ -63,28 +61,21 @@ var h2SettingsAck = []byte{0, 0, 0, frameSettings, flagAck, 0, 0, 0, 0}
 // chunk framing and a body of at most one DNS message.
 const h1MaxResponse = 128 << 10
 
-// freshConfig is the fresh-connection half of a Client.
-type freshConfig struct {
-	tls    *tls.Config // NewClient's clone: ALPN and the session cache
-	dialer dns53.ContextDialer
-	last   atomic.Pointer[freshTarget] // a client mostly asks one endpoint
-}
-
 // freshTarget is an endpoint parsed for exchanges.
 type freshTarget struct {
 	endpoint string
 	url      *url.URL
 	addr     string      // host:port to dial
-	tls      *tls.Config // freshConfig.tls, or a clone naming the host as net/http did
+	tls      *tls.Config // Client.tls, or a clone naming the host as net/http did
 }
 
-func (o *freshConfig) target(endpoint string) (*freshTarget, error) {
-	if t := o.last.Load(); t != nil && t.endpoint == endpoint {
+func (c *Client) target(endpoint string) (*freshTarget, error) {
+	if t := c.last.Load(); t != nil && t.endpoint == endpoint {
 		return t, nil
 	}
 	u, err := url.Parse(endpoint)
 	if err == nil && (u.Scheme != "https" || u.Host == "") {
-		err = errors.New("a fresh-connection client needs an https URL")
+		err = errors.New("a DoH client needs an https URL")
 	}
 	if err != nil {
 		return nil, fmt.Errorf("doh: endpoint %q: %w", endpoint, err)
@@ -93,19 +84,19 @@ func (o *freshConfig) target(endpoint string) (*freshTarget, error) {
 	if port == "" {
 		port = "443"
 	}
-	t := &freshTarget{endpoint: endpoint, url: u, addr: net.JoinHostPort(u.Hostname(), port), tls: o.tls}
+	t := &freshTarget{endpoint: endpoint, url: u, addr: net.JoinHostPort(u.Hostname(), port), tls: c.tls}
 	if t.tls.ServerName == "" {
-		t.tls = o.tls.Clone()
+		t.tls = c.tls.Clone()
 		t.tls.ServerName = u.Hostname()
 	}
-	o.last.Store(t)
+	c.last.Store(t)
 	return t, nil
 }
 
 // exchangeFresh runs one query, packed in wire, on a connection of its
 // own. An error once ctx is done is ctx's.
 func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.Message, endpoint string) (_ *dnswire.Message, err error) {
-	t, err := c.fresh.target(endpoint)
+	t, err := c.target(endpoint)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +107,7 @@ func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.
 	}()
 	// ConnectStart and ConnectDone are the net package's to call, as under
 	// net/http; the other hooks are called here.
-	raw, err := c.fresh.dialer.DialContext(ctx, "tcp", t.addr)
+	raw, err := c.dialer.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		return nil, fmt.Errorf("doh: dial %s: %w", t.addr, err)
 	}

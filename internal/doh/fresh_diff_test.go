@@ -6,6 +6,8 @@ import (
 	"crypto/tls"
 	"encoding/base64"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -17,15 +19,16 @@ import (
 	"time"
 
 	"encdns/internal/certs"
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/netsim"
 	"encdns/internal/transport"
 )
 
-// The differential for the fresh-connection client: the parent's fresh
-// path — net/http with keep-alives off, which is what doh.NewClient built
-// before the one-shot exchange replaced it — is the reference, and both
+// The differential for the fresh-connection client: net/http with
+// keep-alives off, what doh.NewClient built before the one-shot exchange
+// replaced it, is the reference (netHTTPClient), and both
 // clients must come back with the same parsed message or errors of the same
 // transport.Classify class, whatever the server. The one-shot client always
 // POSTs; the reference sends the same query as a POST or an RFC 8484 GET,
@@ -120,6 +123,51 @@ func freshMux(h *doh.Handler) *http.ServeMux {
 		w.Header().Set("X-Done", "1")
 	})
 	return mux
+}
+
+// netHTTPTimeout bounds one exchange of either client.
+const netHTTPTimeout = 3 * time.Second
+
+// netHTTPClient is the reference: the DoH exchange over net/http that
+// doh.Client ran before the one-shot exchange replaced it. It POSTs the
+// query and holds the response to the checks the one-shot client makes:
+// status 200, a body no longer than a DNS message, a message that parses
+// and answers the query.
+type netHTTPClient struct{ http *http.Client }
+
+func (c *netHTTPClient) Exchange(ctx context.Context, query *dnswire.Message, endpoint string) (*dnswire.Message, error) {
+	wire, err := query.Pack()
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithTimeout(ctx, netHTTPTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(wire))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", doh.ContentType)
+	req.Header.Set("Accept", doh.ContentType)
+	httpResp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("doh: request: %w", err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		return nil, &doh.HTTPError{StatusCode: httpResp.StatusCode, Status: httpResp.Status}
+	}
+	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, dnswire.MaxMessageSize+1))
+	if err != nil {
+		return nil, fmt.Errorf("doh: reading response: %w", err)
+	}
+	if len(raw) > dnswire.MaxMessageSize {
+		return nil, errors.New("doh: response exceeds DNS message limit")
+	}
+	resp, err := dnswire.Unpack(raw)
+	if err != nil {
+		return nil, fmt.Errorf("doh: parsing response: %w", err)
+	}
+	return resp, dns53.CheckResponse(query, resp)
 }
 
 // reshape is the reference's RoundTripper: it sends the client's POST as a
@@ -310,13 +358,15 @@ func TestFreshMatchesNetHTTP(t *testing.T) {
 							qname = "nx.example.com."
 						}
 						endpoint := srv.base + strings.TrimSuffix(path, "#nx")
-						reference := &doh.Client{HTTP: &http.Client{Transport: reshape{&http.Transport{
+						reference := &netHTTPClient{&http.Client{Transport: reshape{&http.Transport{
 							TLSClientConfig: srv.tls.Clone(), DisableKeepAlives: true, ForceAttemptHTTP2: true}, method == http.MethodGet, ua}}}
-						oneShot := doh.NewClient(srv.tls, nil, false)
+						oneShot := doh.NewClient(srv.tls, nil)
+						oneShot.Timeout = netHTTPTimeout
 						var resp [2]*dnswire.Message
 						var errs [2]error
-						for i, c := range []*doh.Client{reference, oneShot} {
-							c.Timeout = 3 * time.Second
+						for i, c := range []interface {
+							Exchange(context.Context, *dnswire.Message, string) (*dnswire.Message, error)
+						}{reference, oneShot} {
 							resp[i], errs[i] = c.Exchange(context.Background(), dnswire.NewQuery(freshID, qname, dnswire.TypeA), endpoint)
 						}
 						if answers := srv.answers(path); answers != (errs[0] == nil) {

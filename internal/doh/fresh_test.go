@@ -64,11 +64,11 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // and in handshakes: five client writes (ClientHello, Finished, the
 // request, the SETTINGS acknowledgement, close_notify — net/http made
 // seven), one full handshake per client and a resumed one on every later
-// probe, and no net/http client anywhere.
+// probe.
 func TestFreshProbeShape(t *testing.T) {
 	endpoint, cfg := startServeH2(t)
 	d := &countingDialer{}
-	c := NewClient(cfg, d, false)
+	c := NewClient(cfg, d)
 	full, resumed := handshakesFull.Value(), handshakesResumed.Value()
 	for i := range 4 {
 		before := d.writes.Load()
@@ -86,9 +86,6 @@ func TestFreshProbeShape(t *testing.T) {
 	if got := handshakesResumed.Value() - resumed; got != 3 {
 		t.Errorf("%d resumed handshakes, want 3", got)
 	}
-	if c.HTTP != nil {
-		t.Error("a fresh-connection client built an http.Client")
-	}
 }
 
 // TestFreshConcurrentProbes shares one fresh-connection client among
@@ -97,7 +94,7 @@ func TestFreshProbeShape(t *testing.T) {
 func TestFreshConcurrentProbes(t *testing.T) {
 	first, cfg := startServeH2(t)
 	second := first + "?probe=2" // the same path to the handler, another endpoint to the client
-	c := NewClient(cfg, nil, false)
+	c := NewClient(cfg, nil)
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
@@ -262,9 +259,9 @@ func TestFreshCancellation(t *testing.T) {
 			baseline := testutil.GoroutineBaseline()
 			reached := make(chan struct{}, 1)
 			dial, hooks := tc.setup(reached)
-			c := NewClient(tc.tls, nil, false)
+			c := NewClient(tc.tls, nil)
 			if dial != nil {
-				c = NewClient(tc.tls, dial, false)
+				c = NewClient(tc.tls, dial)
 			}
 			ctx, cancel := context.WithCancel(httptrace.WithClientTrace(context.Background(), hooks))
 			defer cancel()

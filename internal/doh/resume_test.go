@@ -12,8 +12,8 @@ import (
 	"encdns/internal/dnswire"
 )
 
-// TestDoHSessionResumption drives two fresh connections (keep-alives off)
-// through a NewClient transport and asserts via httptrace that the second
+// TestDoHSessionResumption drives two fresh connections through a client
+// from NewClient and asserts via httptrace that the second
 // TLS handshake resumed from the session cache NewClient installs.
 func TestDoHSessionResumption(t *testing.T) {
 	mux := http.NewServeMux()
@@ -23,7 +23,7 @@ func TestDoHSessionResumption(t *testing.T) {
 
 	pool := x509.NewCertPool()
 	pool.AddCert(ts.Certificate())
-	c := NewClient(&tls.Config{RootCAs: pool}, nil, false) // reuse off: every request dials
+	c := NewClient(&tls.Config{RootCAs: pool}, nil) // every request dials
 
 	query := func() (resumed bool) {
 		t.Helper()
@@ -67,7 +67,7 @@ func TestDoHResumptionCounters(t *testing.T) {
 
 	pool := x509.NewCertPool()
 	pool.AddCert(ts.Certificate())
-	c := NewClient(&tls.Config{RootCAs: pool}, nil, false)
+	c := NewClient(&tls.Config{RootCAs: pool}, nil)
 
 	resumedBefore := handshakesResumed.Value()
 	fullBefore := handshakesFull.Value()

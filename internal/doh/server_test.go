@@ -132,6 +132,44 @@ func FuzzDoHPost(f *testing.F) {
 	})
 }
 
+// FuzzDoHJSON: any name and type are answered 200 with application/dns-json
+// and a body that decodes into a response to one question, or refused with
+// 400; nothing panics.
+func FuzzDoHJSON(f *testing.F) {
+	for _, name := range []string{"hit.test.", "miss.test.", "error.test.", "panic.test.", "slow.test.", "nx.test"} {
+		f.Add(name, "A")
+	}
+	f.Add("", "A")
+	f.Add(`a\.b.test.`, "AAAA")
+	f.Add("hit.test", "1")
+	f.Add("hit.test", "65535")
+	f.Add("hit.test", "65536")
+	f.Add("hit.test", "BOGUS")
+	f.Add("hit.test", "")
+	dns := &testDNS{release: make(chan struct{})}
+	dns.unblock() // slow.test. answers at once
+	h := &Handler{DNS: dns}
+	f.Fuzz(func(t *testing.T, name, qtype string) {
+		req := httptest.NewRequest(http.MethodGet, DefaultPath, nil)
+		req.URL.RawQuery = url.Values{"name": {name}, "type": {qtype}}.Encode()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+			if ct := rec.Header().Get("Content-Type"); ct != JSONContentType {
+				t.Fatalf("200 with Content-Type %q", ct)
+			}
+			var jr jsonResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil || len(jr.Question) != 1 {
+				t.Fatalf("200 with body %q: %v", rec.Body.Bytes(), err)
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("status %d", rec.Code)
+		}
+	})
+}
+
 // eofConn is a net.Conn whose peer sent in and hung up, and which counts
 // what is written to it.
 type eofConn struct {

@@ -1,9 +1,10 @@
-// Package dot implements DNS-over-TLS (RFC 7858): a client with optional
-// connection reuse and a server that terminates TLS and dispatches to the
-// shared dns53 handler/framing machinery. DoT runs the RFC 1035 TCP
-// framing over a TLS session on its dedicated port 853 — the design that
-// makes it easy for networks to block wholesale, which is why the paper's
-// measured resolvers overwhelmingly deploy DoH alongside or instead.
+// Package dot implements DNS-over-TLS (RFC 7858): a client that asks each
+// query on a connection of its own and a server that terminates TLS and
+// dispatches to the shared dns53 handler/framing machinery. DoT runs the
+// RFC 1035 TCP framing over a TLS session on its dedicated port 853 — the
+// design that makes it easy for networks to block wholesale, which is why
+// the paper's measured resolvers overwhelmingly deploy DoH alongside or
+// instead.
 package dot
 
 import (
@@ -21,23 +22,17 @@ import (
 	"encdns/internal/obs"
 )
 
-// Process-wide pool instruments: the DoT connection cache at /metrics.
+// Handshake-outcome counters at /metrics, labelled like the DoH pair.
 var (
-	poolHits = obs.Default().Counter("transport_dot_pool_hits_total",
-		"DoT exchanges served over a cached TLS session.")
-	poolMisses = obs.Default().Counter("transport_dot_pool_misses_total",
-		"DoT exchanges that had to dial and handshake.")
-	poolEvictions = obs.Default().Counter("transport_dot_pool_evictions_total",
-		"Cached DoT sessions dropped: stale, over the bound, or dead when reused.")
-	poolIdle = obs.Default().Gauge("transport_dot_pool_idle",
-		"Currently cached DoT sessions across clients.")
 	handshakesResumed = obs.Default().Counter("transport_dot_handshakes_total",
 		"Completed DoT TLS handshakes by resumption outcome.", "resumed", "true")
 	handshakesFull = obs.Default().Counter("transport_dot_handshakes_total",
 		"Completed DoT TLS handshakes by resumption outcome.", "resumed", "false")
 )
 
-// Client issues DNS queries over TLS.
+// Client issues DNS queries over TLS, each on a connection of its own: the
+// paper's dig-style probe. TLS sessions resume from the client's session
+// cache, so only its first connection to a server pays the full handshake.
 type Client struct {
 	// TLS configures certificate verification; nil uses the system roots
 	// with the server name inferred from the address.
@@ -46,30 +41,10 @@ type Client struct {
 	Timeout time.Duration
 	// Dialer provides the underlying TCP connection; nil uses net.Dialer.
 	Dialer dns53.ContextDialer
-	// Reuse keeps TLS sessions open between queries. The paper's
-	// related work (Zhu et al., Böttger et al.) found connection reuse
-	// amortises most of the encryption overhead.
-	Reuse bool
 
 	mu       sync.Mutex
-	conns    map[string]*idleConn   // cached connections when Reuse is set
 	sessions tls.ClientSessionCache // lazily created, shared across dials
-	now      func() time.Time       // test hook; nil means time.Now
 }
-
-// idleConn is one cached TLS session and when it was last used.
-type idleConn struct {
-	conn *tls.Conn
-	last time.Time
-}
-
-// The connection cache's bounds: at most maxIdleConns connections across
-// servers, the least recently used evicted when full, and none idle longer
-// than idleTimeout (the DoH transport's idle timeout).
-const (
-	maxIdleConns = 4
-	idleTimeout  = 60 * time.Second
-)
 
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
@@ -85,143 +60,19 @@ func (c *Client) dialer() dns53.ContextDialer {
 	return &net.Dialer{}
 }
 
-func (c *Client) clock() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
-}
-
-// Exchange sends query to server ("host:port") over TLS and returns the
-// response.
+// Exchange sends query to server ("host:port") over a new TLS connection
+// and returns the response.
 func (c *Client) Exchange(ctx context.Context, query *dnswire.Message, server string) (*dnswire.Message, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
-
-	if c.Reuse {
-		if resp, err := c.exchangeCached(ctx, query, server); err == nil {
-			return resp, nil
-		}
-		// Cached path failed (no connection, or a stale one); fall
-		// through to a fresh dial — exactly what stub resolvers do.
-	}
-	if c.Reuse {
-		poolMisses.Inc()
-	}
 	conn, err := c.dial(ctx, server)
 	if err != nil {
 		return nil, err
 	}
+	defer conn.Close()
 	exSp := obs.SpanFromContext(ctx).Start("exchange")
-	resp, err := exchangeOn(ctx, conn, query)
-	exSp.End()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if c.Reuse {
-		c.store(conn, server)
-	} else {
-		conn.Close()
-	}
-	return resp, nil
-}
-
-// exchangeCached tries the cached connection for server, evicting stale
-// entries first. Only an exchange that succeeds on it counts as a hit; a
-// connection that turns out dead is an eviction.
-func (c *Client) exchangeCached(ctx context.Context, query *dnswire.Message, server string) (*dnswire.Message, error) {
-	c.mu.Lock()
-	c.evictStaleLocked()
-	ic := c.conns[server]
-	if ic == nil {
-		c.mu.Unlock()
-		return nil, errors.New("dot: no cached connection")
-	}
-	delete(c.conns, server) // claim it; returned on success
-	poolIdle.Dec()
-	c.mu.Unlock()
-	obs.Annotate(ctx, "dot: reusing cached session to %s", server)
-	resp, err := exchangeOn(ctx, ic.conn, query)
-	if err != nil {
-		ic.conn.Close()
-		poolEvictions.Inc()
-		return nil, err
-	}
-	poolHits.Inc()
-	c.store(ic.conn, server)
-	return resp, nil
-}
-
-// store caches conn for server, enforcing the idle bound.
-func (c *Client) store(conn *tls.Conn, server string) {
-	var closing []*tls.Conn
-	c.mu.Lock()
-	if c.conns == nil {
-		c.conns = make(map[string]*idleConn)
-	}
-	if old := c.conns[server]; old != nil && old.conn != conn {
-		// Replacement: the idle count is unchanged (one out, one in).
-		closing = append(closing, old.conn)
-		poolEvictions.Inc()
-	} else if old == nil {
-		poolIdle.Inc()
-	}
-	c.conns[server] = &idleConn{conn: conn, last: c.clock()}
-	// Over the bound: evict the least recently used other entry.
-	for len(c.conns) > maxIdleConns {
-		var oldestKey string
-		var oldest *idleConn
-		for k, ic := range c.conns {
-			if k == server {
-				continue
-			}
-			if oldest == nil || ic.last.Before(oldest.last) {
-				oldestKey, oldest = k, ic
-			}
-		}
-		if oldest == nil {
-			break
-		}
-		delete(c.conns, oldestKey)
-		closing = append(closing, oldest.conn)
-		poolEvictions.Inc()
-		poolIdle.Dec()
-	}
-	c.mu.Unlock()
-	for _, cc := range closing {
-		cc.Close()
-	}
-}
-
-// evictStaleLocked drops connections idle past idleTimeout. Callers hold
-// c.mu.
-func (c *Client) evictStaleLocked() {
-	cutoff := c.clock().Add(-idleTimeout)
-	for k, ic := range c.conns {
-		if ic.last.Before(cutoff) {
-			delete(c.conns, k)
-			ic.conn.Close()
-			poolEvictions.Inc()
-			poolIdle.Dec()
-		}
-	}
-}
-
-// Close drops every cached connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	conns := c.conns
-	c.conns = nil
-	poolIdle.Add(-int64(len(conns)))
-	c.mu.Unlock()
-	var firstErr error
-	for _, ic := range conns {
-		if err := ic.conn.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	defer exSp.End()
+	return exchangeOn(ctx, conn, query)
 }
 
 // dial establishes and handshakes a TLS connection.
@@ -257,10 +108,8 @@ func (c *Client) dial(ctx context.Context, server string) (*tls.Conn, error) {
 	}
 	hsSp.End()
 	// Session-ticket resumption skips the certificate exchange on repeat
-	// dials (abbreviated handshake) — the second-biggest encrypted-DNS
-	// latency saving after connection reuse itself, and the one that still
-	// applies when a middlebox or NAT rebinding kills the cached TCP
-	// connection.
+	// dials (abbreviated handshake): the saving a fresh connection per
+	// query still gets.
 	if conn.ConnectionState().DidResume {
 		handshakesResumed.Inc()
 		obs.Annotate(ctx, "dot: abbreviated handshake (session resumed) with %s", server)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
+	"io"
 	"net"
 	"net/netip"
 	"testing"
@@ -14,7 +15,6 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/obs"
-	"encdns/internal/testutil"
 )
 
 // startDoT stands up a DoT server over a fresh CA and returns the address,
@@ -54,27 +54,6 @@ func ask(c *Client, server string) (*dnswire.Message, error) {
 	return c.Exchange(context.Background(), dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA), server)
 }
 
-// poolCounts is a reading of the transport_dot_pool_* series.
-type poolCounts struct {
-	hits, misses, evictions uint64
-	idle                    int64
-}
-
-func readPool(t *testing.T) poolCounts {
-	t.Helper()
-	return poolCounts{
-		hits:      testutil.CounterValue(t, "transport_dot_pool_hits_total"),
-		misses:    testutil.CounterValue(t, "transport_dot_pool_misses_total"),
-		evictions: testutil.CounterValue(t, "transport_dot_pool_evictions_total"),
-		idle:      poolIdle.Value(),
-	}
-}
-
-// since is the change from an earlier reading.
-func (p poolCounts) since(before poolCounts) poolCounts {
-	return poolCounts{p.hits - before.hits, p.misses - before.misses, p.evictions - before.evictions, p.idle - before.idle}
-}
-
 func TestDoTQuery(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
 	c := &Client{TLS: cliTLS}
@@ -97,12 +76,31 @@ func TestDoTUntrustedCertRejected(t *testing.T) {
 	}
 }
 
+// dialDoT opens a test-side TLS connection to addr, handshaken.
+func dialDoT(t *testing.T, addr string, cfg *tls.Config) *tls.Conn {
+	t.Helper()
+	conn, err := tls.Dial("tcp", addr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// askOn exchanges one google.com. A query on conn.
+func askOn(conn *tls.Conn) (*dnswire.Message, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return exchangeOn(ctx, conn, dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA))
+}
+
+// TestDoTReuse: the server answers query after query on one connection,
+// as RFC 7858 §3.4 asks of it.
 func TestDoTReuse(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
-	c := &Client{TLS: cliTLS, Reuse: true}
-	defer c.Close()
+	conn := dialDoT(t, addr, cliTLS)
 	for i := 0; i < 5; i++ {
-		resp, err := ask(c, addr)
+		resp, err := askOn(conn)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -112,9 +110,10 @@ func TestDoTReuse(t *testing.T) {
 	}
 }
 
+// TestDoTReuseSurvivesServerClosingConn: the server's ReadTimeout closes
+// a connection left idle, and a client query after it dials afresh and
+// is answered.
 func TestDoTReuseSurvivesServerClosingConn(t *testing.T) {
-	// Short server read timeout kills idle connections; the client's
-	// cached connection then fails and it must transparently redial.
 	ca, _ := certs.NewCA(0)
 	srvTLS, _ := ca.ServerConfig(nil, []net.IP{net.ParseIP("127.0.0.1")})
 	inner := &dns53.Server{Handler: static(), ReadTimeout: 50 * time.Millisecond}
@@ -124,20 +123,18 @@ func TestDoTReuseSurvivesServerClosingConn(t *testing.T) {
 	defer ln.Close()
 	defer inner.Shutdown()
 
-	c := &Client{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true}
-	defer c.Close()
-	before := readPool(t)
-	if _, err := ask(c, ln.Addr().String()); err != nil {
+	conn := dialDoT(t, ln.Addr().String(), ca.ClientConfig("127.0.0.1"))
+	if _, err := askOn(conn); err != nil {
 		t.Fatalf("first query: %v", err)
 	}
-	time.Sleep(150 * time.Millisecond) // server read deadline passes
+	// Idle past the read timeout: the server hangs up.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle connection read %d octets, %v; want EOF", n, err)
+	}
+	c := &Client{TLS: ca.ClientConfig("127.0.0.1")}
 	if _, err := ask(c, ln.Addr().String()); err != nil {
 		t.Fatalf("query after idle close: %v", err)
-	}
-	// The dead cached connection is an eviction, not a hit, and the redial
-	// a second miss.
-	if d := readPool(t).since(before); d.hits != 0 || d.misses != 2 || d.evictions != 1 || d.idle != 1 {
-		t.Errorf("pool deltas = %+v, want 0 hits, 2 misses, 1 eviction, 1 idle", d)
 	}
 }
 
@@ -189,81 +186,6 @@ func TestDoTServerRequiresTLSConfig(t *testing.T) {
 	}
 }
 
-func TestDoTClientCloseIdempotent(t *testing.T) {
-	c := &Client{}
-	if err := c.Close(); err != nil {
-		t.Errorf("close empty client: %v", err)
-	}
-	if err := c.Close(); err != nil {
-		t.Errorf("double close: %v", err)
-	}
-}
-
-func TestDoTPoolStatsCounters(t *testing.T) {
-	addr, cliTLS := startDoT(t, static())
-	c := &Client{TLS: cliTLS, Reuse: true}
-	defer c.Close()
-	before := readPool(t)
-	for i := 0; i < 3; i++ {
-		if _, err := ask(c, addr); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	if d := readPool(t).since(before); d.misses != 1 || d.hits != 2 || d.idle != 1 || d.evictions != 0 {
-		t.Errorf("pool deltas = %+v, want 1 miss, 2 hits, 1 idle, 0 evictions", d)
-	}
-}
-
-func TestDoTPoolBoundedEviction(t *testing.T) {
-	// One server more than the cache holds: the last dial evicts the least
-	// recently used session, so the first server dials again and evicts
-	// the next oldest.
-	addrs := make([]string, maxIdleConns+1)
-	for i := range addrs {
-		addrs[i], _ = startDoT(t, static())
-	}
-	// One CA per startDoT call; trust them all by skipping verification.
-	c := &Client{TLS: &tls.Config{InsecureSkipVerify: true}, Reuse: true}
-	defer c.Close()
-	before := readPool(t)
-	for i, addr := range append(addrs, addrs[0]) {
-		if _, err := ask(c, addr); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	d := readPool(t).since(before)
-	if d.idle != maxIdleConns {
-		t.Errorf("idle = %d, want the bound of %d", d.idle, maxIdleConns)
-	}
-	if d.evictions != 2 || d.misses != maxIdleConns+2 || d.hits != 0 {
-		t.Errorf("pool deltas = %+v, want %d misses, 0 hits, 2 evictions", d, maxIdleConns+2)
-	}
-}
-
-func TestDoTPoolStaleEviction(t *testing.T) {
-	addr, cliTLS := startDoT(t, static())
-	clock := time.Now()
-	c := &Client{TLS: cliTLS, Reuse: true}
-	c.now = func() time.Time { return clock }
-	defer c.Close()
-	before := readPool(t)
-	if _, err := ask(c, addr); err != nil {
-		t.Fatal(err)
-	}
-	if d := readPool(t).since(before); d.idle != 1 {
-		t.Fatalf("idle = %d after first query", d.idle)
-	}
-	// The cached session goes stale, so the next query evicts it and
-	// dials fresh.
-	clock = clock.Add(idleTimeout + time.Minute)
-	if _, err := ask(c, addr); err != nil {
-		t.Fatal(err)
-	}
-	if d := readPool(t).since(before); d.evictions != 1 || d.hits != 0 || d.misses != 2 || d.idle != 1 {
-		t.Errorf("pool deltas = %+v, want 2 misses, 0 hits, 1 eviction, 1 idle", d)
-	}
-}
-
 // TestShutdownStopsServe: the DoT listener belongs to the dns53 server it
 // was handed to, so Shutdown closes it, drops a live idle connection, and
 // Serve returns nil.
@@ -279,9 +201,7 @@ func TestShutdownStopsServe(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- (&Server{DNS: inner, TLS: srvTLS}).Serve(ln) }()
 
-	c := &Client{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true}
-	defer c.Close()
-	if _, err := ask(c, ln.Addr().String()); err != nil {
+	if _, err := askOn(dialDoT(t, ln.Addr().String(), ca.ClientConfig("127.0.0.1"))); err != nil {
 		t.Fatal(err)
 	}
 	shut := make(chan struct{})

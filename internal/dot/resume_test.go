@@ -55,12 +55,11 @@ func TestSessionResumptionAbbreviatedHandshake(t *testing.T) {
 }
 
 // TestClientResumesAcrossDials exercises the same property through the
-// dot.Client path: with Reuse off every exchange dials fresh, so the
-// second dial must hit the client's session cache and bump the resumed
-// handshake counter.
+// dot.Client path: every exchange dials fresh, so the second dial must hit
+// the client's session cache and bump the resumed handshake counter.
 func TestClientResumesAcrossDials(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
-	c := &Client{TLS: cliTLS} // Reuse off: each Exchange dials a new connection
+	c := &Client{TLS: cliTLS}
 
 	resumedBefore := handshakesResumed.Value()
 	fullBefore := handshakesFull.Value()

@@ -12,8 +12,12 @@ import (
 	"encdns/internal/dot"
 )
 
-// Options configures Dial. The zero value is usable: system TLS roots,
-// fresh connections, and the default retry policy.
+// Options configures Dial. The zero value is usable: system TLS roots and
+// the default retry policy. Every tcp, tls and https exchange dials a
+// connection of its own, as the paper's dig-style probes do. Fresh is not
+// full: TLS session tickets are cached per exchanger, so only the first
+// connection to a server pays the full handshake and every later one
+// resumes.
 type Options struct {
 	// Timeout bounds each individual attempt; zero uses the protocol
 	// client's default (2s udp, 5s stream).
@@ -24,14 +28,6 @@ type Options struct {
 	// Dialer provides the underlying connections; nil uses net.Dialer.
 	// Injecting a dialer is how tests run over in-process transports.
 	Dialer dns53.ContextDialer
-	// Reuse keeps connections (DoT sessions, HTTP keep-alives) open
-	// between exchanges. The paper's dig-style probes measure with fresh
-	// connections, so the default is off: every exchange then dials, and an
-	// https one runs on a connection of its own (doh.NewClient). Fresh is
-	// not full: TLS session tickets are cached per exchanger either way, so
-	// only the first connection to a server pays the full handshake and
-	// every later one resumes.
-	Reuse bool
 	// Retry is the shared retry policy applied to every scheme; nil
 	// applies DefaultRetryPolicy. Pass NoRetry() for single attempts.
 	Retry *RetryPolicy
@@ -73,11 +69,11 @@ func Dial(endpoint string, opts Options) (Exchanger, error) {
 		}
 	case SchemeTLS:
 		ex = &dotExchanger{
-			client: &dot.Client{TLS: opts.TLS, Timeout: opts.Timeout, Dialer: cd, Reuse: opts.Reuse},
+			client: &dot.Client{TLS: opts.TLS, Timeout: opts.Timeout, Dialer: cd},
 			addr:   ce.Addr(),
 		}
 	case SchemeHTTPS:
-		c := doh.NewClient(opts.TLS, cd, opts.Reuse)
+		c := doh.NewClient(opts.TLS, cd)
 		c.Timeout = opts.Timeout
 		ex = &dohExchanger{client: c, url: ce.Endpoint.String()}
 	}
@@ -118,7 +114,7 @@ func (e *dotExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 	return e.client.Exchange(ctx, q, e.addr)
 }
 
-func (e *dotExchanger) Close() error { return e.client.Close() }
+func (e *dotExchanger) Close() error { return nil }
 
 // dohExchanger adapts doh.Client.
 type dohExchanger struct {
@@ -130,10 +126,7 @@ func (e *dohExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 	return e.client.Exchange(ctx, q, e.url)
 }
 
-func (e *dohExchanger) Close() error {
-	e.client.CloseIdle()
-	return nil
-}
+func (e *dohExchanger) Close() error { return nil }
 
 // Pool is the endpoint-addressed exchanger: it dials one Exchanger per
 // distinct endpoint on first use and reuses it afterwards. It implements

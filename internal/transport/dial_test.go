@@ -222,7 +222,6 @@ func TestEveryClientRejectsAnotherQuestion(t *testing.T) {
 		{"tcp", "tcp://" + startTCP(t, other), Options{}, dns53.ErrQuestionMismatch},
 		{"tls", "tls://" + tlsAddr, Options{TLS: ca.ClientConfig("127.0.0.1")}, dns53.ErrQuestionMismatch},
 		{"https, fresh connection", ts.URL + doh.DefaultPath, Options{TLS: trusting(ts)}, dns53.ErrQuestionMismatch},
-		{"https, net/http", ts.URL + doh.DefaultPath, Options{TLS: trusting(ts), Reuse: true}, dns53.ErrQuestionMismatch},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := exchangeOnce(t, tc.endpoint, tc.opts); !errors.Is(err, tc.want) {
@@ -233,16 +232,11 @@ func TestEveryClientRejectsAnotherQuestion(t *testing.T) {
 }
 
 // TestDoHRejectsQRClear: a DoH 200 response whose message is not a reply
-// (QR clear) is no answer, on both DoH clients.
+// (QR clear) is no answer.
 func TestDoHRejectsQRClear(t *testing.T) {
 	ts := startHTTPS(t, answering(func(m *dnswire.Message) { m.Header.QR = false }))
-	for name, opts := range map[string]Options{
-		"fresh connection": {TLS: trusting(ts)},
-		"net/http":         {TLS: trusting(ts), Reuse: true},
-	} {
-		if _, err := exchangeOnce(t, ts.URL+doh.DefaultPath, opts); !errors.Is(err, dns53.ErrNotReply) {
-			t.Errorf("%s: err = %v, want %v", name, err, dns53.ErrNotReply)
-		}
+	if _, err := exchangeOnce(t, ts.URL+doh.DefaultPath, Options{TLS: trusting(ts)}); !errors.Is(err, dns53.ErrNotReply) {
+		t.Errorf("err = %v, want %v", err, dns53.ErrNotReply)
 	}
 }
 
@@ -328,23 +322,53 @@ func TestPoolReusesExchangerPerEndpoint(t *testing.T) {
 	}
 }
 
-// TestPoolStatsThroughMiddleware: a pool with Reuse keeps the DoT
-// session under the retry and instrument middleware, and the
-// transport_dot_pool_* series count it: one dial, then one reuse.
-func TestPoolStatsThroughMiddleware(t *testing.T) {
-	addr, ca := startTLS(t, staticHandler())
-	p := NewPool(Options{TLS: ca.ClientConfig("127.0.0.1"), Reuse: true})
-	defer p.Close()
-	ex, err := p.Get("tls://" + addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := testutil.CounterValue(t, "transport_dot_pool_hits_total")
-	misses := testutil.CounterValue(t, "transport_dot_pool_misses_total")
-	exchangeQuery(t, ex) // miss: first exchange dials
-	exchangeQuery(t, ex) // hit: cached connection
-	if dh, dm := testutil.CounterValue(t, "transport_dot_pool_hits_total")-hits,
-		testutil.CounterValue(t, "transport_dot_pool_misses_total")-misses; dh != 1 || dm != 1 {
-		t.Errorf("pool deltas: %d hits, %d misses; want 1 and 1", dh, dm)
+// countingDialer counts the connections it dials.
+type countingDialer struct {
+	dials atomic.Int32
+	inner net.Dialer
+}
+
+func (d *countingDialer) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
+	d.dials.Add(1)
+	return d.inner.DialContext(ctx, network, address)
+}
+
+// TestPoolResumesPerEndpoint: what a Pool keeps per encrypted endpoint,
+// under Dial's retry and instrument middleware, is the TLS session cache
+// and no connection. Two exchanges dial twice, the first with a full
+// handshake and the second resumed.
+func TestPoolResumesPerEndpoint(t *testing.T) {
+	tlsAddr, ca := startTLS(t, staticHandler())
+	ts := startHTTPS(t, staticHandler())
+	for _, tc := range []struct {
+		scheme, endpoint string
+		tls              *tls.Config
+	}{
+		{"dot", "tls://" + tlsAddr, ca.ClientConfig("127.0.0.1")},
+		{"doh", ts.URL + doh.DefaultPath, trusting(ts)},
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			d := &countingDialer{}
+			p := NewPool(Options{TLS: tc.tls, Dialer: d})
+			defer p.Close()
+			ex, err := p.Get(tc.endpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series := "transport_" + tc.scheme + "_handshakes_total"
+			handshakes := func() (full, resumed uint64) {
+				return testutil.CounterValue(t, series+`{resumed="false"}`), testutil.CounterValue(t, series+`{resumed="true"}`)
+			}
+			full, resumed := handshakes()
+			exchangeQuery(t, ex)
+			exchangeQuery(t, ex)
+			f, r := handshakes()
+			if df, dr := f-full, r-resumed; df != 1 || dr != 1 {
+				t.Errorf("handshakes: %d full, %d resumed; want 1 and 1", df, dr)
+			}
+			if n := d.dials.Load(); n != 2 {
+				t.Errorf("%d dials for two exchanges, want 2", n)
+			}
+		})
 	}
 }

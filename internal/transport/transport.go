@@ -38,7 +38,8 @@ import (
 type Exchanger interface {
 	// Exchange sends the query and returns the validated response.
 	Exchange(ctx context.Context, query *dnswire.Message) (*dnswire.Message, error)
-	// Close releases any pooled connections.
+	// Close releases the exchanger. Dial's hold no connection between
+	// exchanges, so theirs return nil.
 	Close() error
 }
 
