@@ -62,9 +62,9 @@ func run(args []string, w io.Writer) error {
 		gluePort = fs.Int("glue-port", 53, "port appended to glue addresses during -trace")
 
 		ring      = fs.Bool("ring", false, "cluster debug mode: print ring ownership, per-peer health, and the replica set for the query name (requires -peers)")
-		peers     = fs.String("peers", "", "comma-separated cluster peer endpoints for -ring, spelled exactly as the cluster's -peers flags spell them")
+		peers     = fs.String("peers", "", "comma-separated cluster peer endpoints for -ring, Do53 as dohserver -peers takes them (host:port or udp://host[:port])")
 		clusterID = fs.String("cluster-id", "encdns", "cluster identity for -ring health probes")
-		replicas  = fs.Int("replicas", 2, "hot-set copies beyond the owner, for the -ring replica-set column")
+		replicas  = fs.Int("replicas", cluster.DefaultReplicas, "hot-set copies beyond the owner, for the -ring replica-set column")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,7 +91,11 @@ func run(args []string, w io.Writer) error {
 		if *peers == "" {
 			return fmt.Errorf("-ring requires -peers (the cluster's peer endpoints)")
 		}
-		return runRing(ctx, w, name, qtype, strings.Split(*peers, ","), *clusterID, *replicas, *timeout)
+		ids, err := cluster.PeerIDs(*peers)
+		if err != nil {
+			return fmt.Errorf("-peers: %w", err)
+		}
+		return runRing(ctx, w, name, qtype, ids, *clusterID, *replicas, *timeout)
 	}
 	if *trace && *roots != "" {
 		return runTrace(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *retries, *gluePort)
@@ -181,15 +185,11 @@ func fmtDur(d time.Duration) string {
 	return d.Round(time.Microsecond).String()
 }
 
-// runRing rebuilds a cluster's consistent-hash ring from its peer list
-// (ring layout depends only on the peer ID strings, so any observer that
-// spells them the same way derives the same ring), probes each peer's
-// health over the cluster marker protocol, and prints where the query
-// name lives.
+// runRing rebuilds a cluster's consistent-hash ring from its peer IDs
+// (ring layout depends only on the ID strings, and cluster.PeerIDs spells
+// them as every member does), probes each peer's health over the cluster
+// marker protocol, and prints where the query name lives.
 func runRing(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, peers []string, clusterID string, replicas int, timeout time.Duration) error {
-	for i := range peers {
-		peers[i] = strings.TrimSpace(peers[i])
-	}
 	r := cluster.NewRing(peers, 0)
 	if r.Len() == 0 {
 		return fmt.Errorf("-ring: no usable peers")

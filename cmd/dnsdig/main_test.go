@@ -14,9 +14,12 @@ import (
 
 	"encdns/internal/authdns"
 	"encdns/internal/certs"
+	"encdns/internal/cluster"
 	"encdns/internal/dns53"
+	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/dot"
+	"encdns/internal/keyhash"
 	"encdns/internal/resolver"
 )
 
@@ -339,5 +342,36 @@ func TestChainFlag(t *testing.T) {
 	}
 	if _, err := capture(t, "-chain", "warp:9", "-server", "tls://"+ln.Addr().String(), "google.com"); err == nil {
 		t.Error("bogus -chain layer accepted")
+	}
+}
+
+// TestRingCanonicalPeers: -ring keys the ring by the IDs the cluster's
+// members use, so bare and udp:// spellings of one cluster print the owner
+// and replica set the cluster itself computes; a peer that does not speak
+// Do53 is rejected by name. Nothing listens on the peers' ports: the
+// probes fail and only the ring lines are compared.
+func TestRingCanonicalPeers(t *testing.T) {
+	ids := []string{"udp://127.0.0.1:5301", "udp://127.0.0.1:5302", "udp://127.0.0.1:5303"}
+	set := cluster.NewRing(ids, 0).Successors(keyhash.Key("www.google.com.", uint16(dnswire.TypeA)), cluster.DefaultReplicas+1)
+	want := []string{";; owner:    " + set[0] + "\n", ";; replicas: " + strings.Join(set[1:], ", ") + "\n"}
+	for _, peers := range []string{
+		"127.0.0.1:5301,127.0.0.1:5302,127.0.0.1:5303",
+		strings.Join(ids, ","),
+		"udp://127.0.0.1:5303, 127.0.0.1:5301,udp://127.0.0.1:5302",
+	} {
+		out, err := capture(t, "-ring", "-peers", peers, "-timeout", "300ms", "www.google.com.")
+		if err != nil {
+			t.Fatalf("-peers %q: %v", peers, err)
+		}
+		for _, line := range want {
+			if !strings.Contains(out, line) {
+				t.Errorf("-peers %q: output lacks %q:\n%s", peers, line, out)
+			}
+		}
+	}
+
+	_, err := capture(t, "-ring", "-peers", "127.0.0.1:5301,tls://127.0.0.1:853", "www.google.com.")
+	if err == nil || !strings.Contains(err.Error(), `-peers: peer "tls://127.0.0.1:853"`) {
+		t.Errorf("tls:// peer: err = %v, want one naming it", err)
 	}
 }

@@ -180,11 +180,11 @@ func run(args []string, stdout *os.File) error {
 
 	if *metrics != "" {
 		obs.RegisterRuntimeMetrics(obs.Default())
-		var hopts []obs.HandlerOption
+		var watch obs.WatchSource // a nil *Tracker would not compare nil
 		if tracker != nil {
-			hopts = append(hopts, obs.WithWatch(tracker))
+			watch = tracker
 		}
-		bound, shutdown, err := obs.ServeHandler(*metrics, obs.NewHTTPHandler(obs.Default(), hopts...))
+		bound, shutdown, err := obs.ServeHandler(*metrics, obs.NewHTTPHandler(obs.Default(), watch))
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}

@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -94,9 +93,13 @@ func run() error {
 		if *do53Addr == "" {
 			return fmt.Errorf("cluster mode needs -do53 (peers forward over Do53)")
 		}
-		selfID, remotes, err := clusterIDs(*do53Addr, *peers)
+		selfID, err := cluster.PeerID(*do53Addr)
 		if err != nil {
-			return err
+			return fmt.Errorf("-do53: %w", err)
+		}
+		remotes, err := cluster.PeerIDs(*peers)
+		if err != nil {
+			return fmt.Errorf("-peers: %w", err)
 		}
 		peerPool = transport.NewPool(transport.Options{})
 		node = &cluster.Node{
@@ -184,7 +187,7 @@ func run() error {
 		// Introspection rides the same mux: /metrics (Prometheus text),
 		// /debug/obs (JSON snapshot), and /debug/pprof (profiles).
 		obs.RegisterRuntimeMetrics(obs.Default())
-		introspection := obs.NewHTTPHandler(obs.Default())
+		introspection := obs.NewHTTPHandler(obs.Default(), nil)
 		mux.Handle("/metrics", introspection)
 		mux.Handle("/debug/", introspection)
 		httpSrv = &http.Server{
@@ -233,44 +236,6 @@ func run() error {
 		}
 		return nil
 	}
-}
-
-// clusterIDs returns the cluster IDs of this node (its -do53 address) and
-// of the comma-separated peers: each the canonical endpoint string
-// transport.ParseChain gives, which is also what the peer pool dials. So
-// a peer spelled 127.0.0.1:5302 is the node that calls itself
-// udp://127.0.0.1:5302, and every member hashes the same ring. Peers
-// forward over Do53: another scheme, or a dialer-chain prefix, is an
-// error naming the peer.
-func clusterIDs(do53Addr, peers string) (string, []string, error) {
-	self, err := peerID(do53Addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("-do53: %w", err)
-	}
-	var remotes []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		id, err := peerID(p)
-		if err != nil {
-			return "", nil, fmt.Errorf("-peers: %w", err)
-		}
-		remotes = append(remotes, id)
-	}
-	return self, remotes, nil
-}
-
-// peerID is the cluster ID of the Do53 endpoint spec.
-func peerID(spec string) (string, error) {
-	ce, err := transport.ParseChain(spec)
-	if err != nil {
-		return "", fmt.Errorf("peer %q: %w", spec, err)
-	}
-	if ce.Scheme != transport.SchemeUDP || len(ce.Layers) > 0 {
-		return "", fmt.Errorf("peer %q: cluster peers forward over Do53, so want udp://host[:port] with no dialer chain", spec)
-	}
-	return ce.String(), nil
 }
 
 // buildHandler assembles the resolver over cache: an authoritative zone

@@ -1,14 +1,51 @@
 package cluster
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"encdns/internal/monitor"
 	"encdns/internal/obs"
+	"encdns/internal/transport"
 )
+
+// PeerID is the cluster ID of the Do53 endpoint spec: the canonical
+// endpoint string transport.ParseChain gives, which is also what a peer
+// pool dials. So a peer spelled 127.0.0.1:5302 is the node that calls
+// itself udp://127.0.0.1:5302, and every member (and dnsdig -ring) hashes
+// the same ring. Peers forward over Do53: another scheme, or a
+// dialer-chain prefix, is an error naming the spec.
+func PeerID(spec string) (string, error) {
+	ce, err := transport.ParseChain(spec)
+	if err != nil {
+		return "", fmt.Errorf("peer %q: %w", spec, err)
+	}
+	if ce.Scheme != transport.SchemeUDP || len(ce.Layers) > 0 {
+		return "", fmt.Errorf("peer %q: cluster peers forward over Do53, so want udp://host[:port] with no dialer chain", spec)
+	}
+	return ce.String(), nil
+}
+
+// PeerIDs is PeerID over a comma-separated peer list; blank entries are
+// skipped.
+func PeerIDs(peers string) ([]string, error) {
+	var ids []string
+	for _, p := range strings.Split(peers, ",") {
+		if p = strings.TrimSpace(p); p == "" {
+			continue
+		}
+		id, err := PeerID(p)
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
 
 // Membership tracks which peers are eligible to own ring segments. The
 // peer list is static (the paper's deployment model: a fixed fleet of

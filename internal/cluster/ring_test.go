@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"encdns/internal/keyhash"
@@ -159,5 +161,38 @@ func TestOwnerBoundedSpillsHotRange(t *testing.T) {
 	// Everyone saturated: plain owner again (spilling just shuffles pain).
 	if got, _ := r.OwnerBounded(h, func(string) int { return 1000 }, 1.25); got != owner {
 		t.Errorf("saturated cluster should fall back to plain owner, got %q", got)
+	}
+}
+
+// TestClusterIDs: a node's own ID and its peers' are canonical udp://
+// endpoints however -do53 and -peers spell them, so every member hashes
+// the same ring; a peer that does not forward over Do53 is rejected by
+// name.
+func TestClusterIDs(t *testing.T) {
+	self, err := PeerID("127.0.0.1:5301")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if self != "udp://127.0.0.1:5301" {
+		t.Errorf("self = %q, want udp://127.0.0.1:5301", self)
+	}
+	remotes, err := PeerIDs(" 127.0.0.1:5302, udp://127.0.0.1 ,,udp://[::1]:5303")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"udp://127.0.0.1:5302", "udp://127.0.0.1:53", "udp://[::1]:5303"}; !slices.Equal(remotes, want) {
+		t.Errorf("remotes = %q, want %q", remotes, want)
+	}
+
+	for _, tc := range []struct{ peers, named string }{
+		{"udp://127.0.0.1:5302,tls://127.0.0.1:853", "tls://127.0.0.1:853"},
+		{"https://127.0.0.1/dns-query", "https://127.0.0.1/dns-query"},
+		{"split:3|tcp://127.0.0.1:5302", "split:3|tcp://127.0.0.1:5302"},
+		{"gopher://127.0.0.1", "gopher://127.0.0.1"},
+		{":5301", ":5301"},
+	} {
+		if _, err := PeerIDs(tc.peers); err == nil || !strings.Contains(err.Error(), `"`+tc.named+`"`) {
+			t.Errorf("PeerIDs(%q): err = %v, want one naming %q", tc.peers, err, tc.named)
+		}
 	}
 }

@@ -27,19 +27,7 @@ import (
 // driven from the campaign's own Progress callback.
 func TestWatchOutageDetection(t *testing.T) {
 	clock := netsim.NewVirtualClock(netsim.CampaignEpoch)
-	tracker := monitor.New(monitor.Config{
-		Now:      netsim.NowFunc(clock),
-		Interval: 10 * time.Second,
-		// Objective and burn windows scaled to virtual time: budget 0.1,
-		// fast pair over one/three buckets, factor 2.
-		Objective:      0.9,
-		Burn:           []monitor.BurnWindow{{Name: "fast", Short: 10 * time.Second, Long: 30 * time.Second, Factor: 2}},
-		DownAfter:      3,
-		HealthyAfter:   3,
-		DegradedRatio:  0.25,
-		DegradedWindow: 30 * time.Second,
-		MinSamples:     4,
-	})
+	tracker := monitor.New(monitor.Config{Now: netsim.NowFunc(clock), Interval: 10 * time.Second})
 
 	targets := simTargets("dns.google")
 	// Determinism: the outage in this scenario is the scripted one, not
@@ -113,15 +101,16 @@ func TestWatchOutageDetection(t *testing.T) {
 	}
 	// The fast pair must fire within one round of the outage. Progress
 	// reports 1-based rounds after each completes, so Down is set after
-	// round 5 and the first all-failure round is round 6 — which pushes
-	// the 10s burn to 10 and the 30s burn past 3, firing immediately.
+	// round 5 and the first all-failure round is round 6: its three
+	// failures among 18 probes burn the 1% budget at 16.7 over both the
+	// 5m and the 1h window, past the fast pair's ×14.4.
 	if firedAtRound != outageRound+1 {
 		t.Errorf("fast alert fired at round %d, want %d (within one window of the outage)",
 			firedAtRound, outageRound+1)
 	}
 
 	// Assert through the serving surface, not tracker internals.
-	srv := httptest.NewServer(obs.NewHTTPHandler(obs.NewRegistry(), obs.WithWatch(tracker)))
+	srv := httptest.NewServer(obs.NewHTTPHandler(obs.NewRegistry(), tracker))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/watch")
@@ -147,8 +136,8 @@ func TestWatchOutageDetection(t *testing.T) {
 	if wt.Errors["connect-failure"] == 0 {
 		t.Errorf("error breakdown %v missing the outage's connect failures", wt.Errors)
 	}
-	if len(wt.Alerts) != 1 || wt.Alerts[0].Firing {
-		t.Errorf("alerts = %+v, want one resolved fast alert", wt.Alerts)
+	if len(wt.Alerts) != 2 || wt.Alerts[0].Window != "fast" || wt.Alerts[0].Firing {
+		t.Errorf("alerts = %+v, want a resolved fast alert and the slow one", wt.Alerts)
 	}
 	if len(wt.Series) == 0 {
 		t.Errorf("watch report carries no timeseries")

@@ -134,12 +134,6 @@ func mk(host string, region geo.Region, mainstream bool, e netsim.Endpoint) Reso
 	if e.ProcSigma == 0 {
 		e.ProcSigma = 0.35
 	}
-	if e.CacheHitP == 0 {
-		e.CacheHitP = 0.96 // §3.2: the measured domains are almost always cached
-	}
-	if e.RecurseMs == 0 {
-		e.RecurseMs = 45
-	}
 	return Resolver{
 		Host:       host,
 		Endpoint:   "https://" + host + "/dns-query",

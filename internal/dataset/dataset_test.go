@@ -31,9 +31,6 @@ func TestPopulationShape(t *testing.T) {
 		if r.Net.Name != r.Host {
 			t.Errorf("%s: endpoint name mismatch %q", r.Host, r.Net.Name)
 		}
-		if r.Net.CacheHitP <= 0.5 {
-			t.Errorf("%s: cache hit prob %v not defaulted", r.Host, r.Net.CacheHitP)
-		}
 	}
 }
 

@@ -136,10 +136,10 @@ func TestAllRDataRoundTrip(t *testing.T) {
 		{Name: "caa.example", Type: TypeCAA, Class: ClassIN, TTL: 10,
 			Data: &CAA{Flags: 0, Tag: "issue", Value: "letsencrypt.org"}},
 		{Name: "svcb.example", Type: TypeHTTPS, Class: ClassIN, TTL: 11,
-			Data: &SVCB{RRType: TypeHTTPS, Priority: 1, Target: ".",
+			Data: &SVCB{Priority: 1, Target: ".",
 				Params: []SvcParam{{Key: 3, Value: []byte{0x01, 0xbb}}}}},
 		{Name: "raw.example", Type: Type(999), Class: ClassIN, TTL: 12,
-			Data: &Raw{Type: Type(999), Data: []byte{0xde, 0xad}}},
+			Data: &Raw{Data: []byte{0xde, 0xad}}},
 	}
 	m := &Message{Header: Header{ID: 9, QR: true}}
 	m.Answers = records

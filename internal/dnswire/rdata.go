@@ -105,7 +105,7 @@ func parseRData(t Type, msg []byte, off, rdlen int, d *decoder) (RData, error) {
 	case TypeCAA:
 		return parseCAA(rd)
 	case TypeSVCB, TypeHTTPS:
-		return parseSVCB(t, msg, off, rdlen)
+		return parseSVCB(msg, off, rdlen)
 	case TypeDNSKEY:
 		return parseDNSKEY(rd)
 	case TypeDS:
@@ -116,7 +116,6 @@ func parseRData(t Type, msg []byte, off, rdlen int, d *decoder) (RData, error) {
 		return parseNSEC(msg, off, rdlen)
 	default:
 		r := d.newRaw()
-		r.Type = t
 		r.Data = append(r.Data, rd...)
 		return r, nil
 	}
@@ -343,8 +342,8 @@ func parseCAA(rd []byte) (*CAA, error) {
 // SVCB is a service-binding record (RFC 9460); HTTPS is its port-443
 // sibling. SvcParams are kept as opaque key/value pairs, which is all the
 // measurement tool needs (it never originates them, only round-trips them).
+// The record's Type tells SVCB and HTTPS apart.
 type SVCB struct {
-	RRType   Type // TypeSVCB or TypeHTTPS
 	Priority uint16
 	Target   string
 	Params   []SvcParam
@@ -379,12 +378,12 @@ func (s *SVCB) String() string {
 	return sb.String()
 }
 
-func parseSVCB(t Type, msg []byte, off, rdlen int) (*SVCB, error) {
+func parseSVCB(msg []byte, off, rdlen int) (*SVCB, error) {
 	end := off + rdlen
 	if rdlen < 3 {
 		return nil, fmt.Errorf("%w: SVCB too short", ErrBadRData)
 	}
-	s := &SVCB{RRType: t, Priority: binary.BigEndian.Uint16(msg[off:])}
+	s := &SVCB{Priority: binary.BigEndian.Uint16(msg[off:])}
 	var err error
 	if s.Target, off, err = readName(msg, off+2); err != nil {
 		return nil, err
@@ -465,9 +464,9 @@ func parseOPT(rd []byte, d *decoder) (*OPT, error) {
 	return o, nil
 }
 
-// Raw is the fallback RDATA for record types this codec does not model.
+// Raw is the fallback RDATA for record types this codec does not model;
+// the record's Type names the type.
 type Raw struct {
-	Type Type
 	Data []byte
 }
 

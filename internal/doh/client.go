@@ -19,8 +19,7 @@ import (
 // HTTPError reports a non-200 DoH response; the measurement engine
 // classifies it separately from transport failures.
 type HTTPError struct {
-	StatusCode int
-	Status     string
+	Status string // "503 Service Unavailable"
 }
 
 func (e *HTTPError) Error() string {

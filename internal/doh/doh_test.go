@@ -211,8 +211,8 @@ func TestDoHClientClassifiesHTTPErrors(t *testing.T) {
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *HTTPError", err)
 	}
-	if he.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status = %d", he.StatusCode)
+	if he.Status != "503 Service Unavailable" {
+		t.Errorf("status = %q", he.Status)
 	}
 	if !strings.Contains(he.Error(), "503") {
 		t.Errorf("message = %q", he.Error())

@@ -221,7 +221,7 @@ func readResponse(rw io.ReadWriter, h2 bool, query *dnswire.Message, trace *http
 		return nil, bodyErr(err)
 	}
 	if status != http.StatusOK {
-		return nil, &HTTPError{StatusCode: status, Status: fmt.Sprintf("%d %s", status, http.StatusText(status))}
+		return nil, &HTTPError{Status: fmt.Sprintf("%d %s", status, http.StatusText(status))}
 	}
 	return unpackResponse(*body, query)
 }

@@ -154,7 +154,7 @@ func (c *netHTTPClient) Exchange(ctx context.Context, query *dnswire.Message, en
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
-		return nil, &doh.HTTPError{StatusCode: httpResp.StatusCode, Status: httpResp.Status}
+		return nil, &doh.HTTPError{Status: httpResp.Status}
 	}
 	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, dnswire.MaxMessageSize+1))
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"encdns/internal/dataset"
 	"encdns/internal/stats"
+	"encdns/internal/testutil"
 )
 
 // sharedRunner amortises the campaign across the test suite; tests must
@@ -405,7 +406,7 @@ func TestHomeVsEC2(t *testing.T) {
 // fasterThan reports whether a is faster than b with significance: the
 // rank-sum test rejects equality at the 5 % level and a's median is lower.
 func fasterThan(a, b []float64) bool {
-	_, p := stats.RankSum(a, b)
+	_, p := testutil.RankSum(a, b)
 	return p < 0.05 && stats.Median(a) < stats.Median(b)
 }
 

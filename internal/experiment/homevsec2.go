@@ -24,10 +24,6 @@ type HomeVsEC2Row struct {
 	HomeIQR    float64
 	OhioMedian float64
 	OhioIQR    float64
-	// Significant reports whether the rank-sum test distinguishes the two
-	// distributions at alpha = 0.01 (they almost always differ by the
-	// access overhead; the interesting column is the magnitude).
-	Significant bool
 }
 
 // MedianGap is home minus Ohio.
@@ -57,12 +53,10 @@ func (r *Runner) HomeVsEC2() (*HomeVsEC2Report, error) {
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		_, p := stats.RankSum(home, ohio)
 		row := HomeVsEC2Row{
 			Resolver:   res.Host,
 			HomeMedian: hb.Q2, HomeIQR: hb.IQR(),
 			OhioMedian: ob.Q2, OhioIQR: ob.IQR(),
-			Significant: !math.IsNaN(p) && p < 0.01,
 		}
 		rep.Rows = append(rep.Rows, row)
 		gaps = append(gaps, row.MedianGap())

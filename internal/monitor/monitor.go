@@ -35,75 +35,42 @@ func (s State) String() string {
 	return "healthy"
 }
 
+// The SLO policy every tracker runs: a 99% availability objective, the
+// SRE-workbook burn windows (burnWindows), and production-shaped
+// hysteresis.
+const (
+	// seriesPoints is how many intervals the dashboard timeseries keeps
+	// (ten minutes at the default interval). It also sets the window the
+	// top-level availability/quantile readings cover.
+	seriesPoints = 60
+	// objective is the availability SLO; the error budget for burn rates
+	// is 1-objective.
+	objective = 0.99
+	// downAfter is the consecutive-failure count that forces Down;
+	// healthyAfter the consecutive-success count required to leave
+	// Degraded/Down.
+	downAfter    = 3
+	healthyAfter = 3
+	// degradedRatio is the failure fraction over degradedWindow that
+	// demotes Healthy to Degraded; recovery additionally requires the
+	// ratio back under degradedRatio/2.
+	degradedRatio  = 0.1
+	degradedWindow = time.Minute
+	// minSamples gates ratio judgements so one early failure cannot mark
+	// a target degraded.
+	minSamples = 5
+	// journalCap bounds the event journal.
+	journalCap = 1024
+)
+
 // Config parameterises a Tracker. The zero value is usable: it yields
-// wall-clock time, 10-second buckets, a 99% availability objective, the
-// SRE-workbook burn windows, and production-shaped hysteresis.
+// wall-clock time and 10-second buckets.
 type Config struct {
 	// Now is the clock; nil uses time.Now. Hand it netsim.NowFunc(clock)
 	// and the whole watchtower runs in virtual time.
 	Now func() time.Time
 	// Interval is the windowed-bucket width (default 10s).
 	Interval time.Duration
-	// SeriesPoints is how many intervals the dashboard timeseries keeps
-	// (default 60: ten minutes at the default interval). It also sets
-	// the window the top-level availability/quantile readings cover.
-	SeriesPoints int
-	// Objective is the availability SLO in (0,1) (default 0.99); the
-	// error budget for burn rates is 1-Objective.
-	Objective float64
-	// Burn is the multi-window multi-burn-rate alert configuration
-	// (default DefaultBurnWindows: fast 5m/1h ×14.4, slow 6h/3d ×1).
-	Burn []BurnWindow
-	// DownAfter is the consecutive-failure count that forces Down
-	// (default 3). HealthyAfter is the consecutive-success count
-	// required to leave Degraded/Down (default 3).
-	DownAfter    int
-	HealthyAfter int
-	// DegradedRatio is the failure fraction over DegradedWindow that
-	// demotes Healthy to Degraded (default 0.1 over 1m); recovery
-	// additionally requires the ratio back under DegradedRatio/2.
-	DegradedRatio  float64
-	DegradedWindow time.Duration
-	// MinSamples gates ratio judgements so one early failure cannot
-	// mark a target degraded (default 5).
-	MinSamples int
-	// JournalCap bounds the event journal (default 1024 events).
-	JournalCap int
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Interval <= 0 {
-		out.Interval = 10 * time.Second
-	}
-	if out.SeriesPoints <= 0 {
-		out.SeriesPoints = 60
-	}
-	if out.Objective <= 0 || out.Objective >= 1 {
-		out.Objective = 0.99
-	}
-	if len(out.Burn) == 0 {
-		out.Burn = DefaultBurnWindows()
-	}
-	if out.DownAfter <= 0 {
-		out.DownAfter = 3
-	}
-	if out.HealthyAfter <= 0 {
-		out.HealthyAfter = 3
-	}
-	if out.DegradedRatio <= 0 {
-		out.DegradedRatio = 0.1
-	}
-	if out.DegradedWindow <= 0 {
-		out.DegradedWindow = time.Minute
-	}
-	if out.MinSamples <= 0 {
-		out.MinSamples = 5
-	}
-	if out.JournalCap <= 0 {
-		out.JournalCap = 1024
-	}
-	return out
 }
 
 // Tracker-level instruments, shared process-wide like the campaign's.
@@ -121,8 +88,8 @@ var (
 // Tracker is the watchtower: it ingests probe outcomes and maintains
 // per-target windowed availability, latency, error breakdowns, a health
 // state machine, and burn-rate alert evaluations. It implements
-// core.ProbeObserver (feeding), and obs.WatchSource + obs.EventSource
-// (serving /debug/watch). Safe for concurrent use.
+// core.ProbeObserver (feeding) and obs.WatchSource (serving /debug/watch).
+// Safe for concurrent use.
 type Tracker struct {
 	cfg     Config
 	journal *Journal
@@ -151,34 +118,29 @@ type target struct {
 	rtt                  *obs.WindowedHistogram
 	errClasses           map[string]*obs.WindowedCounter
 
-	alerts map[string]*alertState // keyed by BurnWindow.Name
+	alerts map[string]*alertState // keyed by burnWindow.name
 
 	stateGauge *obs.Gauge
 }
 
 // New builds a Tracker and journals its effective configuration.
 func New(cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = 10 * time.Second
+	}
 	t := &Tracker{
 		cfg:     cfg,
-		journal: NewJournal(cfg.JournalCap),
+		journal: NewJournal(journalCap),
 		targets: make(map[string]*target),
 	}
 	// The fine ring must cover every short window, the degraded window,
 	// and the dashboard span; the coarse ring covers the longest long
 	// window at a granularity bounded to ~1k slots.
-	fineSpan := time.Duration(cfg.SeriesPoints) * cfg.Interval
+	fineSpan := max(seriesPoints*cfg.Interval, degradedWindow)
 	maxLong := cfg.Interval
-	for _, b := range cfg.Burn {
-		if b.Short > fineSpan {
-			fineSpan = b.Short
-		}
-		if b.Long > maxLong {
-			maxLong = b.Long
-		}
-	}
-	if cfg.DegradedWindow > fineSpan {
-		fineSpan = cfg.DegradedWindow
+	for _, b := range burnWindows {
+		fineSpan = max(fineSpan, b.short)
+		maxLong = max(maxLong, b.long)
 	}
 	t.fineSlots = int(fineSpan/cfg.Interval) + 1
 	t.coarseInterval = cfg.Interval
@@ -189,7 +151,7 @@ func New(cfg Config) *Tracker {
 	t.journal.Append(Event{
 		Time: t.now(), Type: EventConfig,
 		Detail: fmt.Sprintf("interval=%s objective=%g burn-windows=%d down-after=%d healthy-after=%d",
-			cfg.Interval, cfg.Objective, len(cfg.Burn), cfg.DownAfter, cfg.HealthyAfter),
+			cfg.Interval, objective, len(burnWindows), downAfter, healthyAfter),
 	})
 	return t
 }
@@ -204,7 +166,7 @@ func (t *Tracker) now() time.Time {
 // Journal returns the tracker's event journal.
 func (t *Tracker) Journal() *Journal { return t.journal }
 
-// WriteEventsJSONL implements obs.EventSource.
+// WriteEventsJSONL implements obs.WatchSource.
 func (t *Tracker) WriteEventsJSONL(w io.Writer) error { return t.journal.WriteJSONL(w) }
 
 // State reports a target's current health; ok is false for an untracked
@@ -235,7 +197,7 @@ func (t *Tracker) getTarget(name string) *target {
 		c.SetNow(t.cfg.Now)
 		return c
 	}
-	rtt := obs.NewWindowedHistogram(t.cfg.Interval, t.cfg.SeriesPoints+1, nil)
+	rtt := obs.NewWindowedHistogram(t.cfg.Interval, seriesPoints+1, nil)
 	rtt.SetNow(t.cfg.Now)
 	tg := &target{
 		name:       name,
@@ -247,12 +209,12 @@ func (t *Tracker) getTarget(name string) *target {
 		failCoarse: mkCoarse(),
 		rtt:        rtt,
 		errClasses: make(map[string]*obs.WindowedCounter),
-		alerts:     make(map[string]*alertState, len(t.cfg.Burn)),
+		alerts:     make(map[string]*alertState, len(burnWindows)),
 		stateGauge: obs.Default().Gauge("monitor_state",
 			"Target health (0 healthy, 1 degraded, 2 down).", "target", name),
 	}
-	for _, b := range t.cfg.Burn {
-		tg.alerts[b.Name] = &alertState{}
+	for _, b := range burnWindows {
+		tg.alerts[b.name] = &alertState{}
 	}
 	t.targets[name] = tg
 	monTargets.Inc()
@@ -314,23 +276,23 @@ func (t *Tracker) transition(tg *target, next State, now time.Time, detail strin
 // stepState runs the hysteresis state machine after one observation.
 // Callers hold t.mu.
 func (t *Tracker) stepState(tg *target, now time.Time) {
-	fails := tg.failFine.SumWindow(t.cfg.DegradedWindow)
-	total := fails + tg.okFine.SumWindow(t.cfg.DegradedWindow)
+	fails := tg.failFine.SumWindow(degradedWindow)
+	total := fails + tg.okFine.SumWindow(degradedWindow)
 	ratio := 0.0
 	if total > 0 {
 		ratio = float64(fails) / float64(total)
 	}
 	switch {
-	case tg.consecFail >= t.cfg.DownAfter:
+	case tg.consecFail >= downAfter:
 		t.transition(tg, StateDown, now,
 			fmt.Sprintf("%d consecutive failures", tg.consecFail))
 	case tg.state == StateHealthy:
-		if total >= uint64(t.cfg.MinSamples) && ratio >= t.cfg.DegradedRatio {
+		if total >= uint64(minSamples) && ratio >= degradedRatio {
 			t.transition(tg, StateDegraded, now,
-				fmt.Sprintf("failure ratio %.2f over %s", ratio, t.cfg.DegradedWindow))
+				fmt.Sprintf("failure ratio %.2f over %s", ratio, degradedWindow))
 		}
 	default: // Degraded or Down: recover only through the hysteresis band
-		if tg.consecOK >= t.cfg.HealthyAfter && ratio < t.cfg.DegradedRatio/2 {
+		if tg.consecOK >= healthyAfter && ratio < degradedRatio/2 {
 			t.transition(tg, StateHealthy, now,
 				fmt.Sprintf("%d consecutive successes, ratio %.2f", tg.consecOK, ratio))
 		}
@@ -351,14 +313,14 @@ func (t *Tracker) rates(tg *target, d time.Duration) (failures, total uint64) {
 // evaluateAlerts re-evaluates every burn window for a target, journaling
 // fire/resolve edges. Callers hold t.mu.
 func (t *Tracker) evaluateAlerts(tg *target, now time.Time) {
-	budget := 1 - t.cfg.Objective
-	for _, b := range t.cfg.Burn {
-		as := tg.alerts[b.Name]
-		failS, totS := t.rates(tg, b.Short)
-		failL, totL := t.rates(tg, b.Long)
+	budget := 1 - objective
+	for _, b := range burnWindows {
+		as := tg.alerts[b.name]
+		failS, totS := t.rates(tg, b.short)
+		failL, totL := t.rates(tg, b.long)
 		as.burnShort = burnRate(failS, totS, budget)
 		as.burnLong = burnRate(failL, totL, budget)
-		firing := as.burnShort > b.Factor && as.burnLong > b.Factor
+		firing := as.burnShort > b.factor && as.burnLong > b.factor
 		if firing == as.firing {
 			continue
 		}
@@ -367,15 +329,15 @@ func (t *Tracker) evaluateAlerts(tg *target, now time.Time) {
 		if firing {
 			monAlertsFired.Inc()
 			t.journal.Append(Event{
-				Time: now, Type: EventAlertFire, Target: tg.name, Alert: b.Name,
+				Time: now, Type: EventAlertFire, Target: tg.name, Alert: b.name,
 				Detail: fmt.Sprintf("burn %.1f/%.1f over %s/%s exceeds ×%g (objective %g)",
-					as.burnShort, as.burnLong, b.Short, b.Long, b.Factor, t.cfg.Objective),
+					as.burnShort, as.burnLong, b.short, b.long, b.factor, objective),
 			})
 		} else {
 			monAlertsResolved.Inc()
 			t.journal.Append(Event{
-				Time: now, Type: EventAlertResolve, Target: tg.name, Alert: b.Name,
-				Detail: fmt.Sprintf("burn %.1f/%.1f back under ×%g", as.burnShort, as.burnLong, b.Factor),
+				Time: now, Type: EventAlertResolve, Target: tg.name, Alert: b.name,
+				Detail: fmt.Sprintf("burn %.1f/%.1f back under ×%g", as.burnShort, as.burnLong, b.factor),
 			})
 		}
 	}
@@ -394,7 +356,7 @@ func noNaN(v float64) float64 {
 func (t *Tracker) WatchReport() obs.WatchReport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	window := time.Duration(t.cfg.SeriesPoints) * t.cfg.Interval
+	window := time.Duration(seriesPoints) * t.cfg.Interval
 	rep := obs.WatchReport{
 		Now:          t.now().UTC(),
 		WindowSecs:   window.Seconds(),
@@ -433,10 +395,10 @@ func (t *Tracker) WatchReport() obs.WatchReport {
 				wt.Errors[class] = n
 			}
 		}
-		for _, b := range t.cfg.Burn {
-			as := tg.alerts[b.Name]
+		for _, b := range burnWindows {
+			as := tg.alerts[b.name]
 			wt.Alerts = append(wt.Alerts, obs.WatchAlert{
-				Window: b.Name, Firing: as.firing, Factor: b.Factor,
+				Window: b.name, Firing: as.firing, Factor: b.factor,
 				BurnShort: noNaN(as.burnShort), BurnLong: noNaN(as.burnLong),
 				Since: as.since,
 			})

@@ -12,23 +12,10 @@ import (
 	"encdns/internal/testutil"
 )
 
-// testConfig is scaled to virtual time: 10s buckets, one fast burn pair
-// over 10s/30s, hysteresis at 3.
+// testConfig runs the shipped SLO policy on the virtual clock with 10s
+// buckets.
 func testConfig(clk netsim.Clock) Config {
-	return Config{
-		Now:          netsim.NowFunc(clk),
-		Interval:     10 * time.Second,
-		SeriesPoints: 12,
-		Objective:    0.9,
-		Burn: []BurnWindow{
-			{Name: "fast", Short: 10 * time.Second, Long: 30 * time.Second, Factor: 2},
-		},
-		DownAfter:      3,
-		HealthyAfter:   3,
-		DegradedRatio:  0.25,
-		DegradedWindow: 30 * time.Second,
-		MinSamples:     4,
-	}
+	return Config{Now: netsim.NowFunc(clk), Interval: 10 * time.Second}
 }
 
 func TestHysteresisDownAndRecovery(t *testing.T) {
@@ -66,14 +53,14 @@ func TestHysteresisDownAndRecovery(t *testing.T) {
 	// still inside the hysteresis band.
 	tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
 	if st, _ := tr.State("doh:dns.example"); st != StateHealthy {
-		// The ratio over the degraded window is 3/9 = 0.33 >= 0.125,
+		// The ratio over the degraded window is 3/12 = 0.25 >= 0.05,
 		// so recovery must wait for the failures to age out.
 	} else {
 		t.Fatalf("recovered with windowed failure ratio still above band")
 	}
 
-	// Age the failures out of the 30s degraded window, keep succeeding.
-	for i := 0; i < 4; i++ {
+	// Age the failures out of the 1m degraded window, keep succeeding.
+	for i := 0; i < 6; i++ {
 		clk.Advance(15 * time.Second)
 		tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
 	}
@@ -100,7 +87,7 @@ func TestDegradedOnFailureRatio(t *testing.T) {
 	clk := netsim.NewVirtualClock(netsim.CampaignEpoch)
 	tr := New(testConfig(clk))
 
-	// Alternate ok/ok/fail: ratio 1/3 >= 0.25, never 3 consecutive fails.
+	// Alternate ok/ok/fail: ratio 1/3 >= 0.1, never 3 consecutive fails.
 	for i := 0; i < 9; i++ {
 		ok := i%3 != 2
 		tr.ObserveProbe("dot:dns.example", ok, 15*time.Millisecond, "connect-failure")
@@ -126,9 +113,9 @@ func TestBurnAlertFiresAndResolves(t *testing.T) {
 		t.Fatalf("fast alert firing on all-success history")
 	}
 
-	// Hard outage: every probe fails. Budget is 0.1, factor 2 — the
-	// short window (10s) burns at 10 immediately; the long window (30s)
-	// crosses 2 once failures dominate it.
+	// Hard outage: every probe fails. Budget is 0.01, factor 14.4: the
+	// first failure among seven probes burns at 14.3 in both the 5m and
+	// the 1h window, the second at 25.
 	var fired bool
 	for i := 0; i < 4; i++ {
 		tr.ObserveProbe(target, false, 0, "timeout")
@@ -142,15 +129,19 @@ func TestBurnAlertFiresAndResolves(t *testing.T) {
 		t.Fatalf("fast alert never fired during a hard outage")
 	}
 
-	// Recovery: successes push the short-window burn to 0; the alert
-	// must auto-resolve even while the long window still remembers the
-	// outage.
-	for i := 0; i < 6 && testutil.AlertFiring(tr.WatchReport(), target, "fast"); i++ {
+	// Recovery: successes dilute the 5m burn back under the factor; the
+	// alert must auto-resolve even while the 1h window still remembers
+	// the outage.
+	for i := 0; i < 30 && testutil.AlertFiring(tr.WatchReport(), target, "fast"); i++ {
 		clk.Advance(10 * time.Second)
 		tr.ObserveProbe(target, true, 10*time.Millisecond, "")
 	}
 	if testutil.AlertFiring(tr.WatchReport(), target, "fast") {
 		t.Fatalf("fast alert still firing after sustained recovery")
+	}
+	// The slow pair (6h/3d, ×1) keeps firing: its budget leak is real.
+	if !testutil.AlertFiring(tr.WatchReport(), target, "slow") {
+		t.Fatalf("slow alert not firing after an outage inside its 6h window")
 	}
 
 	var sawFire, sawResolve bool
@@ -200,8 +191,9 @@ func TestWatchReportShape(t *testing.T) {
 	if len(b.Series) == 0 {
 		t.Fatalf("b-resolver has no timeseries")
 	}
-	if len(a.Alerts) != 1 || a.Alerts[0].Window != "fast" {
-		t.Fatalf("a-resolver alerts=%v, want one fast window", a.Alerts)
+	if len(a.Alerts) != 2 || a.Alerts[0].Window != "fast" || a.Alerts[0].Factor != 14.4 ||
+		a.Alerts[1].Window != "slow" || a.Alerts[1].Factor != 1 {
+		t.Fatalf("a-resolver alerts=%v, want fast ×14.4 and slow ×1", a.Alerts)
 	}
 
 	// The report must be JSON-encodable (no NaN leaks from empty
@@ -256,13 +248,13 @@ func TestConfigEventJournaled(t *testing.T) {
 
 func TestLongWindowUsesCoarseRing(t *testing.T) {
 	clk := netsim.NewVirtualClock(netsim.CampaignEpoch)
-	// Production-shaped burn windows: long window 3d forces a coarse ring.
-	tr := New(Config{
-		Now:      netsim.NowFunc(clk),
-		Interval: 10 * time.Second,
-	})
+	// The slow pair's 3d long window forces a coarse ring.
+	tr := New(testConfig(clk))
 	if tr.coarseInterval <= tr.cfg.Interval {
 		t.Fatalf("coarse interval %v not coarser than fine %v", tr.coarseInterval, tr.cfg.Interval)
+	}
+	if span := time.Duration(tr.coarseSlots) * tr.coarseInterval; span < 3*24*time.Hour {
+		t.Fatalf("coarse ring spans %v, want at least 3d", span)
 	}
 	// Spread failures over hours: invisible to the fine ring's span but
 	// present in the slow pair's long window.

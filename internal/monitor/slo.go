@@ -2,8 +2,8 @@ package monitor
 
 import "time"
 
-// BurnWindow is one multi-window burn-rate alert rule: the alert fires
-// when the error budget is being consumed at more than Factor times the
+// burnWindow is one multi-window burn-rate alert rule: the alert fires
+// when the error budget is being consumed at more than factor times the
 // sustainable rate over BOTH the long window (evidence the problem is
 // real) and the short window (evidence it is still happening — this is
 // what makes alerts auto-resolve quickly after recovery).
@@ -11,26 +11,18 @@ import "time"
 // Burn rate is errorRate / (1 - objective): burning at exactly 1.0
 // consumes the whole budget over the SLO period; 14.4 over a 1h window
 // consumes 2% of a 30-day budget in that hour.
-type BurnWindow struct {
-	// Name labels the pair in alerts and the journal ("fast", "slow").
-	Name string
-	// Short and Long are the two evaluation windows; Short must not
-	// exceed Long.
-	Short time.Duration
-	Long  time.Duration
-	// Factor is the burn-rate threshold both windows must exceed.
-	Factor float64
+type burnWindow struct {
+	name        string // labels the pair in alerts and the journal
+	short, long time.Duration
+	factor      float64 // the burn-rate threshold both windows must exceed
 }
 
-// DefaultBurnWindows returns the two-pair configuration from the SRE
-// workbook: a fast pair that pages within minutes of a hard outage and a
-// slow pair that catches a simmering budget leak. Tests scale these to
-// virtual time; production watches run them as-is.
-func DefaultBurnWindows() []BurnWindow {
-	return []BurnWindow{
-		{Name: "fast", Short: 5 * time.Minute, Long: time.Hour, Factor: 14.4},
-		{Name: "slow", Short: 6 * time.Hour, Long: 3 * 24 * time.Hour, Factor: 1},
-	}
+// burnWindows is the two-pair configuration from the SRE workbook: a
+// fast pair that pages within minutes of a hard outage and a slow pair
+// that catches a simmering budget leak.
+var burnWindows = []burnWindow{
+	{name: "fast", short: 5 * time.Minute, long: time.Hour, factor: 14.4},
+	{name: "slow", short: 6 * time.Hour, long: 3 * 24 * time.Hour, factor: 1},
 }
 
 // alertState tracks one (target, burn window) alert across evaluations.

@@ -76,8 +76,7 @@ func refRTT(n *Net, rng *rand.Rand, v Vantage, e *Endpoint) float64 {
 
 func refQuery(n *Net, v Vantage, e *Endpoint, p Protocol, reuse bool, round int, domain string) QueryResult {
 	rng := refRNG(n, "query", v.Name, e.Name, p.String(), domain, itoa(round))
-	site, _ := n.SiteFor(v, e)
-	res := QueryResult{Site: site}
+	var res QueryResult
 	if e.Down {
 		res.Err = ErrConnect
 		res.Duration = msToDur(n.cfg.ConnTimeoutMs)
@@ -118,10 +117,10 @@ func refQuery(n *Net, v Vantage, e *Endpoint, p Protocol, reuse bool, round int,
 	for i := 0; i < roundTrips(p, e, reuse); i++ {
 		totalMs += refRTT(n, rng, v, e)
 	}
-	res.CacheHit = stats.Bernoulli(rng, e.CacheHitP)
+	res.CacheHit = stats.Bernoulli(rng, cacheHitP)
 	proc := stats.LogNormalByMedian(rng, e.ProcMs, e.ProcSigma)
 	if !res.CacheHit {
-		proc += stats.LogNormalByMedian(rng, e.RecurseMs, 0.45)
+		proc += stats.LogNormalByMedian(rng, recurseMs, 0.45)
 	}
 	totalMs += proc
 	if totalMs > n.cfg.QueryTimeoutMs {
@@ -174,9 +173,9 @@ func pathFixture() (*Net, []Vantage, []*Endpoint) {
 		flaky(goodEndpoint("twin", geo.Tokyo)),
 		flaky(goodEndpoint("twin", geo.Dallas, geo.Amsterdam)),
 		{Name: "tls12-relay", Sites: []geo.Coord{geo.Nuremberg}, ICMPResponds: true, TLS12: true,
-			ProcMs: 48, ProcSigma: 0.35, CacheHitP: 0.5, RecurseMs: 45, FailP: 0.3},
+			ProcMs: 48, ProcSigma: 0.35, FailP: 0.3},
 		{Name: "down", Sites: global, Down: true},
-		{Name: "nowhere", ICMPResponds: true, ProcMs: 2, ProcSigma: 0.3, CacheHitP: 0.9, RecurseMs: 40},
+		{Name: "nowhere", ICMPResponds: true, ProcMs: 2, ProcSigma: 0.3},
 	}
 	return n, vantages, endpoints
 }
@@ -240,10 +239,8 @@ func TestHoistedPathMatchesPerDrawReference(t *testing.T) {
 			t.Errorf("no %v outcome among %v", c, classes)
 		}
 	}
-	a := n.Query(vantages[1], endpoints[3], ProtoDoH, false, 0, "google.com")
-	b := n.Query(vantages[1], endpoints[4], ProtoDoH, false, 0, "google.com")
-	if a.Site == b.Site {
-		t.Errorf("same-named endpoints served from one site %v", a.Site)
+	if a, b := n.path(vantages[1], endpoints[3]), n.path(vantages[1], endpoints[4]); a == b {
+		t.Errorf("same-named endpoints share one path: base %v ms", a)
 	}
 }
 

@@ -72,13 +72,6 @@ type Endpoint struct {
 	// query; ProcSigma the lognormal spread around it.
 	ProcMs    float64
 	ProcSigma float64
-	// CacheHitP is the probability a query for the measured (popular)
-	// domains is served from cache. §3.2: "it is reasonable to expect that
-	// most people query sites that are already in cache".
-	CacheHitP float64
-	// RecurseMs is the median extra latency of a full recursive resolution
-	// on a cache miss.
-	RecurseMs float64
 	// FailP is the per-attempt probability of failing to establish a
 	// connection, the paper's dominant error class.
 	FailP float64
@@ -91,6 +84,17 @@ type Endpoint struct {
 	// Down marks a permanently unresponsive endpoint.
 	Down bool
 }
+
+// Server processing, the same at every endpoint.
+const (
+	// cacheHitP is the probability a query for the measured (popular)
+	// domains is served from cache. §3.2: "it is reasonable to expect that
+	// most people query sites that are already in cache".
+	cacheHitP = 0.96
+	// recurseMs is the median extra latency of a full recursive resolution
+	// on a cache miss.
+	recurseMs = 45
+)
 
 // Anycast reports whether the endpoint has more than one site.
 func (e *Endpoint) Anycast() bool { return len(e.Sites) > 1 }
@@ -208,8 +212,8 @@ func Defaults() Config {
 type Net struct {
 	cfg Config
 
-	// paths memoises each (vantage, endpoint) path's serving site and base
-	// one-way delay. The names only find an entry; it is used when the
+	// paths memoises each (vantage, endpoint) path's base one-way delay to
+	// its serving site. The names only find an entry; it is used when the
 	// vantage's Coord and Access and the endpoint's Sites equal what it was
 	// computed from, since one name can stand for different deployments.
 	mu    sync.Mutex
@@ -223,7 +227,6 @@ type path struct {
 	coord  geo.Coord
 	access Access
 	sites  []geo.Coord // a copy: the caller's slice may change under it
-	site   geo.Coord
 	base   float64
 }
 
@@ -359,9 +362,9 @@ func (n *Net) BaseOWDMs(v Vantage, site geo.Coord) float64 {
 	return owd
 }
 
-// path returns what SiteFor and BaseOWDMs give for v and e, from the memo
-// when v and e still hold what its entry was computed from.
-func (n *Net) path(v Vantage, e *Endpoint) (geo.Coord, float64) {
+// path returns BaseOWDMs for v and the site SiteFor picks from e, from the
+// memo when v and e still hold what its entry was computed from.
+func (n *Net) path(v Vantage, e *Endpoint) float64 {
 	k := pathKey{v.Name, e.Name}
 	n.mu.Lock()
 	p := n.paths[k]
@@ -369,7 +372,7 @@ func (n *Net) path(v Vantage, e *Endpoint) (geo.Coord, float64) {
 	if p == nil || p.coord != v.Coord || p.access != v.Access || !slices.Equal(p.sites, e.Sites) {
 		site, _ := n.SiteFor(v, e)
 		p = &path{coord: v.Coord, access: v.Access, sites: slices.Clone(e.Sites),
-			site: site, base: n.BaseOWDMs(v, site)}
+			base: n.BaseOWDMs(v, site)}
 		n.mu.Lock()
 		if n.paths == nil {
 			n.paths = make(map[pathKey]*path)
@@ -377,7 +380,7 @@ func (n *Net) path(v Vantage, e *Endpoint) (geo.Coord, float64) {
 		n.paths[k] = p
 		n.mu.Unlock()
 	}
-	return p.site, p.base
+	return p.base
 }
 
 // owdSample draws one jittered one-way delay around base, the path's
@@ -409,8 +412,6 @@ type QueryResult struct {
 	// CacheHit reports whether the resolver answered from cache (only
 	// meaningful when Err == OK).
 	CacheHit bool
-	// Site is the resolver site that served the query.
-	Site geo.Coord
 }
 
 // roundTrips returns the number of network round trips a fresh transaction
@@ -434,8 +435,8 @@ func roundTrips(p Protocol, e *Endpoint, reuse bool) int {
 // the paper's dig runs, is fresh connections: reuse=false).
 func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, domain string) QueryResult {
 	rng := n.rng(round, "query", v.Name, e.Name, p.String(), domain)
-	site, base := n.path(v, e)
-	res := QueryResult{Site: site}
+	base := n.path(v, e)
+	var res QueryResult
 
 	if e.Down {
 		res.Err = ErrConnect
@@ -491,10 +492,10 @@ func (n *Net) Query(v Vantage, e *Endpoint, p Protocol, reuse bool, round int, d
 		totalMs += n.rttSample(rng, v, base)
 	}
 	// Server processing: cache hit or a full recursion.
-	res.CacheHit = stats.Bernoulli(rng, e.CacheHitP)
+	res.CacheHit = stats.Bernoulli(rng, cacheHitP)
 	proc := stats.LogNormalByMedian(rng, e.ProcMs, e.ProcSigma)
 	if !res.CacheHit {
-		proc += stats.LogNormalByMedian(rng, e.RecurseMs, 0.45)
+		proc += stats.LogNormalByMedian(rng, recurseMs, 0.45)
 	}
 	totalMs += proc
 
@@ -514,7 +515,7 @@ func (n *Net) Ping(v Vantage, e *Endpoint, round int) (time.Duration, bool) {
 		return 0, false
 	}
 	rng := n.rng(round, "ping", v.Name, e.Name)
-	_, base := n.path(v, e)
+	base := n.path(v, e)
 	for attempt := 0; attempt < 3; attempt++ {
 		if stats.Bernoulli(rng, n.cfg.LossP) {
 			continue

@@ -18,7 +18,7 @@ func dcVantage(name string, c geo.Coord) Vantage {
 func goodEndpoint(name string, sites ...geo.Coord) *Endpoint {
 	return &Endpoint{
 		Name: name, Sites: sites, ICMPResponds: true,
-		ProcMs: 2, ProcSigma: 0.3, CacheHitP: 0.95, RecurseMs: 40,
+		ProcMs: 2, ProcSigma: 0.3,
 	}
 }
 
@@ -276,7 +276,6 @@ func TestCacheMissesAddLatency(t *testing.T) {
 	n := testNet()
 	v := dcVantage("ohio", geo.Ohio)
 	e := goodEndpoint("res", geo.Ashburn)
-	e.CacheHitP = 0.5
 	var hits, misses []float64
 	for r := 0; r < 1000; r++ {
 		res := n.Query(v, e, ProtoDoH, false, r, "google.com")

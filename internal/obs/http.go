@@ -9,26 +9,6 @@ import (
 	"time"
 )
 
-// HandlerOption configures NewHTTPHandler.
-type HandlerOption func(*handlerConfig)
-
-type handlerConfig struct {
-	watch  WatchSource
-	events EventSource
-}
-
-// WithWatch backs /debug/watch with src. When src also implements
-// EventSource (monitor.Tracker does), /debug/watch/events serves its
-// journal as JSON Lines.
-func WithWatch(src WatchSource) HandlerOption {
-	return func(c *handlerConfig) {
-		c.watch = src
-		if es, ok := src.(EventSource); ok {
-			c.events = es
-		}
-	}
-}
-
 // NewHTTPHandler returns the live introspection endpoint for r:
 //
 //	/metrics             Prometheus text exposition format
@@ -39,13 +19,10 @@ func WithWatch(src WatchSource) HandlerOption {
 //	/debug/pprof/...     net/http/pprof profiles (goroutine, heap, profile, trace, ...)
 //
 // Mount it on any mux (dohserver mounts it next to /dns-query) or serve
-// it standalone with Serve/ServeHandler. Without a WithWatch option the
-// watch endpoints answer with an empty (but well-formed) report.
-func NewHTTPHandler(r *Registry, opts ...HandlerOption) http.Handler {
-	var cfg handlerConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// it standalone with Serve/ServeHandler. watch backs the watch endpoints;
+// with a nil watch they answer with an empty (but well-formed) report and
+// journal.
+func NewHTTPHandler(r *Registry, watch WatchSource) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -59,8 +36,8 @@ func NewHTTPHandler(r *Registry, opts ...HandlerOption) http.Handler {
 	})
 	mux.HandleFunc("/debug/watch", func(w http.ResponseWriter, _ *http.Request) {
 		rep := WatchReport{Now: time.Now().UTC(), Targets: []WatchTarget{}}
-		if cfg.watch != nil {
-			rep = cfg.watch.WatchReport()
+		if watch != nil {
+			rep = watch.WatchReport()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -69,8 +46,8 @@ func NewHTTPHandler(r *Registry, opts ...HandlerOption) http.Handler {
 	})
 	mux.HandleFunc("/debug/watch/events", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if cfg.events != nil {
-			_ = cfg.events.WriteEventsJSONL(w)
+		if watch != nil {
+			_ = watch.WriteEventsJSONL(w)
 		}
 	})
 	mux.HandleFunc("/debug/watch/ui", func(w http.ResponseWriter, _ *http.Request) {
@@ -97,10 +74,10 @@ var shutdownDrain = 2 * time.Second
 // address and a shutdown function. This backs repro's -metrics-addr flag;
 // dnsmeasure's goes through ServeHandler.
 func Serve(addr string, r *Registry) (bound string, shutdown func() error, err error) {
-	return ServeHandler(addr, NewHTTPHandler(r))
+	return ServeHandler(addr, NewHTTPHandler(r, nil))
 }
 
-// ServeHandler is Serve for a prebuilt handler (one carrying WithWatch).
+// ServeHandler is Serve for a prebuilt handler (one with a watch source).
 // The shutdown function drains gracefully with a deadline: in-flight
 // requests get shutdownDrain to finish, then their connections are
 // force-closed — a stuck scrape cannot wedge process exit.

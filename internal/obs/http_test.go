@@ -14,7 +14,7 @@ import (
 func TestHTTPHandlerMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("h_total", "help", "scheme", "udp").Add(9)
-	srv := httptest.NewServer(NewHTTPHandler(r))
+	srv := httptest.NewServer(NewHTTPHandler(r, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -42,7 +42,7 @@ func TestHTTPHandlerDebugObs(t *testing.T) {
 	r.Gauge("h_gauge", "help").Set(4)
 	h := r.Histogram("h_seconds", "help", []float64{0.1})
 	h.Observe(0.05)
-	srv := httptest.NewServer(NewHTTPHandler(r))
+	srv := httptest.NewServer(NewHTTPHandler(r, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/obs")
@@ -102,7 +102,7 @@ func TestHTTPHandlerWatch(t *testing.T) {
 		WindowSecs: 600, IntervalSecs: 10,
 		Targets: []WatchTarget{{Target: "doh:x", State: "degraded", Availability: 0.93}},
 	}}
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), WithWatch(src)))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), src))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/watch")
@@ -121,7 +121,7 @@ func TestHTTPHandlerWatch(t *testing.T) {
 		t.Errorf("report = %+v, want the fake source's target", rep)
 	}
 
-	// WithWatch auto-detects the EventSource side of the same value.
+	// The same source backs the event journal.
 	resp2, err := http.Get(srv.URL + "/debug/watch/events")
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestHTTPHandlerWatch(t *testing.T) {
 }
 
 func TestHTTPHandlerWatchWithoutSource(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry()))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/watch")
 	if err != nil {
@@ -154,7 +154,7 @@ func TestHTTPHandlerWatchWithoutSource(t *testing.T) {
 }
 
 func TestHTTPHandlerDashboardAndPprof(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler(NewRegistry()))
+	srv := httptest.NewServer(NewHTTPHandler(NewRegistry(), nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/watch/ui")

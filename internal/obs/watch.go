@@ -10,15 +10,11 @@ import (
 // so internal/monitor can produce them without an import cycle; the
 // handler in http.go serves whatever WatchSource it is given.
 
-// WatchSource produces the live watch report — implemented by
-// monitor.Tracker.
+// WatchSource produces the live watch report and streams the structured
+// event journal (state transitions, alert fire/resolve) as JSON Lines —
+// implemented by monitor.Tracker.
 type WatchSource interface {
 	WatchReport() WatchReport
-}
-
-// EventSource streams the structured event journal (state transitions,
-// alert fire/resolve) as JSON Lines — implemented by monitor.Tracker.
-type EventSource interface {
 	WriteEventsJSONL(w io.Writer) error
 }
 

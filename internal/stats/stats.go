@@ -1,6 +1,6 @@
 // Package stats provides the statistical machinery used by the measurement
 // analysis pipeline: quantiles, five-number boxplot summaries with IQR
-// outlier detection, the rank-sum test, and seeded distributions.
+// outlier detection, and seeded distributions.
 //
 // All functions operate on float64 samples (milliseconds throughout this
 // repository) and are careful about the edge cases that show up in real

@@ -47,7 +47,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{"record header", tls.RecordHeaderError{Msg: "first record does not look like a TLS handshake"}, netsim.ErrTLS},
 		{"x509", errors.New(`x509: certificate signed by unknown authority`), netsim.ErrTLS},
 		{"tls alert", errors.New("tls: handshake failure"), netsim.ErrTLS},
-		{"http status", &doh.HTTPError{StatusCode: 503, Status: "503 Service Unavailable"}, netsim.ErrHTTP},
+		{"http status", &doh.HTTPError{Status: "503 Service Unavailable"}, netsim.ErrHTTP},
 		// A response that answers another query, by ID or by question.
 		{"wrong ID", dns53.ErrIDMismatch, netsim.ErrConnect},
 		{"wrong question", dns53.ErrQuestionMismatch, netsim.ErrConnect},

@@ -74,14 +74,20 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 // type the facade exposes (see facadeTypes) keeps all its methods, as a
 // library user may call any of them.
 //
-// It also holds every exported field of an internal struct type to one
-// rule: some non-test code sets it, as a composite-literal key, an
-// assignment or increment target, or by taking its address. A field only
-// tests set is a mode no binary can switch on: a constant with its
-// default, or gone. That holds for the types the facade exposes too: a
-// library user may call any of their methods, but a field no binary sets
-// is still a mode nothing runs. Exempt are tagged fields (decoders set
-// them by reflection) and the test seams listed below.
+// It also holds every exported field of an internal struct type to two
+// rules. Some non-test code sets it, as a composite-literal key, an
+// assignment or increment target, or by taking its address; an assignment
+// directly in the body of an if whose condition reads the same field is a
+// default fill and does not count, as it can only stand in for a value
+// nobody set. A field only tests set is a mode no binary can switch on: a
+// constant with its default, or gone. And some non-test code reads it: a
+// use that is neither an =/:= target nor a composite-literal key. A field
+// nothing reads is work whose result nobody looks at. Both hold for the
+// types the facade exposes too: a library user may call any of their
+// methods, but a field no binary sets is still a mode nothing runs.
+// Exempt are tagged fields (codecs set and read them by reflection) and
+// the types the allowed files declare; the six test seams listed below
+// are exempt from the first rule only.
 //
 // A helper only tests call belongs in a _test.go file. The code is
 // type-checked from source for the host build context, like the package
@@ -107,6 +113,7 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		"cluster.Node.Now":                      "virtual-clock tests drive peer RTT and health",
 		"experiment.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
 		"dialer.DelayDialer.Sleep":              "tests count the sleeps instead of taking them",
+		"transport.RetryPolicy.Sleep":           "tests skip or count the backoff sleeps",
 		"netsim.Endpoint.Down":                  "tests take an endpoint down to drive outage detection",
 	}
 	diagnostic := map[string]string{ // pkg.Decl only dnsdig reaches → why it stays
@@ -162,7 +169,8 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	exposed := g.facadeTypes(facade.types)
 	served := g.reach(roots, exposed)
 	reached := g.reach(append(roots, toolRoots...), exposed)
-	written, servedWritten := g.writtenFields(""), g.writtenFields(tool)
+	written, read := g.fieldUses("")
+	servedWritten, _ := g.fieldUses(tool)
 	var dead []string
 	for _, d := range judged {
 		at := fmt.Sprintf("(%s:%d)", d.file, g.fset.Position(d.pos).Line)
@@ -199,6 +207,9 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 			default:
 				dead = append(dead, fmt.Sprintf("%s %s: no non-test code sets it", name, at))
 			}
+			if !read[f] {
+				dead = append(dead, fmt.Sprintf("%s %s: no non-test code reads it", name, at))
+			}
 		}
 	}
 	for _, exempt := range []map[string]string{allowed, seams, diagnostic} {
@@ -211,6 +222,32 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	sort.Strings(dead)
 	for _, s := range dead {
 		t.Error(s)
+	}
+}
+
+// TestFieldRuleClauses pins both holes the field rule closes, on the
+// fixture in testdata/fieldrule: a field whose only write is its own
+// default fill is not set, and a field only ever assigned is not read.
+func TestFieldRuleClauses(t *testing.T) {
+	g := newDeclGraph()
+	p := g.load(t, filepath.Join("testdata", "fieldrule"))
+	written, read := g.fieldUses("")
+	st := p.types.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
+	for i, want := range []struct {
+		name          string
+		written, read bool
+	}{
+		{"Filled", false, true},
+		{"WriteOnly", true, false},
+		{"Used", true, true},
+	} {
+		f := st.Field(i)
+		if f.Name() != want.name {
+			t.Fatalf("field %d is %s, want %s", i, f.Name(), want.name)
+		}
+		if written[f] != want.written || read[f] != want.read {
+			t.Errorf("Config.%s: written %v, read %v; want %v, %v", f.Name(), written[f], read[f], want.written, want.read)
+		}
 	}
 }
 
@@ -547,25 +584,53 @@ func (g *declGraph) facadeTypes(root *types.Package) map[*decl]bool {
 	return exposed
 }
 
-// writtenFields returns every struct field the module's non-test code,
-// less the package in directory skip, sets: a composite-literal key (or
-// position), the target of an assignment or increment, or an operand of &.
-func (g *declGraph) writtenFields(skip string) map[*types.Var]bool {
-	written := map[*types.Var]bool{}
+// fieldUses returns the struct fields the module's non-test code, less
+// the package in directory skip, sets and those it reads. A set is a
+// composite-literal key (or position), the target of an assignment or
+// increment, or an operand of &, but not an assignment placed directly in
+// the body of an if whose condition reads the same field. A read is any
+// other use: one that is neither an =/:= target nor a composite-literal
+// key.
+func (g *declGraph) fieldUses(skip string) (written, read map[*types.Var]bool) {
+	written, read = map[*types.Var]bool{}, map[*types.Var]bool{}
 	for _, p := range g.pkgs {
 		if p.dir == skip {
 			continue
 		}
-		field := func(x ast.Expr) {
-			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
-				if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
-					written[f.Origin()] = true
-				}
+		fieldOf := func(id *ast.Ident) *types.Var {
+			if f, ok := p.info.Uses[id].(*types.Var); ok && f.IsField() {
+				return f.Origin()
 			}
+			return nil
 		}
+		selected := func(x ast.Expr) (*types.Var, *ast.Ident) {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				return fieldOf(sel.Sel), sel.Sel
+			}
+			return nil, nil
+		}
+		unread := map[*ast.Ident]bool{} // =/:= targets and composite-literal keys
+		fills := map[ast.Expr]bool{}    // assignments under an if that reads their field
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.IfStmt:
+					tested := map[*types.Var]bool{}
+					ast.Inspect(n.Cond, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							tested[fieldOf(id)] = true // nil for a non-field: never looked up
+						}
+						return true
+					})
+					for _, s := range n.Body.List {
+						if as, ok := s.(*ast.AssignStmt); ok {
+							for _, x := range as.Lhs {
+								if f, _ := selected(x); f != nil && tested[f] {
+									fills[x] = true
+								}
+							}
+						}
+					}
 				case *ast.CompositeLit:
 					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
 					if !ok {
@@ -573,8 +638,10 @@ func (g *declGraph) writtenFields(skip string) map[*types.Var]bool {
 					}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								written[f.Origin()] = true
+							key := kv.Key.(*ast.Ident)
+							unread[key] = true
+							if f := fieldOf(key); f != nil {
+								written[f] = true
 							}
 						} else {
 							written[st.Field(i).Origin()] = true
@@ -582,20 +649,35 @@ func (g *declGraph) writtenFields(skip string) map[*types.Var]bool {
 					}
 				case *ast.AssignStmt:
 					for _, x := range n.Lhs {
-						field(x)
+						f, sel := selected(x)
+						if f == nil {
+							continue
+						}
+						if !fills[x] {
+							written[f] = true
+						}
+						if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+							unread[sel] = true
+						}
 					}
 				case *ast.IncDecStmt:
-					field(n.X)
+					if f, _ := selected(n.X); f != nil {
+						written[f] = true
+					}
 				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						field(n.X)
+					if f, _ := selected(n.X); f != nil && n.Op == token.AND {
+						written[f] = true
+					}
+				case *ast.Ident:
+					if f := fieldOf(n); f != nil && !unread[n] {
+						read[f] = true
 					}
 				}
 				return true
 			})
 		}
 	}
-	return written
+	return written, read
 }
 
 // origin maps an instantiated generic function or field to its declaration.
