@@ -15,7 +15,13 @@
 //   - a Linux fast path (batch_linux.go, build tag `linux && !nobatch`)
 //     that reaches recvmmsg/sendmmsg through syscall.RawConn, so the
 //     netpoller integration (and the module's zero-dependency rule) is
-//     preserved;
+//     preserved. Its writes go out as GSO trains: the packets of a batch
+//     that share a peer and a length (up to 1232 octets) leave as one
+//     sendmmsg message with a UDP_SEGMENT control message, which the
+//     kernel cuts back into the same datagrams, so it builds and routes
+//     one buffer instead of one per datagram. A socket whose kernel
+//     refuses a train sends that train's datagrams one at a time and,
+//     when those leave, sends one datagram per message from then on;
 //   - a portable fallback that adapts any net.PacketConn one datagram at
 //     a time with identical semantics.
 //
@@ -32,12 +38,9 @@ import (
 // DefaultBatch is the per-syscall packet budget when the caller does not
 // choose one. 32 matches the sweet spot measured in the batch-size sweep
 // (EXPERIMENTS.md): large enough to amortise the syscall, small enough
-// not to add queueing latency at low load. Re-swept in the wire-template
-// PR after one earlier run showed a dip at 8: batch size has no
-// measurable effect on median latency (recvmmsg is non-blocking, so a
-// smaller budget only caps the per-syscall vector — it never waits to
-// fill), and max-capacity deltas between settings sit inside the
-// run-to-run noise of the shared-CPU ramp methodology.
+// not to add queueing latency at low load. Batch size has no measurable
+// effect on median latency: recvmmsg is non-blocking, so a smaller
+// budget only caps the per-syscall vector — it never waits to fill.
 const DefaultBatch = 32
 
 // MaxBatch caps a single recvmmsg/sendmmsg vector; larger WriteBatch
@@ -71,8 +74,12 @@ type Conn interface {
 	// returns how many were sent. A packet the socket rejects (a peer
 	// address the kernel refuses or that is no *net.UDPAddr, say) costs
 	// only itself: the rest are still sent and the first such error is
-	// returned. It may be called with addresses the latest ReadBatch
-	// returned.
+	// returned. An empty Buf is an empty datagram. Packets to one peer
+	// of one length arrive in batch order; across peers or lengths the
+	// fast path may reorder them, since each such group leaves as one
+	// GSO train, in the order of its first packet. A train the kernel
+	// refuses is resent one datagram at a time. It may be called with
+	// addresses the latest ReadBatch returned.
 	WriteBatch(pkts []Packet) (int, error)
 	LocalAddr() net.Addr
 	Close() error
@@ -116,6 +123,8 @@ var (
 		"Batched-write syscalls (or fallback WriteTo calls) across sockets.")
 	writePackets = obs.Default().Counter("udpbatch_write_packets_total",
 		"Datagrams sent across sockets.")
+	writeGSOSegments = obs.Default().Counter("udpbatch_write_gso_segments_total",
+		"Datagrams of udpbatch_write_packets_total sent as segments of a GSO train (one message, one peer, one length).")
 )
 
 // instruments carries the per-socket histograms shared by both Conn

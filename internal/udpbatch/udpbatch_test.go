@@ -1,10 +1,15 @@
 package udpbatch
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -298,6 +303,18 @@ func TestReadBatchReusesAddrs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("a ReadBatch and a WriteBatch allocated %v times, want 0", allocs)
 		}
+		// Grouping a batch into trains allocates nothing either.
+		batch := make([]Packet, 32)
+		for i := range batch {
+			batch[i] = Packet{Buf: make([]byte, 40+100*(i%3)), Addr: clients[1].LocalAddr()}
+		}
+		if allocs := testing.AllocsPerRun(runs, func() {
+			if n, err := server.WriteBatch(batch); err != nil || n != len(batch) {
+				t.Fatalf("WriteBatch = %d, %v", n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("a 32-packet, three-length WriteBatch allocated %v times, want 0", allocs)
+		}
 	}
 }
 
@@ -344,6 +361,169 @@ func TestWriteBatchSkipsRejectedPacket(t *testing.T) {
 				n, _, err := client.ReadFrom(buf)
 				if err != nil || string(buf[:n]) != want {
 					t.Fatalf("client read %q, %v; want %q", buf[:n], err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteBatchEmptyDatagram: an empty packet is an empty datagram, on
+// its own and between packets that share a peer and a length.
+func TestWriteBatchEmptyDatagram(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewConn(pc)
+	defer server.Close()
+	client, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	to := client.LocalAddr()
+	pkts := []Packet{{Buf: []byte{}, Addr: to}, {Buf: []byte("a"), Addr: to}, {Buf: nil, Addr: to}, {Buf: []byte("b"), Addr: to}}
+	if sent, err := server.WriteBatch(pkts); sent != len(pkts) || err != nil {
+		t.Fatalf("WriteBatch = %d, %v; want %d, nil", sent, err, len(pkts))
+	}
+	got := receive(t, client, len(pkts))
+	sort.Strings(got)
+	if want := []string{"", "", "a", "b"}; !slices.Equal(got, want) {
+		t.Errorf("received %q, want %q", got, want)
+	}
+}
+
+// receive reads n datagrams from c and returns their payloads in arrival
+// order.
+func receive(t *testing.T, c net.PacketConn, n int) []string {
+	t.Helper()
+	buf := make([]byte, 2048)
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]string, 0, n)
+	for len(got) < n {
+		m, _, err := c.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("read after %d/%d datagrams: %v", len(got), n, err)
+		}
+		got = append(got, string(buf[:m]))
+	}
+	return got
+}
+
+// TestWriteBatchTrainsMatchOnePerPacket sends one batch through the default
+// conn (GSO trains on the fast path) and through the portable one datagram
+// per send adapter: two peers, three lengths, one packet too large for a
+// train and a port-0 peer in the middle. Both must deliver the same
+// datagrams to the same peers and report the same count and error, and the
+// default conn must keep batch order among the packets of one peer and one
+// length.
+func TestWriteBatchTrainsMatchOnePerPacket(t *testing.T) {
+	type result struct {
+		sent int
+		err  error
+		got  [2][]string
+	}
+	run := func(onePerPacket bool) result {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := NewConn(pc)
+		if onePerPacket {
+			server = NewConn(wrapPC{pc})
+		}
+		defer server.Close()
+		var peers [2]net.PacketConn
+		for i := range peers {
+			if peers[i], err = net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer peers[i].Close()
+		}
+		var pkts []Packet
+		want := [2]int{}
+		for i := 0; i < 30; i++ {
+			p, size := i%2, []int{40, 300, 900}[i%3]
+			if i == 13 {
+				size = 1400
+			}
+			buf := []byte(fmt.Sprintf("%d/%d/%02d-", p, size, i))
+			pkts = append(pkts, Packet{Buf: append(buf, make([]byte, size-len(buf))...), Addr: peers[p].LocalAddr()})
+			want[p]++
+			if i == 15 {
+				pkts = append(pkts, Packet{Buf: []byte("lost"), Addr: &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}})
+			}
+		}
+		segs := writeGSOSegments.Value()
+		var r result
+		r.sent, r.err = server.WriteBatch(pkts)
+		if fastPathExpected && !onePerPacket && writeGSOSegments.Value() == segs {
+			t.Error("the fast path sent no GSO train")
+		}
+		for p := range peers {
+			r.got[p] = receive(t, peers[p], want[p])
+		}
+		return r
+	}
+	trains, one := run(false), run(true)
+
+	var errno syscall.Errno
+	if !errors.As(one.err, &errno) || !errors.Is(trains.err, errno) || trains.sent != one.sent {
+		t.Errorf("trains: WriteBatch = %d, %v; one per packet: %d, %v", trains.sent, trains.err, one.sent, one.err)
+	}
+	for p := range trains.got {
+		last := map[string]string{} // peer/length prefix → last payload seen
+		for _, s := range trains.got[p] {
+			key := s[:strings.LastIndexByte(s[:strings.IndexByte(s, '-')], '/')]
+			if prev, ok := last[key]; ok && prev > s {
+				t.Errorf("peer %d: %.12q arrived after %.12q", p, s, prev)
+			}
+			last[key] = s
+		}
+		a, b := slices.Clone(trains.got[p]), slices.Clone(one.got[p])
+		sort.Strings(a)
+		sort.Strings(b)
+		if !slices.Equal(a, b) {
+			t.Errorf("peer %d: trains delivered %d datagrams, one per packet %d, or their payloads differ", p, len(a), len(b))
+		}
+	}
+}
+
+// BenchmarkWriteBatch sends a 32-packet batch of three answer lengths over
+// loopback: to one peer (three trains on the fast path) and to 32 peers
+// (every train a single packet, the traffic of many stub resolvers).
+func BenchmarkWriteBatch(b *testing.B) {
+	for _, peers := range []int{1, 32} {
+		name := "one-peer"
+		if peers > 1 {
+			name = "distinct-peers"
+		}
+		b.Run(name, func(b *testing.B) {
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			server := NewConn(pc)
+			defer server.Close()
+			pkts := make([]Packet, 32)
+			for i := range pkts {
+				if i < peers {
+					client, err := net.ListenPacket("udp", "127.0.0.1:0")
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer client.Close()
+					pkts[i].Addr = client.LocalAddr()
+				} else {
+					pkts[i].Addr = pkts[i%peers].Addr
+				}
+				pkts[i].Buf = make([]byte, []int{44, 60, 76}[i%3])
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if n, err := server.WriteBatch(pkts); n != len(pkts) || err != nil {
+					b.Fatalf("WriteBatch = %d, %v", n, err)
 				}
 			}
 		})
