@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 )
@@ -34,6 +35,12 @@ func FuzzUnpack(f *testing.F) {
 	seed(r)
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0x80, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0x0C, 0, 1, 0, 1})
+	signed := NewQuery(4, "example.com", TypeA).Reply()
+	signed.Answers = signedRRs()
+	seed(signed)
+	for _, rr := range signedRRs() {
+		f.Add(oneRR(rr.Type, rr.Data.(*Raw).Data))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
@@ -53,6 +60,16 @@ func FuzzUnpack(f *testing.F) {
 		if (pbErr == nil) != (pb2Err == nil) || (pbErr == nil && !bytes.Equal(pb, pb2)) {
 			t.Fatalf("pooled/plain repack disagree:\nplain:  %x (%v)\npooled: %x (%v)", pb, pbErr, pb2, pb2Err)
 		}
+		// Opaque RDATA is carried verbatim: a Raw record holds the octets
+		// it arrived in, on either decoder.
+		in := rdatas(data)
+		for _, dm := range []*Message{m, pm} {
+			for i, rr := range records(dm) {
+				if raw, ok := rr.Data.(*Raw); ok && !bytes.Equal(raw.Data, in[i]) {
+					t.Fatalf("%v record %d: Raw %x, wire RDATA %x", rr.Type, i, raw.Data, in[i])
+				}
+			}
+		}
 		repacked, err := m.Pack()
 		if err != nil {
 			// Some parses are not re-encodable (e.g. counts the packer
@@ -64,6 +81,13 @@ func FuzzUnpack(f *testing.F) {
 		if err != nil {
 			t.Fatalf("repacked message does not parse: %v\noriginal: %x\nrepacked: %x", err, data, repacked)
 		}
+		// A Raw record also repacks to the octets it arrived in.
+		out := rdatas(repacked)
+		for i, rr := range records(m) {
+			if _, ok := rr.Data.(*Raw); ok && !bytes.Equal(out[i], in[i]) {
+				t.Fatalf("%v record %d repacked as %x, arrived as %x", rr.Type, i, out[i], in[i])
+			}
+		}
 		b3, err := m2.Pack()
 		if err != nil {
 			t.Fatalf("second pack failed: %v", err)
@@ -72,6 +96,32 @@ func FuzzUnpack(f *testing.F) {
 			t.Fatalf("pack not a fixpoint:\nfirst:  %x\nsecond: %x", repacked, b3)
 		}
 	})
+}
+
+// rdatas returns the RDATA of every record of a message Unpack accepts, in
+// wire order: answer, authority, then additional section.
+func rdatas(msg []byte) [][]byte {
+	var out [][]byte
+	off := 12
+	for i := 0; i < int(binary.BigEndian.Uint16(msg[4:])); i++ {
+		_, off, _ = readName(msg, off)
+		off += 4
+	}
+	n := int(binary.BigEndian.Uint16(msg[6:])) + int(binary.BigEndian.Uint16(msg[8:])) +
+		int(binary.BigEndian.Uint16(msg[10:]))
+	for i := 0; i < n; i++ {
+		_, off, _ = readName(msg, off)
+		rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
+		off += 10
+		out = append(out, msg[off:off+rdlen])
+		off += rdlen
+	}
+	return out
+}
+
+// records is m's answer, authority and additional records, in wire order.
+func records(m *Message) []Record {
+	return append(append(append([]Record(nil), m.Answers...), m.Authority...), m.Additional...)
 }
 
 // FuzzReadName drives the name decoder alone, where the compression

@@ -136,8 +136,7 @@ func TestAllRDataRoundTrip(t *testing.T) {
 		{Name: "caa.example", Type: TypeCAA, Class: ClassIN, TTL: 10,
 			Data: &CAA{Flags: 0, Tag: "issue", Value: "letsencrypt.org"}},
 		{Name: "svcb.example", Type: TypeHTTPS, Class: ClassIN, TTL: 11,
-			Data: &SVCB{Priority: 1, Target: ".",
-				Params: []SvcParam{{Key: 3, Value: []byte{0x01, 0xbb}}}}},
+			Data: &Raw{Data: []byte{0, 1, 0, 0, 3, 0, 2, 0x01, 0xbb}}},
 		{Name: "raw.example", Type: Type(999), Class: ClassIN, TTL: 12,
 			Data: &Raw{Data: []byte{0xde, 0xad}}},
 	}
@@ -282,7 +281,6 @@ func TestUnpackBadRDataLengths(t *testing.T) {
 		{"CAA zero tag", mk(TypeCAA, []byte{0, 0})},
 		{"SOA truncated", mk(TypeSOA, []byte{0, 0, 0, 0, 0, 1})},
 		{"OPT option overrun", mk(TypeOPT, []byte{0, 1, 0, 9, 'x'})},
-		{"SVCB short", mk(TypeSVCB, []byte{0})},
 	}
 	for _, c := range cases {
 		if _, err := Unpack(c.b); err == nil {

@@ -192,17 +192,12 @@ func appendPresentationLabel(dst []byte, raw []byte) []byte {
 	return dst
 }
 
-// readName decodes a domain name starting at off, following compression
+// readNameDec decodes a domain name starting at off, following compression
 // pointers. It returns the canonical name and the offset just past the name
 // in the original (non-pointer) byte stream. Pointer chains are bounded to
-// reject loops; names that exceed RFC limits are rejected.
-func readName(msg []byte, off int) (string, int, error) {
-	return readNameDec(msg, off, nil)
-}
-
-// readNameDec is readName with an optional decoder: when d is non-nil the
-// name is assembled in d's reusable scratch buffer and interned, so
-// steady-state decoding of recurring names does not allocate.
+// reject loops; names that exceed RFC limits are rejected. When d is
+// non-nil the name is assembled in d's reusable scratch buffer and
+// interned, so steady-state decoding of recurring names does not allocate.
 func readNameDec(msg []byte, off int, d *decoder) (string, int, error) {
 	var nb []byte // nil-decoder path lets append allocate; it returns a fresh string anyway
 	if d != nil {

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// readName is readNameDec without a decoder: a fresh string per name.
+func readName(msg []byte, off int) (string, int, error) {
+	return readNameDec(msg, off, nil)
+}
+
 func TestCanonicalName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", "."},

@@ -21,8 +21,11 @@ type RData interface {
 // ErrBadRData reports malformed RDATA for the record type.
 var ErrBadRData = errors.New("dnswire: malformed RDATA")
 
-// parseRData decodes rdlen octets at off as the RDATA of type t. Unknown
-// types decode to Raw. d, when non-nil, supplies reusable RData structs
+// parseRData decodes rdlen octets at off as the RDATA of type t. Every
+// type without a case here decodes to Raw, the DNSSEC and SVCB/HTTPS types
+// included: nothing in the stack reads their fields, and none of them may
+// compress a name in its RDATA (RFC 3597 §4, RFC 4034, RFC 9460 §2.2), so
+// they travel byte for byte. d, when non-nil, supplies reusable RData structs
 // and interned names for the common types (see decode.go); a nil d
 // allocates fresh values.
 func parseRData(t Type, msg []byte, off, rdlen int, d *decoder) (RData, error) {
@@ -104,16 +107,6 @@ func parseRData(t Type, msg []byte, off, rdlen int, d *decoder) (RData, error) {
 		return parseOPT(rd, d)
 	case TypeCAA:
 		return parseCAA(rd)
-	case TypeSVCB, TypeHTTPS:
-		return parseSVCB(msg, off, rdlen)
-	case TypeDNSKEY:
-		return parseDNSKEY(rd)
-	case TypeDS:
-		return parseDS(rd)
-	case TypeRRSIG:
-		return parseRRSIG(msg, off, rdlen)
-	case TypeNSEC:
-		return parseNSEC(msg, off, rdlen)
 	default:
 		r := d.newRaw()
 		r.Data = append(r.Data, rd...)
@@ -339,73 +332,6 @@ func parseCAA(rd []byte) (*CAA, error) {
 	}, nil
 }
 
-// SVCB is a service-binding record (RFC 9460); HTTPS is its port-443
-// sibling. SvcParams are kept as opaque key/value pairs, which is all the
-// measurement tool needs (it never originates them, only round-trips them).
-// The record's Type tells SVCB and HTTPS apart.
-type SVCB struct {
-	Priority uint16
-	Target   string
-	Params   []SvcParam
-}
-
-// SvcParam is one SvcParamKey/SvcParamValue pair.
-type SvcParam struct {
-	Key   uint16
-	Value []byte
-}
-
-func (s *SVCB) appendRData(buf []byte, _ *compressor) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint16(buf, s.Priority)
-	var err error
-	if buf, err = appendName(buf, s.Target, nil); err != nil {
-		return nil, err
-	}
-	for _, p := range s.Params {
-		buf = binary.BigEndian.AppendUint16(buf, p.Key)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Value)))
-		buf = append(buf, p.Value...)
-	}
-	return buf, nil
-}
-
-func (s *SVCB) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d %s", s.Priority, CanonicalName(s.Target))
-	for _, p := range s.Params {
-		fmt.Fprintf(&sb, " key%d=%x", p.Key, p.Value)
-	}
-	return sb.String()
-}
-
-func parseSVCB(msg []byte, off, rdlen int) (*SVCB, error) {
-	end := off + rdlen
-	if rdlen < 3 {
-		return nil, fmt.Errorf("%w: SVCB too short", ErrBadRData)
-	}
-	s := &SVCB{Priority: binary.BigEndian.Uint16(msg[off:])}
-	var err error
-	if s.Target, off, err = readName(msg, off+2); err != nil {
-		return nil, err
-	}
-	for off < end {
-		if off+4 > end {
-			return nil, fmt.Errorf("%w: SVCB param header", ErrBadRData)
-		}
-		key := binary.BigEndian.Uint16(msg[off:])
-		vlen := int(binary.BigEndian.Uint16(msg[off+2:]))
-		off += 4
-		if off+vlen > end {
-			return nil, fmt.Errorf("%w: SVCB param value", ErrBadRData)
-		}
-		v := make([]byte, vlen)
-		copy(v, msg[off:off+vlen])
-		s.Params = append(s.Params, SvcParam{Key: key, Value: v})
-		off += vlen
-	}
-	return s, nil
-}
-
 // OPT is the EDNS0 pseudo-record of RFC 6891. On the wire its CLASS carries
 // the requestor's UDP payload size and its TTL packs the extended RCODE,
 // EDNS version, and DO bit; Pack/Unpack translate between that encoding and
@@ -464,8 +390,8 @@ func parseOPT(rd []byte, d *decoder) (*OPT, error) {
 	return o, nil
 }
 
-// Raw is the fallback RDATA for record types this codec does not model;
-// the record's Type names the type.
+// Raw is the RDATA of every record type this codec does not model, kept
+// as the octets it arrived in; the record's Type names the type.
 type Raw struct {
 	Data []byte
 }
@@ -474,4 +400,11 @@ func (r *Raw) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	return append(buf, r.Data...), nil
 }
 
-func (r *Raw) String() string { return fmt.Sprintf("\\# %d %x", len(r.Data), r.Data) }
+// String renders the RFC 3597 §5 generic form: \# length, then the octets
+// in hex, with no hex field when there are none.
+func (r *Raw) String() string {
+	if len(r.Data) == 0 {
+		return "\\# 0"
+	}
+	return fmt.Sprintf("\\# %d %x", len(r.Data), r.Data)
+}

@@ -2,7 +2,9 @@
 // extensions of RFC 6891: message header, domain-name encoding with
 // compression pointers, question and resource-record sections, and typed
 // RDATA for the record types the measurement tool and its resolver substrate
-// need (A, AAAA, CNAME, NS, SOA, PTR, MX, TXT, SRV, OPT, CAA, HTTPS/SVCB).
+// read (A, AAAA, CNAME, NS, SOA, PTR, MX, TXT, SRV, OPT, CAA). Every other
+// type, DNSSEC's and SVCB/HTTPS included, travels as opaque RDATA (Raw,
+// RFC 3597).
 //
 // The codec is written from scratch against the RFCs — it is the stand-in
 // for miekg/dns in this stdlib-only reproduction — and is deliberately
@@ -17,29 +19,33 @@ type Type uint16
 
 // Record types used by this repository.
 const (
-	TypeNone  Type = 0
-	TypeA     Type = 1
-	TypeNS    Type = 2
-	TypeCNAME Type = 5
-	TypeSOA   Type = 6
-	TypePTR   Type = 12
-	TypeMX    Type = 15
-	TypeTXT   Type = 16
-	TypeAAAA  Type = 28
-	TypeSRV   Type = 33
-	TypeOPT   Type = 41 // EDNS0 pseudo-RR, RFC 6891
-	TypeSVCB  Type = 64
-	TypeHTTPS Type = 65
-	TypeCAA   Type = 257
-	TypeANY   Type = 255
+	TypeNone   Type = 0
+	TypeA      Type = 1
+	TypeNS     Type = 2
+	TypeCNAME  Type = 5
+	TypeSOA    Type = 6
+	TypePTR    Type = 12
+	TypeMX     Type = 15
+	TypeTXT    Type = 16
+	TypeAAAA   Type = 28
+	TypeSRV    Type = 33
+	TypeOPT    Type = 41 // EDNS0 pseudo-RR, RFC 6891
+	TypeDS     Type = 43 // RFC 4034
+	TypeRRSIG  Type = 46
+	TypeNSEC   Type = 47
+	TypeDNSKEY Type = 48
+	TypeSVCB   Type = 64 // RFC 9460
+	TypeHTTPS  Type = 65
+	TypeCAA    Type = 257
+	TypeANY    Type = 255
 )
 
 var typeNames = map[Type]string{
 	TypeA: "A", TypeNS: "NS", TypeCNAME: "CNAME", TypeSOA: "SOA",
 	TypePTR: "PTR", TypeMX: "MX", TypeTXT: "TXT", TypeAAAA: "AAAA",
-	TypeSRV: "SRV", TypeOPT: "OPT", TypeSVCB: "SVCB", TypeHTTPS: "HTTPS",
+	TypeSRV: "SRV", TypeOPT: "OPT", TypeDS: "DS", TypeRRSIG: "RRSIG",
+	TypeNSEC: "NSEC", TypeDNSKEY: "DNSKEY", TypeSVCB: "SVCB", TypeHTTPS: "HTTPS",
 	TypeCAA: "CAA", TypeANY: "ANY",
-	TypeDS: "DS", TypeRRSIG: "RRSIG", TypeNSEC: "NSEC", TypeDNSKEY: "DNSKEY",
 }
 
 // String returns the conventional mnemonic, or TYPEn for unknown types.

@@ -254,6 +254,36 @@ func TestDoHJSONAPI(t *testing.T) {
 	}
 }
 
+// TestDoHJSONOpaqueRData: the JSON dialect renders the RDATA of a type
+// the codec does not model, HTTPS here, in the RFC 3597 generic form.
+func TestDoHJSONOpaqueRData(t *testing.T) {
+	z := authdns.NewZone(".")
+	z.Add(dnswire.Record{Name: "example.com.", Type: dnswire.TypeHTTPS, Class: dnswire.ClassIN, TTL: 300,
+		Data: &dnswire.Raw{Data: []byte{0, 1, 0, 0, 3, 0, 2, 0x01, 0xBB}}})
+	mux := http.NewServeMux()
+	mux.Handle(DefaultPath, &Handler{DNS: z})
+	ts := httptest.NewTLSServer(mux)
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + DefaultPath + "?name=example.com&type=HTTPS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jr struct {
+		Answer []struct {
+			Type int
+			Data string
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	if len(jr.Answer) != 1 || jr.Answer[0].Type != 65 || jr.Answer[0].Data != `\# 9 0001000003000201bb` {
+		t.Errorf("json = %+v", jr)
+	}
+}
+
 func TestDoHJSONNumericTypeAndErrors(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle(DefaultPath, &Handler{DNS: static()})

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -453,6 +454,81 @@ func TestForwarderCaches(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("upstream calls = %d, want 1 (cached)", calls)
+	}
+}
+
+// TestForwarderKeepsOpaqueRData: the DNSSEC and SVCB/HTTPS records an
+// upstream sends leave the forwarder with the RDATA octets they arrived
+// in, on the miss and on the cache hit through AppendResponse. Their names
+// are mixed case on purpose: an RRSIG signer, an NSEC next name or an
+// HTTPS target lowercased on the way through no longer matches its
+// signature.
+func TestForwarderKeepsOpaqueRData(t *testing.T) {
+	name := func(labels ...string) []byte {
+		var b []byte
+		for _, l := range labels {
+			b = append(append(b, byte(len(l))), l...)
+		}
+		return append(b, 0)
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	rdata := map[dnswire.Type][]byte{
+		dnswire.TypeDS:     {0x30, 0x39, 13, 2, 0xAA, 0xBB, 0xCC},
+		dnswire.TypeDNSKEY: {0x01, 0x01, 3, 13, 0xAB, 0xCD},
+		dnswire.TypeRRSIG: join([]byte{0, 1, 13, 2, 0, 0, 0x01, 0x2C, 0x65, 0x53, 0xF1, 0x00,
+			0x64, 0xB9, 0x8E, 0x80, 0x30, 0x39}, name("Example", "COM"), []byte{0xDE, 0xAD}),
+		dnswire.TypeNSEC:  join(name("Mail", "Example", "COM"), []byte{0, 1, 0x40, 1, 1, 0x40}),
+		dnswire.TypeSVCB:  join([]byte{0, 1}, name("DoH", "Example", "COM"), []byte{0, 1, 0, 3, 2, 'h', '2'}),
+		dnswire.TypeHTTPS: join([]byte{0, 1}, name("CDN", "Example", "NET"), []byte{0, 3, 0, 2, 0x01, 0xBB}),
+	}
+	upstream := exchangerFunc(func(_ context.Context, q *dnswire.Message, _ string) (*dnswire.Message, error) {
+		resp := q.Reply()
+		q0 := q.Question0()
+		resp.Answers = []dnswire.Record{{Name: q0.Name, Type: q0.Type, Class: dnswire.ClassIN, TTL: 300,
+			Data: &dnswire.Raw{Data: rdata[q0.Type]}}}
+		wire, err := resp.Pack()
+		if err != nil {
+			return nil, err
+		}
+		return dnswire.Unpack(wire)
+	})
+	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53"}, Cache: NewCache(128, nil)}
+	check := func(how string, qt dnswire.Type, wire []byte) {
+		t.Helper()
+		m, err := dnswire.Unpack(wire)
+		if err != nil {
+			t.Fatalf("%s %v: %v", how, qt, err)
+		}
+		if len(m.Answers) != 1 {
+			t.Fatalf("%s %v: %d answers, want 1", how, qt, len(m.Answers))
+		}
+		raw, ok := m.Answers[0].Data.(*dnswire.Raw)
+		if !ok || !bytes.Equal(raw.Data, rdata[qt]) {
+			t.Errorf("%s %v: RDATA %v, upstream sent %x", how, qt, m.Answers[0].Data, rdata[qt])
+		}
+	}
+	for qt := range rdata {
+		q := dnswire.NewQuery(1, "example.com", qt)
+		resp, err := f.ServeDNS(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := resp.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("miss", qt, wire)
+
+		raw, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rawQ, _ := dnswire.QuestionBytes(raw)
+		hit, _, ok := f.AppendResponse(nil, q, rawQ)
+		if !ok {
+			t.Fatalf("hit %v: AppendResponse declined a cached RRset", qt)
+		}
+		check("hit", qt, hit)
 	}
 }
 
