@@ -59,32 +59,39 @@ func LoadConfig(path string) (*Config, error) {
 
 // apply folds config values into flag-value destinations that are still
 // at their defaults (explicit flags win). set reports which flags the
-// user passed.
+// user passed; apply marks each one it fills as set too, so the config
+// form of a run behaves as its flag form.
 func (c *Config) apply(set map[string]bool, resolvers, domains, vantage, mode, output *string,
 	rounds *int, interval *time.Duration, seed *uint64) {
-	if len(c.Resolvers) > 0 && !set["resolvers"] {
+	fill := func(flag string, given bool) bool {
+		if !given || set[flag] {
+			return false
+		}
+		set[flag] = true
+		return true
+	}
+	if fill("resolvers", len(c.Resolvers) > 0) {
 		*resolvers = strings.Join(c.Resolvers, ",")
 	}
-	if len(c.Domains) > 0 && !set["domains"] {
+	if fill("domains", len(c.Domains) > 0) {
 		*domains = strings.Join(c.Domains, ",")
 	}
-	if c.Vantage != "" && !set["vantage"] {
+	if fill("vantage", c.Vantage != "") {
 		*vantage = c.Vantage
 	}
-	if c.Mode != "" && !set["mode"] {
+	if fill("mode", c.Mode != "") {
 		*mode = c.Mode
 	}
-	if c.Output != "" && !set["o"] {
+	if fill("o", c.Output != "") {
 		*output = c.Output
 	}
-	if c.Rounds > 0 && !set["rounds"] {
+	if fill("rounds", c.Rounds > 0) {
 		*rounds = c.Rounds
 	}
-	if c.Interval != "" && !set["interval"] {
-		d, _ := time.ParseDuration(c.Interval) // validated by LoadConfig
-		*interval = d
+	if fill("interval", c.Interval != "") {
+		*interval, _ = time.ParseDuration(c.Interval) // validated by LoadConfig
 	}
-	if c.Seed != 0 && !set["seed"] {
+	if fill("seed", c.Seed != 0) {
 		*seed = c.Seed
 	}
 }

@@ -75,7 +75,7 @@ func run(args []string, stdout *os.File) error {
 		reach     = fs.Bool("reachability", false, "run the middlebox-vantage reachability scenario (deterministic, in-process) and print the per-vantage classification")
 		confPath  = fs.String("config", "", "JSON config file (flags override its values)")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics (Prometheus), /debug/obs, /debug/watch, and /debug/pprof on this address during the run")
-		watch     = fs.Bool("watch", false, "continuous watchtower mode: probe forever, tracking per-target health, SLO burn alerts, and a live dashboard at /debug/watch/ui (interval defaults to 10s; stop with ^C)")
+		watch     = fs.Bool("watch", false, "continuous watchtower mode: probe forever, tracking per-target health, SLO burn alerts, and a live dashboard at /debug/watch/ui (interval defaults to 10s and must be at least 1s; stop with ^C)")
 		watchPace = fs.Duration("watch-pace", 0, "real-time floor between watch rounds (sim mode: virtual time still advances one -interval per round)")
 		verbose   = fs.Bool("v", false, "debug-level logging")
 	)
@@ -168,6 +168,11 @@ func run(args []string, stdout *os.File) error {
 	if *watch {
 		if !set["interval"] {
 			*interval = 10 * time.Second
+		}
+		// Every probe scans windows up to 6h long, so its cost grows as
+		// 6h over the interval.
+		if *interval < time.Second {
+			return fmt.Errorf("-watch needs an -interval of at least 1s, not %s", *interval)
 		}
 		if *metrics == "" {
 			*metrics = "127.0.0.1:0"

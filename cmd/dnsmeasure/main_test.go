@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"encdns/internal/authdns"
 	"encdns/internal/core"
@@ -129,6 +130,45 @@ func TestWatchStreamsWhatOWrites(t *testing.T) {
 	}
 }
 
+// TestWatchConfigMatchesFlags: a bounded watch given by a config file
+// stops after its rounds at its interval, streaming the bytes the same
+// run given as flags streams.
+func TestWatchConfigMatchesFlags(t *testing.T) {
+	dir := t.TempDir()
+	conf := filepath.Join(dir, "watch.json")
+	if err := os.WriteFile(conf, []byte(`{"resolvers":["dns.google"],"domains":["google.com"],"rounds":2,"interval":"30s"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	watch := []string{"-watch", "-metrics-addr", "127.0.0.1:0", "-summary=false"}
+	if _, err := capture(t, append(watch, "-resolvers", "dns.google", "-domains", "google.com",
+		"-rounds", "2", "-interval", "30s", "-o", filepath.Join(dir, "flags.jsonl"))...); err != nil {
+		t.Fatal(err)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	done := make(chan error, 1)
+	go func() { done <- run(append(watch, "-config", conf, "-o", filepath.Join(dir, "config.jsonl")), devnull) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the config-file watch did not stop after its 2 rounds")
+	}
+	flags, err1 := os.ReadFile(filepath.Join(dir, "flags.jsonl"))
+	config, err2 := os.ReadFile(filepath.Join(dir, "config.jsonl"))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if len(flags) == 0 || string(flags) != string(config) {
+		t.Errorf("config form streamed %d bytes, flag form %d, and they differ", len(config), len(flags))
+	}
+}
+
 func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{"-resolvers", "not.a.known.host"},
@@ -136,6 +176,7 @@ func TestErrors(t *testing.T) {
 		{"-vantage", "mars"},
 		{"-mode", "quantum"},
 		{"-domains", ""},
+		{"-watch", "-interval", "999ms", "-rounds", "1"}, // below the 1s floor
 	}
 	for _, args := range cases {
 		if _, err := capture(t, args...); err == nil {

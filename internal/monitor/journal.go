@@ -4,7 +4,7 @@
 // rate alerts (the Google SRE workbook shape), and a bounded structured
 // event journal. It consumes probe outcomes (from the campaign's
 // observer hook or the cluster's forwards and peer probes), keeps
-// everything in windowed obs instruments, and renders itself as the
+// everything in rings of per-interval slots, and renders itself as the
 // /debug/watch surface via obs.WatchSource.
 //
 // The paper's headline result is *continuous* measurement — availability

@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -85,11 +84,13 @@ var (
 		"Targets currently tracked across monitor trackers.")
 )
 
-// Tracker is the watchtower: it ingests probe outcomes and maintains
-// per-target windowed availability, latency, error breakdowns, a health
-// state machine, and burn-rate alert evaluations. It implements
-// core.ProbeObserver (feeding) and obs.WatchSource (serving /debug/watch).
-// Safe for concurrent use.
+// Tracker is the watchtower: it ingests probe outcomes and keeps, per
+// target, trailing windows of availability, latency and error classes,
+// a health state machine, and burn-rate alert evaluations. Each window
+// is a ring of per-interval slots; the Tracker steps every ring under
+// its one lock with the one clock reading of the call. It implements
+// core.ProbeObserver (feeding) and obs.WatchSource (serving
+// /debug/watch). Safe for concurrent use.
 type Tracker struct {
 	cfg     Config
 	journal *Journal
@@ -103,6 +104,17 @@ type Tracker struct {
 	coarseSlots    int
 }
 
+// counts is one interval's probe outcomes.
+type counts struct{ ok, fail uint64 }
+
+// detail is one interval of the report window: the RTTs of successful
+// probes, counted over obs.DefaultRTTBounds plus +Inf, and the failures
+// by error class.
+type detail struct {
+	rtt    []uint64
+	errors map[string]uint64
+}
+
 type target struct {
 	name  string
 	state State
@@ -110,13 +122,12 @@ type target struct {
 
 	consecFail, consecOK int
 
-	// fine rings (cfg.Interval buckets) back the short burn windows, the
-	// degraded ratio, and the dashboard; coarse rings back the long burn
-	// windows without holding days of fine buckets.
-	okFine, failFine     *obs.WindowedCounter
-	okCoarse, failCoarse *obs.WindowedCounter
-	rtt                  *obs.WindowedHistogram
-	errClasses           map[string]*obs.WindowedCounter
+	// fine (cfg.Interval slots) backs the short burn windows, the
+	// degraded ratio and the report; coarse backs the long burn windows
+	// without holding days of fine slots; recent holds the report
+	// window's latency and error detail.
+	fine, coarse ring[counts]
+	recent       ring[detail]
 
 	alerts map[string]*alertState // keyed by burnWindow.name
 
@@ -143,10 +154,7 @@ func New(cfg Config) *Tracker {
 		maxLong = max(maxLong, b.long)
 	}
 	t.fineSlots = int(fineSpan/cfg.Interval) + 1
-	t.coarseInterval = cfg.Interval
-	if ci := maxLong / 1024; ci > t.coarseInterval {
-		t.coarseInterval = ci
-	}
+	t.coarseInterval = max(cfg.Interval, maxLong/1024)
 	t.coarseSlots = int(maxLong/t.coarseInterval) + 1
 	t.journal.Append(Event{
 		Time: t.now(), Type: EventConfig,
@@ -183,33 +191,18 @@ func (t *Tracker) State(name string) (State, bool) {
 
 // getTarget finds or creates a target's tracking state. Callers hold
 // t.mu.
-func (t *Tracker) getTarget(name string) *target {
+func (t *Tracker) getTarget(name string, now time.Time) *target {
 	if tg, ok := t.targets[name]; ok {
 		return tg
 	}
-	mk := func() *obs.WindowedCounter {
-		c := obs.NewWindowedCounter(t.cfg.Interval, t.fineSlots)
-		c.SetNow(t.cfg.Now)
-		return c
-	}
-	mkCoarse := func() *obs.WindowedCounter {
-		c := obs.NewWindowedCounter(t.coarseInterval, t.coarseSlots)
-		c.SetNow(t.cfg.Now)
-		return c
-	}
-	rtt := obs.NewWindowedHistogram(t.cfg.Interval, seriesPoints+1, nil)
-	rtt.SetNow(t.cfg.Now)
 	tg := &target{
-		name:       name,
-		state:      StateHealthy,
-		since:      t.now(),
-		okFine:     mk(),
-		failFine:   mk(),
-		okCoarse:   mkCoarse(),
-		failCoarse: mkCoarse(),
-		rtt:        rtt,
-		errClasses: make(map[string]*obs.WindowedCounter),
-		alerts:     make(map[string]*alertState, len(burnWindows)),
+		name:   name,
+		state:  StateHealthy,
+		since:  now,
+		fine:   newRing[counts](t.cfg.Interval, t.fineSlots),
+		coarse: newRing[counts](t.coarseInterval, t.coarseSlots),
+		recent: newRing[detail](t.cfg.Interval, seriesPoints+1),
+		alerts: make(map[string]*alertState, len(burnWindows)),
 		stateGauge: obs.Default().Gauge("monitor_state",
 			"Target health (0 healthy, 1 degraded, 2 down).", "target", name),
 	}
@@ -222,36 +215,37 @@ func (t *Tracker) getTarget(name string) *target {
 }
 
 // ObserveProbe ingests one probe outcome: target health bookkeeping,
-// windowed counters, and alert evaluation. rtt is recorded only for
+// windowed counts, and alert evaluation. rtt is recorded only for
 // successful probes (failure durations are timeout artifacts, not
 // response times); errClass labels the windowed error breakdown.
 // It implements core.ProbeObserver.
 func (t *Tracker) ObserveProbe(name string, ok bool, rtt time.Duration, errClass string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tg := t.getTarget(name)
 	now := t.now()
+	tg := t.getTarget(name, now)
+	fine, coarse, d := tg.fine.at(now), tg.coarse.at(now), tg.recent.at(now)
 	if ok {
-		tg.okFine.Inc()
-		tg.okCoarse.Inc()
-		tg.rtt.ObserveDuration(rtt)
+		fine.ok++
+		coarse.ok++
+		if d.rtt == nil {
+			d.rtt = make([]uint64, len(obs.DefaultRTTBounds)+1)
+		}
+		d.rtt[sort.SearchFloat64s(obs.DefaultRTTBounds, rtt.Seconds())]++
 		tg.consecOK++
 		tg.consecFail = 0
 	} else {
-		tg.failFine.Inc()
-		tg.failCoarse.Inc()
+		fine.fail++
+		coarse.fail++
 		tg.consecFail++
 		tg.consecOK = 0
 		if errClass == "" {
 			errClass = "unknown"
 		}
-		ec, have := tg.errClasses[errClass]
-		if !have {
-			ec = obs.NewWindowedCounter(t.cfg.Interval, t.fineSlots)
-			ec.SetNow(t.cfg.Now)
-			tg.errClasses[errClass] = ec
+		if d.errors == nil {
+			d.errors = make(map[string]uint64)
 		}
-		ec.Inc()
+		d.errors[errClass]++
 	}
 	t.stepState(tg, now)
 	t.evaluateAlerts(tg, now)
@@ -276,11 +270,11 @@ func (t *Tracker) transition(tg *target, next State, now time.Time, detail strin
 // stepState runs the hysteresis state machine after one observation.
 // Callers hold t.mu.
 func (t *Tracker) stepState(tg *target, now time.Time) {
-	fails := tg.failFine.SumWindow(degradedWindow)
-	total := fails + tg.okFine.SumWindow(degradedWindow)
+	c := sum(&tg.fine, now, degradedWindow)
+	total := c.ok + c.fail
 	ratio := 0.0
 	if total > 0 {
-		ratio = float64(fails) / float64(total)
+		ratio = float64(c.fail) / float64(total)
 	}
 	switch {
 	case tg.consecFail >= downAfter:
@@ -299,27 +293,33 @@ func (t *Tracker) stepState(tg *target, now time.Time) {
 	}
 }
 
-// rates returns failures and totals over the trailing window d, picking
-// the ring whose span covers it. Callers hold t.mu.
-func (t *Tracker) rates(tg *target, d time.Duration) (failures, total uint64) {
-	if d <= tg.okFine.Span() {
-		failures = tg.failFine.SumWindow(d)
-		return failures, failures + tg.okFine.SumWindow(d)
+// sum totals a counts ring over the trailing window d.
+func sum(r *ring[counts], now time.Time, d time.Duration) (c counts) {
+	r.each(now, d, func(_ time.Time, s *counts) {
+		if s != nil {
+			c.ok += s.ok
+			c.fail += s.fail
+		}
+	})
+	return c
+}
+
+// rates returns a target's counts over the trailing window d, from the
+// fine ring when its span covers d and the coarse one otherwise.
+func rates(tg *target, now time.Time, d time.Duration) counts {
+	if d <= tg.fine.span() {
+		return sum(&tg.fine, now, d)
 	}
-	failures = tg.failCoarse.SumWindow(d)
-	return failures, failures + tg.okCoarse.SumWindow(d)
+	return sum(&tg.coarse, now, d)
 }
 
 // evaluateAlerts re-evaluates every burn window for a target, journaling
 // fire/resolve edges. Callers hold t.mu.
 func (t *Tracker) evaluateAlerts(tg *target, now time.Time) {
-	budget := 1 - objective
 	for _, b := range burnWindows {
 		as := tg.alerts[b.name]
-		failS, totS := t.rates(tg, b.short)
-		failL, totL := t.rates(tg, b.long)
-		as.burnShort = burnRate(failS, totS, budget)
-		as.burnLong = burnRate(failL, totL, budget)
+		as.burnShort = burnRate(rates(tg, now, b.short))
+		as.burnLong = burnRate(rates(tg, now, b.long))
 		firing := as.burnShort > b.factor && as.burnLong > b.factor
 		if firing == as.firing {
 			continue
@@ -343,22 +343,21 @@ func (t *Tracker) evaluateAlerts(tg *target, now time.Time) {
 	}
 }
 
-// noNaN maps the empty-window NaN quantile onto 0 so reports stay
-// JSON-encodable.
-func noNaN(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
+// quantilesMs reads p50, p95 and p99 in milliseconds off RTT bucket
+// counts; all zero when there are none.
+func quantilesMs(rtt []uint64) (p50, p95, p99 float64) {
+	q := func(q float64) float64 { return quantile(obs.DefaultRTTBounds, rtt, q) * 1000 }
+	return q(0.5), q(0.95), q(0.99)
 }
 
 // WatchReport implements obs.WatchSource: the /debug/watch JSON body.
 func (t *Tracker) WatchReport() obs.WatchReport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.now()
 	window := time.Duration(seriesPoints) * t.cfg.Interval
 	rep := obs.WatchReport{
-		Now:          t.now().UTC(),
+		Now:          now.UTC(),
 		WindowSecs:   window.Seconds(),
 		IntervalSecs: t.cfg.Interval.Seconds(),
 		Targets:      make([]obs.WatchTarget, 0, len(t.targets)),
@@ -370,55 +369,51 @@ func (t *Tracker) WatchReport() obs.WatchReport {
 	sort.Strings(names)
 	for _, name := range names {
 		tg := t.targets[name]
-		fails := tg.failFine.SumWindow(window)
-		total := fails + tg.okFine.SumWindow(window)
-		avail := 1.0
-		if total > 0 {
-			avail = float64(total-fails) / float64(total)
-		}
 		wt := obs.WatchTarget{
-			Target:       name,
-			State:        tg.state.String(),
-			Since:        tg.since.UTC(),
-			Samples:      total,
-			Failures:     fails,
-			Availability: avail,
-			P50Ms:        noNaN(tg.rtt.Quantile(0.5, window)) * 1000,
-			P95Ms:        noNaN(tg.rtt.Quantile(0.95, window)) * 1000,
-			P99Ms:        noNaN(tg.rtt.Quantile(0.99, window)) * 1000,
+			Target: name,
+			State:  tg.state.String(),
+			Since:  tg.since.UTC(),
+			Series: make([]obs.WatchPoint, 0, seriesPoints),
 		}
-		for class, c := range tg.errClasses {
-			if n := c.SumWindow(window); n > 0 {
+		tg.fine.each(now, window, func(start time.Time, c *counts) {
+			p := obs.WatchPoint{Time: start}
+			if c != nil {
+				p.Total, p.Failures = c.ok+c.fail, c.fail
+				wt.Samples += p.Total
+				wt.Failures += p.Failures
+			}
+			wt.Series = append(wt.Series, p)
+		})
+		wt.Availability = 1
+		if wt.Samples > 0 {
+			wt.Availability = float64(wt.Samples-wt.Failures) / float64(wt.Samples)
+		}
+		rtt := make([]uint64, len(obs.DefaultRTTBounds)+1)
+		i := 0
+		tg.recent.each(now, window, func(_ time.Time, d *detail) {
+			p := &wt.Series[i]
+			i++
+			if d == nil {
+				return
+			}
+			for j, n := range d.rtt {
+				rtt[j] += n
+			}
+			p.P50Ms, p.P95Ms, p.P99Ms = quantilesMs(d.rtt)
+			for class, n := range d.errors {
 				if wt.Errors == nil {
 					wt.Errors = make(map[string]uint64)
 				}
-				wt.Errors[class] = n
+				wt.Errors[class] += n
 			}
-		}
+		})
+		wt.P50Ms, wt.P95Ms, wt.P99Ms = quantilesMs(rtt)
 		for _, b := range burnWindows {
 			as := tg.alerts[b.name]
 			wt.Alerts = append(wt.Alerts, obs.WatchAlert{
 				Window: b.name, Firing: as.firing, Factor: b.factor,
-				BurnShort: noNaN(as.burnShort), BurnLong: noNaN(as.burnLong),
+				BurnShort: as.burnShort, BurnLong: as.burnLong,
 				Since: as.since,
-			})
-		}
-		okB := tg.okFine.Buckets(window)
-		failB := tg.failFine.Buckets(window)
-		qs := tg.rtt.BucketQuantiles(window, 0.5, 0.95, 0.99)
-		n := len(okB)
-		if len(qs) < n {
-			n = len(qs)
-		}
-		wt.Series = make([]obs.WatchPoint, 0, n)
-		for i := 0; i < n; i++ {
-			wt.Series = append(wt.Series, obs.WatchPoint{
-				Time:     okB[i].Start,
-				Total:    okB[i].Count + failB[i].Count,
-				Failures: failB[i].Count,
-				P50Ms:    noNaN(qs[i].Q[0]) * 1000,
-				P95Ms:    noNaN(qs[i].Q[1]) * 1000,
-				P99Ms:    noNaN(qs[i].Q[2]) * 1000,
 			})
 		}
 		rep.Targets = append(rep.Targets, wt)

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"encdns/internal/netsim"
+	"encdns/internal/obs"
 	"encdns/internal/testutil"
 )
 
@@ -204,6 +206,56 @@ func TestWatchReportShape(t *testing.T) {
 	}
 }
 
+// TestWindowedVsCumulativeDivergence pins the premise of the windows: a
+// mid-run stall that is invisible in a cumulative p99 is unmissable in
+// the report's. One probe per second for an hour at 20ms, then a
+// 30-probe stall at 5s: the stall is 0.8% of the cumulative distribution
+// (under the p99 threshold) but 10% of the trailing five minutes.
+func TestWindowedVsCumulativeDivergence(t *testing.T) {
+	clk := netsim.NewVirtualClock(netsim.CampaignEpoch)
+	tr := New(Config{Now: netsim.NowFunc(clk), Interval: 5 * time.Second}) // window 5m
+	cumulative := make([]uint64, len(obs.DefaultRTTBounds)+1)
+	observe := func(rtt time.Duration) {
+		tr.ObserveProbe("r", true, rtt, "")
+		cumulative[sort.SearchFloat64s(obs.DefaultRTTBounds, rtt.Seconds())]++
+		clk.Advance(time.Second)
+	}
+	for i := 0; i < 3600; i++ {
+		observe(20 * time.Millisecond)
+	}
+	for i := 0; i < 30; i++ {
+		observe(5 * time.Second)
+	}
+
+	cumP99 := quantile(obs.DefaultRTTBounds, cumulative, 0.99)
+	winP99 := tr.WatchReport().Targets[0].P99Ms / 1000
+	if cumP99 >= 0.1 {
+		t.Fatalf("cumulative p99 = %vs — the stall should be hidden below 0.1s", cumP99)
+	}
+	if winP99 <= 1 {
+		t.Fatalf("windowed p99 = %vs — the stall should dominate the window (>1s)", winP99)
+	}
+}
+
+// TestOneClockReadPerCall: the Tracker steps all of a target's rings
+// with the one reading each call takes, new target or not.
+func TestOneClockReadPerCall(t *testing.T) {
+	clk := netsim.NewVirtualClock(netsim.CampaignEpoch)
+	reads := 0
+	tr := New(Config{Now: func() time.Time { reads++; return clk.Now() }})
+	for i, call := range []func(){
+		func() { tr.ObserveProbe("new", true, time.Millisecond, "") },
+		func() { tr.ObserveProbe("new", false, 0, "timeout") },
+		func() { tr.WatchReport() },
+	} {
+		reads = 0
+		call()
+		if reads != 1 {
+			t.Errorf("call %d read the clock %d times, want 1", i, reads)
+		}
+	}
+}
+
 func TestJournalBoundedAndJSONL(t *testing.T) {
 	j := NewJournal(4)
 	for i := 0; i < 10; i++ {
@@ -265,9 +317,9 @@ func TestLongWindowUsesCoarseRing(t *testing.T) {
 	}
 	tr.mu.Lock()
 	tg := tr.targets["t"]
-	fails, total := tr.rates(tg, 3*24*time.Hour)
+	c := rates(tg, clk.Now(), 3*24*time.Hour)
 	tr.mu.Unlock()
-	if total < 20 || fails < 10 {
-		t.Fatalf("coarse rates over 3d: %d/%d, want ~12/24", fails, total)
+	if c.ok+c.fail < 20 || c.fail < 10 {
+		t.Fatalf("coarse rates over 3d: %d/%d, want ~12/24", c.fail, c.ok+c.fail)
 	}
 }

@@ -34,11 +34,11 @@ type alertState struct {
 	burnShort, burnLong float64
 }
 
-// burnRate converts windowed failure/total counts into a burn rate
-// against the error budget. No samples means no evidence: burn 0.
-func burnRate(failures, total uint64, budget float64) float64 {
-	if total == 0 || budget <= 0 {
+// burnRate is the failure ratio of c over the error budget,
+// 1-objective. No samples means no evidence: burn 0.
+func burnRate(c counts) float64 {
+	if c.ok+c.fail == 0 {
 		return 0
 	}
-	return (float64(failures) / float64(total)) / budget
+	return (float64(c.fail) / float64(c.ok+c.fail)) / (1 - objective)
 }

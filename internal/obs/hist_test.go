@@ -82,39 +82,6 @@ func TestHistogramSumAndDuration(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile pins the bucket interpolation behind the
-// windowed p50/p95/p99 on /debug/watch.
-func TestHistogramQuantile(t *testing.T) {
-	clk := newFakeClock()
-	h := NewWindowedHistogram(time.Hour, 1, []float64{1, 2, 4, 8})
-	h.SetNow(clk.Now)
-	if !math.IsNaN(h.Quantile(0.5, time.Hour)) {
-		t.Error("empty histogram quantile is not NaN")
-	}
-	// 100 observations uniform on (0, 4]: 25 per unit interval.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.04)
-	}
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0, 0.04, 0.05},   // clamps to rank 1
-		{0.25, 1.0, 0.05}, // bucket edge
-		{0.5, 2.0, 0.08},  // interpolated inside (1,2]
-		{0.75, 3.0, 0.12}, // interpolated inside (2,4]
-		{1.0, 4.0, 1e-9},  // top of the last populated bucket
-	} {
-		if got := h.Quantile(tc.q, time.Hour); math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("Quantile(%v) = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
-		}
-	}
-	// Values past every bound clamp to the last finite bound.
-	over := NewWindowedHistogram(time.Hour, 1, []float64{1, 2})
-	over.SetNow(clk.Now)
-	over.Observe(100)
-	if got := over.Quantile(0.99, time.Hour); got != 2 {
-		t.Errorf("+Inf-bucket quantile = %v, want clamp to 2", got)
-	}
-}
-
 func TestHistogramSnapshotCumulative(t *testing.T) {
 	h := NewRegistry().Histogram("c_seconds", "help", []float64{0.001, 0.01})
 	for _, v := range []float64{0.0005, 0.005, 0.005, 5} {
