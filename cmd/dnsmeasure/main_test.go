@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/netip"
@@ -19,6 +20,8 @@ import (
 	"encdns/internal/dnswire"
 	"encdns/internal/testutil"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/reachability.txt from this tree")
 
 // capture runs run() with stdout redirected to a pipe and returns output.
 func capture(t *testing.T, args ...string) (string, error) {
@@ -397,11 +400,28 @@ func TestProtoAffectsSimTiming(t *testing.T) {
 }
 
 // TestReachabilityScenario runs the -reachability campaign: the report
-// must classify every vantage/endpoint pair and name evasion chains.
+// must classify every vantage/endpoint pair and name evasion chains, and
+// match testdata/reachability.txt byte for byte. The table names the
+// chain that got through, so a change in layer order or dial-failure
+// counting shows up here. Regenerate with -update only when the report
+// is meant to change.
 func TestReachabilityScenario(t *testing.T) {
 	out, err := capture(t, "-reachability")
 	if err != nil {
 		t.Fatal(err)
+	}
+	const golden = "testdata/reachability.txt"
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("report differs from %s:\n got:\n%s\nwant:\n%s", golden, out, want)
 	}
 	for _, want := range []string{
 		"Reachability by vantage",
