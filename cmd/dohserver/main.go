@@ -58,7 +58,6 @@ func run() error {
 		verbose  = flag.Bool("v", false, "debug-level logging")
 
 		udpWorkers = flag.Int("udp-workers", 0, "UDP worker-pool size; 0 means 32*GOMAXPROCS (min 64)")
-		udpBatch   = flag.Int("udp-batch", 0, "max datagrams per batched read/write; 0 means 32, 1 disables batching")
 		maxConns   = flag.Int("max-conns", 4096, "max concurrent connections per stream listener (Do53/TCP, DoT, DoH); 0 unlimited")
 		idleTO     = flag.Duration("idle-timeout", 60*time.Second, "disconnect stream clients idle this long")
 
@@ -124,7 +123,6 @@ func run() error {
 		Handler:     handler,
 		Logger:      logger,
 		UDPWorkers:  *udpWorkers,
-		UDPBatch:    *udpBatch,
 		ReadTimeout: *idleTO, // doubles as the per-read stream idle timeout
 	}
 

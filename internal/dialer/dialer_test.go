@@ -29,34 +29,26 @@ func (c *sinkConn) SetDeadline(t time.Time) error      { return nil }
 func (c *sinkConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *sinkConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// sinkDialer hands out a fresh sinkConn and remembers it.
-type sinkDialer struct {
-	last *sinkConn
-	err  error
-}
-
-func (d *sinkDialer) DialStream(_ context.Context, addr string) (net.Conn, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	d.last = &sinkConn{}
-	return d.last, nil
-}
-
-func TestSplitDialerFirstWrite(t *testing.T) {
-	base := &sinkDialer{}
-	d := &SplitDialer{Inner: base, Prefix: 3}
-	conn, err := d.DialStream(context.Background(), "192.0.2.1:853")
+// wrap parses chain and wraps a fresh sinkConn in its layers.
+func wrap(t *testing.T, chain string) (net.Conn, *sinkConn) {
+	t.Helper()
+	specs, err := ParseSpecs(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := &sinkConn{}
+	return Wrap(context.Background(), specs, sink), sink
+}
+
+func TestSplitDialerFirstWrite(t *testing.T) {
+	conn, sink := wrap(t, "split:3")
 	if n, err := conn.Write([]byte("hello world")); err != nil || n != 11 {
 		t.Fatalf("Write = %d, %v", n, err)
 	}
 	if _, err := conn.Write([]byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	got := base.last.segments
+	got := sink.segments
 	if len(got) != 3 {
 		t.Fatalf("segments = %d, want 3 (%q)", len(got), got)
 	}
@@ -66,25 +58,22 @@ func TestSplitDialerFirstWrite(t *testing.T) {
 }
 
 func TestSplitDialerShortFirstWrite(t *testing.T) {
-	base := &sinkDialer{}
-	d := &SplitDialer{Inner: base, Prefix: 10}
-	conn, _ := d.DialStream(context.Background(), "192.0.2.1:853")
+	conn, sink := wrap(t, "split:10")
 	conn.Write([]byte("hi"))
 	conn.Write([]byte("much longer second write"))
-	if got := base.last.segments; len(got) != 2 {
+	if got := sink.segments; len(got) != 2 {
 		t.Fatalf("short first write must not split later writes: %q", got)
 	}
 }
 
 func TestDelayDialerSleepHook(t *testing.T) {
 	var slept []time.Duration
-	hook := func(_ context.Context, d time.Duration) error {
+	sleep = func(_ context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
 	}
-	base := &sinkDialer{}
-	d := &DelayDialer{Inner: base, Delay: 40 * time.Millisecond, Sleep: hook}
-	conn, _ := d.DialStream(context.Background(), "192.0.2.1:853")
+	t.Cleanup(func() { sleep = realSleep })
+	conn, _ := wrap(t, "delay:40ms")
 	conn.Write([]byte("a"))
 	conn.Write([]byte("b"))
 	if len(slept) != 1 || slept[0] != 40*time.Millisecond {
@@ -92,8 +81,7 @@ func TestDelayDialerSleepHook(t *testing.T) {
 	}
 
 	slept = nil
-	d = &DelayDialer{Inner: base, Delay: time.Millisecond, Every: true, Sleep: hook}
-	conn, _ = d.DialStream(context.Background(), "192.0.2.1:853")
+	conn, _ = wrap(t, "delay:1ms:every")
 	conn.Write([]byte("a"))
 	conn.Write([]byte("b"))
 	conn.Write([]byte("c"))
@@ -157,16 +145,11 @@ func TestParseSNI(t *testing.T) {
 
 func TestTLSFragDefeatsSegmentSNI(t *testing.T) {
 	ch := clientHello("blocked.test")
-	base := &sinkDialer{}
-	d := &TLSFragDialer{Inner: base} // SplitAt 0: mid-SNI
-	conn, err := d.DialStream(context.Background(), "192.0.2.1:853")
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, sink := wrap(t, "tlsfrag:sni")
 	if _, err := conn.Write(ch); err != nil {
 		t.Fatal(err)
 	}
-	segs := base.last.segments
+	segs := sink.segments
 	if len(segs) != 2 {
 		t.Fatalf("fragmented ClientHello wrote %d segments, want 2", len(segs))
 	}
@@ -196,28 +179,24 @@ func TestTLSFragDefeatsSegmentSNI(t *testing.T) {
 }
 
 func TestTLSFragPassthroughNonTLS(t *testing.T) {
-	base := &sinkDialer{}
-	d := &TLSFragDialer{Inner: base}
-	conn, _ := d.DialStream(context.Background(), "192.0.2.1:80")
+	conn, sink := wrap(t, "tlsfrag:sni")
 	conn.Write([]byte("GET / HTTP/1.1\r\n"))
-	if got := base.last.segments; len(got) != 1 || string(got[0]) != "GET / HTTP/1.1\r\n" {
+	if got := sink.segments; len(got) != 1 || string(got[0]) != "GET / HTTP/1.1\r\n" {
 		t.Errorf("non-TLS first write must pass through unchanged: %q", got)
 	}
 }
 
 func TestTLSFragBuffersPartialWrites(t *testing.T) {
 	ch := clientHello("blocked.test")
-	base := &sinkDialer{}
-	d := &TLSFragDialer{Inner: base}
-	conn, _ := d.DialStream(context.Background(), "192.0.2.1:853")
+	conn, sink := wrap(t, "tlsfrag:sni")
 	// Feed the record in three pieces; nothing may hit the wire early.
 	for _, piece := range [][]byte{ch[:2], ch[2:10], ch[10:]} {
 		if _, err := conn.Write(piece); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(base.last.segments) != 2 {
-		t.Fatalf("segments = %d, want 2 after full record arrives", len(base.last.segments))
+	if len(sink.segments) != 2 {
+		t.Fatalf("segments = %d, want 2 after full record arrives", len(sink.segments))
 	}
 }
 
@@ -276,35 +255,23 @@ func TestParseSpecs(t *testing.T) {
 }
 
 func TestBuildStreamLayerOrder(t *testing.T) {
-	specs, err := ParseSpecs("split:2|tlsfrag:sni")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := &sinkDialer{}
-	d, err := BuildStream(specs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, sink := wrap(t, "split:2|tlsfrag:sni")
 	// Leftmost layer is nearest the wire: tlsfrag must be outermost so
 	// the ClientHello is fragmented first and split cuts the fragments.
-	frag, ok := d.(*TLSFragDialer)
+	frag, ok := conn.(*fragConn)
 	if !ok {
-		t.Fatalf("outermost = %T, want *TLSFragDialer", d)
+		t.Fatalf("outermost = %T, want *fragConn", conn)
 	}
-	if _, ok := frag.Inner.(*SplitDialer); !ok {
-		t.Fatalf("inner = %T, want *SplitDialer", frag.Inner)
+	if _, ok := frag.Conn.(*splitConn); !ok {
+		t.Fatalf("inner = %T, want *splitConn", frag.Conn)
 	}
 
 	// End to end: one ClientHello becomes three wire segments — two
 	// records, the first cut after 2 bytes.
-	conn, err := d.DialStream(context.Background(), "192.0.2.1:853")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := conn.Write(clientHello("blocked.test")); err != nil {
 		t.Fatal(err)
 	}
-	segs := base.last.segments
+	segs := sink.segments
 	if len(segs) != 3 {
 		t.Fatalf("segments = %d, want 3 (%d-byte head)", len(segs), len(segs[0]))
 	}

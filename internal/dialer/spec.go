@@ -1,7 +1,9 @@
 package dialer
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"time"
@@ -76,7 +78,7 @@ func FormatSpecs(specs []Spec) string {
 	return strings.Join(parts, "|")
 }
 
-// validate checks the layer name and argument without building anything.
+// validate checks the layer name and argument.
 func (s Spec) validate() error {
 	switch s.Name {
 	case "split":
@@ -119,45 +121,28 @@ func splitDelayArg(arg string) (d time.Duration, every bool, ok bool) {
 	return dur, every, true
 }
 
-// Build wraps base with this layer. Layers wrap so that the leftmost
-// layer in the grammar is nearest the wire: BuildStream applies specs
-// right-to-left, so a write passes through layers left-to-right.
-func (s Spec) Build(base StreamDialer) (StreamDialer, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	switch s.Name {
-	case "split":
-		n, _ := strconv.Atoi(s.Arg)
-		return &SplitDialer{Inner: base, Prefix: n}, nil
-	case "tlsfrag":
-		at := 0 // "sni"
-		if s.Arg != "sni" {
-			at, _ = strconv.Atoi(s.Arg)
-		}
-		return &TLSFragDialer{Inner: base, SplitAt: at}, nil
-	case "delay":
-		dur, every, _ := splitDelayArg(s.Arg)
-		return &DelayDialer{Inner: base, Delay: dur, Every: every}, nil
-	}
-	return nil, fmt.Errorf("dialer: unknown chain layer %q", s.Name)
-}
-
-// BuildStream composes the full chain over base. The leftmost layer in
-// the grammar sits nearest the wire (innermost wrapper): in
-// "split:3|tlsfrag:sni|tls://…" the ClientHello is first rewritten into
-// two TLS records by tlsfrag, and the split layer then cuts the first of
-// those records into two segments. Read the chain right-to-left as the
-// order layers touch outgoing bytes, left-to-right as proximity to the
-// network.
-func BuildStream(specs []Spec, base StreamDialer) (StreamDialer, error) {
-	d := base
+// Wrap applies the chain layers to conn, the connection a base dial to
+// the endpoint returned, and returns the outermost wrapper. Layers wrap
+// in grammar order, so the leftmost layer sits nearest the wire
+// (innermost): in "split:3|tlsfrag:sni|tls://…" the ClientHello is first
+// rewritten into two TLS records by tlsfrag, and the split layer then
+// cuts the first of those records into two segments. Read the chain
+// right-to-left as the order layers touch outgoing bytes, left-to-right
+// as proximity to the network. ctx is the dial's context: a delay layer
+// sleeps under it. specs come from ParseSpecs, which has validated them.
+func Wrap(ctx context.Context, specs []Spec, conn net.Conn) net.Conn {
 	for _, s := range specs {
-		var err error
-		d, err = s.Build(d)
-		if err != nil {
-			return nil, err
+		switch s.Name {
+		case "split":
+			n, _ := strconv.Atoi(s.Arg)
+			conn = &splitConn{Conn: conn, prefix: n}
+		case "tlsfrag":
+			at, _ := strconv.Atoi(s.Arg) // "sni" reads as 0: mid-SNI
+			conn = &fragConn{Conn: conn, splitAt: at}
+		case "delay":
+			dur, every, _ := splitDelayArg(s.Arg)
+			conn = &delayConn{Conn: conn, ctx: ctx, delay: dur, every: every}
 		}
 	}
-	return d, nil
+	return conn
 }

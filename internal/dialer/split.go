@@ -6,33 +6,11 @@ import (
 	"time"
 )
 
-// SplitDialer splits the connection's first write into two separate
-// writes at byte Prefix — two TCP segments on a real network. A
+// splitConn splits the connection's first write into two separate
+// writes at byte prefix — two TCP segments on a real network. A
 // middlebox that inspects segments without reassembling the stream (the
 // common fast-path DPI design) never sees a parseable TLS record header,
-// let alone the SNI behind it.
-type SplitDialer struct {
-	// Inner provides the underlying connection.
-	Inner StreamDialer
-	// Prefix is where the first write is split; values < 1 normalize
-	// to 1 (split after the first byte).
-	Prefix int
-}
-
-// DialStream implements StreamDialer.
-func (d *SplitDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
-	conn, err := d.Inner.DialStream(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	n := d.Prefix
-	if n < 1 {
-		n = 1
-	}
-	return &splitConn{Conn: conn, prefix: n}, nil
-}
-
-// splitConn performs the first-write split; later writes pass through.
+// let alone the SNI behind it. Later writes pass through.
 type splitConn struct {
 	net.Conn
 	prefix int
@@ -56,35 +34,9 @@ func (c *splitConn) Write(b []byte) (int, error) {
 	return n + m, nil
 }
 
-// DelayDialer paces writes: it sleeps Delay before the connection's
-// first write, or before every write when Every is set. Timing-sensitive
-// middleboxes (and rate-based classifiers) key on inter-segment gaps;
-// delays also model the jittered clients the paper's home vantages are.
-type DelayDialer struct {
-	// Inner provides the underlying connection.
-	Inner StreamDialer
-	// Delay is slept before the first write (or all writes with Every).
-	Delay time.Duration
-	// Every applies the delay before every write, not just the first
-	// ("looped" mode).
-	Every bool
-	// Sleep is the clock hook; nil sleeps on the real clock. Tests and
-	// virtual-time harnesses inject their own.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// DialStream implements StreamDialer.
-func (d *DelayDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
-	conn, err := d.Inner.DialStream(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	sleep := d.Sleep
-	if sleep == nil {
-		sleep = realSleep
-	}
-	return &delayConn{Conn: conn, ctx: ctx, delay: d.Delay, every: d.Every, sleep: sleep}, nil
-}
+// sleep is the delay layer's clock; tests swap it to count the sleeps
+// instead of taking them.
+var sleep = realSleep
 
 func realSleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
@@ -100,19 +52,23 @@ func realSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// delayConn paces writes: it sleeps delay before the connection's first
+// write, or before every write when every is set ("looped" mode), under
+// the dial's context. Timing-sensitive middleboxes (and rate-based
+// classifiers) key on inter-segment gaps; delays also model the jittered
+// clients the paper's home vantages are.
 type delayConn struct {
 	net.Conn
 	ctx   context.Context
 	delay time.Duration
 	every bool
 	slept bool
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (c *delayConn) Write(b []byte) (int, error) {
 	if c.every || !c.slept {
 		c.slept = true
-		if err := c.sleep(c.ctx, c.delay); err != nil {
+		if err := sleep(c.ctx, c.delay); err != nil {
 			return 0, layerErr("delay", err)
 		}
 	}

@@ -1,7 +1,6 @@
 package dialer
 
 import (
-	"context"
 	"encoding/binary"
 	"net"
 )
@@ -14,35 +13,16 @@ const (
 	extServerName        = 0x0000
 )
 
-// TLSFragDialer rewrites the connection's first TLS record (the
-// ClientHello) into two smaller TLS records split at SplitAt, or in the
-// middle of the SNI hostname when SplitAt is 0. Record-level
-// fragmentation is legal TLS — every compliant peer reassembles
-// handshake messages across records (RFC 8446 §5.1) — but a middlebox
-// that matches the SNI against a blocklist without reassembling records
-// never sees the full name. Non-TLS first bytes pass through untouched,
-// so a misapplied tlsfrag layer degrades to a no-op.
-type TLSFragDialer struct {
-	// Inner provides the underlying connection.
-	Inner StreamDialer
-	// SplitAt is the byte index inside the record payload where the
-	// split happens; 0 targets the middle of the SNI hostname (falling
-	// back to the payload midpoint when no SNI is present).
-	SplitAt int
-}
-
-// DialStream implements StreamDialer.
-func (d *TLSFragDialer) DialStream(ctx context.Context, addr string) (net.Conn, error) {
-	conn, err := d.Inner.DialStream(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &fragConn{Conn: conn, splitAt: d.SplitAt}, nil
-}
-
-// fragConn buffers the first write(s) until the first TLS record is
-// complete, then emits it as two records. Everything after (and any
-// non-TLS stream) passes through.
+// fragConn rewrites the connection's first TLS record (the ClientHello)
+// into two smaller TLS records split at splitAt, or in the middle of the
+// SNI hostname when splitAt is 0 (the payload midpoint when no SNI is
+// present). It buffers the first write(s) until the record is complete.
+// Record-level fragmentation is legal TLS — every compliant peer
+// reassembles handshake messages across records (RFC 8446 §5.1) — but a
+// middlebox that matches the SNI against a blocklist without reassembling
+// records never sees the full name. Everything after the first record,
+// and any non-TLS stream, passes through untouched, so a misapplied
+// tlsfrag layer degrades to a no-op.
 type fragConn struct {
 	net.Conn
 	splitAt int

@@ -58,11 +58,11 @@ const maxUDPDatagram = 64 * 1024
 //
 // The UDP frontend runs everything that cannot block to completion in the
 // receive loop and keeps a worker pool for the rest. Each listener socket
-// gets one loop that pulls up to UDPBatch datagrams per syscall (recvmmsg
-// on Linux via internal/udpbatch) into buffers it owns, parses each into a
-// message it owns, and answers it through AppendInline straight into a
-// send buffer it owns; every answer of the batch then leaves in one
-// WriteBatch (sendmmsg). That covers cache hits (the handler's
+// gets one loop that pulls up to udpbatch.DefaultBatch datagrams per
+// syscall (recvmmsg on Linux via internal/udpbatch) into buffers it owns,
+// parses each into a message it owns, and answers it through AppendInline
+// straight into a send buffer it owns; every answer of the batch then
+// leaves in one WriteBatch (sendmmsg). That covers cache hits (the handler's
 // ResponseAppender) and, for a handler that answers from memory
 // (InMemory), misses too, so such a query costs no goroutine hop and no
 // write of its own. What is declined — a miss behind a handler that may
@@ -94,9 +94,6 @@ type Server struct {
 	// The pool starts with the first ServeUDP call, and only for a handler
 	// that is not InMemory.
 	UDPWorkers int
-	// UDPBatch caps datagrams moved per batched read or write; zero means
-	// udpbatch.DefaultBatch. One means strict packet-at-a-time behaviour.
-	UDPBatch int
 
 	mu       sync.Mutex
 	closed   bool
@@ -130,16 +127,6 @@ func (s *Server) udpWorkers() int {
 		n = 64
 	}
 	return n
-}
-
-func (s *Server) udpBatch() int {
-	switch {
-	case s.UDPBatch > udpbatch.MaxBatch:
-		return udpbatch.MaxBatch
-	case s.UDPBatch > 0:
-		return s.UDPBatch
-	}
-	return udpbatch.DefaultBatch
 }
 
 // track registers a listener or conn for Shutdown. It reports false when
@@ -252,7 +239,7 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		s.startUDPWorkers()
 	}
 	bc := udpbatch.NewConn(pc)
-	batch := s.udpBatch()
+	const batch = udpbatch.DefaultBatch
 	// Loop-owned state: receive buffers, one send buffer per slot (kept
 	// across batches with whatever growth a large answer caused), the
 	// packet vectors, and the message every datagram is parsed into.

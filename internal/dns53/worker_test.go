@@ -10,7 +10,6 @@ import (
 
 	"encdns/internal/dnswire"
 	"encdns/internal/testutil"
-	"encdns/internal/udpbatch"
 )
 
 // hitOrMiss answers "hit." names through the fast path, with a bare
@@ -41,7 +40,7 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 	workers0, queued0 := workerCount.Value(), workerQueueDepth.Value()
 
 	var served sync.WaitGroup
-	s := &Server{Handler: hitOrMiss{}, UDPWorkers: 4, UDPBatch: 8}
+	s := &Server{Handler: hitOrMiss{}, UDPWorkers: 4}
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -147,18 +146,5 @@ func TestShutdownIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeUDP did not return after Shutdown")
-	}
-}
-
-// TestUDPBatchClamped ensures a configured batch above udpbatch.MaxBatch
-// is clamped rather than over-allocating vectors.
-func TestUDPBatchClamped(t *testing.T) {
-	s := &Server{UDPBatch: udpbatch.MaxBatch * 10}
-	if got := s.udpBatch(); got != udpbatch.MaxBatch {
-		t.Errorf("udpBatch() = %d, want %d", got, udpbatch.MaxBatch)
-	}
-	s.UDPBatch = 0
-	if got := s.udpBatch(); got != udpbatch.DefaultBatch {
-		t.Errorf("udpBatch() = %d, want %d", got, udpbatch.DefaultBatch)
 	}
 }

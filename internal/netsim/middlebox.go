@@ -149,16 +149,16 @@ func (vn *VirtualNet) Listen(addr string) (net.Listener, error) {
 	return l, nil
 }
 
-// Path returns a ContextDialer (the shape dialer chains and protocol
-// clients accept) that reaches this VirtualNet's listeners through the
-// given middleboxes. DialFilters run at establishment; SegmentInspectors
-// see every client→server write.
+// Path returns a dialer (the net.Dialer shape the protocol clients and
+// transport.Options accept) that reaches this VirtualNet's listeners
+// through the given middleboxes. DialFilters run at establishment;
+// SegmentInspectors see every client→server write.
 func (vn *VirtualNet) Path(mbs ...Middlebox) *PathDialer {
 	return &PathDialer{vn: vn, mbs: mbs}
 }
 
 // PathDialer dials VirtualNet listeners through a middlebox pipeline.
-// It implements dialer.ContextDialer.
+// It implements dns53.ContextDialer.
 type PathDialer struct {
 	vn  *VirtualNet
 	mbs []Middlebox

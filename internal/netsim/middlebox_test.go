@@ -58,14 +58,11 @@ func startTLSEcho(t *testing.T, vn *VirtualNet, addr, serverName string) *certs.
 // handshake dials addr through the given chain and path and attempts a
 // full TLS handshake plus one echo round trip.
 func handshake(ctx context.Context, chain []dialer.Spec, path *PathDialer, ca *certs.CA, serverName, addr string) error {
-	d, err := dialer.BuildStream(chain, dialer.StreamOf(path))
+	raw, err := path.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return err
 	}
-	raw, err := d.DialStream(ctx, addr)
-	if err != nil {
-		return err
-	}
+	raw = dialer.Wrap(ctx, chain, raw)
 	defer raw.Close()
 	if deadline, ok := ctx.Deadline(); ok {
 		raw.SetDeadline(deadline)

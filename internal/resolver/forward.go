@@ -65,6 +65,11 @@ func (f *Forwarder) cacheResponse(q0 dnswire.Question, resp *dnswire.Message) {
 		f.Cache.PutNegative(q0.Name, q0.Type, false, negativeTTL(resp))
 	case resp.Header.RCode == dnswire.RCodeSuccess:
 		f.Cache.putAnswers(resp.Answers)
+		// A CNAME chain is also one entry under the question, whole, so
+		// the next ask for it hits instead of finding the RRsets apart.
+		if lastCNAMETarget(resp.Answers, q0.Name) != "" {
+			f.Cache.PutRRset(q0.Name, q0.Type, resp.Answers)
+		}
 	}
 }
 

@@ -457,6 +457,62 @@ func TestForwarderCaches(t *testing.T) {
 	}
 }
 
+// TestForwarderCachesCNAMEChain: an answer that is a CNAME chain
+// (www.amazon.com CNAME amazon.com, then amazon.com's A records) goes
+// upstream once. The asks after it are served from the cache by the
+// template path, with the whole chain and its TTLs aged.
+func TestForwarderCachesCNAMEChain(t *testing.T) {
+	rec, _ := newTestResolver(t)
+	calls := 0
+	upstream := exchangerFunc(func(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
+		calls++
+		return rec.ServeDNS(ctx, q)
+	})
+	clk := &tmplClock{now: time.Unix(1700000000, 0)}
+	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53"}, Cache: NewCache(128, clk.Now)}
+	q := dnswire.NewQuery(1, "www.amazon.com", dnswire.TypeA)
+	first, err := f.ServeDNS(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := first.Answers
+	if len(chain) < 2 || chain[0].Type != dnswire.TypeCNAME || !hasType(chain, dnswire.TypeA) {
+		t.Fatalf("upstream answer %v, want a CNAME chain ending in A records", chain)
+	}
+	ttl := chain[0].TTL
+	for _, rr := range chain {
+		ttl = min(ttl, rr.TTL)
+	}
+	raw, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawQ, _ := dnswire.QuestionBytes(raw)
+	for ask := 2; ask <= 3; ask++ {
+		clk.now = clk.now.Add(10 * time.Second)
+		wire, _, ok := f.AppendResponse(nil, q, rawQ)
+		if !ok {
+			t.Fatalf("ask %d: AppendResponse declined the cached chain", ask)
+		}
+		m, err := dnswire.Unpack(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Answers) != len(chain) {
+			t.Fatalf("ask %d: %d answers, want the %d of the chain", ask, len(m.Answers), len(chain))
+		}
+		aged := ttl - uint32(10*(ask-1))
+		for i, rr := range m.Answers {
+			if rr.Type != chain[i].Type || rr.Name != chain[i].Name || rr.TTL != min(chain[i].TTL, aged) {
+				t.Errorf("ask %d answer %d = %v, want %v aged to %ds", ask, i, rr, chain[i], aged)
+			}
+		}
+	}
+	if calls != 1 {
+		t.Errorf("upstream exchanges = %d for 3 asks, want 1", calls)
+	}
+}
+
 // TestForwarderKeepsOpaqueRData: the DNSSEC and SVCB/HTTPS records an
 // upstream sends leave the forwarder with the RDATA octets they arrived
 // in, on the miss and on the cache hit through AppendResponse. Their names

@@ -100,51 +100,24 @@ func schemeForProto(proto string) (string, error) {
 	return "", fmt.Errorf("transport: unknown proto %q (want do53, tcp, dot, or doh)", proto)
 }
 
-// buildDialer composes the endpoint's full dialer stack and returns it in
-// the ContextDialer shape the protocol clients accept:
-//
-//	chain layers (outermost = rightmost spec) → base dial
-//
-// The base dial is opts.Dialer (kernel sockets when nil). Every dial
-// failure is counted by scheme.
-func buildDialer(ce ChainEndpoint, opts Options) (dns53.ContextDialer, error) {
-	stream, err := dialer.BuildStream(ce.Layers, dialer.StreamOf(opts.Dialer))
+// chainDialer is the one dial seam between an endpoint and its socket,
+// in the ContextDialer shape the protocol clients accept. It dials base
+// (net.Dialer when the caller injected none), counts a failed dial once
+// by scheme, and wraps a connection in the endpoint's chain layers
+// (dialer.Wrap). ParseChain keeps layers off udp:// endpoints, so a
+// datagram dial passes through unwrapped.
+type chainDialer struct {
+	base     dns53.ContextDialer
+	layers   []dialer.Spec
+	failures *obs.Counter
+}
+
+// DialContext implements dns53.ContextDialer.
+func (d *chainDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	conn, err := d.base.DialContext(ctx, network, addr)
 	if err != nil {
+		d.failures.Inc()
 		return nil, err
 	}
-	failures := schemeInstruments[ce.Scheme].dialFailures
-	return &dialer.NetDialer{
-		Stream: &countedStream{inner: stream, failures: failures},
-		Packet: &countedPacket{inner: dialer.PacketOf(opts.Dialer), failures: failures},
-	}, nil
-}
-
-// countedStream counts stream dial failures.
-type countedStream struct {
-	inner    dialer.StreamDialer
-	failures *obs.Counter
-}
-
-// DialStream implements dialer.StreamDialer.
-func (d *countedStream) DialStream(ctx context.Context, addr string) (net.Conn, error) {
-	conn, err := d.inner.DialStream(ctx, addr)
-	if err != nil {
-		d.failures.Inc()
-	}
-	return conn, err
-}
-
-// countedPacket counts packet dial failures.
-type countedPacket struct {
-	inner    dialer.PacketDialer
-	failures *obs.Counter
-}
-
-// DialPacket implements dialer.PacketDialer.
-func (d *countedPacket) DialPacket(ctx context.Context, addr string) (net.Conn, error) {
-	conn, err := d.inner.DialPacket(ctx, addr)
-	if err != nil {
-		d.failures.Inc()
-	}
-	return conn, err
+	return dialer.Wrap(ctx, d.layers, conn), nil
 }

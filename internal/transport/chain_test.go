@@ -1,7 +1,13 @@
 package transport
 
 import (
+	"context"
+	"errors"
+	"io"
+	"net"
 	"testing"
+
+	"encdns/internal/dialer"
 )
 
 func TestParseChain(t *testing.T) {
@@ -163,5 +169,59 @@ func TestPoolChainIdentity(t *testing.T) {
 	}
 	if b != b2 {
 		t.Error("identical chain endpoint dialled twice")
+	}
+}
+
+// dialFunc adapts a function to dns53.ContextDialer.
+type dialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
+
+func (f dialFunc) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	return f(ctx, network, addr)
+}
+
+// TestChainDialer: a failed base dial comes back bare — no conn, the base
+// error unlabelled, one failure counted — and a dial that succeeds comes
+// back wrapped in the chain's layers.
+func TestChainDialer(t *testing.T) {
+	layers, err := dialer.ParseSpecs("split:3|tlsfrag:sni")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := schemeInstruments[SchemeTLS].dialFailures
+	refused := errors.New("refused")
+	d := &chainDialer{
+		base:     dialFunc(func(context.Context, string, string) (net.Conn, error) { return nil, refused }),
+		layers:   layers,
+		failures: failures,
+	}
+	before := failures.Value()
+	conn, err := d.DialContext(context.Background(), "tcp", "192.0.2.1:853")
+	var le *dialer.LayerError
+	if conn != nil || !errors.Is(err, refused) || errors.As(err, &le) {
+		t.Errorf("failed dial = %v, %v; want no conn and the base error as it is", conn, err)
+	}
+	if got := failures.Value(); got != before+1 {
+		t.Errorf("dial failures = %d, want %d", got, before+1)
+	}
+
+	client, server := net.Pipe()
+	defer server.Close()
+	d.base = dialFunc(func(context.Context, string, string) (net.Conn, error) { return client, nil })
+	conn, err = d.DialContext(context.Background(), "tcp", "192.0.2.1:853")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go conn.Write([]byte("not tls"))
+	head := make([]byte, 16)
+	n, err := server.Read(head)
+	if err != nil || string(head[:n]) != "not" {
+		t.Errorf("first segment = %q, %v; want the split layer's 3-byte head", head[:n], err)
+	}
+	if rest, _ := io.ReadAll(io.LimitReader(server, 4)); string(rest) != " tls" {
+		t.Errorf("second segment = %q, want %q", rest, " tls")
+	}
+	if got := failures.Value(); got != before+1 {
+		t.Errorf("a good dial moved the failure counter to %d", got)
 	}
 }

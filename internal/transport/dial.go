@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"crypto/tls"
+	"net"
 	"sync"
 	"time"
 
@@ -45,88 +46,44 @@ func (o Options) retry() RetryPolicy {
 // the one place protocol selection happens; every consumer above speaks
 // Exchanger. The endpoint may carry a dialer-chain prefix
 // ("tlsfrag:sni|tls://…"); how the connection is established is decided
-// entirely by the composed dialer stack (see buildDialer), never here.
+// entirely by the chain dialer (see chainDialer), never here.
 func Dial(endpoint string, opts Options) (Exchanger, error) {
 	ce, err := ParseChain(endpoint)
 	if err != nil {
 		return nil, err
 	}
-	cd, err := buildDialer(ce, opts)
-	if err != nil {
-		return nil, err
+	cd := &chainDialer{base: opts.Dialer, layers: ce.Layers, failures: schemeInstruments[ce.Scheme].dialFailures}
+	if cd.base == nil {
+		cd.base = &net.Dialer{}
 	}
-	var ex Exchanger
+	ex := &bound{addr: ce.Addr()}
 	switch ce.Scheme {
 	case SchemeUDP:
-		ex = &udpExchanger{
-			client: &dns53.Client{Timeout: opts.Timeout, Dialer: cd},
-			addr:   ce.Addr(),
-		}
+		ex.exchange = (&dns53.Client{Timeout: opts.Timeout, Dialer: cd}).Exchange
 	case SchemeTCP:
-		ex = &tcpExchanger{
-			client: &dns53.Client{Timeout: opts.Timeout, Dialer: cd},
-			addr:   ce.Addr(),
-		}
+		ex.exchange = (&dns53.Client{Timeout: opts.Timeout, Dialer: cd}).ExchangeTCP
 	case SchemeTLS:
-		ex = &dotExchanger{
-			client: &dot.Client{TLS: opts.TLS, Timeout: opts.Timeout, Dialer: cd},
-			addr:   ce.Addr(),
-		}
+		ex.exchange = (&dot.Client{TLS: opts.TLS, Timeout: opts.Timeout, Dialer: cd}).Exchange
 	case SchemeHTTPS:
 		c := doh.NewClient(opts.TLS, cd)
 		c.Timeout = opts.Timeout
-		ex = &dohExchanger{client: c, url: ce.Endpoint.String()}
+		ex.exchange, ex.addr = c.Exchange, ce.Endpoint.String()
 	}
 	return WithRetry(instrument(ex, ce.Scheme), opts.retry()), nil
 }
 
-// udpExchanger adapts dns53.Client (UDP with TCP truncation fallback).
-type udpExchanger struct {
-	client *dns53.Client
-	addr   string
+// bound binds a protocol client's exchange method to one endpoint: the
+// host:port for udp, tcp and tls, the URL for https.
+type bound struct {
+	exchange func(ctx context.Context, q *dnswire.Message, addr string) (*dnswire.Message, error)
+	addr     string
 }
 
-func (e *udpExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	return e.client.Exchange(ctx, q, e.addr)
+func (e *bound) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return e.exchange(ctx, q, e.addr)
 }
 
-func (e *udpExchanger) Close() error { return nil }
-
-// tcpExchanger adapts dns53.Client's TCP path.
-type tcpExchanger struct {
-	client *dns53.Client
-	addr   string
-}
-
-func (e *tcpExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	return e.client.ExchangeTCP(ctx, q, e.addr)
-}
-
-func (e *tcpExchanger) Close() error { return nil }
-
-// dotExchanger adapts dot.Client.
-type dotExchanger struct {
-	client *dot.Client
-	addr   string
-}
-
-func (e *dotExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	return e.client.Exchange(ctx, q, e.addr)
-}
-
-func (e *dotExchanger) Close() error { return nil }
-
-// dohExchanger adapts doh.Client.
-type dohExchanger struct {
-	client *doh.Client
-	url    string
-}
-
-func (e *dohExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	return e.client.Exchange(ctx, q, e.url)
-}
-
-func (e *dohExchanger) Close() error { return nil }
+func (e *bound) Close() error { return nil }
 
 // Pool is the endpoint-addressed exchanger: it dials one Exchanger per
 // distinct endpoint on first use and reuses it afterwards. It implements

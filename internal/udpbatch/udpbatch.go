@@ -35,8 +35,7 @@ import (
 	"encdns/internal/obs"
 )
 
-// DefaultBatch is the per-syscall packet budget when the caller does not
-// choose one. 32 matches the sweet spot measured in the batch-size sweep
+// DefaultBatch is the per-syscall packet budget of the dns53 UDP loop. 32 matches the sweet spot measured in the batch-size sweep
 // (EXPERIMENTS.md): large enough to amortise the syscall, small enough
 // not to add queueing latency at low load. Batch size has no measurable
 // effect on median latency: recvmmsg is non-blocking, so a smaller

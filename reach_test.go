@@ -86,7 +86,7 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 // types the facade exposes too: a library user may call any of their
 // methods, but a field no binary sets is still a mode nothing runs.
 // Exempt are tagged fields (codecs set and read them by reflection) and
-// the types the allowed files declare; the six test seams listed below
+// the types the allowed files declare; the five test seams listed below
 // are exempt from the first rule only.
 //
 // A helper only tests call belongs in a _test.go file. The code is
@@ -112,7 +112,6 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		"resolver.Recursive.RNGSeed":            "tests pin server selection; binaries seed from the clock",
 		"cluster.Node.Now":                      "virtual-clock tests drive peer RTT and health",
 		"experiment.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
-		"dialer.DelayDialer.Sleep":              "tests count the sleeps instead of taking them",
 		"transport.RetryPolicy.Sleep":           "tests skip or count the backoff sleeps",
 		"netsim.Endpoint.Down":                  "tests take an endpoint down to drive outage detection",
 	}
