@@ -27,6 +27,22 @@ import (
 // and a write of its own cost such a miss as much CPU as ServeDNS does
 // (EXPERIMENTS.md, "In-memory misses in the loop").
 
+// UnpackQuery parses raw into m as a server parses what it receives: as
+// m.Unpack does, and a message with QR set is an error too. A server that
+// answered responses would loop with another on one spoofed packet, so
+// every frontend treats a response as it treats a malformed query.
+func UnpackQuery(m *dnswire.Message, raw []byte) error {
+	if err := m.Unpack(raw); err != nil {
+		return err
+	}
+	if m.Header.QR {
+		return errResponse
+	}
+	return nil
+}
+
+var errResponse = errors.New("dns53: message is a response (QR set), not a query")
+
 // Answer appends the response to query onto dst: AppendInline when it
 // answers, else the blocking miss half. raw is the query as received;
 // limit is the largest message the client accepts. A response always comes
@@ -41,16 +57,20 @@ func Answer(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, 
 	return appendMiss(ctx, h, dst, query, limit)
 }
 
-// AppendInline is the non-blocking half: the handler's ResponseAppender
-// fast path, when it has one and the query's question can be echoed
-// verbatim, else — for an InMemory handler — the miss half in line, with
-// its panic containment, SERVFAIL and truncation, reported in err as
-// appendMiss reports it. ok=false means the query was declined and nothing
-// was appended or counted, so the caller runs the miss half with no state
-// to undo. It is exported for the loops that own a connection outside this
-// package (DoH's HTTP/2 loop), whose miss half is Answer on another
-// goroutine.
+// AppendInline is the non-blocking half: NOTIMP for an opcode other than
+// QUERY (RFC 1035 §4.1.1), which no handler is asked about; else the
+// handler's ResponseAppender fast path, when it has one and the query's
+// question can be echoed verbatim; else — for an InMemory handler — the
+// miss half in line, with its panic containment, SERVFAIL and truncation,
+// reported in err as appendMiss reports it. ok=false means the query was
+// declined and nothing was appended or counted, so the caller runs the
+// miss half with no state to undo. It is exported for the loops that own a
+// connection outside this package (DoH's HTTP/2 loop), whose miss half is
+// Answer on another goroutine.
 func AppendInline(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool, err error) {
+	if query.Header.Opcode != dnswire.OpcodeQuery {
+		return appendRCode(dst, query, dnswire.RCodeNotImpl, limit), -1, true, nil
+	}
 	if ra, isRA := h.(ResponseAppender); isRA {
 		if rawQ, echoable := dnswire.QuestionBytes(raw); echoable {
 			if out, minTTL, ok = ra.AppendResponse(dst, query, rawQ); ok {
@@ -80,13 +100,7 @@ func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Messa
 		}
 	}
 	if err != nil {
-		resp = query.Reply()
-		resp.Header.RCode = dnswire.RCodeServFail
-		var perr error
-		if out, perr = resp.AppendPack(dst); perr != nil {
-			// A question that parsed but does not pack: answer without it.
-			out = dnswire.AppendRawHeader(dst, query.Header.ID, resp.Header.Flags(), 0, 0, 0, 0)
-		}
+		return appendRCode(dst, query, dnswire.RCodeServFail, limit), -1, err
 	}
 	// RFC 8484 §5.1 wants the smallest answer TTL; OPT's TTL field is flags.
 	minTTL = -1
@@ -98,7 +112,23 @@ func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Messa
 	if len(out)-len(dst) > limit {
 		out, minTTL = truncate(out, len(dst)), -1
 	}
-	return out, minTTL, err
+	return out, minTTL, nil
+}
+
+// appendRCode appends query's reply with rcode and no records: ID, opcode,
+// RD and question echoed, cut to limit like any answer.
+func appendRCode(dst []byte, query *dnswire.Message, rcode dnswire.RCode, limit int) []byte {
+	resp := query.Reply()
+	resp.Header.RCode = rcode
+	out, err := resp.AppendPack(dst)
+	if err != nil {
+		// A question that parsed but does not pack: answer without it.
+		out = dnswire.AppendRawHeader(dst, query.Header.ID, resp.Header.Flags(), 0, 0, 0, 0)
+	}
+	if len(out)-len(dst) > limit {
+		out = truncate(out, len(dst))
+	}
+	return out
 }
 
 // ServeContained runs ServeDNS and turns a panic or a nil response into

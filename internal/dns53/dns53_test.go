@@ -251,6 +251,64 @@ func TestServerIgnoresGarbageTCP(t *testing.T) {
 	}
 }
 
+// TestServerDropsResponses: a message with QR set is no query. Over UDP it
+// is dropped and counted as malformed — two servers that answered each
+// other's answers would loop on one spoofed packet — and a stream that
+// carries one is closed.
+func TestServerDropsResponses(t *testing.T) {
+	udp, tcp, _ := startServer(t, staticHandler())
+	response := func(id uint16) []byte {
+		q := dnswire.NewQuery(id, "google.com.", dnswire.TypeA)
+		q.Header.QR = true
+		wire, err := q.AppendPack(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	conn, err := net.Dial("udp", udp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	malformed := serverMalformed.Value()
+	query, err := dnswire.NewQuery(0x5252, "google.com.", dnswire.TypeA).AppendPack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The response goes first: its answer, if any, arrives first too.
+	for _, d := range [][]byte{response(0x5151), query} {
+		if _, err := conn.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 512)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := dnswire.Unpack(buf[:n]); err != nil || m.Header.ID != 0x5252 {
+		t.Fatalf("first datagram back: %v, %v; want the answer to query 0x5252, the response unanswered", m, err)
+	}
+	if got := serverMalformed.Value() - malformed; got != 1 {
+		t.Fatalf("dns53_server_malformed_total moved by %d, want 1", got)
+	}
+
+	stream, err := net.Dial("tcp", tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	_ = stream.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteTCPMsg(stream, response(0x5353)); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadTCPMsg(stream); err == nil {
+		t.Fatalf("TCP answered a response with %x, want the connection closed", resp)
+	}
+}
+
 func TestClientTimeout(t *testing.T) {
 	// A UDP socket nobody answers from.
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")

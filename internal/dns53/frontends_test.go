@@ -194,6 +194,13 @@ func startFrontends(t *testing.T, h dns53.Handler) []frontend {
 	}
 }
 
+// withOpcode returns query with its header's OPCODE set to op.
+func withOpcode(query []byte, op dnswire.Opcode) []byte {
+	out := bytes.Clone(query)
+	out[2] = out[2]&^0x78 | byte(op)<<3
+	return out
+}
+
 // upperCased returns query with the letters of its question name in upper
 // case: the spelling only the template path echoes.
 func upperCased(query []byte) []byte {
@@ -229,6 +236,9 @@ func scriptedCases(t *testing.T, prefix string) []answerCase {
 		{prefix + "NXDOMAIN", packQuery(t, 0x1005, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
 		{prefix + "handler error", packQuery(t, 0x1006, "error.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
 		{prefix + "handler panic", packQuery(t, 0x1007, "panic.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
+		// Not a query: NOTIMP before the template path, a cached name too.
+		{prefix + "UPDATE, template hit", withOpcode(packQuery(t, 0x1008, "www.example.com.", dnswire.TypeA, 0), dnswire.OpcodeUpdate), dnswire.RCodeNotImpl, 0, true},
+		{prefix + "STATUS, EDNS", withOpcode(packQuery(t, 0x1009, "www.example.com.", dnswire.TypeA, 1232), dnswire.OpcodeStatus), dnswire.RCodeNotImpl, 0, true},
 	}
 }
 
@@ -262,7 +272,8 @@ func answerAlike(t *testing.T, frontends []frontend, cases []answerCase) {
 					if err != nil {
 						t.Fatalf("%s: %v", fe.name, err)
 					}
-					if m.Header.ID != binary.BigEndian.Uint16(tc.query) || m.Header.RCode != tc.rcode || len(m.Answers) != tc.answers || m.Header.TC {
+					if m.Header.ID != binary.BigEndian.Uint16(tc.query) || m.Header.RCode != tc.rcode || len(m.Answers) != tc.answers || m.Header.TC ||
+						m.Header.Opcode != dnswire.Opcode(tc.query[2]>>3&0xF) || m.Header.RD != (tc.query[2]&1 == 1) {
 						t.Fatalf("%s answered %v", fe.name, m)
 					}
 					question, _ := dnswire.QuestionBytes(tc.query)

@@ -222,8 +222,8 @@ func TestFullQueueDropsNotBlocks(t *testing.T) {
 
 // TestInMemoryLoopsShareOneResolver runs two receive loops over one
 // in-memory resolver with refresh-ahead on every hit, both fed the same
-// never-seen names at once, so one loop's miss waits on the other's walk
-// (singleflight) while refreshes run beside them. Meant for -race; every
+// never-seen names at once, so both loops walk the same name at once
+// while refreshes run beside them. Meant for -race; every
 // answer must carry the right RCODE, and Shutdown — no pool to drain —
 // must leave no goroutine behind.
 func TestInMemoryLoopsShareOneResolver(t *testing.T) {

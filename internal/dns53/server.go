@@ -27,7 +27,7 @@ var (
 	serverLatency = obs.Default().Histogram("dns53_server_seconds",
 		"Time per answered query: a blocking miss's own, or the mean of the batch an in-line answer left in, read to write.", obs.ServerBounds)
 	serverMalformed = obs.Default().Counter("dns53_server_malformed_total",
-		"Dropped queries that failed wire parsing.")
+		"Dropped queries that failed wire parsing or were responses (QR set).")
 	// Worker-pool instruments: queue depth counts jobs handed off but not
 	// yet picked up, the worker gauge counts live pool goroutines across
 	// servers, and the drop counter the queries a receive loop found the
@@ -323,10 +323,10 @@ func (s *Server) udpWorker() {
 
 // parseUDP unpacks one datagram into query and derives the largest
 // response its sender accepts: the client's advertised EDNS buffer,
-// defaulting to 512. ok=false means the datagram was malformed and has
-// been counted and dropped.
+// defaulting to 512. ok=false means the datagram was malformed or a
+// response and has been counted and dropped.
 func (s *Server) parseUDP(query *dnswire.Message, raw []byte, from net.Addr) (limit int, ok bool) {
-	if err := query.Unpack(raw); err != nil {
+	if err := UnpackQuery(query, raw); err != nil {
 		serverMalformed.Inc()
 		s.logger().Debug("dropping malformed UDP query", "from", from, "err", err)
 		return 0, false
@@ -491,9 +491,9 @@ type burst struct {
 // serveFrame answers one query frame into b.out behind its own two-octet
 // length prefix (compression offsets are message-start-relative, so what
 // precedes the message does not disturb them). false ends the connection:
-// a malformed query or a failed write.
+// a malformed query, a response, or a failed write.
 func (s *Server) serveFrame(conn net.Conn, b *burst, query *dnswire.Message, pkt []byte) bool {
-	if err := query.Unpack(pkt); err != nil {
+	if err := UnpackQuery(query, pkt); err != nil {
 		serverMalformed.Inc()
 		s.logger().Debug("dropping malformed TCP query", "err", err)
 		return false

@@ -921,7 +921,7 @@ func (c *h2Conn) answerInline(st *h2Stream, wire []byte) bool {
 		}
 		wire = c.wire[:n]
 	}
-	if len(wire) > maxPOSTBody || c.query.Unpack(wire) != nil {
+	if len(wire) > maxPOSTBody || dns53.UnpackQuery(c.query, wire) != nil {
 		return false
 	}
 	answer, minTTL, ok, _ := dns53.AppendInline(c.ctx, c.h.DNS, c.answer[:0], c.query, wire, dnswire.MaxMessageSize)

@@ -144,6 +144,8 @@ func matchNetHTTP(t *testing.T, reference, loop *httptest.Server, prefix string)
 	}
 	b64 := func(wire []byte) string { return base64.RawURLEncoding.EncodeToString(wire) }
 	hit := packed(t, 0x1234, "www.example.com.")
+	response := bytes.Clone(hit)
+	response[2] |= 0x80 // QR: a response is no query
 	for _, tc := range []struct {
 		name   string
 		status int
@@ -160,6 +162,8 @@ func matchNetHTTP(t *testing.T, reference, loop *httptest.Server, prefix string)
 		{"handler error", 200, post(packed(t, 4, "error.example.com."), doh.ContentType)},
 		{"handler panic", 200, post(packed(t, 5, "panic.example.com."), doh.ContentType)},
 		{"malformed DNS body", 400, post([]byte("not a DNS message"), doh.ContentType)},
+		{"a response (QR set)", 400, post(response, doh.ContentType)},
+		{"GET a response (QR set)", 400, get("GET", doh.DefaultPath+"?dns="+b64(response))},
 		{"empty body", 400, post(nil, doh.ContentType)},
 		{"GET without dns", 400, get("GET", doh.DefaultPath)},
 		{"GET with bad base64", 400, get("GET", doh.DefaultPath+"?dns=@@@")},

@@ -136,7 +136,7 @@ func (h *Handler) answerWire(w http.ResponseWriter, r *http.Request, wire []byte
 	// be recycled once the response bytes are handed to the HTTP layer.
 	query := dnswire.AcquireMessage()
 	defer dnswire.ReleaseMessage(query)
-	if err := query.Unpack(wire); err != nil {
+	if err := dns53.UnpackQuery(query, wire); err != nil {
 		return httpError(w, "malformed DNS message", http.StatusBadRequest)
 	}
 	bp := bufpool.Get()

@@ -13,25 +13,19 @@ import (
 )
 
 // blockingAnswerer answers every query authoritatively with one A record,
-// counting calls. The first call blocks until release is closed so a test
-// can pile concurrent resolutions onto one in-flight upstream exchange.
+// counting calls. Every call blocks until release is closed, so a test can
+// see how many resolutions are in an upstream exchange at once.
 type blockingAnswerer struct {
 	calls   atomic.Int64
-	entered chan struct{} // closed once the first exchange is in flight
 	release chan struct{} // exchanges block until this closes
-	once    sync.Once
 }
 
 func newBlockingAnswerer() *blockingAnswerer {
-	return &blockingAnswerer{
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	return &blockingAnswerer{release: make(chan struct{})}
 }
 
 func (s *blockingAnswerer) Exchange(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
 	s.calls.Add(1)
-	s.once.Do(func() { close(s.entered) })
 	select {
 	case <-s.release:
 	case <-ctx.Done():
@@ -48,8 +42,10 @@ func (s *blockingAnswerer) Exchange(ctx context.Context, q *dnswire.Message, ser
 }
 
 // TestSingleflightDeduplicatesConcurrentMisses piles K concurrent
-// identical cache misses onto the resolver and asserts the upstream saw
-// exactly one exchange: one leader walks, everyone else shares its result.
+// identical cache misses onto the resolver and asserts that every one of
+// them reaches the upstream before any exchange is released: each miss
+// walks on its own goroutine, none is parked behind another's walk, and
+// all K come back with the same answer.
 func TestSingleflightDeduplicatesConcurrentMisses(t *testing.T) {
 	upstream := newBlockingAnswerer()
 	r := &Recursive{
@@ -76,27 +72,25 @@ func TestSingleflightDeduplicatesConcurrentMisses(t *testing.T) {
 		}(i)
 	}
 
-	// Wait for the leader to reach the upstream, give the followers time
-	// to join the in-flight call, then let the exchange finish.
-	select {
-	case <-upstream.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no exchange started")
+	// Every miss must be in its own exchange while all of them still block.
+	deadline := time.Now().Add(5 * time.Second)
+	for upstream.calls.Load() < K && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(100 * time.Millisecond)
+	entered := upstream.calls.Load()
 	close(upstream.release)
 	wg.Wait()
+	if entered != K {
+		t.Fatalf("%d of %d concurrent identical misses reached the upstream before the first was released", entered, K)
+	}
 
 	for i := 0; i < K; i++ {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if len(answers[i]) == 0 {
-			t.Fatalf("goroutine %d: empty answer", i)
+		if len(answers[i]) != 1 || answers[i][0].String() != answers[0][0].String() {
+			t.Fatalf("goroutine %d answered %v, goroutine 0 %v", i, answers[i], answers[0])
 		}
-	}
-	if got := upstream.calls.Load(); got != 1 {
-		t.Fatalf("upstream exchanges = %d, want exactly 1 for %d concurrent identical misses", got, K)
 	}
 }
 

@@ -2,10 +2,12 @@ package resolver
 
 import (
 	"context"
+	"errors"
 	"net/netip"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"encdns/internal/dnswire"
 )
@@ -77,9 +79,10 @@ func TestServerAddrsShortcutSkipsGlueless(t *testing.T) {
 	}
 }
 
-// TestResolveNSHostsFirstKWins: a glueless fan-out with two fast and two
-// hanging hosts must return the fast pair promptly — the hung resolutions
-// are cancelled, not awaited.
+// TestResolveNSHostsFirstKWins: glueless hosts are resolved one after
+// another in NS order, and resolution stops once enough of them have
+// answered — a host that fails is passed over, and the host after the
+// second one that answers is never asked.
 func TestResolveNSHostsFirstKWins(t *testing.T) {
 	answer := func(q *dnswire.Message, addr string) *dnswire.Message {
 		q0 := q.Question0()
@@ -91,40 +94,44 @@ func TestResolveNSHostsFirstKWins(t *testing.T) {
 		})
 		return resp
 	}
+	var (
+		mu    sync.Mutex
+		asked []string
+	)
 	r := &Recursive{
-		Exchange: exchangerFunc(func(ctx context.Context, q *dnswire.Message, _ string) (*dnswire.Message, error) {
+		Exchange: exchangerFunc(func(ctx context.Context, q *dnswire.Message, server string) (*dnswire.Message, error) {
 			name := q.Question0().Name
-			if strings.HasPrefix(name, "hang") {
-				<-ctx.Done()
-				return nil, ctx.Err()
-			}
-			if strings.HasPrefix(name, "fast1") {
+			mu.Lock()
+			asked = append(asked, name+" @"+server)
+			mu.Unlock()
+			switch {
+			case strings.HasPrefix(name, "fail"):
+				return nil, errors.New("connection refused")
+			case strings.HasPrefix(name, "fast1"):
 				return answer(q, "192.0.2.101"), nil
+			case strings.HasPrefix(name, "fast2"):
+				return answer(q, "192.0.2.102"), nil
 			}
-			return answer(q, "192.0.2.102"), nil
+			t.Errorf("%s asked after two hosts had answered", name)
+			return answer(q, "192.0.2.103"), nil
 		}),
 		Roots:   []string{"198.18.0.1:53"},
 		Cache:   NewCache(64, nil),
 		RNGSeed: 1,
 	}
-	start := time.Now()
-	done := make(chan []string, 1)
-	go func() {
-		done <- r.resolveNSHosts(context.Background(),
-			[]string{"hang1.example.", "fast1.example.", "fast2.example.", "hang2.example."}, 0, 2)
-	}()
-	select {
-	case addrs := <-done:
-		if len(addrs) != 2 {
-			t.Fatalf("addrs = %v, want the two fast hosts", addrs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("fan-out hung on the hanging hosts after %v", time.Since(start))
+	addrs := r.resolveNSHosts(context.Background(),
+		[]string{"fail.example.", "fast1.example.", "fast2.example.", "never.example."}, 0, 2)
+	if want := []string{"192.0.2.101:53", "192.0.2.102:53"}; !slices.Equal(addrs, want) {
+		t.Fatalf("addrs = %v, want %v: the two hosts that answer, in NS order", addrs, want)
+	}
+	want := []string{"fail.example. @198.18.0.1:53", "fast1.example. @198.18.0.1:53", "fast2.example. @198.18.0.1:53"}
+	if !slices.Equal(asked, want) {
+		t.Fatalf("exchanges %q, want %q", asked, want)
 	}
 }
 
-// TestServerAddrsGluelessFanoutResolves: with no glue at all, the fan-out
-// must actually resolve hosts (bounded, counted) rather than return empty.
+// TestServerAddrsGluelessFanoutResolves: with no glue at all, the glueless
+// hosts must actually be resolved (and counted) rather than return empty.
 func TestServerAddrsGluelessFanoutResolves(t *testing.T) {
 	r := &Recursive{
 		Exchange: exchangerFunc(func(_ context.Context, q *dnswire.Message, _ string) (*dnswire.Message, error) {
@@ -144,9 +151,9 @@ func TestServerAddrsGluelessFanoutResolves(t *testing.T) {
 	resolves := nsFanoutResolves.Value()
 	addrs := r.serverAddrs(context.Background(), []string{"a.ns.example.", "b.ns.example."}, nil, 0)
 	if len(addrs) == 0 {
-		t.Fatal("glueless fan-out returned no addresses")
+		t.Fatal("glueless resolution returned no addresses")
 	}
 	if got := nsFanoutResolves.Value() - resolves; got == 0 {
-		t.Fatal("fan-out resolve counter never moved")
+		t.Fatal("glueless resolve counter never moved")
 	}
 }

@@ -116,7 +116,8 @@ func TestPutNegativeOneAlloc(t *testing.T) {
 
 // TestMissAllocs: one NXDOMAIN miss through dns53.Answer on a warm
 // delegation — resolver, in-memory upstream and unpacking the query
-// together — in at most ten allocations (31 before delegation memos).
+// together — in at most eight allocations (31 before delegation memos,
+// 9 while concurrent identical misses were parked behind one walk).
 func TestMissAllocs(t *testing.T) {
 	r := missStack(t)
 	queries := missQueries(1100)
@@ -135,8 +136,8 @@ func TestMissAllocs(t *testing.T) {
 			t.Fatalf("miss answered %x, %v", resp, err)
 		}
 	})
-	if got > 10 {
-		t.Fatalf("one miss allocates %v times, want ≤ 10", got)
+	if got > 8 {
+		t.Fatalf("one miss allocates %v times, want ≤ 8", got)
 	}
 }
 
@@ -541,9 +542,6 @@ func TestDelegationMemoMatchesDerivation(t *testing.T) {
 				exact++
 			case memo != nil && subset(want, got):
 				evicted++
-			case memo == nil && fanned() && (sameSet(got, want) || up.dead != nil):
-				// Glueless hosts resolved: the real fan-out returns them in
-				// arrival order.
 			default:
 				fail("walk starts from %v at %q (memo %v), reference derives %v", got, cut, memo, want)
 			}
@@ -608,5 +606,3 @@ func subset(a, b []string) bool {
 	}
 	return len(a) > 0
 }
-
-func sameSet(a, b []string) bool { return subset(a, b) && subset(b, a) }

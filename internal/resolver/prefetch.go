@@ -100,10 +100,7 @@ func (r *Recursive) maybePrefetch(key cacheKey) {
 
 // runPrefetch is the background refresh: a bounded-time resolveWalk whose
 // answers land in the cache as every walk's do. It deliberately bypasses
-// both the cache lookup (the stale-ish entry is exactly what it must
-// replace) and the top-level singleflight (a foreground miss waiting on
-// the singleflight should never chain behind a background refresh's
-// timeout).
+// the cache lookup: the stale-ish entry is exactly what it must replace.
 func (r *Recursive) runPrefetch(key cacheKey) {
 	defer func() {
 		pf := &r.pf

@@ -15,12 +15,12 @@ import (
 	"encdns/internal/transport"
 )
 
-// Referral fan-out instruments.
+// Glueless NS resolution instruments.
 var (
 	nsFanoutResolves = obs.Default().Counter("resolver_ns_fanout_resolves_total",
-		"Glueless NS hostnames resolved by the bounded parallel fan-out.")
+		"Glueless NS hostnames resolved, one after another in NS order, for a referral.")
 	nsFanoutShortcut = obs.Default().Counter("resolver_ns_fanout_shortcircuit_total",
-		"Fan-outs cancelled early because enough NS addresses were already known.")
+		"Glueless NS resolutions skipped or stopped because enough NS hosts had addresses.")
 )
 
 // Exchanger sends one DNS query to one server and returns the response.
@@ -76,19 +76,15 @@ type Recursive struct {
 
 	// pf tracks in-flight refresh-ahead goroutines so Close can drain them.
 	pf prefetcher
-
-	// sf deduplicates concurrent identical top-level misses so a
-	// thundering herd triggers one upstream walk.
-	sf singleflight
 }
 
 // InMemory implements dns53.InMemory: ServeDNS never waits on I/O exactly
 // when Exchange never does (authdns.Registry). Nothing else a walk does on
-// the serving goroutine can wait on anything but such exchanges: the
-// cache and memo take short locks, a singleflight follower and a glueless
-// fan-out wait for walks over the same Exchange, and refresh-ahead only
-// starts a goroutine (or drops the refresh), so OnPrefetch never runs on
-// the serving goroutine.
+// the serving goroutine can wait on anything but such exchanges: the walk,
+// glueless NS hosts included, runs in line on the caller's goroutine, the
+// cache and memo take short locks, and refresh-ahead only starts a
+// goroutine (or drops the refresh), so OnPrefetch never runs on the
+// serving goroutine.
 func (r *Recursive) InMemory() bool {
 	m, ok := r.Exchange.(interface{ InMemory() bool })
 	return ok && m.InMemory()
@@ -194,15 +190,7 @@ func (r *Recursive) resolveOne(ctx context.Context, key cacheKey, depth int) ([]
 		r.noteRefreshAhead(cname, res)
 		return res.Records, dnswire.RCodeSuccess, nil
 	}
-
-	// Deduplicate concurrent identical misses, but only at the top level:
-	// a leader resolving a glueless NS address (depth > 0) must never wait
-	// on another in-flight call, which could be its own.
-	if depth > 0 {
-		return r.resolveWalk(ctx, key, now, depth)
-	}
-	res := r.sf.do(ctx, r, key, now)
-	return res.rrs, res.rcode, res.err
+	return r.resolveWalk(ctx, key, now, depth)
 }
 
 // resolveWalk is the upstream half of resolveOne: the iterative referral
@@ -439,14 +427,10 @@ func referral(resp *dnswire.Message, zone, name string) (ref referred) {
 	return ref
 }
 
-// Glueless fan-out bounds: at most nsFanout NS-host resolutions run
-// concurrently, and the fan-out short-circuits (cancelling stragglers)
-// once nsTargetHosts hosts have yielded addresses — a referral only needs
-// a couple of reachable servers, not the whole NS set resolved.
-const (
-	nsFanout      = 4
-	nsTargetHosts = 2
-)
+// nsTargetHosts is how many NS hosts with addresses a delegation's server
+// list needs before glueless hosts stop being resolved: a referral only
+// needs a couple of reachable servers, not the whole NS set resolved.
+const nsTargetHosts = 2
 
 // serverAddrs is hostAddrs for a referral just received: the glue is in
 // hand, and an exchange has passed since the walk last read the clock.
@@ -456,11 +440,12 @@ func (r *Recursive) serverAddrs(ctx context.Context, hosts []string, glue map[st
 }
 
 // hostAddrs maps NS hostnames to "ip:port" addresses using glue (A and
-// AAAA), cached A/AAAA RRsets, or — for glueless delegations — bounded
-// parallel recursive resolution with first-K-wins short-circuiting. It is
-// the one place a delegation's server list is built. expires is the first
-// expiry among the cached RRsets used, or zero when some address came
-// from a fresh resolution instead and the list is a partial one.
+// AAAA), cached A/AAAA RRsets, or — for glueless delegations, and only
+// while fewer than nsTargetHosts hosts have addresses — recursive
+// resolution of the rest (resolveNSHosts). It is the one place a
+// delegation's server list is built. expires is the first expiry among
+// the cached RRsets used, or zero when some address came from a fresh
+// resolution instead and the list is a partial one.
 func (r *Recursive) hostAddrs(ctx context.Context, hosts []string, glue map[string][]string, now time.Time, depth int) (out []string, expires time.Time) {
 	var glueless []string
 	haveHosts := 0
@@ -524,57 +509,29 @@ func (r *Recursive) appendCachedAddrs(out []string, expires time.Time, h string,
 	return out, expires
 }
 
-// resolveNSHosts resolves glueless NS hostnames concurrently, at most
-// nsFanout in flight, cancelling the stragglers once need hosts have
-// yielded addresses. The previous implementation resolved every host
-// sequentially, so one slow glueless server stalled the whole referral.
+// resolveNSHosts resolves glueless NS hostnames one after another, in NS
+// order, and stops once need of them have yielded addresses. Over memory
+// the walks have no wait to overlap, and NS order makes the server list a
+// function of the cache alone.
 func (r *Recursive) resolveNSHosts(ctx context.Context, hosts []string, depth, need int) []string {
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan []string, len(hosts)) // buffered: stragglers never block
-	sem := make(chan struct{}, nsFanout)
-	for _, h := range hosts {
-		go func(h string) {
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-fanCtx.Done():
-				results <- nil
-				return
-			}
-			if fanCtx.Err() != nil {
-				results <- nil
-				return
-			}
-			nsFanoutResolves.Inc()
-			// Glueless delegation: resolve the NS address, guarding depth.
-			rrs, rcode, err := r.Resolve(fanCtx, h, dnswire.TypeA, depth+1)
-			if err != nil || rcode != dnswire.RCodeSuccess {
-				results <- nil
-				return
-			}
-			var addrs []string
-			for _, rr := range rrs {
-				if ep := nsEndpoint(rr.Data); ep != "" {
-					addrs = append(addrs, ep)
-				}
-			}
-			results <- addrs
-		}(h)
-	}
 	var out []string
-	resolved := 0
-	for range hosts {
-		addrs := <-results
-		if len(addrs) == 0 {
+	for _, h := range hosts {
+		nsFanoutResolves.Inc()
+		rrs, rcode, err := r.Resolve(ctx, h, dnswire.TypeA, depth+1)
+		if err != nil || rcode != dnswire.RCodeSuccess {
 			continue
 		}
-		out = append(out, addrs...)
-		if resolved++; resolved >= need {
-			// First-K-wins: the remaining resolutions are cancelled and
-			// drain into the buffered channel on their own.
-			nsFanoutShortcut.Inc()
-			break
+		n := len(out)
+		for _, rr := range rrs {
+			if ep := nsEndpoint(rr.Data); ep != "" {
+				out = append(out, ep)
+			}
+		}
+		if len(out) > n {
+			if need--; need == 0 {
+				nsFanoutShortcut.Inc()
+				break
+			}
 		}
 	}
 	return out

@@ -13,7 +13,7 @@ import (
 // real one: every miss re-derives its starting servers from the NS RRset
 // and the address RRsets behind it through counted Cache.Lookups, remove
 // filters in place, referrals are cached whole. It carries no
-// prefetch or singleflight — the tests that use it switch neither on.
+// prefetch — the tests that use it do not switch it on.
 type refRecursive struct {
 	Exchange Exchanger
 	Roots    []string
@@ -232,8 +232,8 @@ func (r *refRecursive) cachedAddrs(h string) []string {
 	return out
 }
 
-// resolveNSHosts is the glueless fan-out, sequential here: the
-// reference's caller compares server sets, not arrival order.
+// resolveNSHosts resolves glueless hosts one after another, in NS order,
+// until need of them have yielded addresses.
 func (r *refRecursive) resolveNSHosts(ctx context.Context, hosts []string, depth, need int) []string {
 	var out []string
 	for _, h := range hosts {
