@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -84,11 +85,11 @@ func run(args []string, stdout *os.File) error {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	level := obs.LevelInfo
+	level := slog.LevelInfo
 	if *verbose {
-		level = obs.LevelDebug
+		level = slog.LevelDebug
 	}
-	logger := obs.NewLogger(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	if *confPath != "" {
 		conf, err := LoadConfig(*confPath)
 		if err != nil {

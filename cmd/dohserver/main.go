@@ -18,6 +18,7 @@ import (
 	"encoding/pem"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -57,20 +58,19 @@ func run() error {
 		prefetch = flag.Float64("prefetch", 0.1, "refresh-ahead fraction: a cache hit inside this final fraction of its TTL triggers a background re-resolution (and, in cluster mode, hot-set replication); 0 disables")
 		verbose  = flag.Bool("v", false, "debug-level logging")
 
-		udpWorkers = flag.Int("udp-workers", 0, "UDP worker-pool size; 0 means 32*GOMAXPROCS (min 64)")
-		maxConns   = flag.Int("max-conns", 4096, "max concurrent connections per stream listener (Do53/TCP, DoT, DoH); 0 unlimited")
-		idleTO     = flag.Duration("idle-timeout", 60*time.Second, "disconnect stream clients idle this long")
+		maxConns = flag.Int("max-conns", 4096, "max concurrent connections per stream listener (Do53/TCP, DoT, DoH); 0 unlimited")
+		idleTO   = flag.Duration("idle-timeout", 60*time.Second, "disconnect stream clients idle this long")
 
 		peers     = flag.String("peers", "", "comma-separated remote peer endpoints (e.g. udp://127.0.0.1:5302,udp://127.0.0.1:5303); enables cluster mode")
 		clusterID = flag.String("cluster-id", "encdns", "cluster identity carried on forwarded queries; must match on every peer")
 		replicas  = flag.Int("replicas", cluster.DefaultReplicas, "hot-set copies beyond the owner; negative disables replication")
 	)
 	flag.Parse()
-	level := obs.LevelInfo
+	level := slog.LevelInfo
 	if *verbose {
-		level = obs.LevelDebug
+		level = slog.LevelDebug
 	}
-	logger := obs.NewLogger(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	cache := resolver.NewCache(*cacheN, nil)
 	defer cache.Close()
@@ -122,7 +122,6 @@ func run() error {
 	inner := &dns53.Server{
 		Handler:     handler,
 		Logger:      logger,
-		UDPWorkers:  *udpWorkers,
 		ReadTimeout: *idleTO, // doubles as the per-read stream idle timeout
 	}
 
@@ -209,10 +208,10 @@ func run() error {
 	case <-ctx.Done():
 		// Ordered drain, extending the dns53 shutdown sequence across the
 		// cluster layer: stop accepting (front ends), finish what is in
-		// flight (server workers, which includes queries blocked on peer
-		// forwards), drain the node's own background work (replication
-		// pushes, probes), and only then tear down the peer transport and
-		// resolver so nothing in flight loses its dependencies.
+		// flight (UDP misses and stream connections, which includes queries
+		// blocked on peer forwards), drain the node's own background work
+		// (replication pushes, probes), and only then tear down the peer
+		// transport and resolver so nothing in flight loses its dependencies.
 		logger.Info("shutting down")
 		if httpSrv != nil {
 			_ = httpSrv.Close()

@@ -16,9 +16,10 @@ import (
 // must not block: AppendInline never does, appendMiss may for as long as
 // the handler's upstreams take. Both append to the caller's buffer (a
 // message may start at any offset, e.g. behind a stream length prefix) and
-// both end in the same cut to limit (truncate). What stays with the
-// frontend is where a declined query's miss half runs (worker pool, in
-// line after a flush, the HTTP goroutine) and the limit it passes.
+// both end in the same seal: the OPT echo and the cut to limit. What stays
+// with the frontend is where a declined query's miss half runs (a
+// goroutine of its own, in line after a flush, the HTTP goroutine) and the
+// limit it passes.
 //
 // Where the miss half runs depends on the handler, not the frontend: for
 // one that answers from memory (InMemory) the miss cannot block either, so
@@ -57,26 +58,26 @@ func Answer(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, 
 	return appendMiss(ctx, h, dst, query, limit)
 }
 
-// AppendInline is the non-blocking half: NOTIMP for an opcode other than
-// QUERY (RFC 1035 §4.1.1), which no handler is asked about; else the
-// handler's ResponseAppender fast path, when it has one and the query's
-// question can be echoed verbatim; else — for an InMemory handler — the
-// miss half in line, with its panic containment, SERVFAIL and truncation,
-// reported in err as appendMiss reports it. ok=false means the query was
-// declined and nothing was appended or counted, so the caller runs the
-// miss half with no state to undo. It is exported for the loops that own a
-// connection outside this package (DoH's HTTP/2 loop), whose miss half is
-// Answer on another goroutine.
+// AppendInline is the non-blocking half. Three shapes no handler is asked
+// about come first: an opcode other than QUERY is answered NOTIMP (RFC
+// 1035 §4.1.1), a question count other than one FORMERR, and a class
+// other than IN or ANY REFUSED (authdns.Zone's rule; the handlers keep
+// their own checks). Then the handler's ResponseAppender fast path, when
+// it has one and the query's question can be echoed verbatim; else — for
+// an InMemory handler — the miss half in line, with its panic containment,
+// SERVFAIL and truncation, reported in err as appendMiss reports it.
+// ok=false means the query was declined and nothing was appended or
+// counted, so the caller runs the miss half with no state to undo. It is
+// exported for the loops that own a connection outside this package (DoH's
+// HTTP/2 loop), whose miss half is Answer on another goroutine.
 func AppendInline(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, raw []byte, limit int) (out []byte, minTTL int64, ok bool, err error) {
-	if query.Header.Opcode != dnswire.OpcodeQuery {
-		return appendRCode(dst, query, dnswire.RCodeNotImpl, limit), -1, true, nil
+	if rcode, refused := refuse(query); refused {
+		return appendRCode(dst, query, rcode, limit), -1, true, nil
 	}
 	if ra, isRA := h.(ResponseAppender); isRA {
 		if rawQ, echoable := dnswire.QuestionBytes(raw); echoable {
 			if out, minTTL, ok = ra.AppendResponse(dst, query, rawQ); ok {
-				if len(out)-len(dst) > limit {
-					out, minTTL = truncate(out, len(dst)), -1
-				}
+				out, minTTL = seal(out, len(dst), query, limit, minTTL)
 				return out, minTTL, true, nil
 			}
 		}
@@ -109,14 +110,27 @@ func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Messa
 			minTTL = int64(rr.TTL)
 		}
 	}
-	if len(out)-len(dst) > limit {
-		out, minTTL = truncate(out, len(dst)), -1
-	}
+	out, minTTL = seal(out, len(dst), query, limit, minTTL)
 	return out, minTTL, nil
 }
 
+// refuse reports the RCODE for a query AppendInline answers without its
+// handler: not a QUERY, not exactly one question, or a class the
+// resolvers hold no data for.
+func refuse(query *dnswire.Message) (dnswire.RCode, bool) {
+	switch {
+	case query.Header.Opcode != dnswire.OpcodeQuery:
+		return dnswire.RCodeNotImpl, true
+	case len(query.Questions) != 1:
+		return dnswire.RCodeFormat, true
+	case query.Questions[0].Class != dnswire.ClassIN && query.Questions[0].Class != dnswire.ClassANY:
+		return dnswire.RCodeRefused, true
+	}
+	return 0, false
+}
+
 // appendRCode appends query's reply with rcode and no records: ID, opcode,
-// RD and question echoed, cut to limit like any answer.
+// RD and question echoed, sealed like any answer.
 func appendRCode(dst []byte, query *dnswire.Message, rcode dnswire.RCode, limit int) []byte {
 	resp := query.Reply()
 	resp.Header.RCode = rcode
@@ -125,10 +139,40 @@ func appendRCode(dst []byte, query *dnswire.Message, rcode dnswire.RCode, limit 
 		// A question that parsed but does not pack: answer without it.
 		out = dnswire.AppendRawHeader(dst, query.Header.ID, resp.Header.Flags(), 0, 0, 0, 0)
 	}
-	if len(out)-len(dst) > limit {
-		out = truncate(out, len(dst))
-	}
+	out, _ = seal(out, len(dst), query, limit, -1)
 	return out
+}
+
+// optLen is the size of the OPT record seal appends.
+const optLen = 11
+
+// seal ends the response out[at:] to query. When the query carried an OPT
+// the response gets one too, last (RFC 6891 §7): root owner, CLASS our
+// payload size, version 0, the query's DO bit (RFC 3225 §3), no options.
+// It counts against limit, and an answer over limit is cut (see truncate)
+// with the OPT kept and minTTL turned to -1.
+func seal(out []byte, at int, query *dnswire.Message, limit int, minTTL int64) ([]byte, int64) {
+	opt, edns := query.EDNS()
+	size := len(out) - at
+	if edns {
+		size += optLen
+	}
+	if size > limit {
+		out, minTTL = truncate(out, at), -1
+	}
+	if !edns {
+		return out, minTTL
+	}
+	var do byte
+	if opt.DO {
+		do = 0x80
+	}
+	arcount := out[at+10:]
+	binary.BigEndian.PutUint16(arcount, binary.BigEndian.Uint16(arcount)+1)
+	// Root owner, TYPE, CLASS, TTL (extended RCODE, version, DO and Z),
+	// RDLENGTH.
+	return append(out, 0, 0, byte(dnswire.TypeOPT), dnswire.MaxEDNSSize>>8, dnswire.MaxEDNSSize&0xFF,
+		0, 0, do, 0, 0, 0), minTTL
 }
 
 // ServeContained runs ServeDNS and turns a panic or a nil response into

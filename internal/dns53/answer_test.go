@@ -280,3 +280,50 @@ func TestServeTCPSurvivesTemporaryAcceptError(t *testing.T) {
 		t.Fatal("ServeTCP on a closed listener returned nil without Shutdown")
 	}
 }
+
+// TestAnswerEchoesOPT: behind an EDNS query the response's own additional
+// records (a referral's glue) stay ahead of the one OPT appended last, and
+// that OPT counts against the limit: the exact size answers whole, one
+// byte less cuts to header, question and OPT.
+func TestAnswerEchoesOPT(t *testing.T) {
+	query := dnswire.NewQuery(7, "www.sub.example.com.", dnswire.TypeA)
+	query.SetEDNS(4096, true)
+	raw, err := query.AppendPack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referral := query.Reply()
+	referral.Authority = []dnswire.Record{{Name: "sub.example.com.", Type: dnswire.TypeNS, Class: dnswire.ClassIN,
+		TTL: 60, Data: &dnswire.NS{Host: "ns.sub.example.com."}}}
+	referral.Additional = []dnswire.Record{{Name: "ns.sub.example.com.", Type: dnswire.TypeA, Class: dnswire.ClassIN,
+		TTL: 60, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.53")}}}
+	h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
+		r := *referral
+		return &r, nil
+	})
+	bare, err := referral.AppendPack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := len(bare) + optLen
+
+	out, _, err := Answer(context.Background(), h, nil, query, raw, full)
+	m, uerr := dnswire.Unpack(out)
+	if err != nil || uerr != nil || m.Header.TC || len(out) != full || len(m.Additional) != 2 ||
+		m.Additional[0].Type != dnswire.TypeA || m.Additional[1].Type != dnswire.TypeOPT {
+		t.Fatalf("at the limit: %v (err %v, %v)", m, err, uerr)
+	}
+	if opt := m.Additional[1].Data.(*dnswire.OPT); !opt.DO || opt.UDPSize != dnswire.MaxEDNSSize {
+		t.Errorf("OPT %+v, want DO copied and size %d", *opt, dnswire.MaxEDNSSize)
+	}
+
+	out, _, _ = Answer(context.Background(), h, nil, query, raw, full-1)
+	m, uerr = dnswire.Unpack(out)
+	question, _ := dnswire.QuestionBytes(raw)
+	if uerr != nil || !m.Header.TC || len(m.Authority)+len(m.Answers) != 0 || len(out) != 12+len(question)+optLen {
+		t.Fatalf("one byte short: %d bytes, %v (%v)", len(out), m, uerr)
+	}
+	if _, ok := m.EDNS(); !ok || len(m.Additional) != 1 {
+		t.Errorf("cut answer lost its OPT: %v", m)
+	}
+}

@@ -9,8 +9,11 @@ import (
 	"encdns/internal/udpbatch"
 )
 
+// MaxUDPMisses exposes the per-server bound on UDP misses in flight.
+const MaxUDPMisses = maxUDPMisses
+
 // serveUDPPacket answers one datagram with the steps the receive loop and
-// the workers share — parse and limit, in line, miss — composed the plain
+// its misses share — parse and limit, in line, miss — composed the plain
 // way: one packet in, one write out, nothing batched, swapped or cloned,
 // and only the miss half counted: ServeUDP counts its in-line answers per
 // batch, and this reference has no batch. It is the reference the differential test holds ServeUDP against, and

@@ -201,6 +201,34 @@ func withOpcode(query []byte, op dnswire.Opcode) []byte {
 	return out
 }
 
+// withClass returns query, which has one question, with its QCLASS set to c.
+func withClass(query []byte, c dnswire.Class) []byte {
+	out := bytes.Clone(query)
+	question, _ := dnswire.QuestionBytes(out)
+	binary.BigEndian.PutUint16(out[12+len(question)-2:], uint16(c))
+	return out
+}
+
+// withDO returns query, which ends in an OPT without options, with the
+// OPT's DO bit set.
+func withDO(query []byte) []byte {
+	out := bytes.Clone(query)
+	out[len(out)-4] |= 0x80
+	return out
+}
+
+// twoQuestions packs a query asking for both names at once.
+func twoQuestions(t *testing.T, id uint16, a, b string) []byte {
+	t.Helper()
+	q := dnswire.NewQuery(id, a, dnswire.TypeA)
+	q.Questions = append(q.Questions, dnswire.Question{Name: b, Type: dnswire.TypeA, Class: dnswire.ClassIN})
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 // upperCased returns query with the letters of its question name in upper
 // case: the spelling only the template path echoes.
 func upperCased(query []byte) []byte {
@@ -225,20 +253,27 @@ type answerCase struct {
 	rcode   dnswire.RCode
 	answers int
 	echoed  bool // the question comes back in the client's spelling
+	opt     bool // the query carries an OPT, so the answer ends in one
 }
 
 func scriptedCases(t *testing.T, prefix string) []answerCase {
 	return []answerCase{
-		{prefix + "template hit", upperCased(packQuery(t, 0x1001, "www.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, true},
-		{prefix + "template hit, EDNS", packQuery(t, 0x1002, "www.example.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 1, true},
-		{prefix + "cached NXDOMAIN", upperCased(packQuery(t, 0x1003, "gone.example.com.", dnswire.TypeA, 0)), dnswire.RCodeNXDomain, 0, true},
-		{prefix + "miss", upperCased(packQuery(t, 0x1004, "miss.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false},
-		{prefix + "NXDOMAIN", packQuery(t, 0x1005, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
-		{prefix + "handler error", packQuery(t, 0x1006, "error.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
-		{prefix + "handler panic", packQuery(t, 0x1007, "panic.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true},
+		{prefix + "template hit", upperCased(packQuery(t, 0x1001, "www.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, true, false},
+		{prefix + "template hit, EDNS", packQuery(t, 0x1002, "www.example.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 1, true, true},
+		{prefix + "cached NXDOMAIN", upperCased(packQuery(t, 0x1003, "gone.example.com.", dnswire.TypeA, 0)), dnswire.RCodeNXDomain, 0, true, false},
+		{prefix + "miss", upperCased(packQuery(t, 0x1004, "miss.example.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false, false},
+		{prefix + "miss, EDNS with DO", withDO(packQuery(t, 0x100a, "miss.example.com.", dnswire.TypeA, 4096)), dnswire.RCodeSuccess, 1, true, true},
+		{prefix + "NXDOMAIN", packQuery(t, 0x1005, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true, false},
+		{prefix + "handler error", packQuery(t, 0x1006, "error.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true, false},
+		{prefix + "handler error, EDNS", packQuery(t, 0x100b, "error.example.com.", dnswire.TypeA, 1232), dnswire.RCodeServFail, 0, true, true},
+		{prefix + "handler panic", packQuery(t, 0x1007, "panic.example.com.", dnswire.TypeA, 0), dnswire.RCodeServFail, 0, true, false},
 		// Not a query: NOTIMP before the template path, a cached name too.
-		{prefix + "UPDATE, template hit", withOpcode(packQuery(t, 0x1008, "www.example.com.", dnswire.TypeA, 0), dnswire.OpcodeUpdate), dnswire.RCodeNotImpl, 0, true},
-		{prefix + "STATUS, EDNS", withOpcode(packQuery(t, 0x1009, "www.example.com.", dnswire.TypeA, 1232), dnswire.OpcodeStatus), dnswire.RCodeNotImpl, 0, true},
+		{prefix + "UPDATE, template hit", withOpcode(packQuery(t, 0x1008, "www.example.com.", dnswire.TypeA, 0), dnswire.OpcodeUpdate), dnswire.RCodeNotImpl, 0, true, false},
+		{prefix + "STATUS, EDNS", withOpcode(packQuery(t, 0x1009, "www.example.com.", dnswire.TypeA, 1232), dnswire.OpcodeStatus), dnswire.RCodeNotImpl, 0, true, true},
+		// A class the cache holds no data for, and a question count other
+		// than one, are answered before the template path too.
+		{prefix + "CH class, template hit", withClass(packQuery(t, 0x100c, "www.example.com.", dnswire.TypeA, 0), dnswire.ClassCH), dnswire.RCodeRefused, 0, true, false},
+		{prefix + "two questions", twoQuestions(t, 0x100d, "www.example.com.", "miss.example.com."), dnswire.RCodeFormat, 0, true, false},
 	}
 }
 
@@ -248,14 +283,16 @@ func TestEveryFrontendAnswersAlike(t *testing.T) {
 	// The resolvers dohserver runs: the hierarchy walked in memory (a
 	// closed cache, so every frontend's query is a miss) and a zone.
 	answerAlike(t, startFrontends(t, registryResolver(0)), []answerCase{
-		{"recursive miss", upperCased(packQuery(t, 0x3001, "google.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false},
-		{"recursive miss, CNAME chased", packQuery(t, 0x3002, "www.amazon.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 4, true},
-		{"recursive NXDOMAIN", packQuery(t, 0x3003, "0123abcd.wikipedia.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
+		{"recursive miss", upperCased(packQuery(t, 0x3001, "google.com.", dnswire.TypeA, 0)), dnswire.RCodeSuccess, 1, false, false},
+		{"recursive miss, CNAME chased", packQuery(t, 0x3002, "www.amazon.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 4, true, true},
+		{"recursive NXDOMAIN", packQuery(t, 0x3003, "0123abcd.wikipedia.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true, false},
+		{"recursive CH class", withClass(packQuery(t, 0x3004, "google.com.", dnswire.TypeA, 0), dnswire.ClassCH), dnswire.RCodeRefused, 0, true, false},
 	})
 	answerAlike(t, startFrontends(t, exampleZone()), []answerCase{
-		{"zone answer", packQuery(t, 0x3101, "www.example.com.", dnswire.TypeA, 0), dnswire.RCodeSuccess, 1, true},
-		{"zone NXDOMAIN", packQuery(t, 0x3102, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true},
-		{"zone REFUSED", packQuery(t, 0x3103, "google.com.", dnswire.TypeA, 0), dnswire.RCodeRefused, 0, true},
+		{"zone answer", packQuery(t, 0x3101, "www.example.com.", dnswire.TypeA, 0), dnswire.RCodeSuccess, 1, true, false},
+		{"zone NXDOMAIN", packQuery(t, 0x3102, "nx.example.com.", dnswire.TypeA, 0), dnswire.RCodeNXDomain, 0, true, false},
+		{"zone REFUSED", packQuery(t, 0x3103, "google.com.", dnswire.TypeA, 0), dnswire.RCodeRefused, 0, true, false},
+		{"zone answer, EDNS", packQuery(t, 0x3104, "www.example.com.", dnswire.TypeA, 1232), dnswire.RCodeSuccess, 1, true, true},
 	})
 }
 
@@ -280,6 +317,7 @@ func answerAlike(t *testing.T, frontends []frontend, cases []answerCase) {
 					if echoed := bytes.Equal(got[12:12+len(question)], question); echoed != tc.echoed {
 						t.Fatalf("%s: question echoed verbatim = %v, want %v", fe.name, echoed, tc.echoed)
 					}
+					checkOPT(t, fe.name, tc.query, m, tc.opt)
 					continue
 				}
 				if !bytes.Equal(got, first) {
@@ -290,9 +328,41 @@ func answerAlike(t *testing.T, frontends []frontend, cases []answerCase) {
 	}
 }
 
+// checkOPT wants resp to end in exactly one OPT when the query carried
+// one (root owner, CLASS MaxEDNSSize, version 0, the query's DO bit, no
+// options) and to carry none otherwise.
+func checkOPT(t *testing.T, frontend string, query []byte, resp *dnswire.Message, want bool) {
+	t.Helper()
+	q, err := dnswire.Unpack(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qopt, _ := q.EDNS()
+	var opts []dnswire.Record
+	for _, rr := range resp.Additional {
+		if rr.Type == dnswire.TypeOPT {
+			opts = append(opts, rr)
+		}
+	}
+	if !want {
+		if len(opts) != 0 {
+			t.Fatalf("%s: %d OPT records, want none", frontend, len(opts))
+		}
+		return
+	}
+	if len(opts) != 1 || resp.Additional[len(resp.Additional)-1].Type != dnswire.TypeOPT {
+		t.Fatalf("%s: %d OPT records in %d additional, want one, last", frontend, len(opts), len(resp.Additional))
+	}
+	opt := opts[0].Data.(*dnswire.OPT)
+	if opts[0].Name != "." || opt.UDPSize != dnswire.MaxEDNSSize || opt.Version != 0 || opt.ExtRCode != 0 ||
+		opt.DO != qopt.DO || len(opt.Options) != 0 {
+		t.Fatalf("%s: OPT %s %+v, want root, size %d, version 0, DO %v, no options", frontend, opts[0].Name, *opt, dnswire.MaxEDNSSize, qopt.DO)
+	}
+}
+
 // TestOverLimitAnswerOnUDP: an answer over the client's UDP limit comes
 // back as header and question with TC, the same whether the template or
-// ServeDNS produced it, in a worker or in line, and whole over every other
+// ServeDNS produced it, on a miss's goroutine or in line, and whole over every other
 // frontend.
 func TestOverLimitAnswerOnUDP(t *testing.T) {
 	overLimitOnUDP(t, startFrontends(t, newScriptedResolver()))
@@ -325,6 +395,18 @@ func overLimitOnUDP(t *testing.T, frontends []frontend) {
 	}
 	if len(cuts) == 2 && !bytes.Equal(cuts[0], cuts[1]) {
 		t.Errorf("hit and miss headers differ after the cut: %x vs %x", cuts[0], cuts[1])
+	}
+	// An EDNS client that advertises 512 gets the same cut with its OPT
+	// kept, which counts against the limit.
+	for _, name := range []string{"big.example.com.", "bigmiss.example.com."} {
+		query := withDO(packQuery(t, 0x2003, name, dnswire.TypeTXT, 512))
+		question, _ := dnswire.QuestionBytes(query)
+		got := frontends[0].exchange(t, query)
+		m, err := dnswire.Unpack(got)
+		if err != nil || !m.Header.TC || len(m.Answers) != 0 || len(got) != 12+len(question)+11 {
+			t.Fatalf("%s udp with EDNS 512: %d bytes, %v %v, want header, question and OPT with TC", name, len(got), m, err)
+		}
+		checkOPT(t, "udp", query, m, true)
 	}
 	// With room advertised the same UDP queries are answered whole.
 	for _, name := range []string{"big.example.com.", "bigmiss.example.com."} {

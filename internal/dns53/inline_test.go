@@ -1,6 +1,6 @@
 // Tests for the seam the run-to-completion UDP path adds: hits answered
 // in the receive loop, one WriteBatch per ReadBatch, declined queries
-// handed to the workers already parsed. External package for the same
+// handed to goroutines of their own already parsed. External package for the same
 // import-cycle reason as template_test.go.
 package dns53_test
 
@@ -145,7 +145,7 @@ func waitWrites(t *testing.T, c *memConn, total int) (sizes []int) {
 }
 
 // TestInlineMatchesPacketAtATime serves one mixed batch twice — through
-// ServeUDP (hits inline and batched, the rest via the workers) and through
+// ServeUDP (hits inline and batched, the rest on goroutines) and through
 // the packet-at-a-time reference — and wants byte-identical answers per
 // (peer, ID), with every inline hit in the single WriteBatch of its batch.
 func TestInlineMatchesPacketAtATime(t *testing.T) {
@@ -166,7 +166,7 @@ func TestInlineMatchesPacketAtATime(t *testing.T) {
 
 	inline := answers{m: map[string][]byte{}}
 	conn := newMemConn(inline.add)
-	srv := &dns53.Server{Handler: fixedClockForwarder(), UDPWorkers: 2}
+	srv := &dns53.Server{Handler: fixedClockForwarder()}
 	go srv.ServeUDP(conn)
 	conn.feed <- batch
 	sizes := waitWrites(t, conn, wantAnswers)
@@ -223,9 +223,11 @@ func TestHitsNotBlockedBehindMiss(t *testing.T) {
 	got := answers{m: map[string][]byte{}}
 	conn := newMemConn(func(p udpbatch.Packet) { mu.Lock(); got.add(p); mu.Unlock() })
 	h := &gatedHandler{Forwarder: fixedClockForwarder(), entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := &dns53.Server{Handler: h, UDPWorkers: 1}
+	srv := &dns53.Server{Handler: h}
 	go srv.ServeUDP(conn)
 	t.Cleanup(srv.Shutdown)
+	release := sync.OnceFunc(func() { close(h.release) })
+	t.Cleanup(release) // runs first: a blocked miss must not hang Shutdown
 
 	conn.feed <- []memPkt{
 		{packQuery(t, 1, "slow.example.com.", dnswire.TypeA, 0), peerA},
@@ -247,7 +249,7 @@ func TestHitsNotBlockedBehindMiss(t *testing.T) {
 	}
 	mu.Unlock()
 
-	close(h.release)
+	release()
 	waitWrites(t, conn, 1)
 	mu.Lock()
 	defer mu.Unlock()
@@ -263,7 +265,7 @@ func TestCountersOncePerQuery(t *testing.T) {
 	requests := obs.Default().Counter("dns53_server_requests_total", "")
 	peer := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 10), Port: 1111}
 	conn := newMemConn(nil)
-	srv := &dns53.Server{Handler: fixedClockForwarder(), UDPWorkers: 1}
+	srv := &dns53.Server{Handler: fixedClockForwarder()}
 	go srv.ServeUDP(conn)
 	t.Cleanup(srv.Shutdown)
 

@@ -1,7 +1,7 @@
 // Tests for handlers that answer from memory (dns53.InMemory): their
 // misses are run to completion in the receive loop like hits, and only a
-// handler that may block gets the worker pool — which, when full, drops
-// instead of stopping the loop. External package for the same
+// handler that may block gets a goroutine per miss — up to a bound past
+// which the loop drops instead of stopping. External package for the same
 // import-cycle reason as template_test.go.
 package dns53_test
 
@@ -73,11 +73,9 @@ func mixedRegistryBatch(t testing.TB, seq, n int) []memPkt {
 
 // TestInMemoryMissesShareTheBatchWrite: behind a resolver that answers
 // from memory, a batch of hits and misses is answered in the receive loop
-// and leaves in the batch's one WriteBatch — no worker pool is started,
-// nothing is handed off — and costs only the misses' own allocations.
+// and leaves in the batch's one WriteBatch — nothing is handed off — and
+// costs only the misses' own allocations.
 func TestInMemoryMissesShareTheBatchWrite(t *testing.T) {
-	workers := obs.Default().Gauge("dns53_udp_workers", "")
-	w0 := workers.Value()
 	conn := newMemConn(nil)
 	srv := &dns53.Server{Handler: registryResolver(4096)}
 	go srv.ServeUDP(conn)
@@ -105,9 +103,6 @@ func TestInMemoryMissesShareTheBatchWrite(t *testing.T) {
 			t.Fatalf("WriteBatch of %d, want the whole batch of %d", got, n)
 		}
 	})
-	if w := workers.Value(); w != w0 {
-		t.Errorf("dns53_udp_workers moved by %d, want no pool for an in-memory handler", w-w0)
-	}
 	// The measured bound: 9 allocations a miss, what one costs through
 	// dns53.Answer on its own (BenchmarkResolveMiss), and one a batch. Hits
 	// allocate nothing, and neither does answering a miss in the loop.
@@ -118,9 +113,9 @@ func TestInMemoryMissesShareTheBatchWrite(t *testing.T) {
 
 // TestPoolOnlyForHandlersThatMayBlock: a hit and a miss in one batch leave
 // together only behind a handler that promises to answer from memory;
-// every other handler starts the pool and its miss is written by a worker.
+// behind every other handler the miss runs on a goroutine of its own and
+// is written by it.
 func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
-	workers := obs.Default().Gauge("dns53_udp_workers", "")
 	local := registryResolver(64)
 	node := &cluster.Node{
 		Members: cluster.NewMembership("udp://127.0.0.1:1", nil, monitor.Config{}),
@@ -130,9 +125,9 @@ func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 	blocking := registryResolver(64)
 	blocking.Exchange = hiddenExchanger{blocking.Exchange}
 	for _, tc := range []struct {
-		name string
-		h    dns53.Handler
-		pool bool
+		name     string
+		h        dns53.Handler
+		declines bool
 	}{
 		{"Forwarder", fixedClockForwarder(), true},
 		{"cluster.Node over an in-memory resolver", node, true},
@@ -144,9 +139,8 @@ func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 		{"authdns.Zone", exampleZone(), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w0 := workers.Value()
 			conn := newMemConn(nil)
-			srv := &dns53.Server{Handler: tc.h, UDPWorkers: 2}
+			srv := &dns53.Server{Handler: tc.h}
 			go srv.ServeUDP(conn)
 			defer srv.Shutdown()
 			conn.feed <- []memPkt{
@@ -154,50 +148,50 @@ func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 				{packQuery(t, 2, "nx.google.com.", dnswire.TypeA, 0), peerAt(2)},
 			}
 			sizes := waitWrites(t, conn, 2)
-			if grew := workers.Value() - w0; (grew == 2) != tc.pool || grew != 0 && grew != 2 {
-				t.Errorf("dns53_udp_workers grew by %d; pool wanted: %v", grew, tc.pool)
-			}
-			if together := len(sizes) == 1; together == tc.pool {
-				t.Errorf("WriteBatch sizes %v; pool wanted: %v", sizes, tc.pool)
+			if together := len(sizes) == 1; together == tc.declines {
+				t.Errorf("WriteBatch sizes %v; miss declined: %v", sizes, tc.declines)
 			}
 		})
 	}
 }
 
-// TestFullQueueDropsNotBlocks: when slow misses have filled the worker
-// queue, the receive loop drops the next one, counts it, and goes on
-// answering hits; everything queued is still answered once the workers
-// get to it.
+// TestFullQueueDropsNotBlocks: once maxUDPMisses slow misses are in
+// flight, the receive loop drops the next one, counts it, and goes on
+// answering hits; every miss in flight is still answered once released.
 func TestFullQueueDropsNotBlocks(t *testing.T) {
 	dropped := obs.Default().Counter("dns53_udp_dropped_total", "")
 	var mu sync.Mutex
 	got := answers{m: map[string][]byte{}}
 	conn := newMemConn(func(p udpbatch.Packet) { mu.Lock(); got.add(p); mu.Unlock() })
-	const workers, slots = 1, 4 // the queue holds 4 × UDPWorkers
+	const bound = dns53.MaxUDPMisses
+	conn.wrote = make(chan int, bound+2) // room for every write, waited on or not
 	h := &gatedHandler{Forwarder: fixedClockForwarder(),
-		entered: make(chan struct{}, 1+slots), release: make(chan struct{})}
-	srv := &dns53.Server{Handler: h, UDPWorkers: workers}
+		entered: make(chan struct{}, bound+1), release: make(chan struct{})}
+	srv := &dns53.Server{Handler: h}
 	go srv.ServeUDP(conn)
 	t.Cleanup(srv.Shutdown)
 	release := sync.OnceFunc(func() { close(h.release) })
-	t.Cleanup(release) // runs first: a loop stuck on the queue must not hang Shutdown
+	t.Cleanup(release) // runs first: misses still blocked must not hang Shutdown
 
 	miss := func(id int) memPkt {
 		return memPkt{packQuery(t, uint16(id), "slow.example.com.", dnswire.TypeA, 0), peerAt(1)}
 	}
-	conn.feed <- []memPkt{miss(1)}
-	select {
-	case <-h.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("miss never reached ServeDNS")
+	for first := 1; first <= bound; first += udpbatch.DefaultBatch {
+		var chunk []memPkt
+		for id := first; id < first+udpbatch.DefaultBatch && id <= bound; id++ {
+			chunk = append(chunk, miss(id))
+		}
+		conn.feed <- chunk
+	}
+	for n := 0; n < bound; n++ {
+		select {
+		case <-h.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d misses reached ServeDNS before any was released", n, bound)
+		}
 	}
 	d0 := dropped.Value()
-	var flood []memPkt
-	for id := 2; id <= 2+slots; id++ { // slots fill the queue, the last is dropped
-		flood = append(flood, miss(id))
-	}
-	conn.feed <- flood
-	conn.feed <- []memPkt{{packQuery(t, 100, "www.example.com.", dnswire.TypeA, 0), peerAt(2)}}
+	conn.feed <- []memPkt{miss(bound + 1), {packQuery(t, 100, "www.example.com.", dnswire.TypeA, 0), peerAt(2)}}
 	waitWrites(t, conn, 1)
 	if d := dropped.Value() - d0; d != 1 {
 		t.Errorf("dns53_udp_dropped_total moved by %d, want 1", d)
@@ -206,15 +200,15 @@ func TestFullQueueDropsNotBlocks(t *testing.T) {
 	_, hit := got.m[fmt.Sprintf("%s/%d", peerAt(2), 100)]
 	mu.Unlock()
 	if !hit {
-		t.Fatal("the hit behind a full queue was not answered")
+		t.Fatal("the hit behind the full bound was not answered")
 	}
 
 	release()
-	waitWrites(t, conn, 1+slots)
+	waitWrites(t, conn, bound)
 	mu.Lock()
 	defer mu.Unlock()
-	for id := 1; id <= 2+slots; id++ {
-		if _, ok := got.m[fmt.Sprintf("%s/%d", peerAt(1), id)]; ok != (id <= 1+slots) {
+	for id := 1; id <= bound+1; id++ {
+		if _, ok := got.m[fmt.Sprintf("%s/%d", peerAt(1), id)]; ok != (id <= bound) {
 			t.Errorf("miss %d answered: %v", id, ok)
 		}
 	}
@@ -224,8 +218,8 @@ func TestFullQueueDropsNotBlocks(t *testing.T) {
 // in-memory resolver with refresh-ahead on every hit, both fed the same
 // never-seen names at once, so both loops walk the same name at once
 // while refreshes run beside them. Meant for -race; every
-// answer must carry the right RCODE, and Shutdown — no pool to drain —
-// must leave no goroutine behind.
+// answer must carry the right RCODE, and Shutdown — no miss to wait
+// for — must leave no goroutine behind.
 func TestInMemoryLoopsShareOneResolver(t *testing.T) {
 	// The one case is the unhedged walk; the subtest keeps its name from
 	// when a hedged variant ran beside it.

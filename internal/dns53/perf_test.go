@@ -28,7 +28,7 @@ func (discardPacketConn) SetWriteDeadline(time.Time) error          { return nil
 // BenchmarkServeUDP measures the miss/fallback path one packet at a time —
 // unpack with reused decode state, a handler without the fast path
 // dispatched through ServeDNS, response pack into a pooled buffer, a
-// one-packet write — with the socket and the channel hop to the worker
+// one-packet write — with the socket and the goroutine start of a miss
 // factored out. Cache hits do not take this path; BenchmarkServeUDPBatch
 // times the one they take.
 func BenchmarkServeUDP(b *testing.B) {

@@ -1,12 +1,14 @@
 package dns53
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
+	"log/slog"
 	"net"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"encdns/internal/bufpool"
@@ -28,16 +30,12 @@ var (
 		"Time per answered query: a blocking miss's own, or the mean of the batch an in-line answer left in, read to write.", obs.ServerBounds)
 	serverMalformed = obs.Default().Counter("dns53_server_malformed_total",
 		"Dropped queries that failed wire parsing or were responses (QR set).")
-	// Worker-pool instruments: queue depth counts jobs handed off but not
-	// yet picked up, the worker gauge counts live pool goroutines across
-	// servers, and the drop counter the queries a receive loop found the
-	// queue full for.
-	workerQueueDepth = obs.Default().Gauge("dns53_udp_worker_queue_depth",
-		"UDP queries queued for the worker pool, not yet being handled.")
-	workerCount = obs.Default().Gauge("dns53_udp_workers",
-		"Live UDP worker-pool goroutines across servers.")
+	// The misses a receive loop declined and handed to goroutines of their
+	// own, across servers, and the ones it dropped at maxUDPMisses.
+	missesInFlight = obs.Default().Gauge("dns53_udp_misses_in_flight",
+		"Declined UDP queries whose miss half is running on a goroutine of its own.")
 	udpDropped = obs.Default().Counter("dns53_udp_dropped_total",
-		"UDP queries dropped because the worker-pool queue was full.")
+		"UDP queries dropped because the server already ran maxUDPMisses misses.")
 	// Stream-loop instruments (TCP and DoT): queries per write is the
 	// stream twin of udpbatch's packets per syscall.
 	streamReads = obs.Default().Counter("dns53_stream_reads_total",
@@ -52,12 +50,18 @@ var (
 // the 64 KiB UDP payload limit.
 const maxUDPDatagram = 64 * 1024
 
+// maxUDPMisses bounds the declined UDP queries one server answers at once,
+// each on a goroutine of its own; the receive loop drops what comes past
+// it rather than wait. Each in-flight forwarder miss holds an upstream
+// socket, so the bound stays under the common 1024 open-file soft limit.
+const maxUDPMisses = 512
+
 // Server serves DNS over UDP and TCP. Configure Handler, then pass
 // listeners to ServeUDP/ServeTCP (each blocks; run them in goroutines) and
 // call Shutdown to stop. The zero value is not usable; populate Handler.
 //
 // The UDP frontend runs everything that cannot block to completion in the
-// receive loop and keeps a worker pool for the rest. Each listener socket
+// receive loop and starts a goroutine for the rest. Each listener socket
 // gets one loop that pulls up to udpbatch.DefaultBatch datagrams per
 // syscall (recvmmsg on Linux via internal/udpbatch) into buffers it owns,
 // parses each into a message it owns, and answers it through AppendInline
@@ -67,11 +71,11 @@ const maxUDPDatagram = 64 * 1024
 // (InMemory), misses too, so such a query costs no goroutine hop and no
 // write of its own. What is declined — a miss behind a handler that may
 // block on upstream I/O (forwarders, cluster nodes), a hop-marked cluster
-// query — is handed, already parsed, to a bounded pool of workers that
-// run ServeDNS and write their one response themselves; the pool starts
-// only for such a handler. In-memory misses, like hits, share the
-// receive loop's CPU; a caller that wants more cores serves more sockets,
-// one ServeUDP call each.
+// query — is handed, already parsed, to a goroutine of its own that runs
+// ServeDNS and writes its one response itself; at most maxUDPMisses run
+// at once per server. In-memory misses, like hits, share the receive
+// loop's CPU; a caller that wants more cores serves more sockets, one
+// ServeUDP call each.
 //
 // The stream frontend (ServeTCP, ServeStream, and DoT through them) has
 // the same shape per connection: every query that arrived in one read is
@@ -80,20 +84,12 @@ const maxUDPDatagram = 64 * 1024
 type Server struct {
 	Handler Handler
 	// Logger receives malformed-packet and handler-failure notices; nil
-	// discards them (the obs.Logger convention: quiet by default).
-	Logger *obs.Logger
+	// discards them (quiet by default).
+	Logger *slog.Logger
 	// ReadTimeout bounds each blocking stream read, which makes it the
 	// idle timeout of TCP and DoT connections, and each stream write, so a
 	// peer that stops reading is dropped; zero means 10 seconds.
 	ReadTimeout time.Duration
-	// UDPWorkers bounds the worker pool shared by every UDP listener on
-	// this server, and with it ServeDNS concurrency: handlers that block
-	// on upstream I/O (forwarders, recursion) need enough workers to
-	// cover rate × handler latency. Zero means 32×GOMAXPROCS with a
-	// floor of 64 — generous for blocking handlers, still a hard bound.
-	// The pool starts with the first ServeUDP call, and only for a handler
-	// that is not InMemory.
-	UDPWorkers int
 
 	mu       sync.Mutex
 	closed   bool
@@ -102,31 +98,20 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 
-	jobs     chan udpJob
-	udpLoops sync.WaitGroup
-	workerWG sync.WaitGroup
+	udpLoops  sync.WaitGroup
+	udpMisses atomic.Int32 // misses in flight, at most maxUDPMisses
 }
 
-// logger returns the configured logger; a nil *obs.Logger discards, so
-// no fallback construction is needed.
-func (s *Server) logger() *obs.Logger { return s.Logger }
+var discard = slog.New(slog.DiscardHandler)
+
+// logger returns the configured logger, or one that discards.
+func (s *Server) logger() *slog.Logger { return cmp.Or(s.Logger, discard) }
 
 func (s *Server) readTimeout() time.Duration {
 	if s.ReadTimeout > 0 {
 		return s.ReadTimeout
 	}
 	return 10 * time.Second
-}
-
-func (s *Server) udpWorkers() int {
-	if s.UDPWorkers > 0 {
-		return s.UDPWorkers
-	}
-	n := 32 * runtime.GOMAXPROCS(0)
-	if n < 64 {
-		n = 64
-	}
-	return n
 }
 
 // track registers a listener or conn for Shutdown. It reports false when
@@ -160,73 +145,34 @@ func (s *Server) untrackConn(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// Shutdown closes all listeners and connections, drains in-flight
-// queries (queued UDP jobs are still answered; new packets are refused
-// because the sockets are closed), stops the worker pool, and waits for
-// everything to finish. It is idempotent.
+// Shutdown closes all listeners and connections, waits for the receive
+// loops to exit (new packets are refused because the sockets are closed)
+// and then for everything in flight, UDP misses included, to finish. It
+// is idempotent.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
+	if !s.closed {
+		s.closed = true
+		for _, pc := range s.udpConns {
+			pc.Close()
+		}
+		for _, ln := range s.tcpLns {
+			ln.Close()
+		}
+		for c := range s.conns {
+			c.Close()
+		}
 	}
-	s.closed = true
-	for _, pc := range s.udpConns {
-		pc.Close()
-	}
-	for _, ln := range s.tcpLns {
-		ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	jobs := s.jobs
 	s.mu.Unlock()
-	// Receive loops exit once their sockets close; only then is it safe
-	// to close the job channel the workers drain.
+	// Only a receive loop starts a miss, so once the loops are gone no
+	// wg.Add can race the Wait.
 	s.udpLoops.Wait()
-	if jobs != nil {
-		close(jobs)
-	}
-	s.workerWG.Wait()
 	s.wg.Wait()
 }
 
-// startUDPWorkers launches the bounded worker pool once, sized by
-// UDPWorkers. The job channel is buffered so a receive loop can hand off
-// a full batch of misses without a context switch per packet; beyond
-// that the loop drops the query and counts it in dns53_udp_dropped_total
-// rather than wait, so a flood of slow misses never stops it answering
-// hits.
-func (s *Server) startUDPWorkers() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.jobs != nil || s.closed {
-		return
-	}
-	n := s.udpWorkers()
-	s.jobs = make(chan udpJob, 4*n)
-	s.workerWG.Add(n)
-	workerCount.Add(int64(n))
-	for i := 0; i < n; i++ {
-		go s.udpWorker()
-	}
-}
-
-// udpJob is one query the receive loop could not answer itself: parsed,
-// already declined by the fast path, with everything the worker needs to
-// answer it after the loop has moved on to the next batch.
-type udpJob struct {
-	conn  udpbatch.Conn
-	query *dnswire.Message // pooled; the worker releases it
-	addr  net.Addr         // cloned, see udpbatch.Packet
-	limit int
-}
-
 // ServeUDP answers queries arriving on pc until the connection is
-// closed. It blocks; call it once per listener socket (multiple calls
-// share one worker pool). Any net.PacketConn works — kernel UDP sockets
+// closed. It blocks; call it once per listener socket (the calls share
+// one maxUDPMisses bound). Any net.PacketConn works — kernel UDP sockets
 // take the batched fast path, everything else (tests, netsim virtual
 // conns) the portable one-datagram adapter.
 func (s *Server) ServeUDP(pc net.PacketConn) error {
@@ -235,9 +181,6 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		return errors.New("dns53: server closed")
 	}
 	defer s.udpLoops.Done()
-	if !inMemory(s.Handler) {
-		s.startUDPWorkers()
-	}
 	bc := udpbatch.NewConn(pc)
 	const batch = udpbatch.DefaultBatch
 	// Loop-owned state: receive buffers, one send buffer per slot (kept
@@ -276,16 +219,17 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 				out = append(out, udpbatch.Packet{Buf: wire, Addr: p.Addr})
 				continue
 			}
-			// The worker outlives this batch: it gets the parsed message
-			// (the loop takes a fresh one) and its own copy of the peer.
-			workerQueueDepth.Inc()
-			select {
-			case s.jobs <- udpJob{conn: bc, query: query, addr: udpbatch.CloneAddr(p.Addr), limit: limit}:
-				query = dnswire.AcquireMessage()
-			default:
-				workerQueueDepth.Dec()
+			if s.udpMisses.Add(1) > maxUDPMisses {
+				s.udpMisses.Add(-1)
 				udpDropped.Inc()
+				continue
 			}
+			// The miss outlives this batch: it gets the parsed message
+			// (the loop takes a fresh one) and its own copy of the peer.
+			missesInFlight.Inc()
+			s.wg.Add(1)
+			go s.udpMiss(bc, query, udpbatch.CloneAddr(p.Addr), limit)
+			query = dnswire.AcquireMessage()
 		}
 		if len(out) > 0 {
 			countServed(len(out), start, time.Now())
@@ -302,23 +246,19 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// udpWorker answers the queries the receive loops declined, one blocking
-// ServeDNS at a time, each in its own one-packet write.
-func (s *Server) udpWorker() {
-	defer s.workerWG.Done()
-	defer workerCount.Dec()
-	one := make([]udpbatch.Packet, 1) // WriteBatch argument, reused
-	for job := range s.jobs {
-		workerQueueDepth.Dec()
-		out := bufpool.Get()
-		*out = s.miss((*out)[:0], job.query, job.limit)
-		one[0] = udpbatch.Packet{Buf: *out, Addr: job.addr}
-		if _, err := job.conn.WriteBatch(one); err != nil {
-			s.logger().Debug("writing UDP response", "err", err)
-		}
-		bufpool.Put(out)
-		dnswire.ReleaseMessage(job.query)
+// udpMiss answers one query a receive loop declined: a ServeDNS that may
+// block, then a one-packet write of its own.
+func (s *Server) udpMiss(conn udpbatch.Conn, query *dnswire.Message, addr net.Addr, limit int) {
+	defer s.wg.Done()
+	out := bufpool.Get()
+	*out = s.miss((*out)[:0], query, limit)
+	if _, err := conn.WriteBatch([]udpbatch.Packet{{Buf: *out, Addr: addr}}); err != nil {
+		s.logger().Debug("writing UDP response", "err", err)
 	}
+	bufpool.Put(out)
+	dnswire.ReleaseMessage(query)
+	missesInFlight.Dec()
+	s.udpMisses.Add(-1)
 }
 
 // parseUDP unpacks one datagram into query and derives the largest

@@ -481,7 +481,7 @@ func TestStreamSlowReaderDropped(t *testing.T) {
 func TestServeUDPShutdownRace(t *testing.T) {
 	h := warmForwarder()
 	for i := 0; i < 1000; i++ {
-		srv := &dns53.Server{Handler: h, UDPWorkers: 1}
+		srv := &dns53.Server{Handler: h}
 		var both sync.WaitGroup
 		both.Add(2)
 		go func() { defer both.Done(); _ = srv.ServeUDP(newMemConn(nil)) }()

@@ -83,7 +83,7 @@ func checkTemplateResponse(t *testing.T, resp []byte, id uint16, question []byte
 }
 
 // TestTemplateServedOverUDP drives the full UDP pipeline — batched
-// receive, worker dispatch, template append into the batch writer — with
+// receive, miss dispatch, template append into the batch writer — with
 // a raw socket so the mixed-case question bytes survive untouched.
 func TestTemplateServedOverUDP(t *testing.T) {
 	srv := &dns53.Server{Handler: warmForwarder()}

@@ -29,18 +29,18 @@ func (hitOrMiss) AppendResponse(dst []byte, q *dnswire.Message, rawQ []byte) ([]
 }
 
 // TestWorkerPoolShutdownDrains exercises the full UDP pipeline — hits
-// answered in the receive loop, misses swapped out to the worker pool —
-// under concurrent load and then shuts down mid-stream: every in-flight
-// query must either be answered or dropped cleanly, the loop and the
-// pool must exit with nothing queued (the loop's message and every
-// swapped-out one released on the way; no leaked goroutines), and
-// post-shutdown ServeUDP must refuse.
+// answered in the receive loop, misses swapped out to goroutines of their
+// own — under concurrent load and then shuts down mid-stream: every
+// in-flight query must either be answered or dropped cleanly, the loop and
+// every miss must finish (the loop's message and every swapped-out one
+// released on the way; no leaked goroutines, dns53_udp_misses_in_flight
+// back where it was), and post-shutdown ServeUDP must refuse.
 func TestWorkerPoolShutdownDrains(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
-	workers0, queued0 := workerCount.Value(), workerQueueDepth.Value()
+	inFlight0 := missesInFlight.Value()
 
 	var served sync.WaitGroup
-	s := &Server{Handler: hitOrMiss{}, UDPWorkers: 4}
+	s := &Server{Handler: hitOrMiss{}}
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 	}
 
 	// Wait for proof both paths work end to end before shutting down.
-	for i, path := range []string{"inline", "worker"} {
+	for i, path := range []string{"inline", "miss"} {
 		select {
 		case <-answered[i]:
 		case <-time.After(5 * time.Second):
@@ -118,13 +118,13 @@ func TestWorkerPoolShutdownDrains(t *testing.T) {
 	}
 
 	testutil.WaitNoLeaks(t, baseline)
-	if w, q := workerCount.Value(), workerQueueDepth.Value(); w != workers0 || q != queued0 {
-		t.Errorf("after Shutdown: %d workers and %d queued jobs, want %d and %d", w, q, workers0, queued0)
+	if n := missesInFlight.Value(); n != inFlight0 || s.udpMisses.Load() != 0 {
+		t.Errorf("after Shutdown: %d misses in flight (%d on this server), want %d", n, s.udpMisses.Load(), inFlight0)
 	}
 }
 
 // TestShutdownIdempotent verifies repeated Shutdown calls return without
-// hanging or double-closing the worker channel.
+// hanging or closing anything twice.
 func TestShutdownIdempotent(t *testing.T) {
 	s := &Server{Handler: testutil.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		return q.Reply(), nil

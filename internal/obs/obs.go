@@ -3,7 +3,7 @@
 // latency histograms) held in a named Registry, a per-query Trace that
 // records attempt-level spans (dial, TLS handshake, write, first byte,
 // total) propagated via context.Context through the transport
-// middleware, and a small leveled structured Logger.
+// middleware. Logging is log/slog's.
 //
 // The paper's contribution is latency/availability *measurement*; obs
 // makes the reproduction itself measurable. The decomposition it records

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"cmp"
 	"context"
 	"errors"
 
@@ -58,18 +59,23 @@ func (f *Forwarder) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 }
 
 func (f *Forwarder) cacheResponse(q0 dnswire.Question, resp *dnswire.Message) {
+	rcode := resp.Header.RCode
+	if rcode != dnswire.RCodeSuccess && rcode != dnswire.RCodeNXDomain {
+		return
+	}
+	f.Cache.putAnswers(resp.Answers)
+	last := lastCNAMETarget(resp.Answers, q0.Name)
 	switch {
-	case resp.Header.RCode == dnswire.RCodeNXDomain:
-		f.Cache.PutNegative(q0.Name, q0.Type, true, negativeTTL(resp))
-	case len(resp.Answers) == 0 && resp.Header.RCode == dnswire.RCodeSuccess:
+	case rcode == dnswire.RCodeNXDomain:
+		// Behind a CNAME chain the name that does not exist is the chain's
+		// last target, not the question, which names the alias.
+		f.Cache.PutNegative(cmp.Or(last, q0.Name), q0.Type, true, negativeTTL(resp))
+	case len(resp.Answers) == 0:
 		f.Cache.PutNegative(q0.Name, q0.Type, false, negativeTTL(resp))
-	case resp.Header.RCode == dnswire.RCodeSuccess:
-		f.Cache.putAnswers(resp.Answers)
+	case last != "":
 		// A CNAME chain is also one entry under the question, whole, so
 		// the next ask for it hits instead of finding the RRsets apart.
-		if lastCNAMETarget(resp.Answers, q0.Name) != "" {
-			f.Cache.PutRRset(q0.Name, q0.Type, resp.Answers)
-		}
+		f.Cache.PutRRset(q0.Name, q0.Type, resp.Answers)
 	}
 }
 

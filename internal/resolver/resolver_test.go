@@ -588,6 +588,49 @@ func TestForwarderKeepsOpaqueRData(t *testing.T) {
 	}
 }
 
+// TestForwarderNXDOMAINBehindCNAME: an upstream answering an alias with
+// its CNAME and NXDOMAIN for the target must not teach the forwarder that
+// the alias does not exist. Every ask carries the CNAME, the template path
+// has nothing under the question to serve, and the NXDOMAIN is cached for
+// the target, where it belongs.
+func TestForwarderNXDOMAINBehindCNAME(t *testing.T) {
+	upstream := exchangerFunc(func(_ context.Context, q *dnswire.Message, _ string) (*dnswire.Message, error) {
+		resp := q.Reply()
+		resp.Header.RCode = dnswire.RCodeNXDomain
+		resp.Answers = []dnswire.Record{{Name: "alias.example.", Type: dnswire.TypeCNAME, Class: dnswire.ClassIN,
+			TTL: 300, Data: &dnswire.CNAME{Target: "gone.example."}}}
+		resp.Authority = []dnswire.Record{{Name: "example.", Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 60,
+			Data: &dnswire.SOA{MName: "ns.example.", RName: "root.example.", Serial: 1, Minimum: 60}}}
+		return resp, nil
+	})
+	f := &Forwarder{Exchange: upstream, Upstreams: []string{"10.0.0.1:53"}, Cache: NewCache(128, nil)}
+	q := dnswire.NewQuery(1, "alias.example.", dnswire.TypeA)
+	for ask := 1; ask <= 2; ask++ {
+		resp, err := f.ServeDNS(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.RCode != dnswire.RCodeNXDomain || len(resp.Answers) != 1 || resp.Answers[0].Type != dnswire.TypeCNAME {
+			t.Fatalf("ask %d: %v, want NXDOMAIN carrying the CNAME", ask, resp)
+		}
+	}
+	raw, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawQ, _ := dnswire.QuestionBytes(raw)
+	if wire, _, ok := f.AppendResponse(nil, q, rawQ); ok {
+		m, _ := dnswire.Unpack(wire)
+		t.Errorf("template path answered the alias without its chain: %v", m)
+	}
+	if res, ok := f.Cache.Lookup("gone.example.", dnswire.TypeA); !ok || !res.NXDomain {
+		t.Errorf("target's NXDOMAIN not cached: %+v %v", res, ok)
+	}
+	if res, ok := f.Cache.Lookup("alias.example.", dnswire.TypeCNAME); !ok || len(res.Records) != 1 {
+		t.Errorf("alias's CNAME not cached: %+v %v", res, ok)
+	}
+}
+
 func TestForwarderCachesNegative(t *testing.T) {
 	rec, _ := newTestResolver(t)
 	calls := 0

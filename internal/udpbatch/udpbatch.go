@@ -60,7 +60,7 @@ type Packet struct {
 // Conn is a batched packet connection. One goroutine reads; any number
 // may write concurrently with it and with each other (the dns53
 // frontend's shape: the receive loop answers what cannot block itself
-// while the worker pool answers everything else on the same socket).
+// while each declined query's goroutine writes its own on the same socket).
 type Conn interface {
 	// ReadBatch blocks until at least one datagram arrives, then fills up
 	// to len(pkts) without blocking again, returning how many were read.

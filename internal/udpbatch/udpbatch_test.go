@@ -177,8 +177,8 @@ func TestReadBatchAfterClose(t *testing.T) {
 }
 
 // TestConcurrentWriteBatch is the Conn contract dns53 relies on: the
-// receive loop and every worker write to one socket at once. Run with
-// -race; every datagram of every writer must arrive intact.
+// receive loop and every miss's goroutine write to one socket at once.
+// Run with -race; every datagram of every writer must arrive intact.
 func TestConcurrentWriteBatch(t *testing.T) {
 	for name, wrap := range map[string]func(net.PacketConn) net.PacketConn{
 		"default":  func(pc net.PacketConn) net.PacketConn { return pc },
