@@ -61,10 +61,9 @@ func run(args []string, w io.Writer) error {
 		roots    = fs.String("roots", "", "comma-separated root server addresses for referral -trace")
 		gluePort = fs.Int("glue-port", 53, "port appended to glue addresses during -trace")
 
-		ring      = fs.Bool("ring", false, "cluster debug mode: print ring ownership, per-peer health, and the replica set for the query name (requires -peers)")
+		ring      = fs.Bool("ring", false, "cluster debug mode: print ring ownership, per-peer health, and the owner of the query name (requires -peers)")
 		peers     = fs.String("peers", "", "comma-separated cluster peer endpoints for -ring, Do53 as dohserver -peers takes them (host:port or udp://host[:port])")
 		clusterID = fs.String("cluster-id", "encdns", "cluster identity for -ring health probes")
-		replicas  = fs.Int("replicas", cluster.DefaultReplicas, "hot-set copies beyond the owner, for the -ring replica-set column")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,7 +94,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-peers: %w", err)
 		}
-		return runRing(ctx, w, name, qtype, ids, *clusterID, *replicas, *timeout)
+		return runRing(ctx, w, name, qtype, ids, *clusterID, *timeout)
 	}
 	if *trace && *roots != "" {
 		return runTrace(ctx, w, name, qtype, strings.Split(*roots, ","), *timeout, *retries, *gluePort)
@@ -189,7 +188,7 @@ func fmtDur(d time.Duration) string {
 // (ring layout depends only on the ID strings, and cluster.PeerIDs spells
 // them as every member does), probes each peer's health over the cluster
 // marker protocol, and prints where the query name lives.
-func runRing(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, peers []string, clusterID string, replicas int, timeout time.Duration) error {
+func runRing(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, peers []string, clusterID string, timeout time.Duration) error {
 	r := cluster.NewRing(peers, 0)
 	if r.Len() == 0 {
 		return fmt.Errorf("-ring: no usable peers")
@@ -211,14 +210,9 @@ func runRing(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, 
 	}
 
 	hash := keyhash.Key(name, uint16(qtype))
-	set := r.Successors(hash, replicas+1)
+	owner, _ := r.Owner(hash)
 	fmt.Fprintf(w, ";; key %s/%s -> hash %#016x\n", dnswire.CanonicalName(name), qtype, hash)
-	fmt.Fprintf(w, ";; owner:    %s\n", set[0])
-	if len(set) > 1 {
-		fmt.Fprintf(w, ";; replicas: %s\n", strings.Join(set[1:], ", "))
-	} else {
-		fmt.Fprintln(w, ";; replicas: (none — cluster smaller than replica set)")
-	}
+	fmt.Fprintf(w, ";; owner: %s\n", owner)
 	return nil
 }
 

@@ -347,13 +347,13 @@ func TestChainFlag(t *testing.T) {
 
 // TestRingCanonicalPeers: -ring keys the ring by the IDs the cluster's
 // members use, so bare and udp:// spellings of one cluster print the owner
-// and replica set the cluster itself computes; a peer that does not speak
+// the cluster itself computes; a peer that does not speak
 // Do53 is rejected by name. Nothing listens on the peers' ports: the
 // probes fail and only the ring lines are compared.
 func TestRingCanonicalPeers(t *testing.T) {
 	ids := []string{"udp://127.0.0.1:5301", "udp://127.0.0.1:5302", "udp://127.0.0.1:5303"}
-	set := cluster.NewRing(ids, 0).Successors(keyhash.Key("www.google.com.", uint16(dnswire.TypeA)), cluster.DefaultReplicas+1)
-	want := []string{";; owner:    " + set[0] + "\n", ";; replicas: " + strings.Join(set[1:], ", ") + "\n"}
+	owner, _ := cluster.NewRing(ids, 0).Owner(keyhash.Key("www.google.com.", uint16(dnswire.TypeA)))
+	want := ";; owner: " + owner + "\n"
 	for _, peers := range []string{
 		"127.0.0.1:5301,127.0.0.1:5302,127.0.0.1:5303",
 		strings.Join(ids, ","),
@@ -363,10 +363,11 @@ func TestRingCanonicalPeers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-peers %q: %v", peers, err)
 		}
-		for _, line := range want {
-			if !strings.Contains(out, line) {
-				t.Errorf("-peers %q: output lacks %q:\n%s", peers, line, out)
-			}
+		if !strings.Contains(out, want) {
+			t.Errorf("-peers %q: output lacks %q:\n%s", peers, want, out)
+		}
+		if strings.Contains(out, "replicas") {
+			t.Errorf("-peers %q: output still names replicas:\n%s", peers, out)
 		}
 	}
 

@@ -55,7 +55,7 @@ func run() error {
 		zoneFile = flag.String("zone", "", "serve this RFC 1035 zone file authoritatively instead of resolving")
 		zoneOrig = flag.String("zone-origin", ".", "origin of -zone")
 		cacheN   = flag.Int("cache", 65536, "cache entries")
-		prefetch = flag.Float64("prefetch", 0.1, "refresh-ahead fraction: a cache hit inside this final fraction of its TTL triggers a background re-resolution (and, in cluster mode, hot-set replication); 0 disables")
+		prefetch = flag.Float64("prefetch", 0, "accepted for old command lines: refresh-ahead was removed, and 0 is the only value")
 		verbose  = flag.Bool("v", false, "debug-level logging")
 
 		maxConns = flag.Int("max-conns", 4096, "max concurrent connections per stream listener (Do53/TCP, DoT, DoH); 0 unlimited")
@@ -63,9 +63,11 @@ func run() error {
 
 		peers     = flag.String("peers", "", "comma-separated remote peer endpoints (e.g. udp://127.0.0.1:5302,udp://127.0.0.1:5303); enables cluster mode")
 		clusterID = flag.String("cluster-id", "encdns", "cluster identity carried on forwarded queries; must match on every peer")
-		replicas  = flag.Int("replicas", cluster.DefaultReplicas, "hot-set copies beyond the owner; negative disables replication")
 	)
 	flag.Parse()
+	if *prefetch != 0 {
+		return fmt.Errorf("refresh-ahead was removed; -prefetch accepts only 0")
+	}
 	level := slog.LevelInfo
 	if *verbose {
 		level = slog.LevelDebug
@@ -78,10 +80,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if rec, ok := handler.(*resolver.Recursive); ok {
-		rec.PrefetchFraction = *prefetch
-	}
-	localHandler := handler // the unwrapped resolver, for ordered shutdown
 
 	// Cluster mode: wrap the local resolver in a ring-routing node. This
 	// instance's cluster ID is its own Do53 endpoint as peers dial it, so
@@ -107,16 +105,11 @@ func run() error {
 			}),
 			Local:     handler,
 			Forward:   peerPool,
-			Cache:     cache,
 			ClusterID: *clusterID,
-			Replicas:  *replicas,
-		}
-		if rec, ok := handler.(*resolver.Recursive); ok {
-			rec.OnPrefetch = node.NoteHot // hot-set replication rides refresh-ahead
 		}
 		handler = node
 		logger.Info("cluster mode", "self", selfID, "peers", len(remotes),
-			"cluster-id", *clusterID, "replicas", *replicas)
+			"cluster-id", *clusterID)
 	}
 
 	inner := &dns53.Server{
@@ -209,9 +202,9 @@ func run() error {
 		// Ordered drain, extending the dns53 shutdown sequence across the
 		// cluster layer: stop accepting (front ends), finish what is in
 		// flight (UDP misses and stream connections, which includes queries
-		// blocked on peer forwards), drain the node's own background work
-		// (replication pushes, probes), and only then tear down the peer
-		// transport and resolver so nothing in flight loses its dependencies.
+		// blocked on peer forwards), drain the node's own work (forwards,
+		// probes), and only then tear down the peer transport so nothing in
+		// flight loses its dependencies.
 		logger.Info("shutting down")
 		if httpSrv != nil {
 			_ = httpSrv.Close()
@@ -223,9 +216,6 @@ func run() error {
 		if peerPool != nil {
 			_ = peerPool.Close()
 		}
-		if rec, ok := localHandler.(*resolver.Recursive); ok {
-			rec.Close() // drains refresh-ahead goroutines before cache.Close
-		}
 		return nil
 	case err := <-errCh:
 		if err != nil {
@@ -236,7 +226,7 @@ func run() error {
 }
 
 // buildHandler assembles the resolver over cache: an authoritative zone
-// when -zone is given (the cache then serves only a cluster node), a
+// when -zone is given (a zone caches nothing, so cache goes unused), a
 // forwarder when -forward is given, otherwise a recursive resolver over
 // the built-in hierarchy.
 func buildHandler(upstream, zoneFile, zoneOrigin string, cache *resolver.Cache) (dns53.Handler, error) {

@@ -105,8 +105,8 @@ func (m *Membership) Self() string { return m.self }
 func (m *Membership) Remotes() []string { return m.remotes }
 
 // Ring returns the current ring. The ring is immutable; hold the
-// pointer for the duration of one routing decision so owner and
-// replica lookups agree.
+// pointer for the duration of one routing decision so its owner and
+// spill lookups agree.
 func (m *Membership) Ring() *Ring { return m.ring.Load() }
 
 // buildLocked constructs a ring over the currently eligible peers.
@@ -123,7 +123,7 @@ func (m *Membership) buildLocked() *Ring {
 }
 
 // Observe feeds one interaction outcome with a remote peer — a
-// forwarded query, a replication push, or an explicit probe — into the
+// forwarded query or an explicit probe — into the
 // health tracker, and rebuilds the ring when the peer's eligibility
 // flips. Down peers leave the ring (their key ranges fall to their ring
 // successors); recovery re-admits them after the tracker's

@@ -11,7 +11,6 @@ import (
 	"encdns/internal/dnswire"
 	"encdns/internal/keyhash"
 	"encdns/internal/obs"
-	"encdns/internal/resolver"
 	"encdns/internal/transport"
 )
 
@@ -20,15 +19,9 @@ import (
 // the cluster ID, so a peer that belongs to a different cluster (config
 // drift, port reuse) refuses instead of silently serving.
 const (
-	// purposeForward marks a cache miss forwarded to the key's owner;
-	// the receiver answers from its own resolver and never forwards on.
+	// purposeForward marks a query forwarded to the key's owner; the
+	// receiver answers from its own resolver and never forwards on.
 	purposeForward byte = 'f'
-	// purposeReplicate tells a replica that a key is hot: the receiver
-	// resolves it locally, warming its cache. Replication ships the
-	// *fact* that a key is hot, not peer-supplied records — replicas
-	// fetch answers themselves, so a compromised peer cannot poison
-	// another peer's cache through the replication channel.
-	purposeReplicate byte = 'r'
 	// purposeProbe is a health probe answered directly by the cluster
 	// layer (empty NOERROR) without touching the resolver, so probe RTT
 	// measures peer liveness, not upstream latency.
@@ -40,22 +33,13 @@ const (
 // resolver; .invalid keeps any misdirected copy unresolvable (RFC 2606).
 const ProbeName = "_cluster-health.invalid."
 
-// DefaultReplicas is how many peers beyond the owner carry each hot key
-// (K=2: with the owner that is three copies, so two failures leave the
-// popular tail warm somewhere).
-const DefaultReplicas = 2
-
 // Node tuning.
 const (
 	// loadFactor is the bounded-load factor c in the ceil(c·(total+1)/N)
 	// per-peer bound on in-flight forwards.
 	loadFactor = 1.25
-	// forwardTimeout bounds one peer forward, replication push or probe.
+	// forwardTimeout bounds one peer forward or probe.
 	forwardTimeout = 2 * time.Second
-	// replicationInflight bounds concurrent replication pushes; beyond it
-	// new pushes are dropped (the next prefetch refresh retries), so a
-	// hot-set burst cannot starve query forwarding.
-	replicationInflight = 16
 )
 
 // ErrClosed is returned for forwards attempted after Close.
@@ -63,9 +47,9 @@ var ErrClosed = errors.New("cluster: node closed")
 
 // Node is one cluster member's routing layer. It sits between the DNS
 // front ends and the local resolver: queries whose cache key the local
-// instance owns (or already holds, via replication) are answered
-// locally; misses owned by a peer are forwarded one hop over the
-// transport layer. Members, Local, Forward and Cache are required.
+// instance owns are answered locally; those a peer owns are forwarded one
+// hop over the transport layer, so each key is cached at its owner only.
+// Members, Local and Forward are required.
 type Node struct {
 	// Members is the ring + health view. Required.
 	Members *Membership
@@ -75,25 +59,14 @@ type Node struct {
 	// Forward exchanges marked queries with peers, addressed by the
 	// peer ID (a transport endpoint). Required.
 	Forward transport.Multi
-	// Cache answers template hits before any routing and peer-owned keys
-	// it holds a replicated copy of before they are forwarded. Usually
-	// the same cache the local resolver writes. Required.
-	Cache *resolver.Cache
 	// ClusterID must match on every member; mismatched hops are REFUSED.
 	ClusterID string
-	// Replicas is how many peers beyond the owner receive hot-set
-	// replication (default DefaultReplicas; negative disables).
-	Replicas int
 	// Now is the clock used for peer RTT measurement; nil uses
 	// time.Now. Hand it netsim.NowFunc(clock) in virtual-time tests.
 	Now func() time.Time
 
 	initOnce sync.Once
 	inflight map[string]*atomic.Int64 // per-peer in-flight forwards; fixed keys after init
-
-	repMu   sync.Mutex
-	repBusy map[repKey]bool
-	repSem  chan struct{}
 
 	closeMu sync.Mutex
 	closed  bool
@@ -105,18 +78,9 @@ type Node struct {
 	mFallback     *obs.Counter
 	mHopServed    *obs.Counter
 	mHopRefused   *obs.Counter
-	mRepDropped   *obs.Counter
 	mProbes       *obs.Counter
 	mForwards     *peerCounters
 	mForwardFails *peerCounters
-	mReplication  *peerCounters
-}
-
-// repKey identifies one in-flight replication push.
-type repKey struct {
-	peer string
-	name string
-	typ  dnswire.Type
 }
 
 // peerCounters lazily materialises one obs counter per peer label.
@@ -144,11 +108,9 @@ func (n *Node) init() {
 		for _, p := range n.Members.Remotes() {
 			n.inflight[p] = new(atomic.Int64)
 		}
-		n.repBusy = make(map[repKey]bool)
-		n.repSem = make(chan struct{}, replicationInflight)
 		reg := obs.Default()
 		n.mLocalHits = reg.Counter("cluster_local_hits_total",
-			"Queries answered from the local cache before routing (template hits) or from a replicated copy of a peer's key.")
+			"Queries answered on the local fast path before routing (template hits).")
 		n.mOwnerLocal = reg.Counter("cluster_owner_local_total",
 			"Queries whose cache key this instance owns (answered locally).")
 		n.mOwnerRemote = reg.Counter("cluster_owner_remote_total",
@@ -156,19 +118,15 @@ func (n *Node) init() {
 		n.mFallback = reg.Counter("cluster_forward_fallback_local_total",
 			"Forwards that failed and fell back to local resolution.")
 		n.mHopServed = reg.Counter("cluster_hop_served_total",
-			"Marked one-hop queries served for peers (forwards and replications).")
+			"Marked one-hop queries forwarded by peers and served here.")
 		n.mHopRefused = reg.Counter("cluster_hop_refused_total",
 			"Marked queries refused for carrying a foreign cluster ID.")
-		n.mRepDropped = reg.Counter("cluster_replication_dropped_total",
-			"Replication pushes dropped by the in-flight budget or dedup.")
 		n.mProbes = reg.Counter("cluster_probes_total",
 			"Active peer health probes sent.")
 		n.mForwards = &peerCounters{name: "cluster_forwards_total",
-			help: "Cache misses forwarded to the owning peer.", m: map[string]*obs.Counter{}}
+			help: "Queries forwarded to the owning peer.", m: map[string]*obs.Counter{}}
 		n.mForwardFails = &peerCounters{name: "cluster_forward_failures_total",
 			help: "Peer forwards that failed (timeout, network, refusal).", m: map[string]*obs.Counter{}}
-		n.mReplication = &peerCounters{name: "cluster_replication_sent_total",
-			help: "Hot-set replication pushes sent to each replica peer.", m: map[string]*obs.Counter{}}
 	})
 }
 
@@ -177,16 +135,6 @@ func (n *Node) now() time.Time {
 		return n.Now()
 	}
 	return time.Now()
-}
-
-func (n *Node) replicas() int {
-	if n.Replicas < 0 {
-		return 0
-	}
-	if n.Replicas == 0 {
-		return DefaultReplicas
-	}
-	return n.Replicas
 }
 
 // peerLoad reports a peer's in-flight forward count for the bounded-load
@@ -209,8 +157,8 @@ func (n *Node) beginOp() bool {
 	return true
 }
 
-// Close stops accepting new forwards and replication pushes and waits
-// for the in-flight ones to drain. Safe to call more than once. Callers
+// Close stops accepting new forwards and probes and waits for the
+// in-flight ones to drain. Safe to call more than once. Callers
 // shut down in order: front-end listeners first (no new queries), then
 // Close (drain peer traffic), then the forward transport and resolver.
 func (n *Node) Close() {
@@ -225,11 +173,10 @@ func (n *Node) Close() {
 }
 
 // ServeDNS implements dns53.Handler: the cluster routing decision for
-// one query. It routes first: a key this instance owns goes straight to
-// Local, whose own cache lookup is the one the query counts in; only a
-// key a peer owns is looked up in Cache — a replicated copy — before it
-// is forwarded. A query without a question has no key to route and is
-// answered FORMERR, as the resolvers answer it.
+// one query. A key this instance owns goes to Local, a key a peer owns is
+// forwarded to it, so the query is looked up in one cache, its owner's. A
+// query without a question has no key to route and is answered FORMERR,
+// as the resolvers answer it.
 func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	n.init()
 	if purpose, cid, ok := clusterHop(q); ok {
@@ -246,10 +193,6 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 	if !ok || owner == n.Members.Self() {
 		n.mOwnerLocal.Inc()
 		return n.Local.ServeDNS(ctx, q)
-	}
-	if resp, ok := n.Cache.Reply(q); ok {
-		n.mLocalHits.Inc()
-		return resp, nil
 	}
 	n.mOwnerRemote.Inc()
 	resp, err := n.forward(ctx, owner, q0)
@@ -269,29 +212,21 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 	return out, nil
 }
 
-// AppendResponse implements the dns53.ResponseAppender fast path:
-// local-partition (or replicated) hits are served straight from the
-// cache's wire template; everything else — including hop-marked peer
+// AppendResponse implements the dns53.ResponseAppender fast path: a hit
+// in Local's cache is served from its wire template when Local has a fast
+// path, whoever owns the key; everything else — including hop-marked peer
 // queries, which must run the full routing decision — declines back to
-// ServeDNS. Local's own fast path answers when it has one, so a hit feeds
-// the recursor's refresh-ahead (and through OnPrefetch, replication).
+// ServeDNS.
 func (n *Node) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
+	ra, ok := n.Local.(dns53.ResponseAppender)
+	if !ok {
+		return dst, 0, false
+	}
 	if _, _, ok := clusterHop(q); ok {
 		return dst, 0, false
 	}
 	n.init()
-	var (
-		out    []byte
-		minTTL int64
-		ok     bool
-	)
-	if ra, isRA := n.Local.(dns53.ResponseAppender); isRA {
-		out, minTTL, ok = ra.AppendResponse(dst, q, rawQuestion)
-	} else {
-		var res resolver.LookupResult
-		out, res, ok = n.Cache.AppendResponse(dst, q, rawQuestion)
-		minTTL = res.MinTTL()
-	}
+	out, minTTL, ok := ra.AppendResponse(dst, q, rawQuestion)
 	if !ok {
 		return dst, 0, false
 	}
@@ -349,77 +284,6 @@ func (n *Node) forward(ctx context.Context, peer string, q0 dnswire.Question) (*
 	}
 	n.Members.Observe(peer, true, rtt, "")
 	return resp, nil
-}
-
-// NoteHot replicates one hot cache key to its replica peers. Wire it to
-// resolver.Recursive.OnPrefetch: the prefetcher already identifies the
-// hot set (keys re-requested late in their TTL), and every refresh
-// re-announces the key, so replicas keep their copies warm without any
-// separate hot-set bookkeeping. Only the key's owner fans out — a
-// replica receiving the induced prefetch does not re-replicate, so
-// fanout is bounded at Replicas per refresh.
-func (n *Node) NoteHot(name string, t dnswire.Type) {
-	n.init()
-	k := n.replicas()
-	if k == 0 {
-		return
-	}
-	hash := keyhash.Key(name, uint16(t))
-	set := n.Members.Ring().Successors(hash, k+1)
-	if len(set) == 0 || set[0] != n.Members.Self() {
-		return
-	}
-	for _, peer := range set[1:] {
-		n.replicateAsync(peer, name, t)
-	}
-}
-
-// replicateAsync pushes one hot-key announcement in the background,
-// deduplicating concurrent pushes for the same (peer, key) and bounding
-// total in-flight pushes.
-func (n *Node) replicateAsync(peer, name string, t dnswire.Type) {
-	k := repKey{peer: peer, name: name, typ: t}
-	n.repMu.Lock()
-	if n.repBusy[k] {
-		n.repMu.Unlock()
-		n.mRepDropped.Inc()
-		return
-	}
-	select {
-	case n.repSem <- struct{}{}:
-	default:
-		n.repMu.Unlock()
-		n.mRepDropped.Inc()
-		return
-	}
-	n.repBusy[k] = true
-	n.repMu.Unlock()
-	release := func() {
-		n.repMu.Lock()
-		delete(n.repBusy, k)
-		n.repMu.Unlock()
-		<-n.repSem
-	}
-	if !n.beginOp() {
-		release()
-		return
-	}
-	go func() {
-		defer n.wg.Done()
-		defer release()
-		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
-		defer cancel()
-		fq := dnswire.NewQuery(dns53.NewID(), name, t)
-		setClusterHop(fq, purposeReplicate, n.ClusterID)
-		start := n.now()
-		_, err := n.Forward.Exchange(ctx, fq, peer)
-		n.mReplication.get(peer).Inc()
-		class := ""
-		if err != nil {
-			class = transport.Classify(err).String()
-		}
-		n.Members.Observe(peer, err == nil, n.now().Sub(start), class)
-	}()
 }
 
 // ProbeQuery builds one health-probe query for a cluster peer: a marked

@@ -1,11 +1,10 @@
 // Package cluster turns N resolver instances into one logical resolver
 // for the workloads the paper's mainstream operators serve: the answer
 // cache is partitioned across peers by a consistent-hash ring over the
-// shared cache-key bytes (internal/keyhash), cache misses are forwarded
-// one hop to the owning peer over the ordinary transport Exchanger layer
-// (retries, hedging, pools, and spans come for free), and the
-// prefetch-kept hot set is replicated to K peers so losing an instance
-// does not cold-start the popular tail. A membership layer with
+// shared cache-key bytes (internal/keyhash), and a query for a key
+// another peer owns is forwarded one hop to it over the ordinary transport
+// Exchanger layer (retries, pools and spans come for free), so each key
+// is cached once, at its owner. A membership layer with
 // hysteresis health (internal/monitor) rebuilds the ring when a peer
 // dies, and internal/netsim's catchment model steers simulated client
 // populations to the nearest healthy instance — the paper's
@@ -52,7 +51,8 @@ func mix64(x uint64) uint64 {
 
 // Ring is an immutable consistent-hash ring over a peer set. Ownership
 // of a key is the first virtual node at or clockwise from the key's
-// hash; replicas continue clockwise to the next distinct peers. Rebuilds
+// hash; the next distinct peers clockwise take the key's load when the
+// owner is saturated (OwnerBounded). Rebuilds
 // (peer death, recovery) swap in a whole new Ring, so readers never lock.
 type Ring struct {
 	points []point
@@ -128,8 +128,9 @@ func (r *Ring) Owner(hash uint64) (string, bool) {
 }
 
 // Successors returns up to n distinct peers in clockwise order starting
-// at hash's owner: the primary first, then the peers that hold its
-// replicas. With n >= Len it is the full peer set in ring order.
+// at hash's owner: the primary first, then the peers a bounded-load
+// spill tries in turn. With n >= Len it is the full peer set in ring
+// order.
 func (r *Ring) Successors(hash uint64, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil

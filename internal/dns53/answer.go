@@ -58,11 +58,12 @@ func Answer(ctx context.Context, h Handler, dst []byte, query *dnswire.Message, 
 	return appendMiss(ctx, h, dst, query, limit)
 }
 
-// AppendInline is the non-blocking half. Three shapes no handler is asked
-// about come first: an opcode other than QUERY is answered NOTIMP (RFC
-// 1035 §4.1.1), a question count other than one FORMERR, and a class
-// other than IN or ANY REFUSED (authdns.Zone's rule; the handlers keep
-// their own checks). Then the handler's ResponseAppender fast path, when
+// AppendInline is the non-blocking half. Four shapes no handler is asked
+// about come first: an EDNS version other than 0 is answered BADVERS (RFC
+// 6891 §6.1.3), an opcode other than QUERY NOTIMP (RFC 1035 §4.1.1), a
+// question count other than one FORMERR, and a class other than IN or ANY
+// REFUSED (authdns.Zone's rule; the handlers keep their own checks). Then
+// the handler's ResponseAppender fast path, when
 // it has one and the query's question can be echoed verbatim; else — for
 // an InMemory handler — the miss half in line, with its panic containment,
 // SERVFAIL and truncation, reported in err as appendMiss reports it.
@@ -77,7 +78,7 @@ func AppendInline(ctx context.Context, h Handler, dst []byte, query *dnswire.Mes
 	if ra, isRA := h.(ResponseAppender); isRA {
 		if rawQ, echoable := dnswire.QuestionBytes(raw); echoable {
 			if out, minTTL, ok = ra.AppendResponse(dst, query, rawQ); ok {
-				out, minTTL = seal(out, len(dst), query, limit, minTTL)
+				out, minTTL = seal(out, len(dst), query, 0, limit, minTTL)
 				return out, minTTL, true, nil
 			}
 		}
@@ -110,14 +111,17 @@ func appendMiss(ctx context.Context, h Handler, dst []byte, query *dnswire.Messa
 			minTTL = int64(rr.TTL)
 		}
 	}
-	out, minTTL = seal(out, len(dst), query, limit, minTTL)
+	out, minTTL = seal(out, len(dst), query, 0, limit, minTTL)
 	return out, minTTL, nil
 }
 
 // refuse reports the RCODE for a query AppendInline answers without its
-// handler: not a QUERY, not exactly one question, or a class the
-// resolvers hold no data for.
+// handler: an EDNS version we do not speak, not a QUERY, not exactly one
+// question, or a class the resolvers hold no data for.
 func refuse(query *dnswire.Message) (dnswire.RCode, bool) {
+	if opt, edns := query.EDNS(); edns && opt.Version != 0 {
+		return dnswire.RCodeBadVers, true
+	}
 	switch {
 	case query.Header.Opcode != dnswire.OpcodeQuery:
 		return dnswire.RCodeNotImpl, true
@@ -130,7 +134,8 @@ func refuse(query *dnswire.Message) (dnswire.RCode, bool) {
 }
 
 // appendRCode appends query's reply with rcode and no records: ID, opcode,
-// RD and question echoed, sealed like any answer.
+// RD and question echoed, sealed like any answer. The header carries
+// rcode's low four bits, the OPT the rest.
 func appendRCode(dst []byte, query *dnswire.Message, rcode dnswire.RCode, limit int) []byte {
 	resp := query.Reply()
 	resp.Header.RCode = rcode
@@ -139,7 +144,7 @@ func appendRCode(dst []byte, query *dnswire.Message, rcode dnswire.RCode, limit 
 		// A question that parsed but does not pack: answer without it.
 		out = dnswire.AppendRawHeader(dst, query.Header.ID, resp.Header.Flags(), 0, 0, 0, 0)
 	}
-	out, _ = seal(out, len(dst), query, limit, -1)
+	out, _ = seal(out, len(dst), query, uint8(rcode>>4), limit, -1)
 	return out
 }
 
@@ -148,10 +153,11 @@ const optLen = 11
 
 // seal ends the response out[at:] to query. When the query carried an OPT
 // the response gets one too, last (RFC 6891 §7): root owner, CLASS our
-// payload size, version 0, the query's DO bit (RFC 3225 §3), no options.
-// It counts against limit, and an answer over limit is cut (see truncate)
-// with the OPT kept and minTTL turned to -1.
-func seal(out []byte, at int, query *dnswire.Message, limit int, minTTL int64) ([]byte, int64) {
+// payload size, extended RCODE ext (the bits of the RCODE above the
+// header's four), version 0, the query's DO bit (RFC 3225 §3), no
+// options. It counts against limit, and an answer over limit is cut (see
+// truncate) with the OPT kept and minTTL turned to -1.
+func seal(out []byte, at int, query *dnswire.Message, ext uint8, limit int, minTTL int64) ([]byte, int64) {
 	opt, edns := query.EDNS()
 	size := len(out) - at
 	if edns {
@@ -172,7 +178,7 @@ func seal(out []byte, at int, query *dnswire.Message, limit int, minTTL int64) (
 	// Root owner, TYPE, CLASS, TTL (extended RCODE, version, DO and Z),
 	// RDLENGTH.
 	return append(out, 0, 0, byte(dnswire.TypeOPT), dnswire.MaxEDNSSize>>8, dnswire.MaxEDNSSize&0xFF,
-		0, 0, do, 0, 0, 0), minTTL
+		ext, 0, do, 0, 0, 0), minTTL
 }
 
 // ServeContained runs ServeDNS and turns a panic or a nil response into

@@ -217,6 +217,14 @@ func withDO(query []byte) []byte {
 	return out
 }
 
+// withVersion returns query, which ends in an OPT without options, with
+// the OPT's VERSION set to v.
+func withVersion(query []byte, v uint8) []byte {
+	out := bytes.Clone(query)
+	out[len(out)-5] = v
+	return out
+}
+
 // twoQuestions packs a query asking for both names at once.
 func twoQuestions(t *testing.T, id uint16, a, b string) []byte {
 	t.Helper()
@@ -274,6 +282,10 @@ func scriptedCases(t *testing.T, prefix string) []answerCase {
 		// than one, are answered before the template path too.
 		{prefix + "CH class, template hit", withClass(packQuery(t, 0x100c, "www.example.com.", dnswire.TypeA, 0), dnswire.ClassCH), dnswire.RCodeRefused, 0, true, false},
 		{prefix + "two questions", twoQuestions(t, 0x100d, "www.example.com.", "miss.example.com."), dnswire.RCodeFormat, 0, true, false},
+		// An EDNS version we do not speak: BADVERS, a cached name too,
+		// with header RCODE 0 and the upper bits in our version-0 OPT.
+		{prefix + "EDNS version 1, template hit", withVersion(packQuery(t, 0x100e, "www.example.com.", dnswire.TypeA, 1232), 1), dnswire.RCodeBadVers, 0, true, true},
+		{prefix + "EDNS version 1, miss", withVersion(withDO(packQuery(t, 0x100f, "miss.example.com.", dnswire.TypeA, 1232)), 1), dnswire.RCodeBadVers, 0, true, true},
 	}
 }
 
@@ -309,7 +321,9 @@ func answerAlike(t *testing.T, frontends []frontend, cases []answerCase) {
 					if err != nil {
 						t.Fatalf("%s: %v", fe.name, err)
 					}
-					if m.Header.ID != binary.BigEndian.Uint16(tc.query) || m.Header.RCode != tc.rcode || len(m.Answers) != tc.answers || m.Header.TC ||
+					// Unpack folds the OPT's extended RCODE into the header's.
+					if m.Header.ID != binary.BigEndian.Uint16(tc.query) || m.Header.RCode != tc.rcode || got[3]&0xF != byte(tc.rcode&0xF) ||
+						len(m.Answers) != tc.answers || m.Header.TC ||
 						m.Header.Opcode != dnswire.Opcode(tc.query[2]>>3&0xF) || m.Header.RD != (tc.query[2]&1 == 1) {
 						t.Fatalf("%s answered %v", fe.name, m)
 					}
@@ -330,7 +344,8 @@ func answerAlike(t *testing.T, frontends []frontend, cases []answerCase) {
 
 // checkOPT wants resp to end in exactly one OPT when the query carried
 // one (root owner, CLASS MaxEDNSSize, version 0, the query's DO bit, no
-// options) and to carry none otherwise.
+// options, extended RCODE 1 — BADVERS — when the query's version is not
+// 0 and 0 otherwise) and to carry none otherwise.
 func checkOPT(t *testing.T, frontend string, query []byte, resp *dnswire.Message, want bool) {
 	t.Helper()
 	q, err := dnswire.Unpack(query)
@@ -354,9 +369,14 @@ func checkOPT(t *testing.T, frontend string, query []byte, resp *dnswire.Message
 		t.Fatalf("%s: %d OPT records in %d additional, want one, last", frontend, len(opts), len(resp.Additional))
 	}
 	opt := opts[0].Data.(*dnswire.OPT)
-	if opts[0].Name != "." || opt.UDPSize != dnswire.MaxEDNSSize || opt.Version != 0 || opt.ExtRCode != 0 ||
+	var ext uint8
+	if qopt.Version != 0 {
+		ext = uint8(dnswire.RCodeBadVers >> 4)
+	}
+	if opts[0].Name != "." || opt.UDPSize != dnswire.MaxEDNSSize || opt.Version != 0 || opt.ExtRCode != ext ||
 		opt.DO != qopt.DO || len(opt.Options) != 0 {
-		t.Fatalf("%s: OPT %s %+v, want root, size %d, version 0, DO %v, no options", frontend, opts[0].Name, *opt, dnswire.MaxEDNSSize, qopt.DO)
+		t.Fatalf("%s: OPT %s %+v, want root, size %d, extended RCODE %d, version 0, DO %v, no options",
+			frontend, opts[0].Name, *opt, dnswire.MaxEDNSSize, ext, qopt.DO)
 	}
 }
 

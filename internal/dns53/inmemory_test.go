@@ -120,7 +120,6 @@ func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 	node := &cluster.Node{
 		Members: cluster.NewMembership("udp://127.0.0.1:1", nil, monitor.Config{}),
 		Local:   local,
-		Cache:   local.Cache,
 	}
 	blocking := registryResolver(64)
 	blocking.Exchange = hiddenExchanger{blocking.Exchange}
@@ -215,20 +214,17 @@ func TestFullQueueDropsNotBlocks(t *testing.T) {
 }
 
 // TestInMemoryLoopsShareOneResolver runs two receive loops over one
-// in-memory resolver with refresh-ahead on every hit, both fed the same
-// never-seen names at once, so both loops walk the same name at once
-// while refreshes run beside them. Meant for -race; every
-// answer must carry the right RCODE, and Shutdown — no miss to wait
-// for — must leave no goroutine behind.
+// in-memory resolver, both fed the same never-seen names at once, so both
+// loops walk the same name at once. Meant for -race; every answer must
+// carry the right RCODE, and Shutdown — no miss to wait for — must leave
+// no goroutine behind.
 func TestInMemoryLoopsShareOneResolver(t *testing.T) {
 	// The one case is the unhedged walk; the subtest keeps its name from
 	// when a hedged variant ran beside it.
 	t.Run("hedge=false", func(t *testing.T) {
 		baseline := testutil.GoroutineBaseline()
 		rec := registryResolver(4096)
-		rec.PrefetchFraction = 1
-		var refreshed atomic.Int64
-		rec.OnPrefetch = func(string, dnswire.Type) { refreshed.Add(1) }
+		misses := testutil.CounterValue(t, "resolver_cache_misses_total")
 		srv := &dns53.Server{Handler: rec}
 		var wrong atomic.Int64
 		check := func(p udpbatch.Packet) {
@@ -247,8 +243,8 @@ func TestInMemoryLoopsShareOneResolver(t *testing.T) {
 			loops.Add(1)
 			go func() { defer loops.Done(); _ = srv.ServeUDP(c) }()
 		}
-		const n = 16
-		for round := 0; round < 50; round++ {
+		const n, rounds = 16, 50
+		for round := 0; round < rounds; round++ {
 			batch := mixedRegistryBatch(t, round, n)
 			for _, c := range conns {
 				c.feed <- batch
@@ -259,12 +255,13 @@ func TestInMemoryLoopsShareOneResolver(t *testing.T) {
 		}
 		srv.Shutdown()
 		loops.Wait()
-		rec.Close()
 		if w := wrong.Load(); w != 0 {
 			t.Errorf("%d answers carried the wrong RCODE", w)
 		}
-		if refreshed.Load() == 0 {
-			t.Error("no refresh-ahead ran beside the loops: nothing was tested")
+		// Every never-seen name is a miss in at least one loop: fewer
+		// means the loops did not walk, and nothing was tested.
+		if got := testutil.CounterValue(t, "resolver_cache_misses_total") - misses; got < rounds*n/2 {
+			t.Errorf("resolver_cache_misses_total moved by %d, want at least %d walks", got, rounds*n/2)
 		}
 		testutil.WaitNoLeaks(t, baseline)
 	})

@@ -134,11 +134,15 @@ const (
 	RCodeNXDomain RCode = 3 // NXDOMAIN
 	RCodeNotImpl  RCode = 4 // NOTIMP
 	RCodeRefused  RCode = 5 // REFUSED
+	// RCodeBadVers needs EDNS: its upper eight bits travel in the OPT
+	// record (RFC 6891 §6.1.3), the header carries 0.
+	RCodeBadVers RCode = 16 // BADVERS
 )
 
 var rcodeNames = map[RCode]string{
 	RCodeSuccess: "NOERROR", RCodeFormat: "FORMERR", RCodeServFail: "SERVFAIL",
 	RCodeNXDomain: "NXDOMAIN", RCodeNotImpl: "NOTIMP", RCodeRefused: "REFUSED",
+	RCodeBadVers: "BADVERS",
 }
 
 // String returns the conventional mnemonic.

@@ -69,9 +69,6 @@ func (k cacheKey) shardIndex(mask uint32) uint32 {
 type cacheEntry struct {
 	key     cacheKey
 	expires time.Time
-	// ttl is the entry's original lifetime, kept so hits can report how
-	// deep into the lifetime they landed (refresh-ahead needs the ratio).
-	ttl time.Duration
 	// records is the positive RRset; empty for negative entries.
 	records []dnswire.Record
 	// tmpl is the precomputed wire-format answer template serving hits
@@ -138,8 +135,7 @@ func (s *cacheShard) moveToFront(e *cacheEntry) {
 // Cache is a TTL- and LRU-bounded DNS cache, safe for concurrent use.
 // Keys are spread across lock shards so concurrent lookups of different
 // names do not serialise on one mutex. An entry is dropped at the first
-// read past its expiry. Recursive, Forwarder and cluster.Node each
-// require one.
+// read past its expiry. Recursive and Forwarder each require one.
 type Cache struct {
 	shards  []cacheShard
 	mask    uint32
@@ -214,7 +210,6 @@ func (c *Cache) PutRRset(name string, t dnswire.Type, rrs []dnswire.Record) {
 	c.put(&cacheEntry{
 		key:     key,
 		expires: c.now().Add(d),
-		ttl:     d,
 		records: cp,
 		tmpl:    buildTemplate(key, cp),
 	})
@@ -246,7 +241,6 @@ func (c *Cache) putNegative(key cacheKey, nxdomain bool, ttl uint32) {
 	c.put(&cacheEntry{
 		key:      key,
 		expires:  c.now().Add(d),
-		ttl:      d,
 		negative: true,
 		nxdomain: nxdomain,
 		tmpl:     negativeTemplate(key),
@@ -279,35 +273,12 @@ func (c *Cache) put(e *cacheEntry) {
 // LookupResult reports what the cache knows about a (name, type).
 type LookupResult struct {
 	// Records is the positive RRset with TTLs aged to the remaining
-	// lifetime; nil for negative results and template-served hits.
+	// lifetime; nil for negative results.
 	Records []dnswire.Record
 	// Negative is true for a cached NXDOMAIN/NODATA.
 	Negative bool
 	// NXDomain is true when the negative entry is an NXDOMAIN.
 	NXDomain bool
-	// Remaining is the entry's time left before expiry and OrigTTL its
-	// original lifetime, both set on every hit. Their ratio tells a
-	// refresh-ahead caller how close the hit was to the TTL cliff.
-	Remaining time.Duration
-	OrigTTL   time.Duration
-}
-
-// MinTTL converts a hit into the RFC 8484 cache-lifetime value the
-// dns53.ResponseAppender contract reports: the minimum answer TTL in
-// seconds, or -1 when the response carries no answers (a negative hit; a
-// positive entry is never empty). Every answer TTL is aged to at most the
-// remaining lifetime and the RRset's shortest equals it, so no scan is
-// needed.
-func (r LookupResult) MinTTL() int64 {
-	if r.Negative {
-		return -1
-	}
-	return int64(r.Remaining / time.Second)
-}
-
-// result reports a read of e with remaining lifetime left, records aside.
-func (e *cacheEntry) result(remaining time.Duration) LookupResult {
-	return LookupResult{Negative: e.negative, NXDomain: e.nxdomain, Remaining: remaining, OrigTTL: e.ttl}
 }
 
 // Lookup returns the cached state for (name, type), expiring stale
@@ -333,7 +304,7 @@ func (c *Cache) lookupKey(key cacheKey, now time.Time, client bool) (LookupResul
 		cacheHits.Inc()
 		cacheHitMaterialized.Inc()
 	}
-	res := e.result(remaining)
+	res := LookupResult{Negative: e.negative, NXDomain: e.nxdomain}
 	if !e.negative {
 		res.Records = append([]dnswire.Record(nil), e.records...)
 		aged := uint32(remaining / time.Second)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"encdns/internal/authdns"
 	"encdns/internal/dnswire"
 )
 
@@ -240,5 +241,42 @@ func TestCacheShardingBounds(t *testing.T) {
 	}
 	if misses > 0 {
 		t.Fatalf("%d of the 64 most recent keys were evicted", misses)
+	}
+}
+
+// TestResolverStressRace mixes concurrent identical queries over an
+// advancing clock, so hits, expiries and in-line walks interleave; run
+// under -race by CI.
+func TestResolverStressRace(t *testing.T) {
+	clk := &fixedClock{now: time.Unix(1_700_000_000, 0)}
+	h := authdns.BuildHierarchy(authdns.MeasurementLeaves())
+	r := &Recursive{
+		Exchange: h.Registry,
+		Roots:    h.RootServers,
+		Cache:    NewCache(4096, clk.Now),
+		RNGSeed:  1,
+	}
+	names := []string{"google.com", "www.amazon.com", "wikipedia.com"}
+	const workers = 8
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 150; i++ {
+				name := names[(w+i)%len(names)]
+				if _, err := r.ServeDNS(context.Background(), dnswire.NewQuery(uint16(i), name, dnswire.TypeA)); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if i%25 == 0 {
+					// Hop the clock around TTL cliffs so hits, expiries
+					// and misses all interleave.
+					clk.advance(45 * time.Second)
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-done
 	}
 }

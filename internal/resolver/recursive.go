@@ -56,39 +56,26 @@ type Recursive struct {
 	Cache *Cache
 	// rngSeed, when non-zero, makes server selection deterministic.
 	RNGSeed uint64
-	// PrefetchFraction enables refresh-ahead: a cache hit whose
-	// remaining TTL is inside this final fraction of its original
-	// lifetime is served immediately while a deduplicated, budgeted
-	// background goroutine re-resolves the name, so steady-state hot
-	// names never take a top-level miss. 0 disables; 0.1 is typical.
-	PrefetchFraction float64
-	// OnPrefetch, when set, is called after each background refresh that
-	// completed successfully — i.e. for every key the refresh-ahead
-	// machinery currently considers hot. Cluster mode wires it to
-	// hot-set replication (internal/cluster Node.NoteHot). Called from
-	// the refresh goroutine; implementations must be cheap or go async.
-	OnPrefetch func(name string, t dnswire.Type)
 
 	// seedOnce draws the process seed exactly once when RNGSeed is zero,
 	// keeping time.Now off the per-query path.
 	seedOnce sync.Once
 	seed     uint64
-
-	// pf tracks in-flight refresh-ahead goroutines so Close can drain them.
-	pf prefetcher
 }
 
 // InMemory implements dns53.InMemory: ServeDNS never waits on I/O exactly
 // when Exchange never does (authdns.Registry). Nothing else a walk does on
 // the serving goroutine can wait on anything but such exchanges: the walk,
-// glueless NS hosts included, runs in line on the caller's goroutine, the
-// cache and memo take short locks, and refresh-ahead only starts a
-// goroutine (or drops the refresh), so OnPrefetch never runs on the
-// serving goroutine.
+// glueless NS hosts included, runs in line on the caller's goroutine, and
+// the cache and memo take short locks.
 func (r *Recursive) InMemory() bool {
 	m, ok := r.Exchange.(interface{ InMemory() bool })
 	return ok && m.InMemory()
 }
+
+// Close does nothing: the resolver starts no goroutine of its own. It
+// stays because benchmark/layers/serving.go:125 calls it.
+func (r *Recursive) Close() {}
 
 // ServeDNS answers a stub query by recursive resolution.
 func (r *Recursive) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
@@ -181,13 +168,11 @@ func (r *Recursive) resolveOne(ctx context.Context, key cacheKey, depth int) ([]
 			}
 			return nil, dnswire.RCodeSuccess, nil // NODATA
 		}
-		r.noteRefreshAhead(key, res)
 		return res.Records, dnswire.RCodeSuccess, nil
 	}
 	// A cached CNAME lets us skip a full walk.
 	cname := cacheKey{name: key.name, typ: dnswire.TypeCNAME}
 	if res, ok := r.Cache.lookupKey(cname, now, false); ok && !res.Negative {
-		r.noteRefreshAhead(cname, res)
 		return res.Records, dnswire.RCodeSuccess, nil
 	}
 	return r.resolveWalk(ctx, key, now, depth)

@@ -12,8 +12,7 @@ import (
 // memos, kept as the reference the differential tests run beside the
 // real one: every miss re-derives its starting servers from the NS RRset
 // and the address RRsets behind it through counted Cache.Lookups, remove
-// filters in place, referrals are cached whole. It carries no
-// prefetch — the tests that use it do not switch it on.
+// filters in place, referrals are cached whole.
 type refRecursive struct {
 	Exchange Exchanger
 	Roots    []string
@@ -43,11 +42,7 @@ func (r *refRecursive) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswi
 }
 
 func (r *refRecursive) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	out, info, ok := r.Cache.AppendResponse(dst, q, rawQuestion)
-	if !ok {
-		return dst, 0, false
-	}
-	return out, info.MinTTL(), true
+	return r.Cache.AppendResponse(dst, q, rawQuestion)
 }
 
 func (r *refRecursive) Resolve(ctx context.Context, name string, t dnswire.Type, depth int) ([]dnswire.Record, dnswire.RCode, error) {
@@ -291,7 +286,7 @@ func cloneCache(c *Cache) *Cache {
 		out.shards[i].items = make(map[cacheKey]*cacheEntry, len(src.items))
 		out.shards[i].max = src.max
 		for e := src.tail; e != nil; e = e.prev {
-			out.put(&cacheEntry{key: e.key, expires: e.expires, ttl: e.ttl, records: e.records,
+			out.put(&cacheEntry{key: e.key, expires: e.expires, records: e.records,
 				tmpl: e.tmpl, negative: e.negative, nxdomain: e.nxdomain})
 		}
 		src.mu.Unlock()

@@ -130,21 +130,23 @@ func questionKey(q *dnswire.Message) (cacheKey, bool) {
 // name spellings). The caller then falls back to the ServeDNS path,
 // which owns miss accounting, so a failed fast path never double-counts.
 // The lookup is an ordinary find: an expired entry it meets is evicted
-// then and there, and one it declines still counts as used.
-func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, LookupResult, bool) {
+// then and there, and one it declines still counts as used. The entry is
+// immutable, so its template is copied after find has dropped the shard
+// lock.
+//
+// minTTL is the RFC 8484 cache-lifetime value the dns53.ResponseAppender
+// contract reports: the minimum answer TTL in seconds, or -1 when the
+// response carries no answers (a negative hit; a positive entry is never
+// empty). Every answer TTL is aged to at most the remaining lifetime and
+// the RRset's shortest equals it, so no scan is needed.
+func (c *Cache) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) (out []byte, minTTL int64, ok bool) {
 	key, ok := questionKey(q)
 	if !ok {
-		return dst, LookupResult{}, false
+		return dst, 0, false
 	}
-	return c.appendResponse(dst, key, q, rawQuestion)
-}
-
-// appendResponse is AppendResponse for q's key. The entry is immutable,
-// so its template is copied after find has dropped the shard lock.
-func (c *Cache) appendResponse(dst []byte, key cacheKey, q *dnswire.Message, rawQuestion []byte) ([]byte, LookupResult, bool) {
 	e, remaining := c.find(key, c.now())
 	if e == nil || int(e.tmpl.qlen) != len(rawQuestion) {
-		return dst, LookupResult{}, false
+		return dst, 0, false
 	}
 	rcode := dnswire.RCodeSuccess
 	if e.nxdomain {
@@ -171,33 +173,22 @@ func (c *Cache) appendResponse(dst []byte, key cacheKey, q *dnswire.Message, raw
 	}
 	cacheHits.Inc()
 	cacheHitTemplate.Inc()
-	return dst, e.result(remaining), true
+	if e.negative {
+		return dst, -1, true
+	}
+	return dst, int64(aged), true
 }
 
 // AppendResponse implements the dns53.ResponseAppender fast path for the
-// recursive resolver: direct cache hits are served from wire templates,
-// still feeding refresh-ahead exactly like a materialized hit. Anything
-// else — miss, CNAME chase — declines, and the server falls back to
-// ServeDNS.
+// recursive resolver: direct cache hits are served from wire templates.
+// Anything else — miss, CNAME chase — declines, and the server falls back
+// to ServeDNS.
 func (r *Recursive) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	key, ok := questionKey(q)
-	if !ok {
-		return dst, 0, false
-	}
-	out, res, ok := r.Cache.appendResponse(dst, key, q, rawQuestion)
-	if !ok {
-		return dst, 0, false
-	}
-	r.noteRefreshAhead(key, res)
-	return out, res.MinTTL(), true
+	return r.Cache.AppendResponse(dst, q, rawQuestion)
 }
 
 // AppendResponse implements the dns53.ResponseAppender fast path for the
 // forwarding resolver.
 func (f *Forwarder) AppendResponse(dst []byte, q *dnswire.Message, rawQuestion []byte) ([]byte, int64, bool) {
-	out, res, ok := f.Cache.AppendResponse(dst, q, rawQuestion)
-	if !ok {
-		return dst, 0, false
-	}
-	return out, res.MinTTL(), true
+	return f.Cache.AppendResponse(dst, q, rawQuestion)
 }

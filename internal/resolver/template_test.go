@@ -280,7 +280,7 @@ func TestTemplateHitZeroAllocs(t *testing.T) {
 		t.Fatalf("Cache.AppendResponse allocated %.1f/op, want 0", allocs)
 	}
 
-	rec := &Recursive{Cache: c, PrefetchFraction: 0.1}
+	rec := &Recursive{Cache: c}
 	if allocs := testing.AllocsPerRun(200, func() {
 		out, _, ok := rec.AppendResponse(buf[:0], q, rawQ)
 		if !ok || len(out) == 0 {
