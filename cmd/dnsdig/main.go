@@ -189,7 +189,7 @@ func fmtDur(d time.Duration) string {
 // them as every member does), probes each peer's health over the cluster
 // marker protocol, and prints where the query name lives.
 func runRing(ctx context.Context, w io.Writer, name string, qtype dnswire.Type, peers []string, clusterID string, timeout time.Duration) error {
-	r := cluster.NewRing(peers, 0)
+	r := cluster.NewRing(peers)
 	if r.Len() == 0 {
 		return fmt.Errorf("-ring: no usable peers")
 	}

@@ -352,7 +352,7 @@ func TestChainFlag(t *testing.T) {
 // probes fail and only the ring lines are compared.
 func TestRingCanonicalPeers(t *testing.T) {
 	ids := []string{"udp://127.0.0.1:5301", "udp://127.0.0.1:5302", "udp://127.0.0.1:5303"}
-	owner, _ := cluster.NewRing(ids, 0).Owner(keyhash.Key("www.google.com.", uint16(dnswire.TypeA)))
+	owner, _ := cluster.NewRing(ids).Owner(keyhash.Key("www.google.com.", uint16(dnswire.TypeA)))
 	want := ";; owner: " + owner + "\n"
 	for _, peers := range []string{
 		"127.0.0.1:5301,127.0.0.1:5302,127.0.0.1:5303",

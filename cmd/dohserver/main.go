@@ -32,7 +32,6 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/doh"
 	"encdns/internal/dot"
-	"encdns/internal/monitor"
 	"encdns/internal/obs"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
@@ -100,9 +99,8 @@ func run() error {
 		}
 		peerPool = transport.NewPool(transport.Options{})
 		node = &cluster.Node{
-			Members: cluster.NewMembership(selfID, remotes, monitor.Config{
-				Interval: time.Second,
-			}),
+			Self:      selfID,
+			Peers:     remotes,
 			Local:     handler,
 			Forward:   peerPool,
 			ClusterID: *clusterID,
@@ -141,7 +139,7 @@ func run() error {
 	if node != nil {
 		// Active probing is what re-admits a Down peer: no forwards are
 		// routed to it, so only probes can observe it healthy again.
-		go node.ProbeLoop(ctx, time.Second)
+		go node.ProbeLoop(ctx)
 	}
 
 	if *do53Addr != "" {

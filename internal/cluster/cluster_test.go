@@ -16,7 +16,6 @@ import (
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/keyhash"
-	"encdns/internal/monitor"
 	"encdns/internal/netsim"
 	"encdns/internal/resolver"
 	"encdns/internal/testutil"
@@ -89,36 +88,20 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	return newTestClusterEvery(t, n, time.Second)
-}
-
-// newTestClusterEvery is newTestCluster with the health trackers stepping
-// every interval. Each forward's observation re-reads every burn window,
-// the longest six hours, so a run of many forwards wants coarse slots.
-func newTestClusterEvery(t *testing.T, n int, interval time.Duration) *testCluster {
-	t.Helper()
 	clock := netsim.NewVirtualClock(time.Unix(1700000000, 0))
 	tc := &testCluster{net: newLoopNet(), clock: clock}
 	for i := 0; i < n; i++ {
 		tc.peers = append(tc.peers, fmt.Sprintf("udp://127.0.0.1:%d", 5301+i))
 	}
 	for i, self := range tc.peers {
-		remotes := make([]string, 0, n-1)
-		for _, p := range tc.peers {
-			if p != self {
-				remotes = append(remotes, p)
-			}
-		}
 		cache := resolver.NewCache(1024, clock.Now)
 		local := &countingResolver{
 			cache: cache,
 			addr:  netip.MustParseAddr(fmt.Sprintf("192.0.2.%d", i+1)),
 		}
 		node := &Node{
-			Members: NewMembership(self, remotes, monitor.Config{
-				Now:      netsim.NowFunc(clock),
-				Interval: interval,
-			}),
+			Self:      self,
+			Peers:     tc.peers, // Self among them is dropped
 			Local:     local,
 			Forward:   tc.net,
 			ClusterID: "test-cluster",
@@ -141,7 +124,7 @@ func newTestClusterEvery(t *testing.T, n int, interval time.Duration) *testClust
 // owns on node 0's current ring.
 func (tc *testCluster) ownedNames(t *testing.T, idx, n int) []string {
 	t.Helper()
-	ring := tc.nodes[0].Members.Ring()
+	ring := tc.nodes[0].currentRing()
 	var out []string
 	for i := 0; i < 10000 && len(out) < n; i++ {
 		name := fmt.Sprintf("owned-%d.example.com.", i)
@@ -295,9 +278,7 @@ func TestClusterActsAsOneCache(t *testing.T) {
 		pool[i] = fmt.Sprintf("z%d.example.com.", i)
 	}
 	missRatio := func(nodes, entries int, s float64) float64 {
-		// No virtual time passes, so the health tracker's interval
-		// changes nothing but the cost of each forward's observation.
-		tc := newTestClusterEvery(t, nodes, time.Hour)
+		tc := newTestCluster(t, nodes)
 		locals := make([]*countingResolver, nodes)
 		for i, n := range tc.nodes {
 			cache := resolver.NewCache(entries, tc.clock.Now)
@@ -387,7 +368,7 @@ func TestClusterFastPathIsLocals(t *testing.T) {
 func TestClusterEmptyQuestion(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	n := tc.nodes[0]
-	if owner, _ := n.Members.Ring().Owner(keyhash.Key("", 0)); owner == tc.peers[0] {
+	if owner, _ := n.currentRing().Owner(keyhash.Key("", 0)); owner == tc.peers[0] {
 		n = tc.nodes[1] // a node the empty key is remote to
 	}
 	resp, err := n.ServeDNS(context.Background(), &dnswire.Message{Header: dnswire.Header{ID: 7, RD: true}})
@@ -406,7 +387,7 @@ func TestClusterEmptyQuestion(t *testing.T) {
 
 // TestClusterPeerFailureRebuildsRingAndRecovers drives the full
 // membership lifecycle in virtual time: a dead peer leaves the ring
-// after DownAfter consecutive failed forwards (clients still get
+// after downAfter consecutive failed forwards (clients still get
 // answers via local fallback), and active probes re-admit it once it
 // comes back.
 func TestClusterPeerFailureRebuildsRingAndRecovers(t *testing.T) {
@@ -418,7 +399,7 @@ func TestClusterPeerFailureRebuildsRingAndRecovers(t *testing.T) {
 	tc.net.setFail(victim, true)
 	rebuilds := testutil.CounterValue(t, "cluster_ring_rebuilds_total")
 
-	// Default DownAfter is 3 consecutive failures. Distinct names each
+	// downAfter is 3 consecutive failures. Distinct names each
 	// time — the local fallback caches its answer, so a repeat of the
 	// same name would short-circuit at the cache and observe nothing.
 	// Every query still gets an answer: the forward fails, the origin
@@ -433,7 +414,7 @@ func TestClusterPeerFailureRebuildsRingAndRecovers(t *testing.T) {
 	if got := testutil.CounterValue(t, "cluster_ring_rebuilds_total") - rebuilds; got != 1 {
 		t.Fatalf("%d ring rebuilds after the peer went down, want 1", got)
 	}
-	ring := tc.nodes[0].Members.Ring()
+	ring := tc.nodes[0].currentRing()
 	if ring.Len() != 2 || slices.Contains(ring.Peers(), victim) {
 		t.Fatalf("ring peers after failure = %v, want the two survivors", ring.Peers())
 	}
@@ -442,9 +423,9 @@ func TestClusterPeerFailureRebuildsRingAndRecovers(t *testing.T) {
 	}
 
 	// Recovery: the peer comes back; active probes observe it healthy.
-	// Leaving Down needs HealthyAfter consecutive successes AND the
-	// failure ratio over DegradedWindow (1m) back under the hysteresis
-	// band, so let the failure burst age out of the window first.
+	// Rejoining needs upAfter consecutive successes AND no failure in
+	// the last cleanFor (1m), so let the failure burst age out of the
+	// window first.
 	tc.net.setFail(victim, false)
 	rebuilds = testutil.CounterValue(t, "cluster_ring_rebuilds_total")
 	tc.clock.Advance(90 * time.Second)
@@ -455,8 +436,127 @@ func TestClusterPeerFailureRebuildsRingAndRecovers(t *testing.T) {
 	if got := testutil.CounterValue(t, "cluster_ring_rebuilds_total") - rebuilds; got != 1 {
 		t.Fatalf("%d ring rebuilds after the probes, want 1 (re-admission)", got)
 	}
-	if ring := tc.nodes[0].Members.Ring(); !slices.Contains(ring.Peers(), victim) {
+	if ring := tc.nodes[0].currentRing(); !slices.Contains(ring.Peers(), victim) {
 		t.Fatalf("recovered peer not back on the ring: %v", ring.Peers())
+	}
+}
+
+// TestClusterPeerRejoinsAfterCleanMinute pins the rejoin rule on the
+// virtual clock: a peer off the ring comes back only on a run of upAfter
+// successes with no failure in the last cleanFor, however many successes
+// follow a lone failure, while a peer that fails every other exchange
+// never leaves. Every flip is one ring rebuild.
+func TestClusterPeerRejoinsAfterCleanMinute(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	victim := tc.peers[1]
+	origin := tc.nodes[0]
+	probe := func(fail bool) {
+		t.Helper()
+		tc.net.setFail(victim, fail)
+		tc.clock.Advance(time.Second)
+		origin.ProbeOnce(context.Background())
+	}
+	rebuilds := testutil.CounterValue(t, "cluster_ring_rebuilds_total")
+	expect := func(step string, onRing bool, flips uint64) {
+		t.Helper()
+		if got := slices.Contains(origin.currentRing().Peers(), victim); got != onRing {
+			t.Fatalf("%s: peer on the ring = %v, want %v", step, got, onRing)
+		}
+		if got := testutil.CounterValue(t, "cluster_ring_rebuilds_total") - rebuilds; got != flips {
+			t.Fatalf("%s: %d ring rebuilds, want %d", step, got, flips)
+		}
+	}
+
+	for i := 0; i < 40; i++ {
+		probe(i%2 == 0)
+	}
+	expect("alternating ok and fail", true, 0)
+
+	probe(true)
+	probe(true)
+	expect("two failures in a row", true, 0)
+	probe(true)
+	expect("three failures in a row", false, 1)
+
+	// The outage ages out; then one lone failure and 30 successes, all
+	// inside a minute. A 1-in-31 failure ratio would have let the peer
+	// back; a failure in the last minute does not.
+	tc.clock.Advance(90 * time.Second)
+	probe(true)
+	for i := 0; i < 30; i++ {
+		probe(false)
+	}
+	expect("30 successes after a lone failure", false, 1)
+	// Successes go on; the peer rejoins with the probe that ends the
+	// clean minute, and not one before.
+	for i := 0; i < 29; i++ {
+		probe(false)
+	}
+	expect("59 s after the lone failure", false, 1)
+	probe(false)
+	expect("a minute after the lone failure", true, 2)
+
+	// Down again, then a minute with no exchange at all: the first run
+	// of three successes brings the peer back, and not its first two.
+	for i := 0; i < 3; i++ {
+		probe(true)
+	}
+	expect("down again", false, 3)
+	tc.clock.Advance(time.Minute)
+	probe(false)
+	probe(false)
+	expect("two successes after a clean minute", false, 3)
+	probe(false)
+	expect("three successes after a clean minute", true, 4)
+}
+
+// TestClusterHealthUnderConcurrentExchanges feeds one peer's health from
+// many forwards and probes at once: however they interleave, the peer
+// leaves the ring once while it fails and rejoins once after a clean
+// minute, one rebuild each.
+func TestClusterHealthUnderConcurrentExchanges(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	victim := tc.peers[1]
+	origin := tc.nodes[0]
+	names := tc.ownedNames(t, 1, 64)
+	rebuilds := testutil.CounterValue(t, "cluster_ring_rebuilds_total")
+	concurrently := func(work func(i int)) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(i)
+			}()
+		}
+		wg.Wait()
+	}
+
+	tc.net.setFail(victim, true)
+	concurrently(func(i int) {
+		for _, name := range names[i*8 : i*8+8] {
+			if resp, err := origin.ServeDNS(context.Background(), dnswire.NewQuery(dns53.NewID(), name, dnswire.TypeA)); err != nil || len(resp.Answers) != 1 {
+				t.Errorf("%s during the outage: %v", name, err)
+			}
+			origin.ProbeOnce(context.Background())
+		}
+	})
+	if slices.Contains(origin.currentRing().Peers(), victim) {
+		t.Fatal("failing peer still on the ring")
+	}
+
+	tc.net.setFail(victim, false)
+	tc.clock.Advance(2 * time.Minute)
+	concurrently(func(int) {
+		for j := 0; j < 4; j++ {
+			origin.ProbeOnce(context.Background())
+		}
+	})
+	if !slices.Contains(origin.currentRing().Peers(), victim) {
+		t.Fatal("recovered peer not back on the ring")
+	}
+	if got := testutil.CounterValue(t, "cluster_ring_rebuilds_total") - rebuilds; got != 2 {
+		t.Errorf("%d ring rebuilds, want 2 (one down, one up)", got)
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 	"net"
 	"net/netip"
 	"testing"
-	"time"
 
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/keyhash"
-	"encdns/internal/monitor"
 	"encdns/internal/resolver"
 	"encdns/internal/testutil"
 	"encdns/internal/transport"
@@ -37,12 +35,12 @@ func BenchmarkPeerHop(b *testing.B) {
 		b.Fatal(err)
 	}
 	const originID = "udp://127.0.0.1:1" // never dialed: the origin owns nothing asked
-	health := monitor.Config{Interval: time.Second}
 
 	cache := resolver.NewCache(4096, nil)
 	b.Cleanup(cache.Close)
 	peer := &Node{
-		Members:   NewMembership(peerID, []string{originID}, health),
+		Self:      peerID,
+		Peers:     []string{originID},
 		Local:     cacheFirst{&countingResolver{cache: cache, addr: netip.MustParseAddr("192.0.2.2")}},
 		ClusterID: "bench",
 	}
@@ -54,7 +52,8 @@ func BenchmarkPeerHop(b *testing.B) {
 	pool := transport.NewPool(transport.Options{Retry: &retry})
 	b.Cleanup(func() { pool.Close() })
 	origin := &Node{
-		Members: NewMembership(originID, []string{peerID}, health),
+		Self:  originID,
+		Peers: []string{peerID},
 		Local: testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
 			return nil, errors.New("the hop failed and the origin fell back to Local")
 		}),
@@ -63,7 +62,7 @@ func BenchmarkPeerHop(b *testing.B) {
 	}
 	b.Cleanup(origin.Close)
 
-	ring := origin.Members.Ring()
+	ring := origin.currentRing()
 	var queries []*dnswire.Message
 	for i := 0; len(queries) < 64; i++ {
 		name := fmt.Sprintf("hop-%d.example.com.", i)

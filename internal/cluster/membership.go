@@ -2,14 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"encdns/internal/monitor"
-	"encdns/internal/obs"
 	"encdns/internal/transport"
 )
 
@@ -47,103 +42,38 @@ func PeerIDs(peers string) ([]string, error) {
 	return ids, nil
 }
 
-// Membership tracks which peers are eligible to own ring segments. The
-// peer list is static (the paper's deployment model: a fixed fleet of
-// instances behind stable addresses); health is dynamic, driven through
-// the same hysteresis state machine the watchtower uses for upstream
-// resolvers (internal/monitor), so one dropped forward never reshuffles
-// the ring — only a StateDown transition does. Every eligibility change
-// swaps in a freshly built immutable Ring; readers never lock.
-type Membership struct {
-	self    string
-	remotes []string
-	tracker *monitor.Tracker
+// Peer health policy: the hysteresis that keeps one dropped forward from
+// reshuffling the ring. A remote peer leaves the ring after downAfter
+// consecutive failed exchanges (forwards and probes alike) and rejoins
+// after upAfter consecutive successes with no failure in the last
+// cleanFor, so a peer that fails now and then stays on the ring and a
+// dead one that comes back stays off it until it has been clean for a
+// while.
+const (
+	downAfter = 3
+	upAfter   = 3
+	cleanFor  = time.Minute
+)
 
-	mu       sync.Mutex
-	eligible map[string]bool
-	ring     atomic.Pointer[Ring]
-	rebuilds *obs.Counter
+// peerHealth is all a node keeps of one remote peer's exchanges.
+type peerHealth struct {
+	consecFail, consecOK int
+	lastFail             time.Time
 }
 
-// NewMembership builds the membership view for one instance. self is
-// this instance's cluster ID (by convention its transport endpoint as
-// the other peers dial it — every member must spell every ID the same
-// way or the rings disagree); peers are the remote members. health
-// configures the hysteresis tracker; set health.Now to a virtual clock
-// to drive the whole layer deterministically in tests. All peers start
-// eligible: a cluster must assume its members are up until observed
-// otherwise, or a cold start would forward nothing. Rings have
-// DefaultVNodes points per peer.
-func NewMembership(self string, peers []string, health monitor.Config) *Membership {
-	m := &Membership{
-		self:     self,
-		tracker:  monitor.New(health),
-		eligible: make(map[string]bool, len(peers)+1),
-		rebuilds: obs.Default().Counter("cluster_ring_rebuilds_total",
-			"Consistent-hash ring rebuilds caused by peer eligibility changes."),
+// step records one exchange outcome at now and returns whether the peer
+// belongs on the ring afterwards, given whether it is on it now.
+func (h *peerHealth) step(ok bool, now time.Time, eligible bool) bool {
+	if ok {
+		h.consecOK++
+		h.consecFail = 0
+	} else {
+		h.consecFail++
+		h.consecOK = 0
+		h.lastFail = now
 	}
-	seen := map[string]bool{self: true}
-	for _, p := range peers {
-		if p == "" || seen[p] {
-			continue
-		}
-		seen[p] = true
-		m.remotes = append(m.remotes, p)
-		m.eligible[p] = true
+	if eligible {
+		return h.consecFail < downAfter
 	}
-	sort.Strings(m.remotes)
-	m.eligible[self] = true
-	m.ring.Store(m.buildLocked())
-	return m
-}
-
-// Self returns this instance's cluster ID.
-func (m *Membership) Self() string { return m.self }
-
-// Remotes returns the remote peer IDs in sorted order. The slice is
-// shared; callers must not mutate it.
-func (m *Membership) Remotes() []string { return m.remotes }
-
-// Ring returns the current ring. The ring is immutable; hold the
-// pointer for the duration of one routing decision so its owner and
-// spill lookups agree.
-func (m *Membership) Ring() *Ring { return m.ring.Load() }
-
-// buildLocked constructs a ring over the currently eligible peers.
-// Callers hold m.mu (or are the constructor, pre-publication).
-func (m *Membership) buildLocked() *Ring {
-	eligible := make([]string, 0, len(m.remotes)+1)
-	eligible = append(eligible, m.self) // self is always eligible
-	for _, p := range m.remotes {
-		if m.eligible[p] {
-			eligible = append(eligible, p)
-		}
-	}
-	return NewRing(eligible, DefaultVNodes)
-}
-
-// Observe feeds one interaction outcome with a remote peer — a
-// forwarded query or an explicit probe — into the
-// health tracker, and rebuilds the ring when the peer's eligibility
-// flips. Down peers leave the ring (their key ranges fall to their ring
-// successors); recovery re-admits them after the tracker's
-// consecutive-success threshold.
-func (m *Membership) Observe(peer string, ok bool, rtt time.Duration, errClass string) {
-	if peer == m.self {
-		return
-	}
-	m.tracker.ObserveProbe(peer, ok, rtt, errClass)
-	st, tracked := m.tracker.State(peer)
-	if !tracked {
-		return
-	}
-	elig := st != monitor.StateDown
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cur, known := m.eligible[peer]; !known || cur == elig {
-		return
-	}
-	m.eligible[peer] = elig
-	m.ring.Store(m.buildLocked())
-	m.rebuilds.Inc()
+	return h.consecOK >= upAfter && now.Sub(h.lastFail) >= cleanFor
 }

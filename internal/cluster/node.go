@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,8 @@ const (
 	// receiver answers from its own resolver and never forwards on.
 	purposeForward byte = 'f'
 	// purposeProbe is a health probe answered directly by the cluster
-	// layer (empty NOERROR) without touching the resolver, so probe RTT
-	// measures peer liveness, not upstream latency.
+	// layer (empty NOERROR) without touching the resolver, so a probe
+	// tests the peer's liveness, not its upstream.
 	purposeProbe byte = 'p'
 )
 
@@ -40,6 +41,8 @@ const (
 	loadFactor = 1.25
 	// forwardTimeout bounds one peer forward or probe.
 	forwardTimeout = 2 * time.Second
+	// probeInterval is how often ProbeLoop probes every remote peer.
+	probeInterval = time.Second
 )
 
 // ErrClosed is returned for forwards attempted after Close.
@@ -49,10 +52,23 @@ var ErrClosed = errors.New("cluster: node closed")
 // front ends and the local resolver: queries whose cache key the local
 // instance owns are answered locally; those a peer owns are forwarded one
 // hop over the transport layer, so each key is cached at its owner only.
-// Members, Local and Forward are required.
+// Self, Local and Forward are required.
+//
+// The peer list is static (the paper's deployment model: a fixed fleet
+// of instances behind stable addresses); health is dynamic. The node
+// keeps each remote peer's health itself (peerHealth), fed by its own
+// forwards and probes, and every eligibility flip swaps in a freshly
+// built immutable Ring, so routing never locks. All peers start on the
+// ring: a cluster must assume its members are up until observed
+// otherwise, or a cold start would forward nothing.
 type Node struct {
-	// Members is the ring + health view. Required.
-	Members *Membership
+	// Self is this instance's cluster ID (PeerID of its Do53 endpoint
+	// as the other peers dial it: every member must spell every ID the
+	// same way or the rings disagree). Required.
+	Self string
+	// Peers are the remote members' cluster IDs; blanks, duplicates and
+	// Self are dropped.
+	Peers []string
 	// Local answers queries this instance serves itself (the recursive
 	// resolver, typically cache-backed). Required.
 	Local dns53.Handler
@@ -61,12 +77,18 @@ type Node struct {
 	Forward transport.Multi
 	// ClusterID must match on every member; mismatched hops are REFUSED.
 	ClusterID string
-	// Now is the clock used for peer RTT measurement; nil uses
-	// time.Now. Hand it netsim.NowFunc(clock) in virtual-time tests.
+	// Now is the clock peer health is judged by; nil uses time.Now.
+	// Hand it netsim.NowFunc(clock) in virtual-time tests.
 	Now func() time.Time
 
 	initOnce sync.Once
+	remotes  []string                 // Peers, sorted and deduplicated, without Self
 	inflight map[string]*atomic.Int64 // per-peer in-flight forwards; fixed keys after init
+
+	mu       sync.Mutex // guards eligible and health
+	eligible map[string]bool
+	health   map[string]*peerHealth
+	ring     atomic.Pointer[Ring]
 
 	closeMu sync.Mutex
 	closed  bool
@@ -79,6 +101,7 @@ type Node struct {
 	mHopServed    *obs.Counter
 	mHopRefused   *obs.Counter
 	mProbes       *obs.Counter
+	mRebuilds     *obs.Counter
 	mForwards     *peerCounters
 	mForwardFails *peerCounters
 }
@@ -103,11 +126,20 @@ func (pc *peerCounters) get(peer string) *obs.Counter {
 
 func (n *Node) init() {
 	n.initOnce.Do(func() {
-		n.inflight = make(map[string]*atomic.Int64, len(n.Members.Remotes())+1)
-		n.inflight[n.Members.Self()] = new(atomic.Int64)
-		for _, p := range n.Members.Remotes() {
+		n.inflight = map[string]*atomic.Int64{n.Self: new(atomic.Int64)}
+		n.eligible = map[string]bool{n.Self: true}
+		n.health = map[string]*peerHealth{}
+		for _, p := range n.Peers {
+			if _, seen := n.inflight[p]; p == "" || seen {
+				continue
+			}
+			n.remotes = append(n.remotes, p)
 			n.inflight[p] = new(atomic.Int64)
+			n.eligible[p] = true
+			n.health[p] = new(peerHealth)
 		}
+		sort.Strings(n.remotes)
+		n.ring.Store(n.buildRingLocked())
 		reg := obs.Default()
 		n.mLocalHits = reg.Counter("cluster_local_hits_total",
 			"Queries answered on the local fast path before routing (template hits).")
@@ -123,6 +155,8 @@ func (n *Node) init() {
 			"Marked queries refused for carrying a foreign cluster ID.")
 		n.mProbes = reg.Counter("cluster_probes_total",
 			"Active peer health probes sent.")
+		n.mRebuilds = reg.Counter("cluster_ring_rebuilds_total",
+			"Consistent-hash ring rebuilds caused by peer eligibility changes.")
 		n.mForwards = &peerCounters{name: "cluster_forwards_total",
 			help: "Queries forwarded to the owning peer.", m: map[string]*obs.Counter{}}
 		n.mForwardFails = &peerCounters{name: "cluster_forward_failures_total",
@@ -135,6 +169,46 @@ func (n *Node) now() time.Time {
 		return n.Now()
 	}
 	return time.Now()
+}
+
+// currentRing returns the ring routing decisions read now. The ring is
+// immutable; hold the pointer for the duration of one routing decision
+// so its owner and spill lookups agree.
+func (n *Node) currentRing() *Ring {
+	n.init()
+	return n.ring.Load()
+}
+
+// buildRingLocked constructs a ring over Self and the eligible remote
+// peers. Callers hold n.mu (or are init, before publication).
+func (n *Node) buildRingLocked() *Ring {
+	peers := []string{n.Self}
+	for _, p := range n.remotes {
+		if n.eligible[p] {
+			peers = append(peers, p)
+		}
+	}
+	return NewRing(peers)
+}
+
+// observe feeds one exchange with a remote peer, a forward or a probe,
+// into its health and rebuilds the ring when its eligibility flips: a
+// peer that leaves hands its key ranges to its ring successors.
+func (n *Node) observe(peer string, ok bool) {
+	now := n.now()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	h, known := n.health[peer]
+	if !known {
+		return
+	}
+	elig := h.step(ok, now, n.eligible[peer])
+	if elig == n.eligible[peer] {
+		return
+	}
+	n.eligible[peer] = elig
+	n.ring.Store(n.buildRingLocked())
+	n.mRebuilds.Inc()
 }
 
 // peerLoad reports a peer's in-flight forward count for the bounded-load
@@ -189,8 +263,8 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 		return resp, nil
 	}
 	hash := keyhash.Key(q0.Name, uint16(q0.Type))
-	owner, ok := n.Members.Ring().OwnerBounded(hash, n.peerLoad, loadFactor)
-	if !ok || owner == n.Members.Self() {
+	owner, ok := n.currentRing().OwnerBounded(hash, n.peerLoad, loadFactor)
+	if !ok || owner == n.Self {
 		n.mOwnerLocal.Inc()
 		return n.Local.ServeDNS(ctx, q)
 	}
@@ -198,10 +272,10 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 	resp, err := n.forward(ctx, owner, q0)
 	if err != nil {
 		// The owner is unreachable (or we are closing): answer locally
-		// rather than fail the client. The health tracker has already
-		// seen the failure; a dead peer leaves the ring after
-		// DownAfter consecutive misses and the fallback becomes the
-		// steady-state owner.
+		// rather than fail the client. forward has already counted the
+		// failure; a dead peer leaves the ring after downAfter
+		// consecutive failed exchanges and its ring successor becomes
+		// the steady-state owner.
 		n.mFallback.Inc()
 		return n.Local.ServeDNS(ctx, q)
 	}
@@ -254,7 +328,7 @@ func (n *Node) serveHop(ctx context.Context, q *dnswire.Message, purpose byte, c
 }
 
 // forward sends one marked query to peer and feeds the outcome into the
-// membership health tracker.
+// peer's health.
 func (n *Node) forward(ctx context.Context, peer string, q0 dnswire.Question) (*dnswire.Message, error) {
 	if !n.beginOp() {
 		return nil, ErrClosed
@@ -269,9 +343,7 @@ func (n *Node) forward(ctx context.Context, peer string, q0 dnswire.Question) (*
 	defer cancel()
 	fq := dnswire.NewQuery(dns53.NewID(), q0.Name, q0.Type)
 	setClusterHop(fq, purposeForward, n.ClusterID)
-	start := n.now()
 	resp, err := n.Forward.Exchange(ctx, fq, peer)
-	rtt := n.now().Sub(start)
 	if err == nil && resp.Header.RCode == dnswire.RCodeRefused {
 		// A peer refusing the hop marker is misconfigured (foreign
 		// cluster ID); treat it as down so the ring stops routing there.
@@ -279,10 +351,10 @@ func (n *Node) forward(ctx context.Context, peer string, q0 dnswire.Question) (*
 	}
 	if err != nil {
 		n.mForwardFails.get(peer).Inc()
-		n.Members.Observe(peer, false, rtt, transport.Classify(err).String())
+		n.observe(peer, false)
 		return nil, err
 	}
-	n.Members.Observe(peer, true, rtt, "")
+	n.observe(peer, true)
 	return resp, nil
 }
 
@@ -297,13 +369,14 @@ func ProbeQuery(clusterID string) *dnswire.Message {
 }
 
 // ProbeOnce actively probes every remote peer once and feeds the
-// outcomes into the health tracker. Passive observation alone cannot
-// recover a Down peer — no forwards are routed to it, so nothing would
-// ever observe it healthy again; the probe loop closes that loop.
+// outcomes into their health. Passive observation alone cannot bring
+// back a peer that left the ring — no forwards are routed to it, so
+// nothing would ever observe it healthy again; the probe loop closes
+// that loop.
 // dohserver runs it on a ticker; virtual-time tests call it directly.
 func (n *Node) ProbeOnce(ctx context.Context) {
 	n.init()
-	for _, peer := range n.Members.Remotes() {
+	for _, peer := range n.remotes {
 		if !n.beginOp() {
 			return
 		}
@@ -311,21 +384,15 @@ func (n *Node) ProbeOnce(ctx context.Context) {
 			defer n.wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 			defer cancel()
-			fq := ProbeQuery(n.ClusterID)
-			start := n.now()
-			_, err := n.Forward.Exchange(pctx, fq, peer)
-			class := ""
-			if err != nil {
-				class = transport.Classify(err).String()
-			}
-			n.Members.Observe(peer, err == nil, n.now().Sub(start), class)
+			_, err := n.Forward.Exchange(pctx, ProbeQuery(n.ClusterID), peer)
+			n.observe(peer, err == nil)
 		}()
 	}
 }
 
-// ProbeLoop runs ProbeOnce every interval until ctx is cancelled.
-func (n *Node) ProbeLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
+// ProbeLoop runs ProbeOnce every probeInterval until ctx is cancelled.
+func (n *Node) ProbeLoop(ctx context.Context) {
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -4,9 +4,9 @@
 // shared cache-key bytes (internal/keyhash), and a query for a key
 // another peer owns is forwarded one hop to it over the ordinary transport
 // Exchanger layer (retries, pools and spans come for free), so each key
-// is cached once, at its owner. A membership layer with
-// hysteresis health (internal/monitor) rebuilds the ring when a peer
-// dies, and internal/netsim's catchment model steers simulated client
+// is cached once, at its owner. Each node keeps its peers' health
+// itself, from its own forwards and probes, and rebuilds the ring when a
+// peer dies or comes back; internal/netsim's catchment model steers simulated client
 // populations to the nearest healthy instance — the paper's
 // anycast-multisite-vs-single-site contrast reproduced as an operator.
 package cluster
@@ -59,15 +59,12 @@ type Ring struct {
 	peers  []string
 }
 
-// NewRing builds a ring with vnodes virtual nodes per peer (DefaultVNodes
-// when <= 0). Duplicate peer IDs are collapsed; peer order does not
+// NewRing builds a ring with DefaultVNodes virtual nodes per peer.
+// Duplicate peer IDs are collapsed; peer order does not
 // affect the ring layout (virtual-node positions depend only on the peer
 // ID string), so every cluster member that agrees on the healthy peer
 // set agrees on ownership.
-func NewRing(peers []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+func NewRing(peers []string) *Ring {
 	seen := make(map[string]bool, len(peers))
 	uniq := make([]string, 0, len(peers))
 	for _, p := range peers {
@@ -80,10 +77,10 @@ func NewRing(peers []string, vnodes int) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		peers:  uniq,
-		points: make([]point, 0, len(uniq)*vnodes),
+		points: make([]point, 0, len(uniq)*DefaultVNodes),
 	}
 	for pi, p := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			r.points = append(r.points, point{
 				hash: mix64(keyhash.String(p + "#" + strconv.Itoa(v))),
 				peer: int32(pi),

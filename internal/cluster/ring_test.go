@@ -19,8 +19,8 @@ func sampleHashes(n int) []uint64 {
 }
 
 func TestRingOwnershipIndependentOfPeerOrder(t *testing.T) {
-	a := NewRing([]string{"p0", "p1", "p2"}, 0)
-	b := NewRing([]string{"p2", "p0", "p1", "p0"}, 0) // shuffled + duplicate
+	a := NewRing([]string{"p0", "p1", "p2"})
+	b := NewRing([]string{"p2", "p0", "p1", "p0"}) // shuffled + duplicate
 	for _, h := range sampleHashes(500) {
 		oa, _ := a.Owner(h)
 		ob, _ := b.Owner(h)
@@ -34,14 +34,14 @@ func TestRingOwnershipIndependentOfPeerOrder(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if _, ok := empty.Owner(42); ok {
 		t.Error("empty ring should own nothing")
 	}
 	if s := empty.Successors(42, 2); s != nil {
 		t.Errorf("empty ring successors = %v, want nil", s)
 	}
-	one := NewRing([]string{"solo"}, 0)
+	one := NewRing([]string{"solo"})
 	for _, h := range sampleHashes(50) {
 		if o, ok := one.Owner(h); !ok || o != "solo" {
 			t.Fatalf("single-peer ring owner = %q, %v", o, ok)
@@ -51,7 +51,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	peers := []string{"udp://10.0.0.1:53", "udp://10.0.0.2:53", "udp://10.0.0.3:53"}
-	r := NewRing(peers, 0)
+	r := NewRing(peers)
 
 	// Analytical shares sum to 1 and stay near 1/N with 64 vnodes.
 	shares := r.Shares()
@@ -84,8 +84,8 @@ func TestRingBalance(t *testing.T) {
 // TestRingMinimalDisruption is the consistent-hashing property itself:
 // removing one peer may only move keys that peer owned.
 func TestRingMinimalDisruption(t *testing.T) {
-	full := NewRing([]string{"p0", "p1", "p2", "p3"}, 0)
-	reduced := NewRing([]string{"p0", "p1", "p3"}, 0)
+	full := NewRing([]string{"p0", "p1", "p2", "p3"})
+	reduced := NewRing([]string{"p0", "p1", "p3"})
 	moved, owned := 0, 0
 	for _, h := range sampleHashes(4000) {
 		before, _ := full.Owner(h)
@@ -111,7 +111,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 }
 
 func TestRingSuccessorsDistinctAndOrdered(t *testing.T) {
-	r := NewRing([]string{"p0", "p1", "p2", "p3"}, 0)
+	r := NewRing([]string{"p0", "p1", "p2", "p3"})
 	for _, h := range sampleHashes(200) {
 		owner, _ := r.Owner(h)
 		succ := r.Successors(h, 3)
@@ -135,7 +135,7 @@ func TestRingSuccessorsDistinctAndOrdered(t *testing.T) {
 }
 
 func TestOwnerBoundedSpillsHotRange(t *testing.T) {
-	r := NewRing([]string{"p0", "p1", "p2"}, 0)
+	r := NewRing([]string{"p0", "p1", "p2"})
 	h := sampleHashes(1)[0]
 	owner, _ := r.Owner(h)
 	next := r.Successors(h, 2)[1]

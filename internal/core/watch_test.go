@@ -63,7 +63,7 @@ func TestWatchOutageDetection(t *testing.T) {
 			}
 		case phaseRecover:
 			if !testutil.AlertFiring(tracker.WatchReport(), watched, "fast") {
-				if st, _ := tracker.State(watched); st == monitor.StateHealthy {
+				if st, _ := testutil.TargetState(tracker.WatchReport(), watched); st == monitor.StateHealthy.String() {
 					resolvedAtRound = round
 					phase = phaseDone
 					cancel()

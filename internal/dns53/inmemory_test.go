@@ -19,7 +19,6 @@ import (
 	"encdns/internal/cluster"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
-	"encdns/internal/monitor"
 	"encdns/internal/obs"
 	"encdns/internal/resolver"
 	"encdns/internal/testutil"
@@ -118,8 +117,8 @@ func TestInMemoryMissesShareTheBatchWrite(t *testing.T) {
 func TestPoolOnlyForHandlersThatMayBlock(t *testing.T) {
 	local := registryResolver(64)
 	node := &cluster.Node{
-		Members: cluster.NewMembership("udp://127.0.0.1:1", nil, monitor.Config{}),
-		Local:   local,
+		Self:  "udp://127.0.0.1:1",
+		Local: local,
 	}
 	blocking := registryResolver(64)
 	blocking.Exchange = hiddenExchanger{blocking.Exchange}

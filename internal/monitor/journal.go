@@ -2,10 +2,10 @@
 // measurement engine: a per-target health state machine with hysteresis,
 // rolling-window availability SLOs evaluated as multi-window multi-burn-
 // rate alerts (the Google SRE workbook shape), and a bounded structured
-// event journal. It consumes probe outcomes (from the campaign's
-// observer hook or the cluster's forwards and peer probes), keeps
-// everything in rings of per-interval slots, and renders itself as the
-// /debug/watch surface via obs.WatchSource.
+// event journal. It consumes probe outcomes from the campaign's
+// observer hook (dnsmeasure -watch), keeps everything in rings of
+// per-interval slots, and renders itself as the /debug/watch surface via
+// obs.WatchSource.
 //
 // The paper's headline result is *continuous* measurement — availability
 // is a property of a time window, not of a cumulative aggregate. This

@@ -177,18 +177,6 @@ func (t *Tracker) Journal() *Journal { return t.journal }
 // WriteEventsJSONL implements obs.WatchSource.
 func (t *Tracker) WriteEventsJSONL(w io.Writer) error { return t.journal.WriteJSONL(w) }
 
-// State reports a target's current health; ok is false for an untracked
-// target.
-func (t *Tracker) State(name string) (State, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tg, ok := t.targets[name]
-	if !ok {
-		return StateHealthy, false
-	}
-	return tg.state, true
-}
-
 // getTarget finds or creates a target's tracking state. Callers hold
 // t.mu.
 func (t *Tracker) getTarget(name string, now time.Time) *target {

@@ -29,32 +29,32 @@ func TestHysteresisDownAndRecovery(t *testing.T) {
 		tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
 		clk.Advance(time.Second)
 	}
-	if st, ok := tr.State("doh:dns.example"); !ok || st != StateHealthy {
+	if st, ok := testutil.TargetState(tr.WatchReport(), "doh:dns.example"); !ok || st != StateHealthy.String() {
 		t.Fatalf("after successes: state=%v ok=%v, want healthy", st, ok)
 	}
 
 	// Two failures are not enough to go down...
 	tr.ObserveProbe("doh:dns.example", false, 0, "timeout")
 	tr.ObserveProbe("doh:dns.example", false, 0, "timeout")
-	if st, _ := tr.State("doh:dns.example"); st == StateDown {
+	if st, _ := testutil.TargetState(tr.WatchReport(), "doh:dns.example"); st == StateDown.String() {
 		t.Fatalf("went down after 2 consecutive failures, DownAfter=3")
 	}
 	// ...the third is.
 	tr.ObserveProbe("doh:dns.example", false, 0, "timeout")
-	if st, _ := tr.State("doh:dns.example"); st != StateDown {
+	if st, _ := testutil.TargetState(tr.WatchReport(), "doh:dns.example"); st != StateDown.String() {
 		t.Fatalf("state=%v after 3 consecutive failures, want down", st)
 	}
 
 	// Two successes do not recover (HealthyAfter=3)...
 	tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
 	tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
-	if st, _ := tr.State("doh:dns.example"); st != StateDown {
+	if st, _ := testutil.TargetState(tr.WatchReport(), "doh:dns.example"); st != StateDown.String() {
 		t.Fatalf("state=%v after 2 successes, want still down", st)
 	}
 	// ...and even a third doesn't while the windowed failure ratio is
 	// still inside the hysteresis band.
 	tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
-	if st, _ := tr.State("doh:dns.example"); st != StateHealthy {
+	if st, _ := testutil.TargetState(tr.WatchReport(), "doh:dns.example"); st != StateHealthy.String() {
 		// The ratio over the degraded window is 3/12 = 0.25 >= 0.05,
 		// so recovery must wait for the failures to age out.
 	} else {
@@ -66,7 +66,7 @@ func TestHysteresisDownAndRecovery(t *testing.T) {
 		clk.Advance(15 * time.Second)
 		tr.ObserveProbe("doh:dns.example", true, 20*time.Millisecond, "")
 	}
-	if st, _ := tr.State("doh:dns.example"); st != StateHealthy {
+	if st, _ := testutil.TargetState(tr.WatchReport(), "doh:dns.example"); st != StateHealthy.String() {
 		t.Fatalf("state=%v after sustained recovery, want healthy", st)
 	}
 
@@ -95,8 +95,8 @@ func TestDegradedOnFailureRatio(t *testing.T) {
 		tr.ObserveProbe("dot:dns.example", ok, 15*time.Millisecond, "connect-failure")
 		clk.Advance(time.Second)
 	}
-	st, _ := tr.State("dot:dns.example")
-	if st != StateDegraded {
+	st, _ := testutil.TargetState(tr.WatchReport(), "dot:dns.example")
+	if st != StateDegraded.String() {
 		t.Fatalf("state=%v with 1/3 failure ratio, want degraded", st)
 	}
 }

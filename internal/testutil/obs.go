@@ -28,6 +28,17 @@ func CounterValue(t testing.TB, series string) uint64 {
 	return v
 }
 
+// TargetState returns the health state the report shows for target;
+// ok is false when the report does not track it.
+func TargetState(rep obs.WatchReport, target string) (state string, ok bool) {
+	for _, tg := range rep.Targets {
+		if tg.Target == target {
+			return tg.State, true
+		}
+	}
+	return "", false
+}
+
 // AlertFiring reports whether the report shows the named burn alert
 // firing for target.
 func AlertFiring(rep obs.WatchReport, target, window string) bool {

@@ -110,14 +110,14 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	}
 	seams := map[string]string{ // pkg.Type.Field → why only tests set it
 		"resolver.Recursive.RNGSeed":            "tests pin server selection; binaries seed from the clock",
-		"cluster.Node.Now":                      "virtual-clock tests drive peer RTT and health",
+		"cluster.Node.Now":                      "virtual-clock tests drive peer health",
 		"experiment.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
 		"transport.RetryPolicy.Sleep":           "tests skip or count the backoff sleeps",
 		"netsim.Endpoint.Down":                  "tests take an endpoint down to drive outage detection",
 	}
 	diagnostic := map[string]string{ // pkg.Decl only dnsdig reaches → why it stays
-		"cluster.Ring.Peers":  "dnsdig -ring; ROADMAP item 4 decides the cluster",
-		"cluster.Ring.Shares": "dnsdig -ring; ROADMAP item 4 decides the cluster",
+		"cluster.Ring.Peers":  "dnsdig -ring, the cluster's debug view; ROADMAP item 4 kept the cluster",
+		"cluster.Ring.Shares": "dnsdig -ring, the cluster's debug view; ROADMAP item 4 kept the cluster",
 		"obs.NewTrace":        "dnsdig -trace span tree, dig +trace's analogue: kept",
 		"obs.StartTrace":      "dnsdig -trace span tree, dig +trace's analogue: kept",
 		"obs.Trace.Finish":    "dnsdig -trace span tree, dig +trace's analogue: kept",
