@@ -57,13 +57,14 @@ const (
 
 // peerHealth is all a node keeps of one remote peer's exchanges.
 type peerHealth struct {
+	on                   bool // the peer is on the ring
 	consecFail, consecOK int
 	lastFail             time.Time
 }
 
-// step records one exchange outcome at now and returns whether the peer
-// belongs on the ring afterwards, given whether it is on it now.
-func (h *peerHealth) step(ok bool, now time.Time, eligible bool) bool {
+// step records one exchange outcome at now and reports whether it moved
+// the peer onto or off the ring.
+func (h *peerHealth) step(ok bool, now time.Time) (flipped bool) {
 	if ok {
 		h.consecOK++
 		h.consecFail = 0
@@ -72,8 +73,11 @@ func (h *peerHealth) step(ok bool, now time.Time, eligible bool) bool {
 		h.consecOK = 0
 		h.lastFail = now
 	}
-	if eligible {
-		return h.consecFail < downAfter
+	on := h.consecFail < downAfter
+	if !h.on {
+		on = h.consecOK >= upAfter && now.Sub(h.lastFail) >= cleanFor
 	}
-	return h.consecOK >= upAfter && now.Sub(h.lastFail) >= cleanFor
+	flipped = on != h.on
+	h.on = on
+	return flipped
 }

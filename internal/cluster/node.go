@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,13 +81,12 @@ type Node struct {
 	Now func() time.Time
 
 	initOnce sync.Once
-	remotes  []string                 // Peers, sorted and deduplicated, without Self
+	remotes  []string                 // Peers, deduplicated, without Self
 	inflight map[string]*atomic.Int64 // per-peer in-flight forwards; fixed keys after init
 
-	mu       sync.Mutex // guards eligible and health
-	eligible map[string]bool
-	health   map[string]*peerHealth
-	ring     atomic.Pointer[Ring]
+	mu     sync.Mutex             // guards the peerHealth values
+	health map[string]*peerHealth // fixed keys after init
+	ring   atomic.Pointer[Ring]
 
 	closeMu sync.Mutex
 	closed  bool
@@ -127,7 +125,6 @@ func (pc *peerCounters) get(peer string) *obs.Counter {
 func (n *Node) init() {
 	n.initOnce.Do(func() {
 		n.inflight = map[string]*atomic.Int64{n.Self: new(atomic.Int64)}
-		n.eligible = map[string]bool{n.Self: true}
 		n.health = map[string]*peerHealth{}
 		for _, p := range n.Peers {
 			if _, seen := n.inflight[p]; p == "" || seen {
@@ -135,10 +132,8 @@ func (n *Node) init() {
 			}
 			n.remotes = append(n.remotes, p)
 			n.inflight[p] = new(atomic.Int64)
-			n.eligible[p] = true
-			n.health[p] = new(peerHealth)
+			n.health[p] = &peerHealth{on: true}
 		}
-		sort.Strings(n.remotes)
 		n.ring.Store(n.buildRingLocked())
 		reg := obs.Default()
 		n.mLocalHits = reg.Counter("cluster_local_hits_total",
@@ -184,7 +179,7 @@ func (n *Node) currentRing() *Ring {
 func (n *Node) buildRingLocked() *Ring {
 	peers := []string{n.Self}
 	for _, p := range n.remotes {
-		if n.eligible[p] {
+		if n.health[p].on {
 			peers = append(peers, p)
 		}
 	}
@@ -195,18 +190,17 @@ func (n *Node) buildRingLocked() *Ring {
 // into its health and rebuilds the ring when its eligibility flips: a
 // peer that leaves hands its key ranges to its ring successors.
 func (n *Node) observe(peer string, ok bool) {
-	now := n.now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	h, known := n.health[peer]
 	if !known {
 		return
 	}
-	elig := h.step(ok, now, n.eligible[peer])
-	if elig == n.eligible[peer] {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	// The clock is read under the lock, so stamps reach step in order
+	// and lastFail never moves back.
+	if !h.step(ok, n.now()) {
 		return
 	}
-	n.eligible[peer] = elig
 	n.ring.Store(n.buildRingLocked())
 	n.mRebuilds.Inc()
 }

@@ -116,8 +116,8 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		"netsim.Endpoint.Down":                  "tests take an endpoint down to drive outage detection",
 	}
 	diagnostic := map[string]string{ // pkg.Decl only dnsdig reaches → why it stays
-		"cluster.Ring.Peers":  "dnsdig -ring, the cluster's debug view; ROADMAP item 4 kept the cluster",
-		"cluster.Ring.Shares": "dnsdig -ring, the cluster's debug view; ROADMAP item 4 kept the cluster",
+		"cluster.Ring.Peers":  "dnsdig -ring, the cluster's debug view; ROADMAP item 4 decides the cluster",
+		"cluster.Ring.Shares": "dnsdig -ring, the cluster's debug view; ROADMAP item 4 decides the cluster",
 		"obs.NewTrace":        "dnsdig -trace span tree, dig +trace's analogue: kept",
 		"obs.StartTrace":      "dnsdig -trace span tree, dig +trace's analogue: kept",
 		"obs.Trace.Finish":    "dnsdig -trace span tree, dig +trace's analogue: kept",
