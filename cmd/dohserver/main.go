@@ -97,7 +97,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("-peers: %w", err)
 		}
-		peerPool = transport.NewPool(transport.Options{})
+		// A hop is one attempt: a lost datagram has already spent the
+		// node's forward timeout, and a failed hop falls back to Local.
+		noRetry := transport.NoRetry()
+		peerPool = transport.NewPool(transport.Options{Retry: &noRetry})
 		node = &cluster.Node{
 			Self:      selfID,
 			Peers:     remotes,

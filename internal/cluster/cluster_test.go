@@ -177,6 +177,72 @@ func TestClusterForwardsMissToOwner(t *testing.T) {
 	}
 }
 
+// gatedNet holds every exchange at its gate: it reports each arrival and
+// passes the exchange on to net only once open is closed.
+type gatedNet struct {
+	net     *loopNet
+	arrived chan struct{}
+	open    chan struct{}
+}
+
+func (g *gatedNet) Exchange(ctx context.Context, q *dnswire.Message, endpoint string) (*dnswire.Message, error) {
+	g.arrived <- struct{}{}
+	<-g.open
+	return g.net.Exchange(ctx, q, endpoint)
+}
+
+// TestClusterOwnerAnswersConcurrentForwards: a key goes to its owner
+// however many forwards to that owner are already in flight. Node 0
+// routes k names peer 1 owns one after another while every earlier
+// forward is held at the gate, then the gate opens; peer 1's resolver
+// must have answered all k, and neither node 0's nor peer 2's any.
+func TestClusterOwnerAnswersConcurrentForwards(t *testing.T) {
+	for _, k := range []int{2, 32} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			tc := newTestCluster(t, 3)
+			gate := &gatedNet{net: tc.net, arrived: make(chan struct{}), open: make(chan struct{})}
+			tc.nodes[0].Forward = gate
+			names := tc.ownedNames(t, 1, k)
+			answers := make(chan *dnswire.Message, k)
+			for _, name := range names {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					resp, err := tc.nodes[0].ServeDNS(context.Background(), dnswire.NewQuery(dns53.NewID(), name, dnswire.TypeA))
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					answers <- resp
+				}()
+				// The next name is routed only once this one is held at
+				// the gate or was answered without an exchange.
+				select {
+				case <-gate.arrived:
+				case <-done:
+				}
+			}
+			close(gate.open)
+			for range names {
+				resp := <-answers
+				if resp == nil {
+					continue
+				}
+				if len(resp.Answers) != 1 {
+					t.Fatalf("%s: %d answers", resp.Question0().Name, len(resp.Answers))
+				}
+				if a := resp.Answers[0].Data.(*dnswire.A); a.Addr != netip.MustParseAddr("192.0.2.2") {
+					t.Errorf("%s answered by %v, want owner 192.0.2.2", resp.Question0().Name, a.Addr)
+				}
+			}
+			for i, want := range []int64{0, int64(k), 0} {
+				if got := tc.locals[i].calls.Load(); got != want {
+					t.Errorf("node %d's resolver answered %d of %d queries, want %d", i, got, k, want)
+				}
+			}
+		})
+	}
+}
+
 // TestClusterOneHopOnly is the loop-prevention property: a marked query
 // is answered locally even when the receiver does not own the key, so a
 // ring disagreement costs one extra hop, never a forwarding loop.

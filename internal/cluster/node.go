@@ -35,9 +35,6 @@ const ProbeName = "_cluster-health.invalid."
 
 // Node tuning.
 const (
-	// loadFactor is the bounded-load factor c in the ceil(c·(total+1)/N)
-	// per-peer bound on in-flight forwards.
-	loadFactor = 1.25
 	// forwardTimeout bounds one peer forward or probe.
 	forwardTimeout = 2 * time.Second
 	// probeInterval is how often ProbeLoop probes every remote peer.
@@ -50,7 +47,9 @@ var ErrClosed = errors.New("cluster: node closed")
 // Node is one cluster member's routing layer. It sits between the DNS
 // front ends and the local resolver: queries whose cache key the local
 // instance owns are answered locally; those a peer owns are forwarded one
-// hop over the transport layer, so each key is cached at its owner only.
+// hop over the transport layer, however many are in flight, so each key
+// is cached at its owner only. A hot key needs no spill: after its first
+// miss it is a hit at its owner.
 // Self, Local and Forward are required.
 //
 // The peer list is static (the paper's deployment model: a fixed fleet
@@ -81,8 +80,7 @@ type Node struct {
 	Now func() time.Time
 
 	initOnce sync.Once
-	remotes  []string                 // Peers, deduplicated, without Self
-	inflight map[string]*atomic.Int64 // per-peer in-flight forwards; fixed keys after init
+	remotes  []string // Peers, deduplicated, without Self
 
 	mu     sync.Mutex             // guards the peerHealth values
 	health map[string]*peerHealth // fixed keys after init
@@ -124,14 +122,12 @@ func (pc *peerCounters) get(peer string) *obs.Counter {
 
 func (n *Node) init() {
 	n.initOnce.Do(func() {
-		n.inflight = map[string]*atomic.Int64{n.Self: new(atomic.Int64)}
 		n.health = map[string]*peerHealth{}
 		for _, p := range n.Peers {
-			if _, seen := n.inflight[p]; p == "" || seen {
+			if _, seen := n.health[p]; p == "" || p == n.Self || seen {
 				continue
 			}
 			n.remotes = append(n.remotes, p)
-			n.inflight[p] = new(atomic.Int64)
 			n.health[p] = &peerHealth{on: true}
 		}
 		n.ring.Store(n.buildRingLocked())
@@ -167,8 +163,7 @@ func (n *Node) now() time.Time {
 }
 
 // currentRing returns the ring routing decisions read now. The ring is
-// immutable; hold the pointer for the duration of one routing decision
-// so its owner and spill lookups agree.
+// immutable, so a rebuild never changes a decision in progress.
 func (n *Node) currentRing() *Ring {
 	n.init()
 	return n.ring.Load()
@@ -203,15 +198,6 @@ func (n *Node) observe(peer string, ok bool) {
 	}
 	n.ring.Store(n.buildRingLocked())
 	n.mRebuilds.Inc()
-}
-
-// peerLoad reports a peer's in-flight forward count for the bounded-load
-// walk. Unknown peers (can only happen on config drift) count as zero.
-func (n *Node) peerLoad(peer string) int {
-	if c, ok := n.inflight[peer]; ok {
-		return int(c.Load())
-	}
-	return 0
 }
 
 // beginOp registers an in-flight background operation; false after Close.
@@ -257,7 +243,7 @@ func (n *Node) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 		return resp, nil
 	}
 	hash := keyhash.Key(q0.Name, uint16(q0.Type))
-	owner, ok := n.currentRing().OwnerBounded(hash, n.peerLoad, loadFactor)
+	owner, ok := n.currentRing().Owner(hash)
 	if !ok || owner == n.Self {
 		n.mOwnerLocal.Inc()
 		return n.Local.ServeDNS(ctx, q)
@@ -328,10 +314,6 @@ func (n *Node) forward(ctx context.Context, peer string, q0 dnswire.Question) (*
 		return nil, ErrClosed
 	}
 	defer n.wg.Done()
-	if c, ok := n.inflight[peer]; ok {
-		c.Add(1)
-		defer c.Add(-1)
-	}
 	n.mForwards.get(peer).Inc()
 	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()

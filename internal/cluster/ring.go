@@ -2,18 +2,16 @@
 // for the workloads the paper's mainstream operators serve: the answer
 // cache is partitioned across peers by a consistent-hash ring over the
 // shared cache-key bytes (internal/keyhash), and a query for a key
-// another peer owns is forwarded one hop to it over the ordinary transport
-// Exchanger layer (retries, pools and spans come for free), so each key
-// is cached once, at its owner. Each node keeps its peers' health
-// itself, from its own forwards and probes, and rebuilds the ring when a
-// peer dies or comes back; internal/netsim's catchment model steers simulated client
-// populations to the nearest healthy instance — the paper's
-// anycast-multisite-vs-single-site contrast reproduced as an operator.
+// another peer owns is forwarded one hop to it, always, over the ordinary
+// transport Exchanger layer (one attempt: a failed hop falls back to the
+// local resolver), so each key is cached once, at its owner, however
+// many queries are in flight. Each node keeps its peers' health itself,
+// from its own forwards and probes, and rebuilds the ring when a peer
+// dies or comes back.
 package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
@@ -51,9 +49,8 @@ func mix64(x uint64) uint64 {
 
 // Ring is an immutable consistent-hash ring over a peer set. Ownership
 // of a key is the first virtual node at or clockwise from the key's
-// hash; the next distinct peers clockwise take the key's load when the
-// owner is saturated (OwnerBounded). Rebuilds
-// (peer death, recovery) swap in a whole new Ring, so readers never lock.
+// hash. Rebuilds (peer death, recovery) swap in a whole new Ring, so
+// readers never lock.
 type Ring struct {
 	points []point
 	peers  []string
@@ -105,81 +102,23 @@ func (r *Ring) Peers() []string { return r.peers }
 // Len returns the number of peers on the ring.
 func (r *Ring) Len() int { return len(r.peers) }
 
-// start returns the index of the first virtual node at or after the
-// mixed hash, wrapping at the end of the circle.
-func (r *Ring) start(hash uint64) int {
-	hash = mix64(hash)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
-	if i == len(r.points) {
-		return 0
-	}
-	return i
-}
-
-// Owner returns the peer owning hash; ok is false on an empty ring.
+// Owner returns the peer owning hash, the first virtual node at or after
+// the mixed hash, wrapping at the end of the circle; ok is false on an
+// empty ring.
 func (r *Ring) Owner(hash uint64) (string, bool) {
 	if len(r.points) == 0 {
 		return "", false
 	}
-	return r.peers[r.points[r.start(hash)].peer], true
-}
-
-// Successors returns up to n distinct peers in clockwise order starting
-// at hash's owner: the primary first, then the peers a bounded-load
-// spill tries in turn. With n >= Len it is the full peer set in ring
-// order.
-func (r *Ring) Successors(hash uint64, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
+	hash = mix64(hash)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= hash })
+	if i == len(r.points) {
+		i = 0
 	}
-	if n > len(r.peers) {
-		n = len(r.peers)
-	}
-	out := make([]string, 0, n)
-	taken := make(map[int32]bool, n)
-	for i, seen := r.start(hash), 0; seen < len(r.points); i, seen = (i+1)%len(r.points), seen+1 {
-		p := r.points[i].peer
-		if taken[p] {
-			continue
-		}
-		taken[p] = true
-		out = append(out, r.peers[p])
-		if len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
-// OwnerBounded implements bounded-load ownership (the
-// consistent-hashing-with-bounded-loads construction): it walks the
-// ring clockwise from hash and returns the first peer whose current
-// load is under ceil(factor × (total+1) / N), so one scorching-hot key
-// range spills onto the next peers instead of melting its owner. load
-// reports a peer's instantaneous load (in-flight forwards); factor <= 1
-// disables the bound. When every peer is saturated the plain owner is
-// returned — at that point the whole cluster is overloaded and spilling
-// would only shuffle the pain.
-func (r *Ring) OwnerBounded(hash uint64, load func(peer string) int, factor float64) (string, bool) {
-	owner, ok := r.Owner(hash)
-	if !ok || factor <= 1 || load == nil || len(r.peers) < 2 {
-		return owner, ok
-	}
-	total := 1 // the query being placed
-	for _, p := range r.peers {
-		total += load(p)
-	}
-	bound := int(math.Ceil(factor * float64(total) / float64(len(r.peers))))
-	for _, p := range r.Successors(hash, len(r.peers)) {
-		if load(p) < bound {
-			return p, true
-		}
-	}
-	return owner, true
+	return r.peers[r.points[i].peer], true
 }
 
 // Shares returns each peer's owned fraction of the hash space — the
-// expected share of uniformly hashed keys it is primary for. Used by
+// expected share of uniformly hashed keys it owns. Used by
 // introspection (dnsdig -ring) and the balance tests.
 func (r *Ring) Shares() map[string]float64 {
 	shares := make(map[string]float64, len(r.peers))

@@ -38,9 +38,6 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	if _, ok := empty.Owner(42); ok {
 		t.Error("empty ring should own nothing")
 	}
-	if s := empty.Successors(42, 2); s != nil {
-		t.Errorf("empty ring successors = %v, want nil", s)
-	}
 	one := NewRing([]string{"solo"})
 	for _, h := range sampleHashes(50) {
 		if o, ok := one.Owner(h); !ok || o != "solo" {
@@ -107,60 +104,6 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 	if owned == 0 {
 		t.Fatal("sample never hit the removed peer; test is vacuous")
-	}
-}
-
-func TestRingSuccessorsDistinctAndOrdered(t *testing.T) {
-	r := NewRing([]string{"p0", "p1", "p2", "p3"})
-	for _, h := range sampleHashes(200) {
-		owner, _ := r.Owner(h)
-		succ := r.Successors(h, 3)
-		if len(succ) != 3 {
-			t.Fatalf("Successors(n=3) returned %d peers", len(succ))
-		}
-		if succ[0] != owner {
-			t.Fatalf("Successors[0] = %q, want owner %q", succ[0], owner)
-		}
-		seen := map[string]bool{}
-		for _, p := range succ {
-			if seen[p] {
-				t.Fatalf("duplicate successor %q for %#x", p, h)
-			}
-			seen[p] = true
-		}
-	}
-	if got := r.Successors(sampleHashes(1)[0], 10); len(got) != 4 {
-		t.Errorf("n beyond peer count should clamp: got %d peers", len(got))
-	}
-}
-
-func TestOwnerBoundedSpillsHotRange(t *testing.T) {
-	r := NewRing([]string{"p0", "p1", "p2"})
-	h := sampleHashes(1)[0]
-	owner, _ := r.Owner(h)
-	next := r.Successors(h, 2)[1]
-
-	// Owner saturated, everyone else idle: the walk spills to the next
-	// distinct peer. total=1+12, bound=ceil(1.25*13/3)=6.
-	loads := map[string]int{owner: 12}
-	got, ok := r.OwnerBounded(h, func(p string) int { return loads[p] }, 1.25)
-	if !ok || got != next {
-		t.Errorf("OwnerBounded under hot owner = %q, want spill to %q", got, next)
-	}
-
-	// factor <= 1 disables bounding.
-	if got, _ := r.OwnerBounded(h, func(p string) int { return loads[p] }, 1); got != owner {
-		t.Errorf("factor 1 should return plain owner, got %q", got)
-	}
-
-	// Uniform load stays on the plain owner.
-	if got, _ := r.OwnerBounded(h, func(string) int { return 4 }, 1.25); got != owner {
-		t.Errorf("uniform load should keep plain owner, got %q", got)
-	}
-
-	// Everyone saturated: plain owner again (spilling just shuffles pain).
-	if got, _ := r.OwnerBounded(h, func(string) int { return 1000 }, 1.25); got != owner {
-		t.Errorf("saturated cluster should fall back to plain owner, got %q", got)
 	}
 }
 

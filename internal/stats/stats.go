@@ -51,23 +51,6 @@ func quantileSorted(s []float64, q float64) float64 {
 // Median returns the 0.5 quantile, or NaN for an empty input.
 func Median(samples []float64) float64 { return Quantile(samples, 0.5) }
 
-// Mean returns the arithmetic mean, ignoring NaNs; NaN when empty.
-func Mean(samples []float64) float64 {
-	var sum float64
-	var n int
-	for _, v := range samples {
-		if math.IsNaN(v) {
-			continue
-		}
-		sum += v
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
 // Min returns the smallest non-NaN sample, or NaN when none exist.
 func Min(samples []float64) float64 {
 	best := math.NaN()

@@ -119,22 +119,6 @@ func TestQuantileWithinRange(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	s := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(s); !almostEqual(m, 5, 1e-12) {
-		t.Errorf("mean = %v, want 5", m)
-	}
-}
-
-func TestMeanEmptyAndNaN(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("mean of empty should be NaN")
-	}
-	if !math.IsNaN(Mean([]float64{math.NaN()})) {
-		t.Error("mean of all-NaN should be NaN")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	s := []float64{3, math.NaN(), -1, 7}
 	if v := Min(s); v != -1 {

@@ -105,8 +105,7 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 // sets, a declaration only dnsdig reaches. A stale key fails.
 func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	allowed := map[string]string{ // package directory or file → why it stays
-		"internal/testutil":            "test-only by design: the helpers the test suites share",
-		"internal/netsim/catchment.go": "the anycast catchment model, kept for the ROADMAP's resolver-cluster item",
+		"internal/testutil": "test-only by design: the helpers the test suites share",
 	}
 	seams := map[string]string{ // pkg.Type.Field → why only tests set it
 		"resolver.Recursive.RNGSeed":            "tests pin server selection; binaries seed from the clock",
