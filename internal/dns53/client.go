@@ -25,16 +25,21 @@ var (
 // DoH) makes of a parsed response before taking it as the answer to
 // query: the query's ID, QR set, and the query's question echoed (RFC 5452
 // §9.1) — the name compared regardless of case, the type and the class. A
-// response without a question passes only as an error answer, a non-zero
-// RCODE, which is how a server answers a question it could not read.
+// response without a question passes only as FORMERR, SERVFAIL, NOTIMP or
+// REFUSED, which is how a server answers a question it could not read:
+// NOERROR and NXDOMAIN speak about a name, so they must echo it.
 func CheckResponse(query, resp *dnswire.Message) error {
 	switch {
 	case resp.Header.ID != query.Header.ID:
 		return ErrIDMismatch
 	case !resp.Header.QR:
 		return ErrNotReply
-	case len(resp.Questions) == 0 && resp.Header.RCode != dnswire.RCodeSuccess:
-		return nil
+	case len(resp.Questions) == 0:
+		switch resp.Header.RCode {
+		case dnswire.RCodeFormat, dnswire.RCodeServFail, dnswire.RCodeNotImpl, dnswire.RCodeRefused:
+			return nil
+		}
+		return ErrQuestionMismatch
 	case len(resp.Questions) != len(query.Questions):
 		return ErrQuestionMismatch
 	}

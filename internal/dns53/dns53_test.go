@@ -385,6 +385,29 @@ func TestClientIgnoresMismatchedID(t *testing.T) {
 	}
 }
 
+// TestCheckResponseWithoutQuestion: a reply that drops the question may
+// end an exchange only as an error that speaks about no name. NOERROR and
+// NXDOMAIN without the question would let a reply assert anything about
+// a name the query never asked for.
+func TestCheckResponseWithoutQuestion(t *testing.T) {
+	query := dnswire.NewQuery(7, "innocent.example.", dnswire.TypeA)
+	for rcode, want := range map[dnswire.RCode]error{
+		dnswire.RCodeFormat:   nil,
+		dnswire.RCodeServFail: nil,
+		dnswire.RCodeNotImpl:  nil,
+		dnswire.RCodeRefused:  nil,
+		dnswire.RCodeSuccess:  ErrQuestionMismatch,
+		dnswire.RCodeNXDomain: ErrQuestionMismatch,
+	} {
+		resp := query.Reply()
+		resp.Questions = nil
+		resp.Header.RCode = rcode
+		if got := CheckResponse(query, resp); got != want {
+			t.Errorf("question-less %v: %v, want %v", rcode, got, want)
+		}
+	}
+}
+
 func TestFramingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msg := []byte{1, 2, 3, 4, 5}
