@@ -1,8 +1,9 @@
-// Live loopback: the whole stack, no simulation. This example stands up a
-// real encrypted-DNS resolver in-process — authoritative root/TLD/leaf
-// zones, a caching recursive resolver, and a DoH frontend on a loopback
-// TLS listener — then measures it with the live prober over real sockets,
-// exactly as dnsmeasure -mode live would measure a public resolver.
+// Live loopback: the whole stack, no simulation. This example starts
+// dohserver's resolver in-process (internal/serve: authoritative
+// root/TLD/leaf zones, a caching recursive resolver, and a DoH frontend
+// on a loopback TLS listener), then measures it with the live prober over
+// real sockets, exactly as dnsmeasure -mode live would measure a public
+// resolver.
 //
 //	go run ./examples/live-loopback
 package main
@@ -11,54 +12,30 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"time"
 
 	"encdns"
-	"encdns/internal/authdns"
-	"encdns/internal/certs"
 	"encdns/internal/doh"
-	"encdns/internal/resolver"
+	"encdns/internal/serve"
 	"encdns/internal/stats"
 )
 
 func main() {
-	// 1. The authoritative hierarchy for the paper's three domains.
-	hierarchy := authdns.BuildHierarchy(authdns.MeasurementLeaves())
-
-	// 2. A caching recursive resolver walking that hierarchy.
-	rec := &resolver.Recursive{
-		Exchange: hierarchy.Registry,
-		Roots:    hierarchy.RootServers,
-		Cache:    resolver.NewCache(4096, nil),
-	}
-
-	// 3. A DoH frontend on a loopback TLS listener with a throwaway CA.
-	ca, err := certs.NewCA(0)
+	// 1–3. The stack dohserver runs, DoH only: the authoritative hierarchy
+	// for the paper's three domains, a caching recursive resolver walking
+	// it, and a DoH frontend on a loopback TLS listener with a throwaway CA.
+	st, err := serve.Start(context.Background(), serve.Config{DoH: "127.0.0.1:0", Cache: 4096})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tlsCfg, err := ca.ServerConfig(nil, []net.IP{net.ParseIP("127.0.0.1")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle(doh.DefaultPath, &doh.Handler{DNS: rec})
-	srv := &http.Server{Handler: mux, TLSConfig: tlsCfg}
-	go srv.ServeTLS(ln, "", "")
-	defer srv.Close()
-	endpoint := "https://" + ln.Addr().String() + doh.DefaultPath
+	defer st.Shutdown()
+	endpoint := "https://" + st.DoH + doh.DefaultPath
 	fmt.Println("serving DoH at", endpoint)
 
 	// 4. Measure it live: fresh connections, wall-clock timing, through
 	// the scheme-addressed transport layer (the endpoint's https://
 	// scheme selects DoH; no per-protocol wiring here).
-	pool := encdns.NewTransportPool(encdns.TransportOptions{TLS: ca.ClientConfig("127.0.0.1")})
+	pool := encdns.NewTransportPool(encdns.TransportOptions{TLS: st.CA.ClientConfig("127.0.0.1")})
 	prober := &encdns.LiveProber{Transport: pool}
 	cfg := encdns.CampaignConfig{
 		Vantages: []encdns.Vantage{{Name: "loopback"}},

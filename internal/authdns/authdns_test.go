@@ -326,11 +326,11 @@ func TestNameIndexMatchesScan(t *testing.T) {
 		{root, []string{".", "net.", "root-servers.net.", "a.root-servers.net.", "b.root-servers.net.", "org."}},
 	} {
 		for _, name := range c.names {
-			if !dnswire.IsSubdomain(name, c.z.Origin()) {
+			if !dnswire.IsSubdomain(name, c.z.origin) {
 				continue // never asked: ServeDNS refuses names outside the zone first
 			}
 			if got, want := c.z.nameExists(name), nameExistsScan(c.z, name); got != want {
-				t.Errorf("zone %s: nameExists(%q) = %v, the scan says %v", c.z.Origin(), name, got, want)
+				t.Errorf("zone %s: nameExists(%q) = %v, the scan says %v", c.z.origin, name, got, want)
 			}
 		}
 	}

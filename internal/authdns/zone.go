@@ -48,9 +48,6 @@ func NewZone(origin string) *Zone {
 	}
 }
 
-// Origin returns the zone apex name.
-func (z *Zone) Origin() string { return z.origin }
-
 // SetSOA installs the zone's SOA record with sensible timer defaults.
 func (z *Zone) SetSOA(mname, rname string, serial uint32, negativeTTL uint32) {
 	z.Add(dnswire.Record{

@@ -48,6 +48,15 @@ func answer(tb testing.TB, h dns53.Handler, raw []byte) []byte {
 	return out
 }
 
+// isApex says whether z is the zone whose apex is cut: only the apex
+// answers its own SOA. A parent refers a cut below it, and a zone refuses
+// a name above it.
+func isApex(z *authdns.Zone, cut string) bool {
+	resp, err := z.ServeDNS(context.Background(), dnswire.NewQuery(1, cut, dnswire.TypeSOA))
+	return err == nil && len(resp.Answers) == 1 && resp.Answers[0].Type == dnswire.TypeSOA &&
+		resp.Answers[0].Name == cut
+}
+
 func rawQuery(t *testing.T, id uint16, name string, qt dnswire.Type) []byte {
 	raw, _ := packQuery(t, name, qt, id, 0, false)
 	return raw
@@ -356,7 +365,7 @@ func TestReferralBailiwick(t *testing.T) {
 	for _, name := range []string{"a.google.com.", "amazon.com.", "www.wikipedia.com.", "b.com."} {
 		servers, cut := r.startServers(ctx, name, r.Cache.now(), 0)
 		for _, s := range servers {
-			if z, ok := h.Registry.Zone(s); !ok || z.Origin() != cut {
+			if z, ok := h.Registry.Zone(s); !ok || !isApex(z, cut) {
 				t.Errorf("walk for %s starts at %s for cut %q", name, s, cut)
 			}
 		}
@@ -532,7 +541,7 @@ func TestDelegationMemoMatchesDerivation(t *testing.T) {
 				derived++
 			}
 			for _, s := range got {
-				if z, ok := h.Registry.Zone(s); !ok || z.Origin() != cut {
+				if z, ok := h.Registry.Zone(s); !ok || !isApex(z, cut) {
 					fail("%s is no server of %q", s, cut)
 				}
 			}
