@@ -390,6 +390,18 @@ func TestDoHServesHTTP2ThroughTheBurstLoop(t *testing.T) {
 	}
 }
 
+// TestStackAcceptsHybridGroup: the server side keeps Go's default groups,
+// so a client that offers only the hybrid X25519MLKEM768 still completes
+// its handshakes with the stack's DoT and DoH, full and resumed.
+func TestStackAcceptsHybridGroup(t *testing.T) {
+	st := start(t, serve.Config{DoT: "127.0.0.1:0", DoH: "127.0.0.1:0", Cache: 4096})
+	cfg := st.CA.ClientConfig("127.0.0.1")
+	cfg.CurvePreferences = []tls.CurveID{tls.X25519MLKEM768}
+	if asked, bad := probe(t, cfg, 2, "tls://"+st.DoT, "https://"+st.DoH+doh.DefaultPath); bad != 0 {
+		t.Errorf("%d of %d queries failed", bad, asked)
+	}
+}
+
 // TestShutdownDrainsBeforeClosingPeers: a query in flight on a peer
 // forward when Shutdown begins holds the drain until it ends, and the peer
 // transport closes only after the node has stopped probing. A peer that
