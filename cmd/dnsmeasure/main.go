@@ -38,9 +38,11 @@ import (
 
 	"encdns/internal/core"
 	"encdns/internal/dataset"
+	"encdns/internal/live"
 	"encdns/internal/monitor"
 	"encdns/internal/netsim"
 	"encdns/internal/obs"
+	"encdns/internal/obshttp"
 	"encdns/internal/report"
 	"encdns/internal/stats"
 	"encdns/internal/transport"
@@ -153,7 +155,7 @@ func run(args []string, stdout *os.File) error {
 		// fresh connections per query, like the paper's dig runs. The
 		// -proto flag picks each dataset target's endpoint scheme.
 		targets = liveEndpoints(targets, *proto)
-		prober = &core.LiveProber{
+		prober = &live.Prober{
 			Proto:     protocol,
 			Transport: transport.NewPool(transport.Options{}),
 		}
@@ -190,7 +192,7 @@ func run(args []string, stdout *os.File) error {
 		if tracker != nil {
 			watch = tracker
 		}
-		bound, shutdown, err := obs.ServeHandler(*metrics, obs.NewHTTPHandler(obs.Default(), watch))
+		bound, shutdown, err := obshttp.Serve(*metrics, obshttp.NewHandler(obs.Default(), watch))
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}

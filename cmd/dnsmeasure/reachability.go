@@ -8,10 +8,10 @@ import (
 
 	"encdns/internal/authdns"
 	"encdns/internal/certs"
+	"encdns/internal/dialer"
 	"encdns/internal/dns53"
 	"encdns/internal/dot"
-	"encdns/internal/experiment"
-	"encdns/internal/netsim"
+	"encdns/internal/live"
 	"encdns/internal/transport"
 )
 
@@ -25,7 +25,7 @@ import (
 // is the transport chain grammar (tlsfrag:, split:), so a
 // reachable-evasion verdict names the chain that got through.
 func runReachability(w io.Writer) error {
-	vn := netsim.NewVirtualNet()
+	vn := dialer.NewVirtualNet()
 	ca, err := certs.NewCA(0)
 	if err != nil {
 		return err
@@ -57,17 +57,17 @@ func runReachability(w io.Writer) error {
 
 	tlsCfg := ca.ClientConfig("")
 	tlsCfg.ServerName = ""
-	results, err := experiment.RunReachability(context.Background(), experiment.ReachabilityConfig{
+	results, err := live.RunReachability(context.Background(), live.ReachabilityConfig{
 		Net: vn,
-		Vantages: []experiment.VantagePolicy{
+		Vantages: []live.VantagePolicy{
 			{Name: "open-net"},
-			{Name: "sni-censor", Middleboxes: []netsim.Middlebox{
-				&netsim.RSTOnSNI{Blocked: hosts},
+			{Name: "sni-censor", Middleboxes: []dialer.Middlebox{
+				&dialer.RSTOnSNI{Blocked: hosts},
 			}},
-			{Name: "large-record-filter", Middleboxes: []netsim.Middlebox{
-				&netsim.DropLargeRecord{MaxBytes: 64},
+			{Name: "large-record-filter", Middleboxes: []dialer.Middlebox{
+				&dialer.DropLargeRecord{MaxBytes: 64},
 			}},
-			{Name: "blackhole", Middleboxes: []netsim.Middlebox{&netsim.Blackhole{}}},
+			{Name: "blackhole", Middleboxes: []dialer.Middlebox{&dialer.Blackhole{}}},
 		},
 		Endpoints: endpoints,
 		Options:   transport.Options{TLS: tlsCfg},
@@ -75,7 +75,7 @@ func runReachability(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := experiment.RenderReachability(w, results); err != nil {
+	if err := live.RenderReachability(w, results); err != nil {
 		return err
 	}
 	_, err = fmt.Fprintln(w, "\nclasses: reachable-plain (ordinary dial works), reachable-evasion (only a dialer chain gets through), unreachable (nothing works)")

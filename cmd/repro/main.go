@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"encdns/internal/experiment"
-	"encdns/internal/obs"
 	"encdns/internal/report"
 )
 
@@ -37,23 +36,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	var (
-		outDir  = fs.String("out", "out", "output directory")
-		seed    = fs.Uint64("seed", 1, "campaign seed")
-		rounds  = fs.Int("rounds", experiment.DefaultRounds, "campaign rounds")
-		only    = fs.String("only", "", "regenerate one artefact: table1|table2|table3|availability|shape|ablation|drift|homevsec2|figN[x]|results")
-		metrics = fs.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/obs on this address during the run")
+		outDir = fs.String("out", "out", "output directory")
+		seed   = fs.Uint64("seed", 1, "campaign seed")
+		rounds = fs.Int("rounds", experiment.DefaultRounds, "campaign rounds")
+		only   = fs.String("only", "", "regenerate one artefact: table1|table2|table3|availability|shape|ablation|drift|homevsec2|figN[x]|results")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *metrics != "" {
-		obs.RegisterRuntimeMetrics(obs.Default())
-		bound, shutdown, err := obs.Serve(*metrics, obs.Default())
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "serving /metrics, /debug/obs, and /debug/pprof on %s\n", bound)
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {

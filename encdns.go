@@ -42,6 +42,7 @@ import (
 	"encdns/internal/core"
 	"encdns/internal/dataset"
 	"encdns/internal/experiment"
+	"encdns/internal/live"
 	"encdns/internal/netsim"
 	"encdns/internal/report"
 	"encdns/internal/transport"
@@ -82,7 +83,7 @@ type (
 	// SimProber probes the simulated internet.
 	SimProber = core.SimProber
 	// LiveProber probes real resolvers with the real protocol clients.
-	LiveProber = core.LiveProber
+	LiveProber = live.Prober
 	// Target identifies one resolver to probe.
 	Target = core.Target
 	// Record is one measurement outcome.

@@ -7,7 +7,6 @@ import (
 
 	"encdns/internal/netsim"
 	"encdns/internal/obs"
-	"encdns/internal/transport"
 )
 
 // Campaign-level instruments: round/record throughput and the number of
@@ -55,8 +54,8 @@ type CampaignConfig struct {
 	// virtual clock starting at the paper's campaign epoch.
 	Clock netsim.Clock
 	// SkipPing turns off the one ICMP probe per (vantage, target) round
-	// that the paper's procedure step 2 specifies. A LiveProber cannot
-	// ping, so its campaigns skip pings regardless.
+	// that the paper's procedure step 2 specifies. A prober whose Label
+	// says it cannot ping (a live one) skips pings regardless.
 	SkipPing bool
 	// Sink, when non-nil, receives every record as it is produced (in
 	// deterministic order), enabling continuous deployments to stream
@@ -132,15 +131,13 @@ func NewCampaign(cfg CampaignConfig, prober Prober) (*Campaign, error) {
 	if cfg.DiscardResults && cfg.Sink == nil && !cfg.Continuous {
 		return nil, fmt.Errorf("core: DiscardResults needs a Sink")
 	}
-	if _, ok := prober.(*LiveProber); ok {
-		cfg.SkipPing = true
-	}
 	c := &Campaign{cfg: cfg, prober: prober, targets: make([]targetState, len(cfg.Targets))}
 	for i, t := range cfg.Targets {
 		ts := &c.targets[i]
-		ts.proto = protoName(prober, t)
-		if cfg.Observer != nil {
-			ts.obsKey = observerTarget(ts.proto, prober, t)
+		var pings bool
+		ts.proto, ts.obsKey, pings = label(prober, t)
+		if !pings {
+			c.cfg.SkipPing = true
 		}
 		ts.probes = obs.Default().Counter("campaign_probes_total",
 			"Queries issued per target resolver.", "resolver", t.Host)
@@ -322,40 +319,16 @@ func (c *Campaign) probeVantage(ctx context.Context, out []Record, v netsim.Vant
 	return out
 }
 
-// observerTarget is the monitor key for a target. Sim targets key on
-// the protocol-qualified hostname ("doh:dns.google"); live targets are
-// additionally port-qualified so two resolvers on one host (or one host
-// probed over two ports) track independently.
-func observerTarget(proto string, p Prober, t Target) string {
-	if _, live := p.(*LiveProber); live && t.Endpoint != "" {
-		if ep, err := transport.ParseEndpoint(t.Endpoint); err == nil {
-			return proto + ":" + ep.Addr()
-		}
+// label is a target's record label, Observer key and ping policy: the
+// prober's own when it is a Labeler, else the protocol-qualified
+// hostname ("doh:dns.google") with pings.
+func label(p Prober, t Target) (proto, key string, pings bool) {
+	if l, ok := p.(Labeler); ok {
+		return l.Label(t)
 	}
-	return proto + ":" + t.Host
-}
-
-// protoName extracts a protocol label for the records. Live targets are
-// scheme-addressed, so the label follows each target's endpoint (a
-// campaign can mix udp:// and https:// targets); the prober's Proto
-// field is the fallback for unparsable endpoints.
-func protoName(p Prober, t Target) string {
-	switch sp := p.(type) {
-	case *SimProber:
-		return sp.Protocol.String()
-	case *LiveProber:
-		if ep, err := transport.ParseEndpoint(t.Endpoint); err == nil {
-			switch ep.Scheme {
-			case transport.SchemeUDP, transport.SchemeTCP:
-				return "do53"
-			case transport.SchemeTLS:
-				return "dot"
-			case transport.SchemeHTTPS:
-				return "doh"
-			}
-		}
-		return sp.Proto.String()
-	default:
-		return "doh"
+	proto = "doh"
+	if sp, ok := p.(*SimProber); ok {
+		proto = sp.Protocol.String()
 	}
+	return proto, proto + ":" + t.Host, true
 }

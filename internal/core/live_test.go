@@ -1,4 +1,6 @@
-package core
+// The live prober lives in internal/live; these tests drive it, and a
+// campaign over it, from core's side as an external package.
+package core_test
 
 import (
 	"context"
@@ -12,11 +14,13 @@ import (
 
 	"encdns/internal/authdns"
 	"encdns/internal/certs"
+	"encdns/internal/core"
 	"encdns/internal/dataset"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/dot"
+	"encdns/internal/live"
 	"encdns/internal/netsim"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
@@ -71,8 +75,8 @@ func poolWith(ts *httptest.Server, d dns53.ContextDialer) *transport.Pool {
 
 func TestLiveProberEndToEnd(t *testing.T) {
 	endpoint, ts := startLiveStack(t)
-	prober := &LiveProber{Transport: poolWith(ts, nil)}
-	target := Target{Host: "live.test", Endpoint: endpoint}
+	prober := &live.Prober{Transport: poolWith(ts, nil)}
+	target := core.Target{Host: "live.test", Endpoint: endpoint}
 	v := netsim.Vantage{Name: "loopback"}
 
 	for _, domain := range dataset.Domains {
@@ -97,8 +101,8 @@ func TestLiveProberMeasuresInjectedLatency(t *testing.T) {
 	const injected = 60 * time.Millisecond
 
 	dd := &delayDialer{delay: injected}
-	prober := &LiveProber{Transport: poolWith(ts, dd)}
-	target := Target{Host: "live.test", Endpoint: endpoint}
+	prober := &live.Prober{Transport: poolWith(ts, dd)}
+	target := core.Target{Host: "live.test", Endpoint: endpoint}
 	v := netsim.Vantage{Name: "loopback"}
 
 	out := prober.Query(context.Background(), v, target, "google.com", 0)
@@ -125,8 +129,8 @@ func TestLiveProberFreshVsReusedConnections(t *testing.T) {
 	dd := &delayDialer{delay: injected}
 
 	v := netsim.Vantage{Name: "loopback"}
-	target := Target{Host: "live.test", Endpoint: endpoint}
-	prober := &LiveProber{Transport: poolWith(ts, dd)}
+	target := core.Target{Host: "live.test", Endpoint: endpoint}
+	prober := &live.Prober{Transport: poolWith(ts, dd)}
 	for i, name := range []string{"cold", "warm"} {
 		out := prober.Query(context.Background(), v, target, "google.com", i)
 		if out.Err != netsim.OK {
@@ -150,11 +154,11 @@ func TestLiveProberClassifiesDeadEndpoint(t *testing.T) {
 	deadURL := "https://" + ln.Addr().String() + "/dns-query"
 	ln.Close()
 
-	prober := &LiveProber{Transport: transport.NewPool(transport.Options{
+	prober := &live.Prober{Transport: transport.NewPool(transport.Options{
 		Timeout: 500 * time.Millisecond,
 		Retry:   &transport.RetryPolicy{MaxAttempts: 1},
 	})}
-	out := prober.Query(context.Background(), netsim.Vantage{}, Target{Host: "dead", Endpoint: deadURL}, "google.com", 0)
+	out := prober.Query(context.Background(), netsim.Vantage{}, core.Target{Host: "dead", Endpoint: deadURL}, "google.com", 0)
 	if out.Err != netsim.ErrConnect && out.Err != netsim.ErrTimeout {
 		t.Errorf("err = %v, want connect-failure or timeout", out.Err)
 	}
@@ -165,8 +169,8 @@ func TestLiveProberHTTPErrorClass(t *testing.T) {
 		http.Error(w, "no", http.StatusBadGateway)
 	}))
 	defer ts.Close()
-	prober := &LiveProber{Transport: poolWith(ts, nil)}
-	out := prober.Query(context.Background(), netsim.Vantage{}, Target{Host: "x", Endpoint: ts.URL}, "google.com", 0)
+	prober := &live.Prober{Transport: poolWith(ts, nil)}
+	out := prober.Query(context.Background(), netsim.Vantage{}, core.Target{Host: "x", Endpoint: ts.URL}, "google.com", 0)
 	if out.Err != netsim.ErrHTTP {
 		t.Errorf("err = %v, want http-error", out.Err)
 	}
@@ -174,8 +178,8 @@ func TestLiveProberHTTPErrorClass(t *testing.T) {
 
 func TestLiveProberNilTransport(t *testing.T) {
 	v := netsim.Vantage{}
-	target := Target{Host: "x", Endpoint: "https://x/dns-query"}
-	p := &LiveProber{}
+	target := core.Target{Host: "x", Endpoint: "https://x/dns-query"}
+	p := &live.Prober{}
 	out := p.Query(context.Background(), v, target, "google.com", 0)
 	if out.Err != netsim.ErrConnect {
 		t.Errorf("nil transport: err = %v", out.Err)
@@ -186,8 +190,8 @@ func TestLiveProberNilTransport(t *testing.T) {
 }
 
 func TestLiveProberBadEndpoint(t *testing.T) {
-	p := &LiveProber{Transport: transport.NewPool(transport.Options{})}
-	out := p.Query(context.Background(), netsim.Vantage{}, Target{Host: "x", Endpoint: "gopher://x"}, "google.com", 0)
+	p := &live.Prober{Transport: transport.NewPool(transport.Options{})}
+	out := p.Query(context.Background(), netsim.Vantage{}, core.Target{Host: "x", Endpoint: "gopher://x"}, "google.com", 0)
 	if out.Err == netsim.OK {
 		t.Error("unknown scheme succeeded")
 	}
@@ -195,19 +199,19 @@ func TestLiveProberBadEndpoint(t *testing.T) {
 
 func TestLiveCampaign(t *testing.T) {
 	// A small but fully live campaign: the campaign scheduler drives the
-	// LiveProber against the real DoH stack; the analysis pipeline then
+	// live prober against the real DoH stack; the analysis pipeline then
 	// consumes the records exactly as it does simulated ones.
 	endpoint, ts := startLiveStack(t)
-	prober := &LiveProber{Transport: poolWith(ts, nil)}
-	cfg := CampaignConfig{
+	prober := &live.Prober{Transport: poolWith(ts, nil)}
+	cfg := core.CampaignConfig{
 		Vantages: []netsim.Vantage{{Name: "loopback"}},
-		Targets:  []Target{{Host: "live.test", Endpoint: endpoint}},
+		Targets:  []core.Target{{Host: "live.test", Endpoint: endpoint}},
 		Domains:  dataset.Domains,
 		Rounds:   3,
 		Interval: time.Nanosecond,
 		Clock:    netsim.NewVirtualClock(netsim.CampaignEpoch),
 	}
-	c, err := NewCampaign(cfg, prober)
+	c, err := core.NewCampaign(cfg, prober)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestLiveCampaign(t *testing.T) {
 	}
 	// A live prober cannot ping, so nothing may be recorded as an
 	// unanswered ping.
-	if pings := rs.Filter(func(r Record) bool { return r.Kind == KindPing }); len(pings) != 0 {
+	if pings := rs.Filter(func(r core.Record) bool { return r.Kind == core.KindPing }); len(pings) != 0 {
 		t.Errorf("live campaign wrote %d ping records: %+v", len(pings), pings[0])
 	}
 	if rs.Len() != 3*3 {
@@ -261,12 +265,12 @@ func TestLiveProberDoT(t *testing.T) {
 	go srv.Serve(ln)
 	t.Cleanup(func() { ln.Close(); inner.Shutdown() })
 
-	prober := &LiveProber{
+	prober := &live.Prober{
 		Proto:     netsim.ProtoDoT,
 		Transport: transport.NewPool(transport.Options{TLS: ca.ClientConfig("127.0.0.1")}),
 	}
 	out := prober.Query(context.Background(), netsim.Vantage{},
-		Target{Host: "dot.test", Endpoint: "tls://" + ln.Addr().String()}, "google.com", 0)
+		core.Target{Host: "dot.test", Endpoint: "tls://" + ln.Addr().String()}, "google.com", 0)
 	if out.Err != netsim.OK || out.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("outcome = %+v", out)
 	}
@@ -284,13 +288,13 @@ func TestLiveProberDo53(t *testing.T) {
 	go inner.ServeUDP(pc)
 	t.Cleanup(inner.Shutdown)
 
-	prober := &LiveProber{
+	prober := &live.Prober{
 		Proto:     netsim.ProtoDo53,
 		Transport: transport.NewPool(transport.Options{}),
 	}
 	// A bare host:port endpoint defaults to the udp scheme.
 	out := prober.Query(context.Background(), netsim.Vantage{},
-		Target{Host: "udp.test", Endpoint: pc.LocalAddr().String()}, "google.com", 0)
+		core.Target{Host: "udp.test", Endpoint: pc.LocalAddr().String()}, "google.com", 0)
 	if out.Err != netsim.OK || out.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("outcome = %+v", out)
 	}

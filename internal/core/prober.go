@@ -14,6 +14,17 @@ type Prober interface {
 	Ping(ctx context.Context, v netsim.Vantage, t Target, round int) PingOutcome
 }
 
+// Labeler is the optional side of a Prober that knows its targets better
+// than the campaign does (live.Prober addresses them by endpoint). Label
+// returns the records' protocol label for t, the key the Observer tracks
+// t under, and whether Ping can answer at all; a campaign whose prober
+// cannot ping skips every ping. Without it a campaign labels records
+// with SimProber's protocol (else "doh"), keys them "proto:host" and
+// pings.
+type Labeler interface {
+	Label(t Target) (proto, key string, pings bool)
+}
+
 // SimProber probes through the discrete-event network model.
 type SimProber struct {
 	// Net is the simulated internet.

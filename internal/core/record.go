@@ -8,10 +8,11 @@
 //
 // Two probers are provided: SimProber drives the internal/netsim model
 // (deterministic, virtual-time — used to regenerate the paper's figures)
-// and LiveProber drives the real protocol clients over real connections
-// (used by the CLI against real servers and by the integration tests).
-// Both produce identical Record values, so the analysis pipeline cannot
-// tell them apart.
+// and internal/live's Prober drives the real protocol clients over real
+// connections (used by the CLI against real servers and by the
+// integration tests). Both produce identical Record values, so the
+// analysis pipeline cannot tell them apart; core itself imports no
+// network code.
 package core
 
 import (

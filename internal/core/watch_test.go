@@ -14,6 +14,7 @@ import (
 	"encdns/internal/monitor"
 	"encdns/internal/netsim"
 	"encdns/internal/obs"
+	"encdns/internal/obshttp"
 	"encdns/internal/testutil"
 )
 
@@ -110,7 +111,7 @@ func TestWatchOutageDetection(t *testing.T) {
 	}
 
 	// Assert through the serving surface, not tracker internals.
-	srv := httptest.NewServer(obs.NewHTTPHandler(obs.NewRegistry(), tracker))
+	srv := httptest.NewServer(obshttp.NewHandler(obs.NewRegistry(), tracker))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/watch")

@@ -16,7 +16,9 @@
 // layers; Wrap applies them to the connection a base dial returned. A
 // layer acts on the connection's writes, never on the dial itself: a
 // failed dial is the base dial's error as it is, and a failed write
-// carries the layer name via LayerError.
+// carries the layer name via LayerError. VirtualNet is the other side of
+// the seam: in-process connections past middlebox models that the
+// chains are measured against.
 package dialer
 
 import (

@@ -19,6 +19,7 @@ import (
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/obs"
+	"encdns/internal/obshttp"
 	"encdns/internal/resolver"
 )
 
@@ -73,7 +74,7 @@ func startH2Pair(t *testing.T, dns dns53.Handler) (reference, loop *httptest.Ser
 	reg.Counter("differential_test_total", "A series that never moves.").Add(42)
 	mux := http.NewServeMux()
 	mux.Handle(doh.DefaultPath, h)
-	mux.Handle("/metrics", obs.NewHTTPHandler(reg, nil))
+	mux.Handle("/metrics", obshttp.NewHandler(reg, nil))
 	start := func(hook bool) *httptest.Server {
 		ts := httptest.NewUnstartedServer(mux)
 		ts.EnableHTTP2 = true

@@ -13,6 +13,7 @@ import (
 	"encdns/internal/core"
 	"encdns/internal/dataset"
 	"encdns/internal/doh"
+	"encdns/internal/live"
 	"encdns/internal/netsim"
 	"encdns/internal/resolver"
 	"encdns/internal/stats"
@@ -87,7 +88,7 @@ func TestLiveVsSimAgreement(t *testing.T) {
 
 	ld := &latencyDialer{oneWay: time.Duration(oneWayMs * float64(time.Millisecond))}
 	// Fresh connections through the one-shot client dnsmeasure runs.
-	liveProber := &core.LiveProber{
+	liveProber := &live.Prober{
 		Transport: transport.NewPool(transport.Options{
 			TLS:     ts.Client().Transport.(*http.Transport).TLSClientConfig,
 			Dialer:  ld,

@@ -1,4 +1,6 @@
-package experiment
+// The reachability scenario lives in internal/live; its classification
+// test runs here, beside the report it feeds, as an external package.
+package experiment_test
 
 import (
 	"context"
@@ -9,15 +11,17 @@ import (
 
 	"encdns/internal/authdns"
 	"encdns/internal/certs"
+	"encdns/internal/dialer"
 	"encdns/internal/dns53"
 	"encdns/internal/dot"
+	"encdns/internal/live"
 	"encdns/internal/netsim"
 	"encdns/internal/transport"
 )
 
 // startReachDoT serves DoT for serverName on the VirtualNet using the
 // shared test CA.
-func startReachDoT(t *testing.T, vn *netsim.VirtualNet, ca *certs.CA, addr, serverName string) {
+func startReachDoT(t *testing.T, vn *dialer.VirtualNet, ca *certs.CA, addr, serverName string) {
 	t.Helper()
 	srvTLS, err := ca.ServerConfig([]string{serverName}, nil)
 	if err != nil {
@@ -39,7 +43,7 @@ func startReachDoT(t *testing.T, vn *netsim.VirtualNet, ca *certs.CA, addr, serv
 // as reachable-plain / reachable-evasion / unreachable, and the report
 // table carries the grid.
 func TestReachabilityClassification(t *testing.T) {
-	vn := netsim.NewVirtualNet()
+	vn := dialer.NewVirtualNet()
 	ca, err := certs.NewCA(0)
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +58,14 @@ func TestReachabilityClassification(t *testing.T) {
 	tlsCfg := ca.ClientConfig("")
 	tlsCfg.ServerName = ""
 
-	vantages := []VantagePolicy{
+	vantages := []live.VantagePolicy{
 		{Name: "open-net"},
-		{Name: "sni-censor", Middleboxes: []netsim.Middlebox{
-			&netsim.RSTOnSNI{Blocked: []string{blocked}},
+		{Name: "sni-censor", Middleboxes: []dialer.Middlebox{
+			&dialer.RSTOnSNI{Blocked: []string{blocked}},
 		}},
-		{Name: "blackhole", Middleboxes: []netsim.Middlebox{&netsim.Blackhole{}}},
+		{Name: "blackhole", Middleboxes: []dialer.Middlebox{&dialer.Blackhole{}}},
 	}
-	results, err := RunReachability(context.Background(), ReachabilityConfig{
+	results, err := live.RunReachability(context.Background(), live.ReachabilityConfig{
 		Net:       vn,
 		Vantages:  vantages,
 		Endpoints: []string{"tls://" + blocked + ":853", "tls://" + open + ":853"},
@@ -71,13 +75,13 @@ func TestReachabilityClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]ReachClass{
-		"open-net/tls://" + blocked + ":853":   ReachPlain,
-		"open-net/tls://" + open + ":853":      ReachPlain,
-		"sni-censor/tls://" + blocked + ":853": ReachEvasion,
-		"sni-censor/tls://" + open + ":853":    ReachPlain,
-		"blackhole/tls://" + blocked + ":853":  Unreachable,
-		"blackhole/tls://" + open + ":853":     Unreachable,
+	want := map[string]live.ReachClass{
+		"open-net/tls://" + blocked + ":853":   live.ReachPlain,
+		"open-net/tls://" + open + ":853":      live.ReachPlain,
+		"sni-censor/tls://" + blocked + ":853": live.ReachEvasion,
+		"sni-censor/tls://" + open + ":853":    live.ReachPlain,
+		"blackhole/tls://" + blocked + ":853":  live.Unreachable,
+		"blackhole/tls://" + open + ":853":     live.Unreachable,
 	}
 	if len(results) != len(want) {
 		t.Fatalf("results = %d, want %d", len(results), len(want))
@@ -87,16 +91,16 @@ func TestReachabilityClassification(t *testing.T) {
 		if r.Class != want[key] {
 			t.Errorf("%s = %s, want %s", key, r.Class, want[key])
 		}
-		if r.Class == ReachEvasion && r.Chain == "" {
+		if r.Class == live.ReachEvasion && r.Chain == "" {
 			t.Errorf("%s: evasion class with no chain", key)
 		}
-		if r.Class == ReachEvasion && r.PlainErr != netsim.ErrConnect {
+		if r.Class == live.ReachEvasion && r.PlainErr != netsim.ErrConnect {
 			t.Errorf("%s: plain error = %s, want connect (RST)", key, r.PlainErr)
 		}
 	}
 
 	var sb strings.Builder
-	if err := RenderReachability(&sb, results); err != nil {
+	if err := live.RenderReachability(&sb, results); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

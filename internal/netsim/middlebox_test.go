@@ -1,4 +1,7 @@
-package netsim
+// The VirtualNet and its middleboxes live in internal/dialer; their
+// tests run here, beside the transaction model they complement, as an
+// external package that imports no netsim code.
+package netsim_test
 
 import (
 	"context"
@@ -19,7 +22,7 @@ import (
 
 // startTLSEcho runs a TLS server on the VirtualNet that echoes one line
 // back to each client. It returns the CA the client must trust.
-func startTLSEcho(t *testing.T, vn *VirtualNet, addr, serverName string) *certs.CA {
+func startTLSEcho(t *testing.T, vn *dialer.VirtualNet, addr, serverName string) *certs.CA {
 	t.Helper()
 	ca, err := certs.NewCA(0)
 	if err != nil {
@@ -57,7 +60,7 @@ func startTLSEcho(t *testing.T, vn *VirtualNet, addr, serverName string) *certs.
 
 // handshake dials addr through the given chain and path and attempts a
 // full TLS handshake plus one echo round trip.
-func handshake(ctx context.Context, chain []dialer.Spec, path *PathDialer, ca *certs.CA, serverName, addr string) error {
+func handshake(ctx context.Context, chain []dialer.Spec, path *dialer.PathDialer, ca *certs.CA, serverName, addr string) error {
 	raw, err := path.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return err
@@ -89,10 +92,10 @@ func TestRSTOnSNIBlocksPlainAllowsFragmented(t *testing.T) {
 	// server's listener (registered later) has been closed.
 	baseline := testutil.GoroutineBaseline()
 	t.Cleanup(func() { testutil.WaitNoLeaks(t, baseline) })
-	vn := NewVirtualNet()
+	vn := dialer.NewVirtualNet()
 	const name, addr = "blocked.test", "192.0.2.53:853"
 	ca := startTLSEcho(t, vn, addr, name)
-	path := vn.Path(&RSTOnSNI{Blocked: []string{name}})
+	path := vn.Path(&dialer.RSTOnSNI{Blocked: []string{name}})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -124,11 +127,11 @@ func TestRSTOnSNIBlocksPlainAllowsFragmented(t *testing.T) {
 }
 
 func TestDropLargeRecordFirstSegmentOnly(t *testing.T) {
-	vn := NewVirtualNet()
+	vn := dialer.NewVirtualNet()
 	const name, addr = "resolver.test", "192.0.2.54:853"
 	ca := startTLSEcho(t, vn, addr, name)
 	// Any realistic ClientHello is far larger than 64 bytes.
-	path := vn.Path(&DropLargeRecord{MaxBytes: 64})
+	path := vn.Path(&dialer.DropLargeRecord{MaxBytes: 64})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
@@ -148,10 +151,10 @@ func TestDropLargeRecordFirstSegmentOnly(t *testing.T) {
 }
 
 func TestBlackholeAndMissingListener(t *testing.T) {
-	vn := NewVirtualNet()
+	vn := dialer.NewVirtualNet()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := vn.Path(&Blackhole{}).DialContext(ctx, "tcp", "192.0.2.1:853"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := vn.Path(&dialer.Blackhole{}).DialContext(ctx, "tcp", "192.0.2.1:853"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("blackhole dial = %v, want deadline exceeded", err)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
@@ -163,10 +166,10 @@ func TestBlackholeAndMissingListener(t *testing.T) {
 }
 
 func TestMiddleboxNames(t *testing.T) {
-	for mb, want := range map[Middlebox]string{
-		&RSTOnSNI{}:        "rst-on-sni",
-		&DropLargeRecord{}: "drop-large-record",
-		&Blackhole{}:       "blackhole",
+	for mb, want := range map[dialer.Middlebox]string{
+		&dialer.RSTOnSNI{}:        "rst-on-sni",
+		&dialer.DropLargeRecord{}: "drop-large-record",
+		&dialer.Blackhole{}:       "blackhole",
 	} {
 		if got := mb.Name(); got != want {
 			t.Errorf("Name = %q, want %q", got, want)

@@ -23,6 +23,7 @@ import (
 	"encdns/internal/doh"
 	"encdns/internal/dot"
 	"encdns/internal/obs"
+	"encdns/internal/obshttp"
 	"encdns/internal/resolver"
 	"encdns/internal/transport"
 )
@@ -167,7 +168,7 @@ func Start(ctx context.Context, cfg Config) (_ *Stack, err error) {
 		// Introspection rides the same mux: /metrics (Prometheus text),
 		// /debug/obs (JSON snapshot), and /debug/pprof (profiles).
 		obs.RegisterRuntimeMetrics(obs.Default())
-		introspection := obs.NewHTTPHandler(obs.Default(), nil)
+		introspection := obshttp.NewHandler(obs.Default(), nil)
 		mux.Handle("/metrics", introspection)
 		mux.Handle("/debug/", introspection)
 		ln, err := net.Listen("tcp", cfg.DoH)

@@ -15,12 +15,11 @@ import (
 	"time"
 
 	"encdns/internal/cluster"
-	"encdns/internal/core"
 	"encdns/internal/dataset"
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
 	"encdns/internal/doh"
 	"encdns/internal/keyhash"
-	"encdns/internal/netsim"
 	"encdns/internal/obs"
 	"encdns/internal/serve"
 	"encdns/internal/transport"
@@ -145,25 +144,30 @@ func header(r []byte) (id, flags, qd, an, ns, ar uint16) {
 	return h(0), h(1), h(2), h(3), h(4), h(5)
 }
 
-// probe runs the live prober, dnsmeasure -mode live's, over each endpoint
-// for the paper's three names, rounds times, and returns how many queries
-// were asked and how many did not come back NOERROR.
+// probe asks each endpoint for the paper's three names, rounds times,
+// with the exchange dnsmeasure -mode live times (a fresh query through a
+// transport pool), and returns how many queries were asked and how many
+// did not come back NOERROR. It calls the pool, not live.Prober, so this
+// test binary links no measurement engine: see
+// TestMetricsCarryNoMeasurementSeries.
 func probe(t *testing.T, tlsCfg *tls.Config, rounds int, endpoints ...string) (asked, bad int) {
 	t.Helper()
 	pool := transport.NewPool(transport.Options{TLS: tlsCfg})
 	defer pool.Close()
-	prober := &core.LiveProber{Transport: pool}
 	ctx := context.Background()
-	for round := range rounds {
+	for range rounds {
 		for _, ep := range endpoints {
 			for _, name := range dataset.Domains {
-				out := prober.Query(ctx, netsim.Vantage{}, core.Target{Endpoint: ep}, name, round)
+				resp, err := pool.Exchange(ctx, dnswire.NewQuery(dns53.NewID(), name, dnswire.TypeA), ep)
 				asked++
-				if out.Err != netsim.OK || out.RCode != dnswire.RCodeSuccess {
-					bad++
-					if bad <= 3 {
-						t.Logf("%s %s: rcode %v, %v", ep, name, out.RCode, out.Err)
-					}
+				if err == nil && resp.Header.RCode == dnswire.RCodeSuccess {
+					continue
+				}
+				bad++
+				if bad <= 3 && err != nil {
+					t.Logf("%s %s: %v", ep, name, err)
+				} else if bad <= 3 {
+					t.Logf("%s %s: rcode %v", ep, name, resp.Header.RCode)
 				}
 			}
 		}
@@ -387,6 +391,31 @@ func TestDoHServesHTTP2ThroughTheBurstLoop(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
 		t.Errorf("/metrics: %s, %s", resp.Status, resp.Header.Get("Content-Type"))
+	}
+}
+
+// TestMetricsCarryNoMeasurementSeries: a stack's /metrics shows the
+// serving side only. The measurement engine's campaign_* series and the
+// watchtower's monitor_* series register when their packages load, so
+// one of theirs here means internal/core or internal/monitor is linked
+// into what serves: by the stack, or by a test file of this package.
+func TestMetricsCarryNoMeasurementSeries(t *testing.T) {
+	st := start(t, serve.Config{DoH: "127.0.0.1:0", Cache: 4096})
+	client := &http.Client{Transport: &http.Transport{TLSClientConfig: st.CA.ClientConfig("127.0.0.1")}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Get("https://" + st.DoH + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "\nresolver_cache_entries ") {
+		t.Fatalf("/metrics: %s, %v, no resolver_cache_entries in %d octets", resp.Status, err, len(body))
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "campaign_") || strings.HasPrefix(line, "monitor_") {
+			t.Errorf("/metrics carries a measurement series: %s", line)
+		}
 	}
 }
 

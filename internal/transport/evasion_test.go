@@ -24,7 +24,7 @@ func ptr[T any](v T) *T { return &v }
 // on a VirtualNet address and returns the CA clients must trust. The
 // full protocol stack runs in-process, so middlebox verdicts depend only
 // on the bytes the client writes — deterministic evasion proofs.
-func startVirtualDoT(t *testing.T, vn *netsim.VirtualNet, addr, serverName string) *certs.CA {
+func startVirtualDoT(t *testing.T, vn *dialer.VirtualNet, addr, serverName string) *certs.CA {
 	t.Helper()
 	ca, err := certs.NewCA(0)
 	if err != nil {
@@ -97,7 +97,7 @@ func (b *bufferedConn) Close() error {
 
 // startVirtualDoH is startVirtualDoT for DoH, served as cmd/dohserver
 // serves it (HTTP/2 to the burst loop) from socket-buffered connections.
-func startVirtualDoH(t *testing.T, vn *netsim.VirtualNet, addr, serverName string) *certs.CA {
+func startVirtualDoH(t *testing.T, vn *dialer.VirtualNet, addr, serverName string) *certs.CA {
 	t.Helper()
 	ca, err := certs.NewCA(0)
 	if err != nil {
@@ -127,19 +127,19 @@ func TestEvasionRSTOnSNI(t *testing.T) {
 	const name = "blocked.test"
 	for _, tc := range []struct {
 		scheme, endpoint string
-		start            func(*testing.T, *netsim.VirtualNet, string, string) *certs.CA
+		start            func(*testing.T, *dialer.VirtualNet, string, string) *certs.CA
 	}{
 		{"tls", "tls://" + name + ":853", startVirtualDoT},
 		{"https", "https://" + name + "/dns-query", startVirtualDoH},
 	} {
 		t.Run(tc.scheme, func(t *testing.T) {
-			vn := netsim.NewVirtualNet()
+			vn := dialer.NewVirtualNet()
 			ce, err := ParseChain(tc.endpoint)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ca := tc.start(t, vn, ce.Addr(), name)
-			path := vn.Path(&netsim.RSTOnSNI{Blocked: []string{name}})
+			path := vn.Path(&dialer.RSTOnSNI{Blocked: []string{name}})
 			opts := Options{
 				TLS:     ca.ClientConfig(name),
 				Dialer:  path,
@@ -184,11 +184,11 @@ func TestEvasionRSTOnSNI(t *testing.T) {
 // TestEvasionDropLargeRecord: the drop-first-large-TLS-record middlebox
 // strands a plain handshake (timeout) but passes a fragmented one.
 func TestEvasionDropLargeRecord(t *testing.T) {
-	vn := netsim.NewVirtualNet()
+	vn := dialer.NewVirtualNet()
 	const name = "resolver.test"
 	const addr = name + ":853"
 	ca := startVirtualDoT(t, vn, addr, name)
-	path := vn.Path(&netsim.DropLargeRecord{MaxBytes: 64})
+	path := vn.Path(&dialer.DropLargeRecord{MaxBytes: 64})
 	opts := Options{
 		TLS:    ca.ClientConfig(name),
 		Dialer: path,
@@ -226,7 +226,7 @@ func TestEvasionDropLargeRecord(t *testing.T) {
 // layers or not — a layer acts on the connection's writes, so it cannot
 // be what failed a dial.
 func TestDialFailureCounters(t *testing.T) {
-	vn := netsim.NewVirtualNet() // no listeners: every dial fails
+	vn := dialer.NewVirtualNet() // no listeners: every dial fails
 	opts := Options{Dialer: vn.Path(), Retry: ptr(NoRetry()), Timeout: time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

@@ -1,6 +1,6 @@
 // Package transport is the shared client substrate under every consumer
 // that exchanges DNS messages with a real server: the live measurement
-// engine (core.LiveProber), the forwarding resolver, the recursive
+// engine (live.Prober), the forwarding resolver, the recursive
 // resolver and cluster peers when they leave the process, and the CLIs.
 //
 // Endpoints are scheme-addressed strings, mirroring the convention of

@@ -57,6 +57,52 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 	}
 }
 
+// TestSimulationImportsNoNetworkCode: the paper's simulation needs no
+// socket, so repro and the packages it is built from import no network
+// code, directly or not. What measures over real or virtual connections
+// lives in internal/live and internal/dialer, and the HTTP side of obs
+// in internal/obshttp. A forbidden package in the closure is reported
+// with the import chain that brought it in; a cgo import ("C") counts as
+// runtime/cgo, which the go command links for it.
+func TestSimulationImportsNoNetworkCode(t *testing.T) {
+	forbidden := map[string]bool{"net": true, "net/http": true, "crypto/tls": true, "runtime/cgo": true}
+	for _, dir := range []string{"cmd/repro", "internal/netsim", "internal/core", "internal/stats",
+		"internal/report", "internal/experiment", "internal/dataset", "internal/obs"} {
+		pkg, err := build.ImportDir(filepath.FromSlash(dir), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		seen := map[string]bool{}
+		var walk func(pkg *build.Package, chain string)
+		walk = func(pkg *build.Package, chain string) {
+			for _, imp := range pkg.Imports {
+				if imp == "C" {
+					imp = "runtime/cgo"
+				}
+				if seen[imp] || imp == "unsafe" {
+					continue
+				}
+				seen[imp] = true
+				if forbidden[imp] {
+					t.Errorf("%s imports %s: %s -> %s", dir, imp, chain, imp)
+					continue
+				}
+				var next *build.Package
+				if rel, ok := strings.CutPrefix(imp, module+"/"); ok {
+					next, err = build.ImportDir(filepath.FromSlash(rel), 0)
+				} else {
+					next, err = build.Import(imp, pkg.Dir, 0)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", imp, err)
+				}
+				walk(next, chain+" -> "+imp)
+			}
+		}
+		walk(pkg, dir)
+	}
+}
+
 // TestEveryInternalDeclarationIsReached applies the package rule one level
 // down: every top-level declaration under internal/ is used, directly or
 // not, by the non-test code of something that ships. The roots are
@@ -108,11 +154,11 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		"internal/testutil": "test-only by design: the helpers the test suites share",
 	}
 	seams := map[string]string{ // pkg.Type.Field → why only tests set it
-		"resolver.Recursive.RNGSeed":            "tests pin server selection; binaries seed from the clock",
-		"cluster.Node.Now":                      "virtual-clock tests drive peer health",
-		"experiment.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
-		"transport.RetryPolicy.Sleep":           "tests skip or count the backoff sleeps",
-		"netsim.Endpoint.Down":                  "tests take an endpoint down to drive outage detection",
+		"resolver.Recursive.RNGSeed":      "tests pin server selection; binaries seed from the clock",
+		"cluster.Node.Now":                "virtual-clock tests drive peer health",
+		"live.ReachabilityConfig.Timeout": "tests shorten the probe bound for stranded dials",
+		"transport.RetryPolicy.Sleep":     "tests skip or count the backoff sleeps",
+		"netsim.Endpoint.Down":            "tests take an endpoint down to drive outage detection",
 	}
 	diagnostic := map[string]string{ // pkg.Decl only dnsdig reaches → why it stays
 		"cluster.Ring.Peers":  "dnsdig -ring, the cluster's debug view; ROADMAP item 4 decides the cluster",

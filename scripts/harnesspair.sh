@@ -15,13 +15,16 @@
 # in each, N pairs per workload. Both sides of a pair get the same seed,
 # a fresh one per pair (HARNESSPAIR_SEED sets the first; the seeds used
 # are printed), and the side that goes first alternates from pair to
-# pair, so a drift of the machine lands on both sides alike. The harness
-# pins itself to one CPU: keep the box otherwise idle. Each run builds
-# under its checkout's .bench_build/, so the first run of a side also
-# compiles it; a run takes about 40 s.
+# pair, so a drift of the machine lands on both sides alike. Before pair
+# 1 each side makes one run of the first workload whose result is thrown
+# away: a session's first runs read slow, and pair 1 would give them to
+# the parent. The harness pins itself to one CPU: keep the box otherwise
+# idle. Each run builds under its checkout's .bench_build/, so the
+# warm-up run of a side also compiles it; a run takes about 40 s.
 #
 # Prints each pair's throughput_ops_s, latency_p50_us, setup_s and failed
-# operations, then per workload and metric the median and min-max of
+# operations as the pair finishes, then per workload and metric the
+# median and min-max of
 # each side and "better in k/N" for the change (higher throughput, lower
 # p50 and set-up are better). Read a gain only when the change is better
 # in at least nine of ten pairs; rows whose ranges overlap have not
@@ -75,8 +78,16 @@ export_rev "$parent" a
 export_rev "$change" b
 seed=${HARNESSPAIR_SEED:-$(($(date +%s) % 100000 * 10))}
 echo "parent $parent, change $change: $n pairs per workload, seeds from $seed"
+: >"$tmp/pairs"
+warm=1
 for w; do
 	[ "$w" = "$n" ] && break
+	if [ -n "$warm" ]; then
+		run a "$w" "$seed" >/dev/null
+		run b "$w" "$seed" >/dev/null
+		echo "warm-up: one $w run per side at seed $seed, discarded"
+		warm=
+	fi
 	i=1
 	while [ "$i" -le "$n" ]; do
 		if [ $((i % 2)) -eq 1 ]; then
@@ -86,18 +97,20 @@ for w; do
 			b=$(run b "$w" "$seed")
 			a=$(run a "$w" "$seed")
 		fi
-		echo "$w $i $seed $a $b"
+		echo "$w $i $seed $a $b" >>"$tmp/pairs"
+		# $a and $b stay unquoted: four fields each.
+		printf '%-12s pair %2d seed %d: parent %10.6g ops/s %9.6g us %7.4g s %d failed | change %10.6g ops/s %9.6g us %7.4g s %d failed\n' \
+			"$w" "$i" "$seed" $a $b
 		seed=$((seed + 1))
 		i=$((i + 1))
 	done
-done | awk '
+done
+awk '
 	BEGIN { split("throughput_ops_s latency_p50_us setup_s", name); split("1 -1 -1", sense) }
 	{
 		w = $1
 		if (!(w in seen)) { seen[w] = 1; order[++nw] = w }
 		k = ++np[w]
-		printf "%-12s pair %2d seed %d: parent %10.6g ops/s %9.6g us %7.4g s %d failed | change %10.6g ops/s %9.6g us %7.4g s %d failed\n", w, $2, $3, $4, $5, $6, $7, $8, $9, $10, $11
-		fflush()
 		for (m = 1; m <= 3; m++) {
 			pa[w, m, k] = $(3 + m); ch[w, m, k] = $(7 + m)
 			if (sense[m] * ($(7 + m) - $(3 + m)) > 0) better[w, m]++
@@ -121,4 +134,4 @@ done | awk '
 				printf "  %-16s parent %.6g [%.6g-%.6g]  change %.6g [%.6g-%.6g]  better in %d/%d\n", name[m], mp, lp, hp, mc, lo, hi, better[w, m], n
 			}
 		}
-	}'
+	}' "$tmp/pairs"
