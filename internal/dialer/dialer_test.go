@@ -128,18 +128,18 @@ func clientHello(sni string) []byte {
 
 func TestParseSNI(t *testing.T) {
 	ch := clientHello("blocked.test")
-	sni, ok := ParseSNI(ch)
+	sni, ok := parseSNI(ch)
 	if !ok || sni != "blocked.test" {
-		t.Fatalf("ParseSNI = %q, %v", sni, ok)
+		t.Fatalf("parseSNI = %q, %v", sni, ok)
 	}
-	if _, ok := ParseSNI(ch[:len(ch)-1]); ok {
+	if _, ok := parseSNI(ch[:len(ch)-1]); ok {
 		t.Error("truncated record must not parse")
 	}
-	if _, ok := ParseSNI([]byte("GET / HTTP/1.1\r\n")); ok {
+	if _, ok := parseSNI([]byte("GET / HTTP/1.1\r\n")); ok {
 		t.Error("non-TLS bytes must not parse")
 	}
-	if n, ok := FirstRecordLen(ch); !ok || n != len(ch) {
-		t.Errorf("FirstRecordLen = %d, %v; want %d", n, ok, len(ch))
+	if n, ok := firstRecordLen(ch); !ok || n != len(ch) {
+		t.Errorf("firstRecordLen = %d, %v; want %d", n, ok, len(ch))
 	}
 }
 
@@ -154,7 +154,7 @@ func TestTLSFragDefeatsSegmentSNI(t *testing.T) {
 		t.Fatalf("fragmented ClientHello wrote %d segments, want 2", len(segs))
 	}
 	for i, seg := range segs {
-		if sni, ok := ParseSNI(seg); ok {
+		if sni, ok := parseSNI(seg); ok {
 			t.Errorf("segment %d still leaks SNI %q", i, sni)
 		}
 		if strings.Contains(string(seg), "blocked.test") {
