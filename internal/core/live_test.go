@@ -65,7 +65,7 @@ func startLiveStack(t *testing.T) (string, *httptest.Server) {
 
 // poolWith builds a single-attempt transport pool that trusts ts's
 // certificate and dials through d (nil: net.Dialer).
-func poolWith(ts *httptest.Server, d dns53.ContextDialer) *transport.Pool {
+func poolWith(ts *httptest.Server, d transport.ContextDialer) *transport.Pool {
 	return transport.NewPool(transport.Options{
 		TLS:    ts.Client().Transport.(*http.Transport).TLSClientConfig,
 		Dialer: d,

@@ -148,8 +148,8 @@ func (vn *VirtualNet) Listen(addr string) (net.Listener, error) {
 	return l, nil
 }
 
-// Path returns a dialer (the net.Dialer shape the protocol clients and
-// transport.Options accept) that reaches this VirtualNet's listeners
+// Path returns a dialer (the net.Dialer shape transport.Options accepts)
+// that reaches this VirtualNet's listeners
 // through the given middleboxes. DialFilters run at establishment;
 // SegmentInspectors see every client→server write.
 func (vn *VirtualNet) Path(mbs ...Middlebox) *PathDialer {
@@ -157,7 +157,7 @@ func (vn *VirtualNet) Path(mbs ...Middlebox) *PathDialer {
 }
 
 // PathDialer dials VirtualNet listeners through a middlebox pipeline.
-// It implements dns53.ContextDialer.
+// It implements transport.ContextDialer.
 type PathDialer struct {
 	vn  *VirtualNet
 	mbs []Middlebox

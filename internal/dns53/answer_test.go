@@ -252,8 +252,7 @@ func TestServeTCPSurvivesTemporaryAcceptError(t *testing.T) {
 	go func() { done <- srv.ServeTCP(ln) }()
 	t.Cleanup(srv.Shutdown)
 
-	q := dnswire.NewQuery(NewID(), "google.com", dnswire.TypeA)
-	resp, err := (&Client{}).ExchangeTCP(context.Background(), q, inner.Addr().String())
+	resp, err := exchange("tcp", inner.Addr().String(), dnswire.NewQuery(NewID(), "google.com", dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("query after the failed Accept: %v", err)
 	}

@@ -1,4 +1,4 @@
-package dns53
+package dns53_test
 
 import (
 	"bytes"
@@ -9,12 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
+	"encdns/internal/transport"
 )
 
 // replyConn is a server that answers with whatever it is given: reads
 // return in's bytes, then io.EOF, and writes vanish. The embedded Conn is
-// nil; the clients call only the methods below.
+// nil; an exchange calls only the methods below.
 type replyConn struct {
 	net.Conn
 	in *bytes.Reader
@@ -27,22 +29,23 @@ func (c *replyConn) SetDeadline(time.Time) error      { return nil }
 func (c *replyConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *replyConn) SetWriteDeadline(time.Time) error { return nil }
 
-// replyDialer hands the UDP client a datagram of data and, for the TCP
-// fallback after a truncated answer, a stream carrying data as one frame.
-type replyDialer struct{ data []byte }
+// replyDialer hands a udp dial the datagram udp and a tcp dial the stream
+// tcp.
+type replyDialer struct{ udp, tcp []byte }
 
 func (d replyDialer) DialContext(_ context.Context, network, _ string) (net.Conn, error) {
 	if network == "tcp" {
-		return &replyConn{in: bytes.NewReader(append(binary.BigEndian.AppendUint16(nil, uint16(len(d.data))), d.data...))}, nil
+		return &replyConn{in: bytes.NewReader(d.tcp)}, nil
 	}
-	return &replyConn{in: bytes.NewReader(d.data)}, nil
+	return &replyConn{in: bytes.NewReader(d.udp)}, nil
 }
 
-// FuzzClientResponse drives the Do53 and DoT clients' response parse with
-// whatever a server might send: ExchangeConn reads data as a TCP or DoT
-// stream (length-framed), Client.Exchange as a UDP datagram, falling back
-// to TCP when it is truncated. Neither may panic or wait once the input is
-// exhausted, and a response either returns must answer the query.
+// FuzzClientResponse drives the Do53 and DoT response parse, through
+// transport's attempt routine, with whatever a server might send: a tcp://
+// exchange reads data as a TCP or DoT stream (length-framed), a udp://
+// one as a UDP datagram, falling back to TCP, where data comes as one
+// frame, when it is truncated. Neither may panic or wait once the input
+// is exhausted, and a response either returns must answer the query.
 func FuzzClientResponse(f *testing.F) {
 	query := dnswire.NewQuery(0x4242, "example.com.", dnswire.TypeA)
 	reply := query.Reply()
@@ -63,20 +66,29 @@ func FuzzClientResponse(f *testing.F) {
 	f.Add(truncated)
 	f.Add(append(frame(answer), frame(truncated)...))
 	f.Add([]byte{0, 0})
+	noRetry := transport.NoRetry()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(path string, resp *dnswire.Message, err error) {
-			if err == nil && CheckResponse(query, resp) != nil {
-				t.Fatalf("%s: accepted %v", path, resp)
+		for _, tc := range []struct {
+			endpoint string
+			dialer   replyDialer
+		}{
+			{"tcp://192.0.2.53:53", replyDialer{tcp: data}},
+			{"udp://192.0.2.53:53", replyDialer{udp: data, tcp: frame(data)}},
+		} {
+			ex, err := transport.Dial(tc.endpoint, transport.Options{Dialer: tc.dialer, Retry: &noRetry})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		resp, err := ExchangeConn(&replyConn{in: bytes.NewReader(data)}, query, nil)
-		check("stream", resp, err)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		resp, err = (&Client{Dialer: replyDialer{data}}).Exchange(ctx, query, "192.0.2.53:53")
-		check("udp", resp, err)
-		if ctx.Err() != nil {
-			t.Fatal("the UDP client waited for more than the input")
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			resp, err := ex.Exchange(ctx, query)
+			waited := ctx.Err() != nil
+			cancel()
+			if err == nil && dns53.CheckResponse(query, resp) != nil {
+				t.Fatalf("%s: accepted %v", tc.endpoint, resp)
+			}
+			if waited {
+				t.Fatalf("%s: waited for more than the input", tc.endpoint)
+			}
 		}
 	})
 }

@@ -1,25 +1,19 @@
 package doh
 
 import (
-	"context"
-	"crypto/tls"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"net/netip"
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"encdns/internal/authdns"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
-	"encdns/internal/testutil"
 )
 
 func static() dns53.Handler {
@@ -27,42 +21,6 @@ func static() dns53.Handler {
 	z.AddA("google.com.", 300, netip.MustParseAddr("142.250.1.100"))
 	z.AddA("wikipedia.com.", 300, netip.MustParseAddr("208.80.154.224"))
 	return z
-}
-
-// startDoH stands up an httptest TLS server with the RFC 8484 handler and
-// returns its endpoint URL plus a client from NewClient that trusts it.
-func startDoH(t *testing.T, h dns53.Handler) (string, *Client) {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.Handle(DefaultPath, &Handler{DNS: h})
-	ts := httptest.NewTLSServer(mux)
-	t.Cleanup(ts.Close)
-	return ts.URL + DefaultPath, trustingClient(ts)
-}
-
-// trustingClient is a client from NewClient that trusts ts.
-func trustingClient(ts *httptest.Server) *Client {
-	return NewClient(ts.Client().Transport.(*http.Transport).TLSClientConfig, nil)
-}
-
-// ask exchanges one query for name and type with endpoint.
-func ask(ctx context.Context, c *Client, endpoint, name string, t dnswire.Type) (*dnswire.Message, error) {
-	return c.Exchange(ctx, dnswire.NewQuery(dns53.NewID(), name, t), endpoint)
-}
-
-func TestDoHPOST(t *testing.T) {
-	endpoint, c := startDoH(t, static())
-	resp, err := ask(context.Background(), c, endpoint, "google.com", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.RCode != dnswire.RCodeSuccess || len(resp.Answers) != 1 {
-		t.Fatalf("resp: rcode=%v answers=%d", resp.Header.RCode, len(resp.Answers))
-	}
-	a := resp.Answers[0].Data.(*dnswire.A)
-	if a.Addr.String() != "142.250.1.100" {
-		t.Errorf("addr = %v", a.Addr)
-	}
 }
 
 // TestDoHGET: the server answers an RFC 8484 GET, whose query carries ID
@@ -94,26 +52,6 @@ func TestDoHGET(t *testing.T) {
 	}
 	if resp.Header.ID != 0 {
 		t.Errorf("GET response ID = %d, want 0", resp.Header.ID)
-	}
-}
-
-func TestDoHFreshConnections(t *testing.T) {
-	endpoint, c := startDoH(t, static())
-	for i := 0; i < 3; i++ {
-		if _, err := ask(context.Background(), c, endpoint, "google.com", dnswire.TypeA); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-}
-
-func TestDoHNXDomain(t *testing.T) {
-	endpoint, c := startDoH(t, static())
-	resp, err := ask(context.Background(), c, endpoint, "missing.example", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.RCode != dnswire.RCodeNXDomain {
-		t.Errorf("rcode = %v", resp.Header.RCode)
 	}
 }
 
@@ -183,39 +121,6 @@ func TestDoHServerRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.want)
 		}
-	}
-}
-
-func TestDoHServfailOnHandlerError(t *testing.T) {
-	h := testutil.HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) {
-		return nil, errors.New("resolver exploded")
-	})
-	endpoint, c := startDoH(t, h)
-	resp, err := ask(context.Background(), c, endpoint, "any.example", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.RCode != dnswire.RCodeServFail {
-		t.Errorf("rcode = %v", resp.Header.RCode)
-	}
-}
-
-func TestDoHClientClassifiesHTTPErrors(t *testing.T) {
-	ts := httptest.NewTLSServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down for maintenance", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	c := trustingClient(ts)
-	_, err := ask(context.Background(), c, ts.URL, "google.com", dnswire.TypeA)
-	var he *HTTPError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want *HTTPError", err)
-	}
-	if he.Status != "503 Service Unavailable" {
-		t.Errorf("status = %q", he.Status)
-	}
-	if !strings.Contains(he.Error(), "503") {
-		t.Errorf("message = %q", he.Error())
 	}
 }
 
@@ -320,49 +225,6 @@ func TestDoHJSONNumericTypeAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("long name status = %d", resp.StatusCode)
-	}
-}
-
-func TestDoHHTTP2Negotiated(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.Handle(DefaultPath, &Handler{DNS: static()})
-	ts := httptest.NewUnstartedServer(mux)
-	ts.EnableHTTP2 = true
-	ts.StartTLS()
-	defer ts.Close()
-
-	var proto string
-	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
-		TLSHandshakeDone: func(cs tls.ConnectionState, _ error) { proto = cs.NegotiatedProtocol },
-	})
-	resp, err := ask(ctx, trustingClient(ts), ts.URL+DefaultPath, "google.com", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Answers) != 1 {
-		t.Fatalf("answers = %d", len(resp.Answers))
-	}
-	if proto != "h2" {
-		t.Errorf("negotiated %q, want h2", proto)
-	}
-}
-
-func TestDoHTimeout(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.Handle(DefaultPath, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(2 * time.Second)
-	}))
-	ts := httptest.NewTLSServer(mux)
-	defer ts.Close()
-	c := trustingClient(ts)
-	c.Timeout = 100 * time.Millisecond
-	start := time.Now()
-	_, err := ask(context.Background(), c, ts.URL+DefaultPath, "google.com", dnswire.TypeA)
-	if err == nil {
-		t.Fatal("expected timeout")
-	}
-	if time.Since(start) > time.Second {
-		t.Error("timeout not enforced")
 	}
 }
 

@@ -2,28 +2,34 @@ package doh
 
 import (
 	"bufio"
-	"context"
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptrace"
-	"net/url"
 
 	"encdns/internal/bufpool"
 	"encdns/internal/dnswire"
 )
 
-// This file is what a Client runs per query: one connection, one TLS
-// handshake, one request and its response, all on the calling goroutine,
-// as dot.Client dials. net/http would spend a handshake goroutine, a
+// This file is the DoH half of a probe: one request and its response on a
+// connection transport has dialled and handshaken for it, all on the
+// calling goroutine. net/http would spend a handshake goroutine, a
 // read-loop goroutine and a write per frame on a connection it uses once.
-// Dialer, TLS configuration and session cache, ALPN (h2, else http/1.1)
-// and httptrace hooks are the ones a net/http client would use; HTTP/2
-// goes through h2.go's constants and HPACK decoder.
+// The httptrace hooks fire where net/http fires them; HTTP/2 goes through
+// h2.go's constants and HPACK decoder.
+
+// HTTPError reports a non-200 DoH response; the measurement engine
+// classifies it separately from transport failures.
+type HTTPError struct {
+	Status string // "503 Service Unavailable"
+}
+
+func (e *HTTPError) Error() string {
+	return fmt.Sprintf("doh: server returned %s", e.Status)
+}
 
 // ProtocolError reports an HTTP/2 response the server broke off or that
 // breaks RFC 9113: a GOAWAY that leaves the request unanswered, a
@@ -61,104 +67,37 @@ var h2SettingsAck = []byte{0, 0, 0, frameSettings, flagAck, 0, 0, 0, 0}
 // chunk framing and a body of at most one DNS message.
 const h1MaxResponse = 128 << 10
 
-// freshTarget is an endpoint parsed for exchanges.
-type freshTarget struct {
-	endpoint string
-	url      *url.URL
-	addr     string      // host:port to dial
-	tls      *tls.Config // Client.tls, or a clone naming the host as net/http did
-}
-
-func (c *Client) target(endpoint string) (*freshTarget, error) {
-	if t := c.last.Load(); t != nil && t.endpoint == endpoint {
-		return t, nil
-	}
-	u, err := url.Parse(endpoint)
-	if err == nil && (u.Scheme != "https" || u.Host == "") {
-		err = errors.New("a DoH client needs an https URL")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("doh: endpoint %q: %w", endpoint, err)
-	}
-	port := u.Port()
-	if port == "" {
-		port = "443"
-	}
-	t := &freshTarget{endpoint: endpoint, url: u, addr: net.JoinHostPort(u.Hostname(), port), tls: c.tls}
-	if t.tls.ServerName == "" {
-		t.tls = c.tls.Clone()
-		t.tls.ServerName = u.Hostname()
-	}
-	c.last.Store(t)
-	return t, nil
-}
-
-// exchangeFresh runs one query, packed in wire, on a connection of its
-// own. An error once ctx is done is ctx's.
-func (c *Client) exchangeFresh(ctx context.Context, wire []byte, query *dnswire.Message, endpoint string) (_ *dnswire.Message, err error) {
-	t, err := c.target(endpoint)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil && ctx.Err() != nil {
-			err = fmt.Errorf("doh: request: %w", ctx.Err())
-		}
-	}()
-	// ConnectStart and ConnectDone are the net package's to call, as under
-	// net/http; the other hooks are called here.
-	raw, err := c.dialer.DialContext(ctx, "tcp", t.addr)
-	if err != nil {
-		return nil, fmt.Errorf("doh: dial %s: %w", t.addr, err)
-	}
-	deadline, _ := ctx.Deadline() // Exchange always sets one
-	_ = raw.SetDeadline(deadline)
-	// Cancellation closes the connection, failing whatever waits on it.
-	// Stopped here, before the caller's cancel, it costs no goroutine.
-	stop := context.AfterFunc(ctx, func() { _ = raw.Close() })
-	conn := tls.Client(raw, t.tls)
-	defer func() {
-		stop()
-		_ = conn.Close()
-	}()
-	trace := httptrace.ContextClientTrace(ctx) // never nil: Exchange installs withClientTrace's
-	if trace.TLSHandshakeStart != nil {
-		trace.TLSHandshakeStart()
-	}
-	var state tls.ConnectionState
-	if err = conn.Handshake(); err == nil {
-		state = conn.ConnectionState()
-	}
-	if trace.TLSHandshakeDone != nil {
-		trace.TLSHandshakeDone(state, err)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("doh: TLS handshake with %s: %w", t.addr, err)
-	}
+// ExchangeConn posts wire, a packed query, as the one request on conn, a
+// client TLS connection whose handshake is done, and reads the response:
+// over HTTP/2 when ALPN chose h2, else HTTP/1.1. authority and path are
+// the request's :authority (Host) and path. It returns the DNS message of
+// a 200 response whose body is at most one message; whether that answers
+// the query is the caller's to check. trace's GotConn, WroteRequest and
+// GotFirstResponseByte hooks fire where net/http fires them; trace must
+// not be nil. The caller bounds the exchange with conn's deadline.
+func ExchangeConn(conn *tls.Conn, trace *httptrace.ClientTrace, authority, path string, wire []byte) (*dnswire.Message, error) {
 	if trace.GotConn != nil {
 		trace.GotConn(httptrace.GotConnInfo{Conn: conn})
 	}
-
-	path := t.url.RequestURI()
 	outp, inp := bufpool.Get(), bufpool.Get()
 	defer func() {
 		bufpool.Put(outp)
 		bufpool.Put(inp)
 	}()
-	h2 := state.NegotiatedProtocol == "h2"
+	h2 := conn.ConnectionState().NegotiatedProtocol == "h2"
 	if h2 { // the read buffer is the header block's scratch until the write
-		*outp, *inp = appendH2Request((*outp)[:0], (*inp)[:0], t.url.Host, path, wire)
+		*outp, *inp = appendH2Request((*outp)[:0], (*inp)[:0], authority, path, wire)
 	} else {
-		*outp = appendH1Request((*outp)[:0], t.url.Host, path, wire)
+		*outp = appendH1Request((*outp)[:0], authority, path, wire)
 	}
-	_, err = conn.Write(*outp)
+	_, err := conn.Write(*outp)
 	if trace.WroteRequest != nil {
 		trace.WroteRequest(httptrace.WroteRequestInfo{Err: err})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("doh: writing request: %w", err)
 	}
-	return readResponse(conn, h2, query, trace, inp, outp)
+	return readResponse(conn, h2, trace, inp, outp)
 }
 
 // appendH2Request appends the client preface, SETTINGS, WINDOW_UPDATE,
@@ -204,10 +143,10 @@ func appendNamedField(block []byte, index int, value string) []byte {
 // readResponse reads the response to the request written on rw, over
 // HTTP/2 or HTTP/1.1, and returns the DNS message it carries once it has
 // passed the checks every DoH response passes: status 200, a body no
-// longer than a DNS message, a message that parses and answers query. It
-// writes only the SETTINGS and PING acknowledgements HTTP/2 obliges it to.
-// in and body are scratch buffers, grown to at most a frame and a message.
-func readResponse(rw io.ReadWriter, h2 bool, query *dnswire.Message, trace *httptrace.ClientTrace, in, body *[]byte) (*dnswire.Message, error) {
+// longer than a DNS message, a message that parses. It writes only the
+// SETTINGS and PING acknowledgements HTTP/2 obliges it to. in and body are
+// scratch buffers, grown to at most a frame and a message.
+func readResponse(rw io.ReadWriter, h2 bool, trace *httptrace.ClientTrace, in, body *[]byte) (*dnswire.Message, error) {
 	var status int
 	var err error
 	if h2 {
@@ -217,13 +156,19 @@ func readResponse(rw io.ReadWriter, h2 bool, query *dnswire.Message, trace *http
 	} else {
 		status, *body, err = readH1(rw, (*body)[:0], trace)
 	}
-	if err != nil {
-		return nil, bodyErr(err)
+	if err == errBodyTooLarge {
+		return nil, errors.New("doh: response exceeds DNS message limit")
+	} else if err != nil {
+		return nil, fmt.Errorf("doh: reading response: %w", err)
 	}
 	if status != http.StatusOK {
 		return nil, &HTTPError{Status: fmt.Sprintf("%d %s", status, http.StatusText(status))}
 	}
-	return unpackResponse(*body, query)
+	resp, err := dnswire.Unpack(*body)
+	if err != nil {
+		return nil, fmt.Errorf("doh: parsing response: %w", err)
+	}
+	return resp, nil
 }
 
 // readH1 reads an HTTP/1.1 response's final status and, for a 200, its

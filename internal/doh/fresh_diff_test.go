@@ -26,9 +26,10 @@ import (
 	"encdns/internal/transport"
 )
 
-// The differential for the fresh-connection client: net/http with
-// keep-alives off, what doh.NewClient built before the one-shot exchange
-// replaced it, is the reference (netHTTPClient), and both
+// The differential for the fresh-connection client, transport's https://
+// exchange around ExchangeConn: net/http with keep-alives off, what the
+// DoH client built before the one-shot exchange replaced it, is the
+// reference (netHTTPClient), and both
 // clients must come back with the same parsed message or errors of the same
 // transport.Classify class, whatever the server. The one-shot client always
 // POSTs; the reference sends the same query as a POST or an RFC 8484 GET,
@@ -128,8 +129,8 @@ func freshMux(h *doh.Handler) *http.ServeMux {
 // netHTTPTimeout bounds one exchange of either client.
 const netHTTPTimeout = 3 * time.Second
 
-// netHTTPClient is the reference: the DoH exchange over net/http that
-// doh.Client ran before the one-shot exchange replaced it. It POSTs the
+// netHTTPClient is the reference: the DoH exchange over net/http that the
+// DoH client ran before the one-shot exchange replaced it. It POSTs the
 // query and holds the response to the checks the one-shot client makes:
 // status 200, a body no longer than a DNS message, a message that parses
 // and answers the query.
@@ -360,8 +361,9 @@ func TestFreshMatchesNetHTTP(t *testing.T) {
 						endpoint := srv.base + strings.TrimSuffix(path, "#nx")
 						reference := &netHTTPClient{&http.Client{Transport: reshape{&http.Transport{
 							TLSClientConfig: srv.tls.Clone(), DisableKeepAlives: true, ForceAttemptHTTP2: true}, method == http.MethodGet, ua}}}
-						oneShot := doh.NewClient(srv.tls, nil)
-						oneShot.Timeout = netHTTPTimeout
+						noRetry := transport.NoRetry()
+						oneShot := transport.NewPool(transport.Options{TLS: srv.tls, Timeout: netHTTPTimeout, Retry: &noRetry})
+						defer oneShot.Close()
 						var resp [2]*dnswire.Message
 						var errs [2]error
 						for i, c := range []interface {

@@ -1,4 +1,4 @@
-package dot
+package dot_test
 
 import (
 	"bytes"
@@ -14,7 +14,9 @@ import (
 	"encdns/internal/certs"
 	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
+	"encdns/internal/dot"
 	"encdns/internal/obs"
+	"encdns/internal/transport"
 )
 
 // startDoT stands up a DoT server over a fresh CA and returns the address,
@@ -30,7 +32,7 @@ func startDoT(t *testing.T, h dns53.Handler) (addr string, clientTLS *tls.Config
 		t.Fatal(err)
 	}
 	inner := &dns53.Server{Handler: h}
-	srv := &Server{DNS: inner, TLS: srvTLS}
+	srv := &dot.Server{DNS: inner, TLS: srvTLS}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -49,15 +51,22 @@ func static() dns53.Handler {
 	return z
 }
 
-// ask exchanges one google.com. A query with server.
-func ask(c *Client, server string) (*dnswire.Message, error) {
-	return c.Exchange(context.Background(), dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA), server)
+// ask exchanges one google.com. A query with the DoT server at addr in
+// one attempt of transport's tls:// client, which dials afresh for it.
+func ask(addr string, opts transport.Options) (*dnswire.Message, error) {
+	noRetry := transport.NoRetry()
+	opts.Retry = &noRetry
+	ex, err := transport.Dial("tls://"+addr, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer ex.Close()
+	return ex.Exchange(context.Background(), dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA))
 }
 
 func TestDoTQuery(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
-	c := &Client{TLS: cliTLS}
-	resp, err := ask(c, addr)
+	resp, err := ask(addr, transport.Options{TLS: cliTLS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +77,8 @@ func TestDoTQuery(t *testing.T) {
 
 func TestDoTUntrustedCertRejected(t *testing.T) {
 	addr, _ := startDoT(t, static())
-	// Client with empty root pool trusts nothing.
-	c := &Client{TLS: &tls.Config{RootCAs: nil, ServerName: "dot.test"}}
-	_, err := ask(c, addr)
+	// A client with the system roots trusts no test CA.
+	_, err := ask(addr, transport.Options{TLS: &tls.Config{RootCAs: nil, ServerName: "dot.test"}})
 	if err == nil {
 		t.Fatal("untrusted certificate accepted")
 	}
@@ -89,9 +97,17 @@ func dialDoT(t *testing.T, addr string, cfg *tls.Config) *tls.Conn {
 
 // askOn exchanges one google.com. A query on conn.
 func askOn(conn *tls.Conn) (*dnswire.Message, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return exchangeOn(ctx, conn, dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA))
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	q := dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA)
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, err
+	}
+	resp, err := dns53.ExchangeConn(conn, wire)
+	if err != nil {
+		return nil, err
+	}
+	return resp, dns53.CheckResponse(q, resp)
 }
 
 // TestDoTReuse: the server answers query after query on one connection,
@@ -117,7 +133,7 @@ func TestDoTReuseSurvivesServerClosingConn(t *testing.T) {
 	ca, _ := certs.NewCA(0)
 	srvTLS, _ := ca.ServerConfig(nil, []net.IP{net.ParseIP("127.0.0.1")})
 	inner := &dns53.Server{Handler: static(), ReadTimeout: 50 * time.Millisecond}
-	srv := &Server{DNS: inner, TLS: srvTLS}
+	srv := &dot.Server{DNS: inner, TLS: srvTLS}
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	go srv.Serve(ln)
 	defer ln.Close()
@@ -132,8 +148,7 @@ func TestDoTReuseSurvivesServerClosingConn(t *testing.T) {
 	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("idle connection read %d octets, %v; want EOF", n, err)
 	}
-	c := &Client{TLS: ca.ClientConfig("127.0.0.1")}
-	if _, err := ask(c, ln.Addr().String()); err != nil {
+	if _, err := ask(ln.Addr().String(), transport.Options{TLS: ca.ClientConfig("127.0.0.1")}); err != nil {
 		t.Fatalf("query after idle close: %v", err)
 	}
 }
@@ -154,9 +169,8 @@ func TestDoTTimeout(t *testing.T) {
 			defer conn.Close()
 		}
 	}()
-	c := &Client{Timeout: 100 * time.Millisecond, TLS: &tls.Config{InsecureSkipVerify: true}}
 	start := time.Now()
-	_, err = ask(c, ln.Addr().String())
+	_, err = ask(ln.Addr().String(), transport.Options{Timeout: 100 * time.Millisecond, TLS: &tls.Config{InsecureSkipVerify: true}})
 	if err == nil {
 		t.Fatal("expected handshake timeout")
 	}
@@ -171,14 +185,13 @@ func TestDoTServerNameInferred(t *testing.T) {
 	// which the cert carries as an IP SAN).
 	cfg := cliTLS.Clone()
 	cfg.ServerName = ""
-	c := &Client{TLS: cfg}
-	if _, err := ask(c, addr); err != nil {
+	if _, err := ask(addr, transport.Options{TLS: cfg}); err != nil {
 		t.Fatalf("query with inferred server name: %v", err)
 	}
 }
 
 func TestDoTServerRequiresTLSConfig(t *testing.T) {
-	srv := &Server{DNS: &dns53.Server{Handler: static()}}
+	srv := &dot.Server{DNS: &dns53.Server{Handler: static()}}
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer ln.Close()
 	if err := srv.Serve(ln); err == nil {
@@ -199,7 +212,7 @@ func TestShutdownStopsServe(t *testing.T) {
 	}
 	defer ln.Close()
 	served := make(chan error, 1)
-	go func() { served <- (&Server{DNS: inner, TLS: srvTLS}).Serve(ln) }()
+	go func() { served <- (&dot.Server{DNS: inner, TLS: srvTLS}).Serve(ln) }()
 
 	if _, err := askOn(dialDoT(t, ln.Addr().String(), ca.ClientConfig("127.0.0.1"))); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,14 @@
-package dot
+package dot_test
 
 import (
+	"context"
 	"crypto/tls"
 	"testing"
 
+	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
+	"encdns/internal/testutil"
+	"encdns/internal/transport"
 )
 
 // TestSessionResumptionAbbreviatedHandshake proves the server hands out
@@ -54,24 +58,30 @@ func TestSessionResumptionAbbreviatedHandshake(t *testing.T) {
 	}
 }
 
-// TestClientResumesAcrossDials exercises the same property through the
-// dot.Client path: every exchange dials fresh, so the second dial must hit
-// the client's session cache and bump the resumed handshake counter.
+// TestClientResumesAcrossDials exercises the same property through
+// transport's tls:// client: every exchange dials fresh, so the second
+// dial must hit the exchanger's session cache and bump the resumed
+// handshake counter.
 func TestClientResumesAcrossDials(t *testing.T) {
 	addr, cliTLS := startDoT(t, static())
-	c := &Client{TLS: cliTLS}
+	ex, err := transport.Dial("tls://"+addr, transport.Options{TLS: cliTLS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
 
-	resumedBefore := handshakesResumed.Value()
-	fullBefore := handshakesFull.Value()
+	const series = "transport_dot_handshakes_total"
+	resumedBefore := testutil.CounterValue(t, series+`{resumed="true"}`)
+	fullBefore := testutil.CounterValue(t, series+`{resumed="false"}`)
 	for i := 0; i < 2; i++ {
-		if _, err := ask(c, addr); err != nil {
+		if _, err := ex.Exchange(context.Background(), dnswire.NewQuery(dns53.NewID(), "google.com", dnswire.TypeA)); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	if got := handshakesFull.Value() - fullBefore; got < 1 {
+	if got := testutil.CounterValue(t, series+`{resumed="false"}`) - fullBefore; got < 1 {
 		t.Errorf("full handshakes = %d, want >= 1", got)
 	}
-	if got := handshakesResumed.Value() - resumedBefore; got < 1 {
+	if got := testutil.CounterValue(t, series+`{resumed="true"}`) - resumedBefore; got < 1 {
 		t.Errorf("resumed handshakes = %d, want >= 1 (second dial should resume)", got)
 	}
 }

@@ -172,7 +172,7 @@ func TestPoolChainIdentity(t *testing.T) {
 	}
 }
 
-// dialFunc adapts a function to dns53.ContextDialer.
+// dialFunc adapts a function to ContextDialer.
 type dialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 
 func (f dialFunc) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {

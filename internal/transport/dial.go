@@ -3,50 +3,48 @@ package transport
 import (
 	"context"
 	"crypto/tls"
+	"fmt"
 	"net"
+	"net/url"
 	"sync"
 	"time"
 
-	"encdns/internal/dns53"
 	"encdns/internal/dnswire"
-	"encdns/internal/doh"
-	"encdns/internal/dot"
 )
 
 // Options configures Dial. The zero value is usable: system TLS roots and
-// the default retry policy. Every tcp, tls and https exchange dials a
-// connection of its own, as the paper's dig-style probes do. Fresh is not
-// full: TLS session tickets are cached per exchanger, so only the first
-// connection to a server pays the full handshake and every later one
-// resumes.
+// the default retry policy. Every exchange dials a connection of its own,
+// as the paper's dig-style probes do. Fresh is not full: TLS session
+// tickets are cached per exchanger, so only the first connection to a
+// server pays the full handshake and every later one resumes.
 type Options struct {
-	// Timeout bounds each individual attempt; zero uses the protocol
-	// client's default (2s udp, 5s stream).
+	// Timeout bounds each attempt; zero uses the scheme's default: 2s for
+	// udp and tcp, 5s for tls and https. A udp answer that arrives
+	// truncated is asked again over tcp within a bound of its own.
 	Timeout time.Duration
 	// TLS configures certificate verification for tls:// and https://
 	// endpoints; nil uses the system roots. Dial clones it per endpoint
-	// and never changes the caller's value. An empty CurvePreferences
-	// offers X25519, P-256, P-384 and P-521, not X25519MLKEM768.
+	// and never changes the caller's value. An empty ServerName is the
+	// endpoint's host, and an empty CurvePreferences offers X25519, P-256,
+	// P-384 and P-521, not X25519MLKEM768.
 	TLS *tls.Config
 	// Dialer provides the underlying connections; nil uses net.Dialer.
 	// Injecting a dialer is how tests run over in-process transports.
-	Dialer dns53.ContextDialer
+	Dialer ContextDialer
 	// Retry is the shared retry policy applied to every scheme; nil
 	// applies DefaultRetryPolicy. Pass NoRetry() for single attempts.
 	Retry *RetryPolicy
 }
 
-func (o Options) retry() RetryPolicy {
-	if o.Retry != nil {
-		return *o.Retry
-	}
-	return DefaultRetryPolicy()
+// ContextDialer matches net.Dialer's DialContext, the injection point for
+// custom transports.
+type ContextDialer interface {
+	DialContext(ctx context.Context, network, address string) (net.Conn, error)
 }
 
-// Dial parses a chain-addressed endpoint and binds an Exchanger to it,
-// wrapping the protocol client in the shared retry middleware. This is
-// the one place protocol selection happens; every consumer above speaks
-// Exchanger. The endpoint may carry a dialer-chain prefix
+// Dial parses a chain-addressed endpoint and binds an Exchanger to it.
+// This is the one place protocol selection happens; every consumer above
+// speaks Exchanger. The endpoint may carry a dialer-chain prefix
 // ("tlsfrag:sni|tls://…"); how the connection is established is decided
 // entirely by the chain dialer (see chainDialer), never here.
 func Dial(endpoint string, opts Options) (Exchanger, error) {
@@ -54,24 +52,38 @@ func Dial(endpoint string, opts Options) (Exchanger, error) {
 	if err != nil {
 		return nil, err
 	}
-	cd := &chainDialer{base: opts.Dialer, layers: ce.Layers, failures: schemeInstruments[ce.Scheme].dialFailures}
-	if cd.base == nil {
-		cd.base = &net.Dialer{}
+	m := schemeInstruments[ce.Scheme]
+	e := &exchanger{
+		scheme:  ce.Scheme,
+		addr:    ce.Addr(),
+		dialer:  &chainDialer{base: opts.Dialer, layers: ce.Layers, failures: m.dialFailures},
+		timeout: opts.Timeout,
+		policy:  DefaultRetryPolicy(),
+		m:       m,
 	}
-	ex := &bound{addr: ce.Addr()}
+	if e.dialer.base == nil {
+		e.dialer.base = &net.Dialer{}
+	}
+	if e.timeout <= 0 {
+		e.timeout = attemptTimeout[ce.Scheme]
+	}
+	if opts.Retry != nil {
+		e.policy = *opts.Retry
+	}
+	e.policy = e.policy.normalize()
 	switch ce.Scheme {
-	case SchemeUDP:
-		ex.exchange = (&dns53.Client{Timeout: opts.Timeout, Dialer: cd}).Exchange
-	case SchemeTCP:
-		ex.exchange = (&dns53.Client{Timeout: opts.Timeout, Dialer: cd}).ExchangeTCP
 	case SchemeTLS:
-		ex.exchange = (&dot.Client{TLS: probeTLS(opts.TLS), Timeout: opts.Timeout, Dialer: cd}).Exchange
+		e.tls = probeTLS(opts.TLS, ce.Host)
 	case SchemeHTTPS:
-		c := doh.NewClient(probeTLS(opts.TLS), cd)
-		c.Timeout = opts.Timeout
-		ex.exchange, ex.addr = c.Exchange, ce.Endpoint.String()
+		u, err := url.Parse(ce.Endpoint.String())
+		if err != nil {
+			return nil, fmt.Errorf("transport: endpoint %q: %w", endpoint, err)
+		}
+		e.tls = probeTLS(opts.TLS, ce.Host)
+		e.tls.NextProtos = []string{"h2", "http/1.1"}
+		e.authority, e.path = u.Host, u.RequestURI()
 	}
-	return WithRetry(instrument(ex, ce.Scheme), opts.retry()), nil
+	return e, nil
 }
 
 // classicalGroups are the key-exchange groups every encrypted client Dial
@@ -82,32 +94,26 @@ func Dial(endpoint string, opts Options) (Exchanger, error) {
 // not unavailable.
 var classicalGroups = []tls.CurveID{tls.X25519, tls.CurveP256, tls.CurveP384, tls.CurveP521}
 
-// probeTLS is the TLS configuration of one endpoint's client: a clone of
-// cfg that offers classicalGroups unless cfg names its own.
-func probeTLS(cfg *tls.Config) *tls.Config {
+// probeTLS is the TLS configuration of one endpoint's exchanger: a clone
+// of cfg that names host unless cfg names a server, offers classicalGroups
+// unless cfg names its own, and keeps the endpoint's session tickets.
+func probeTLS(cfg *tls.Config, host string) *tls.Config {
 	if cfg == nil {
 		cfg = &tls.Config{}
 	} else {
 		cfg = cfg.Clone()
 	}
+	if cfg.ServerName == "" {
+		cfg.ServerName = host
+	}
 	if len(cfg.CurvePreferences) == 0 {
 		cfg.CurvePreferences = classicalGroups
 	}
+	if cfg.ClientSessionCache == nil {
+		cfg.ClientSessionCache = tls.NewLRUClientSessionCache(32)
+	}
 	return cfg
 }
-
-// bound binds a protocol client's exchange method to one endpoint: the
-// host:port for udp, tcp and tls, the URL for https.
-type bound struct {
-	exchange func(ctx context.Context, q *dnswire.Message, addr string) (*dnswire.Message, error)
-	addr     string
-}
-
-func (e *bound) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	return e.exchange(ctx, q, e.addr)
-}
-
-func (e *bound) Close() error { return nil }
 
 // Pool is the endpoint-addressed exchanger: it dials one Exchanger per
 // distinct endpoint on first use and reuses it afterwards. It implements

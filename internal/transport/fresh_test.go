@@ -56,9 +56,9 @@ func startDoH(t *testing.T, h2 bool) (string, *certs.CA) {
 	return "https://" + ln.Addr().String() + doh.DefaultPath, ca
 }
 
-// TestDialEverySchemeHTTPSFresh runs Dial's own https path — TLS, the
-// dialer chain and doh.NewClient's fresh-connection exchange, no injected
-// client — against an HTTP/2 server and an HTTP/1.1-only one.
+// TestDialEverySchemeHTTPSFresh runs Dial's own https path — the dialer
+// chain, TLS and doh's fresh-connection exchange — against an HTTP/2
+// server and an HTTP/1.1-only one.
 func TestDialEverySchemeHTTPSFresh(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -14,13 +14,12 @@ import (
 
 func noSleep(ctx context.Context, d time.Duration) error { return nil }
 
-// TestTraceThroughRetry drives a traced query through the full retry →
-// instrument → protocol-client middleware stack and checks that every
-// attempt shows up as its own span with the retry annotations attached.
+// TestTraceThroughRetry drives a traced query through the retry loop and
+// checks that every attempt shows up as its own span with the retry
+// annotations attached.
 func TestTraceThroughRetry(t *testing.T) {
-	scripted := &scriptedExchanger{failures: 2}
-	ex := WithRetry(instrument(scripted, SchemeUDP),
-		RetryPolicy{MaxAttempts: 3, Seed: 1, Sleep: noSleep})
+	d := &scriptedDialer{failures: 2}
+	ex := dialScripted(t, d, RetryPolicy{MaxAttempts: 3, Sleep: noSleep})
 
 	attemptsBefore := retryAttempts.Value()
 	ctx, tr := obs.StartTrace(context.Background(), "query example.com A")
@@ -33,8 +32,8 @@ func TestTraceThroughRetry(t *testing.T) {
 	if !resp.Header.QR {
 		t.Error("response is not a reply")
 	}
-	if scripted.calls != 3 {
-		t.Fatalf("protocol client called %d times, want 3", scripted.calls)
+	if d.calls != 3 {
+		t.Fatalf("dialled %d times, want 3", d.calls)
 	}
 	if got := retryAttempts.Value() - attemptsBefore; got != 2 {
 		t.Errorf("retryAttempts advanced by %d, want 2", got)
@@ -44,7 +43,7 @@ func TestTraceThroughRetry(t *testing.T) {
 	if n := strings.Count(out, "attempt (scheme=udp)"); n != 3 {
 		t.Errorf("rendered %d attempt spans, want 3:\n%s", n, out)
 	}
-	if n := strings.Count(out, "error: scripted failure"); n != 2 {
+	if n := strings.Count(out, ": scripted failure"); n != 2 {
 		t.Errorf("rendered %d error annotations, want 2:\n%s", n, out)
 	}
 	for _, want := range []string{"retry: attempt 2 after", "retry: attempt 3 after"} {
@@ -54,16 +53,15 @@ func TestTraceThroughRetry(t *testing.T) {
 	}
 }
 
-// TestInstrumentCounters pins the per-scheme counters and histogram the
-// instrumented wrapper feeds.
+// TestInstrumentCounters pins the per-scheme counters and histogram every
+// attempt feeds.
 func TestInstrumentCounters(t *testing.T) {
 	m := schemeInstruments[SchemeUDP]
 	exBefore := m.exchanges.Value()
 	errBefore := m.errors.Value()
 	histBefore := testutil.HistogramCount(t, `transport_exchange_seconds{scheme="udp"}`)
 
-	scripted := &scriptedExchanger{failures: 1}
-	ex := instrument(scripted, SchemeUDP)
+	ex := dialScripted(t, &scriptedDialer{failures: 1}, NoRetry())
 	q := dnswire.NewQuery(dns53.NewID(), "example.com", dnswire.TypeA)
 	if _, err := ex.Exchange(context.Background(), q); err == nil {
 		t.Fatal("first scripted exchange should fail")
@@ -83,9 +81,8 @@ func TestInstrumentCounters(t *testing.T) {
 	}
 }
 
-// TestUntracedExchangeAllocFree: with no trace in the context, the
-// instrumented path costs one context lookup and no allocations beyond
-// the protocol client's own.
+// TestUntracedSpanOpsAllocFree: with no trace in the context, the spans
+// of an attempt cost one context lookup each and no allocations.
 func TestUntracedSpanOpsAllocFree(t *testing.T) {
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() {

@@ -3,14 +3,16 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"encdns/internal/dnswire"
 )
 
-// goldenBackoff is the exact decorrelated-jitter sequence for the
-// default policy (base 50ms, max 1s, seed 1). The acceptance criterion
+// goldenBackoff is the exact decorrelated-jitter sequence between attempts
+// (base 50ms, max 1s, seed 1). The acceptance criterion
 // is byte-stable backoff under the default seed: a change to the RNG,
 // the stream constant, or the jitter formula fails this test.
 var goldenBackoff = []time.Duration{
@@ -18,7 +20,7 @@ var goldenBackoff = []time.Duration{
 }
 
 func TestBackoffGoldenSequence(t *testing.T) {
-	b := NewBackoff(50*time.Millisecond, time.Second, 1)
+	b := NewBackoff(backoffBase, backoffMax, backoffSeed)
 	for i, want := range goldenBackoff {
 		if got := b.Next(); got != want {
 			t.Errorf("seed 1 delay[%d] = %v, want %v", i, got, want)
@@ -58,35 +60,42 @@ func TestBackoffBounds(t *testing.T) {
 	}
 }
 
-// scriptedExchanger fails a fixed number of times, then succeeds.
-type scriptedExchanger struct {
+// scriptedDialer fails its first failures dials with err (a generic error
+// when nil), then dials for real; it counts every dial, so each call is one
+// attempt.
+type scriptedDialer struct {
 	failures int
 	calls    int
-	closed   bool
 	err      error
 }
 
-func (s *scriptedExchanger) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	s.calls++
-	if s.calls <= s.failures {
-		if s.err != nil {
-			return nil, s.err
+func (d *scriptedDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
+	d.calls++
+	if d.calls <= d.failures {
+		if d.err != nil {
+			return nil, d.err
 		}
 		return nil, errors.New("scripted failure")
 	}
-	resp := *q
-	resp.Header.QR = true
-	return &resp, nil
+	return (&net.Dialer{}).DialContext(ctx, network, addr)
 }
 
-func (s *scriptedExchanger) Close() error { s.closed = true; return nil }
+// dialScripted dials a loopback udp server through d under policy p.
+func dialScripted(t *testing.T, d *scriptedDialer, p RetryPolicy) Exchanger {
+	t.Helper()
+	ex, err := Dial("udp://"+startUDP(t, staticHandler()), Options{Dialer: d, Retry: &p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
 
 func query() *dnswire.Message { return dnswire.NewQuery(1, "example.com", dnswire.TypeA) }
 
 func TestRetryRecoversWithExactBackoff(t *testing.T) {
-	inner := &scriptedExchanger{failures: 2}
+	d := &scriptedDialer{failures: 2}
 	var slept []time.Duration
-	ex := WithRetry(inner, RetryPolicy{
+	ex := dialScripted(t, d, RetryPolicy{
 		MaxAttempts: 3,
 		Sleep:       func(ctx context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	})
@@ -94,8 +103,8 @@ func TestRetryRecoversWithExactBackoff(t *testing.T) {
 	if err != nil || resp == nil {
 		t.Fatalf("exchange: %v", err)
 	}
-	if inner.calls != 3 {
-		t.Errorf("calls = %d, want 3", inner.calls)
+	if d.calls != 3 {
+		t.Errorf("calls = %d, want 3", d.calls)
 	}
 	// The sleeps between attempts are exactly the golden prefix: each
 	// Exchange call restarts the deterministic sequence.
@@ -106,8 +115,8 @@ func TestRetryRecoversWithExactBackoff(t *testing.T) {
 
 func TestRetryExhaustionWrapsLastError(t *testing.T) {
 	sentinel := errors.New("refused")
-	inner := &scriptedExchanger{failures: 99, err: sentinel}
-	ex := WithRetry(inner, RetryPolicy{
+	d := &scriptedDialer{failures: 99, err: sentinel}
+	ex := dialScripted(t, d, RetryPolicy{
 		MaxAttempts: 4,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
 	})
@@ -115,15 +124,15 @@ func TestRetryExhaustionWrapsLastError(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Errorf("error %v does not wrap the final attempt error", err)
 	}
-	if inner.calls != 4 {
-		t.Errorf("calls = %d, want 4", inner.calls)
+	if d.calls != 4 {
+		t.Errorf("calls = %d, want 4", d.calls)
 	}
 }
 
 func TestRetryStopsOnContextCancel(t *testing.T) {
-	inner := &scriptedExchanger{failures: 99}
+	d := &scriptedDialer{failures: 99}
 	ctx, cancel := context.WithCancel(context.Background())
-	ex := WithRetry(inner, RetryPolicy{
+	ex := dialScripted(t, d, RetryPolicy{
 		MaxAttempts: 5,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			cancel()
@@ -134,22 +143,26 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled exchange succeeded")
 	}
-	if inner.calls != 1 {
-		t.Errorf("calls = %d after cancel during first backoff, want 1", inner.calls)
+	if d.calls != 1 {
+		t.Errorf("calls = %d after cancel during first backoff, want 1", d.calls)
 	}
 }
 
-func TestWithRetrySingleAttemptIsIdentity(t *testing.T) {
-	inner := &scriptedExchanger{}
-	if ex := WithRetry(inner, NoRetry()); ex != Exchanger(inner) {
-		t.Error("MaxAttempts=1 should return the exchanger unchanged")
+// TestSingleAttemptReturnsItsError: under NoRetry an exchange is one
+// attempt, whose error comes back as it is, and no retry is counted.
+func TestSingleAttemptReturnsItsError(t *testing.T) {
+	sentinel := errors.New("refused")
+	d := &scriptedDialer{failures: 99, err: sentinel}
+	ex := dialScripted(t, d, NoRetry())
+	attempts, exhausted := retryAttempts.Value(), retryExhausted.Value()
+	_, err := ex.Exchange(context.Background(), query())
+	if !errors.Is(err, sentinel) || strings.Contains(err.Error(), "attempt(s) failed") {
+		t.Errorf("err = %v, want the attempt's own error", err)
 	}
-}
-
-func TestRetryCloseForwards(t *testing.T) {
-	inner := &scriptedExchanger{}
-	ex := WithRetry(inner, DefaultRetryPolicy())
-	if err := ex.Close(); err != nil || !inner.closed {
-		t.Errorf("close not forwarded (err %v, closed %v)", err, inner.closed)
+	if d.calls != 1 {
+		t.Errorf("calls = %d, want 1", d.calls)
+	}
+	if retryAttempts.Value() != attempts || retryExhausted.Value() != exhausted {
+		t.Error("a single attempt moved the retry counters")
 	}
 }

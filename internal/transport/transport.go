@@ -18,11 +18,14 @@
 //
 // Dial binds one endpoint to an Exchanger; Pool manages a lazily dialled
 // Exchanger per endpoint and is the endpoint-addressed (Multi) surface
-// that multi-upstream consumers use. Retry policy is one middleware over
-// Exchanger, WithRetry (exponential backoff, decorrelated jitter), and the
-// protocol clients make one attempt each, so every protocol retries alike:
-// a retry only Do53 made would skew exactly the cross-protocol comparison
-// the paper makes (§3.1).
+// that multi-upstream consumers use. Every scheme runs one attempt
+// routine — dial, TLS handshake where the scheme has one, exchange, check
+// — under one retry loop (exponential backoff, decorrelated jitter), one
+// cancellation rule and one set of spans and counters; dns53 and doh
+// supply only the bytes on an established connection. So every protocol
+// is timed, retried and classified alike: a difference only one client
+// had would skew exactly the cross-protocol comparison the paper makes
+// (§3.1).
 package transport
 
 import (
