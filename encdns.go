@@ -63,7 +63,7 @@ type (
 
 // DialEndpoint binds an Exchanger to a scheme-addressed endpoint
 // (udp://host:port, tcp://host:port, tls://host:853,
-// https://host/dns-query), wrapping it in the shared retry middleware.
+// https://host/dns-query) under the shared retry policy.
 func DialEndpoint(endpoint string, opts TransportOptions) (Exchanger, error) {
 	return transport.Dial(endpoint, opts)
 }

@@ -1,7 +1,8 @@
 // Package dns53 implements conventional DNS transport (RFC 1035 §4.2):
-// a UDP client with truncation fallback, a TCP client with
-// two-octet length framing, and a concurrent UDP/TCP server framework with
-// a handler interface. The DoT and DoH packages layer their transports over
+// the client's half of a UDP exchange and of a two-octet length-framed
+// stream exchange, which transport's attempt routine runs on the
+// connections it dials, and a concurrent UDP/TCP server framework with a
+// handler interface. The DoT and DoH packages layer their transports over
 // the same Handler, so one resolver implementation can serve all three
 // protocols — exactly how the measured public resolvers are deployed.
 package dns53

@@ -1,8 +1,9 @@
 // Package doh implements DNS-over-HTTPS (RFC 8484): a server handler that
 // speaks both the binary application/dns-message wire (GET and POST) and
 // the application/dns-json dialect popularised by Google and Cloudflare,
-// plus a POST-only client that asks each query on a connection of its
-// own. DoH is the protocol the paper measures: it rides ordinary HTTPS on port 443,
+// plus the client's half of a POST-only exchange on a connection of its
+// own, which transport's https:// attempt dials and handshakes. DoH is
+// the protocol the paper measures: it rides ordinary HTTPS on port 443,
 // which is what made it deployable in browsers — and hard for networks to
 // block selectively.
 package doh

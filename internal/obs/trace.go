@@ -9,10 +9,9 @@ import (
 	"time"
 )
 
-// Trace records the attempt-level span tree of one query: the transport
-// middleware opens a span per exchange attempt (each retry gets its own)
-// and the protocol clients open child spans for dial, TLS handshake,
-// write, and first byte. A trace exists only when a caller puts one in
+// Trace records the attempt-level span tree of one query: transport opens
+// a span per exchange attempt (each retry gets its own) with child spans
+// for dial, TLS handshake and exchange. A trace exists only when a caller puts one in
 // the context — with no trace, every span operation is a nil no-op, so
 // the exchange path pays one context lookup and nothing else.
 type Trace struct {
